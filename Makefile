@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet lint lint-cover test race race-full sim-smoke fuzz-smoke bench-smoke cover cluster-cover tenancy-cover bench tables svg csv examples clean
+.PHONY: all build vet lint lint-cover loc test race race-full sim-smoke fuzz-smoke bench-smoke cover cluster-cover tenancy-cover bench tables svg csv examples clean
 
 # The concurrency-heavy packages (distributed path + scheduler) always run
 # under the race detector as part of `make test`; `race-full` covers the
@@ -25,9 +25,8 @@ vet:
 # metric handles, dropped errors, metric naming, and the flow-sensitive
 # quartet (ctxflow, unlockpath, leakcheck, deadline) built on the CFG/
 # dataflow engine. The second pass audits every //swcheck:ignore directive
-# and fails on stale ones. cmd/metriclint survives as a deprecated alias
-# for the metricname analyzer alone. CI runs this as its own job (with a
-# JSON findings artifact); locally it still rides along in `make all`.
+# and fails on stale ones. CI runs this as its own job (with a JSON findings
+# artifact); locally it still rides along in `make all`.
 lint:
 	go run ./cmd/swcheck ./...
 	go run ./cmd/swcheck -ignores ./...
@@ -37,6 +36,11 @@ lint:
 lint-cover:
 	go test -coverprofile=analysis.cover.out ./internal/analysis
 	go run ./cmd/covercheck -profile analysis.cover.out -min 80
+
+# Code size, the number ROADMAP aim 2 tracks: lines of non-test Go source
+# outside bench/ and testdata/.
+loc:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^bench/' -e '/testdata/' | xargs cat | wc -l
 
 # test runs vet plus the test suite; lint is deliberately NOT a
 # prerequisite any more — CI runs it as a separate job so analyzer

@@ -39,11 +39,14 @@
 // gives alice twice bob's share and caps bob at 4 outstanding jobs
 // (over-quota submissions get 429 with a backlog-scaled Retry-After).
 //
-// With -backend=cluster the database is partitioned into -shards contiguous
-// shards, each scanned by -replicas replicated engines under its own
-// master-protocol job, and per-query top-k hits are merged with
-// deterministic tie-breaking — results are byte-identical to -backend=local
-// and a single replica crash mid-job is absorbed by the shard's survivor.
+// Every search runs on one long-lived engine fleet (internal/cluster).
+// -backend=local is its one-shard shape: the -gpus and -sse engines all scan
+// the whole database. With -backend=cluster the database is partitioned
+// into -shards contiguous shards, each scanned by -replicas CPU engines
+// under its own master-protocol job, and per-query top-k hits are merged
+// with deterministic tie-breaking — the ranking does not depend on the
+// shard count, and a single replica crash mid-job is absorbed by the
+// shard's survivor.
 //
 // SIGINT/SIGTERM starts a graceful shutdown: the listener closes, requests
 // and running jobs in flight get -drain to finish (past the deadline a

@@ -22,20 +22,21 @@
 //	})
 //
 // Search runs a real computation on the calling machine (the "GPUs" are
-// simulated devices computing true scores). Simulate runs the same
-// scheduler against the calibrated virtual-time platform to predict the
-// behaviour of the paper's 4-GPU/8-core testbed; see also cmd/benchtables.
+// simulated devices computing true scores): it builds the one-shard engine
+// fleet the Platform describes and runs the search on it (internal/cluster
+// is where every in-process search executes; this package only translates
+// a Platform into its terms). Simulate runs the same scheduler against the
+// calibrated virtual-time platform to predict the behaviour of the paper's
+// 4-GPU/8-core testbed; see also cmd/benchtables.
 package hybridsw
 
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
-	"repro/internal/cudasw"
+	"repro/internal/cluster"
 	"repro/internal/dataset"
-	"repro/internal/farrar"
 	"repro/internal/master"
 	"repro/internal/metrics"
 	"repro/internal/platform"
@@ -43,7 +44,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/score"
 	"repro/internal/seq"
-	"repro/internal/slave"
 	"repro/internal/stats"
 	"repro/internal/sw"
 	"repro/internal/wire"
@@ -153,34 +153,51 @@ type Platform struct {
 	// "rescore"). Called under the master's lock: keep it fast.
 	StageProgress func(stage string, done, total int64)
 
-	// Registry, when non-nil, receives scheduler, wire and slave metrics
-	// from every Search run (see internal/metrics). Repeated Searches on
-	// the same registry accumulate into the same families.
+	// Registry, when non-nil, receives scheduler, wire, slave and kernel
+	// metrics from every Search run (see internal/metrics). Repeated
+	// Searches on the same registry accumulate into the same families.
 	Registry *metrics.Registry
-	// Events, when non-nil, receives the master's assign/sample/exec/summary
-	// event-log lines, one JSON object per line, in the same shape the
-	// virtual-time platform writes its trace.
-	Events *metrics.EventLog
 }
 
-// Report is the outcome of a Search.
-type Report struct {
-	PerQuery []QueryResult
-	Elapsed  time.Duration
-	// Cells is the job's DP cell count: query×database for the full scan,
-	// the (smaller) rescored total in filtered mode.
-	Cells int64
-	// Filter carries the two-stage pipeline's accounting; nil for the full
-	// scan.
-	Filter *FilterStats
-}
+// Report is the outcome of a Search: per-query results, wall time, the
+// job's DP cell count (query×database for the full scan, the smaller
+// rescored total in filtered mode) and, in filtered mode, the two-stage
+// pipeline's accounting. Shards has the one entry of Search's one-shard
+// fleet.
+type Report = cluster.Report
 
-// GCUPS returns the achieved billions of cell updates per second.
-func (r *Report) GCUPS() float64 {
-	if r.Elapsed <= 0 {
-		return 0
+// NewFleet builds the engine set Search runs on: the one-shard fleet whose
+// replicas are p's GPUs and SSECores engines over db. A server that
+// answers many searches over one database (internal/httpapi) builds it
+// once and passes p.Params() to each Fleet.SearchContext.
+func NewFleet(db []*Sequence, p Platform) (*cluster.Fleet, error) {
+	if p.GPUs+p.SSECores == 0 {
+		p.SSECores = 1
 	}
-	return float64(r.Cells) / r.Elapsed.Seconds() / 1e9
+	return cluster.New(cluster.Config{
+		DB:           db,
+		Shards:       1,
+		GPUs:         p.GPUs,
+		Replicas:     p.SSECores,
+		Scheme:       p.Scheme,
+		CPUKernel:    p.CPUKernel,
+		CoresPerHost: p.CoresPerHost,
+		Registry:     p.Registry,
+	})
+}
+
+// Params are p's per-search settings in the fleet's terms.
+func (p Platform) Params() cluster.Params {
+	return cluster.Params{
+		Policy:        p.Policy,
+		Adjust:        p.Adjust,
+		Omega:         p.Omega,
+		TopK:          p.TopK,
+		AlignBest:     p.AlignBest,
+		Mode:          p.Mode,
+		Filter:        p.Filter,
+		StageProgress: p.StageProgress,
+	}
 }
 
 // Search compares every query against the database on an in-process hybrid
@@ -191,238 +208,16 @@ func Search(queries, db []*Sequence, p Platform) (*Report, error) {
 	return SearchContext(context.Background(), queries, db, p)
 }
 
-// ctxCaller gates a slave's protocol calls on a context. While the context
-// is live, calls pass through and the caller tracks which tasks the master
-// assigned on this connection. Once the context is cancelled it stops
-// dispatching to the master: work requests are answered with Done (no new
-// tasks start) and progress notifications are acknowledged with a
-// cancellation of every task still assigned here, which closes the engine's
-// cancel channel and aborts the in-flight scan. Completions that race the
-// cancellation still reach the master so its accounting stays consistent.
-type ctxCaller struct {
-	ctx   context.Context
-	inner wire.Caller
-
-	mu sync.Mutex
-	// pending are tasks assigned through this caller and not yet finished
-	// with (completed, or cancelled by the master or the context).
-	pending map[sched.TaskID]bool
-}
-
-func newCtxCaller(ctx context.Context, inner wire.Caller) *ctxCaller {
-	return &ctxCaller{ctx: ctx, inner: inner, pending: map[sched.TaskID]bool{}}
-}
-
-// Call implements wire.Caller.
-func (c *ctxCaller) Call(req wire.Envelope) (wire.Envelope, error) {
-	if c.ctx.Err() != nil {
-		switch {
-		case req.Request != nil:
-			return wire.Envelope{Assign: &wire.AssignMsg{Done: true}}, nil
-		case req.Progress != nil:
-			return wire.Envelope{ProgressAck: &wire.ProgressAckMsg{
-				Cancel: c.takePending(), Done: true,
-			}}, nil
-		}
-		// Register and Complete still go to the (in-process) master:
-		// registration is the session's first call and completions keep the
-		// coordinator's books straight for results that beat the cancel.
-	}
-	resp, err := c.inner.Call(req)
-	if err != nil {
-		return resp, err
-	}
-	c.track(req, resp)
-	return resp, nil
-}
-
-// track maintains the pending-task set from the live protocol flow.
-func (c *ctxCaller) track(req, resp wire.Envelope) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if resp.Assign != nil {
-		for _, t := range resp.Assign.Tasks {
-			c.pending[t.ID] = true
-		}
-	}
-	if req.Complete != nil {
-		delete(c.pending, req.Complete.Task)
-	}
-	var cancels []sched.TaskID
-	if resp.ProgressAck != nil {
-		cancels = resp.ProgressAck.Cancel
-	}
-	if resp.CompleteAck != nil {
-		cancels = resp.CompleteAck.Cancel
-	}
-	for _, id := range cancels {
-		delete(c.pending, id)
-	}
-}
-
-// takePending drains the pending-task set for a synthetic cancellation ack.
-func (c *ctxCaller) takePending() []sched.TaskID {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]sched.TaskID, 0, len(c.pending))
-	for id := range c.pending {
-		out = append(out, id)
-	}
-	c.pending = map[sched.TaskID]bool{}
-	return out
-}
-
-// Close implements wire.Caller.
-func (c *ctxCaller) Close() error { return c.inner.Close() }
-
 // SearchContext is Search with cancellation: when ctx is cancelled the
-// slaves stop asking for new tasks and every in-flight task is aborted
-// through the engines' cancel channels (the same path a replica's victory
-// uses), so a cancelled search releases its CPU promptly instead of
-// finishing the whole job. It returns ctx.Err() when cancelled before the
-// job completed.
+// slaves stop asking for new tasks and every in-flight task is aborted, so
+// a cancelled search releases its CPU promptly instead of finishing the
+// whole job. It returns ctx.Err() when cancelled before the job completed.
 func SearchContext(ctx context.Context, queries, db []*Sequence, p Platform) (*Report, error) {
-	if p.GPUs+p.SSECores == 0 {
-		p.SSECores = 1
-	}
-	if p.Policy == "" {
-		p.Policy = "PSS"
-	}
-	if p.Scheme.Matrix == nil {
-		p.Scheme = DefaultScheme()
-	}
-	pol, err := sched.NewPolicy(p.Policy)
+	f, err := NewFleet(db, p)
 	if err != nil {
 		return nil, err
 	}
-	var filtered bool
-	switch p.Mode {
-	case "", "full":
-	case "filtered":
-		filtered = true
-		if p.SSECores < 1 {
-			return nil, fmt.Errorf("hybridsw: filtered mode needs at least one CPU engine (the GPU engine is SW-only)")
-		}
-	default:
-		return nil, fmt.Errorf("hybridsw: unknown mode %q", p.Mode)
-	}
-	var residues int64
-	for _, d := range db {
-		residues += int64(d.Len())
-	}
-	m, err := master.New(master.Config{
-		Queries:       queries,
-		DBResidues:    residues,
-		Policy:        pol,
-		Adjust:        p.Adjust,
-		Omega:         p.Omega,
-		Registry:      p.Registry,
-		Events:        p.Events,
-		Filtered:      filtered,
-		Filter:        p.Filter,
-		StageProgress: p.StageProgress,
-	})
-	if err != nil {
-		return nil, err
-	}
-	var slaveMet *slave.Metrics
-	var wireMet *wire.Metrics
-	var kernMet *farrar.Metrics
-	if p.Registry != nil {
-		slaveMet = slave.NewMetrics(p.Registry)
-		wireMet = wire.NewMetrics(p.Registry)
-		kernMet = farrar.NewMetrics(p.Registry)
-	}
-
-	var engines []slave.Engine
-	for i := 0; i < p.GPUs; i++ {
-		eng, err := slave.NewGPUEngine(fmt.Sprintf("GPU%d", i+1), cudasw.GTX580(), p.Scheme, db, 0)
-		if err != nil {
-			return nil, err
-		}
-		engines = append(engines, eng)
-	}
-	for i := 0; i < p.SSECores; i++ {
-		var eng slave.Engine
-		var err error
-		name := fmt.Sprintf("SSE%d", i+1)
-		switch p.CPUKernel {
-		case "", "farrar":
-			eng, err = slave.NewFarrarEngine(name, p.Scheme, db, 0)
-		case "swipe":
-			eng, err = slave.NewSwipeEngine(name, p.Scheme, db, 0)
-		case "multicore":
-			eng, err = slave.NewMulticoreEngine(name, p.Scheme, db, p.CoresPerHost, 0)
-		default:
-			return nil, fmt.Errorf("hybridsw: unknown CPU kernel %q", p.CPUKernel)
-		}
-		if err != nil {
-			return nil, err
-		}
-		engines = append(engines, eng)
-	}
-	if kernMet != nil {
-		// Engines whose compute core is a farrar.Kernel publish the
-		// 8/16/scalar fallback telemetry their workers would otherwise drop.
-		for _, eng := range engines {
-			if ke, ok := eng.(interface{ SetKernelMetrics(*farrar.Metrics) }); ok {
-				ke.SetKernelMetrics(kernMet)
-			}
-		}
-	}
-	if p.Registry != nil && filtered {
-		pmet := prefilter.NewMetrics(p.Registry)
-		for _, eng := range engines {
-			if pe, ok := eng.(interface {
-				SetPrefilterMetrics(*prefilter.Metrics)
-			}); ok {
-				pe.SetPrefilterMetrics(pmet)
-			}
-		}
-	}
-
-	var wg sync.WaitGroup
-	errs := make([]error, len(engines))
-	for i, eng := range engines {
-		wg.Add(1)
-		go func(i int, eng slave.Engine) {
-			defer wg.Done()
-			_, errs[i] = slave.Run(newCtxCaller(ctx, wire.Meter(wire.Local{H: m}, wireMet)), eng, slave.Options{
-				NotifyEvery: 50 * time.Millisecond,
-				Poll:        10 * time.Millisecond,
-				TopK:        p.TopK,
-				AlignBest:   p.AlignBest,
-				Metrics:     slaveMet,
-			})
-		}(i, eng)
-	}
-	//swcheck:ignore ctxflow the joined slaves are ctx-gated via newCtxCaller, so cancellation already unblocks this join; returning before it would leak engine goroutines
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		// Cancelled mid-job: the slaves have stopped, but the master never
-		// saw every task complete, so its done channel will not close.
-		return nil, err
-	}
-	if err := m.Wait(time.Second); err != nil {
-		return nil, err
-	}
-
-	rep := &Report{PerQuery: m.Results(), Elapsed: m.Elapsed()}
-	if filtered {
-		fs := m.FilterStats()
-		rep.Filter = &fs
-		rep.Cells = fs.RescoredCells
-	} else {
-		for _, q := range queries {
-			rep.Cells += int64(q.Len()) * residues
-		}
-	}
-	return rep, nil
+	return f.SearchContext(ctx, queries, p.Params())
 }
 
 // HitEValue returns the Karlin-Altschul E-value of a raw hit score for a

@@ -10,13 +10,12 @@ import (
 	"repro/internal/metrics"
 )
 
-// MetricNameAnalyzer is cmd/metriclint folded into the swcheck suite: it
-// applies metrics.CheckName to every literal metric name passed to a
-// *metrics.Registry constructor (Counter, GaugeVec, HistogramVec, ...),
-// so a name that would panic the registry at run time fails `make lint`
-// instead — including on code paths no test registers. Unlike the
-// original purely syntactic linter it resolves the receiver type, so a
-// method merely named Counter on some other type is not misflagged.
+// MetricNameAnalyzer applies metrics.CheckName to every literal metric
+// name passed to a *metrics.Registry constructor (Counter, GaugeVec,
+// HistogramVec, ...), so a name that would panic the registry at run time
+// fails `make lint` instead — including on code paths no test registers.
+// It resolves the receiver type, so a method merely named Counter on some
+// other type is not misflagged.
 var MetricNameAnalyzer = &Analyzer{
 	Name: "metricname",
 	Doc:  "metric names passed to registry constructors must follow the subsystem_name_unit convention",

@@ -17,10 +17,12 @@ import (
 //     (requeueing the replica's tasks, exactly like a dropped TCP
 //     connection) and counts one failover. The failed call also makes the
 //     slave loop cancel its in-flight scan and exit.
-//   - Context cancellation: like the local backend's caller, a cancelled
-//     context answers work requests with Done and progress notifications
-//     with a cancellation of every task still assigned here, so the whole
-//     fleet winds down promptly without failing the master's accounting.
+//   - Context cancellation: a cancelled context answers work requests with
+//     Done (no new tasks start) and progress notifications with a
+//     cancellation of every task still assigned here, which closes the
+//     engine's cancel channel and aborts the in-flight scan — the same path
+//     a replica's victory uses — so the whole fleet winds down promptly
+//     without failing the master's accounting.
 type replicaCaller struct {
 	ctx        context.Context
 	inner      wire.Caller
@@ -50,7 +52,7 @@ func (c *replicaCaller) Call(req wire.Envelope) (wire.Envelope, error) {
 	select {
 	case <-c.rep.down:
 		c.gone()
-		return wire.Envelope{}, fmt.Errorf("cluster: replica %s is down", c.rep.name)
+		return wire.Envelope{}, fmt.Errorf("cluster: replica %s is down", c.rep.eng.Name())
 	default:
 	}
 	if c.ctx.Err() != nil {

@@ -1,11 +1,13 @@
-// Package cluster is the sharded scatter-gather backend of the serving
-// stack: it partitions the indexed database into contiguous shards, builds
-// a replicated engine fleet over them, and executes each search as one
+// Package cluster is the one place a search is executed over in-process
+// engines: it partitions the database into contiguous shards, builds a
+// replicated engine fleet over them, and executes each search as one
 // master-protocol job per shard whose per-query top-k hits are merged
 // under the module-wide ranking contract (wire.HitLess). The merge is
-// deterministic — score descending, global database index ascending — so a
-// sharded run ranks byte-identically to a single-node run over the same
-// database, in both full and filtered modes.
+// deterministic — score descending, global database index ascending — so
+// the ranking does not depend on the shard count, in both full and
+// filtered modes. A single-node search (hybridsw.Search, swserve
+// -backend=local) is the one-shard fleet whose replicas are the
+// platform's GPU and CPU engines.
 //
 // Fault tolerance rides the existing master machinery: every shard's
 // replicas register with the shard master as independent slaves, so when a
@@ -19,7 +21,10 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cudasw"
+	"repro/internal/farrar"
 	"repro/internal/metrics"
+	"repro/internal/prefilter"
 	"repro/internal/score"
 	"repro/internal/seq"
 	"repro/internal/slave"
@@ -66,8 +71,13 @@ type Config struct {
 	// Shards is the number of contiguous database partitions; 0 means 1.
 	// Must not exceed len(DB) — every shard holds at least one sequence.
 	Shards int
-	// Replicas is the number of independent engines per shard; 0 means
-	// DefaultReplicas. Each replica can complete the shard's scan alone.
+	// GPUs is the number of simulated CUDASW++ devices per shard (real
+	// scores, modeled cost). GPU engines are SW-only: they sit out both
+	// stages of a filtered search.
+	GPUs int
+	// Replicas is the number of CPU engines per shard; 0 means
+	// DefaultReplicas, or none on a shard that has GPUs. Every engine, GPU
+	// or CPU, can complete the shard's full scan alone.
 	Replicas int
 	// Scheme is the scoring scheme; the zero value uses the paper's
 	// BLOSUM62/10/2 default.
@@ -85,16 +95,15 @@ type Config struct {
 	Registry *metrics.Registry
 }
 
-// DefaultReplicas is the per-shard replica count when Config.Replicas is 0.
+// DefaultReplicas is the per-shard CPU engine count when Config.Replicas
+// and Config.GPUs are both 0.
 const DefaultReplicas = 2
 
-// replica is one engine copy of a shard. Engines are stateless between
-// searches (each Search builds fresh kernels over the shared read-only
-// database slice), so the same replica serves any number of concurrent
-// jobs.
+// replica is one engine of a shard. Engines are stateless between searches
+// (each Search builds fresh kernels over the shared read-only database
+// slice), so the same replica serves any number of concurrent jobs.
 type replica struct {
-	name string
-	eng  slave.Engine
+	eng slave.Engine
 
 	// dead and down are guarded by the owning shard's mu; down is closed
 	// exactly when dead flips true, so in-flight callers observe the kill
@@ -150,52 +159,87 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Shards > len(cfg.DB) {
 		return nil, fmt.Errorf("cluster: %d shards over %d sequences (every shard needs at least one)", cfg.Shards, len(cfg.DB))
 	}
-	if cfg.Replicas <= 0 {
+	cfg.GPUs, cfg.Replicas = max(cfg.GPUs, 0), max(cfg.Replicas, 0)
+	if cfg.GPUs+cfg.Replicas == 0 {
 		cfg.Replicas = DefaultReplicas
 	}
 	if cfg.Scheme.Matrix == nil {
 		cfg.Scheme = score.DefaultProtein()
 	}
 	f := &Fleet{cfg: cfg}
+	var kernMet *farrar.Metrics
+	var filtMet *prefilter.Metrics
 	if cfg.Registry != nil {
 		f.met = NewMetrics(cfg.Registry)
 		f.wireMet = wire.NewMetrics(cfg.Registry)
 		f.slaveMet = slave.NewMetrics(cfg.Registry)
+		kernMet = farrar.NewMetrics(cfg.Registry)
+		filtMet = prefilter.NewMetrics(cfg.Registry)
 	}
 	for _, bounds := range partition(cfg.DB, cfg.Shards) {
 		s := &shard{index: len(f.shards), db: cfg.DB[bounds[0]:bounds[1]], offset: bounds[0]}
 		for _, d := range s.db {
 			s.residues += int64(d.Len())
 		}
-		for r := 0; r < cfg.Replicas; r++ {
-			name := fmt.Sprintf("shard%d/replica%d", s.index, r)
-			eng, err := newEngine(name, cfg, s.db)
-			if err != nil {
-				return nil, err
-			}
-			s.replicas = append(s.replicas, &replica{name: name, eng: eng, down: make(chan struct{})})
+		engines, err := newEngines(s.index, cfg, s.db, kernMet, filtMet)
+		if err != nil {
+			return nil, err
+		}
+		for _, eng := range engines {
+			s.replicas = append(s.replicas, &replica{eng: eng, down: make(chan struct{})})
 		}
 		f.shards = append(f.shards, s)
 	}
 	if f.met != nil {
-		f.met.LiveReplicas.Set(float64(cfg.Shards * cfg.Replicas))
+		f.met.LiveReplicas.Set(float64(cfg.Shards * (cfg.GPUs + cfg.Replicas)))
 	}
 	return f, nil
 }
 
-// newEngine builds one replica engine over a shard's database slice,
-// mirroring the kernel selection of the local backend.
-func newEngine(name string, cfg Config, db []*seq.Sequence) (slave.Engine, error) {
-	switch cfg.CPUKernel {
-	case "", "farrar":
-		return slave.NewFarrarEngine(name, cfg.Scheme, db, 0)
-	case "swipe":
-		return slave.NewSwipeEngine(name, cfg.Scheme, db, 0)
-	case "multicore":
-		return slave.NewMulticoreEngine(name, cfg.Scheme, db, cfg.CoresPerHost, 0)
-	default:
-		return nil, fmt.Errorf("cluster: unknown CPU kernel %q", cfg.CPUKernel)
+// newEngines builds one shard's engine set over its database slice:
+// cfg.GPUs simulated devices, then cfg.Replicas CPU engines of the
+// configured kernel. Engines whose compute core is a farrar.Kernel publish
+// their 8/16/scalar fallback telemetry into kernMet and prefilter-capable
+// engines their scan accounting into filtMet (both may be nil).
+func newEngines(shard int, cfg Config, db []*seq.Sequence, kernMet *farrar.Metrics, filtMet *prefilter.Metrics) ([]slave.Engine, error) {
+	var engines []slave.Engine
+	for i := 0; i < cfg.GPUs; i++ {
+		eng, err := slave.NewGPUEngine(fmt.Sprintf("shard%d/gpu%d", shard, i), cudasw.GTX580(), cfg.Scheme, db, 0)
+		if err != nil {
+			return nil, err
+		}
+		engines = append(engines, eng)
 	}
+	for i := 0; i < cfg.Replicas; i++ {
+		var eng slave.Engine
+		var err error
+		name := fmt.Sprintf("shard%d/replica%d", shard, i)
+		switch cfg.CPUKernel {
+		case "", "farrar":
+			eng, err = slave.NewFarrarEngine(name, cfg.Scheme, db, 0)
+		case "swipe":
+			eng, err = slave.NewSwipeEngine(name, cfg.Scheme, db, 0)
+		case "multicore":
+			eng, err = slave.NewMulticoreEngine(name, cfg.Scheme, db, cfg.CoresPerHost, 0)
+		default:
+			return nil, fmt.Errorf("cluster: unknown CPU kernel %q", cfg.CPUKernel)
+		}
+		if err != nil {
+			return nil, err
+		}
+		engines = append(engines, eng)
+	}
+	for _, eng := range engines {
+		if ke, ok := eng.(interface{ SetKernelMetrics(*farrar.Metrics) }); ok {
+			ke.SetKernelMetrics(kernMet)
+		}
+		if pe, ok := eng.(interface {
+			SetPrefilterMetrics(*prefilter.Metrics)
+		}); ok {
+			pe.SetPrefilterMetrics(filtMet)
+		}
+	}
+	return engines, nil
 }
 
 // partition splits the database into n contiguous, residue-balanced
@@ -264,6 +308,11 @@ func (f *Fleet) Ready() bool {
 	}
 	return true
 }
+
+// CanFilter reports whether the fleet can run filtered searches: every
+// shard needs at least one CPU engine, since GPU engines sit out both
+// filtered stages.
+func (f *Fleet) CanFilter() bool { return f.cfg.Replicas > 0 }
 
 // KillReplica marks one replica dead, the fault-injection seam chaos tests
 // and the e2e crash scenario use: in-flight protocol calls of the replica

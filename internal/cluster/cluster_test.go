@@ -12,6 +12,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/score"
 	"repro/internal/seq"
+	"repro/internal/sw"
 	"repro/internal/wire"
 )
 
@@ -44,9 +45,74 @@ func rankingJSON(t *testing.T, perQuery []hybridsw.QueryResult) string {
 	return string(b)
 }
 
-// TestClusterMatchesLocalRanking is the ranking-identity property test:
-// across a seeded scheme x database x mode x top-k matrix, the cluster
-// scatter-gather merge must be byte-identical to the local backend.
+// bruteForce is the oracle the fleet is checked against, sharing no code
+// with it: every query scored against every database sequence by the scalar
+// reference sw.Score, ranked under wire.HitLess.
+func bruteForce(queries, db []*seq.Sequence, s score.Scheme) [][]wire.Hit {
+	out := make([][]wire.Hit, len(queries))
+	for qi, q := range queries {
+		hits := make([]wire.Hit, len(db))
+		for i, d := range db {
+			hits[i] = wire.Hit{SeqID: d.ID, Index: i, Score: sw.Score(q.Residues, d.Residues, s)}
+		}
+		wire.SortHits(hits)
+		out[qi] = hits
+	}
+	return out
+}
+
+// checkFullRanking asserts a full-scan result is exactly the oracle's
+// ranking cut to topK (alignment payloads aside).
+func checkFullRanking(t *testing.T, perQuery []hybridsw.QueryResult, oracle [][]wire.Hit, topK int) {
+	t.Helper()
+	for qi, qr := range perQuery {
+		want := oracle[qi]
+		if topK > 0 && len(want) > topK {
+			want = want[:topK]
+		}
+		if len(qr.Hits) != len(want) {
+			t.Fatalf("query %s: %d hits, want %d", qr.Query, len(qr.Hits), len(want))
+		}
+		for i, h := range qr.Hits {
+			if h.SeqID != want[i].SeqID || h.Index != want[i].Index || h.Score != want[i].Score {
+				t.Fatalf("query %s rank %d: got {%s %d %d}, brute force has {%s %d %d}", qr.Query, i,
+					h.SeqID, h.Index, h.Score, want[i].SeqID, want[i].Index, want[i].Score)
+			}
+		}
+	}
+}
+
+// checkFilteredRanking asserts what filtered mode promises: hits ranked
+// under wire.HitLess, no score above the full scan's for the same sequence,
+// and the planted query's source sequence on top at its exact score.
+func checkFilteredRanking(t *testing.T, perQuery []hybridsw.QueryResult, oracle [][]wire.Hit, planted, source int) {
+	t.Helper()
+	for qi, qr := range perQuery {
+		full := make(map[int]int, len(oracle[qi]))
+		for _, h := range oracle[qi] {
+			full[h.Index] = h.Score
+		}
+		for i, h := range qr.Hits {
+			if h.Score > full[h.Index] {
+				t.Errorf("query %s: filtered score %d for %s exceeds the full scan's %d", qr.Query, h.Score, h.SeqID, full[h.Index])
+			}
+			if i > 0 && wire.HitLess(h, qr.Hits[i-1]) {
+				t.Errorf("query %s: hits %d and %d out of order", qr.Query, i-1, i)
+			}
+		}
+	}
+	top := perQuery[planted].Hits[0]
+	if want := oracle[planted][0]; top.Index != source || top.Score != want.Score {
+		t.Errorf("planted query: top hit {%s %d}, want its source %s at the full scan's %d",
+			top.SeqID, top.Score, want.SeqID, want.Score)
+	}
+}
+
+// TestClusterMatchesLocalRanking is the ranking property test: across a
+// seeded scheme x database x mode x top-k matrix, the sharded fleet is
+// checked against the brute-force oracle (exact ranking in full mode, the
+// filtered-mode promises otherwise), and the one-shard search must be
+// byte-identical to the three-shard one, which pins the merge.
 func TestClusterMatchesLocalRanking(t *testing.T) {
 	altScheme := hybridsw.DefaultScheme()
 	altScheme.Gap = score.AffineGap(5, 1)
@@ -67,8 +133,17 @@ func TestClusterMatchesLocalRanking(t *testing.T) {
 	}
 	for _, dbc := range dbs {
 		db := testDB(t, dbc.name, dbc.scale, dbc.seed)
+		// Three stitched queries plus one planted verbatim from a database
+		// member, whose source the prefilter's exact seeds must find.
+		source := len(db) / 2
 		queries := hybridsw.GenerateQueries(db, 3, 40, 100, dbc.seed+1)
+		planted := len(queries)
+		queries = append(queries, seq.New("planted", "", db[source].Residues[:min(80, db[source].Len())]))
 		for _, sc := range schemes {
+			oracle := bruteForce(queries, db, sc.s)
+			if oracle[planted][0].Index != source {
+				t.Fatalf("%s: planted query's best full-scan hit is %s, not its source", dbc.name, oracle[planted][0].SeqID)
+			}
 			for _, mode := range []string{"full", "filtered"} {
 				for _, topK := range []int{0, 3} {
 					// Exercise the alignment-stripping path on one cell of
@@ -76,7 +151,7 @@ func TestClusterMatchesLocalRanking(t *testing.T) {
 					align := mode == "full" && topK == 3
 					name := fmt.Sprintf("%s/%s/%s/topk=%d", dbc.name, sc.name, mode, topK)
 					t.Run(name, func(t *testing.T) {
-						local, err := hybridsw.Search(queries, db, hybridsw.Platform{
+						one, err := hybridsw.Search(queries, db, hybridsw.Platform{
 							SSECores: 1, Policy: "PSS", TopK: topK,
 							Scheme: sc.s, Mode: mode, AlignBest: align,
 						})
@@ -95,31 +170,35 @@ func TestClusterMatchesLocalRanking(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						got, want := rankingJSON(t, rep.PerQuery), rankingJSON(t, local.PerQuery)
+						got, want := rankingJSON(t, rep.PerQuery), rankingJSON(t, one.PerQuery)
 						if got != want {
-							t.Errorf("cluster ranking diverges from local:\n got %s\nwant %s", got, want)
+							t.Errorf("three-shard ranking diverges from one-shard:\n got %s\nwant %s", got, want)
 						}
 						if mode == "filtered" {
-							if rep.Filter == nil || local.Filter == nil {
+							checkFilteredRanking(t, rep.PerQuery, oracle, planted, source)
+							if rep.Filter == nil || one.Filter == nil {
 								t.Fatal("filtered report missing Filter stats")
 							}
-							// Residue accounting must sum back to the local
-							// backend's totals; rescored cells may exceed them
-							// by at most one padding cell per (shard, query)
-							// pair (a windowless shard prefilter still appends
-							// a 1-cell rescore task).
-							if rep.Filter.ResiduesScanned != local.Filter.ResiduesScanned ||
-								rep.Filter.FullScanCells != local.Filter.FullScanCells {
-								t.Errorf("filter accounting diverges: cluster %+v local %+v", rep.Filter, local.Filter)
+							// Residue accounting must not depend on the shard
+							// count; rescored cells may exceed the one-shard
+							// total by at most one padding cell per (shard,
+							// query) pair (a windowless shard prefilter still
+							// appends a 1-cell rescore task).
+							if rep.Filter.ResiduesScanned != one.Filter.ResiduesScanned ||
+								rep.Filter.FullScanCells != one.Filter.FullScanCells {
+								t.Errorf("filter accounting diverges: three shards %+v one shard %+v", rep.Filter, one.Filter)
 							}
 							slack := int64(3 * len(queries))
-							if rep.Filter.RescoredCells < local.Filter.RescoredCells ||
-								rep.Filter.RescoredCells > local.Filter.RescoredCells+slack {
+							if rep.Filter.RescoredCells < one.Filter.RescoredCells ||
+								rep.Filter.RescoredCells > one.Filter.RescoredCells+slack {
 								t.Errorf("rescored cells %d outside [%d, %d+%d]",
-									rep.Filter.RescoredCells, local.Filter.RescoredCells, local.Filter.RescoredCells, slack)
+									rep.Filter.RescoredCells, one.Filter.RescoredCells, one.Filter.RescoredCells, slack)
 							}
-						} else if rep.Cells != local.Cells {
-							t.Errorf("cell totals diverge: cluster %d local %d", rep.Cells, local.Cells)
+						} else {
+							checkFullRanking(t, rep.PerQuery, oracle, topK)
+							if rep.Cells != one.Cells {
+								t.Errorf("cell totals diverge: three shards %d one shard %d", rep.Cells, one.Cells)
+							}
 						}
 					})
 				}
@@ -128,55 +207,130 @@ func TestClusterMatchesLocalRanking(t *testing.T) {
 	}
 }
 
-// TestClusterFailover kills a shard's replica mid-scan and asserts the
-// surviving replica finishes the job with results still identical to the
-// local backend — the e2e counterpart of the sim scenario.
+// TestOneShardEngineMix runs the single-node shape — one shard whose
+// replicas are a simulated GPU and a CPU engine — against the oracle: both
+// engine kinds must produce the exact ranking, the GPU sits out a filtered
+// search harmlessly, and a GPU-only fleet refuses filtered mode up front.
+func TestOneShardEngineMix(t *testing.T) {
+	db := testDB(t, "Ensembl Dog Proteins", 0.0008, 3)
+	queries := hybridsw.GenerateQueries(db, 4, 40, 120, 4)
+	oracle := bruteForce(queries, db, hybridsw.DefaultScheme())
+	fleet, err := cluster.New(cluster.Config{DB: db, Shards: 1, GPUs: 1, Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := fleet.Health(); len(h) != 1 || h[0].Replicas != 2 || h[0].Live != 2 {
+		t.Fatalf("health = %+v, want one shard with a GPU and a CPU engine", h)
+	}
+	rep, err := fleet.Search(queries, cluster.Params{Adjust: true, TopK: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFullRanking(t, rep.PerQuery, oracle, 5)
+	// Each engine alone must agree too: kill one, then the other.
+	for killed := 0; killed < 2; killed++ {
+		if err := fleet.KillReplica(0, killed); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := fleet.Search(queries, cluster.Params{TopK: 5})
+		if err != nil {
+			t.Fatalf("replica %d dead: %v", killed, err)
+		}
+		checkFullRanking(t, rep.PerQuery, oracle, 5)
+		if err := fleet.ReviveReplica(0, killed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !fleet.CanFilter() {
+		t.Fatal("fleet with a CPU engine cannot filter")
+	}
+	filt, err := fleet.Search(queries, cluster.Params{Mode: "filtered", TopK: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if filt.Filter == nil || filt.Filter.RescoredCells >= filt.Filter.FullScanCells {
+		t.Errorf("filtered accounting = %+v", filt.Filter)
+	}
+
+	gpuOnly, err := cluster.New(cluster.Config{DB: db, GPUs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := gpuOnly.Health(); h[0].Replicas != 1 {
+		t.Errorf("GPU-only shard has %d engines, want 1", h[0].Replicas)
+	}
+	if gpuOnly.CanFilter() {
+		t.Error("GPU-only fleet claims it can filter")
+	}
+	if _, err := gpuOnly.Search(queries, cluster.Params{Mode: "filtered"}); err == nil {
+		t.Error("filtered search on a GPU-only fleet accepted")
+	}
+
+	// A filtered job whose only CPU engine dies mid-scan cannot finish on
+	// the GPU: it must fail rather than leave the GPU polling for work.
+	var kill sync.Once
+	_, err = fleet.SearchContext(context.Background(), queries, cluster.Params{
+		Mode: "filtered",
+		OnShards: func([]cluster.ShardStatus) {
+			kill.Do(func() {
+				if err := fleet.KillReplica(0, 1); err != nil {
+					t.Error(err)
+				}
+			})
+		},
+	})
+	if err == nil {
+		t.Error("filtered search survived the death of its only CPU engine")
+	}
+}
+
+// TestClusterFailover kills a replica mid-scan — on a two-shard fleet and
+// on the one-shard single-node shape — and asserts the surviving replica
+// finishes the job with the oracle's exact ranking.
 func TestClusterFailover(t *testing.T) {
 	db := testDB(t, "Ensembl Dog Proteins", 0.002, 7)
 	queries := hybridsw.GenerateQueries(db, 5, 80, 160, 8)
-	local, err := hybridsw.Search(queries, db, hybridsw.Platform{SSECores: 1, TopK: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	oracle := bruteForce(queries, db, hybridsw.DefaultScheme())
 
-	reg := metrics.NewRegistry()
-	fleet, err := cluster.New(cluster.Config{DB: db, Shards: 2, Replicas: 2, Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Kill shard 0's first replica the moment the shard reports real
-	// progress, so the crash lands mid-scan rather than before or after.
-	var kill sync.Once
-	rep, err := fleet.SearchContext(context.Background(), queries, cluster.Params{
-		TopK: 4,
-		OnShards: func(shards []cluster.ShardStatus) {
-			if shards[0].Cells > 0 {
-				kill.Do(func() {
-					if err := fleet.KillReplica(0, 0); err != nil {
-						t.Error(err)
-					}
-				})
+	for _, shards := range []int{2, 1} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			fleet, err := cluster.New(cluster.Config{DB: db, Shards: shards, Replicas: 2, Registry: metrics.NewRegistry()})
+			if err != nil {
+				t.Fatal(err)
 			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := rankingJSON(t, rep.PerQuery), rankingJSON(t, local.PerQuery); got != want {
-		t.Errorf("post-failover ranking diverges from local:\n got %s\nwant %s", got, want)
-	}
-	if rep.Shards[0].Failovers < 1 {
-		t.Errorf("shard 0 absorbed no failover (report %+v)", rep.Shards[0])
-	}
-	if !fleet.Ready() {
-		t.Error("fleet not ready: surviving replicas should keep every shard live")
-	}
-	if err := fleet.ReviveReplica(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	health := fleet.Health()
-	if health[0].Live != 2 {
-		t.Errorf("revived shard 0 reports %d live replicas, want 2", health[0].Live)
+			// Kill shard 0's first replica the moment the shard reports real
+			// progress, so the crash lands mid-scan rather than before or
+			// after.
+			var kill sync.Once
+			rep, err := fleet.SearchContext(context.Background(), queries, cluster.Params{
+				TopK: 4,
+				OnShards: func(shards []cluster.ShardStatus) {
+					if shards[0].Cells > 0 {
+						kill.Do(func() {
+							if err := fleet.KillReplica(0, 0); err != nil {
+								t.Error(err)
+							}
+						})
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkFullRanking(t, rep.PerQuery, oracle, 4)
+			if rep.Shards[0].Failovers < 1 {
+				t.Errorf("shard 0 absorbed no failover (report %+v)", rep.Shards[0])
+			}
+			if !fleet.Ready() {
+				t.Error("fleet not ready: surviving replicas should keep every shard live")
+			}
+			if err := fleet.ReviveReplica(0, 0); err != nil {
+				t.Fatal(err)
+			}
+			if health := fleet.Health(); health[0].Live != 2 {
+				t.Errorf("revived shard 0 reports %d live replicas, want 2", health[0].Live)
+			}
+		})
 	}
 }
 

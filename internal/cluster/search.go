@@ -14,8 +14,7 @@ import (
 	"repro/internal/wire"
 )
 
-// Params configures one scatter-gather search. The knobs mirror the local
-// backend's hybridsw.Platform so the two paths stay request-compatible.
+// Params configures one search.
 type Params struct {
 	Policy    string // "SS", "PSS" (default), "Fixed", "WFixed"
 	Adjust    bool   // workload adjustment within each shard
@@ -23,17 +22,20 @@ type Params struct {
 	TopK      int    // hits returned per query; 0 = all
 	AlignBest bool   // traceback rows for each query's best hit
 
-	// Mode selects the pipeline ("" or "full" = exhaustive scan,
-	// "filtered" = prefilter + rescore) and Filter parameterizes the
-	// filtered pipeline, exactly as on the local backend. The filter
+	// Mode selects the pipeline: "" or "full" runs the exhaustive scan;
+	// "filtered" runs the two-stage pipeline (Aho-Corasick seed prefilter,
+	// then Smith-Waterman rescore restricted to the candidate windows) and
+	// needs a CPU engine on every shard. Filter parameterizes the prefilter
+	// stage; the zero value uses the prefilter defaults. The filter
 	// automaton is query-derived and candidate windows never span
 	// sequences, so filtering commutes with sharding.
 	Mode   string
 	Filter prefilter.Spec
 
 	// StageProgress, when non-nil, observes filtered-stage completions
-	// summed across shards. Totals count per-shard tasks: a filtered job
-	// over S shards runs S prefilter passes per query.
+	// (stage is "prefilter" or "rescore") summed across shards. Totals
+	// count per-shard tasks: a filtered job over S shards runs S prefilter
+	// passes per query. Called under a shard master's lock: keep it fast.
 	StageProgress func(stage string, done, total int64)
 	// OnShards, when non-nil, observes every per-shard progress change
 	// with a fresh snapshot of all shard statuses (safe to retain).
@@ -68,19 +70,20 @@ type ShardReport struct {
 	Failovers int
 }
 
-// Report is the outcome of a scatter-gather search.
+// Report is the outcome of a search.
 type Report struct {
 	PerQuery []master.QueryResult
 	Elapsed  time.Duration
-	// Cells sums the DP work across every shard — the job's true total,
-	// not any single engine's contribution — so GCUPS aggregates the
-	// whole fleet's throughput. Shards carries the per-shard breakdown.
+	// Cells sums the DP work across every shard — query×database for the
+	// full scan, the (smaller) rescored total in filtered mode — so GCUPS
+	// aggregates the whole fleet's throughput. Shards carries the
+	// per-shard breakdown.
 	Cells  int64
 	Shards []ShardReport
 	// Filter aggregates the filtered pipeline's accounting across shards
-	// (nil for full scans). Residue and cell fields sum to the local
-	// backend's figures; the per-stage done counts are per-shard tasks,
-	// so they total queries x shards.
+	// (nil for full scans). Residue and cell fields do not depend on the
+	// shard count; the per-stage done counts are per-shard tasks, so they
+	// total queries x shards.
 	Filter *master.FilterStats
 }
 
@@ -101,9 +104,12 @@ func (f *Fleet) Search(queries []*seq.Sequence, p Params) (*Report, error) {
 
 // SearchContext compares every query against the sharded database: one
 // master-protocol job per shard, every live replica registered as a slave,
-// per-query hits merged across shards under wire.HitLess. The merged
-// ranking is byte-identical to a single-node scan of the same database. It
-// is safe for concurrent use; each call builds its own shard masters.
+// per-query hits merged across shards under wire.HitLess, so the ranking
+// does not depend on the shard count. When ctx is cancelled the replicas
+// stop asking for new tasks and every in-flight task is aborted through the
+// engines' cancel channels, so a cancelled search releases its CPU promptly
+// and returns ctx.Err(). It is safe for concurrent use; each call builds
+// its own shard masters.
 func (f *Fleet) SearchContext(ctx context.Context, queries []*seq.Sequence, p Params) (*Report, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("cluster: no queries")
@@ -121,6 +127,9 @@ func (f *Fleet) SearchContext(ctx context.Context, queries []*seq.Sequence, p Pa
 	case "", "full":
 	case "filtered":
 		filtered = true
+		if !f.CanFilter() {
+			return nil, fmt.Errorf("cluster: filtered mode needs at least one CPU engine (the GPU engine is SW-only)")
+		}
 	default:
 		return nil, fmt.Errorf("cluster: unknown mode %q", p.Mode)
 	}
@@ -282,12 +291,36 @@ func (f *Fleet) searchShard(ctx context.Context, s *shard, queries []*seq.Sequen
 	}
 	defer m.Close()
 
+	// able counts the replicas still alive that can run this job's tasks.
+	// When the last one dies the job cannot finish (a GPU engine left alone
+	// on a filtered job would poll for work forever), so the survivors are
+	// wound down through the shard context and the shard fails.
 	replicas := s.liveReplicas()
-	if len(replicas) == 0 {
-		return fail(fmt.Errorf("cluster: shard %d has no live replica", s.index))
+	canRun := func(r *replica) bool {
+		_, filters := r.eng.(slave.Prefilterer) // CPU engines; the GPU engine is SW-only
+		return !filtered || filters
 	}
-	onFailover := func() {
+	able := 0
+	for _, r := range replicas {
+		if canRun(r) {
+			able++
+		}
+	}
+	if able == 0 {
+		return fail(fmt.Errorf("cluster: shard %d has no live replica that can run the job", s.index))
+	}
+	shardCtx, abort := context.WithCancel(ctx)
+	defer abort()
+	var mu sync.Mutex // guards able and report.Failovers
+	onFailover := func(r *replica) {
+		mu.Lock()
 		report.Failovers++
+		if canRun(r) {
+			if able--; able == 0 {
+				abort()
+			}
+		}
+		mu.Unlock()
 		board.setState(s.index, ShardScanning)
 		if f.met != nil {
 			f.met.Failovers.Inc()
@@ -300,7 +333,7 @@ func (f *Fleet) searchShard(ctx context.Context, s *shard, queries []*seq.Sequen
 		wg.Add(1)
 		go func(i int, r *replica) {
 			defer wg.Done()
-			callers[i] = newReplicaCaller(ctx, r, wire.Meter(wire.Local{H: m}, f.wireMet), m, onFailover)
+			callers[i] = newReplicaCaller(shardCtx, r, wire.Meter(wire.Local{H: m}, f.wireMet), m, func() { onFailover(r) })
 			_, errs[i] = slave.Run(callers[i], r.eng, slave.Options{
 				NotifyEvery: 20 * time.Millisecond,
 				Poll:        5 * time.Millisecond,
@@ -320,13 +353,13 @@ func (f *Fleet) searchShard(ctx context.Context, s *shard, queries []*seq.Sequen
 		// that is the fault we absorb. Any other error is a real engine or
 		// protocol failure and fails the shard.
 		if rerr != nil && !callers[i].Down() {
-			return fail(fmt.Errorf("cluster: shard %d replica %s: %w", s.index, replicas[i].name, rerr))
+			return fail(fmt.Errorf("cluster: shard %d replica %s: %w", s.index, replicas[i].eng.Name(), rerr))
 		}
 	}
 	select {
 	case <-m.Done():
 	default:
-		return fail(fmt.Errorf("cluster: shard %d lost all %d replicas mid-scan (%d failovers)", s.index, len(replicas), report.Failovers))
+		return fail(fmt.Errorf("cluster: shard %d lost every replica that could finish the job mid-scan (%d failovers)", s.index, report.Failovers))
 	}
 
 	results := m.Results()

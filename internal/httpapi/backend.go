@@ -13,37 +13,27 @@ import (
 	"repro/internal/jobs"
 )
 
-// localExecutor runs jobs on the in-process engine set — the single-node
-// path swserve has always had, lifted behind the jobs.Executor seam.
-type localExecutor struct{ s *Server }
+// fleetExecutor runs jobs on the server's fleet: the request's overrides
+// resolve against the platform defaults into cluster.Params, per-shard and
+// per-stage progress folds into the job record (GET /jobs/{id} shows both
+// while the job runs), and the report is encoded as the POST /search
+// response shape.
+type fleetExecutor struct{ s *Server }
 
-func (e *localExecutor) Kind() jobs.Backend { return jobs.BackendLocal }
+func (e fleetExecutor) Kind() jobs.Backend { return e.s.backend }
 
-func (e *localExecutor) Execute(ctx context.Context, req jobs.Request) ([]byte, error) {
-	return e.s.runJob(ctx, req)
-}
-
-// clusterExecutor runs jobs on a sharded master/slave fleet: the request's
-// knobs map onto cluster.Params, per-shard progress folds into the job
-// record (GET /jobs/{id} shows shard states while the job runs), and the
-// scatter-gather report is rendered through the same response builder as
-// the local backend — the ranking-identity contract makes the two paths
-// byte-compatible on the wire.
-type clusterExecutor struct {
-	s     *Server
-	fleet *cluster.Fleet
-}
-
-func (e *clusterExecutor) Kind() jobs.Backend { return jobs.BackendCluster }
-
-func (e *clusterExecutor) Execute(ctx context.Context, req jobs.Request) ([]byte, error) {
+func (e fleetExecutor) Execute(ctx context.Context, req jobs.Request) ([]byte, error) {
+	s := e.s
+	select {
+	case <-s.jobsSet:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
 	queries, err := fasta.NewReader(strings.NewReader(req.QueriesFasta)).ReadAll()
 	if err != nil {
 		return nil, fmt.Errorf("queries_fasta: %w", err)
 	}
-	// Resolve request overrides against the platform defaults exactly like
-	// the local path, so a request means the same thing on both backends.
-	p := e.s.platform
+	p := s.platform
 	if req.TopK > 0 {
 		p.TopK = req.TopK
 	}
@@ -54,36 +44,19 @@ func (e *clusterExecutor) Execute(ctx context.Context, req jobs.Request) ([]byte
 	if req.Mode != "" {
 		p.Mode = req.Mode
 	}
-	params := cluster.Params{
-		Policy:    p.Policy,
-		Adjust:    p.Adjust,
-		Omega:     p.Omega,
-		TopK:      p.TopK,
-		AlignBest: p.AlignBest,
-		Mode:      p.Mode,
-		OnShards: func(shards []cluster.ShardStatus) {
-			e.s.jobs.SetShards(ctx, viewShards(shards))
-		},
+	p.Filter = hybridsw.FilterSpec{K: req.FilterK, Margin: req.FilterMargin}
+	p.StageProgress = func(stage string, done, total int64) {
+		s.jobs.SetStage(ctx, stage, done, total)
 	}
-	if p.Mode == "filtered" {
-		params.Filter = hybridsw.FilterSpec{K: req.FilterK, Margin: req.FilterMargin}
-		params.StageProgress = func(stage string, done, total int64) {
-			e.s.jobs.SetStage(ctx, stage, done, total)
-		}
+	params := p.Params()
+	params.OnShards = func(shards []cluster.ShardStatus) {
+		s.jobs.SetShards(ctx, viewShards(shards))
 	}
-	rep, err := e.fleet.SearchContext(ctx, queries, params)
+	rep, err := s.fleet.SearchContext(ctx, queries, params)
 	if err != nil {
 		return nil, err
 	}
-	// The cluster report already aggregates cells across shards, so the
-	// local Report shape carries it losslessly into the shared renderer.
-	lrep := &hybridsw.Report{
-		PerQuery: rep.PerQuery,
-		Elapsed:  rep.Elapsed,
-		Cells:    rep.Cells,
-		Filter:   rep.Filter,
-	}
-	return json.Marshal(e.s.buildSearchResponse(queries, lrep, p))
+	return json.Marshal(s.buildSearchResponse(queries, rep))
 }
 
 // viewShards adapts the cluster's live shard statuses to the job record's
@@ -108,7 +81,7 @@ type ReadyResponse struct {
 	Ready    bool          `json:"ready"`
 	Backend  jobs.Backend  `json:"backend"`
 	Draining bool          `json:"draining"`
-	Shards   []ShardHealth `json:"shards,omitempty"`
+	Shards   []ShardHealth `json:"shards"`
 }
 
 // ShardHealth mirrors cluster.ShardHealth in the API namespace.
@@ -121,22 +94,19 @@ type ShardHealth struct {
 }
 
 // handleReady is GET /readyz: 200 while the server can accept work, 503
-// once it is draining or — on the cluster backend — when any shard has no
-// live replica left (a job submitted then would fail, so load balancers
-// should stop routing here). /healthz stays a pure liveness probe.
+// once it is draining or when any shard has no live replica left (a job
+// submitted then would fail, so load balancers should stop routing here).
+// /healthz stays a pure liveness probe.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	resp := ReadyResponse{
 		Ready:    !s.draining.Load(),
-		Backend:  jobs.BackendLocal,
+		Backend:  s.backend,
 		Draining: s.draining.Load(),
 	}
-	if s.fleet != nil {
-		resp.Backend = jobs.BackendCluster
-		for _, h := range s.fleet.Health() {
-			resp.Shards = append(resp.Shards, ShardHealth(h))
-			if h.Live == 0 {
-				resp.Ready = false
-			}
+	for _, h := range s.fleet.Health() {
+		resp.Shards = append(resp.Shards, ShardHealth(h))
+		if h.Live == 0 {
+			resp.Ready = false
 		}
 	}
 	code := http.StatusOK

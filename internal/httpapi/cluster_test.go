@@ -15,17 +15,20 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/jobs"
+	"repro/internal/metrics"
 )
 
 // clusterServer builds a server routed onto a sharded fleet over the given
-// database, returning the fleet for fault injection.
+// database, returning the fleet for fault injection. Fleet and server share
+// one registry, as cmd/swserve wires them.
 func clusterServer(t *testing.T, db []*hybridsw.Sequence, shards, replicas int) (*Server, *httptest.Server, *cluster.Fleet) {
 	t.Helper()
-	fleet, err := cluster.New(cluster.Config{DB: db, Shards: shards, Replicas: replicas})
+	reg := metrics.NewRegistry()
+	fleet, err := cluster.New(cluster.Config{DB: db, Shards: shards, Replicas: replicas, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewWithOptions("test-db", db, hybridsw.Platform{SSECores: 1}, Options{Fleet: fleet})
+	s, err := NewWithOptions("test-db", db, hybridsw.Platform{SSECores: 1, Registry: reg}, Options{Fleet: fleet})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +46,8 @@ func clusterServer(t *testing.T, db []*hybridsw.Sequence, shards, replicas int) 
 // shard health in the payload, 503 while draining, and 503 the moment any
 // shard loses its last replica.
 func TestReadyz(t *testing.T) {
-	// Local backend: ready, no shards, drain flips it to 503.
+	// Local backend: ready, one shard holding the platform's engines, drain
+	// flips it to 503.
 	srv, ts := testServerOpts(t, Options{})
 	resp, body := do(t, "GET", ts.URL+"/readyz", nil)
 	if resp.StatusCode != 200 {
@@ -53,7 +57,7 @@ func TestReadyz(t *testing.T) {
 	if err := json.Unmarshal(body, &rr); err != nil {
 		t.Fatal(err)
 	}
-	if !rr.Ready || rr.Backend != jobs.BackendLocal || len(rr.Shards) != 0 {
+	if !rr.Ready || rr.Backend != jobs.BackendLocal || len(rr.Shards) != 1 || rr.Shards[0].Live != 1 {
 		t.Fatalf("local readyz payload = %+v", rr)
 	}
 	srv.SetDraining(true)
@@ -221,5 +225,39 @@ func TestClusterBackendServing(t *testing.T) {
 	}
 	if !fleet.Ready() {
 		t.Error("fleet should stay ready on the surviving replicas")
+	}
+}
+
+// TestClusterEngineMetrics pins the engine-side families on the cluster
+// backend: after one full and one filtered search, /metrics must carry the
+// kernel's overflow-ladder counts and the prefilter's scan accounting, which
+// only the replica engines can publish.
+func TestClusterEngineMetrics(t *testing.T) {
+	p := dataset.Profile{Name: "t", NumSeqs: 30, MeanLen: 90, SigmaLn: 0.5, MinLen: 30, MaxLen: 300}
+	db := dataset.Generate(p, 5)
+	_, ts, _ := clusterServer(t, db, 2, 2)
+	payload := SearchRequest{QueriesFasta: fmt.Sprintf(">q\n%s\n", db[7].Residues), TopK: 3}
+	for _, mode := range []string{"full", "filtered"} {
+		payload.Mode = mode
+		if resp, body := do(t, "POST", ts.URL+"/search", payload); resp.StatusCode != 200 {
+			t.Fatalf("%s search: %d %s", mode, resp.StatusCode, body)
+		}
+	}
+	_, expo := do(t, "GET", ts.URL+"/metrics", nil)
+	for _, series := range []string{
+		`farrar_fallback_total{tier="8bit"}`,
+		"prefilter_patterns_compiled_total",
+		"prefilter_residues_scanned_total",
+		"prefilter_windows_emitted_total",
+	} {
+		var value float64
+		for _, line := range strings.Split(string(expo), "\n") {
+			if rest, ok := strings.CutPrefix(line, series+" "); ok {
+				fmt.Sscan(rest, &value)
+			}
+		}
+		if value <= 0 {
+			t.Errorf("%s = %v after a full and a filtered search, want > 0", series, value)
+		}
 	}
 }

@@ -68,12 +68,13 @@ type Options struct {
 	// values. A negative field disables that cap.
 	Limits Limits
 	// Jobs configures the job subsystem (queue depth, executor-pool size,
-	// cache budget, durable dir). Run, Salt, Metrics, MaxQueries and
+	// cache budget, durable dir). Executor, Salt, Metrics, MaxQueries and
 	// MaxResidues are supplied by the server and need not be set.
 	Jobs jobs.Config
-	// Fleet, when non-nil, routes every job onto the sharded scatter-gather
-	// backend (internal/cluster) instead of the in-process engine set. The
-	// fleet must be built over the same database the server was.
+	// Fleet, when non-nil, is the sharded fleet every job runs on (the
+	// cluster backend); it must be built over the same database the server
+	// was. When nil the server builds the platform's own one-shard fleet
+	// (the local backend).
 	Fleet *cluster.Fleet
 }
 
@@ -89,7 +90,13 @@ type Server struct {
 	maxBody  int64
 	limits   Limits
 	jobs     *jobs.Manager
-	fleet    *cluster.Fleet // nil on the local backend
+	// jobsSet is closed once jobs is stored: jobs.New already runs jobs
+	// recovered from a durable dir, and their progress hooks report to it.
+	jobsSet chan struct{}
+	// fleet is the long-lived engine set every job runs on; backend names
+	// its shape for job stamping and /readyz.
+	fleet   *cluster.Fleet
+	backend jobs.Backend
 
 	// draining flips once shutdown starts; /readyz answers 503 from then
 	// on so load balancers drain traffic before Close aborts running jobs.
@@ -129,20 +136,23 @@ func NewWithOptions(dbName string, db []*seq.Sequence, platform hybridsw.Platfor
 	s := &Server{
 		db: db, dbName: dbName, platform: platform, started: time.Now(),
 		reg: reg, met: newHTTPMetrics(reg), maxBody: DefaultMaxBody,
-		limits: fillLimits(opts.Limits),
+		limits: fillLimits(opts.Limits), jobsSet: make(chan struct{}),
 	}
 	for _, d := range db {
 		s.residues += int64(d.Len())
 	}
-	jc := opts.Jobs
-	if opts.Fleet != nil {
-		s.fleet = opts.Fleet
-		jc.Executor = &clusterExecutor{s: s, fleet: opts.Fleet}
-	} else {
-		jc.Executor = &localExecutor{s: s}
+	s.fleet, s.backend = opts.Fleet, jobs.BackendCluster
+	if s.fleet == nil {
+		var err error
+		if s.fleet, err = hybridsw.NewFleet(db, platform); err != nil {
+			return nil, err
+		}
+		s.backend = jobs.BackendLocal
 	}
-	// The ranking-identity contract makes local and cluster results
-	// byte-compatible, so the cache salt deliberately ignores the backend.
+	jc := opts.Jobs
+	jc.Executor = fleetExecutor{s}
+	// The ranking does not depend on the fleet's shape, so the cache salt
+	// deliberately ignores the backend.
 	jc.Salt = s.cacheSalt()
 	jc.Metrics = jobs.NewMetrics(reg)
 	jc.MaxQueries = s.limits.MaxQueries
@@ -152,6 +162,7 @@ func NewWithOptions(dbName string, db []*seq.Sequence, platform hybridsw.Platfor
 		return nil, err
 	}
 	s.jobs = mgr
+	close(s.jobsSet)
 	return s, nil
 }
 
@@ -383,9 +394,7 @@ func (s *Server) decodeSearch(w http.ResponseWriter, r *http.Request) (jreq jobs
 	switch req.Mode {
 	case "", "full":
 	case "filtered":
-		// Cluster replicas are always CPU engines, so only the local
-		// backend can find itself GPU-only and without a prefilter host.
-		if s.fleet == nil && s.platform.SSECores < 1 && s.platform.GPUs > 0 {
+		if !s.fleet.CanFilter() {
 			writeReject(w, http.StatusUnprocessableEntity, "filtered_unavailable",
 				"filtered mode needs a CPU engine; this server runs GPU-only")
 			return jreq, false
@@ -428,44 +437,10 @@ func validTenant(name string) error {
 	return nil
 }
 
-// runJob is the executor body the job subsystem runs: one full search with
-// cancellation plumbed through to the scheduler, encoded as the POST
-// /search response shape.
-func (s *Server) runJob(ctx context.Context, req jobs.Request) ([]byte, error) {
-	queries, err := fasta.NewReader(strings.NewReader(req.QueriesFasta)).ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("queries_fasta: %w", err)
-	}
-	p := s.platform
-	if req.TopK > 0 {
-		p.TopK = req.TopK
-	}
-	if req.Policy != "" {
-		p.Policy = req.Policy
-	}
-	p.AlignBest = req.Align
-	if req.Mode != "" {
-		p.Mode = req.Mode
-	}
-	if p.Mode == "filtered" {
-		p.Filter = hybridsw.FilterSpec{K: req.FilterK, Margin: req.FilterMargin}
-		// Per-stage progress lands on the job record, so GET /jobs/{id}
-		// shows prefilter/rescore completion counts while the job runs.
-		p.StageProgress = func(stage string, done, total int64) {
-			s.jobs.SetStage(ctx, stage, done, total)
-		}
-	}
-	rep, err := hybridsw.SearchContext(ctx, queries, s.db, p)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(s.buildSearchResponse(queries, rep, p))
-}
-
 // buildSearchResponse shapes a report into the API response, attaching
 // E-values when the scheme has tabulated statistics.
-func (s *Server) buildSearchResponse(queries []*seq.Sequence, rep *hybridsw.Report, p hybridsw.Platform) SearchResponse {
-	scheme := p.Scheme
+func (s *Server) buildSearchResponse(queries []*seq.Sequence, rep *cluster.Report) SearchResponse {
+	scheme := s.platform.Scheme
 	if scheme.Matrix == nil {
 		scheme = hybridsw.DefaultScheme()
 	}

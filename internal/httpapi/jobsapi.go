@@ -34,7 +34,7 @@ type JobView struct {
 	ResultBytes int64  `json:"result_bytes,omitempty"`
 	// Stages shows a running filtered job's prefilter/rescore progress.
 	Stages map[string]jobs.StageCount `json:"stages,omitempty"`
-	// Shards shows a running cluster job's per-shard scan progress.
+	// Shards shows a job's per-shard scan progress.
 	Shards []jobs.ShardProgress `json:"shards,omitempty"`
 }
 

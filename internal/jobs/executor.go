@@ -2,24 +2,22 @@ package jobs
 
 import "context"
 
-// Backend names the execution path a Manager routes jobs onto. It is a
-// closed enum: the exhaustive analyzer audits switches over it, so adding
-// a backend forces every routing decision to be revisited.
+// Backend names the shape of the engine fleet a Manager's jobs run on. It
+// is a closed enum: the exhaustive analyzer audits switches over it.
 type Backend string
 
 const (
-	// BackendLocal executes jobs on the in-process engine set (the
-	// single-node path swserve has always had).
+	// BackendLocal is the single-node shape: one shard holding the
+	// platform's GPU and CPU engines.
 	BackendLocal Backend = "local"
-	// BackendCluster executes jobs on a sharded master/slave fleet with
-	// scatter-gather merging (internal/cluster).
+	// BackendCluster is the sharded shape: several database shards, each
+	// with replicated engines, merged per query (internal/cluster).
 	BackendCluster Backend = "cluster"
 )
 
-// Executor is the pluggable job-execution seam. A Manager built with
-// Config.Executor routes every job body through Execute instead of the
-// legacy Config.Run closure; Kind stamps each job so observers (JobView,
-// /readyz) can tell which path produced a result.
+// Executor is the job-execution seam: a Manager routes every job body
+// through Execute, and Kind stamps each job so observers (JobView, /readyz)
+// can tell which backend produced a result.
 //
 // Execute must honor ctx — cancellation aborts the job — and may call
 // Manager.SetStage/Manager.SetShards with the same ctx to publish progress.
@@ -31,7 +29,7 @@ type Executor interface {
 }
 
 // ShardProgress is the live state of one database shard within a running
-// cluster job: how much of the shard's cell budget has been scanned, at
+// job: how much of the shard's cell budget has been scanned, at
 // what instantaneous rate, and which lifecycle state the scan is in
 // ("pending", "scanning", "done", "failed").
 type ShardProgress struct {
@@ -42,8 +40,8 @@ type ShardProgress struct {
 	Rate       float64 `json:"rate,omitempty"`
 }
 
-// SetShards records a running cluster job's per-shard progress, the
-// scatter-gather analogue of SetStage. The executor body calls it from
+// SetShards records a running job's per-shard progress, the per-shard
+// analogue of SetStage. The executor body calls it from
 // inside Execute with the Execute context; calls with a foreign or stale
 // context are dropped. The job's Shards slice is replaced, not mutated,
 // so snapshots already handed out stay race-free.

@@ -11,8 +11,8 @@
 // hint) instead of accepted and thrashed, identical work executes once, and
 // repeated queries are answered from the cache without touching a kernel.
 //
-// The Manager knows nothing about Smith-Waterman: Config.Run is the
-// executor body (the HTTP layer closes it over hybridsw.SearchContext), and
+// The Manager knows nothing about Smith-Waterman: Config.Executor is the
+// job body (the HTTP layer's executor runs the search on its engine fleet), and
 // results are opaque byte slices, which keeps the subsystem independently
 // testable.
 package jobs
@@ -112,8 +112,8 @@ type Job struct {
 	Stages map[string]StageCount `json:"stages,omitempty"`
 	// Backend names the execution path that runs (or ran) this job.
 	Backend Backend `json:"backend,omitempty"`
-	// Shards is the live per-shard progress of a cluster job, fed by
-	// SetShards while the job runs. Nil on the local backend.
+	// Shards is the live per-shard progress of the job, fed by SetShards
+	// while it runs.
 	Shards []ShardProgress `json:"shards,omitempty"`
 }
 
@@ -147,13 +147,8 @@ func (e *RejectError) Error() string { return "jobs: " + e.Detail }
 
 // Config describes a Manager.
 type Config struct {
-	// Run executes one job. It must honor ctx: cancellation aborts the job
-	// (DELETE, client disconnect, shutdown past the drain deadline).
-	// Exactly one of Run and Executor must be set; a bare Run is the
-	// legacy local path (jobs are stamped BackendLocal).
-	Run func(ctx context.Context, req Request) ([]byte, error)
-	// Executor, when non-nil, is the pluggable execution seam: jobs run
-	// through Executor.Execute and are stamped with Executor.Kind().
+	// Executor runs the jobs: each job body goes through Executor.Execute
+	// and is stamped with Executor.Kind(). Required.
 	Executor Executor
 	// Salt folds the serving identity (database, platform, scheme) into the
 	// cache key, so results never leak across different configurations.
@@ -213,7 +208,7 @@ const (
 type Manager struct {
 	cfg Config
 	// backend stamps every new job with the execution path that will run
-	// it (derived from Config.Executor, BackendLocal for bare Config.Run).
+	// it (Config.Executor's kind).
 	backend Backend
 	base    context.Context
 	abort   context.CancelFunc
@@ -236,15 +231,8 @@ type Manager struct {
 // (their results readable if persisted), and queued or previously running
 // jobs re-enqueue in creation order.
 func New(cfg Config) (*Manager, error) {
-	backend := BackendLocal
-	switch {
-	case cfg.Run == nil && cfg.Executor == nil:
-		return nil, fmt.Errorf("jobs: one of Config.Run or Config.Executor is required")
-	case cfg.Run != nil && cfg.Executor != nil:
-		return nil, fmt.Errorf("jobs: Config.Run and Config.Executor are mutually exclusive")
-	case cfg.Executor != nil:
-		backend = cfg.Executor.Kind()
-		cfg.Run = cfg.Executor.Execute
+	if cfg.Executor == nil {
+		return nil, fmt.Errorf("jobs: Config.Executor is required")
 	}
 	if cfg.Executors == 0 {
 		cfg.Executors = DefaultExecutors
@@ -266,7 +254,7 @@ func New(cfg Config) (*Manager, error) {
 	book := NewTenantBook(cfg.TenantPolicy, cfg.Tenants, cfg.TenantDefaults)
 	m := &Manager{
 		cfg:     cfg,
-		backend: backend,
+		backend: cfg.Executor.Kind(),
 		base:    base,
 		abort:   abort,
 		cache:   newLRU(cfg.CacheBytes),
@@ -603,7 +591,7 @@ func (m *Manager) executor() {
 		req := j.Request
 		m.mu.Unlock()
 
-		body, err := m.cfg.Run(jctx, req)
+		body, err := m.cfg.Executor.Execute(jctx, req)
 		cancel()
 
 		m.mu.Lock()
@@ -679,11 +667,11 @@ func (m *Manager) storeResultLocked(key string, body []byte) {
 	}
 }
 
-// jobIDKey carries the running job's ID in the context handed to Config.Run,
+// jobIDKey carries the running job's ID in the context handed to Execute,
 // so the executor body can report progress back via SetStage.
 type jobIDKey struct{}
 
-// JobID extracts the running job's identifier from a Config.Run context
+// JobID extracts the running job's identifier from an Execute context
 // (empty outside an executor).
 func JobID(ctx context.Context) string {
 	id, _ := ctx.Value(jobIDKey{}).(string)
@@ -692,7 +680,7 @@ func JobID(ctx context.Context) string {
 
 // SetStage records a running job's per-stage progress (stage names are the
 // pipeline's, e.g. "prefilter"/"rescore"). The executor body calls it from
-// inside Config.Run with the Run context; calls with a foreign or stale
+// inside Execute with the Execute context; calls with a foreign or stale
 // context are dropped. The job's Stages map is replaced, not mutated, so
 // snapshots already handed out stay race-free.
 func (m *Manager) SetStage(ctx context.Context, stage string, done, total int64) {
@@ -766,7 +754,7 @@ func (m *Manager) Result(id string) ([]byte, Job, error) {
 
 // Cancel aborts a job: a queued job leaves the queue immediately, a running
 // one has its context cancelled (the executor records the terminal state
-// once Run unwinds). Terminal jobs are left untouched — Cancel is
+// once Execute unwinds). Terminal jobs are left untouched — Cancel is
 // idempotent and returns the current snapshot either way.
 func (m *Manager) Cancel(id string) (Job, error) {
 	m.mu.Lock()

@@ -53,7 +53,7 @@ func TestSingleflightAndCache(t *testing.T) {
 	m, err := New(Config{
 		Executors: 1,
 		Metrics:   mm,
-		Run: func(ctx context.Context, r Request) ([]byte, error) {
+		Executor: runFunc(func(ctx context.Context, r Request) ([]byte, error) {
 			execs.Add(1)
 			started <- struct{}{}
 			select {
@@ -62,7 +62,7 @@ func TestSingleflightAndCache(t *testing.T) {
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestAdmissionCaps(t *testing.T) {
 		MaxQueries:  2,
 		MaxResidues: 10,
 		Metrics:     mm,
-		Run:         func(context.Context, Request) ([]byte, error) { return nil, nil },
+		Executor:    runFunc(func(context.Context, Request) ([]byte, error) { return nil, nil }),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestQueueFullReject(t *testing.T) {
 		MaxQueue:   1,
 		RetryAfter: 7 * time.Second,
 		Metrics:    mm,
-		Run:        func(context.Context, Request) ([]byte, error) { return nil, nil },
+		Executor:   runFunc(func(context.Context, Request) ([]byte, error) { return nil, nil }),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestQueueFullReject(t *testing.T) {
 func TestCancelQueued(t *testing.T) {
 	m, err := New(Config{
 		Executors: -1,
-		Run:       func(context.Context, Request) ([]byte, error) { return nil, nil },
+		Executor:  runFunc(func(context.Context, Request) ([]byte, error) { return nil, nil }),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -226,10 +226,10 @@ func TestCancelRunningAbortsWork(t *testing.T) {
 	m, err := New(Config{
 		Executors: 1,
 		Metrics:   mm,
-		Run: func(ctx context.Context, r Request) ([]byte, error) {
+		Executor: runFunc(func(ctx context.Context, r Request) ([]byte, error) {
 			<-ctx.Done() // real work that only stops when cancelled
 			return nil, ctx.Err()
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -256,10 +256,10 @@ func TestCancelRunningAbortsWork(t *testing.T) {
 func TestWaiterDisconnectCancels(t *testing.T) {
 	m, err := New(Config{
 		Executors: 1,
-		Run: func(ctx context.Context, r Request) ([]byte, error) {
+		Executor: runFunc(func(ctx context.Context, r Request) ([]byte, error) {
 			<-ctx.Done()
 			return nil, ctx.Err()
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +312,7 @@ func TestRestartResumesQueued(t *testing.T) {
 	m1, err := New(Config{
 		Executors: -1, // queue only; nothing runs before the "crash"
 		Dir:       dir,
-		Run:       func(context.Context, Request) ([]byte, error) { return nil, nil },
+		Executor:  runFunc(func(context.Context, Request) ([]byte, error) { return nil, nil }),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -334,12 +334,12 @@ func TestRestartResumesQueued(t *testing.T) {
 	m2, err := New(Config{
 		Executors: 1,
 		Dir:       dir,
-		Run: func(ctx context.Context, r Request) ([]byte, error) {
+		Executor: runFunc(func(ctx context.Context, r Request) ([]byte, error) {
 			mu.Lock()
 			order = append(order, r.QueriesFasta)
 			mu.Unlock()
 			return []byte(`{"r":"` + r.QueriesFasta + `"}`), nil
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -365,10 +365,10 @@ func TestDrainRequeuesRunning(t *testing.T) {
 	m1, err := New(Config{
 		Executors: 1,
 		Dir:       dir,
-		Run: func(ctx context.Context, r Request) ([]byte, error) {
+		Executor: runFunc(func(ctx context.Context, r Request) ([]byte, error) {
 			<-ctx.Done()
 			return nil, ctx.Err()
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -387,7 +387,7 @@ func TestDrainRequeuesRunning(t *testing.T) {
 	m2, err := New(Config{
 		Executors: 1,
 		Dir:       dir,
-		Run:       func(context.Context, Request) ([]byte, error) { return []byte(`{}`), nil },
+		Executor:  runFunc(func(context.Context, Request) ([]byte, error) { return []byte(`{}`), nil }),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -406,7 +406,7 @@ func TestTerminalHistorySurvivesRestart(t *testing.T) {
 	m1, err := New(Config{
 		Executors: 1,
 		Dir:       dir,
-		Run:       func(context.Context, Request) ([]byte, error) { return []byte(`{"n":1}`), nil },
+		Executor:  runFunc(func(context.Context, Request) ([]byte, error) { return []byte(`{"n":1}`), nil }),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -423,7 +423,7 @@ func TestTerminalHistorySurvivesRestart(t *testing.T) {
 	m2, err := New(Config{
 		Executors: 1,
 		Dir:       dir,
-		Run:       func(context.Context, Request) ([]byte, error) { return nil, fmt.Errorf("must not run") },
+		Executor:  runFunc(func(context.Context, Request) ([]byte, error) { return nil, fmt.Errorf("must not run") }),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -445,7 +445,7 @@ func TestTerminalHistorySurvivesRestart(t *testing.T) {
 }
 
 func TestSubmitAfterCloseRejected(t *testing.T) {
-	m, err := New(Config{Run: func(context.Context, Request) ([]byte, error) { return nil, nil }})
+	m, err := New(Config{Executor: runFunc(func(context.Context, Request) ([]byte, error) { return nil, nil })})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +467,7 @@ func TestFailedJobReportsError(t *testing.T) {
 	m, err := New(Config{
 		Executors: 1,
 		Metrics:   mm,
-		Run:       func(context.Context, Request) ([]byte, error) { return nil, fmt.Errorf("kernel exploded") },
+		Executor:  runFunc(func(context.Context, Request) ([]byte, error) { return nil, fmt.Errorf("kernel exploded") }),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -503,14 +503,14 @@ func TestHammer(t *testing.T) {
 		CacheBytes: 64, // tiny: force constant eviction traffic
 		Dir:        t.TempDir(),
 		Metrics:    mm,
-		Run: func(ctx context.Context, r Request) ([]byte, error) {
+		Executor: runFunc(func(ctx context.Context, r Request) ([]byte, error) {
 			select {
 			case <-time.After(time.Duration(len(r.QueriesFasta)) * 100 * time.Microsecond):
 				return []byte(`{"f":"` + r.QueriesFasta + `"}`), nil
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -566,7 +566,7 @@ func TestHammer(t *testing.T) {
 }
 
 func TestKeyIncludesModeAndFilter(t *testing.T) {
-	m, err := New(Config{Run: func(context.Context, Request) ([]byte, error) { return nil, nil }, Executors: -1})
+	m, err := New(Config{Executor: runFunc(func(context.Context, Request) ([]byte, error) { return nil, nil }), Executors: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,11 +591,11 @@ func TestKeyIncludesModeAndFilter(t *testing.T) {
 func TestSetStageLifecycle(t *testing.T) {
 	started := make(chan context.Context)
 	release := make(chan struct{})
-	m, err := New(Config{Run: func(ctx context.Context, r Request) ([]byte, error) {
+	m, err := New(Config{Executor: runFunc(func(ctx context.Context, r Request) ([]byte, error) {
 		started <- ctx
 		<-release
 		return []byte("ok"), nil
-	}, Executors: 1})
+	}), Executors: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -630,3 +630,10 @@ func TestSetStageLifecycle(t *testing.T) {
 	}
 	_ = done
 }
+
+// runFunc adapts a bare job body to the Executor seam.
+type runFunc func(ctx context.Context, req Request) ([]byte, error)
+
+func (f runFunc) Kind() Backend { return BackendLocal }
+
+func (f runFunc) Execute(ctx context.Context, req Request) ([]byte, error) { return f(ctx, req) }

@@ -53,12 +53,12 @@ func TestDemotionRacesLateResult(t *testing.T) {
 	m, err := New(Config{
 		Executors: 1,
 		Dir:       dir,
-		Run: func(ctx context.Context, r Request) ([]byte, error) {
+		Executor: runFunc(func(ctx context.Context, r Request) ([]byte, error) {
 			mu.Lock()
 			execs++
 			mu.Unlock()
 			return []byte(`{"fresh":true}`), nil
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -103,11 +103,11 @@ func TestDrainRequeueOrdering(t *testing.T) {
 	m1, err := New(Config{
 		Executors: 1,
 		Dir:       dir,
-		Run: func(ctx context.Context, r Request) ([]byte, error) {
+		Executor: runFunc(func(ctx context.Context, r Request) ([]byte, error) {
 			running <- struct{}{}
 			<-ctx.Done()
 			return nil, ctx.Err()
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -137,12 +137,12 @@ func TestDrainRequeueOrdering(t *testing.T) {
 	m2, err := New(Config{
 		Executors: 1,
 		Dir:       dir,
-		Run: func(ctx context.Context, r Request) ([]byte, error) {
+		Executor: runFunc(func(ctx context.Context, r Request) ([]byte, error) {
 			mu.Lock()
 			order = append(order, r.QueriesFasta)
 			mu.Unlock()
 			return []byte(`{}`), nil
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -131,14 +131,14 @@ func TestTenantQuotaRejectsAndFrees(t *testing.T) {
 		RetryAfter:   2 * time.Second,
 		TenantPolicy: TenantDRF,
 		Tenants:      map[string]TenantConfig{"alice": {MaxOutstanding: 1}},
-		Run: func(ctx context.Context, r Request) ([]byte, error) {
+		Executor: runFunc(func(ctx context.Context, r Request) ([]byte, error) {
 			select {
 			case <-release:
 				return []byte("{}"), nil
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +197,7 @@ func TestTenantResidueQuota(t *testing.T) {
 	m, err := New(Config{
 		Executors:      1,
 		TenantDefaults: TenantConfig{MaxOutstandingResidues: 100},
-		Run:            func(context.Context, Request) ([]byte, error) { return []byte("{}"), nil },
+		Executor:       runFunc(func(context.Context, Request) ([]byte, error) { return []byte("{}"), nil }),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -234,14 +234,14 @@ func TestRecoveryPreservesTenancy(t *testing.T) {
 		Executors:    1,
 		Dir:          dir,
 		TenantPolicy: TenantWFQ,
-		Run: func(ctx context.Context, r Request) ([]byte, error) {
+		Executor: runFunc(func(ctx context.Context, r Request) ([]byte, error) {
 			select {
 			case <-release:
 				return []byte("{}"), nil
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)

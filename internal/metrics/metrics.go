@@ -62,8 +62,8 @@ var histogramUnits = []string{"_seconds", "_bytes", "_cells", "_ratio"}
 // subsystem_name_unit convention: lowercase snake_case with at least one
 // underscore (the leading segment is the subsystem), counters ending in
 // _total, gauges not ending in _total, histograms ending in a recognised
-// unit suffix. cmd/metriclint applies the same check statically to every
-// metric-name literal in the tree.
+// unit suffix. swcheck's metricname analyzer applies the same check
+// statically to every metric-name literal in the tree.
 func CheckName(kind Kind, name string) error {
 	if !nameRE.MatchString(name) {
 		return fmt.Errorf("metric name %q is not subsystem_name_unit lowercase snake_case", name)
