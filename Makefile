@@ -10,7 +10,7 @@
 # internal/simd rides along too: the SWAR lane-law property tests there are
 # pure math, but running them under -race keeps the exhaustive truth tables
 # honest if anyone parallelizes them later.
-RACE_PKGS := ./internal/sched/... ./internal/master/... ./internal/slave/... ./internal/wire/... ./internal/httpapi/... ./internal/metrics/... ./internal/jobs/... ./internal/autoscale/... ./internal/sim/... ./internal/simd/... ./internal/prefilter/... ./internal/cluster/...
+RACE_PKGS := ./internal/sched/... ./internal/master/... ./internal/slave/... ./internal/wire/... ./internal/httpapi/... ./internal/metrics/... ./internal/jobs/... ./internal/sim/... ./internal/simd/... ./internal/prefilter/... ./internal/cluster/...
 
 all: build lint test
 
@@ -58,25 +58,16 @@ race-full:
 
 # Chaos-test the master/slave/jobs stack: 200 generated fault scenarios
 # replayed under virtual time from pinned seeds (see cmd/swsim and
-# DESIGN §10) — about a third of which now carry tenant arrival streams,
-# preemption and elastic pools — plus the curated scenarios: the cluster
-# backend's replica-crash story, the DRF flood-vs-trickle fairness
-# contract, quota admission, preemption safety and autoscaler stability
-# (DESIGN §13). Fails loudly with a shrunken reproducer on any invariant
-# violation.
+# DESIGN §10), plus the curated cluster-backend replica-crash story.
+# Fails loudly with a shrunken reproducer on any invariant violation.
 sim-smoke:
 	go run ./cmd/swsim -seed 1 -scenarios 200 -duration 60s
 	go run ./cmd/swsim -named shard-failover -seed 1 -scenarios 25
-	go run ./cmd/swsim -named tenant-starvation -seed 1 -scenarios 25
-	go run ./cmd/swsim -named quota-burst -seed 1 -scenarios 25
-	go run ./cmd/swsim -named preempt-storm -seed 1 -scenarios 25
-	go run ./cmd/swsim -named autoscale-flap -seed 1 -scenarios 25
 
-# Coverage floor for the multi-tenant control plane: the fair queue +
-# quota book (jobs) and the scale controller (autoscale) gate admission
-# and capacity decisions, so their tests must not rot.
+# Coverage floor for the multi-tenant control plane: the fair queue and
+# quota book (internal/jobs) gate admission, so their tests must not rot.
 tenancy-cover:
-	go test -coverprofile=tenancy.cover.out ./internal/jobs ./internal/autoscale
+	go test -coverprofile=tenancy.cover.out ./internal/jobs
 	go run ./cmd/covercheck -profile tenancy.cover.out -min 78
 
 # Coverage floor for the cluster backend: the scatter-gather merge and

@@ -17,7 +17,10 @@
 // that much wall time (CI smoke mode). -named runs a curated scenario
 // (e.g. "shard-failover", the cluster backend's replica-crash story)
 // instead of the seeded generator. -scenario-json replays one explicit
-// scenario — the shape the property tests print after shrinking.
+// scenario — the shape the property tests print after shrinking. A file
+// carrying a key Scenario does not have (say, a reproducer saved by an
+// older build) is rejected with exit status 2 rather than replayed as a
+// different scenario.
 // Exit status is 1 when any scenario violates an invariant; the failing
 // scenario is shrunk to a minimal reproducer and printed as JSON.
 package main
@@ -95,16 +98,29 @@ func main() {
 	}
 }
 
+// loadScenario reads one scenario from disk. Unknown keys are an error:
+// silently dropping one would replay a different scenario than the file
+// describes and report it "ok".
+func loadScenario(path string) (sim.Scenario, error) {
+	var sc sim.Scenario
+	f, err := os.Open(path)
+	if err != nil {
+		return sc, err
+	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sc); err != nil {
+		return sc, fmt.Errorf("parsing %s: %w", path, err)
+	}
+	return sc, nil
+}
+
 // replayFile runs one explicit scenario from disk and reports it.
 func replayFile(path string, jsonOut bool) int {
-	raw, err := os.ReadFile(path)
+	sc, err := loadScenario(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "swsim: %v\n", err)
-		return 2
-	}
-	var sc sim.Scenario
-	if err := json.Unmarshal(raw, &sc); err != nil {
-		fmt.Fprintf(os.Stderr, "swsim: parsing %s: %v\n", path, err)
 		return 2
 	}
 	rep, err := sim.Run(sc)

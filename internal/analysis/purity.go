@@ -43,7 +43,7 @@ var PurityAnalyzer = &Analyzer{
 
 // purePackages are the packages (matched on import-path segments) the
 // purity analyzer applies to.
-var purePackages = []string{"internal/sched", "internal/platform", "internal/vtime", "internal/sim", "internal/autoscale"}
+var purePackages = []string{"internal/sched", "internal/platform", "internal/vtime", "internal/sim"}
 
 // forbiddenTimeFuncs are package time functions that read the wall clock
 // or sleep.

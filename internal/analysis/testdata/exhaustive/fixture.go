@@ -178,42 +178,3 @@ func staleTenantPolicySwitch(p TenantPolicy) float64 {
 	}
 	return 0
 }
-
-// ScaleState mirrors autoscale.State: the hysteresis controller's dwell
-// phases. The controller's transition switch must either name every phase
-// or default, or a new phase would silently never dwell.
-type ScaleState int
-
-const (
-	ScaleSteady ScaleState = iota
-	ScaleUp
-	ScaleDown
-)
-
-func staleScaleSwitch(s ScaleState) bool {
-	switch s { // want "switch over ScaleState misses ScaleDown and has no default case"
-	case ScaleSteady, ScaleUp:
-		return false
-	}
-	return true
-}
-
-// PreemptReason mirrors sched.PreemptReason: why a replicated task copy
-// was revoked. Audit renderers switch over it.
-type PreemptReason int
-
-const (
-	PreemptShare PreemptReason = iota
-	PreemptPriority
-)
-
-func labeledPreemptSwitch(r PreemptReason) string {
-	switch r {
-	case PreemptShare:
-		return "share"
-	case PreemptPriority:
-		return "priority"
-	default:
-		return "unknown"
-	}
-}

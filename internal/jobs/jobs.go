@@ -385,7 +385,10 @@ func (m *Manager) Submit(req Request, async bool) (Job, error) {
 		if mm := m.cfg.Metrics; mm != nil {
 			mm.TenantRejected.With(tenantLabel(req.Tenant)).Inc()
 		}
-		rej.RetryAfter = RetryAfterFor(m.cfg.RetryAfter, m.q.len(), m.cfg.Executors)
+		// The hint tracks the rejected tenant's own backlog: that is what
+		// has to drain before its next submission fits the quota.
+		outstanding, _ := m.book.Outstanding(req.Tenant)
+		rej.RetryAfter = RetryAfterFor(m.cfg.RetryAfter, outstanding, m.cfg.Executors)
 		return Job{}, rej
 	}
 	if m.q.len() >= m.cfg.MaxQueue {

@@ -63,10 +63,12 @@ const (
 // MaxRetryAfter caps the depth-scaled backpressure hint.
 const MaxRetryAfter = 60 * time.Second
 
-// RetryAfterFor scales a rejection's retry hint with the current queue
-// depth: base × (1 + depth/(2×executors)), capped at MaxRetryAfter. An
-// empty queue hints the base; a queue dozens deep per executor hints the
-// minute range — honest backpressure instead of a fixed constant.
+// RetryAfterFor scales a rejection's retry hint with the backlog that has
+// to drain first — the global queue depth for queue_full, the rejected
+// tenant's own outstanding jobs for tenant_quota: base ×
+// (1 + depth/(2×executors)), capped at MaxRetryAfter. No backlog hints the
+// base; dozens of jobs per executor hint the minute range — honest
+// backpressure instead of a fixed constant.
 func RetryAfterFor(base time.Duration, depth, executors int) time.Duration {
 	if base <= 0 {
 		base = DefaultRetryAfter
@@ -104,11 +106,11 @@ type tenantState struct {
 	pass                            float64
 }
 
-// TenantBook is the pure per-tenant accounting shared by the Manager's fair
-// queue and the simulator's modeled front door: quota admission, queued/
-// running counts, and the virtual-time passes that drive WFQ/DRF dequeue
-// order. It is not safe for concurrent use; callers serialize (the Manager
-// under its mutex, the simulator by construction).
+// TenantBook is the pure per-tenant accounting behind the Manager's fair
+// queue — the one place tenant shares are computed: quota admission,
+// queued/running counts, and the virtual-time passes that drive WFQ/DRF
+// dequeue order. It is not safe for concurrent use; the Manager serializes
+// every call under its mutex.
 type TenantBook struct {
 	policy   TenantPolicy
 	defaults TenantConfig

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -130,7 +132,7 @@ func TestTenantQuotaRejectsAndFrees(t *testing.T) {
 		Metrics:      mm,
 		RetryAfter:   2 * time.Second,
 		TenantPolicy: TenantDRF,
-		Tenants:      map[string]TenantConfig{"alice": {MaxOutstanding: 1}},
+		Tenants:      map[string]TenantConfig{"alice": {MaxOutstanding: 2}},
 		Executor: runFunc(func(ctx context.Context, r Request) ([]byte, error) {
 			select {
 			case <-release:
@@ -144,36 +146,63 @@ func TestTenantQuotaRejectsAndFrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close(context.Background())
+	// A failed assertion must still unblock the executor, or Close hangs.
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock()
 
 	sub := func(fasta, tenant string) (Job, error) {
 		r := req(fasta)
 		r.Tenant = tenant
 		return m.Submit(r, true)
 	}
+	rejected := func(fasta string) *RejectError {
+		t.Helper()
+		_, err := sub(fasta, "alice")
+		var rej *RejectError
+		if !errors.As(err, &rej) || rej.Reason != "tenant_quota" {
+			t.Fatalf("over-quota submit: err = %v, want tenant_quota rejection", err)
+		}
+		return rej
+	}
 	first, err := sub(">a\nMKVL", "alice")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = sub(">b\nAAAA", "alice")
-	var rej *RejectError
-	if !errors.As(err, &rej) || rej.Reason != "tenant_quota" {
-		t.Fatalf("over-quota submit: err = %v, want tenant_quota rejection", err)
+	waitState(t, m, first.ID, StateRunning)
+	second, err := sub(">a2\nMKVV", "alice")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rej.RetryAfter != 2*time.Second {
-		t.Fatalf("RetryAfter = %v, want the 2s base at an empty queue", rej.RetryAfter)
+	// The hint scales with alice's own backlog (one running, one queued:
+	// 2s × (1 + 2/2)), not with the global queue, which holds one job and
+	// would map to the bare base.
+	if rej := rejected(">b\nAAAA"); rej.RetryAfter != 4*time.Second {
+		t.Fatalf("RetryAfter = %v, want 4s for two outstanding jobs", rej.RetryAfter)
 	}
 	if got := mm.TenantRejected.With("alice").Value(); got != 1 {
 		t.Fatalf("tenant_rejected_total{alice} = %v, want 1", got)
 	}
-	// Another tenant is not throttled by alice's quota.
-	other, err := sub(">c\nCCCC", "bob")
-	if err != nil {
-		t.Fatalf("bob's submit rejected: %v", err)
+	// Another tenant is not throttled by alice's quota, and its flood does
+	// not inflate alice's hint: she waits for her two jobs, not bob's six.
+	var others []Job
+	for i := 0; i < 6; i++ {
+		j, err := sub(fmt.Sprintf(">c%d\nCCCC", i), "bob")
+		if err != nil {
+			t.Fatalf("bob's submit rejected: %v", err)
+		}
+		others = append(others, j)
+	}
+	if rej := rejected(">b\nAAAA"); rej.RetryAfter != 4*time.Second {
+		t.Fatalf("RetryAfter = %v behind a co-tenant's flood, want alice's own 4s", rej.RetryAfter)
 	}
 
-	close(release)
+	unblock()
 	waitState(t, m, first.ID, StateDone)
-	waitState(t, m, other.ID, StateDone)
+	waitState(t, m, second.ID, StateDone)
+	for _, j := range others {
+		waitState(t, m, j.ID, StateDone)
+	}
 
 	// Quota is outstanding-based: it frees on completion.
 	again, err := sub(">d\nDDDD", "alice")
@@ -262,6 +291,110 @@ func TestRecoveryPreservesTenancy(t *testing.T) {
 	j := waitState(t, m, "j-tenant", StateDone)
 	if j.Request.Tenant != "alice" {
 		t.Fatalf("recovered job lost its tenant: %+v", j.Request)
+	}
+}
+
+// TestFloodVersusTrickleFairShare is the fairness contract of the queue
+// that serves: a flooding tenant keeps at least twenty jobs queued while a
+// trickle tenant pushes one job every `every` pops, and a fixed number of
+// executor slots frees the oldest running job before each pop. While both
+// tenants are backlogged their weight-normalised service (residues popped
+// over weight, counted from the moment both have work) may differ by at
+// most one job's cost; a trickle job pushed onto its empty queue pops
+// within ceil(1/share) pops; and the book drains to zero and audits clean.
+func TestFloodVersusTrickleFairShare(t *testing.T) {
+	const (
+		slots       = 2
+		floodJobs   = 60
+		trickleJobs = 12
+		residues    = 1 << 15 // dominant DRF dimension at one query per job
+	)
+	cases := []struct {
+		policy         TenantPolicy
+		flood, trickle float64 // weights
+		every          int     // pops between trickle arrivals
+	}{
+		{TenantWFQ, 1, 1, 1}, {TenantWFQ, 1, 1, 4},
+		{TenantWFQ, 2, 1, 1}, {TenantWFQ, 2, 1, 4},
+		{TenantDRF, 1, 1, 1}, {TenantDRF, 1, 1, 4},
+		{TenantDRF, 2, 1, 1}, {TenantDRF, 2, 1, 4},
+	}
+	for _, tc := range cases {
+		name := fmt.Sprintf("%s/%g:%g/every%d", tc.policy, tc.flood, tc.trickle, tc.every)
+		t.Run(name, func(t *testing.T) {
+			weight := map[string]float64{"flood": tc.flood, "trickle": tc.trickle}
+			book := NewTenantBook(tc.policy, map[string]TenantConfig{
+				"flood": {Weight: tc.flood}, "trickle": {Weight: tc.trickle},
+			}, TenantConfig{})
+			q := newQueue(0, book)
+			for i := 0; i < floodJobs; i++ {
+				q.push(tjob(fmt.Sprintf("f%d", i), "flood", 0, 1, residues))
+			}
+			oneJob := residues / math.Min(tc.flood, tc.trickle)
+			maxWait := int(math.Ceil((tc.flood + tc.trickle) / tc.trickle))
+
+			var running []*job
+			served := map[string]float64{} // since both became backlogged
+			pushedAt := map[string]int{}   // trickle jobs that found their queue empty
+			pushed, contested := 0, 0
+			for pop := 0; pushed < trickleJobs || book.Queued("trickle") > 0; pop++ {
+				if pushed < trickleJobs && pop%tc.every == 0 {
+					id := fmt.Sprintf("t%d", pushed)
+					if book.Queued("trickle") == 0 {
+						pushedAt[id] = pop
+					}
+					q.push(tjob(id, "trickle", 0, 1, residues))
+					pushed++
+				}
+				if book.Queued("flood") < 20 {
+					t.Fatalf("pop %d: flood backlog fell to %d; the sweep needs a standing flood", pop, book.Queued("flood"))
+				}
+				both := book.Queued("trickle") > 0
+				if !both {
+					served = map[string]float64{}
+				}
+				if len(running) == slots {
+					done := running[0]
+					running = running[1:]
+					book.Finish(done.Request.Tenant, done.Request.Residues, true)
+				}
+				j := q.pop()
+				running = append(running, j)
+				if at, ok := pushedAt[j.ID]; ok && pop-at >= maxWait {
+					t.Errorf("%s pushed before pop %d, served at pop %d: waited past %d pops", j.ID, at, pop, maxWait)
+				}
+				if !both {
+					continue
+				}
+				contested++
+				served[j.Request.Tenant] += float64(j.Request.Residues) / weight[j.Request.Tenant]
+				if envy := math.Abs(served["flood"] - served["trickle"]); envy > oneJob {
+					t.Fatalf("pop %d (%s): normalised service flood %.0f vs trickle %.0f differs by more than one job (%.0f)",
+						pop, j.ID, served["flood"], served["trickle"], oneJob)
+				}
+			}
+			if contested < trickleJobs {
+				t.Fatalf("only %d contested pops for %d trickle jobs: the tenants never competed", contested, trickleJobs)
+			}
+
+			for j := q.pop(); j != nil; j = q.pop() {
+				running = append(running, j)
+			}
+			for _, j := range running {
+				book.Finish(j.Request.Tenant, j.Request.Residues, true)
+			}
+			if err := book.Check(); err != nil {
+				t.Fatal(err)
+			}
+			for tn, want := range map[string]int64{"flood": floodJobs * residues, "trickle": trickleJobs * residues} {
+				if n, r := book.Outstanding(tn); n != 0 || r != 0 {
+					t.Errorf("%s ends with %d jobs / %d residues outstanding", tn, n, r)
+				}
+				if got := book.ServedResidues(tn); got != want {
+					t.Errorf("%s served %d residues, want %d", tn, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -173,33 +173,6 @@ func newCore(queries []*seq.Sequence, dbResidues int64, tasks []sched.Task, sc s
 	return c
 }
 
-// Submit appends one query to a running full-scan job: the query joins the
-// core's merge tables and a ready TaskSW task joins the pool, tagged with
-// the submitting tenant and priority. Queries and seed-shaped tasks stay
-// 1:1 in submission order, so a checkpoint taken after arrivals restores
-// through RestoreCore by supplying the grown query list. Filtered jobs
-// reject arrivals: their appended tasks are reserved for rescore stages.
-func (c *Core) Submit(q *seq.Sequence, tenant string, priority int) (sched.TaskID, error) {
-	if c.filtered {
-		return 0, fmt.Errorf("master: filtered jobs do not accept runtime arrivals")
-	}
-	if q == nil || q.Len() == 0 {
-		return 0, fmt.Errorf("master: empty arrival query")
-	}
-	id := sched.TaskID(len(c.queries))
-	c.queries = append(c.queries, q)
-	c.queryByID[q.ID] = q
-	c.qorder[q.ID] = int(id)
-	c.coord.AddTasks([]sched.Task{{
-		QueryID:  q.ID,
-		Kind:     sched.TaskSW,
-		Cells:    int64(q.Len()) * c.dbResidues,
-		Tenant:   tenant,
-		Priority: priority,
-	}})
-	return id, nil
-}
-
 // SetStageProgress installs the per-stage progress hook (filtered jobs).
 // Call before serving traffic; the hook runs inside the dispatch path.
 func (c *Core) SetStageProgress(fn func(stage string, done, total int64)) { c.stageProgress = fn }
@@ -295,8 +268,6 @@ func RestoreCore(snap *sched.Snapshot, queries []*seq.Sequence, sc sched.Config,
 			windows, _ := c.resultPayload(tid).([]sched.Window)
 			c.appendRescore(pool.Task(tid).QueryID, windows)
 		}
-	} else if len(queries) > 0 {
-		c.dbResidues = snap.Tasks[0].Cells / int64(queries[0].Len())
 	}
 	// A job restored already-done never emits a completion summary: the
 	// incarnation that finished it did (or died trying).
@@ -397,14 +368,6 @@ func (c *Core) Dispatch(req wire.Envelope, now time.Duration) wire.Envelope {
 			return *e
 		}
 		c.coord.ProgressRate(req.Progress.Slave, req.Progress.Rate, req.Progress.Cells, now)
-		// Preemption piggybacks on the progress heartbeat: a replicated copy
-		// this slave holds may be revoked in favor of higher-priority or
-		// underserved-tenant ready work, delivered through the same cancel
-		// channel replica cancellations use. Sole copies are never revoked
-		// (sched.Coordinator.Preempt guarantees a surviving executor).
-		if victims := c.coord.Preempt(req.Progress.Slave, now); len(victims) > 0 {
-			c.pendingCancel[req.Progress.Slave] = append(c.pendingCancel[req.Progress.Slave], victims...)
-		}
 		if c.progress != nil {
 			c.progress(c.coord.Pool().FinishedCells(), req.Progress.Rate)
 		}

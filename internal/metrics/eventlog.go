@@ -5,15 +5,13 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
-// Event is one line of a structured scheduler event stream. Its JSON field
-// names deliberately mirror internal/platform's TraceEvent so a wall-clock
-// master run and a discrete-event simulation produce interchangeable
-// JSON-lines files: the same jq filter or pandas loader reads both.
-// (The types cannot be shared — platform sits above sched while metrics is
-// a leaf package — so the JSON shape is the contract, locked in by the
-// round-trip test in internal/platform.)
+// Event is one line of a structured scheduler event stream: the wall-clock
+// master's event log and the discrete-event runner's exported trace
+// (platform.TraceEvent is this type) write the same JSON lines, so one jq
+// filter or pandas loader reads both.
 type Event struct {
 	Kind    string  `json:"kind"`
 	TimeSec float64 `json:"t"`
@@ -44,7 +42,7 @@ type Event struct {
 	Selectivity float64 `json:"selectivity,omitempty"`
 }
 
-// Event kinds shared with platform.TraceEvent.
+// Event kinds.
 const (
 	EventAssign  = "assign"
 	EventSample  = "sample"
@@ -52,6 +50,11 @@ const (
 	EventSummary = "summary"
 	EventStage   = "stage"
 )
+
+// Makespan is the summary event's makespan as a duration.
+func (e Event) Makespan() time.Duration {
+	return time.Duration(e.MakespanSec * float64(time.Second))
+}
 
 // EventLog serialises events as JSON lines to a writer. It is safe for
 // concurrent Emit from any number of goroutines; a nil *EventLog discards

@@ -36,7 +36,7 @@ func TestEventLogEmit(t *testing.T) {
 	if back.Kind != EventAssign || back.PE != "GPU1" || len(back.Tasks) != 2 {
 		t.Errorf("round-trip = %+v", back)
 	}
-	// The JSON field names are the contract with platform.TraceEvent.
+	// The JSON field names are the contract with trace files on disk.
 	for _, key := range []string{`"kind"`, `"t"`, `"pe"`} {
 		if !strings.Contains(lines[0], key) {
 			t.Errorf("line missing %s: %s", key, lines[0])

@@ -5,43 +5,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/sched"
 )
 
-// TraceEvent is one line of an exported run trace. Kind is "assign",
-// "sample" or "summary"; the other fields are populated per kind. Traces
-// are JSON-lines so standard tooling (jq, pandas) can consume them.
-type TraceEvent struct {
-	Kind    string  `json:"kind"`
-	TimeSec float64 `json:"t"`
-	PE      string  `json:"pe,omitempty"`
-
-	// assign
-	Tasks   []int `json:"tasks,omitempty"`
-	Replica bool  `json:"replica,omitempty"`
-
-	// sample
-	GCUPS float64 `json:"gcups,omitempty"`
-
-	// exec (one task occupancy window)
-	Task      int     `json:"task,omitempty"`
-	EndSec    float64 `json:"end,omitempty"`
-	Completed bool    `json:"completed,omitempty"`
-
-	// summary (one per PE plus one overall with PE == "")
-	CellsDone   int64   `json:"cells,omitempty"`
-	TasksWon    int     `json:"won,omitempty"`
-	BusySec     float64 `json:"busy_s,omitempty"`
-	MakespanSec float64 `json:"makespan_s,omitempty"`
-	TotalGCUPS  float64 `json:"total_gcups,omitempty"`
-
-	// stage (one filtered-search stage completed for one query)
-	Stage       string  `json:"stage,omitempty"`
-	Windows     int     `json:"windows,omitempty"`
-	Selectivity float64 `json:"selectivity,omitempty"`
-}
+// TraceEvent is one line of an exported run trace: the same shape the
+// wall-clock master's event log writes. Traces are JSON-lines so standard
+// tooling (jq, pandas) can consume them.
+type TraceEvent = metrics.Event
 
 // WriteTrace streams the run as JSON lines: every assignment interaction,
 // every throughput sample, per-PE summaries and the overall summary.
@@ -60,7 +32,7 @@ func WriteTrace(w io.Writer, res *Result) error {
 			ids[i] = int(t)
 		}
 		if err := enc.Encode(TraceEvent{
-			Kind: "assign", TimeSec: a.Time.Seconds(), PE: name(a.Slave),
+			Kind: metrics.EventAssign, TimeSec: a.Time.Seconds(), PE: name(a.Slave),
 			Tasks: ids, Replica: a.Replica,
 		}); err != nil {
 			return err
@@ -69,14 +41,14 @@ func WriteTrace(w io.Writer, res *Result) error {
 	for _, pe := range res.PerPE {
 		for _, s := range pe.Timeline {
 			if err := enc.Encode(TraceEvent{
-				Kind: "sample", TimeSec: s.T.Seconds(), PE: pe.Name, GCUPS: s.Rate / 1e9,
+				Kind: metrics.EventSample, TimeSec: s.T.Seconds(), PE: pe.Name, GCUPS: s.Rate / 1e9,
 			}); err != nil {
 				return err
 			}
 		}
 		for _, ex := range pe.Executions {
 			if err := enc.Encode(TraceEvent{
-				Kind: "exec", PE: pe.Name, Task: int(ex.Task),
+				Kind: metrics.EventExec, PE: pe.Name, Task: int(ex.Task),
 				TimeSec: ex.Start.Seconds(), EndSec: ex.End.Seconds(),
 				Completed: ex.Completed, Replica: ex.Replica,
 			}); err != nil {
@@ -86,14 +58,14 @@ func WriteTrace(w io.Writer, res *Result) error {
 	}
 	for _, pe := range res.PerPE {
 		if err := enc.Encode(TraceEvent{
-			Kind: "summary", PE: pe.Name,
+			Kind: metrics.EventSummary, PE: pe.Name,
 			CellsDone: pe.CellsDone, TasksWon: pe.TasksWon, BusySec: pe.Busy.Seconds(),
 		}); err != nil {
 			return err
 		}
 	}
 	if err := enc.Encode(TraceEvent{
-		Kind:        "summary",
+		Kind:        metrics.EventSummary,
 		MakespanSec: res.Makespan.Seconds(),
 		CellsDone:   res.UsefulCells,
 		TotalGCUPS:  res.GCUPS(),
@@ -121,14 +93,9 @@ func ReadTrace(r io.Reader) ([]TraceEvent, error) {
 // TraceSummary extracts the overall summary event from a trace.
 func TraceSummary(events []TraceEvent) (TraceEvent, bool) {
 	for _, e := range events {
-		if e.Kind == "summary" && e.PE == "" {
+		if e.Kind == metrics.EventSummary && e.PE == "" {
 			return e, true
 		}
 	}
 	return TraceEvent{}, false
-}
-
-// Makespan is a convenience for tests and tools reading traces.
-func (e TraceEvent) Makespan() time.Duration {
-	return time.Duration(e.MakespanSec * float64(time.Second))
 }

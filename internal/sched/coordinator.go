@@ -92,17 +92,6 @@ type Config struct {
 	// default (0.1); negative means replicate on any positive gain.
 	// Higher values avoid wasted replicas at the cost of slower rescue.
 	GainThreshold float64
-	// Tenants maps tenant names to fair-share weights (default 1 for any
-	// tenant not listed, including the anonymous ""). Weights scale the
-	// dominant-resource share each tenant is entitled to; they only matter
-	// once tasks carry tenants.
-	Tenants map[string]float64
-	// Preempt enables priority/share preemption of *replicated* task
-	// copies (see Coordinator.Preempt). Sole-copy tasks are never touched.
-	Preempt bool
-	// PreemptFactor is the dominant-score imbalance (victim over claimant)
-	// required before a share preemption fires; 0 means the default 1.5.
-	PreemptFactor float64
 	// Metrics, when non-nil, receives task-lifecycle counters, pool-depth
 	// gauges and per-slave rate gauges (see NewMetrics). The coordinator is
 	// clock-agnostic, so the same hooks serve the wall-clock master and the
@@ -172,12 +161,6 @@ type Coordinator struct {
 	// mixedKinds latches true once any non-SW task enters the pool; until
 	// then nil-caps slaves take the kind-blind fast path.
 	mixedKinds bool
-	// mixedTenants latches true once any task carries a tenant (or weights
-	// are configured); until then grants take the tenant-blind fast path
-	// and the share ledgers stay empty.
-	mixedTenants bool
-	tenants      map[string]*tenantShare
-	preemptLog   []PreemptEvent
 }
 
 // NewCoordinator builds a coordinator over the job's tasks.
@@ -192,17 +175,10 @@ func NewCoordinator(tasks []Task, cfg Config) *Coordinator {
 		cfg:     cfg,
 		pool:    NewPool(tasks),
 		results: make(map[TaskID]Result, len(tasks)),
-		tenants: map[string]*tenantShare{},
-	}
-	if len(cfg.Tenants) > 0 {
-		c.mixedTenants = true
 	}
 	for _, t := range tasks {
 		if t.Kind != TaskSW {
 			c.mixedKinds = true
-		}
-		if t.Tenant != "" {
-			c.mixedTenants = true
 		}
 	}
 	c.syncGauges()
@@ -242,13 +218,11 @@ func (c *Coordinator) slaveLabel(id SlaveID) string {
 }
 
 // abandonToPool routes every executor-removal through one place so the
-// requeue counter sees each executing->ready fallback exactly once and the
-// tenant share ledger releases the task when it leaves the in-flight set.
+// requeue counter sees each executing->ready fallback exactly once.
 func (c *Coordinator) abandonToPool(tid TaskID, sid SlaveID) {
 	wasExecuting := c.pool.StateOf(tid) == Executing
 	c.pool.Abandon(tid, sid)
 	if wasExecuting && c.pool.StateOf(tid) == Ready {
-		c.tenantRelease(c.pool.Task(tid), false)
 		if m := c.cfg.Metrics; m != nil {
 			m.TasksRequeued.Inc()
 		}
@@ -390,7 +364,7 @@ func (c *Coordinator) RequestWork(id SlaveID, now time.Duration) (tasks []Task, 
 		n = 1
 	}
 	if n > 0 {
-		tasks = c.takeReadyFair(n, allow, id, now)
+		tasks = c.pool.TakeReadyFunc(n, allow, id, now)
 		for _, t := range tasks {
 			c.slaves[id].assign(t.ID)
 		}
@@ -520,9 +494,6 @@ func (c *Coordinator) AddTasks(tasks []Task) []TaskID {
 		if t.Kind != TaskSW {
 			c.mixedKinds = true
 		}
-		if t.Tenant != "" {
-			c.mixedTenants = true
-		}
 	}
 	if m := c.cfg.Metrics; m != nil {
 		m.TasksAdded.Add(float64(len(tasks)))
@@ -586,7 +557,6 @@ func (c *Coordinator) Complete(id SlaveID, tid TaskID, payload any, now time.Dur
 		return false, nil
 	}
 	c.results[tid] = Result{Task: tid, QueryID: task.QueryID, Slave: id, At: now, Payload: payload}
-	c.tenantRelease(task, true)
 	for _, o := range others {
 		c.slaves[o].drop(tid, task.Cells)
 	}

@@ -20,7 +20,6 @@ type Metrics struct {
 	TasksReplicated  *metrics.Counter
 	TasksRedelivered *metrics.Counter
 	TasksAdded       *metrics.Counter
-	TasksPreempted   *metrics.Counter
 	LeaseExpirations *metrics.Counter
 
 	ReadyTasks     *metrics.Gauge
@@ -42,7 +41,6 @@ func NewMetrics(r *metrics.Registry) *Metrics {
 		TasksReplicated:  r.Counter("sched_tasks_replicated_total", "Extra task copies granted by the workload adjustment mechanism."),
 		TasksRedelivered: r.Counter("sched_tasks_redelivered_total", "Outstanding assignments retransmitted to slaves whose Assign response was lost."),
 		TasksAdded:       r.Counter("sched_tasks_added_total", "Follow-on tasks appended to the pool mid-job (e.g. rescore stages of a filtered search)."),
-		TasksPreempted:   r.Counter("sched_tasks_preempted_total", "Replicated task copies revoked by priority/share preemption (sole copies are never preempted)."),
 		LeaseExpirations: r.Counter("sched_lease_expirations_total", "Slaves declared dead by the lease-based failure detector."),
 		ReadyTasks:       r.Gauge("sched_ready_tasks", "Tasks not yet assigned to any slave."),
 		ExecutingTasks:   r.Gauge("sched_executing_tasks", "Tasks running on at least one slave."),

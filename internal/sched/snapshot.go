@@ -49,7 +49,6 @@ func Restore(snap *Snapshot, cfg Config) *Coordinator {
 	c := NewCoordinator(snap.Tasks, cfg)
 	for _, f := range snap.Finished {
 		c.pool.restoreFinished(f.Task, f.Slave, f.At)
-		c.tenantRelease(c.pool.Task(f.Task), true)
 		c.results[f.Task] = Result{
 			Task:    f.Task,
 			QueryID: f.QueryID,

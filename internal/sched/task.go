@@ -95,15 +95,6 @@ type Task struct {
 	// Windows restricts a TaskRescore task to candidate regions; nil for
 	// other kinds.
 	Windows []Window
-	// Tenant names the submitter for multi-tenant fair-share scheduling.
-	// The empty string is the anonymous tenant, which keeps every
-	// pre-existing call site (and the paper's single-job workload) on the
-	// tenant-blind fast path.
-	Tenant string
-	// Priority orders grants within a tenant (higher first) and lets the
-	// preemption mechanism prefer high-priority ready work over replicated
-	// low-priority copies. Zero is the default level.
-	Priority int
 }
 
 // State is the lifecycle of a task in the pool (§IV-A.3).
@@ -216,29 +207,6 @@ func (p *Pool) TakeReadyFunc(n int, allow func(Task) bool, s SlaveID, now time.D
 	p.nReady -= len(out)
 	p.nExec += len(out)
 	return out
-}
-
-// TakeReadyTask moves one specific ready task to the executing state on
-// slave s, preserving the FIFO position of every other ready task — the
-// tenant-fair grant path, where the coordinator (not arrival order) picks
-// which ready task a slave receives. It panics if the task is not ready:
-// the caller selects from the ready set it just inspected.
-func (p *Pool) TakeReadyTask(id TaskID, s SlaveID, now time.Duration) Task {
-	e := &p.entries[id]
-	if e.state != Ready {
-		panic(fmt.Sprintf("sched: TakeReadyTask on %s task %d", e.state, id))
-	}
-	for i, rid := range p.readyFIFO {
-		if rid == id {
-			p.readyFIFO = append(p.readyFIFO[:i], p.readyFIFO[i+1:]...)
-			break
-		}
-	}
-	e.state = Executing
-	e.executors[s] = now
-	p.nReady--
-	p.nExec++
-	return e.task
 }
 
 // ReadyFunc counts the ready tasks allow admits (nil admits every task) —

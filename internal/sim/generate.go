@@ -66,41 +66,6 @@ func Generate(seed int64) Scenario {
 			DownFor: time.Duration(200+rng.Intn(800)) * time.Millisecond,
 		})
 	}
-
-	// Multi-tenant chaos: about a third of the seeds add tenant arrival
-	// streams, so the structural invariants (exactly-once over the grown
-	// job, quota accounting, preempt safety, restart resubmission) soak
-	// against every fault family above. SLO and envy checks stay off —
-	// those require calibrated scenarios (see TenantStarvation); the
-	// always-on invariants are the point here.
-	if rng.Intn(3) == 0 {
-		for i, n := 0, 1+rng.Intn(2); i < n; i++ {
-			t := TenantSpec{
-				Name:     fmt.Sprintf("t%d", i),
-				Weight:   float64(1 + rng.Intn(2)),
-				Jobs:     1 + rng.Intn(3),
-				Residues: 200 + rng.Intn(800),
-				StartAt:  time.Duration(rng.Intn(2000)) * time.Millisecond,
-				Every:    time.Duration(200+rng.Intn(800)) * time.Millisecond,
-				Priority: rng.Intn(3),
-			}
-			if rng.Intn(3) == 0 {
-				t.MaxOutstanding = 1 + rng.Intn(2)
-			}
-			sc.Tenants = append(sc.Tenants, t)
-		}
-	}
-	sc.Preempt = rng.Intn(2) == 0
-	if rng.Intn(3) == 0 {
-		sc.Autoscale = &AutoscaleSpec{
-			Slave: SlaveSpec{
-				Name:  "auto",
-				Kind:  sched.KindCPU,
-				Speed: 2e8 + rng.Float64()*8e8,
-			},
-			Max: len(sc.Slaves) + 1 + rng.Intn(2),
-		}
-	}
 	return sc
 }
 

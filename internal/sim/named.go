@@ -28,119 +28,6 @@ func ShardFailover(seed int64) Scenario {
 	}
 }
 
-// TenantStarvation is the flood-versus-trickle fairness story: one tenant
-// dumps twenty jobs at once, another submits four spaced-out jobs, both at
-// equal weight. Under FIFO the trickle tenant's first job waits behind the
-// whole flood (~2.7s of queue on this fleet); under DRF fair queueing it
-// is served as soon as a slave frees up. The scenario pins both contracts:
-// the trickle tenant's admit→complete SLO (MaxWait, set fair-passing and
-// FIFO-failing) and the envy-freeness sweep over weight-normalized served
-// cells while both tenants are backlogged.
-func TenantStarvation(seed int64) Scenario {
-	return Scenario{
-		Name:         "tenant-starvation",
-		Seed:         seed,
-		TaskResidues: []int{100},
-		Policy:       "SS", // one task per grant: fairness at task granularity
-		Slaves: []SlaveSpec{
-			{Name: "cpu0", Kind: sched.KindCPU, Speed: 5e8},
-			{Name: "cpu1", Kind: sched.KindCPU, Speed: 5e8},
-		},
-		Tenants: []TenantSpec{
-			{Name: "flood", Jobs: 20, Residues: 150, Every: 20 * time.Millisecond},
-			{Name: "trickle", Jobs: 4, Residues: 150,
-				StartAt: 100 * time.Millisecond, Every: 400 * time.Millisecond,
-				// DRF entitlement: ≤0.3s of non-preemptible task ahead plus
-				// 0.3s of service, doubled for protocol slop. A FIFO
-				// scheduler blows through this by seconds.
-				MaxWait: 1200 * time.Millisecond},
-		},
-		CheckFairShare: true,
-	}
-}
-
-// QuotaBurst is the admission-control story: a greedy tenant fires twelve
-// jobs within 60ms against a MaxOutstanding cap of two, so everything past
-// the cap is turned away at the front door (the sim analogue of HTTP 429)
-// while a polite co-tenant sails through untouched. The invariant library
-// checks that every *admitted* job completes and the quota book drains to
-// zero — rejected arrivals must leave no residue.
-func QuotaBurst(seed int64) Scenario {
-	return Scenario{
-		Name:         "quota-burst",
-		Seed:         seed,
-		TaskResidues: []int{100},
-		Policy:       "SS",
-		Slaves: []SlaveSpec{
-			{Name: "cpu0", Kind: sched.KindCPU, Speed: 2e8},
-		},
-		Tenants: []TenantSpec{
-			{Name: "greedy", Jobs: 12, Residues: 100,
-				Every: 5 * time.Millisecond, MaxOutstanding: 2},
-			{Name: "polite", Jobs: 3, Residues: 100,
-				StartAt: 50 * time.Millisecond, Every: 600 * time.Millisecond},
-		},
-	}
-}
-
-// PreemptStorm is the preemption safety story: a slow and a fast slave, a
-// long seed task ground out on the slow one, so the idle fast slave
-// replicates it (workload adjustment); then a high-priority tenant arrival
-// lands and the fast slave's *replicated* copy is revoked on its next
-// heartbeat to serve it — while the slow slave's sole surviving copy is
-// untouchable. The always-on preempt-safety invariant audits every event
-// in the log for a surviving executor.
-func PreemptStorm(seed int64) Scenario {
-	return Scenario{
-		Name:         "preempt-storm",
-		Seed:         seed,
-		TaskResidues: []int{1000, 1000},
-		Policy:       "SS",
-		Adjust:       true,
-		Preempt:      true,
-		Slaves: []SlaveSpec{
-			{Name: "slow", Kind: sched.KindCPU, Speed: 5e7},
-			{Name: "fast", Kind: sched.KindCPU, Speed: 2e8},
-		},
-		Tenants: []TenantSpec{
-			{Name: "alice", Jobs: 2, Residues: 1000,
-				StartAt: 8 * time.Second, Every: time.Second},
-			{Name: "bob", Jobs: 1, Residues: 1000, Priority: 2,
-				StartAt: 6 * time.Second},
-		},
-	}
-}
-
-// AutoscaleFlap is the elastic-pool stability story: two arrival bursts
-// separated by a quiet trickle, against a single static slave and an
-// autoscaler allowed up to two extra machines. The controller must grow
-// under each burst, shrink back during the lulls, and never flap — the
-// flip-budget invariant caps total scale actions, the clamp invariant caps
-// alive machines at Max, and scale-ins requeue the retiree's work without
-// losing a task.
-func AutoscaleFlap(seed int64) Scenario {
-	return Scenario{
-		Name:         "autoscale-flap",
-		Seed:         seed,
-		TaskResidues: []int{100},
-		Policy:       "SS",
-		Slaves: []SlaveSpec{
-			{Name: "base", Kind: sched.KindCPU, Speed: 2e8},
-		},
-		Tenants: []TenantSpec{
-			{Name: "burst0", Jobs: 8, Residues: 100, Every: 10 * time.Millisecond},
-			{Name: "burst1", Jobs: 12, Residues: 100,
-				StartAt: 6 * time.Second, Every: 10 * time.Millisecond},
-			{Name: "trickle", Jobs: 20, Residues: 100, Every: time.Second},
-		},
-		Autoscale: &AutoscaleSpec{
-			Slave: SlaveSpec{Name: "auto", Kind: sched.KindCPU, Speed: 2e8},
-			Min:   1,
-			Max:   3,
-		},
-	}
-}
-
 // Named returns a curated scenario by name with the given seed — the chaos
 // CI entry point (swsim -named). Unlike Generate's seeded soup, a named
 // scenario pins its fault schedule so the regression it guards stays
@@ -149,14 +36,6 @@ func Named(name string, seed int64) (Scenario, error) {
 	switch name {
 	case "shard-failover":
 		return ShardFailover(seed), nil
-	case "tenant-starvation":
-		return TenantStarvation(seed), nil
-	case "quota-burst":
-		return QuotaBurst(seed), nil
-	case "preempt-storm":
-		return PreemptStorm(seed), nil
-	case "autoscale-flap":
-		return AutoscaleFlap(seed), nil
 	default:
 		return Scenario{}, fmt.Errorf("sim: unknown named scenario %q", name)
 	}

@@ -58,67 +58,6 @@ type SlaveSpec struct {
 	Rules []wire.Rule `json:"rules,omitempty"`
 }
 
-// TenantSpec describes one tenant's runtime arrival stream and its
-// scheduling contract. Arrivals are new queries submitted to the running
-// job (master.Core.Submit) on a fixed timetable; the fair scheduler must
-// interleave them with other tenants' backlogs. Quotas are enforced by the
-// same jobs.TenantBook the HTTP front door uses, so an over-quota arrival
-// is rejected exactly like a 429.
-type TenantSpec struct {
-	Name string `json:"name"`
-	// Weight scales the tenant's fair share; 0 means 1.
-	Weight float64 `json:"weight,omitempty"`
-	// Jobs is how many arrival queries the tenant submits.
-	Jobs int `json:"jobs"`
-	// Residues is each arrival query's length; 0 means 400.
-	Residues int `json:"residues,omitempty"`
-	// StartAt is the first arrival's virtual time.
-	StartAt time.Duration `json:"start_at,omitempty"`
-	// Every is the inter-arrival gap; 0 means 250ms.
-	Every time.Duration `json:"every,omitempty"`
-	// Priority tags the tenant's tasks (ordering within the tenant only).
-	Priority int `json:"priority,omitempty"`
-	// MaxOutstanding caps the tenant's admitted-but-unfinished arrivals;
-	// over-quota arrivals are rejected (and counted). 0 means unlimited.
-	MaxOutstanding int `json:"max_outstanding,omitempty"`
-	// MaxWait is the per-arrival admit→complete SLO the invariant library
-	// enforces — the no-starvation check. 0 skips the check. Derive it from
-	// the tenant's DRF entitlement: work / (weight-share × capacity), plus
-	// slack for the non-preemptible task ahead.
-	MaxWait time.Duration `json:"max_wait,omitempty"`
-}
-
-// AutoscaleSpec adds an elastic slave pool driven by the pure
-// autoscale.Controller: a recurring observation tick feeds it the ready
-// backlog and the alive pool size, Grow boots a fresh slave from the
-// template, and Shrink retires the most recently booted elastic slave
-// (its connection drops; the master requeues its work).
-type AutoscaleSpec struct {
-	// Slave is the template for booted machines; its Name becomes a prefix
-	// ("auto" → auto-0, auto-1, …). Fault schedules are not allowed on the
-	// template — chaos belongs to the static slaves.
-	Slave SlaveSpec `json:"slave"`
-	// Every is the observation interval; 0 means 500ms.
-	Every time.Duration `json:"every,omitempty"`
-	// BootDelay is the Grow→register lag; 0 means 100ms.
-	BootDelay time.Duration `json:"boot_delay,omitempty"`
-	// Min and Max clamp the pool (static + elastic alive machines).
-	// Min 0 means len(Slaves); Max 0 means Min+2.
-	Min int `json:"min,omitempty"`
-	Max int `json:"max,omitempty"`
-	// Controller thresholds and dwells; zero values take the
-	// autoscale.Config defaults.
-	UpAt      float64       `json:"up_at,omitempty"`
-	DownAt    float64       `json:"down_at,omitempty"`
-	UpAfter   time.Duration `json:"up_after,omitempty"`
-	DownAfter time.Duration `json:"down_after,omitempty"`
-	Cooldown  time.Duration `json:"cooldown,omitempty"`
-	// MaxActions is the flip-budget invariant: a run may apply at most this
-	// many scale actions. 0 means 2×(Max−Min)+4 — enough to reach either
-	// clamp and correct once, not enough to flap.
-	MaxActions int `json:"max_actions,omitempty"`
-}
-
 // MasterRestart crashes the master at At and restores it — from its last
 // checkpoint and the jobs WAL — DownFor later. While down, every call gets
 // a connection-refused error and slaves ride their reconnect backoff.
@@ -166,29 +105,6 @@ type Scenario struct {
 	Slaves   []SlaveSpec     `json:"slaves"`
 	Restarts []MasterRestart `json:"restarts,omitempty"`
 
-	// Tenants adds runtime arrival streams with fair-share contracts; see
-	// TenantSpec. The scenario's seed tasks stay anonymous background work.
-	Tenants []TenantSpec `json:"tenants,omitempty"`
-	// Autoscale adds an elastic slave pool; see AutoscaleSpec.
-	Autoscale *AutoscaleSpec `json:"autoscale,omitempty"`
-	// Preempt lets the coordinator revoke replicated task copies in favor
-	// of higher-priority or underserved-tenant ready work (sole copies are
-	// never revoked — the invariant library checks every preemption event).
-	Preempt bool `json:"preempt,omitempty"`
-	// PreemptFactor is the share-imbalance trigger ratio; 0 means the sched
-	// default (1.5).
-	PreemptFactor float64 `json:"preempt_factor,omitempty"`
-	// CheckFairShare turns on the DRF envy-freeness sweep: while two
-	// tenants are both backlogged, their weight-normalized served cells may
-	// differ by at most FairTolerance (relative) plus FairSlackCells
-	// (absolute, covering coarse-task granularity).
-	CheckFairShare bool `json:"check_fair_share,omitempty"`
-	// FairTolerance is the relative envy tolerance; 0 means 0.10.
-	FairTolerance float64 `json:"fair_tolerance,omitempty"`
-	// FairSlackCells is the absolute envy slack; 0 means 2× the largest
-	// arrival task's cells.
-	FairSlackCells int64 `json:"fair_slack_cells,omitempty"`
-
 	// MaxEvents bounds the event loop against livelock; 0 means 500_000.
 	// Hitting the bound is reported as a quiescence violation.
 	MaxEvents uint64 `json:"max_events,omitempty"`
@@ -223,41 +139,6 @@ func (sc Scenario) fill() Scenario {
 	}
 	if sc.MaxEvents == 0 {
 		sc.MaxEvents = defaultMaxEvents
-	}
-	if sc.FairTolerance <= 0 {
-		sc.FairTolerance = 0.10
-	}
-	sc.Tenants = append([]TenantSpec(nil), sc.Tenants...)
-	for i := range sc.Tenants {
-		t := &sc.Tenants[i]
-		if t.Weight <= 0 {
-			t.Weight = 1
-		}
-		if t.Residues <= 0 {
-			t.Residues = 400
-		}
-		if t.Every <= 0 {
-			t.Every = 250 * time.Millisecond
-		}
-	}
-	if sc.Autoscale != nil {
-		a := *sc.Autoscale
-		if a.Every <= 0 {
-			a.Every = 500 * time.Millisecond
-		}
-		if a.BootDelay <= 0 {
-			a.BootDelay = 100 * time.Millisecond
-		}
-		if a.Min <= 0 {
-			a.Min = len(sc.Slaves)
-		}
-		if a.Max <= 0 {
-			a.Max = a.Min + 2
-		}
-		if a.MaxActions <= 0 {
-			a.MaxActions = 2*(a.Max-a.Min) + 4
-		}
-		sc.Autoscale = &a
 	}
 	return sc
 }
@@ -322,30 +203,6 @@ func (sc Scenario) Validate() error {
 	}
 	if sc.CallTimeout <= 2*sc.Latency {
 		return fmt.Errorf("sim: CallTimeout %v must exceed a round trip (2×%v)", sc.CallTimeout, sc.Latency)
-	}
-	tenants := map[string]bool{}
-	for i, t := range sc.Tenants {
-		if t.Name == "" {
-			return fmt.Errorf("sim: tenant %d has no name", i)
-		}
-		if tenants[t.Name] {
-			return fmt.Errorf("sim: duplicate tenant %q", t.Name)
-		}
-		tenants[t.Name] = true
-		if t.Jobs < 0 || t.Residues < 0 || t.Weight < 0 || t.MaxOutstanding < 0 {
-			return fmt.Errorf("sim: tenant %q has a negative knob", t.Name)
-		}
-	}
-	if a := sc.Autoscale; a != nil {
-		if err := a.Slave.pe().Validate(); err != nil {
-			return fmt.Errorf("sim: autoscale template: %w", err)
-		}
-		if a.Slave.CrashAt != 0 || a.Slave.HangAt != 0 || a.Slave.RecoverAt != 0 {
-			return fmt.Errorf("sim: autoscale template %q must not carry a fault schedule", a.Slave.Name)
-		}
-		if a.Max < a.Min {
-			return fmt.Errorf("sim: autoscale Max %d < Min %d", a.Max, a.Min)
-		}
 	}
 	return nil
 }

@@ -106,30 +106,6 @@ func candidates(sc Scenario) []Scenario {
 			out = append(out, c)
 		}
 	}
-	// Drop the multi-tenant machinery wholesale, then tenant by tenant.
-	if len(sc.Tenants) > 0 {
-		c := clone(sc)
-		c.Tenants = nil
-		out = append(out, c)
-	}
-	for i := range sc.Tenants {
-		if len(sc.Tenants) <= 1 {
-			break
-		}
-		c := clone(sc)
-		c.Tenants = append(append([]TenantSpec(nil), sc.Tenants[:i]...), sc.Tenants[i+1:]...)
-		out = append(out, c)
-	}
-	if sc.Autoscale != nil {
-		c := clone(sc)
-		c.Autoscale = nil
-		out = append(out, c)
-	}
-	if sc.Preempt {
-		c := clone(sc)
-		c.Preempt = false
-		out = append(out, c)
-	}
 	// Turn knobs off.
 	if sc.TearWAL {
 		c := clone(sc)
@@ -167,10 +143,5 @@ func clone(sc Scenario) Scenario {
 		c.Slaves[i] = cs
 	}
 	c.Restarts = append([]MasterRestart(nil), sc.Restarts...)
-	c.Tenants = append([]TenantSpec(nil), sc.Tenants...)
-	if sc.Autoscale != nil {
-		a := *sc.Autoscale
-		c.Autoscale = &a
-	}
 	return c
 }

@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/autoscale"
 	"repro/internal/jobs"
 	"repro/internal/master"
 	"repro/internal/metrics"
@@ -32,14 +31,7 @@ type Report struct {
 	Expired     int           `json:"expired"`
 	Replicas    int           `json:"replicas"`
 	Faults      int           `json:"faults"`
-	// Multi-tenancy counters: arrivals admitted through the front door,
-	// arrivals turned away by quota, preemption events, and elastic-pool
-	// scale actions.
-	Arrivals    int      `json:"arrivals,omitempty"`
-	Rejected    int      `json:"rejected,omitempty"`
-	Preempts    int      `json:"preempts,omitempty"`
-	ScaleEvents int      `json:"scale_events,omitempty"`
-	Violations  []string `json:"violations,omitempty"`
+	Violations  []string      `json:"violations,omitempty"`
 	// Fingerprint hashes the structured event log, the final results and
 	// the final jobs WAL: two runs of the same scenario+seed must agree
 	// byte for byte.
@@ -107,24 +99,6 @@ type run struct {
 	restarts int
 	expired  int
 	faults   int
-
-	// Multi-tenant front door (nil-safe: empty when the scenario has no
-	// Tenants). seedQueries is the length of the seed query list; arrivals
-	// grow r.queries past it, and restores split on this boundary.
-	seedQueries      int
-	book             *jobs.TenantBook
-	arrivals         []*arrival
-	taskMeta         map[sched.TaskID]*arrival
-	deferred         []*arrival
-	arrivalsLeft     int
-	rejectedArrivals int
-	fairTrace        []fairEvent
-	preemptSeen      int
-	preempts         int
-
-	// Elastic pool.
-	scaler  *autoscale.Controller
-	autoSeq int
 }
 
 func newRun(sc Scenario) *run {
@@ -142,11 +116,9 @@ func newRun(sc Scenario) *run {
 		res := bytes.Repeat([]byte{'M'}, n)
 		r.queries[i] = seq.New(fmt.Sprintf("q%03d", i), "", res)
 	}
-	r.seedQueries = len(r.queries)
 	for i, spec := range sc.Slaves {
 		r.machines = append(r.machines, newMachine(r, i, spec))
 	}
-	r.initTenants()
 	return r
 }
 
@@ -157,18 +129,7 @@ func (r *run) violatef(format string, args ...any) {
 // schedConfig builds the coordinator config; policy construction cannot
 // fail here because Validate already vetted the name.
 func (r *run) schedConfig() sched.Config {
-	cfg := sched.Config{
-		Adjust:        r.sc.Adjust,
-		Omega:         r.sc.Omega,
-		Preempt:       r.sc.Preempt,
-		PreemptFactor: r.sc.PreemptFactor,
-	}
-	if len(r.sc.Tenants) > 0 {
-		cfg.Tenants = map[string]float64{}
-		for _, t := range r.sc.Tenants {
-			cfg.Tenants[t.Name] = t.Weight
-		}
-	}
+	cfg := sched.Config{Adjust: r.sc.Adjust, Omega: r.sc.Omega}
 	if r.sc.Policy != "" {
 		p, err := sched.NewPolicy(r.sc.Policy)
 		if err != nil {
@@ -200,8 +161,6 @@ func (r *run) start() {
 	for _, m := range r.machines {
 		m.boot()
 	}
-	r.startTenants()
-	r.startAutoscale()
 }
 
 // --- master lifecycle -------------------------------------------------
@@ -272,34 +231,26 @@ func (r *run) restoreMaster() {
 	r.owner = map[sched.SlaveID]incarnation{}
 	r.lastDelivered = map[sched.SlaveID]time.Duration{}
 	r.lastContact = map[sched.SlaveID]time.Duration{}
-	// The new core's preemption log starts empty.
-	r.preemptSeen = 0
 	if r.checkpoint == nil {
-		core, err := master.NewCore(r.queries[:r.seedQueries], r.sc.DBResidues, r.schedConfig(), r.events)
+		core, err := master.NewCore(r.queries, r.sc.DBResidues, r.schedConfig(), r.events)
 		if err != nil {
 			panic(err)
 		}
 		r.core = core
-		r.resubmitArrivals(r.seedQueries)
 	} else {
 		var snap sched.Snapshot
 		if err := gob.NewDecoder(bytes.NewReader(r.checkpoint)).Decode(&snap); err != nil {
 			r.violatef("restart: corrupt checkpoint: %v", err)
 			return
 		}
-		// Arrivals admitted after the last synchronous checkpoint are not in
-		// the snapshot; restore the checkpointed prefix, then replay them.
-		known := len(snap.Tasks)
-		core, err := master.RestoreCore(&snap, r.queries[:known], r.schedConfig(), r.events)
+		core, err := master.RestoreCore(&snap, r.queries, r.schedConfig(), r.events)
 		if err != nil {
 			r.violatef("restart: %v", err)
 			return
 		}
 		r.core = core
-		r.resubmitArrivals(known)
 	}
 	r.reconcileLedger()
-	r.drainDeferred()
 }
 
 // reconcileLedger replays the jobs WAL and repairs it against the restored
@@ -440,7 +391,9 @@ func (r *run) deliver(m *machine, epoch int, req wire.Envelope) (wire.Envelope, 
 		r.appendLedger(req.Complete.Task, jobs.StateDone)
 		r.saveCheckpoint()
 	}
-	r.afterDispatch(req, &resp, now)
+	if r.core.Done() {
+		r.jobDone = true
+	}
 	return resp, nil
 }
 
@@ -508,12 +461,6 @@ func (r *run) report(fired uint64) *Report {
 		Restarts:    r.restarts,
 		Expired:     r.expired,
 		Faults:      r.faults,
-		Arrivals:    len(r.arrivals),
-		Rejected:    r.rejectedArrivals,
-		Preempts:    r.preempts,
-	}
-	if r.scaler != nil {
-		rep.ScaleEvents = len(r.scaler.Decisions())
 	}
 	r.checkFinal()
 	if r.masterUp() {
@@ -541,7 +488,6 @@ func (r *run) report(fired uint64) *Report {
 
 // checkFinal runs the end-of-run invariant library.
 func (r *run) checkFinal() {
-	r.checkTenantsFinal()
 	if !r.masterUp() {
 		r.violatef("quiescence: run ended with the master down (restart scheduled past the horizon?)")
 		return

@@ -57,10 +57,6 @@ func stillFailing(sc Scenario) bool {
 func TestShrinkReducesFailingScenario(t *testing.T) {
 	sc := Generate(3)
 	sc.Slaves = append(sc.Slaves, Generate(4).Slaves...)
-	// The plant relies on every slave dying for good; an elastic pool would
-	// boot fresh fault-free machines and rescue the job.
-	sc.Autoscale = nil
-	sc.Tenants = nil
 	for i := range sc.Slaves {
 		s := &sc.Slaves[i]
 		s.Name = fmt.Sprintf("m%d", i)

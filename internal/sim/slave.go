@@ -41,7 +41,6 @@ type machine struct {
 	crashed bool
 	wedged  bool
 	stopped bool // saw Done: the job is over for this slave
-	elastic bool // booted by the autoscaler; eligible for scale-in
 	attempt int  // consecutive transport failures, drives backoff
 
 	queue   []wire.TaskSpec
@@ -64,8 +63,6 @@ func newMachine(r *run, index int, spec SlaveSpec) *machine {
 // staggered per index so registration order is by construction rather than
 // heap tie-breaking — easier to reason about in failure reproducers.
 func (m *machine) boot() {
-	// Relative to now, not absolute: elastic machines boot mid-run. At
-	// t=0 the two are identical for the static fleet.
 	m.r.sim.After(time.Duration(m.index)*time.Millisecond, m.guard(m.register))
 	if m.spec.CrashAt > 0 {
 		m.r.sim.Schedule(m.spec.CrashAt, m.crash)
