@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet lint lint-cover loc test race race-full sim-smoke fuzz-smoke bench-smoke cover cluster-cover tenancy-cover bench tables svg csv examples clean
+.PHONY: all build vet lint lint-cover loc test race race-full sim-smoke fuzz-smoke bench-smoke cover cluster-cover tenancy-cover bench tables tables-check svg csv examples clean
 
 # The concurrency-heavy packages (distributed path + scheduler) always run
 # under the race detector as part of `make test`; `race-full` covers the
@@ -122,6 +122,15 @@ bench:
 tables:
 	go run ./cmd/benchtables
 
+# The paper tables are a pure function of the code: two runs must print
+# the same bytes. A difference means scheduling leaked into the
+# discrete-event experiments (map order, goroutines, wall-clock time).
+tables-check:
+	@mkdir -p out
+	go run ./cmd/benchtables > out/tables.1.txt
+	go run ./cmd/benchtables > out/tables.2.txt
+	cmp out/tables.1.txt out/tables.2.txt
+
 svg:
 	go run ./cmd/benchtables -svg out/svg
 
@@ -129,7 +138,7 @@ csv:
 	go run ./cmd/benchtables -csv out/csv
 
 examples:
-	@for e in quickstart adjustment hybridsearch nondedicated distributed applications; do \
+	@for e in quickstart adjustment hybridsearch nondedicated distributed; do \
 		echo "=== examples/$$e ==="; go run ./examples/$$e || exit 1; done
 
 clean:

@@ -14,17 +14,12 @@ import (
 	"time"
 
 	hybridsw "repro"
-	"repro/internal/assembly"
 	"repro/internal/cudasw"
 	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/farrar"
-	"repro/internal/msa"
-	"repro/internal/parallel"
 	"repro/internal/score"
-	"repro/internal/seq"
 	"repro/internal/sw"
-	"repro/internal/swipe"
 )
 
 // reportRun attaches a run's simulated time and GCUPS to the benchmark.
@@ -179,8 +174,8 @@ func reportMCUPS(b *testing.B, cellsPerOp int64, elapsed time.Duration) {
 	b.ReportMetric(mcups, "MCUPS")
 }
 
-// BenchmarkKernelFarrarSWAR8 measures the default production 8-bit tier:
-// the 64-bit SWAR kernel behind the dispatched Score8 entry point.
+// BenchmarkKernelFarrarSWAR8 measures the production 8-bit tier: the
+// 64-bit SWAR kernel.
 func BenchmarkKernelFarrarSWAR8(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	q := randProtein(rng, 128)
@@ -192,7 +187,7 @@ func BenchmarkKernelFarrarSWAR8(b *testing.B) {
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		if _, ok := k.Score8(d); !ok {
+		if _, ok := k.ScoreSWAR8(d); !ok {
 			b.Fatal("overflow")
 		}
 	}
@@ -317,95 +312,6 @@ func sanitize(s string) string {
 		}
 	}
 	return string(out)
-}
-
-func BenchmarkKernelSwipe(b *testing.B) {
-	rng := rand.New(rand.NewSource(20))
-	q := randProtein(rng, 128)
-	db := make([]*seq.Sequence, 64)
-	var cells int64
-	for i := range db {
-		db[i] = seq.New("s", "", randProtein(rng, 400))
-		cells += int64(len(q)) * 400
-	}
-	sr, err := swipe.New(q, score.DefaultProtein())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		sr.Search(db)
-	}
-	reportMCUPS(b, cells, time.Since(start))
-}
-
-func BenchmarkParallelStrategies(b *testing.B) {
-	rng := rand.New(rand.NewSource(21))
-	q := randProtein(rng, 100)
-	db := make([]*seq.Sequence, 48)
-	for i := range db {
-		db[i] = seq.New("s", "", randProtein(rng, 300))
-	}
-	s := score.DefaultProtein()
-	b.Run("fine_grained_pair", func(b *testing.B) {
-		d := db[0].Residues
-		for i := 0; i < b.N; i++ {
-			parallel.FineGrainedScore(q, d, s, 4, 64)
-		}
-	})
-	b.Run("coarse_grained_db", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := parallel.CoarseGrainedSearch(q, db, s, 4, 8); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("very_coarse_queries", func(b *testing.B) {
-		queries := []*seq.Sequence{seq.New("q", "", q)}
-		for i := 0; i < b.N; i++ {
-			if _, err := parallel.VeryCoarseGrainedSearch(queries, db, s, 4); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkMSACenterStar(b *testing.B) {
-	rng := rand.New(rand.NewSource(22))
-	ancestor := randProtein(rng, 80)
-	var seqs []*seq.Sequence
-	for i := 0; i < 6; i++ {
-		res := append([]byte{}, ancestor...)
-		for k := 0; k < 6; k++ {
-			res[rng.Intn(len(res))] = "ACDEFGHIKLMNPQRSTVWY"[rng.Intn(20)]
-		}
-		seqs = append(seqs, seq.New("m", "", res))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := msa.Align(seqs, score.DefaultProtein(), 2); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAssemblyGreedyOLC(b *testing.B) {
-	rng := rand.New(rand.NewSource(23))
-	genome := make([]byte, 800)
-	for i := range genome {
-		genome[i] = "ATGC"[rng.Intn(4)]
-	}
-	var reads []*seq.Sequence
-	for start := 0; start+120 <= len(genome); start += 80 {
-		reads = append(reads, seq.New("r", "", genome[start:start+120]))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := assembly.Assemble(reads, assembly.Options{MinOverlap: 30, MinScore: 50}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkFutureWorkScenarios(b *testing.B) {

@@ -5,8 +5,8 @@
 // It provides, end to end:
 //
 //   - exact Smith-Waterman database search with the adapted Farrar striped
-//     kernel (emulated SSE2) and a CUDASW++ 2.0-style engine with a
-//     simulated GPU device model;
+//     kernel and a CUDASW++ 2.0-style engine with a simulated GPU device
+//     model;
 //   - the paper's master/slave task execution environment with the SS and
 //     PSS allocation policies, the Fixed/WFixed baselines, and the dynamic
 //     workload adjustment mechanism (task replication to idle slaves);
@@ -129,9 +129,8 @@ type Platform struct {
 	Scheme   Scheme // zero value = DefaultScheme
 
 	// CPUKernel selects the CPU engines' algorithm: "farrar" (default, the
-	// paper's adapted striped kernel), "swipe" (inter-sequence SIMD per
-	// Rognes [17]) or "multicore" (whole-host Fig. 3b engine; see
-	// CoresPerHost).
+	// paper's adapted striped kernel) or "multicore" (whole-host Fig. 3b
+	// engine; see CoresPerHost).
 	CPUKernel string
 	// CoresPerHost sets the worker count of each "multicore" engine;
 	// 0 uses all available cores.

@@ -83,7 +83,7 @@ type Config struct {
 	// BLOSUM62/10/2 default.
 	Scheme score.Scheme
 	// CPUKernel selects the replica engines' algorithm ("farrar" default,
-	// "swipe", "multicore"); CoresPerHost sizes "multicore" engines.
+	// "multicore"); CoresPerHost sizes "multicore" engines.
 	CPUKernel    string
 	CoresPerHost int
 	// Lease, when positive, arms each shard master's lease-based failure
@@ -217,12 +217,10 @@ func newEngines(shard int, cfg Config, db []*seq.Sequence, kernMet *farrar.Metri
 		switch cfg.CPUKernel {
 		case "", "farrar":
 			eng, err = slave.NewFarrarEngine(name, cfg.Scheme, db, 0)
-		case "swipe":
-			eng, err = slave.NewSwipeEngine(name, cfg.Scheme, db, 0)
 		case "multicore":
 			eng, err = slave.NewMulticoreEngine(name, cfg.Scheme, db, cfg.CoresPerHost, 0)
 		default:
-			return nil, fmt.Errorf("cluster: unknown CPU kernel %q", cfg.CPUKernel)
+			return nil, fmt.Errorf("cluster: unknown CPU kernel %q (want farrar or multicore)", cfg.CPUKernel)
 		}
 		if err != nil {
 			return nil, err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -389,8 +390,11 @@ func TestFleetValidation(t *testing.T) {
 	if _, err := cluster.New(cluster.Config{DB: db, Shards: len(db) + 1}); err == nil {
 		t.Error("more shards than sequences accepted")
 	}
-	if _, err := cluster.New(cluster.Config{DB: db, CPUKernel: "bogus"}); err == nil {
-		t.Error("unknown kernel accepted")
+	for _, kernel := range []string{"bogus", "swipe"} {
+		_, err := cluster.New(cluster.Config{DB: db, CPUKernel: kernel})
+		if err == nil || !strings.Contains(err.Error(), "farrar or multicore") {
+			t.Errorf("kernel %q: err = %v, want the unknown-kernel error naming the accepted values", kernel, err)
+		}
 	}
 	fleet, err := cluster.New(cluster.Config{DB: db, Shards: 2, Replicas: 1})
 	if err != nil {

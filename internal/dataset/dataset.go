@@ -212,48 +212,3 @@ func TotalCells(queries []*seq.Sequence, residues int64) int64 {
 	}
 	return total
 }
-
-// DNAProfile describes a synthetic nucleotide database; lengths follow the
-// same clamped log-normal as the protein profiles.
-type DNAProfile struct {
-	Name    string
-	NumSeqs int
-	MeanLen float64
-	SigmaLn float64
-	MinLen  int
-	MaxLen  int
-	// GC is the G+C content in [0,1]; 0 means the uniform 0.5.
-	GC float64
-}
-
-// GenerateDNA builds a deterministic synthetic DNA database.
-func GenerateDNA(p DNAProfile, seed int64) []*seq.Sequence {
-	rng := rand.New(rand.NewSource(seed))
-	gc := p.GC
-	if gc <= 0 {
-		gc = 0.5
-	}
-	prof := Profile{MeanLen: p.MeanLen, SigmaLn: p.SigmaLn, MinLen: p.MinLen, MaxLen: p.MaxLen}
-	db := make([]*seq.Sequence, p.NumSeqs)
-	for i := range db {
-		n := prof.length(rng)
-		res := make([]byte, n)
-		for j := range res {
-			if rng.Float64() < gc {
-				if rng.Intn(2) == 0 {
-					res[j] = 'G'
-				} else {
-					res[j] = 'C'
-				}
-			} else {
-				if rng.Intn(2) == 0 {
-					res[j] = 'A'
-				} else {
-					res[j] = 'T'
-				}
-			}
-		}
-		db[i] = seq.New(fmt.Sprintf("DNA%06d", i), fmt.Sprintf("synthetic %s", p.Name), res)
-	}
-	return db
-}

@@ -163,32 +163,3 @@ func TestTableIIWorkloadMagnitude(t *testing.T) {
 		t.Errorf("SwissProt workload = %g cells, outside expected band", float64(cells))
 	}
 }
-
-func TestGenerateDNA(t *testing.T) {
-	p := DNAProfile{Name: "dna", NumSeqs: 100, MeanLen: 200, SigmaLn: 0.5, MinLen: 50, MaxLen: 1000, GC: 0.6}
-	db := GenerateDNA(p, 17)
-	if len(db) != 100 {
-		t.Fatalf("%d sequences", len(db))
-	}
-	var gcCount, total int
-	for _, s := range db {
-		if err := seq.DNA.Validate(s.Residues); err != nil {
-			t.Fatalf("%s: %v", s.ID, err)
-		}
-		for _, c := range s.Residues {
-			total++
-			if c == 'G' || c == 'C' {
-				gcCount++
-			}
-		}
-	}
-	gc := float64(gcCount) / float64(total)
-	if gc < 0.55 || gc > 0.65 {
-		t.Errorf("GC content %.3f, want ~0.6", gc)
-	}
-	// Determinism.
-	db2 := GenerateDNA(p, 17)
-	if string(db[3].Residues) != string(db2[3].Residues) {
-		t.Error("not deterministic")
-	}
-}

@@ -33,34 +33,60 @@ func diffSchemes(t testing.TB) []score.Scheme {
 	return schemes
 }
 
-// kernelPair builds the same query under both implementations.
-func kernelPair(t testing.TB, q []byte, s score.Scheme) (swar, emu *Kernel) {
+// ladder is what the tests compare between the two implementations: the
+// resolved score and the tier decisions that led to it.
+type ladder interface {
+	Score(target []byte) int
+	Stats() Stats
+}
+
+// oracle drives the emulated-ISA transcription of a Kernel through the
+// same 8-bit -> 16-bit -> scalar ladder as Kernel.Score, counting its tier
+// decisions the same way.
+type oracle struct {
+	k     *Kernel
+	stats Stats
+}
+
+func (o *oracle) Score(target []byte) int {
+	if sc, ok := o.k.ScoreU8(target); ok {
+		o.stats.Scored8++
+		return sc
+	}
+	if sc, ok := o.k.ScoreI16(target); ok {
+		o.stats.Fallback16++
+		return sc
+	}
+	o.stats.FallbackSW++
+	return sw.Score(o.k.query, target, o.k.scheme)
+}
+
+func (o *oracle) Stats() Stats { return o.stats }
+
+// kernelPair builds the kernel for a query and the oracle ladder over it.
+func kernelPair(t testing.TB, q []byte, s score.Scheme) (*Kernel, *oracle) {
 	t.Helper()
-	ks, err := NewKernelImpl(q, s, ImplSWAR)
+	k, err := NewKernel(q, s)
 	if err != nil {
-		t.Fatalf("swar kernel: %v", err)
+		t.Fatalf("kernel: %v", err)
 	}
-	ke, err := NewKernelImpl(q, s, ImplEmulated)
-	if err != nil {
-		t.Fatalf("emulated kernel: %v", err)
-	}
-	return ks, ke
+	return k, &oracle{k: k}
 }
 
 // checkDifferential runs one (query, target) pair through every tier of
 // both implementations and the scalar reference, failing on any
 // disagreement: per-tier (score, ok) pairs must be identical between the
 // implementations, and the full ladder must land on the reference score.
-func checkDifferential(t *testing.T, ks, ke *Kernel, d []byte, want int) {
+func checkDifferential(t *testing.T, ks *Kernel, ke *oracle, d []byte, want int) {
 	t.Helper()
-	s8s, ok8s := ks.Score8(d)
-	s8e, ok8e := ke.Score8(d)
+	s8s, ok8s := ks.ScoreSWAR8(d)
+	s8e, ok8e := ks.ScoreU8(d)
 	if s8s != s8e || ok8s != ok8e {
 		t.Fatalf("8-bit tier diverged: swar=(%d,%v) emulated=(%d,%v)\nq=%s\nd=%s",
 			s8s, ok8s, s8e, ok8e, ks.Query(), d)
 	}
-	s16s, ok16s := ks.Score16(d)
-	s16e, ok16e := ke.Score16(d)
+	s16s, ok16s := ks.ScoreSWAR16(d)
+	s16e, ok16e := ks.ScoreI16(d)
 	if s16s != s16e || ok16s != ok16e {
 		t.Fatalf("16-bit tier diverged: swar=(%d,%v) emulated=(%d,%v)\nq=%s\nd=%s",
 			s16s, ok16s, s16e, ok16e, ks.Query(), d)
@@ -75,14 +101,14 @@ func checkDifferential(t *testing.T, ks, ke *Kernel, d []byte, want int) {
 		t.Fatalf("swar ladder: got %d, reference %d\nq=%s\nd=%s", got, want, ks.Query(), d)
 	}
 	if got := ke.Score(d); got != want {
-		t.Fatalf("emulated ladder: got %d, reference %d\nq=%s\nd=%s", got, want, ke.Query(), d)
+		t.Fatalf("emulated ladder: got %d, reference %d\nq=%s\nd=%s", got, want, ks.Query(), d)
 	}
 }
 
 // TestDifferentialSWARvsEmulatedVsScalar is the tentpole's acceptance
 // test: random sequences × schemes, SWAR vs emulated vs scalar, with the
 // tier decisions (via Stats) required to be identical across
-// implementations — the dispatch switch must be invisible to callers.
+// implementations.
 func TestDifferentialSWARvsEmulatedVsScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xD1FF))
 	for si, s := range diffSchemes(t) {
@@ -159,7 +185,7 @@ func TestTierBoundary253to256(t *testing.T) {
 			q[i] = 'A'
 		}
 		ks, ke := kernelPair(t, q, s)
-		for name, k := range map[string]*Kernel{"swar": ks, "emulated": ke} {
+		for name, k := range map[string]ladder{"swar": ks, "emulated": ke} {
 			if got := k.Score(q); got != tc.length {
 				t.Fatalf("%s len %d: score %d, want %d", name, tc.length, got, tc.length)
 			}
@@ -340,17 +366,20 @@ func benchTarget() (q, d []byte) {
 	return randProtein(rng, 128), randProtein(rng, 400)
 }
 
-func benchScore8(b *testing.B, impl Impl) {
+// benchTier times one tier entry point of the kernel; the SWAR and
+// emulated variants run side by side so a vanished speedup is visible.
+func benchTier(b *testing.B, tier func(*Kernel, []byte) (int, bool)) {
 	q, d := benchTarget()
-	k, err := NewKernelImpl(q, protScheme(), impl)
+	k, err := NewKernel(q, protScheme())
 	if err != nil {
 		b.Fatal(err)
 	}
+	tier(k, d) // build the tier's lazily built profile outside the timed loop
 	cells := int64(len(q)) * int64(len(d))
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		if _, ok := k.Score8(d); !ok {
+		if _, ok := tier(k, d); !ok {
 			b.Fatal("unexpected overflow")
 		}
 	}
@@ -360,27 +389,7 @@ func benchScore8(b *testing.B, impl Impl) {
 	}
 }
 
-func benchScore16(b *testing.B, impl Impl) {
-	q, d := benchTarget()
-	k, err := NewKernelImpl(q, protScheme(), impl)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cells := int64(len(q)) * int64(len(d))
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		if _, ok := k.Score16(d); !ok {
-			b.Fatal("unexpected overflow")
-		}
-	}
-	elapsed := time.Since(start)
-	if elapsed > 0 {
-		b.ReportMetric(float64(cells)*float64(b.N)/elapsed.Seconds()/1e6, "MCUPS")
-	}
-}
-
-func BenchmarkScore8SWAR(b *testing.B)      { benchScore8(b, ImplSWAR) }
-func BenchmarkScore8Emulated(b *testing.B)  { benchScore8(b, ImplEmulated) }
-func BenchmarkScore16SWAR(b *testing.B)     { benchScore16(b, ImplSWAR) }
-func BenchmarkScore16Emulated(b *testing.B) { benchScore16(b, ImplEmulated) }
+func BenchmarkScore8SWAR(b *testing.B)      { benchTier(b, (*Kernel).ScoreSWAR8) }
+func BenchmarkScore8Emulated(b *testing.B)  { benchTier(b, (*Kernel).ScoreU8) }
+func BenchmarkScore16SWAR(b *testing.B)     { benchTier(b, (*Kernel).ScoreSWAR16) }
+func BenchmarkScore16Emulated(b *testing.B) { benchTier(b, (*Kernel).ScoreI16) }

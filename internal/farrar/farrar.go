@@ -9,19 +9,19 @@
 // of the F (vertical gap) recurrence out of the inner loop into a rare
 // correction pass.
 //
-// Two interchangeable kernel implementations exist behind one dispatch
-// switch (no build tags):
+// The package holds the SWAR kernel, and the emulated-ISA transcription
+// kept as its oracle:
 //
-//   - ImplSWAR (the default) packs 8 byte lanes — or 4 word lanes in the
-//     fallback tier — into a uint64 and computes all lanes at once with
-//     the loop-free bit tricks of internal/simd/swar. This is the
-//     native-speed production path.
-//   - ImplEmulated runs the same recurrences on the emulated SSE2 ISA of
-//     internal/simd, one Go loop iteration per lane — slow, but a direct
-//     transcription of the SSE original, kept as the bit-exact oracle the
-//     differential tests compare against.
+//   - the SWAR kernel (ScoreSWAR8, ScoreSWAR16) packs 8 byte lanes — or 4
+//     word lanes in the fallback tier — into a uint64 and computes all
+//     lanes at once with the loop-free bit tricks of internal/simd/swar.
+//     This is the native-speed path every Kernel scores with.
+//   - the oracle (ScoreU8, ScoreI16) runs the same recurrences on the
+//     emulated SSE2 ISA of internal/simd, one Go loop iteration per lane —
+//     slow, but a direct transcription of the SSE original, the bit-exact
+//     reference the differential tests compare against.
 //
-// Both implementations use the same overflow ladder. The 8-bit tier holds
+// Both use the same overflow ladder. The 8-bit tier holds
 // DP values as biased unsigned bytes (Farrar's original formulation): the
 // query profile carries bias = -matrix.Min(), so the largest score the
 // tier can certify is 255 - bias, not 255 — a score reaching that ceiling
@@ -48,29 +48,6 @@ const (
 	lanes16 = 8  // 16-bit lanes in an emulated 128-bit register
 )
 
-// Impl selects which kernel implementation a Kernel dispatches to.
-type Impl int
-
-const (
-	// ImplSWAR is the native 64-bit SWAR implementation (the default).
-	ImplSWAR Impl = iota
-	// ImplEmulated is the emulated SSE2 ISA implementation, kept as the
-	// bit-exact oracle.
-	ImplEmulated
-)
-
-// String names the implementation for logs and test output.
-func (i Impl) String() string {
-	switch i {
-	case ImplSWAR:
-		return "swar"
-	case ImplEmulated:
-		return "emulated"
-	default:
-		return fmt.Sprintf("Impl(%d)", int(i))
-	}
-}
-
 // Stats counts kernel dispatch decisions across the lifetime of a Kernel.
 type Stats struct {
 	Scored8    int64 // sequences fully resolved by the 8-bit kernel
@@ -95,7 +72,6 @@ func (s Stats) Total() int64 { return s.Scored8 + s.Fallback16 + s.FallbackSW }
 type Kernel struct {
 	query  []byte
 	scheme score.Scheme
-	impl   Impl
 
 	bias   int  // -matrix.Min(), added to 8-bit profile entries
 	tier8  bool // the 8-bit tier's fixed-point assumptions hold
@@ -118,18 +94,10 @@ type Kernel struct {
 	stats Stats
 }
 
-// NewKernel validates the inputs and prepares the default (SWAR) kernel.
+// NewKernel validates the inputs and prepares the kernel.
 func NewKernel(query []byte, s score.Scheme) (*Kernel, error) {
-	return NewKernelImpl(query, s, ImplSWAR)
-}
-
-// NewKernelImpl builds a kernel dispatching to the given implementation.
-func NewKernelImpl(query []byte, s score.Scheme, impl Impl) (*Kernel, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
-	}
-	if impl != ImplSWAR && impl != ImplEmulated {
-		return nil, fmt.Errorf("farrar: unknown impl %v", impl)
 	}
 	if len(query) == 0 {
 		return nil, fmt.Errorf("farrar: empty query")
@@ -137,7 +105,7 @@ func NewKernelImpl(query []byte, s score.Scheme, impl Impl) (*Kernel, error) {
 	if err := s.Matrix.Alphabet().Validate(query); err != nil {
 		return nil, fmt.Errorf("farrar: query: %w", err)
 	}
-	k := &Kernel{query: query, scheme: s, impl: impl, bias: -s.Matrix.Min()}
+	k := &Kernel{query: query, scheme: s, bias: -s.Matrix.Min()}
 	if k.bias < 0 {
 		k.bias = 0
 	}
@@ -149,24 +117,17 @@ func NewKernelImpl(query []byte, s score.Scheme, impl Impl) (*Kernel, error) {
 	gapOE := s.Gap.Open + s.Gap.Extend
 	k.tier8 = k.bias <= 255 && k.bias+s.Matrix.Max() <= 255 && gapOE <= 255
 	k.tier16 = k.bias <= 32767 && k.bias+s.Matrix.Max() <= 32767 && gapOE <= 32767
-	// Build the active implementation's 8-bit profile eagerly so the
-	// construction cost lands on NewKernel, not the first Score; the
-	// other tiers and the oracle's profiles are built on first use.
+	// Build the 8-bit profile eagerly so the construction cost lands on
+	// NewKernel, not the first Score; the 16-bit tier's and the oracle's
+	// profiles are built on first use.
 	if k.tier8 {
-		if impl == ImplSWAR {
-			k.buildSwarProfile8()
-		} else {
-			k.buildProfile8()
-		}
+		k.buildSwarProfile8()
 	}
 	return k, nil
 }
 
 // Query returns the query sequence the kernel was built for.
 func (k *Kernel) Query() []byte { return k.query }
-
-// Impl returns which implementation the kernel dispatches to.
-func (k *Kernel) Impl() Impl { return k.impl }
 
 // Stats returns cumulative kernel dispatch counters.
 func (k *Kernel) Stats() Stats { return k.stats }
@@ -249,35 +210,16 @@ func (k *Kernel) buildProfile16() {
 // Score returns the optimal local alignment score of the kernel's query vs
 // target, automatically escalating 8-bit -> 16-bit -> scalar on overflow.
 func (k *Kernel) Score(target []byte) int {
-	if sc, ok := k.Score8(target); ok {
+	if sc, ok := k.ScoreSWAR8(target); ok {
 		k.stats.Scored8++
 		return sc
 	}
-	if sc, ok := k.Score16(target); ok {
+	if sc, ok := k.ScoreSWAR16(target); ok {
 		k.stats.Fallback16++
 		return sc
 	}
 	k.stats.FallbackSW++
 	return sw.Score(k.query, target, k.scheme)
-}
-
-// Score8 runs the active implementation's 8-bit tier. ok is false when
-// the score may have overflowed the tier's range, in which case the
-// result is unusable and the caller must rerun with a wider kernel.
-func (k *Kernel) Score8(target []byte) (sc int, ok bool) {
-	if k.impl == ImplEmulated {
-		return k.ScoreU8(target)
-	}
-	return k.ScoreSWAR8(target)
-}
-
-// Score16 runs the active implementation's 16-bit tier. ok is false when
-// the score reached the tier's 32767 ceiling.
-func (k *Kernel) Score16(target []byte) (sc int, ok bool) {
-	if k.impl == ImplEmulated {
-		return k.ScoreI16(target)
-	}
-	return k.ScoreSWAR16(target)
 }
 
 // Cells returns the DP cell count of scoring target, the GCUPS currency.

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -100,9 +101,8 @@ type Config struct {
 }
 
 type slaveState struct {
-	info      SlaveInfo
-	hist      *History
-	executing map[TaskID]bool
+	info SlaveInfo
+	hist *History
 	// order lists the slave's live assigned tasks oldest-first (its queue,
 	// as far as the master can know it); credit is the cell count the
 	// slave has reported done since its last completion. Together they let
@@ -119,27 +119,21 @@ type slaveState struct {
 
 // assign records a new live task at the back of the slave's queue.
 func (s *slaveState) assign(tid TaskID) {
-	s.executing[tid] = true
 	s.order = append(s.order, tid)
 }
+
+// holds reports whether tid is one of the slave's live assigned tasks.
+func (s *slaveState) holds(tid TaskID) bool { return slices.Contains(s.order, tid) }
 
 // drop removes a task from the slave's live set, absorbing the progress
 // credit the slave accumulated against it.
 func (s *slaveState) drop(tid TaskID, cells int64) {
-	if !s.executing[tid] {
+	i := slices.Index(s.order, tid)
+	if i < 0 {
 		return
 	}
-	delete(s.executing, tid)
-	for i, id := range s.order {
-		if id == tid {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
-	s.credit -= cells
-	if s.credit < 0 {
-		s.credit = 0
-	}
+	s.order = slices.Delete(s.order, i, i+1)
+	s.credit = max(s.credit-cells, 0)
 }
 
 // Coordinator is the master-side scheduling state machine (§IV): it
@@ -244,7 +238,6 @@ func (c *Coordinator) Register(info SlaveInfo, now time.Duration) SlaveID {
 	c.slaves = append(c.slaves, &slaveState{
 		info:        info,
 		hist:        hist,
-		executing:   map[TaskID]bool{},
 		lastContact: now,
 	})
 	c.syncGauges()
@@ -542,7 +535,7 @@ func (c *Coordinator) Complete(id SlaveID, tid TaskID, payload any, now time.Dur
 	if !c.slaves[id].dead {
 		c.slaves[id].lastContact = now
 	}
-	if !c.slaves[id].executing[tid] {
+	if !c.slaves[id].holds(tid) {
 		// A completion for a task this slave does not hold: either the
 		// task already finished elsewhere (normal race) or the slave is
 		// confused/malicious. Either way the result is discarded.
@@ -575,7 +568,7 @@ func (c *Coordinator) Complete(id SlaveID, tid TaskID, payload any, now time.Dur
 // the wire (wire.CompleteMsg); zero values mean "no delta to report".
 func (c *Coordinator) CompleteWork(id SlaveID, tid TaskID, payload any, cells int64, rate float64, now time.Duration) (accepted bool, cancel []SlaveID) {
 	s := c.slaves[id]
-	if !s.dead && s.executing[tid] {
+	if !s.dead && s.holds(tid) {
 		if rate > 0 {
 			s.hist.ObserveRate(rate, now)
 		} else if cells > 0 {
@@ -608,10 +601,12 @@ func (c *Coordinator) SlaveDied(id SlaveID) {
 		return
 	}
 	s.dead = true
-	for tid := range s.executing {
-		c.abandonToPool(tid, id)
+	// Pool.Abandon pushes onto the head of the ready FIFO, so walking the
+	// queue back to front leaves the oldest assignment at the head and the
+	// survivors pick the work up in the order it was first granted.
+	for i := len(s.order) - 1; i >= 0; i-- {
+		c.abandonToPool(s.order[i], id)
 	}
-	s.executing = map[TaskID]bool{}
 	s.order = nil
 	s.credit = 0
 	if m := c.cfg.Metrics; m != nil {

@@ -193,6 +193,31 @@ func TestSlaveDiedRequeuesTasks(t *testing.T) {
 	}
 }
 
+// A dead slave's tasks must return to the head of the ready FIFO in the
+// order they were assigned, whatever the run: the paper tables and the
+// simulator's same-seed fingerprint both depend on which survivor picks up
+// which task. Repeated so that a requeue in map order fails with near
+// certainty.
+func TestSlaveDiedRequeuesInAssignmentOrder(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		c, ids := newCoord(10, Config{Policy: &PSS{}})
+		gpu, sse := ids[0], ids[1]
+		c.ProgressRate(gpu, 4000, 0, sec(1))
+		c.ProgressRate(sse, 1000, 0, sec(1))
+		tasks, _ := c.RequestWork(gpu, sec(1))
+		if len(tasks) != 4 {
+			t.Fatalf("GPU grant = %d tasks, want 4", len(tasks))
+		}
+		c.SlaveDied(gpu)
+		for i, task := range tasks {
+			if got := c.pool.readyFIFO[i]; got != task.ID {
+				t.Fatalf("round %d: ready FIFO head = %v, want the dead slave's tasks in assignment order %v",
+					round, c.pool.readyFIFO[:len(tasks)], tasks)
+			}
+		}
+	}
+}
+
 func TestAbandonViaCoordinator(t *testing.T) {
 	c, ids := newCoord(1, Config{Policy: SS{}})
 	tasks, _ := c.RequestWork(ids[0], 0)

@@ -209,26 +209,3 @@ func GuessAlphabet(s []byte) *Alphabet {
 		return DNA
 	}
 }
-
-// complementTable maps DNA bases to their Watson-Crick complements,
-// tolerating lower case and leaving unknown bytes (e.g. N) unchanged.
-var complementTable = func() [256]byte {
-	var t [256]byte
-	for i := range t {
-		t[i] = byte(i)
-	}
-	for _, p := range [][2]byte{{'A', 'T'}, {'G', 'C'}, {'a', 't'}, {'g', 'c'}} {
-		t[p[0]], t[p[1]] = p[1], p[0]
-	}
-	return t
-}()
-
-// ReverseComplement returns the reverse complement of a DNA sequence,
-// allocating a new slice. Non-ATGC bytes pass through unchanged.
-func ReverseComplement(dna []byte) []byte {
-	out := make([]byte, len(dna))
-	for i, c := range dna {
-		out[len(dna)-1-i] = complementTable[c]
-	}
-	return out
-}

@@ -157,23 +157,3 @@ func TestNewAlphabetDuplicatePanics(t *testing.T) {
 	}()
 	NewAlphabet(DNAKind, "AATC")
 }
-
-func TestReverseComplement(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"ATGC", "GCAT"},
-		{"AAAA", "TTTT"},
-		{"", ""},
-		{"ATGN", "NCAT"},
-		{"atgc", "gcat"},
-	}
-	for _, c := range cases {
-		if got := string(ReverseComplement([]byte(c.in))); got != c.want {
-			t.Errorf("ReverseComplement(%q) = %q, want %q", c.in, got, c.want)
-		}
-	}
-	// Involution: rc(rc(x)) == x.
-	in := []byte("ATGCATTTGCGC")
-	if got := ReverseComplement(ReverseComplement(in)); !bytes.Equal(got, in) {
-		t.Errorf("double reverse complement = %s", got)
-	}
-}

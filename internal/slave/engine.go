@@ -40,8 +40,7 @@ type Engine interface {
 }
 
 // FarrarEngine is the SSE-core engine: one CPU core running the adapted
-// Farrar striped Smith-Waterman (the SWAR kernel by default, with the
-// emulated SSE2 ISA retained as its oracle).
+// Farrar striped Smith-Waterman (the SWAR kernel).
 type FarrarEngine struct {
 	name     string
 	scheme   score.Scheme

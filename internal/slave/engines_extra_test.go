@@ -6,6 +6,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/score"
 	"repro/internal/seq"
+	"repro/internal/sw"
 )
 
 func TestMulticoreEngineMatchesFarrar(t *testing.T) {
@@ -56,27 +57,6 @@ func TestMulticoreEngineCancel(t *testing.T) {
 	}
 }
 
-func TestSwipeEngineMatchesFarrar(t *testing.T) {
-	db := tinyDB(t)
-	sw1, err := NewSwipeEngine("swipe0", score.DefaultProtein(), db, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sse, _ := NewFarrarEngine("ref", score.DefaultProtein(), db, 0)
-	for _, q := range dataset.Queries(db, 3, 30, 90, 23) {
-		got, err := sw1.Search(q, nil, make(chan struct{}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _ := sse.Search(q, nil, make(chan struct{}))
-		for i := range got {
-			if got[i].Score != want[i].Score || got[i].SeqID != want[i].SeqID {
-				t.Fatalf("query %s hit %d: %+v vs %+v", q.ID, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 func TestExtraEngineValidation(t *testing.T) {
 	if _, err := NewMulticoreEngine("h", score.Scheme{}, tinyDB(t), 2, 0); err == nil {
 		t.Error("bad scheme accepted")
@@ -84,19 +64,51 @@ func TestExtraEngineValidation(t *testing.T) {
 	if _, err := NewMulticoreEngine("h", score.DefaultProtein(), nil, 2, 0); err == nil {
 		t.Error("empty db accepted")
 	}
-	if _, err := NewSwipeEngine("s", score.Scheme{}, tinyDB(t), 0); err == nil {
-		t.Error("bad scheme accepted")
-	}
-	if _, err := NewSwipeEngine("s", score.DefaultProtein(), nil, 0); err == nil {
-		t.Error("empty db accepted")
+}
+
+func TestCoarseGrainedMatchesReference(t *testing.T) {
+	// 60 sequences: three full chunks and a partial one.
+	p := dataset.Profile{Name: "t", NumSeqs: 60, MeanLen: 70, SigmaLn: 0.5, MinLen: 10, MaxLen: 200}
+	db := dataset.Generate(p, 3)
+	q := dataset.Queries(db, 1, 80, 80, 4)[0]
+	for _, workers := range []int{1, 3, 8} {
+		got, _, err := multicoreScan(q.Residues, db, score.DefaultProtein(), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, d := range db {
+			if want := sw.Score(q.Residues, d.Residues, score.DefaultProtein()); got[i] != want {
+				t.Fatalf("workers=%d seq %d: %d != %d", workers, i, got[i], want)
+			}
+		}
 	}
 }
 
-func TestSwipeEngineBadQuery(t *testing.T) {
-	db := tinyDB(t)
-	e, _ := NewSwipeEngine("s", score.DefaultProtein(), db, 0)
-	bad := seq.New("q", "", []byte("AC?D"))
-	if _, err := e.Search(bad, nil, make(chan struct{})); err == nil {
+func TestCoarseGrainedBadQuery(t *testing.T) {
+	db := []*seq.Sequence{seq.New("a", "", []byte("ACD"))}
+	if _, _, err := multicoreScan([]byte("AC1"), db, score.DefaultProtein(), 2); err == nil {
 		t.Error("invalid query accepted")
+	}
+}
+
+func TestCoarseGrainedStatsAggregation(t *testing.T) {
+	// The fallback-telemetry regression: every worker owns a private
+	// kernel whose tier counters vanish with it unless the scan sums them.
+	// Every database sequence must be accounted for in exactly one tier,
+	// regardless of worker count.
+	p := dataset.Profile{Name: "t", NumSeqs: 40, MeanLen: 60, SigmaLn: 0.5, MinLen: 10, MaxLen: 150}
+	db := dataset.Generate(p, 11)
+	q := dataset.Queries(db, 1, 70, 70, 12)[0]
+	for _, workers := range []int{1, 4, 9} {
+		_, stats, err := multicoreScan(q.Residues, db, score.DefaultProtein(), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := stats.Total(), int64(len(db)); got != want {
+			t.Fatalf("workers=%d: stats account for %d sequences, want %d (%+v)", workers, got, want, stats)
+		}
+		if stats.Scored8 == 0 {
+			t.Fatalf("workers=%d: expected some 8-bit resolutions, got %+v", workers, stats)
+		}
 	}
 }

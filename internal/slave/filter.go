@@ -109,21 +109,6 @@ func (e *FarrarEngine) RescoreWindows(query *seq.Sequence, windows []sched.Windo
 }
 
 // SetPrefilterMetrics attaches the prefilter instrumentation bundle.
-func (e *SwipeEngine) SetPrefilterMetrics(m *prefilter.Metrics) { e.pmet = m }
-
-// Prefilter implements Prefilterer.
-func (e *SwipeEngine) Prefilter(query *seq.Sequence, spec prefilter.Spec, cancel <-chan struct{}) (prefilter.Result, error) {
-	return prefilterPass(e.db, query, spec, cancel, e.pmet)
-}
-
-// RescoreWindows implements WindowRescorer. The rescore runs through the
-// Farrar kernel rather than the inter-sequence SWIPE kernel: windows are
-// few and uneven, which defeats SWIPE's lane packing.
-func (e *SwipeEngine) RescoreWindows(query *seq.Sequence, windows []sched.Window, cancel <-chan struct{}) ([]wire.Hit, error) {
-	return rescorePass(e.db, e.scheme, query, windows, cancel, nil)
-}
-
-// SetPrefilterMetrics attaches the prefilter instrumentation bundle.
 func (e *MulticoreEngine) SetPrefilterMetrics(m *prefilter.Metrics) { e.pmet = m }
 
 // Prefilter implements Prefilterer.

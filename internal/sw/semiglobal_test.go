@@ -95,73 +95,3 @@ func TestSemiGlobalEmptyInputs(t *testing.T) {
 		t.Errorf("ScoreSemiGlobal empty target = %d, want %d", got, want)
 	}
 }
-
-func TestAlignBandedCoveringBandEqualsAlign(t *testing.T) {
-	rng := rand.New(rand.NewSource(40))
-	s := protScheme()
-	for iter := 0; iter < 60; iter++ {
-		q := randProtein(rng, 1+rng.Intn(50))
-		d := mutate(rng, q, 0.35)
-		full := Align(q, d, s)
-		band := max(len(q), len(d))
-		got := AlignBanded(q, d, s, band)
-		if got.Score != full.Score {
-			t.Fatalf("iter %d: banded %d != full %d", iter, got.Score, full.Score)
-		}
-		if got.Score == 0 {
-			continue
-		}
-		re, err := got.Rescore(s)
-		if err != nil || re != got.Score {
-			t.Fatalf("iter %d: rescore %d (%v) != %d", iter, re, err, got.Score)
-		}
-		if strings.ReplaceAll(string(got.QueryRow), "-", "") != string(q[got.QueryStart:got.QueryEnd]) {
-			t.Fatalf("iter %d: rows/coords inconsistent", iter)
-		}
-	}
-}
-
-func TestAlignBandedNarrowBandConsistent(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	s := protScheme()
-	for iter := 0; iter < 40; iter++ {
-		q := randProtein(rng, 1+rng.Intn(60))
-		d := mutate(rng, q, 0.2)
-		for _, band := range []int{0, 2, 8} {
-			a := AlignBanded(q, d, s, band)
-			// The traceback score must equal the score-only banded kernel.
-			if want := ScoreBanded(q, d, s, band); a.Score != want {
-				t.Fatalf("iter %d band %d: traceback %d != score-only %d", iter, band, a.Score, want)
-			}
-			if a.Score == 0 {
-				continue
-			}
-			if re, err := a.Rescore(s); err != nil || re != a.Score {
-				t.Fatalf("iter %d band %d: rescore mismatch (%v)", iter, band, err)
-			}
-			// Every aligned column must respect the band.
-			qi, ti := a.QueryStart, a.TargetStart
-			for c := range a.QueryRow {
-				if d := (qi + 1) - (ti + 1); d > band || -d > band {
-					t.Fatalf("iter %d band %d col %d: path leaves the band", iter, band, c)
-				}
-				if a.QueryRow[c] != '-' {
-					qi++
-				}
-				if a.TargetRow[c] != '-' {
-					ti++
-				}
-			}
-		}
-	}
-}
-
-func TestAlignBandedDegenerate(t *testing.T) {
-	s := protScheme()
-	if a := AlignBanded(nil, []byte("ACD"), s, 3); a.Score != 0 {
-		t.Error("empty query")
-	}
-	if a := AlignBanded([]byte("ACD"), []byte("ACD"), s, -1); a.Score != 0 {
-		t.Error("negative band")
-	}
-}

@@ -10,8 +10,7 @@
 //   - full-matrix traceback kernels (Align, AlignGlobal) — phase 2, which
 //     recover the optimal alignment itself;
 //   - a Myers-Miller linear-space traceback (AlignLinearSpace) for long
-//     sequences where the O(mn) matrix does not fit in memory;
-//   - a banded kernel (ScoreBanded) restricting the DP to a diagonal band.
+//     sequences where the O(mn) matrix does not fit in memory.
 //
 // These are the trusted oracles: the vectorized Farrar kernel
 // (internal/farrar) and the simulated GPU engine (internal/cudasw) are

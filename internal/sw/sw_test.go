@@ -318,55 +318,6 @@ func TestAlignLinearSpaceMatchesLocal(t *testing.T) {
 	}
 }
 
-func TestScoreBandedFullBandEqualsScore(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	for iter := 0; iter < 80; iter++ {
-		q := randProtein(rng, 1+rng.Intn(50))
-		d := mutate(rng, q, 0.4)
-		if len(d) == 0 {
-			d = []byte("G")
-		}
-		want := Score(q, d, protScheme())
-		band := max(len(q), len(d))
-		if got := ScoreBanded(q, d, protScheme(), band); got != want {
-			t.Fatalf("iter %d: full-band score %d != %d (m=%d n=%d)", iter, got, want, len(q), len(d))
-		}
-	}
-}
-
-func TestScoreBandedNeverExceedsFull(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for iter := 0; iter < 60; iter++ {
-		q := randProtein(rng, 1+rng.Intn(50))
-		d := mutate(rng, q, 0.4)
-		if len(d) == 0 {
-			d = []byte("G")
-		}
-		full := Score(q, d, protScheme())
-		prev := -1
-		for _, band := range []int{0, 1, 2, 4, 8, 16, 64} {
-			got := ScoreBanded(q, d, protScheme(), band)
-			if got > full {
-				t.Fatalf("iter %d band %d: banded %d > full %d", iter, band, got, full)
-			}
-			if got < prev {
-				t.Fatalf("iter %d band %d: banded score not monotone in band (%d < %d)", iter, band, got, prev)
-			}
-			prev = got
-		}
-	}
-}
-
-func TestScoreBandedIdentityDiagonal(t *testing.T) {
-	// A perfect self-match lies on the main diagonal: band 0 suffices.
-	rng := rand.New(rand.NewSource(12))
-	q := randProtein(rng, 64)
-	want := Score(q, q, protScheme())
-	if got := ScoreBanded(q, q, protScheme(), 0); got != want {
-		t.Errorf("band-0 self score = %d, want %d", got, want)
-	}
-}
-
 func TestCells(t *testing.T) {
 	if Cells(100, 5000) != 500000 {
 		t.Errorf("Cells(100,5000) = %d", Cells(100, 5000))
