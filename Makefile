@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet lint lint-cover loc test race race-full sim-smoke fuzz-smoke bench-smoke cover cluster-cover tenancy-cover bench tables tables-check svg csv examples clean
+.PHONY: all build vet lint lint-cover loc test race race-full sim-smoke fuzz-smoke bench-smoke cover cluster-cover tenancy-cover bench bench-pair tables tables-check svg csv examples clean
 
 # The concurrency-heavy packages (distributed path + scheduler) always run
 # under the race detector as part of `make test`; `race-full` covers the
@@ -84,7 +84,9 @@ cluster-cover:
 # Aho-Corasick one, which pits the prefilter automaton against a naive
 # multi-pattern scan, and the fair-queue one, which replays randomized
 # push/pop/finish/remove interleavings against a shadow model of the
-# per-tenant accounting. Each target fuzzes for a fixed budget;
+# per-tenant accounting, and the range-cut one, which checks that the cut
+# behind shards and database-range tasks covers any database exactly once.
+# Each target fuzzes for a fixed budget;
 # regressions land in testdata/fuzz and replay as ordinary tests forever
 # after.
 fuzz-smoke:
@@ -93,6 +95,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzFairQueue -fuzztime=10s ./internal/jobs
 	go test -run='^$$' -fuzz=FuzzFarrarVsScalar -fuzztime=10s ./internal/farrar
 	go test -run='^$$' -fuzz=FuzzACVsNaive -fuzztime=10s ./internal/prefilter
+	go test -run='^$$' -fuzz=FuzzRangeCut -fuzztime=10s ./internal/cluster
 
 # Fast kernel health check: the four Score8/Score16 microbenchmarks (SWAR
 # vs emulated, so a vanished speedup is visible at a glance), the
@@ -117,6 +120,17 @@ cover:
 # stays visible on stderr.
 bench:
 	go test -bench=. -benchmem -run='^$$' ./... | go run ./cmd/benchjson
+
+# Paired serving benchmark of revision BASE against the working tree: PAIRS
+# alternating runs of one bench/run.sh workload on either side, then both
+# medians, quartiles and the win count per end-to-end metric (see
+# scripts/bench-pair.sh). A gain is claimed from PAIRS >= 10 only.
+BASE ?= HEAD
+WORKLOAD ?= single_query
+SEED ?= 1
+PAIRS ?= 10
+bench-pair:
+	bash scripts/bench-pair.sh $(BASE) $(WORKLOAD) $(SEED) $(PAIRS)
 
 # Regenerate every table and figure of the paper (EXPERIMENTS.md data).
 tables:

@@ -301,6 +301,36 @@ func BenchmarkSearchEndToEnd(b *testing.B) {
 	}
 }
 
+// benchSearchOneQuery times hybridsw.Search of one query of n residues on
+// the serving benchmark's database and platform (bench/README.md: two CPU
+// engines, PSS with adjustment, top 10) — the request of its single_query
+// (400 aa) and serve_mix (25 aa) workloads without the server around it.
+func benchSearchOneQuery(b *testing.B, n int) {
+	db, err := hybridsw.GenerateDatabase("UniProtKB/SwissProt", 0.004, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	queries := hybridsw.GenerateQueries(db, 1, n, n, 2)
+	var residues int64
+	for _, d := range db {
+		residues += int64(d.Len())
+	}
+	b.ResetTimer()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		if _, err := hybridsw.Search(queries, db, hybridsw.Platform{
+			SSECores: 2, Policy: "PSS", Adjust: true, TopK: 10,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportMCUPS(b, int64(n)*residues, time.Since(start))
+}
+
+func BenchmarkSearchSingleQuery(b *testing.B) { benchSearchOneQuery(b, 400) }
+
+func BenchmarkSearchShortQuery(b *testing.B) { benchSearchOneQuery(b, 25) }
+
 func sanitize(s string) string {
 	out := make([]rune, 0, len(s))
 	for _, r := range s {

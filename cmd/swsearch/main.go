@@ -28,9 +28,7 @@ func main() {
 		adjust = flag.Bool("adjust", true, "enable the workload adjustment mechanism")
 		omega  = flag.Int("omega", 0, "PSS history window (0 = default)")
 		topK   = flag.Int("top", 5, "hits reported per query (0 = all)")
-		kernel = flag.String("kernel", "farrar", "CPU kernel: farrar or multicore")
 		doAln  = flag.Bool("align", false, "print the traceback alignment of each query's best hit")
-		cores  = flag.Int("cores", 0, "workers per multicore engine (0 = all)")
 	)
 	flag.Parse()
 	if *qPath == "" || *dbPath == "" {
@@ -50,15 +48,13 @@ func main() {
 		len(queries), len(db), *gpus, *sse, *policy, *adjust)
 
 	rep, err := hybridsw.Search(queries, db, hybridsw.Platform{
-		GPUs:         *gpus,
-		SSECores:     *sse,
-		Policy:       *policy,
-		Adjust:       *adjust,
-		Omega:        *omega,
-		TopK:         *topK,
-		CPUKernel:    *kernel,
-		CoresPerHost: *cores,
-		AlignBest:    *doAln,
+		GPUs:      *gpus,
+		SSECores:  *sse,
+		Policy:    *policy,
+		Adjust:    *adjust,
+		Omega:     *omega,
+		TopK:      *topK,
+		AlignBest: *doAln,
 	})
 	if err != nil {
 		fail("%v", err)

@@ -92,7 +92,6 @@ func main() {
 		backend  = flag.String("backend", "local", `job execution backend: "local" (in-process engines) or "cluster" (sharded scatter-gather fleet)`)
 		shards   = flag.Int("shards", 4, "cluster backend: contiguous database shards")
 		replicas = flag.Int("replicas", 2, "cluster backend: replica engines per shard")
-		kernel   = flag.String("kernel", "", `cluster backend: replica CPU kernel ("farrar" default, "multicore")`)
 
 		jobsDir     = flag.String("jobs-dir", "", "directory for the durable job store (empty: in-memory only)")
 		executors   = flag.Int("executors", 0, "job executor-pool size (0: default, negative: none)")
@@ -134,11 +133,10 @@ func main() {
 		// server's HTTP/jobs families, so /metrics shows the whole stack.
 		platform.Registry = metrics.NewRegistry()
 		fleet, err = cluster.New(cluster.Config{
-			DB:        db,
-			Shards:    *shards,
-			Replicas:  *replicas,
-			CPUKernel: *kernel,
-			Registry:  platform.Registry,
+			DB:       db,
+			Shards:   *shards,
+			Replicas: *replicas,
+			Registry: platform.Registry,
 		})
 		if err != nil {
 			fail("%v", err)

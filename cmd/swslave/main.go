@@ -30,8 +30,7 @@ func main() {
 	var (
 		dbPath    = flag.String("db", "", "database FASTA file (resident on this node)")
 		addr      = flag.String("master", "127.0.0.1:7777", "master address")
-		engine    = flag.String("engine", "sse", `engine: "sse" (adapted Farrar), "multicore" or "gpu"`)
-		cores     = flag.Int("cores", 0, "workers for the multicore engine (0 = all)")
+		engine    = flag.String("engine", "sse", `engine: "sse" (adapted Farrar) or "gpu"`)
 		name      = flag.String("name", "", "slave name (default: engine type + pid)")
 		topK      = flag.Int("top", 0, "hits per task shipped to the master (0 = all)")
 		notify    = flag.Duration("notify", 500*time.Millisecond, "progress notification interval")
@@ -57,12 +56,10 @@ func main() {
 	switch *engine {
 	case "sse":
 		eng, err = slave.NewFarrarEngine(*name, score.DefaultProtein(), db, *declare)
-	case "multicore":
-		eng, err = slave.NewMulticoreEngine(*name, score.DefaultProtein(), db, *cores, *declare)
 	case "gpu":
 		eng, err = slave.NewGPUEngine(*name, cudasw.GTX580(), score.DefaultProtein(), db, *declare)
 	default:
-		fail("unknown engine %q (want sse, multicore or gpu)", *engine)
+		fail("unknown engine %q (want sse or gpu)", *engine)
 	}
 	if err != nil {
 		fail("%v", err)

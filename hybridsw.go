@@ -25,9 +25,12 @@
 // simulated devices computing true scores): it builds the one-shard engine
 // fleet the Platform describes and runs the search on it (internal/cluster
 // is where every in-process search executes; this package only translates
-// a Platform into its terms). Simulate runs the same scheduler against the
-// calibrated virtual-time platform to predict the behaviour of the paper's
-// 4-GPU/8-core testbed; see also cmd/benchtables.
+// a Platform into its terms). There a query is cut into database-range
+// tasks, so even a single query keeps every engine of the Platform busy and
+// the workload adjustment mechanism replicates only its tail range.
+// Simulate runs the same scheduler against the calibrated virtual-time
+// platform to predict the behaviour of the paper's 4-GPU/8-core testbed,
+// at the paper's grain of one task per query; see also cmd/benchtables.
 package hybridsw
 
 import (
@@ -128,13 +131,6 @@ type Platform struct {
 	TopK     int    // hits returned per query; 0 = all
 	Scheme   Scheme // zero value = DefaultScheme
 
-	// CPUKernel selects the CPU engines' algorithm: "farrar" (default, the
-	// paper's adapted striped kernel) or "multicore" (whole-host Fig. 3b
-	// engine; see CoresPerHost).
-	CPUKernel string
-	// CoresPerHost sets the worker count of each "multicore" engine;
-	// 0 uses all available cores.
-	CoresPerHost int
 	// AlignBest ships the traceback alignment of each query's best hit.
 	AlignBest bool
 
@@ -174,14 +170,12 @@ func NewFleet(db []*Sequence, p Platform) (*cluster.Fleet, error) {
 		p.SSECores = 1
 	}
 	return cluster.New(cluster.Config{
-		DB:           db,
-		Shards:       1,
-		GPUs:         p.GPUs,
-		Replicas:     p.SSECores,
-		Scheme:       p.Scheme,
-		CPUKernel:    p.CPUKernel,
-		CoresPerHost: p.CoresPerHost,
-		Registry:     p.Registry,
+		DB:       db,
+		Shards:   1,
+		GPUs:     p.GPUs,
+		Replicas: p.SSECores,
+		Scheme:   p.Scheme,
+		Registry: p.Registry,
 	})
 }
 

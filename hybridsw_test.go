@@ -139,36 +139,6 @@ func TestPackagePathIsTidy(t *testing.T) {
 	}
 }
 
-func TestSearchAlternativeKernels(t *testing.T) {
-	db, _ := hybridsw.GenerateDatabase("Ensembl Dog Proteins", 0.0006, 13)
-	queries := hybridsw.GenerateQueries(db, 2, 50, 90, 14)
-	base, err := hybridsw.Search(queries, db, hybridsw.Platform{SSECores: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := hybridsw.Search(queries, db, hybridsw.Platform{
-		SSECores: 1, CPUKernel: "multicore", CoresPerHost: 2,
-	})
-	if err != nil {
-		t.Fatalf("multicore: %v", err)
-	}
-	for qi := range base.PerQuery {
-		if len(rep.PerQuery[qi].Hits) != len(base.PerQuery[qi].Hits) {
-			t.Fatal("multicore: hit counts differ")
-		}
-		for hi := range base.PerQuery[qi].Hits {
-			if rep.PerQuery[qi].Hits[hi].Score != base.PerQuery[qi].Hits[hi].Score {
-				t.Fatalf("multicore: query %d hit %d differs", qi, hi)
-			}
-		}
-	}
-	for _, kernel := range []string{"magic", "swipe"} {
-		if _, err := hybridsw.Search(queries, db, hybridsw.Platform{SSECores: 1, CPUKernel: kernel}); err == nil {
-			t.Errorf("unknown kernel %q accepted", kernel)
-		}
-	}
-}
-
 func TestHitEValue(t *testing.T) {
 	e1, exact := hybridsw.HitEValue(hybridsw.DefaultScheme(), 300, 250, 190_000_000)
 	if !exact {

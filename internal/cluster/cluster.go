@@ -9,6 +9,18 @@
 // -backend=local) is the one-shard fleet whose replicas are the
 // platform's GPU and CPU engines.
 //
+// Within a shard the unit of full-scan work is one query × one contiguous
+// database range: New cuts every shard once into rangesPerEngine
+// residue-balanced ranges per engine (partition, the function that cuts
+// the shards) and hands the cut to each job's master, so a single query
+// occupies every engine of its shard, PSS weights and first-copy-wins
+// replication act inside a request, and a replica duplicates only the
+// tail range. The end of a shard job is pushed to its replica loops
+// (slave.Options.Done) rather than polled for: range tasks are too short
+// to ever send the progress notification a cancellation rides on.
+// Filtered searches keep one prefilter and one rescore task per query and
+// shard.
+//
 // Fault tolerance rides the existing master machinery: every shard's
 // replicas register with the shard master as independent slaves, so when a
 // replica dies mid-scan its connection-drop (SlaveGone) or lease expiry
@@ -23,6 +35,7 @@ import (
 
 	"repro/internal/cudasw"
 	"repro/internal/farrar"
+	"repro/internal/master"
 	"repro/internal/metrics"
 	"repro/internal/prefilter"
 	"repro/internal/score"
@@ -82,10 +95,6 @@ type Config struct {
 	// Scheme is the scoring scheme; the zero value uses the paper's
 	// BLOSUM62/10/2 default.
 	Scheme score.Scheme
-	// CPUKernel selects the replica engines' algorithm ("farrar" default,
-	// "multicore"); CoresPerHost sizes "multicore" engines.
-	CPUKernel    string
-	CoresPerHost int
 	// Lease, when positive, arms each shard master's lease-based failure
 	// detector, the backstop for replicas that hang without dropping
 	// (crashes are caught promptly through SlaveGone).
@@ -112,6 +121,13 @@ type replica struct {
 	down chan struct{}
 }
 
+// rangesPerEngine sizes the cut of a shard into database-range tasks: a
+// full-scan query becomes this many tasks per engine of the shard, so the
+// last task — the longest an engine can sit idle while another finishes —
+// is a few percent of a request, while a task stays far above the cost of
+// its protocol round trips.
+const rangesPerEngine = 8
+
 // shard is one contiguous database partition and its replica set. The
 // fields above mu are set once when the fleet is built.
 type shard struct {
@@ -119,6 +135,9 @@ type shard struct {
 	db       []*seq.Sequence // f.cfg.DB[offset : offset+len(db)]
 	offset   int             // global index of db[0]
 	residues int64
+	// ranges cuts db into the contiguous, residue-balanced ranges a
+	// full-scan query's tasks scan, in shard-local sequence indices.
+	ranges []master.Range
 
 	mu       sync.Mutex
 	replicas []*replica
@@ -176,15 +195,13 @@ func New(cfg Config) (*Fleet, error) {
 		kernMet = farrar.NewMetrics(cfg.Registry)
 		filtMet = prefilter.NewMetrics(cfg.Registry)
 	}
-	for _, bounds := range partition(cfg.DB, cfg.Shards) {
-		s := &shard{index: len(f.shards), db: cfg.DB[bounds[0]:bounds[1]], offset: bounds[0]}
-		for _, d := range s.db {
-			s.residues += int64(d.Len())
-		}
+	for _, part := range partition(cfg.DB, cfg.Shards) {
+		s := &shard{index: len(f.shards), db: cfg.DB[part.Lo:part.Hi], offset: part.Lo, residues: part.Residues}
 		engines, err := newEngines(s.index, cfg, s.db, kernMet, filtMet)
 		if err != nil {
 			return nil, err
 		}
+		s.ranges = partition(s.db, min(rangesPerEngine*len(engines), len(s.db)))
 		for _, eng := range engines {
 			s.replicas = append(s.replicas, &replica{eng: eng, down: make(chan struct{})})
 		}
@@ -197,10 +214,10 @@ func New(cfg Config) (*Fleet, error) {
 }
 
 // newEngines builds one shard's engine set over its database slice:
-// cfg.GPUs simulated devices, then cfg.Replicas CPU engines of the
-// configured kernel. Engines whose compute core is a farrar.Kernel publish
-// their 8/16/scalar fallback telemetry into kernMet and prefilter-capable
-// engines their scan accounting into filtMet (both may be nil).
+// cfg.GPUs simulated devices, then cfg.Replicas Farrar CPU engines. Engines
+// whose compute core is a farrar.Kernel publish their 8/16/scalar fallback
+// telemetry into kernMet and prefilter-capable engines their scan
+// accounting into filtMet (both may be nil).
 func newEngines(shard int, cfg Config, db []*seq.Sequence, kernMet *farrar.Metrics, filtMet *prefilter.Metrics) ([]slave.Engine, error) {
 	var engines []slave.Engine
 	for i := 0; i < cfg.GPUs; i++ {
@@ -211,17 +228,7 @@ func newEngines(shard int, cfg Config, db []*seq.Sequence, kernMet *farrar.Metri
 		engines = append(engines, eng)
 	}
 	for i := 0; i < cfg.Replicas; i++ {
-		var eng slave.Engine
-		var err error
-		name := fmt.Sprintf("shard%d/replica%d", shard, i)
-		switch cfg.CPUKernel {
-		case "", "farrar":
-			eng, err = slave.NewFarrarEngine(name, cfg.Scheme, db, 0)
-		case "multicore":
-			eng, err = slave.NewMulticoreEngine(name, cfg.Scheme, db, cfg.CoresPerHost, 0)
-		default:
-			return nil, fmt.Errorf("cluster: unknown CPU kernel %q (want farrar or multicore)", cfg.CPUKernel)
-		}
+		eng, err := slave.NewFarrarEngine(fmt.Sprintf("shard%d/replica%d", shard, i), cfg.Scheme, db, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -240,37 +247,35 @@ func newEngines(shard int, cfg Config, db []*seq.Sequence, kernMet *farrar.Metri
 	return engines, nil
 }
 
-// partition splits the database into n contiguous, residue-balanced
-// half-open [start, end) index ranges. Boundaries are chosen greedily
-// against the ideal cumulative split points, but never leave a later shard
-// without sequences.
-func partition(db []*seq.Sequence, n int) [][2]int {
+// partition splits db into n contiguous, residue-balanced half-open
+// sequence-index ranges, each with its residue count: the fleet's shards,
+// and within a shard the ranges of its tasks. Boundaries are chosen
+// greedily against the ideal cumulative split points, but never leave a
+// later range without sequences; n must be in [1, len(db)].
+func partition(db []*seq.Sequence, n int) []master.Range {
 	var total int64
 	for _, d := range db {
 		total += int64(d.Len())
 	}
-	bounds := make([][2]int, 0, n)
+	parts := make([]master.Range, 0, n)
 	start := 0
 	var cum int64
 	for i := 0; i < n; i++ {
-		// Ideal cumulative residue count at the end of shard i.
+		// Ideal cumulative residue count at the end of part i.
 		target := total * int64(i+1) / int64(n)
-		end := start
-		for end < len(db) && (end-start == 0 || cum < target) {
-			// Leave at least one sequence per remaining shard.
+		end, before := start, cum
+		for end < len(db) && (end-start == 0 || cum < target || i == n-1) {
+			// Leave at least one sequence per remaining part.
 			if len(db)-end <= n-1-i {
 				break
 			}
 			cum += int64(db[end].Len())
 			end++
 		}
-		if i == n-1 {
-			end = len(db)
-		}
-		bounds = append(bounds, [2]int{start, end})
+		parts = append(parts, master.Range{Lo: start, Hi: end, Residues: cum - before})
 		start = end
 	}
-	return bounds
+	return parts
 }
 
 // Shards returns the shard count.

@@ -20,13 +20,13 @@ func TestPartitionCoversDatabaseContiguously(t *testing.T) {
 		}
 		prev := 0
 		for i, b := range bounds {
-			if b[0] != prev {
-				t.Fatalf("n=%d shard %d: starts at %d, want %d (contiguous, no gaps)", n, i, b[0], prev)
+			if b.Lo != prev {
+				t.Fatalf("n=%d shard %d: starts at %d, want %d (contiguous, no gaps)", n, i, b.Lo, prev)
 			}
-			if b[1] <= b[0] {
+			if b.Hi <= b.Lo {
 				t.Fatalf("n=%d shard %d: empty range %v", n, i, b)
 			}
-			prev = b[1]
+			prev = b.Hi
 		}
 		if prev != len(db) {
 			t.Fatalf("n=%d: covers %d of %d sequences", n, prev, len(db))
@@ -47,10 +47,7 @@ func TestPartitionBalancesResidues(t *testing.T) {
 	const n = 4
 	ideal := total / n
 	for i, b := range partition(db, n) {
-		var res int64
-		for _, d := range db[b[0]:b[1]] {
-			res += int64(d.Len())
-		}
+		res := b.Residues
 		// Greedy splitting can overshoot by at most one sequence; the
 		// profile's longest sequences are far under half the ideal share,
 		// so every shard should land within 2x of it.
@@ -107,4 +104,46 @@ func TestBoardAggregatesStagesAcrossShards(t *testing.T) {
 	if last[0].TotalCells == 0 || last[1].TotalCells == 0 {
 		t.Errorf("filtered totals not seeded: %+v", last)
 	}
+}
+
+// FuzzRangeCut drives partition — the cut behind both shards and range
+// tasks — with arbitrary length lists and part counts: the parts must be
+// contiguous, cover [0, len(db)) exactly once, never be empty, and their
+// residue counts must be the true ones, so they add up to the database's.
+func FuzzRangeCut(f *testing.F) {
+	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6}, uint8(3))
+	f.Add([]byte{0, 0, 0, 7}, uint8(4))
+	f.Add([]byte{200}, uint8(1))
+	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 255}, uint8(16))
+	f.Fuzz(func(t *testing.T, lengths []byte, parts uint8) {
+		if len(lengths) == 0 {
+			return
+		}
+		db := make([]*seq.Sequence, len(lengths))
+		for i, n := range lengths {
+			db[i] = seq.New("s", "", make([]byte, n))
+		}
+		n := 1 + int(parts)%len(db)
+		cut := partition(db, n)
+		if len(cut) != n {
+			t.Fatalf("%d parts, want %d", len(cut), n)
+		}
+		next := 0
+		for i, r := range cut {
+			if r.Lo != next || r.Hi <= r.Lo {
+				t.Fatalf("part %d is [%d,%d) after a cut ending at %d: %v", i, r.Lo, r.Hi, next, cut)
+			}
+			var residues int64
+			for _, d := range db[r.Lo:r.Hi] {
+				residues += int64(d.Len())
+			}
+			if r.Residues != residues {
+				t.Fatalf("part %d claims %d residues, holds %d: %v", i, r.Residues, residues, cut)
+			}
+			next = r.Hi
+		}
+		if next != len(db) {
+			t.Fatalf("cut covers %d of %d sequences: %v", next, len(db), cut)
+		}
+	})
 }

@@ -202,7 +202,8 @@ type shardOutcome struct {
 // Shard hit indices were already remapped to global database positions, so
 // concatenating and sorting under wire.HitLess yields exactly the order a
 // single-node scan produces; the top-k cut commutes with the merge because
-// every shard already kept its own k best.
+// every shard — and within it every range task — already kept its own k
+// best.
 func (f *Fleet) merge(queries []*seq.Sequence, outcomes []shardOutcome, topK int) []master.QueryResult {
 	merged := make([]master.QueryResult, len(queries))
 	for qi := range queries {
@@ -220,9 +221,9 @@ func (f *Fleet) merge(queries []*seq.Sequence, outcomes []shardOutcome, topK int
 		if topK > 0 && len(hits) > topK {
 			hits = hits[:topK]
 		}
-		// Each shard aligned its own best hit; only the global best keeps
-		// its traceback so the payload matches a single-node run, where
-		// exactly one hit per query carries rows.
+		// Each range task of each shard aligned its own best hit; only
+		// the global best keeps its traceback, so exactly one hit per
+		// query carries rows whatever the cut.
 		for i := 1; i < len(hits); i++ {
 			hits[i].QueryRow, hits[i].TargetRow = nil, nil
 			hits[i].QueryStart, hits[i].QueryEnd = 0, 0
@@ -250,8 +251,9 @@ func (f *Fleet) shardOf(index int) int {
 }
 
 // searchShard runs one shard's scan as a full master-protocol job: a
-// dedicated master over the shard's residues, every live replica running
-// the standard slave loop against it. Replica death surfaces as a failed
+// dedicated master over the shard's residues and range cut, every live
+// replica running the standard slave loop against it until the master's
+// Done channel closes. Replica death surfaces as a failed
 // protocol call, which cancels the replica's in-flight scan and requeues
 // its tasks for the survivors — the same path a dropped TCP connection
 // takes — with the shard master's lease as the backstop for silent hangs.
@@ -272,6 +274,7 @@ func (f *Fleet) searchShard(ctx context.Context, s *shard, queries []*seq.Sequen
 	m, err := master.New(master.Config{
 		Queries:    queries,
 		DBResidues: s.residues,
+		Ranges:     s.ranges,
 		Policy:     pol,
 		Adjust:     p.Adjust,
 		Omega:      p.Omega,
@@ -339,6 +342,7 @@ func (f *Fleet) searchShard(ctx context.Context, s *shard, queries []*seq.Sequen
 				Poll:        5 * time.Millisecond,
 				TopK:        p.TopK,
 				AlignBest:   p.AlignBest,
+				Done:        m.Done(),
 				Metrics:     f.slaveMet,
 			})
 		}(i, r)

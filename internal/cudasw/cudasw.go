@@ -166,11 +166,28 @@ func (e *Engine) DatabaseResidues() int64 { return e.residues }
 // DatabaseSeqs returns the number of database sequences.
 func (e *Engine) DatabaseSeqs() int { return len(e.seqs) }
 
+// ErrCanceled is returned by SearchRange when its cancel channel closed
+// mid-search.
+var ErrCanceled = fmt.Errorf("cudasw: search canceled")
+
 // Search aligns the query against the whole database, returning hits in
 // original database order plus the simulated cost report.
 func (e *Engine) Search(query []byte, compute bool) ([]Hit, Report, error) {
+	return e.SearchRange(query, 0, len(e.seqs), compute, nil)
+}
+
+// SearchRange is Search restricted to the database sequences whose
+// original index lies in [lo, hi): the length-sorted list is walked as
+// usual and sequences outside the range are skipped, so warps still hold
+// similar lengths, and the cost model charges only the range's cells. It
+// returns hi-lo hits in original database order and stops with ErrCanceled
+// once cancel closes (a nil channel never does).
+func (e *Engine) SearchRange(query []byte, lo, hi int, compute bool, cancel <-chan struct{}) ([]Hit, Report, error) {
 	if len(query) == 0 {
 		return nil, Report{}, fmt.Errorf("cudasw: empty query")
+	}
+	if lo < 0 || hi > len(e.seqs) || lo > hi {
+		return nil, Report{}, fmt.Errorf("cudasw: range [%d,%d) outside the %d-sequence database", lo, hi, len(e.seqs))
 	}
 	var kern *farrar.Kernel
 	if compute {
@@ -182,70 +199,65 @@ func (e *Engine) Search(query []byte, compute bool) ([]Hit, Report, error) {
 	}
 	m := int64(len(query))
 	rep := Report{}
-	hits := make([]Hit, len(e.seqs))
-
-	// Inter-task kernel: warps of 32 similar-length sequences, padded to
-	// the warp maximum.
-	for base := 0; base < e.nInter; base += warpSize {
-		end := min(base+warpSize, e.nInter)
-		maxLen := 0
-		for i := base; i < end; i++ {
-			n := e.seqs[i].Len()
-			if n > maxLen {
-				maxLen = n
-			}
-			rep.Cells += m * int64(n)
-			hits[i] = e.hit(i, kern)
+	hits := make([]Hit, hi-lo)
+	var residues, intraCells int64
+	// warpN and warpMax describe the inter-task warp being filled: up to 32
+	// similar-length sequences, padded to the longest of them.
+	warpN, warpMax := 0, 0
+	flushWarp := func() {
+		rep.PaddedCells += m * int64(warpMax) * int64(warpN)
+		warpN, warpMax = 0, 0
+	}
+	for pos, s := range e.seqs {
+		oi := e.origIdx[pos]
+		if oi < lo || oi >= hi {
+			continue
 		}
-		rep.PaddedCells += m * int64(maxLen) * int64(end-base)
-	}
-	rep.InterTaskSeqs = e.nInter
-	if e.nInter > 0 {
-		rep.KernelLaunches += (e.nInter + seqsPerLaunch - 1) / seqsPerLaunch
-	}
-
-	// Intra-task kernel: one launch per long sequence.
-	for i := e.nInter; i < len(e.seqs); i++ {
-		n := int64(e.seqs[i].Len())
+		select {
+		case <-cancel:
+			return nil, Report{}, ErrCanceled
+		default:
+		}
+		n := int64(s.Len())
+		residues += n
 		rep.Cells += m * n
-		rep.PaddedCells += m * n
+		hits[oi-lo] = Hit{Index: oi, ID: s.ID}
+		if kern != nil {
+			hits[oi-lo].Score = kern.Score(s.Residues)
+		}
+		if pos < e.nInter {
+			// Inter-task kernel: one alignment per thread.
+			rep.InterTaskSeqs++
+			warpMax = max(warpMax, s.Len())
+			if warpN++; warpN == warpSize {
+				flushWarp()
+			}
+			continue
+		}
+		// Intra-task kernel: one launch per long sequence.
+		intraCells += m * n
 		rep.IntraTaskSeqs++
 		rep.KernelLaunches++
-		hits[i] = e.hit(i, kern)
 	}
-
-	rep.Elapsed = e.cost(m, rep)
+	flushWarp()
+	rep.PaddedCells += intraCells
+	if rep.InterTaskSeqs > 0 {
+		rep.KernelLaunches += (rep.InterTaskSeqs + seqsPerLaunch - 1) / seqsPerLaunch
+	}
+	rep.Elapsed = e.cost(m, rep, intraCells, residues)
 	if kern != nil {
 		rep.Kernel = kern.Stats()
 	}
-
-	// Undo the length sort so callers see database order.
-	out := make([]Hit, len(hits))
-	for pos, h := range hits {
-		out[e.origIdx[pos]] = h
-	}
-	return out, rep, nil
-}
-
-func (e *Engine) hit(pos int, kern *farrar.Kernel) Hit {
-	h := Hit{Index: e.origIdx[pos], ID: e.seqs[pos].ID}
-	if kern != nil {
-		h.Score = kern.Score(e.seqs[pos].Residues)
-	}
-	return h
+	return hits, rep, nil
 }
 
 // cost is the device cost model: query transfer, per-launch overheads, and
 // padded cells at kernel-specific throughput, plus the fixed per-search
-// overhead. Long-sequence cells run at the discounted intra-task rate.
-func (e *Engine) cost(m int64, rep Report) time.Duration {
+// overhead. Long-sequence cells (intraCells, part of rep.PaddedCells) run
+// at the discounted intra-task rate; residues is the searched range's size.
+func (e *Engine) cost(m int64, rep Report, intraCells, residues int64) time.Duration {
 	peak := e.dev.PeakCellsPerSecond()
-	interPadded := rep.PaddedCells
-	var intraCells int64
-	for i := e.nInter; i < len(e.seqs); i++ {
-		intraCells += m * int64(e.seqs[i].Len())
-	}
-	interPadded -= intraCells
+	interPadded := rep.PaddedCells - intraCells
 
 	secs := float64(interPadded) / peak
 	if intraCells > 0 {
@@ -259,11 +271,11 @@ func (e *Engine) cost(m int64, rep Report) time.Duration {
 	d += time.Duration(rep.KernelLaunches) * e.dev.LaunchOverhead
 	if e.dev.TransferBytesPerSec > 0 {
 		d += time.Duration(float64(m) / e.dev.TransferBytesPerSec * float64(time.Second))
-		// A database that does not fit in device memory is streamed in
+		// A range that does not fit in device memory is streamed in
 		// chunks: every chunk beyond the resident first one re-uploads
 		// its residues for this search.
-		if e.dev.MemoryBytes > 0 && e.residues > e.dev.MemoryBytes {
-			chunks := (e.residues + e.dev.MemoryBytes - 1) / e.dev.MemoryBytes
+		if e.dev.MemoryBytes > 0 && residues > e.dev.MemoryBytes {
+			chunks := (residues + e.dev.MemoryBytes - 1) / e.dev.MemoryBytes
 			extra := float64((chunks-1)*e.dev.MemoryBytes) / e.dev.TransferBytesPerSec
 			d += time.Duration(extra * float64(time.Second))
 		}

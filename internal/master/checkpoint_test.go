@@ -2,6 +2,7 @@ package master_test
 
 import (
 	"bytes"
+	"os"
 	"testing"
 	"time"
 
@@ -15,12 +16,21 @@ import (
 
 // TestCheckpointResume completes part of a job, snapshots it, rebuilds a
 // master from the checkpoint, and finishes the rest. Finished tasks must
-// not re-run, and the merged results must cover every query.
+// not re-run, and the merged results must cover every query. In the ranged
+// shape the two finished tasks are two of query 0's three ranges, so the
+// snapshot is taken mid-query and the restored master must merge banked
+// and fresh ranges into the brute-force ranking.
 func TestCheckpointResume(t *testing.T) {
 	db, queries := testJob(t, 6)
+	t.Run("whole", func(t *testing.T) { checkpointResume(t, db, queries, nil) })
+	t.Run("ranges", func(t *testing.T) { checkpointResume(t, db, queries, cutRanges(db, 3)) })
+}
+
+func checkpointResume(t *testing.T, db, queries []*seq.Sequence, ranges []master.Range) {
 	cfg := master.Config{
 		Queries:    queries,
 		DBResidues: dbResidues(db),
+		Ranges:     ranges,
 		Policy:     sched.SS{},
 		Adjust:     true,
 	}
@@ -28,6 +38,7 @@ func TestCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tasks := len(queries) * max(len(ranges), 1)
 
 	// Complete exactly two tasks by hand through the protocol.
 	eng, _ := slave.NewFarrarEngine("partial", score.DefaultProtein(), db, 0)
@@ -37,7 +48,11 @@ func TestCheckpointResume(t *testing.T) {
 	for k := 0; k < 2; k++ {
 		assign := m1.Dispatch(wire.Envelope{Request: &wire.RequestMsg{Slave: id}})
 		spec := assign.Assign.Tasks[0]
-		hits, err := eng.Search(queryOf(queries, spec.QueryID), nil, make(chan struct{}))
+		lo, hi := spec.Lo, spec.Hi
+		if hi == 0 {
+			hi = len(db)
+		}
+		hits, err := eng.SearchRange(queryOf(queries, spec.QueryID), lo, hi, nil, make(chan struct{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,6 +65,18 @@ func TestCheckpointResume(t *testing.T) {
 	var buf bytes.Buffer
 	if err := m1.SaveCheckpoint(&buf); err != nil {
 		t.Fatal(err)
+	}
+	if ranges != nil {
+		// The cut is part of what a checkpoint is checked against.
+		other := cfg
+		other.Ranges = cutRanges(db, 2)
+		if _, err := master.LoadCheckpoint(bytes.NewReader(buf.Bytes()), other); err == nil {
+			t.Error("checkpoint restored under a different cut")
+		}
+		other.Ranges = nil
+		if _, err := master.LoadCheckpoint(bytes.NewReader(buf.Bytes()), other); err == nil {
+			t.Error("ranged checkpoint restored as whole-database tasks")
+		}
 	}
 
 	// Restore into a fresh master and finish the job with a new slave.
@@ -72,8 +99,8 @@ func TestCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if done != 4 {
-		t.Errorf("finisher ran %d tasks, want the remaining 4", done)
+	if done != tasks-2 {
+		t.Errorf("finisher ran %d tasks, want the remaining %d", done, tasks-2)
 	}
 	if err := m2.Wait(time.Second); err != nil {
 		t.Fatal(err)
@@ -82,10 +109,50 @@ func TestCheckpointResume(t *testing.T) {
 	if len(results) != len(queries) {
 		t.Fatalf("%d results", len(results))
 	}
-	for _, r := range results {
-		if len(r.Hits) != 2 {
-			t.Fatalf("query %s has %d hits", r.Query, len(r.Hits))
+	for i, r := range results {
+		// Every range kept its own two best; the query's two best
+		// lead the merged list.
+		if want := 2 * max(len(ranges), 1); len(r.Hits) != want {
+			t.Fatalf("query %s has %d hits, want %d", r.Query, len(r.Hits), want)
 		}
+		r.Hits = r.Hits[:2]
+		checkRanking(t, r, bruteForce(queries[i], db)[:2])
+	}
+}
+
+// TestLoadCheckpointFromBeforeRanges restores a checkpoint the parent
+// commit wrote — its tasks have no range fields — and finishes the job: the
+// tasks decode as whole-database scans and the banked result survives.
+func TestLoadCheckpointFromBeforeRanges(t *testing.T) {
+	db, queries := testJob(t, 4)
+	ckpt, err := os.ReadFile("testdata/checkpoint_pr15.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := master.Config{Queries: queries, DBResidues: dbResidues(db), Policy: sched.SS{}}
+	m, err := master.LoadCheckpoint(bytes.NewReader(ckpt), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := m.Coordinator().Pool()
+	if pool.Len() != len(queries) || pool.Finished() != 1 {
+		t.Fatalf("restored %d tasks with %d finished, want %d with 1", pool.Len(), pool.Finished(), len(queries))
+	}
+	for id := 0; id < pool.Len(); id++ {
+		if task := pool.Task(sched.TaskID(id)); task.Lo != 0 || task.Hi != 0 {
+			t.Errorf("task %d restored with range [%d,%d), want the whole database", id, task.Lo, task.Hi)
+		}
+	}
+	cfg.Ranges = cutRanges(db, 2)
+	if _, err := master.LoadCheckpoint(bytes.NewReader(ckpt), cfg); err == nil {
+		t.Error("whole-database checkpoint restored under a cut")
+	}
+	eng, _ := slave.NewFarrarEngine("finisher", score.DefaultProtein(), db, 0)
+	if done, err := slave.Run(wire.Local{H: m}, eng, slave.Options{Poll: time.Millisecond, TopK: 3}); err != nil || done != len(queries)-1 {
+		t.Fatalf("finisher ran %d tasks (%v), want %d", done, err, len(queries)-1)
+	}
+	for i, r := range m.Results() {
+		checkRanking(t, r, bruteForce(queries[i], db)[:3])
 	}
 }
 

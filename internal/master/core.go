@@ -27,10 +27,13 @@ import (
 // Methods are not safe for concurrent use; the driver owns the locking.
 type Core struct {
 	queries []*seq.Sequence
-	// queryByID resolves a task's QueryID back to its sequence. With the
-	// single-kind workload task IDs equal query indices, but a filtered job
-	// holds two tasks per query (prefilter + appended rescore), so lookups
-	// go through the query identifier instead of the task ID.
+	// perQuery is how many seed tasks each query has: one per database
+	// range of a full-scan job, one otherwise. Seed task t belongs to query
+	// t / perQuery, which is how results merge by query index and duplicate
+	// query IDs stay legal.
+	perQuery int
+	// queryByID resolves an appended rescore task's QueryID back to its
+	// sequence (filtered jobs only, where IDs are unique).
 	queryByID map[string]*seq.Sequence
 	// qorder is each query's position in the submitted list, for
 	// query-ordered result merging.
@@ -98,15 +101,42 @@ func (s FilterStats) CellsSaved() int64 {
 	return 0
 }
 
-// NewCore builds the protocol core for a job: one very coarse-grained task
-// per query (|query| x database residues cells), all ready. events may be
-// nil to discard the structured event stream.
-func NewCore(queries []*seq.Sequence, dbResidues int64, sc sched.Config, events *metrics.EventLog) (*Core, error) {
-	tasks, err := seedTasks(queries, dbResidues, sched.TaskSW)
+// NewCore builds the protocol core for a full-scan job: one task per query
+// and database range (|query| x range residues cells), all ready, query by
+// query. Nil ranges mean one whole-database range — the paper's very
+// coarse-grained task per query. events may be nil to discard the
+// structured event stream.
+func NewCore(queries []*seq.Sequence, dbResidues int64, ranges []Range, sc sched.Config, events *metrics.EventLog) (*Core, error) {
+	if ranges == nil {
+		// The zero range, Lo = Hi = 0, is the whole database.
+		ranges = []Range{{Residues: dbResidues}}
+	} else if err := checkRanges(ranges, dbResidues); err != nil {
+		return nil, err
+	}
+	tasks, err := seedTasks(queries, dbResidues, ranges, sched.TaskSW)
 	if err != nil {
 		return nil, err
 	}
-	return newCore(queries, dbResidues, tasks, sc, events), nil
+	return newCore(queries, dbResidues, len(ranges), sched.NewCoordinator(tasks, sc), events), nil
+}
+
+// checkRanges verifies that a cut is contiguous from sequence 0, has no
+// empty range and accounts for every database residue, so the tasks seeded
+// from it cover the database exactly once and their cells add up.
+func checkRanges(ranges []Range, dbResidues int64) error {
+	var residues int64
+	next := 0
+	for i, r := range ranges {
+		if r.Lo != next || r.Hi <= r.Lo || r.Residues < 0 {
+			return fmt.Errorf("master: range %d is [%d,%d) with %d residues after a cut ending at %d", i, r.Lo, r.Hi, r.Residues, next)
+		}
+		next = r.Hi
+		residues += r.Residues
+	}
+	if residues != dbResidues {
+		return fmt.Errorf("master: ranges hold %d residues, DBResidues = %d", residues, dbResidues)
+	}
+	return nil
 }
 
 // NewFilteredCore builds the protocol core for a two-stage filtered job:
@@ -114,20 +144,21 @@ func NewCore(queries []*seq.Sequence, dbResidues int64, sc sched.Config, events 
 // sched.PrefilterEquivCells cell-equivalents, with the matching TaskRescore
 // appended the moment the prefilter's candidate windows arrive.
 func NewFilteredCore(queries []*seq.Sequence, dbResidues int64, filter prefilter.Spec, sc sched.Config, events *metrics.EventLog) (*Core, error) {
-	tasks, err := seedTasks(queries, dbResidues, sched.TaskPrefilter)
+	tasks, err := seedTasks(queries, dbResidues, nil, sched.TaskPrefilter)
 	if err != nil {
 		return nil, err
 	}
-	c := newCore(queries, dbResidues, tasks, sc, events)
+	c := newCore(queries, dbResidues, 1, sched.NewCoordinator(tasks, sc), events)
 	c.filtered = true
 	c.filter = filter.Normalize()
 	c.fstats.Queries = len(queries)
 	return c, nil
 }
 
-// seedTasks builds the initial one-task-per-query set: full scans for
-// TaskSW jobs, automaton passes for TaskPrefilter jobs.
-func seedTasks(queries []*seq.Sequence, dbResidues int64, kind sched.TaskKind) ([]sched.Task, error) {
+// seedTasks builds the initial task set, query-major: one scan per range
+// for TaskSW jobs, one automaton pass per query (ranges unused) for
+// TaskPrefilter jobs.
+func seedTasks(queries []*seq.Sequence, dbResidues int64, ranges []Range, kind sched.TaskKind) ([]sched.Task, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("master: no queries")
 	}
@@ -135,7 +166,7 @@ func seedTasks(queries []*seq.Sequence, dbResidues int64, kind sched.TaskKind) (
 		return nil, fmt.Errorf("master: DBResidues = %d", dbResidues)
 	}
 	seen := map[string]bool{}
-	tasks := make([]sched.Task, len(queries))
+	tasks := make([]sched.Task, 0, len(queries)*max(len(ranges), 1))
 	for i, q := range queries {
 		if q.Len() == 0 {
 			return nil, fmt.Errorf("master: query %d (%s) is empty", i, q.ID)
@@ -147,21 +178,24 @@ func seedTasks(queries []*seq.Sequence, dbResidues int64, kind sched.TaskKind) (
 			return nil, fmt.Errorf("master: duplicate query ID %q", q.ID)
 		}
 		seen[q.ID] = true
-		cells := int64(q.Len()) * dbResidues
 		if kind == sched.TaskPrefilter {
-			cells = dbResidues * sched.PrefilterEquivCells
+			tasks = append(tasks, sched.Task{QueryID: q.ID, Cells: dbResidues * sched.PrefilterEquivCells, Kind: kind})
+			continue
 		}
-		tasks[i] = sched.Task{QueryID: q.ID, Cells: cells, Kind: kind}
+		for _, r := range ranges {
+			tasks = append(tasks, sched.Task{QueryID: q.ID, Cells: int64(q.Len()) * r.Residues, Lo: r.Lo, Hi: r.Hi, Kind: kind})
+		}
 	}
 	return tasks, nil
 }
 
-func newCore(queries []*seq.Sequence, dbResidues int64, tasks []sched.Task, sc sched.Config, events *metrics.EventLog) *Core {
+func newCore(queries []*seq.Sequence, dbResidues int64, perQuery int, coord *sched.Coordinator, events *metrics.EventLog) *Core {
 	c := &Core{
 		queries:       queries,
+		perQuery:      perQuery,
 		queryByID:     make(map[string]*seq.Sequence, len(queries)),
 		qorder:        make(map[string]int, len(queries)),
-		coord:         sched.NewCoordinator(tasks, sc),
+		coord:         coord,
 		events:        events,
 		pendingCancel: map[sched.SlaveID][]sched.TaskID{},
 		dbResidues:    dbResidues,
@@ -192,59 +226,57 @@ func (c *Core) SetFilterMetrics(m *prefilter.Metrics) { c.fmet = m }
 func (c *Core) FilterStats() FilterStats { return c.fstats }
 
 // RestoreCore rebuilds a protocol core from a checkpoint snapshot. The
-// same queries (in the same order) must be supplied — the checkpoint
-// carries only scheduling state, not sequence data — and are verified
-// against the snapshot. Finished tasks keep their results; everything else
+// same queries (in the same order) and, for a full-scan job, the same cut
+// must be supplied — the checkpoint carries only scheduling state, not
+// sequence data — and are verified against the snapshot. A checkpoint from
+// before range tasks has no range fields and restores under nil ranges as
+// whole-database tasks. Finished tasks keep their results; everything else
 // re-runs.
-func RestoreCore(snap *sched.Snapshot, queries []*seq.Sequence, sc sched.Config, events *metrics.EventLog) (*Core, error) {
-	// The first len(queries) tasks are the per-query seeds and must match
-	// the query list in order; a filtered job's checkpoint additionally
-	// carries the rescore tasks appended before the snapshot, which only
-	// need a known query.
-	if len(snap.Tasks) < len(queries) {
-		return nil, fmt.Errorf("master: checkpoint has %d tasks but %d queries were supplied",
-			len(snap.Tasks), len(queries))
+func RestoreCore(snap *sched.Snapshot, queries []*seq.Sequence, ranges []Range, sc sched.Config, events *metrics.EventLog) (*Core, error) {
+	// The seed tasks come first and must match the query list and the cut
+	// in order; a filtered job's checkpoint (one seed per query, whatever
+	// the cut) additionally carries the rescore tasks appended before the
+	// snapshot, which only need a known query.
+	filtered := len(snap.Tasks) > 0 && snap.Tasks[0].Kind == sched.TaskPrefilter
+	if filtered || ranges == nil {
+		// One seed per query, carrying the zero range.
+		ranges = []Range{{}}
 	}
-	filtered := false
-	for i, t := range snap.Tasks[:len(queries)] {
-		if t.QueryID != queries[i].ID {
+	perQuery := len(ranges)
+	seeds := len(queries) * perQuery
+	if len(snap.Tasks) < seeds || (!filtered && len(snap.Tasks) != seeds) {
+		return nil, fmt.Errorf("master: checkpoint has %d tasks but %d queries x %d ranges were supplied",
+			len(snap.Tasks), len(queries), perQuery)
+	}
+	for i, t := range snap.Tasks[:seeds] {
+		if qi := i / perQuery; t.QueryID != queries[qi].ID {
 			return nil, fmt.Errorf("master: checkpoint task %d is %q but query %d is %q",
-				i, t.QueryID, i, queries[i].ID)
+				i, t.QueryID, qi, queries[qi].ID)
 		}
-		if t.Kind == sched.TaskPrefilter {
-			filtered = true
+		if t.Kind != snap.Tasks[0].Kind {
+			return nil, fmt.Errorf("master: checkpoint seed task %d is a %s task among %s seeds", i, t.Kind, snap.Tasks[0].Kind)
 		}
-	}
-	if !filtered && len(snap.Tasks) != len(queries) {
-		return nil, fmt.Errorf("master: checkpoint has %d tasks but %d queries were supplied",
-			len(snap.Tasks), len(queries))
+		if want := ranges[i%perQuery]; t.Lo != want.Lo || t.Hi != want.Hi {
+			return nil, fmt.Errorf("master: checkpoint task %d scans [%d,%d) but the cut says [%d,%d)",
+				i, t.Lo, t.Hi, want.Lo, want.Hi)
+		}
 	}
 	known := map[string]bool{}
 	for _, q := range queries {
 		known[q.ID] = true
 	}
-	for i, t := range snap.Tasks[len(queries):] {
+	for i, t := range snap.Tasks[seeds:] {
 		if t.Kind != sched.TaskRescore {
 			return nil, fmt.Errorf("master: checkpoint task %d is an appended %s task; only rescore tasks grow mid-job",
-				len(queries)+i, t.Kind)
+				seeds+i, t.Kind)
 		}
 		if !known[t.QueryID] {
-			return nil, fmt.Errorf("master: checkpoint task %d references unknown query %q", len(queries)+i, t.QueryID)
+			return nil, fmt.Errorf("master: checkpoint task %d references unknown query %q", seeds+i, t.QueryID)
 		}
 	}
-	c := &Core{
-		queries:       queries,
-		queryByID:     make(map[string]*seq.Sequence, len(queries)),
-		qorder:        make(map[string]int, len(queries)),
-		coord:         sched.Restore(snap, sc),
-		events:        events,
-		pendingCancel: map[sched.SlaveID][]sched.TaskID{},
-		filtered:      filtered,
-	}
-	for i, q := range queries {
-		c.queryByID[q.ID] = q
-		c.qorder[q.ID] = i
-	}
+	// dbResidues is only read by filtered jobs, which derive it below.
+	c := newCore(queries, 0, perQuery, sched.Restore(snap, sc), events)
+	c.filtered = filtered
 	if filtered {
 		c.fstats.Queries = len(queries)
 		// Reconstruct derived config from the seed tasks: the snapshot
@@ -329,16 +361,7 @@ func (c *Core) Dispatch(req wire.Envelope, now time.Duration) wire.Envelope {
 		if len(tasks) == 0 {
 			return wire.Envelope{Assign: &wire.AssignMsg{Standby: true, Done: c.coord.Done()}}
 		}
-		if c.events != nil {
-			ids := make([]int, len(tasks))
-			for i, t := range tasks {
-				ids[i] = int(t.ID)
-			}
-			_ = c.events.Emit(metrics.Event{
-				Kind: metrics.EventAssign, TimeSec: now.Seconds(),
-				PE: c.slaveName(req.Request.Slave), Tasks: ids, Replica: replica,
-			})
-		}
+		c.emitAssign(req.Request.Slave, tasks, replica, now)
 		specs := make([]wire.TaskSpec, len(tasks))
 		for i, t := range tasks {
 			specs[i] = wire.TaskSpec{
@@ -346,6 +369,8 @@ func (c *Core) Dispatch(req wire.Envelope, now time.Duration) wire.Envelope {
 				QueryID:  t.QueryID,
 				Residues: c.queryFor(t).Residues,
 				Cells:    t.Cells,
+				Lo:       t.Lo,
+				Hi:       t.Hi,
 				TaskKind: t.Kind,
 			}
 			switch t.Kind {
@@ -417,11 +442,15 @@ func (c *Core) Dispatch(req wire.Envelope, now time.Duration) wire.Envelope {
 			c.progress(c.coord.Pool().FinishedCells(), req.Complete.Rate)
 		}
 		if accepted && c.events != nil {
-			_ = c.events.Emit(metrics.Event{
+			ev := metrics.Event{
 				Kind: metrics.EventExec, PE: c.slaveName(req.Complete.Slave),
 				Task: int(req.Complete.Task), TimeSec: startAt.Seconds(),
 				EndSec: now.Seconds(), Completed: true,
-			})
+			}
+			if task.Hi > 0 {
+				ev.Query, ev.Lo, ev.Hi = task.QueryID, task.Lo, task.Hi
+			}
+			_ = c.events.Emit(ev)
 		}
 		if accepted && task.Kind != sched.TaskSW {
 			c.completeStage(task, req.Complete, now)
@@ -441,14 +470,40 @@ func (c *Core) Dispatch(req wire.Envelope, now time.Duration) wire.Envelope {
 	}
 }
 
-// queryFor resolves a task's query sequence. Seed tasks keep the
-// historical task-index identity (NewPool renumbers IDs to indices);
-// appended rescore tasks resolve through the query identifier.
+// queryFor resolves a task's query sequence. Seed tasks are laid out
+// query-major with perQuery tasks each (NewPool renumbers IDs to indices),
+// so the query is a function of the task index; appended rescore tasks
+// resolve through the query identifier.
 func (c *Core) queryFor(t sched.Task) *seq.Sequence {
-	if int(t.ID) < len(c.queries) {
-		return c.queries[t.ID]
+	if qi := int(t.ID) / c.perQuery; qi < len(c.queries) {
+		return c.queries[qi]
 	}
 	return c.queryByID[t.QueryID]
+}
+
+// emitAssign records one grant in the event stream. Whole-database tasks
+// keep the historical shape, one record listing the grant's task IDs; a
+// range task gets a record of its own naming the query and [lo,hi), so the
+// log shows which engine was handed which range — and, read against the
+// exec records, which copy of a replicated range lost.
+func (c *Core) emitAssign(slave sched.SlaveID, tasks []sched.Task, replica bool, now time.Duration) {
+	if c.events == nil {
+		return
+	}
+	ev := metrics.Event{Kind: metrics.EventAssign, TimeSec: now.Seconds(), PE: c.slaveName(slave), Replica: replica}
+	if tasks[0].Hi == 0 {
+		ev.Tasks = make([]int, len(tasks))
+		for i, t := range tasks {
+			ev.Tasks[i] = int(t.ID)
+		}
+		_ = c.events.Emit(ev)
+		return
+	}
+	for _, t := range tasks {
+		ev.Tasks = []int{int(t.ID)}
+		ev.Query, ev.Lo, ev.Hi = t.QueryID, t.Lo, t.Hi
+		_ = c.events.Emit(ev)
+	}
 }
 
 // completeStage handles the filtered-pipeline bookkeeping of one accepted
@@ -543,10 +598,17 @@ func (c *Core) Coordinator() *sched.Coordinator { return c.coord }
 // results).
 func (c *Core) Snapshot() *sched.Snapshot { return c.coord.Snapshot() }
 
-// Results merges and returns the per-query outcomes, in query order.
+// Results merges and returns the per-query outcomes, in query order. A
+// full-scan query's range results merge by query index — duplicate query
+// IDs stay legal — under the module-wide ranking contract (wire.HitLess on
+// the resident database's sequence index), so the merged list reads as one
+// whole-database scan's: Replicas sums over the ranges, Elapsed is the last
+// range's completion and Slave is who delivered it. Every range kept its
+// own top-k, so the list holds up to k hits per range; the caller that
+// knows k cuts it.
 func (c *Core) Results() []QueryResult {
 	raw := c.coord.Results()
-	out := make([]QueryResult, 0, len(raw))
+	out := make([]QueryResult, 0, len(c.queries))
 	replicas := map[sched.TaskID]int{}
 	for _, a := range c.coord.AssignmentLog() {
 		if a.Replica {
@@ -555,6 +617,7 @@ func (c *Core) Results() []QueryResult {
 			}
 		}
 	}
+	lastQuery := -1
 	for _, r := range raw {
 		// A prefilter result is an intermediate stage (its payload is the
 		// candidate windows); the query's reportable outcome is its
@@ -562,17 +625,22 @@ func (c *Core) Results() []QueryResult {
 		if c.coord.Pool().Task(r.Task).Kind == sched.TaskPrefilter {
 			continue
 		}
-		qr := QueryResult{
-			Query:    r.QueryID,
-			Slave:    r.Slave,
-			Elapsed:  r.At,
-			Replicas: replicas[r.Task],
+		// raw is in task order, so a query's range results are adjacent.
+		if qi := int(r.Task) / c.perQuery; qi != lastQuery {
+			out = append(out, QueryResult{Query: r.QueryID})
+			lastQuery = qi
 		}
+		qr := &out[len(out)-1]
+		if r.At >= qr.Elapsed {
+			qr.Elapsed, qr.Slave = r.At, r.Slave
+		}
+		qr.Replicas += replicas[r.Task]
 		if hits, ok := r.Payload.([]wire.Hit); ok {
 			qr.Hits = append(qr.Hits, hits...)
-			wire.SortHits(qr.Hits)
 		}
-		out = append(out, qr)
+	}
+	for i := range out {
+		wire.SortHits(out[i].Hits)
 	}
 	if c.filtered {
 		// Rescore task IDs follow prefilter completion order, not query

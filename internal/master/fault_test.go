@@ -8,6 +8,7 @@ import (
 	"repro/internal/master"
 	"repro/internal/sched"
 	"repro/internal/score"
+	"repro/internal/seq"
 	"repro/internal/slave"
 	"repro/internal/wire"
 )
@@ -49,13 +50,23 @@ func (*connError) Error() string { return "connection lost" }
 
 // TestSlaveDiesMidJobSurvivorFinishes kills one slave after a few protocol
 // calls; the master must requeue its work and the survivor must finish the
-// whole job with correct results.
+// whole job with the brute-force ranking. The victim is alone at its first
+// request, so the Fixed policy hands it every task of the job — in the
+// ranged shape, five range tasks per query: it dies holding all but the
+// one it completed, they requeue in the order they were granted, and no
+// range may be lost or merged twice.
 func TestSlaveDiesMidJobSurvivorFinishes(t *testing.T) {
 	db, queries := testJob(t, 6)
+	t.Run("whole", func(t *testing.T) { slaveDiesMidJob(t, db, queries, nil) })
+	t.Run("ranges", func(t *testing.T) { slaveDiesMidJob(t, db, queries, cutRanges(db, 5)) })
+}
+
+func slaveDiesMidJob(t *testing.T, db, queries []*seq.Sequence, ranges []master.Range) {
 	m, err := master.New(master.Config{
 		Queries:    queries,
 		DBResidues: dbResidues(db),
-		Policy:     sched.SS{},
+		Ranges:     ranges,
+		Policy:     &sched.Fixed{},
 		Adjust:     true,
 	})
 	if err != nil {
@@ -65,12 +76,14 @@ func TestSlaveDiesMidJobSurvivorFinishes(t *testing.T) {
 	dying, _ := slave.NewFarrarEngine("dying", score.DefaultProtein(), db, 0)
 	survivor, _ := slave.NewFarrarEngine("survivor", score.DefaultProtein(), db, 0)
 
+	dead := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
+		defer close(dead)
 		fc := &failingCaller{inner: wire.Local{H: m}, after: 3}
-		_, err := slave.Run(fc, dying, slave.Options{NotifyEvery: time.Millisecond, Poll: time.Millisecond})
+		_, err := slave.Run(fc, dying, slave.Options{NotifyEvery: time.Hour, Poll: time.Millisecond})
 		if err == nil {
 			t.Error("dying slave should report an error")
 		}
@@ -80,8 +93,9 @@ func TestSlaveDiesMidJobSurvivorFinishes(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		// Give the dying slave a head start so it actually takes work.
-		time.Sleep(10 * time.Millisecond)
+		// The survivor arrives after the death, so everything it runs
+		// was requeued from the victim.
+		<-dead
 		if _, err := slave.Run(wire.Local{H: m}, survivor, slave.Options{
 			NotifyEvery: time.Millisecond, Poll: time.Millisecond,
 		}); err != nil {
@@ -96,10 +110,26 @@ func TestSlaveDiesMidJobSurvivorFinishes(t *testing.T) {
 	if len(results) != len(queries) {
 		t.Fatalf("%d results for %d queries", len(results), len(queries))
 	}
-	for _, r := range results {
-		if len(r.Hits) != len(db) {
-			t.Fatalf("query %s: %d hits", r.Query, len(r.Hits))
+	for i, r := range results {
+		checkRanking(t, r, bruteForce(queries[i], db))
+	}
+	// Register, Request, one Complete, then the link dies: the victim
+	// finished task 0 and the survivor must be granted the rest in
+	// task order — the order they were first assigned.
+	next := sched.TaskID(1)
+	for _, a := range m.Coordinator().AssignmentLog() {
+		if a.Slave != 1 {
+			continue
 		}
+		for _, id := range a.Tasks {
+			if id != next {
+				t.Fatalf("survivor was granted task %d where %d was next in assignment order", id, next)
+			}
+			next++
+		}
+	}
+	if want := sched.TaskID(len(queries) * max(len(ranges), 1)); next != want {
+		t.Errorf("survivor was granted tasks up to %d, want all %d", next, want)
 	}
 }
 

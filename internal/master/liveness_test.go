@@ -10,6 +10,7 @@ import (
 	"repro/internal/master"
 	"repro/internal/sched"
 	"repro/internal/score"
+	"repro/internal/seq"
 	"repro/internal/slave"
 	"repro/internal/wire"
 )
@@ -185,12 +186,19 @@ func TestKilledSlaveReconnectsNoDuplicates(t *testing.T) {
 // TestMasterRestartFromCheckpoint kills a master that already banked one
 // result and restarts it from its checkpoint on a fresh address. A slave
 // that was dialing all along reconnects, re-registers and finishes only the
-// unfinished tasks.
+// unfinished tasks — in the ranged shape, the other ranges of the query the
+// banked range belongs to included.
 func TestMasterRestartFromCheckpoint(t *testing.T) {
 	db, queries := testJob(t, 4)
+	t.Run("whole", func(t *testing.T) { restartFromCheckpoint(t, db, queries, nil) })
+	t.Run("ranges", func(t *testing.T) { restartFromCheckpoint(t, db, queries, cutRanges(db, 3)) })
+}
+
+func restartFromCheckpoint(t *testing.T, db, queries []*seq.Sequence, ranges []master.Range) {
 	cfg := master.Config{
 		Queries:    queries,
 		DBResidues: dbResidues(db),
+		Ranges:     ranges,
 		Policy:     sched.SS{},
 		Adjust:     false,
 		Lease:      200 * time.Millisecond,
@@ -270,18 +278,16 @@ func TestMasterRestartFromCheckpoint(t *testing.T) {
 	}
 	m2.Close()
 
-	if out.n != len(queries)-1 {
-		t.Errorf("survivor ran %d tasks, want %d (the checkpointed one must not re-run)", out.n, len(queries)-1)
+	if want := len(queries)*max(len(ranges), 1) - 1; out.n != want {
+		t.Errorf("survivor ran %d tasks, want %d (the checkpointed one must not re-run)", out.n, want)
 	}
 	results := m2.Results()
 	if len(results) != len(queries) {
 		t.Fatalf("%d results for %d queries", len(results), len(queries))
 	}
 	banked := false
-	for _, r := range results {
-		if len(r.Hits) == 1 && r.Hits[0].SeqID == "banked" {
-			banked = true
-		}
+	for _, h := range results[0].Hits {
+		banked = banked || h.SeqID == "banked"
 	}
 	if !banked {
 		t.Error("the pre-restart result did not survive the checkpoint")

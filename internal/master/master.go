@@ -1,8 +1,10 @@
 // Package master implements the wall-clock master process of the task
 // execution environment (§IV, Fig. 4): it acquires the query sequences,
-// builds one very coarse-grained task per query, registers slaves, assigns
-// tasks through the configured allocation policy (with the workload
-// adjustment mechanism), merges the results and reports them to the user.
+// builds one task per query and database range — one very coarse-grained
+// task per query, the paper's grain, unless the job's Config carries a
+// finer cut — registers slaves, assigns tasks through the configured
+// allocation policy (with the workload adjustment mechanism), merges the
+// results and reports them to the user.
 //
 // The scheduling brain is the same sched.Coordinator that drives the
 // virtual-time experiments, and the protocol brain is Core — a
@@ -29,10 +31,19 @@ import (
 // Config describes one job.
 type Config struct {
 	Queries    []*seq.Sequence
-	DBResidues int64        // database size, for task cell counts
-	Policy     sched.Policy // nil means PSS
-	Adjust     bool
-	Omega      int
+	DBResidues int64 // database size, for task cell counts
+	// Ranges cuts a full-scan job's database into contiguous sequence-index
+	// ranges, one task per query and range, so PSS weights and first-copy-
+	// wins replication act inside a query and a replica duplicates only
+	// the tail range. It is the caller's statement about the slaves'
+	// resident database (internal/cluster computes it once per shard): the
+	// ranges must start at 0, leave no gap and hold DBResidues between
+	// them. Nil is one whole-database range, the paper's one task per
+	// query. Filtered jobs ignore it.
+	Ranges []Range
+	Policy sched.Policy // nil means PSS
+	Adjust bool
+	Omega  int
 	// Lease enables lease-based failure detection: a slave that stays
 	// silent for longer than this is declared dead and its tasks requeue,
 	// which rescues jobs from hung slaves (process alive, connection open,
@@ -70,6 +81,14 @@ type Config struct {
 	// never call back into the master. The cluster backend folds per-shard
 	// progress out of this hook.
 	Progress func(doneCells int64, rate float64)
+}
+
+// Range is one contiguous slice [Lo, Hi) of the slaves' resident database,
+// in sequence indices, with the residues it holds — what keeps a range
+// task's cell count exact.
+type Range struct {
+	Lo, Hi   int
+	Residues int64
 }
 
 // schedConfig derives the coordinator configuration, attaching scheduler
@@ -145,7 +164,7 @@ func New(cfg Config) (*Master, error) {
 	if cfg.Filtered {
 		core, err = NewFilteredCore(cfg.Queries, cfg.DBResidues, cfg.Filter, cfg.schedConfig(), cfg.Events)
 	} else {
-		core, err = NewCore(cfg.Queries, cfg.DBResidues, cfg.schedConfig(), cfg.Events)
+		core, err = NewCore(cfg.Queries, cfg.DBResidues, cfg.Ranges, cfg.schedConfig(), cfg.Events)
 	}
 	if err != nil {
 		return nil, err
@@ -325,7 +344,8 @@ func (m *Master) SaveCheckpoint(w io.Writer) error {
 
 // LoadCheckpoint rebuilds a master from a checkpoint. The same queries (in
 // the same order) must be supplied — the checkpoint carries only scheduling
-// state, not sequence data — and are verified against the snapshot.
+// state, not sequence data — and are verified against the snapshot, as is
+// cfg.Ranges against each task's range.
 func LoadCheckpoint(r io.Reader, cfg Config) (*Master, error) {
 	var snap sched.Snapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
@@ -335,7 +355,7 @@ func LoadCheckpoint(r io.Reader, cfg Config) (*Master, error) {
 	if err != nil {
 		return nil, err
 	}
-	core, err := RestoreCore(&snap, cfg.Queries, cfg.schedConfig(), cfg.Events)
+	core, err := RestoreCore(&snap, cfg.Queries, cfg.Ranges, cfg.schedConfig(), cfg.Events)
 	if err != nil {
 		return nil, err
 	}

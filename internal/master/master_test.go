@@ -32,6 +32,43 @@ func dbResidues(db []*seq.Sequence) int64 {
 	return n
 }
 
+// cutRanges cuts db into n contiguous ranges of near-equal sequence count,
+// the master.Config.Ranges a fleet would compute for it.
+func cutRanges(db []*seq.Sequence, n int) []master.Range {
+	ranges := make([]master.Range, n)
+	for i := range ranges {
+		r := master.Range{Lo: i * len(db) / n, Hi: (i + 1) * len(db) / n}
+		r.Residues = dbResidues(db[r.Lo:r.Hi])
+		ranges[i] = r
+	}
+	return ranges
+}
+
+// bruteForce ranks every database sequence for one query by the scalar
+// reference, sharing no code with the engines: the oracle for merged hits.
+func bruteForce(q *seq.Sequence, db []*seq.Sequence) []wire.Hit {
+	hits := make([]wire.Hit, len(db))
+	for i, d := range db {
+		hits[i] = wire.Hit{SeqID: d.ID, Index: i, Score: sw.Score(q.Residues, d.Residues, score.DefaultProtein())}
+	}
+	wire.SortHits(hits)
+	return hits
+}
+
+// checkRanking asserts a query's merged hits are exactly the oracle's.
+func checkRanking(t *testing.T, r master.QueryResult, want []wire.Hit) {
+	t.Helper()
+	if len(r.Hits) != len(want) {
+		t.Fatalf("query %s: %d hits, want %d (a range lost or counted twice)", r.Query, len(r.Hits), len(want))
+	}
+	for i, h := range r.Hits {
+		if h.SeqID != want[i].SeqID || h.Index != want[i].Index || h.Score != want[i].Score {
+			t.Fatalf("query %s rank %d: got {%s %d %d}, brute force has {%s %d %d}", r.Query, i,
+				h.SeqID, h.Index, h.Score, want[i].SeqID, want[i].Index, want[i].Score)
+		}
+	}
+}
+
 // runLocal drives a master and a set of in-process engines to completion.
 func runLocal(t *testing.T, m *master.Master, engines []slave.Engine) {
 	t.Helper()

@@ -29,6 +29,13 @@ type Event struct {
 	EndSec    float64 `json:"end,omitempty"`
 	Completed bool    `json:"completed,omitempty"`
 
+	// assign and exec of one database-range task: the query and the
+	// half-open sequence-index range it scans (absent on whole-database
+	// tasks).
+	Query string `json:"query,omitempty"`
+	Lo    int    `json:"lo,omitempty"`
+	Hi    int    `json:"hi,omitempty"`
+
 	// summary (one per PE plus one overall with PE == "")
 	CellsDone   int64   `json:"cells,omitempty"`
 	TasksWon    int     `json:"won,omitempty"`

@@ -3,10 +3,12 @@ package platform
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/sched"
 )
 
@@ -18,6 +20,13 @@ func TestTraceRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteTrace(&buf, res); err != nil {
 		t.Fatal(err)
+	}
+	// The experiments keep the paper's grain — whole-database tasks — so
+	// no record of theirs may carry the range-task fields.
+	for _, key := range []string{`"query"`, `"lo"`, `"hi"`} {
+		if strings.Contains(buf.String(), key) {
+			t.Errorf("whole-database trace carries the range field %s", key)
+		}
 	}
 	events, err := ReadTrace(&buf)
 	if err != nil {
@@ -72,6 +81,24 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 	if !found {
 		t.Error("replica assignment missing from trace")
+	}
+
+	// A range task's records name its query and [lo,hi), and survive the
+	// round trip.
+	ranged := []TraceEvent{
+		{Kind: metrics.EventAssign, TimeSec: 0.5, PE: "sse1", Tasks: []int{5}, Replica: true, Query: "Q01", Lo: 3, Hi: 9},
+		{Kind: metrics.EventExec, TimeSec: 0.5, PE: "sse1", Task: 5, EndSec: 0.75, Completed: true, Query: "Q01", Lo: 3, Hi: 9},
+	}
+	buf.Reset()
+	log := metrics.NewEventLog(&buf)
+	for _, e := range ranged {
+		if err := log.Emit(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	back, err := ReadTrace(&buf)
+	if err != nil || !reflect.DeepEqual(back, ranged) {
+		t.Errorf("range records read back as %+v (%v), want %+v", back, err, ranged)
 	}
 }
 

@@ -34,8 +34,8 @@ type SlaveID int
 type TaskKind int
 
 const (
-	// TaskSW is a full Smith-Waterman scan of the query against the whole
-	// database (the paper's only task shape).
+	// TaskSW is a full Smith-Waterman scan of the query against the task's
+	// database range — the whole database in the paper's only task shape.
 	TaskSW TaskKind = iota
 	// TaskPrefilter is an Aho-Corasick multi-pattern scan of the database
 	// with the query's k-mer seeds, emitting candidate windows.
@@ -81,14 +81,21 @@ type Window struct {
 	Start, End int // half-open residue range within the sequence
 }
 
-// Task is one schedulable work unit. In the paper's workload it is the
-// very coarse-grained comparison of one query sequence against the whole
-// genomic database (§IV); the filtered-search pipeline adds prefilter and
-// rescore kinds over the same distribution machinery.
+// Task is one schedulable work unit: the comparison of one query sequence
+// against one contiguous range of the database. In the paper's workload the
+// range is the whole genomic database (§IV, very coarse-grained); a serving
+// fleet cuts it finer so one query occupies every engine. The
+// filtered-search pipeline adds prefilter and rescore kinds over the same
+// distribution machinery.
 type Task struct {
 	ID      TaskID
 	QueryID string // identifier of the query sequence
 	Cells   int64  // scheduling cost in SW-cell equivalents (see PrefilterEquivCells)
+	// Lo and Hi bound a TaskSW task to the half-open sequence-index range
+	// [Lo, Hi) of the slaves' resident database. The zero value (Hi == 0)
+	// means the whole database: the paper's grain, and what checkpoints
+	// written before ranges existed decode to.
+	Lo, Hi int
 	// Kind selects the execution path on the slave; the zero value TaskSW
 	// keeps every pre-existing call site on the paper's single-kind shape.
 	Kind TaskKind

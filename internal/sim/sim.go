@@ -143,7 +143,7 @@ func (r *run) schedConfig() sched.Config {
 // start boots the master, seeds the ledger with one queued job per task,
 // schedules the fault timetable and brings up the slaves.
 func (r *run) start() {
-	core, err := master.NewCore(r.queries, r.sc.DBResidues, r.schedConfig(), r.events)
+	core, err := master.NewCore(r.queries, r.sc.DBResidues, nil, r.schedConfig(), r.events)
 	if err != nil {
 		panic(err) // Validate guarantees non-empty queries
 	}
@@ -232,7 +232,7 @@ func (r *run) restoreMaster() {
 	r.lastDelivered = map[sched.SlaveID]time.Duration{}
 	r.lastContact = map[sched.SlaveID]time.Duration{}
 	if r.checkpoint == nil {
-		core, err := master.NewCore(r.queries, r.sc.DBResidues, r.schedConfig(), r.events)
+		core, err := master.NewCore(r.queries, r.sc.DBResidues, nil, r.schedConfig(), r.events)
 		if err != nil {
 			panic(err)
 		}
@@ -243,7 +243,7 @@ func (r *run) restoreMaster() {
 			r.violatef("restart: corrupt checkpoint: %v", err)
 			return
 		}
-		core, err := master.RestoreCore(&snap, r.queries, r.schedConfig(), r.events)
+		core, err := master.RestoreCore(&snap, r.queries, nil, r.schedConfig(), r.events)
 		if err != nil {
 			r.violatef("restart: %v", err)
 			return

@@ -2,7 +2,11 @@
 // environment: the request/execute/notify loop of Fig. 4 plus the two
 // execution engines the paper integrates — the adapted Farrar striped
 // kernel for SSE cores (§IV-C) and the encapsulated CUDASW++-style engine
-// for GPUs.
+// for GPUs. A task is one query against one contiguous range of the
+// engine's resident database (RangeSearcher) — the whole of it when the
+// master cuts no ranges, the paper's grain. FarrarEngine.SearchRange is the
+// tree's one CPU scan loop; several cores serve one query by running one
+// engine each on different ranges, not by threading an engine.
 package slave
 
 import (
@@ -22,8 +26,8 @@ import (
 // mid-execution (its replica finished first elsewhere).
 var ErrCanceled = fmt.Errorf("slave: task canceled")
 
-// Engine executes one task: the comparison of a query against the engine's
-// resident database.
+// Engine executes tasks: comparisons of a query against the engine's
+// resident database, or — through the optional RangeSearcher — a range of it.
 type Engine interface {
 	// Name and Kind identify the engine at registration.
 	Name() string
@@ -82,25 +86,43 @@ func (e *FarrarEngine) DeclaredSpeed() float64 { return e.declared }
 // DatabaseResidues implements Engine.
 func (e *FarrarEngine) DatabaseResidues() int64 { return e.residues }
 
-// Search implements Engine: the database is scanned sequentially (§IV-B:
-// database files are processed sequentially on the PEs), one striped-kernel
-// score per database sequence.
+// RangeSearcher is the optional engine interface for database-range tasks:
+// Search restricted to the half-open sequence-index range [lo, hi) of the
+// resident database. It returns hi-lo hits whose Index is still the
+// position in the whole resident database, and reports progress in cells of
+// the range. The slave loop falls back to Search and drops the hits outside
+// the range for an engine that lacks it.
+type RangeSearcher interface {
+	SearchRange(query *seq.Sequence, lo, hi int, progress func(cellsDone int64), cancel <-chan struct{}) ([]wire.Hit, error)
+}
+
+// Search implements Engine: the whole database as one range.
 func (e *FarrarEngine) Search(query *seq.Sequence, progress func(int64), cancel <-chan struct{}) ([]wire.Hit, error) {
+	return e.SearchRange(query, 0, len(e.db), progress, cancel)
+}
+
+// SearchRange implements RangeSearcher: the range is scanned sequentially
+// (§IV-B: database files are processed sequentially on the PEs), one
+// striped-kernel score per database sequence.
+func (e *FarrarEngine) SearchRange(query *seq.Sequence, lo, hi int, progress func(int64), cancel <-chan struct{}) ([]wire.Hit, error) {
+	if lo < 0 || hi > len(e.db) || lo > hi {
+		return nil, fmt.Errorf("slave: range [%d,%d) outside the %d-sequence database", lo, hi, len(e.db))
+	}
 	kern, err := farrar.NewKernel(query.Residues, e.scheme)
 	if err != nil {
 		return nil, err
 	}
-	hits := make([]wire.Hit, len(e.db))
+	hits := make([]wire.Hit, hi-lo)
 	var cells int64
 	var sinceProgress int64
 	const progressChunk = 1 << 22 // ~4M cells between progress callbacks
-	for i, d := range e.db {
+	for i, d := range e.db[lo:hi] {
 		select {
 		case <-cancel:
 			return nil, ErrCanceled
 		default:
 		}
-		hits[i] = wire.Hit{SeqID: d.ID, Index: i, Score: kern.Score(d.Residues)}
+		hits[i] = wire.Hit{SeqID: d.ID, Index: lo + i, Score: kern.Score(d.Residues)}
 		n := kern.Cells(d.Residues)
 		cells += n
 		sinceProgress += n
@@ -150,17 +172,20 @@ func (e *GPUEngine) DeclaredSpeed() float64 { return e.declared }
 // DatabaseResidues implements Engine.
 func (e *GPUEngine) DatabaseResidues() int64 { return e.engine.DatabaseResidues() }
 
-// Search implements Engine. A GPU kernel launch is not interruptible, so
-// cancellation is only observed between the search and the result return.
+// Search implements Engine: the whole database as one range.
 func (e *GPUEngine) Search(query *seq.Sequence, progress func(int64), cancel <-chan struct{}) ([]wire.Hit, error) {
-	hits, rep, err := e.engine.Search(query.Residues, true)
+	return e.SearchRange(query, 0, e.engine.DatabaseSeqs(), progress, cancel)
+}
+
+// SearchRange implements RangeSearcher. The simulated device has nothing
+// to report mid-launch, so progress is called once, with the range's cells.
+func (e *GPUEngine) SearchRange(query *seq.Sequence, lo, hi int, progress func(int64), cancel <-chan struct{}) ([]wire.Hit, error) {
+	hits, rep, err := e.engine.SearchRange(query.Residues, lo, hi, true, cancel)
+	if err == cudasw.ErrCanceled {
+		return nil, ErrCanceled
+	}
 	if err != nil {
 		return nil, err
-	}
-	select {
-	case <-cancel:
-		return nil, ErrCanceled
-	default:
 	}
 	if progress != nil {
 		progress(rep.Cells)

@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/cudasw"
 	"repro/internal/dataset"
+	"repro/internal/farrar"
+	"repro/internal/metrics"
 	"repro/internal/score"
 	"repro/internal/seq"
 	"repro/internal/sw"
@@ -133,5 +135,104 @@ func TestRandomizedEnginesAgree(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// searchOnly hides an engine's optional interfaces, leaving the five
+// methods of Engine: the shape of an engine that predates range tasks.
+type searchOnly struct{ Engine }
+
+// TestSearchRangeMatchesReference cuts the database at every pair of
+// bounds a few ranges produce and checks that each engine — Farrar and GPU
+// natively, and a Search-only engine through the slave loop's fallback —
+// returns exactly the range's sequences, scored like the scalar reference
+// and indexed by their position in the whole database, with progress
+// reporting the range's cells.
+func TestSearchRangeMatchesReference(t *testing.T) {
+	db := tinyDB(t)
+	s := score.DefaultProtein()
+	sse, _ := NewFarrarEngine("sse0", s, db, 0)
+	gpu, _ := NewGPUEngine("gpu0", cudasw.GTX580(), s, db, 0)
+	q := dataset.Queries(db, 1, 70, 70, 21)[0]
+	want := make([]int, len(db))
+	for i, d := range db {
+		want[i] = sw.Score(q.Residues, d.Residues, s)
+	}
+	for _, eng := range []Engine{sse, gpu, searchOnly{sse}} {
+		_, native := eng.(RangeSearcher)
+		for _, r := range [][2]int{{0, len(db)}, {0, 1}, {3, 11}, {11, len(db)}, {len(db) - 1, len(db)}} {
+			lo, hi := r[0], r[1]
+			var reported int64
+			hits, err := searchRange(eng, q, lo, hi, func(c int64) { reported = c }, make(chan struct{}))
+			if err != nil {
+				t.Fatalf("%s [%d,%d): %v", eng.Name(), lo, hi, err)
+			}
+			if len(hits) != hi-lo {
+				t.Fatalf("%s [%d,%d): %d hits, want %d", eng.Name(), lo, hi, len(hits), hi-lo)
+			}
+			var cells int64
+			for i, h := range hits {
+				if h.Index != lo+i || h.SeqID != db[lo+i].ID || h.Score != want[lo+i] {
+					t.Fatalf("%s [%d,%d) hit %d = %+v, want %s at %d scoring %d", eng.Name(), lo, hi, i, h, db[lo+i].ID, lo+i, want[lo+i])
+				}
+				cells += int64(q.Len()) * int64(db[lo+i].Len())
+			}
+			if native && reported != cells {
+				t.Errorf("%s [%d,%d): progress ended at %d cells, the range holds %d", eng.Name(), lo, hi, reported, cells)
+			}
+		}
+	}
+	// Hi == 0 is the whole database, on any engine.
+	if hits, err := searchRange(searchOnly{sse}, q, 0, 0, nil, make(chan struct{})); err != nil || len(hits) != len(db) {
+		t.Errorf("whole-database task: %d hits, %v", len(hits), err)
+	}
+}
+
+// TestSearchRangeCancelAndBounds: a closed cancel channel stops a range
+// scan on both engines before it scores anything, and a range outside the
+// database or an invalid query is an error, not a panic.
+func TestSearchRangeCancelAndBounds(t *testing.T) {
+	db := tinyDB(t)
+	sse, _ := NewFarrarEngine("sse0", score.DefaultProtein(), db, 0)
+	gpu, _ := NewGPUEngine("gpu0", cudasw.GTX580(), score.DefaultProtein(), db, 0)
+	q := dataset.Queries(db, 1, 40, 40, 22)[0]
+	closed := make(chan struct{})
+	close(closed)
+	for _, eng := range []RangeSearcher{sse, gpu} {
+		if _, err := eng.SearchRange(q, 2, 9, nil, closed); err != ErrCanceled {
+			t.Errorf("canceled range scan: err = %v, want ErrCanceled", err)
+		}
+		for _, r := range [][2]int{{-1, 3}, {4, len(db) + 1}, {9, 2}} {
+			if _, err := eng.SearchRange(q, r[0], r[1], nil, make(chan struct{})); err == nil {
+				t.Errorf("range [%d,%d) over %d sequences accepted", r[0], r[1], len(db))
+			}
+		}
+		if _, err := eng.SearchRange(seq.New("bad", "", []byte("AC1")), 0, 3, nil, make(chan struct{})); err == nil {
+			t.Error("invalid query accepted")
+		}
+	}
+}
+
+// TestRangeScansFeedKernelStats: each range scan owns a private kernel
+// whose tier counters vanish with it unless the engine observes them, so
+// the fallback telemetry must account for every sequence of every range
+// exactly once.
+func TestRangeScansFeedKernelStats(t *testing.T) {
+	db := tinyDB(t)
+	kmet := farrar.NewMetrics(metrics.NewRegistry())
+	sse, _ := NewFarrarEngine("sse0", score.DefaultProtein(), db, 0)
+	sse.SetKernelMetrics(kmet)
+	q := dataset.Queries(db, 1, 70, 70, 12)[0]
+	for _, r := range [][2]int{{0, 7}, {7, 8}, {8, len(db)}} {
+		if _, err := sse.SearchRange(q, r[0], r[1], nil, make(chan struct{})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var total float64
+	for _, tier := range []string{farrar.Tier8, farrar.Tier16, farrar.TierScalar} {
+		total += kmet.Fallback.With(tier).Value()
+	}
+	if total != float64(len(db)) {
+		t.Errorf("farrar_fallback_total sums to %v over three ranges, want one count per database sequence (%d)", total, len(db))
 	}
 }

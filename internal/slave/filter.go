@@ -3,20 +3,17 @@ package slave
 import (
 	"fmt"
 
-	"repro/internal/farrar"
 	"repro/internal/prefilter"
 	"repro/internal/sched"
-	"repro/internal/score"
 	"repro/internal/seq"
 	"repro/internal/wire"
 )
 
 // Prefilterer is the optional engine interface for the first stage of a
 // filtered search: compile the query's k-mer seeds and scan the resident
-// database for candidate windows. Like the GPU kernel launch, the scan is
-// not interruptible; cancellation is observed at the call boundaries (the
-// pass costs ~1/PrefilterEquivCells of a full scan, so the exposure is
-// small).
+// database for candidate windows. The scan is not interruptible;
+// cancellation is observed at the call boundaries (the pass costs
+// ~1/PrefilterEquivCells of a full scan, so the exposure is small).
 type Prefilterer interface {
 	Prefilter(query *seq.Sequence, spec prefilter.Spec, cancel <-chan struct{}) (prefilter.Result, error)
 }
@@ -46,14 +43,18 @@ func EngineCaps(eng Engine) []sched.TaskKind {
 	return caps
 }
 
-// prefilterPass is the shared Prefilterer body of the CPU engines.
-func prefilterPass(db []*seq.Sequence, query *seq.Sequence, spec prefilter.Spec, cancel <-chan struct{}, pmet *prefilter.Metrics) (prefilter.Result, error) {
+// SetPrefilterMetrics attaches the prefilter instrumentation bundle; each
+// Prefilter pass observes its Stats on completion.
+func (e *FarrarEngine) SetPrefilterMetrics(m *prefilter.Metrics) { e.pmet = m }
+
+// Prefilter implements Prefilterer.
+func (e *FarrarEngine) Prefilter(query *seq.Sequence, spec prefilter.Spec, cancel <-chan struct{}) (prefilter.Result, error) {
 	select {
 	case <-cancel:
 		return prefilter.Result{}, ErrCanceled
 	default:
 	}
-	res, err := prefilter.Run(query.Residues, db, spec)
+	res, err := prefilter.Run(query.Residues, e.db, spec)
 	if err != nil {
 		return prefilter.Result{}, err
 	}
@@ -62,63 +63,36 @@ func prefilterPass(db []*seq.Sequence, query *seq.Sequence, spec prefilter.Spec,
 		return prefilter.Result{}, ErrCanceled
 	default:
 	}
-	pmet.Observe(res.Stats)
+	e.pmet.Observe(res.Stats)
 	return res, nil
-}
-
-// rescorePass is the shared WindowRescorer body of the CPU engines.
-func rescorePass(db []*seq.Sequence, scheme score.Scheme, query *seq.Sequence, windows []sched.Window, cancel <-chan struct{}, kmet *farrar.Metrics) ([]wire.Hit, error) {
-	select {
-	case <-cancel:
-		return nil, ErrCanceled
-	default:
-	}
-	r, err := prefilter.NewRescorer(query.Residues, scheme)
-	if err != nil {
-		return nil, err
-	}
-	scores, _, err := r.Rescore(db, windows)
-	if err != nil {
-		return nil, err
-	}
-	select {
-	case <-cancel:
-		return nil, ErrCanceled
-	default:
-	}
-	kmet.Observe(r.Stats())
-	hits := make([]wire.Hit, len(db))
-	for i, d := range db {
-		hits[i] = wire.Hit{SeqID: d.ID, Index: i, Score: scores[i]}
-	}
-	return hits, nil
-}
-
-// SetPrefilterMetrics attaches the prefilter instrumentation bundle; each
-// Prefilter pass observes its Stats on completion.
-func (e *FarrarEngine) SetPrefilterMetrics(m *prefilter.Metrics) { e.pmet = m }
-
-// Prefilter implements Prefilterer.
-func (e *FarrarEngine) Prefilter(query *seq.Sequence, spec prefilter.Spec, cancel <-chan struct{}) (prefilter.Result, error) {
-	return prefilterPass(e.db, query, spec, cancel, e.pmet)
 }
 
 // RescoreWindows implements WindowRescorer.
 func (e *FarrarEngine) RescoreWindows(query *seq.Sequence, windows []sched.Window, cancel <-chan struct{}) ([]wire.Hit, error) {
-	return rescorePass(e.db, e.scheme, query, windows, cancel, e.kmet)
-}
-
-// SetPrefilterMetrics attaches the prefilter instrumentation bundle.
-func (e *MulticoreEngine) SetPrefilterMetrics(m *prefilter.Metrics) { e.pmet = m }
-
-// Prefilter implements Prefilterer.
-func (e *MulticoreEngine) Prefilter(query *seq.Sequence, spec prefilter.Spec, cancel <-chan struct{}) (prefilter.Result, error) {
-	return prefilterPass(e.db, query, spec, cancel, e.pmet)
-}
-
-// RescoreWindows implements WindowRescorer.
-func (e *MulticoreEngine) RescoreWindows(query *seq.Sequence, windows []sched.Window, cancel <-chan struct{}) ([]wire.Hit, error) {
-	return rescorePass(e.db, e.scheme, query, windows, cancel, e.kmet)
+	select {
+	case <-cancel:
+		return nil, ErrCanceled
+	default:
+	}
+	r, err := prefilter.NewRescorer(query.Residues, e.scheme)
+	if err != nil {
+		return nil, err
+	}
+	scores, _, err := r.Rescore(e.db, windows)
+	if err != nil {
+		return nil, err
+	}
+	select {
+	case <-cancel:
+		return nil, ErrCanceled
+	default:
+	}
+	e.kmet.Observe(r.Stats())
+	hits := make([]wire.Hit, len(e.db))
+	for i, d := range e.db {
+		hits[i] = wire.Hit{SeqID: d.ID, Index: i, Score: scores[i]}
+	}
+	return hits, nil
 }
 
 // runStage executes the kind-specific body of one task and returns the
@@ -127,7 +101,7 @@ func (e *MulticoreEngine) RescoreWindows(query *seq.Sequence, windows []sched.Wi
 func runStage(eng Engine, spec wire.TaskSpec, query *seq.Sequence, progress func(int64), cancel <-chan struct{}) (hits []wire.Hit, windows []sched.Window, scanned, candidates int64, err error) {
 	switch spec.TaskKind {
 	case sched.TaskSW:
-		hits, err = eng.Search(query, progress, cancel)
+		hits, err = searchRange(eng, query, spec.Lo, spec.Hi, progress, cancel)
 		return hits, nil, 0, 0, err
 	case sched.TaskPrefilter:
 		pf, ok := eng.(Prefilterer)
@@ -161,4 +135,29 @@ func runStage(eng Engine, spec wire.TaskSpec, query *seq.Sequence, progress func
 	default:
 		return nil, nil, 0, 0, fmt.Errorf("slave: unknown task kind %v", spec.TaskKind)
 	}
+}
+
+// searchRange runs one TaskSW task: the whole database when hi is 0 (the
+// paper's task, and every task of a master that cuts no ranges), else the
+// range [lo, hi) — natively on a RangeSearcher, and on any other engine by
+// scanning everything and keeping the hits inside the range, which is
+// slower but ranks the same.
+func searchRange(eng Engine, query *seq.Sequence, lo, hi int, progress func(int64), cancel <-chan struct{}) ([]wire.Hit, error) {
+	if hi == 0 {
+		return eng.Search(query, progress, cancel)
+	}
+	if rs, ok := eng.(RangeSearcher); ok {
+		return rs.SearchRange(query, lo, hi, progress, cancel)
+	}
+	all, err := eng.Search(query, progress, cancel)
+	if err != nil {
+		return nil, err
+	}
+	hits := all[:0]
+	for _, h := range all {
+		if lo <= h.Index && h.Index < hi {
+			hits = append(hits, h)
+		}
+	}
+	return hits, nil
 }

@@ -49,6 +49,15 @@ type Options struct {
 	// schedules are asserted on instead of waited out; nil uses the wall
 	// clock.
 	Sleep func(time.Duration)
+	// Done, when non-nil, pushes the end of the job to this slave: once it
+	// closes, the in-flight scan is aborted through its cancel channel,
+	// queued tasks are skipped and a standby ends early, so Run returns
+	// within one database sequence's scoring time. Without it a slave
+	// learns the job is over from its next acknowledgement — a progress
+	// notification at the earliest — which a task shorter than the
+	// notification interval never sends. An in-process fleet passes the
+	// master's Done channel; a TCP slave has none and polls.
+	Done <-chan struct{}
 
 	// Metrics, when non-nil, records task wall times, cells reported,
 	// reconnections and backoff sleeps (see NewMetrics).
@@ -74,6 +83,20 @@ func (o *Options) fill() {
 	}
 	if o.Sleep == nil {
 		o.Sleep = time.Sleep
+	}
+}
+
+// standby waits out one poll interval, or less when the job ends first.
+func (o *Options) standby() {
+	if o.Done == nil {
+		o.Sleep(o.Poll)
+		return
+	}
+	t := time.NewTimer(o.Poll)
+	defer t.Stop()
+	select {
+	case <-o.Done:
+	case <-t.C:
 	}
 }
 
@@ -149,6 +172,17 @@ func runSession(caller wire.Caller, eng Engine, opts Options) (completed int, pr
 	if testCancelSet != nil {
 		testCancelSet(canceled)
 	}
+	if opts.Done != nil {
+		sessionOver := make(chan struct{})
+		defer close(sessionOver)
+		go func() {
+			select {
+			case <-opts.Done:
+				canceled.cancelAll()
+			case <-sessionOver:
+			}
+		}()
+	}
 	for {
 		resp, err := caller.Call(wire.Envelope{Request: &wire.RequestMsg{Slave: id}})
 		if err != nil {
@@ -162,7 +196,7 @@ func runSession(caller wire.Caller, eng Engine, opts Options) (completed int, pr
 			return completed, true, nil
 		}
 		if len(a.Tasks) == 0 {
-			opts.Sleep(opts.Poll)
+			opts.standby()
 			continue
 		}
 		for _, spec := range a.Tasks {
@@ -190,7 +224,8 @@ func runSession(caller wire.Caller, eng Engine, opts Options) (completed int, pr
 }
 
 // runTask executes one task, streaming progress notifications and honoring
-// cancellations that piggyback on their acknowledgements.
+// cancellations: of this task, piggybacked on their acknowledgements, and
+// of everything once the job is over (Options.Done).
 func runTask(caller wire.Caller, eng Engine, id sched.SlaveID, spec wire.TaskSpec, canceled *cancelSet, opts Options) (completed, jobDone bool, err error) {
 	query := &seq.Sequence{ID: spec.QueryID, Residues: spec.Residues}
 	var callErr error
@@ -288,6 +323,9 @@ type cancelSet struct {
 	mu    sync.Mutex
 	ids   map[sched.TaskID]bool
 	chans map[sched.TaskID]chan struct{}
+	// all is set once the job is over (Options.Done): every task, known
+	// or yet to be looked up, counts as canceled.
+	all bool
 }
 
 func newCancelSet() *cancelSet {
@@ -308,10 +346,24 @@ func (c *cancelSet) add(ids []sched.TaskID) {
 	}
 }
 
+// cancelAll cancels every task of the session, closing the cancel channel
+// of whichever is in flight.
+func (c *cancelSet) cancelAll() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.all = true
+	for id, ch := range c.chans {
+		if !c.ids[id] {
+			c.ids[id] = true
+			close(ch)
+		}
+	}
+}
+
 func (c *cancelSet) has(id sched.TaskID) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ids[id]
+	return c.all || c.ids[id]
 }
 
 // forget drops a task's bookkeeping once the slave is done with it —
@@ -342,7 +394,8 @@ func (c *cancelSet) channelFor(id sched.TaskID) <-chan struct{} {
 	if !ok {
 		ch = make(chan struct{})
 		c.chans[id] = ch
-		if c.ids[id] {
+		if c.all || c.ids[id] {
+			c.ids[id] = true
 			close(ch)
 		}
 	}

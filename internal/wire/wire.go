@@ -11,10 +11,12 @@
 //	Complete  -> CompleteAck        deliver one task's hits
 //
 // Cancellations (a replica elsewhere finished first) piggyback on
-// ProgressAck and CompleteAck, so no server push is needed and the same
-// code runs over TCP (gob-encoded, one connection per slave) or in-process
-// (direct dispatch), mirroring the paper's two-host Gigabit Ethernet setup
-// and single-host runs respectively.
+// ProgressAck and CompleteAck, so the wire needs no server push and the
+// same code runs over TCP (gob-encoded, one connection per slave) or
+// in-process (direct dispatch), mirroring the paper's two-host Gigabit
+// Ethernet setup and single-host runs respectively. The one event that is
+// pushed — the end of the job — travels outside the protocol: an in-process
+// slave is handed the master's done channel (slave.Options.Done).
 package wire
 
 import (
@@ -50,6 +52,11 @@ type TaskSpec struct {
 	QueryID  string
 	Residues []byte
 	Cells    int64
+	// Lo and Hi restrict a TaskSW task to the sequence-index range [Lo, Hi)
+	// of the slave's resident database. The gob zero value (Hi == 0) is the
+	// whole database, so masters and slaves from before range tasks
+	// interoperate unchanged.
+	Lo, Hi int
 
 	// TaskKind selects the slave's execution path. The gob zero value is
 	// sched.TaskSW, so masters and slaves from before the filtered-search
