@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet lint lint-cover loc test race race-full sim-smoke fuzz-smoke bench-smoke cover cluster-cover tenancy-cover bench bench-pair tables tables-check svg csv examples clean
+.PHONY: all build vet lint lint-cover loc bench-frozen test race race-full sim-smoke fuzz-smoke bench-smoke cover cluster-cover tenancy-cover bench bench-pair tables tables-check svg csv examples clean
 
 # The concurrency-heavy packages (distributed path + scheduler) always run
 # under the race detector as part of `make test`; `race-full` covers the
@@ -20,11 +20,15 @@ build:
 vet:
 	go vet ./...
 
-# Run the repo's own static-analysis suite (see cmd/swcheck and DESIGN §7):
-# scheduler purity, enum-switch exhaustiveness, mutex discipline, nil-guarded
-# metric handles, dropped errors, metric naming, and the flow-sensitive
-# quartet (ctxflow, unlockpath, leakcheck, deadline) built on the CFG/
-# dataflow engine. The second pass audits every //swcheck:ignore directive
+# covfloor prints the total statement coverage of cover profile $(1), as
+# `go tool cover -func` computes it, and fails below the floor of $(2) percent.
+covfloor = go tool cover -func=$(1) | awk -v min=$(2) '/^total:/ { pct = $$3; sub("%", "", pct); printf "coverage: %s%% of statements (floor %s%%)\n", pct, min; ok = (pct + 0 >= min) } END { exit !ok }'
+
+# Run the repo's own static-analysis suite (see cmd/swcheck and DESIGN §7),
+# nine analyzers: scheduler purity, enum-switch exhaustiveness, mutex
+# discipline, dropped errors, metric naming, and the flow-sensitive quartet
+# (ctxflow, unlockpath, leakcheck, deadline) built on the CFG/dataflow
+# engine. The second pass audits every //swcheck:ignore directive
 # and fails on stale ones. CI runs this as its own job (with a JSON findings
 # artifact); locally it still rides along in `make all`.
 lint:
@@ -35,12 +39,21 @@ lint:
 # gates the whole tree, so its own tests must not rot.
 lint-cover:
 	go test -coverprofile=analysis.cover.out ./internal/analysis
-	go run ./cmd/covercheck -profile analysis.cover.out -min 80
+	$(call covfloor,analysis.cover.out,80)
 
 # Code size, the number ROADMAP aim 2 tracks: lines of non-test Go source
 # outside bench/ and testdata/.
 loc:
 	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^bench/' -e '/testdata/' | xargs cat | wc -l
+
+# The benchmark-pinned surface (ROADMAP "Open items"): no PR but a benchmark
+# PR edits bench/ or BENCHMARK.json, and the benchmark must still compile
+# against the tree. Fails if anything under them differs from BASE.
+bench-frozen:
+	@changed=$$(git diff --name-only $(BASE) -- bench BENCHMARK.json); \
+	if [ -n "$$changed" ]; then echo "bench-frozen: changed since $(BASE):" >&2; echo "$$changed" >&2; exit 1; fi
+	go vet ./bench/...
+	go build -o /dev/null ./bench/swload
 
 # test runs vet plus the test suite; lint is deliberately NOT a
 # prerequisite any more — CI runs it as a separate job so analyzer
@@ -68,13 +81,13 @@ sim-smoke:
 # quota book (internal/jobs) gate admission, so their tests must not rot.
 tenancy-cover:
 	go test -coverprofile=tenancy.cover.out ./internal/jobs
-	go run ./cmd/covercheck -profile tenancy.cover.out -min 78
+	$(call covfloor,tenancy.cover.out,78)
 
 # Coverage floor for the cluster backend: the scatter-gather merge and
 # failover paths gate serving correctness, so their tests must not rot.
 cluster-cover:
 	go test -coverprofile=cluster.cover.out ./internal/cluster
-	go run ./cmd/covercheck -profile cluster.cover.out -min 75
+	$(call covfloor,cluster.cover.out,75)
 
 # Short runs of the coverage-guided fuzzers over the two parsers that
 # consume untrusted or crash-corrupted bytes (the wire codec and the jobs
@@ -107,13 +120,13 @@ bench-smoke:
 	go test -bench='BenchmarkACScan' -benchmem -run='^$$' ./internal/prefilter
 	go test -bench='BenchmarkSwcheckRepo' -benchtime=1x -run='^$$' ./internal/analysis
 	go test -coverprofile=kernel.cover.out ./internal/farrar ./internal/simd/... ./internal/prefilter
-	go run ./cmd/covercheck -profile kernel.cover.out -min 75
+	$(call covfloor,kernel.cover.out,75)
 
-# Coverage with a ratcheted floor: cmd/covercheck fails the build when
-# total statement coverage drops below -min.
+# Coverage with a ratcheted floor: the build fails when total statement
+# coverage drops below it.
 cover:
 	go test -coverprofile=cover.out ./...
-	go run ./cmd/covercheck -profile cover.out -min 75
+	$(call covfloor,cover.out,75)
 
 # Run every benchmark with allocation stats and archive the run as
 # BENCH_<date>.json (see EXPERIMENTS.md for the format); raw output

@@ -1,9 +1,8 @@
 // Command swcheck is the repository's static-analysis suite: a
 // stdlib-only (go/parser + go/types, no x/tools) multi-analyzer driver
 // that enforces the invariants DESIGN §7 documents — scheduler purity,
-// enum-switch exhaustiveness, mutex discipline, nil-guarded metric
-// handles, checked errors and the subsystem_name_unit metric naming
-// convention. `make lint` (and therefore `make test` and CI) runs it over
+// enum-switch exhaustiveness, mutex discipline, checked errors and the
+// subsystem_name_unit metric naming convention. `make lint` (and therefore `make test` and CI) runs it over
 // the whole module.
 //
 // Usage:

@@ -1,7 +1,7 @@
 // Command swsim drives the deterministic cluster simulator
 // (internal/sim): seeded chaos scenarios — slave crashes, hangs,
-// slow-downs, link faults, master restarts with WAL recovery — run under
-// virtual time against the real master/scheduler/jobs code, with every
+// slow-downs, link faults, master restarts with checkpoint recovery — run
+// under virtual time against the real master/scheduler code, with every
 // distributed-systems invariant checked at the end. The same seed always
 // produces the same run, byte for byte, so any reported failure is a
 // one-line reproducer.

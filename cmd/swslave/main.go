@@ -67,12 +67,9 @@ func main() {
 	fmt.Printf("slave %s: database %s loaded (%d sequences, %d residues)\n",
 		*name, *dbPath, len(db), eng.DatabaseResidues())
 
-	var slaveMet *slave.Metrics
-	var wireMet *wire.Metrics
+	var reg *metrics.Registry // nil without -metrics: the bundles below are no-ops
 	if *metricsA != "" {
-		reg := metrics.NewRegistry()
-		slaveMet = slave.NewMetrics(reg)
-		wireMet = wire.NewMetrics(reg)
+		reg = metrics.NewRegistry()
 		mux := http.NewServeMux()
 		mux.Handle("GET /metrics", reg.Handler())
 		mux.Handle("GET /varz", reg.VarzHandler())
@@ -83,6 +80,7 @@ func main() {
 		}()
 		fmt.Printf("slave %s: metrics on http://%s/metrics\n", *name, *metricsA)
 	}
+	slaveMet, wireMet := slave.NewMetrics(reg), wire.NewMetrics(reg)
 
 	dial := func() (wire.Caller, error) {
 		c, err := wire.Dial(*addr)

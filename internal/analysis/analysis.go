@@ -2,9 +2,8 @@
 // cmd/swcheck. It loads and type-checks the module's packages (load.go),
 // runs a set of repo-specific analyzers over them (run.go), and reports
 // file:line diagnostics. The analyzers turn DESIGN's prose invariants —
-// scheduler purity, enum-switch exhaustiveness, lock discipline,
-// nil-guarded metrics, checked errors, metric naming — into checks that
-// fail `make test` when violated.
+// scheduler purity, enum-switch exhaustiveness, lock discipline, checked
+// errors, metric naming — into checks that fail `make test` when violated.
 //
 // The package deliberately avoids golang.org/x/tools: packages are
 // parsed with go/parser, type-checked with go/types, and module-internal

@@ -14,7 +14,6 @@ func All() []*Analyzer {
 		LeakcheckAnalyzer,
 		LockguardAnalyzer,
 		MetricNameAnalyzer,
-		NilMetricAnalyzer,
 		PurityAnalyzer,
 		UnlockpathAnalyzer,
 	}

@@ -42,10 +42,6 @@ func TestLockguardGolden(t *testing.T) {
 	runGolden(t, "testdata/lockguard", LockguardAnalyzer)
 }
 
-func TestNilMetricGolden(t *testing.T) {
-	runGolden(t, "testdata/nilmetric", NilMetricAnalyzer)
-}
-
 func TestErrcheckGolden(t *testing.T) {
 	runGolden(t, "testdata/errcheck", ErrcheckAnalyzer)
 }

@@ -99,8 +99,9 @@ type Config struct {
 	// detector, the backstop for replicas that hang without dropping
 	// (crashes are caught promptly through SlaveGone).
 	Lease time.Duration
-	// Registry, when non-nil, instruments the fleet (cluster_* families)
-	// and every shard job's master/scheduler/slave metrics.
+	// Registry receives the fleet's cluster_* families and every shard
+	// job's master/scheduler/slave metrics; nil runs the fleet
+	// uninstrumented.
 	Registry *metrics.Registry
 }
 
@@ -185,16 +186,13 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Scheme.Matrix == nil {
 		cfg.Scheme = score.DefaultProtein()
 	}
-	f := &Fleet{cfg: cfg}
-	var kernMet *farrar.Metrics
-	var filtMet *prefilter.Metrics
-	if cfg.Registry != nil {
-		f.met = NewMetrics(cfg.Registry)
-		f.wireMet = wire.NewMetrics(cfg.Registry)
-		f.slaveMet = slave.NewMetrics(cfg.Registry)
-		kernMet = farrar.NewMetrics(cfg.Registry)
-		filtMet = prefilter.NewMetrics(cfg.Registry)
+	f := &Fleet{
+		cfg:      cfg,
+		met:      NewMetrics(cfg.Registry),
+		wireMet:  wire.NewMetrics(cfg.Registry),
+		slaveMet: slave.NewMetrics(cfg.Registry),
 	}
+	kernMet, filtMet := farrar.NewMetrics(cfg.Registry), prefilter.NewMetrics(cfg.Registry)
 	for _, part := range partition(cfg.DB, cfg.Shards) {
 		s := &shard{index: len(f.shards), db: cfg.DB[part.Lo:part.Hi], offset: part.Lo, residues: part.Residues}
 		engines, err := newEngines(s.index, cfg, s.db, kernMet, filtMet)
@@ -207,9 +205,7 @@ func New(cfg Config) (*Fleet, error) {
 		}
 		f.shards = append(f.shards, s)
 	}
-	if f.met != nil {
-		f.met.LiveReplicas.Set(float64(cfg.Shards * (cfg.GPUs + cfg.Replicas)))
-	}
+	f.met.LiveReplicas.Set(float64(cfg.Shards * (cfg.GPUs + cfg.Replicas)))
 	return f, nil
 }
 
@@ -217,7 +213,7 @@ func New(cfg Config) (*Fleet, error) {
 // cfg.GPUs simulated devices, then cfg.Replicas Farrar CPU engines. Engines
 // whose compute core is a farrar.Kernel publish their 8/16/scalar fallback
 // telemetry into kernMet and prefilter-capable engines their scan
-// accounting into filtMet (both may be nil).
+// accounting into filtMet.
 func newEngines(shard int, cfg Config, db []*seq.Sequence, kernMet *farrar.Metrics, filtMet *prefilter.Metrics) ([]slave.Engine, error) {
 	var engines []slave.Engine
 	for i := 0; i < cfg.GPUs; i++ {
@@ -334,10 +330,8 @@ func (f *Fleet) KillReplica(shardIdx, replicaIdx int) error {
 	}
 	r.dead = true
 	close(r.down)
-	if f.met != nil {
-		f.met.ReplicasKilled.Inc()
-		f.met.LiveReplicas.Add(-1)
-	}
+	f.met.ReplicasKilled.Inc()
+	f.met.LiveReplicas.Add(-1)
 	return nil
 }
 
@@ -356,9 +350,7 @@ func (f *Fleet) ReviveReplica(shardIdx, replicaIdx int) error {
 	}
 	r.dead = false
 	r.down = make(chan struct{})
-	if f.met != nil {
-		f.met.LiveReplicas.Add(1)
-	}
+	f.met.LiveReplicas.Add(1)
 	return nil
 }
 

@@ -484,3 +484,32 @@ func TestRangeTasksMatchBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// TestSearchSameWithAndWithoutRegistry: instrumentation observes a search
+// and never steers it. The same fleet shape over a nil and a non-nil
+// registry returns the same ranking, and the instrumented one counts it.
+func TestSearchSameWithAndWithoutRegistry(t *testing.T) {
+	db := testDB(t, "Ensembl Dog Proteins", 0.0006, 13)
+	queries := hybridsw.GenerateQueries(db, 3, 40, 100, 14)
+	for _, mode := range []string{"full", "filtered"} {
+		reg := metrics.NewRegistry()
+		var rankings []string
+		for _, r := range []*metrics.Registry{nil, reg} {
+			fleet, err := cluster.New(cluster.Config{DB: db, Shards: 2, Replicas: 2, Registry: r})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := fleet.Search(queries, cluster.Params{Policy: "PSS", TopK: 5, Mode: mode, AlignBest: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rankings = append(rankings, rankingJSON(t, rep.PerQuery))
+		}
+		if rankings[0] != rankings[1] {
+			t.Errorf("%s: ranking depends on the registry:\n nil %s\n set %s", mode, rankings[0], rankings[1])
+		}
+		if got := cluster.NewMetrics(reg).Searches.With(mode).Value(); got != 1 {
+			t.Errorf("%s: instrumented fleet counted %v searches, want 1", mode, got)
+		}
+	}
+}

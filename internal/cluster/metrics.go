@@ -6,9 +6,9 @@ import "repro/internal/metrics"
 // for tiny test shards up to minutes for real database partitions.
 var ScanBuckets = []float64{0.001, 0.01, 0.05, 0.25, 1, 5, 20, 60, 300}
 
-// Metrics is the cluster backend's instrumentation bundle. Like every
-// bundle in this repo it is optional: a Fleet with a nil Config.Registry
-// skips all accounting.
+// Metrics is the cluster backend's instrumentation bundle. A Fleet always
+// holds one, built on Config.Registry; over a nil registry its handles are
+// no-ops.
 type Metrics struct {
 	Searches       *metrics.CounterVec // by mode
 	ShardScans     *metrics.CounterVec // by outcome ("done", "failed")

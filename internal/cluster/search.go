@@ -180,13 +180,11 @@ func (f *Fleet) SearchContext(ctx context.Context, queries []*seq.Sequence, p Pa
 		}
 	}
 	rep.PerQuery = f.merge(queries, outcomes, p.TopK)
-	if f.met != nil {
-		mode := p.Mode
-		if mode == "" {
-			mode = "full"
-		}
-		f.met.Searches.With(mode).Inc()
+	mode := p.Mode
+	if mode == "" {
+		mode = "full"
 	}
+	f.met.Searches.With(mode).Inc()
 	return rep, nil
 }
 
@@ -261,9 +259,7 @@ func (f *Fleet) searchShard(ctx context.Context, s *shard, queries []*seq.Sequen
 	report := ShardReport{Shard: s.index, Sequences: len(s.db), Residues: s.residues}
 	fail := func(err error) ([]master.QueryResult, *master.FilterStats, ShardReport, error) {
 		board.setState(s.index, ShardFailed)
-		if f.met != nil {
-			f.met.ShardScans.With("failed").Inc()
-		}
+		f.met.ShardScans.With("failed").Inc()
 		return nil, nil, report, err
 	}
 
@@ -325,9 +321,7 @@ func (f *Fleet) searchShard(ctx context.Context, s *shard, queries []*seq.Sequen
 		}
 		mu.Unlock()
 		board.setState(s.index, ShardScanning)
-		if f.met != nil {
-			f.met.Failovers.Inc()
-		}
+		f.met.Failovers.Inc()
 	}
 	callers := make([]*replicaCaller, len(replicas))
 	errs := make([]error, len(replicas))
@@ -392,9 +386,7 @@ func (f *Fleet) searchShard(ctx context.Context, s *shard, queries []*seq.Sequen
 		report.GCUPS = float64(report.Cells) / report.Elapsed.Seconds() / 1e9
 	}
 	board.finish(s.index)
-	if f.met != nil {
-		f.met.ShardScans.With("done").Inc()
-		f.met.ShardScanSeconds.Observe(report.Elapsed.Seconds())
-	}
+	f.met.ShardScans.With("done").Inc()
+	f.met.ShardScanSeconds.Observe(report.Elapsed.Seconds())
 	return results, fs, report, nil
 }

@@ -28,7 +28,6 @@ import (
 	"repro/internal/farrar"
 	"repro/internal/score"
 	"repro/internal/seq"
-	"repro/internal/sw"
 	"time"
 )
 
@@ -282,10 +281,4 @@ func (e *Engine) cost(m int64, rep Report, intraCells, residues int64) time.Dura
 	}
 	d += e.dev.SearchOverhead
 	return d
-}
-
-// ScoreOnly is a convenience that verifies one query/target pair against
-// the engine's scheme with the reference kernel; used by tests.
-func (e *Engine) ScoreOnly(query, target []byte) int {
-	return sw.Score(query, target, e.scheme)
 }

@@ -13,6 +13,7 @@ const (
 // Metrics is the kernel-side instrumentation bundle. Kernels themselves
 // stay metrics-free (they are built per worker goroutine and per query);
 // callers aggregate Stats across kernels and publish the totals here.
+// NewMetrics(nil) is the uninstrumented bundle engines start with.
 type Metrics struct {
 	// Fallback counts sequences by the ladder tier that resolved them,
 	// labelled tier="8bit" | "16bit" | "scalar".
@@ -27,12 +28,9 @@ func NewMetrics(r *metrics.Registry) *Metrics {
 	}
 }
 
-// Observe publishes one batch of aggregated kernel stats. Nil receivers
-// and zero deltas are no-ops, so callers can observe unconditionally.
+// Observe publishes one batch of aggregated kernel stats; a tier with a zero
+// delta is not touched, so it gets no series before its first sequence.
 func (m *Metrics) Observe(s Stats) {
-	if m == nil {
-		return
-	}
 	if s.Scored8 > 0 {
 		m.Fallback.With(Tier8).Add(float64(s.Scored8))
 	}

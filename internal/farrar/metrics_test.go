@@ -38,7 +38,7 @@ func TestMetricsObserve(t *testing.T) {
 	}
 }
 
+// The uninstrumented bundle drives every handle it holds without panicking.
 func TestMetricsNilSafe(t *testing.T) {
-	var m *Metrics
-	m.Observe(Stats{Scored8: 1}) // must not panic
+	NewMetrics(nil).Observe(Stats{Scored8: 1, Fallback16: 1, FallbackSW: 1})
 }

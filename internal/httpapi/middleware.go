@@ -74,21 +74,16 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 			r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
 		}
 		sw := &statusWriter{ResponseWriter: w}
-		met := s.met
-		if met != nil {
-			met.inFlight.Inc()
-		}
+		s.met.inFlight.Inc()
 		start := time.Now()
 		h(sw, r)
 		elapsed := time.Since(start)
 		if sw.status == 0 {
 			sw.status = http.StatusOK
 		}
-		if met != nil {
-			met.inFlight.Dec()
-			met.requests.With(route, statusClass(sw.status)).Inc()
-			met.seconds.With(route).Observe(elapsed.Seconds())
-		}
+		s.met.inFlight.Dec()
+		s.met.requests.With(route, statusClass(sw.status)).Inc()
+		s.met.seconds.With(route).Observe(elapsed.Seconds())
 		if s.Log != nil {
 			s.Log.Printf("%s %s %d %s id=%s", r.Method, r.URL.Path, sw.status, elapsed.Round(time.Microsecond), id)
 		}

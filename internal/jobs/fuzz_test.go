@@ -29,7 +29,7 @@ func walFixture(t testing.TB) (snapshot, wal []byte) {
 		{ID: "j03", Key: "k3", State: StateRunning, Created: t0.Add(2 * time.Second)}, // duplicate
 		{ID: "j03", Key: "k3", State: StateDone, Created: t0.Add(2 * time.Second)},
 	} {
-		line, err := MarshalRecord(j)
+		line, err := marshalRecord(j)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func walFixture(t testing.TB) (snapshot, wal []byte) {
 }
 
 // FuzzWALReplay feeds arbitrary snapshot/WAL byte pairs to the recovery
-// path. Replay must never panic, and whatever it accepts must be stable:
+// path. replay must never panic, and whatever it accepts must be stable:
 // re-serializing the recovered records as a snapshot plus an empty WAL
 // (exactly what compaction writes) and replaying again must reproduce the
 // same records — recovery is idempotent over its own output.
@@ -57,7 +57,7 @@ func FuzzWALReplay(f *testing.F) {
 		if len(snapshot) > 1<<20 || len(walBytes) > 1<<20 {
 			return
 		}
-		recs, err := Replay(snapshot, walBytes)
+		recs, err := replay(snapshot, walBytes)
 		if err != nil {
 			return // corrupt snapshot must error, not panic
 		}
@@ -65,7 +65,7 @@ func FuzzWALReplay(f *testing.F) {
 		if err != nil {
 			t.Fatalf("recovered records do not re-marshal: %v", err)
 		}
-		again, err := Replay(reSnap, nil)
+		again, err := replay(reSnap, nil)
 		if err != nil {
 			t.Fatalf("replaying recovery's own snapshot failed: %v", err)
 		}
@@ -90,7 +90,7 @@ func TestReplaySemantics(t *testing.T) {
 	// Tear the final line mid-record: j03's done transition is lost, so the
 	// last complete record (running) must win instead.
 	torn := wal[:len(wal)-7]
-	recs, err := Replay(snap, torn)
+	recs, err := replay(snap, torn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestReplaySemantics(t *testing.T) {
 	}
 
 	// A corrupt snapshot is a hard error.
-	if _, err := Replay([]byte("{broken"), nil); err == nil {
+	if _, err := replay([]byte("{broken"), nil); err == nil {
 		t.Error("corrupt snapshot did not error")
 	}
 }

@@ -186,7 +186,8 @@ type Config struct {
 	// entirely unaffected.
 	Tenants        map[string]TenantConfig
 	TenantDefaults TenantConfig
-	// Metrics, when non-nil, instruments every transition (see NewMetrics).
+	// Metrics instruments every transition (see NewMetrics); nil means
+	// NewMetrics(nil), the uninstrumented bundle.
 	Metrics *Metrics
 }
 
@@ -207,6 +208,7 @@ const (
 // guards (the cache carries its own lock so result reads skip mu).
 type Manager struct {
 	cfg Config
+	met *Metrics // cfg.Metrics, or the uninstrumented bundle; never nil
 	// backend stamps every new job with the execution path that will run
 	// it (Config.Executor's kind).
 	backend Backend
@@ -249,11 +251,16 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.RetryAfter == 0 {
 		cfg.RetryAfter = DefaultRetryAfter
 	}
+	met := cfg.Metrics
+	if met == nil {
+		met = NewMetrics(nil)
+	}
 	//swcheck:ignore ctxflow the Manager's base ctx outlives any submitter: queued jobs survive caller disconnects and re-run after recovery, so it must root at Background
 	base, abort := context.WithCancel(context.Background())
 	book := NewTenantBook(cfg.TenantPolicy, cfg.Tenants, cfg.TenantDefaults)
 	m := &Manager{
 		cfg:     cfg,
+		met:     met,
 		backend: cfg.Executor.Kind(),
 		base:    base,
 		abort:   abort,
@@ -306,17 +313,13 @@ func (m *Manager) recoverLocked(recs []Job) {
 			m.logLocked(j)
 		case StateDone, StateFailed, StateCanceled:
 			close(j.done)
-			if mm := m.cfg.Metrics; mm != nil {
-				mm.ByState.With(string(rec.State)).Inc()
-			}
+			m.met.ByState.With(string(rec.State)).Inc()
 		default:
 			continue // unknown state in a newer WAL: skip, don't crash
 		}
 		m.jobs[j.ID] = j
 	}
-	if mm := m.cfg.Metrics; mm != nil {
-		mm.QueueDepth.Set(float64(m.q.len()))
-	}
+	m.met.QueueDepth.Set(float64(m.q.len()))
 }
 
 // key derives the content address of a request: everything that determines
@@ -360,9 +363,7 @@ func (m *Manager) Submit(req Request, async bool) (Job, error) {
 		if async {
 			j.async = true
 		}
-		if mm := m.cfg.Metrics; mm != nil {
-			mm.Coalesced.Inc()
-		}
+		m.met.Coalesced.Inc()
 		return j.snapshot(), nil
 	}
 	if body, ok := m.cachedLocked(key); ok {
@@ -373,18 +374,14 @@ func (m *Manager) Submit(req Request, async bool) (Job, error) {
 		j.ResultBytes = int64(len(body))
 		m.setStateLocked(j, StateDone)
 		close(j.done)
-		if mm := m.cfg.Metrics; mm != nil {
-			mm.Submitted.Inc()
-			mm.CacheHits.Inc()
-		}
+		m.met.Submitted.Inc()
+		m.met.CacheHits.Inc()
 		m.logLocked(j)
 		return j.snapshot(), nil
 	}
 	if rej := m.book.Admit(req.Tenant, req.Residues); rej != nil {
 		m.countRejectLocked("tenant_quota")
-		if mm := m.cfg.Metrics; mm != nil {
-			mm.TenantRejected.With(tenantLabel(req.Tenant)).Inc()
-		}
+		m.met.TenantRejected.With(tenantLabel(req.Tenant)).Inc()
 		// The hint tracks the rejected tenant's own backlog: that is what
 		// has to drain before its next submission fits the quota.
 		outstanding, _ := m.book.Outstanding(req.Tenant)
@@ -403,11 +400,9 @@ func (m *Manager) Submit(req Request, async bool) (Job, error) {
 	m.setStateLocked(j, StateQueued)
 	m.q.push(j)
 	m.byKey[key] = j
-	if mm := m.cfg.Metrics; mm != nil {
-		mm.Submitted.Inc()
-		mm.CacheMisses.Inc()
-		mm.QueueDepth.Set(float64(m.q.len()))
-	}
+	m.met.Submitted.Inc()
+	m.met.CacheMisses.Inc()
+	m.met.QueueDepth.Set(float64(m.q.len()))
 	m.syncTenantLocked(req.Tenant)
 	m.logLocked(j)
 	m.cond.Signal()
@@ -425,13 +420,9 @@ func tenantLabel(tenant string) string {
 
 // syncTenantLocked refreshes one tenant's queued/running gauges.
 func (m *Manager) syncTenantLocked(tenant string) {
-	mm := m.cfg.Metrics
-	if mm == nil {
-		return
-	}
 	label := tenantLabel(tenant)
-	mm.TenantQueued.With(label).Set(float64(m.book.Queued(tenant)))
-	mm.TenantRunning.With(label).Set(float64(m.book.Running(tenant)))
+	m.met.TenantQueued.With(label).Set(float64(m.book.Queued(tenant)))
+	m.met.TenantRunning.With(label).Set(float64(m.book.Running(tenant)))
 }
 
 // admit applies the per-request size caps (no lock needed: caps are
@@ -448,16 +439,12 @@ func (m *Manager) admit(req Request) error {
 	default:
 		return nil
 	}
-	if mm := m.cfg.Metrics; mm != nil {
-		mm.Rejected.With(reason).Inc()
-	}
+	m.met.Rejected.With(reason).Inc()
 	return &RejectError{Reason: reason, Detail: detail}
 }
 
 func (m *Manager) countRejectLocked(reason string) {
-	if mm := m.cfg.Metrics; mm != nil {
-		mm.Rejected.With(reason).Inc()
-	}
+	m.met.Rejected.With(reason).Inc()
 }
 
 func (m *Manager) newJobLocked(key string, req Request, async bool) *job {
@@ -478,12 +465,10 @@ func (m *Manager) newJobLocked(key string, req Request, async bool) *job {
 
 // setStateLocked transitions a job and keeps the by-state gauge honest.
 func (m *Manager) setStateLocked(j *job, s State) {
-	if mm := m.cfg.Metrics; mm != nil {
-		if j.State != "" {
-			mm.ByState.With(string(j.State)).Dec()
-		}
-		mm.ByState.With(string(s)).Inc()
+	if j.State != "" {
+		m.met.ByState.With(string(j.State)).Dec()
 	}
+	m.met.ByState.With(string(s)).Inc()
 	j.State = s
 }
 
@@ -501,10 +486,8 @@ func (m *Manager) cachedLocked(key string) ([]byte, bool) {
 		return nil, false
 	}
 	evicted := m.cache.put(key, body)
-	if mm := m.cfg.Metrics; mm != nil {
-		mm.CacheEvictions.Add(float64(evicted))
-		mm.CacheBytes.Set(float64(m.cache.size()))
-	}
+	m.met.CacheEvictions.Add(float64(evicted))
+	m.met.CacheBytes.Set(float64(m.cache.size()))
 	return body, true
 }
 
@@ -515,9 +498,7 @@ func (m *Manager) logLocked(j *job) {
 		return
 	}
 	if err := m.st.append(j.Job); err != nil {
-		if mm := m.cfg.Metrics; mm != nil {
-			mm.StoreErrors.Inc()
-		}
+		m.met.StoreErrors.Inc()
 		return
 	}
 	if m.st.appends >= snapshotEvery {
@@ -546,9 +527,7 @@ func (m *Manager) snapshotLocked() {
 				break
 			}
 			delete(m.jobs, j.ID)
-			if mm := m.cfg.Metrics; mm != nil {
-				mm.ByState.With(string(j.State)).Dec()
-			}
+			m.met.ByState.With(string(j.State)).Dec()
 			over--
 		}
 	}
@@ -559,9 +538,7 @@ func (m *Manager) snapshotLocked() {
 		keep[j.Key] = true
 	}
 	if err := m.st.snapshot(all, keep); err != nil {
-		if mm := m.cfg.Metrics; mm != nil {
-			mm.StoreErrors.Inc()
-		}
+		m.met.StoreErrors.Inc()
 	}
 }
 
@@ -584,11 +561,9 @@ func (m *Manager) executor() {
 		j.cancel = cancel
 		j.Started = time.Now()
 		m.setStateLocked(j, StateRunning)
-		if mm := m.cfg.Metrics; mm != nil {
-			mm.QueueDepth.Set(float64(m.q.len()))
-			mm.ExecutorsBusy.Inc()
-			mm.WaitSeconds.Observe(j.Started.Sub(j.Created).Seconds())
-		}
+		m.met.QueueDepth.Set(float64(m.q.len()))
+		m.met.ExecutorsBusy.Inc()
+		m.met.WaitSeconds.Observe(j.Started.Sub(j.Created).Seconds())
 		m.syncTenantLocked(j.Request.Tenant)
 		m.logLocked(j)
 		req := j.Request
@@ -606,9 +581,7 @@ func (m *Manager) executor() {
 			m.setStateLocked(j, StateDone)
 			m.storeResultLocked(j.Key, body)
 			m.book.Finish(req.Tenant, req.Residues, true)
-			if mm := m.cfg.Metrics; mm != nil {
-				mm.TenantServed.With(tenantLabel(req.Tenant)).Add(float64(req.Residues))
-			}
+			m.met.TenantServed.With(tenantLabel(req.Tenant)).Add(float64(req.Residues))
 			m.finishLocked(j, "done")
 		case j.canceled:
 			j.Error = context.Canceled.Error()
@@ -630,11 +603,9 @@ func (m *Manager) executor() {
 			m.finishLocked(j, "failed")
 		}
 		m.syncTenantLocked(req.Tenant)
-		if mm := m.cfg.Metrics; mm != nil {
-			mm.ExecutorsBusy.Dec()
-			if !j.Finished.IsZero() {
-				mm.RunSeconds.Observe(j.Finished.Sub(j.Started).Seconds())
-			}
+		m.met.ExecutorsBusy.Dec()
+		if !j.Finished.IsZero() {
+			m.met.RunSeconds.Observe(j.Finished.Sub(j.Started).Seconds())
 		}
 		m.mu.Unlock()
 	}
@@ -647,25 +618,19 @@ func (m *Manager) finishLocked(j *job, outcome string) {
 		delete(m.byKey, j.Key)
 	}
 	close(j.done)
-	if mm := m.cfg.Metrics; mm != nil {
-		mm.Completed.With(outcome).Inc()
-	}
+	m.met.Completed.With(outcome).Inc()
 	m.logLocked(j)
 }
 
 // storeResultLocked caches and persists one result body.
 func (m *Manager) storeResultLocked(key string, body []byte) {
 	evicted := m.cache.put(key, body)
-	if mm := m.cfg.Metrics; mm != nil {
-		mm.CacheEvictions.Add(float64(evicted))
-		mm.CacheBytes.Set(float64(m.cache.size()))
-		mm.ResultBytes.Observe(float64(len(body)))
-	}
+	m.met.CacheEvictions.Add(float64(evicted))
+	m.met.CacheBytes.Set(float64(m.cache.size()))
+	m.met.ResultBytes.Observe(float64(len(body)))
 	if m.st != nil {
 		if err := m.st.saveResult(key, body); err != nil {
-			if mm := m.cfg.Metrics; mm != nil {
-				mm.StoreErrors.Inc()
-			}
+			m.met.StoreErrors.Inc()
 		}
 	}
 }
@@ -780,9 +745,7 @@ func (m *Manager) cancelLocked(j *job) {
 		j.Finished = time.Now()
 		j.Error = context.Canceled.Error()
 		m.setStateLocked(j, StateCanceled)
-		if mm := m.cfg.Metrics; mm != nil {
-			mm.QueueDepth.Set(float64(m.q.len()))
-		}
+		m.met.QueueDepth.Set(float64(m.q.len()))
 		m.syncTenantLocked(j.Request.Tenant)
 		m.finishLocked(j, "canceled")
 	case StateRunning:

@@ -13,9 +13,9 @@ var RunBuckets = []float64{0.01, 0.05, 0.25, 1, 5, 20, 60, 300, 1200}
 // ResultBuckets spans encoded result sizes in bytes.
 var ResultBuckets = []float64{1 << 10, 16 << 10, 256 << 10, 1 << 20, 16 << 20, 256 << 20}
 
-// Metrics is the job subsystem's instrumentation bundle. Like every bundle
-// in this repo it is optional: a Manager with a nil Config.Metrics skips
-// all accounting, so embedded and test uses pay nothing.
+// Metrics is the job subsystem's instrumentation bundle. A Manager always
+// holds one: a nil Config.Metrics becomes NewMetrics(nil), whose handles
+// are no-ops, so embedded and test uses pay a nil check per update.
 type Metrics struct {
 	Submitted      *metrics.Counter
 	Coalesced      *metrics.Counter

@@ -36,7 +36,7 @@ func TestDemotionRacesLateResult(t *testing.T) {
 		Started: time.Date(2026, 8, 1, 12, 0, 1, 0, time.UTC),
 		Error:   "leftover from a previous failed attempt",
 	}
-	line, err := MarshalRecord(rec)
+	line, err := marshalRecord(rec)
 	if err != nil {
 		t.Fatal(err)
 	}

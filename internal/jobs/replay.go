@@ -9,12 +9,11 @@ import (
 
 // This file is the pure half of the durable store: turning a snapshot blob
 // plus a WAL blob back into job records, and turning one record into its
-// WAL line. Keeping it free of file I/O lets the deterministic cluster
-// simulator (internal/sim) and the FuzzWALReplay target exercise the exact
-// recovery semantics the Manager boots with — torn tails, duplicated
-// records, last-wins — against in-memory ledgers.
+// WAL line. Keeping it free of file I/O lets the FuzzWALReplay target
+// exercise the exact recovery semantics the Manager boots with — torn
+// tails, duplicated records, last-wins — on in-memory bytes.
 
-// Replay reconstructs the surviving job records from a snapshot body (a
+// replay reconstructs the surviving job records from a snapshot body (a
 // JSON array of records; nil or empty means no snapshot) with the WAL (one
 // JSON record per line) replayed over it. Later WAL records for the same
 // job ID win. Unparseable WAL lines are skipped: a torn final line is the
@@ -22,7 +21,7 @@ import (
 // already took effect. A corrupt snapshot is an error — it is written
 // atomically, so damage there is real. Records return sorted by Created
 // then ID, the order recovery re-enqueues them in.
-func Replay(snapshot, wal []byte) ([]Job, error) {
+func replay(snapshot, wal []byte) ([]Job, error) {
 	byID := map[string]Job{}
 	if len(bytes.TrimSpace(snapshot)) > 0 {
 		var snap []Job
@@ -57,22 +56,22 @@ func Replay(snapshot, wal []byte) ([]Job, error) {
 	return out, nil
 }
 
-// CleanLength returns the length of the WAL prefix ending at the last
+// cleanLength returns the length of the WAL prefix ending at the last
 // complete (newline-terminated) record. Recovery must truncate the WAL to
-// this offset before appending again: Replay tolerates a torn final line,
+// this offset before appending again: replay tolerates a torn final line,
 // but appending directly after the torn bytes would concatenate the next
 // record onto them, producing one unparseable merged line — the crash
 // would silently swallow the first record written after recovery.
-func CleanLength(wal []byte) int {
+func cleanLength(wal []byte) int {
 	if i := bytes.LastIndexByte(wal, '\n'); i >= 0 {
 		return i + 1
 	}
 	return 0
 }
 
-// MarshalRecord encodes one job record as its WAL line, trailing newline
+// marshalRecord encodes one job record as its WAL line, trailing newline
 // included — the exact bytes store.append writes.
-func MarshalRecord(j Job) ([]byte, error) {
+func marshalRecord(j Job) ([]byte, error) {
 	raw, err := json.Marshal(j)
 	if err != nil {
 		return nil, err

@@ -33,7 +33,7 @@ const (
 )
 
 // openStore opens (creating if needed) a jobs dir and returns the surviving
-// job records: the snapshot with the WAL replayed over it (see Replay),
+// job records: the snapshot with the WAL replayed over it (see replay),
 // sorted by creation.
 func openStore(dir string) (*store, []Job, error) {
 	if err := os.MkdirAll(filepath.Join(dir, resultsDir), 0o755); err != nil {
@@ -50,13 +50,13 @@ func openStore(dir string) (*store, []Job, error) {
 	} else if !os.IsNotExist(err) {
 		return nil, nil, err
 	}
-	out, err := Replay(snapRaw, walRaw)
+	out, err := replay(snapRaw, walRaw)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w (in %s)", err, dir)
 	}
 	// Drop a torn final line (crash mid-append) before reopening for
 	// append, or the next record would be concatenated onto it and lost.
-	if clean := CleanLength(walRaw); clean != len(walRaw) {
+	if clean := cleanLength(walRaw); clean != len(walRaw) {
 		if err := os.Truncate(filepath.Join(dir, walName), int64(clean)); err != nil {
 			return nil, nil, fmt.Errorf("jobs: truncating torn WAL tail: %w", err)
 		}
@@ -70,7 +70,7 @@ func openStore(dir string) (*store, []Job, error) {
 
 // append logs one job record.
 func (s *store) append(j Job) error {
-	raw, err := MarshalRecord(j)
+	raw, err := marshalRecord(j)
 	if err != nil {
 		return err
 	}

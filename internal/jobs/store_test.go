@@ -61,12 +61,25 @@ func TestStoreTornTailTolerated(t *testing.T) {
 	}
 	_ = st.close()
 
-	_, recs, err := openStore(dir)
+	st, recs, err := openStore(dir)
 	if err != nil {
 		t.Fatalf("torn tail broke recovery: %v", err)
 	}
 	if len(recs) != 1 || recs[0].ID != "a" {
 		t.Fatalf("recovered %v", recs)
+	}
+	// The first record written after recovery must not glue onto the torn
+	// bytes: it has to survive the next boot as its own line.
+	if err := st.append(rec("c", StateQueued)); err != nil {
+		t.Fatal(err)
+	}
+	_ = st.close()
+	_, recs, err = openStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || recs[0].ID != "a" || recs[1].ID != "c" {
+		t.Fatalf("after appending over the torn tail recovered %v, want a and c", recs)
 	}
 }
 

@@ -251,7 +251,7 @@ func TestRecoveryPreservesTenancy(t *testing.T) {
 		Request: Request{QueriesFasta: ">q\nMKVL", Queries: 1, Residues: 4, Tenant: "alice"},
 		Created: time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC),
 	}
-	line, err := MarshalRecord(rec)
+	line, err := marshalRecord(rec)
 	if err != nil {
 		t.Fatal(err)
 	}

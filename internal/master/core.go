@@ -65,7 +65,7 @@ type Core struct {
 	// double-counted) and rate is the reporting slave's instantaneous
 	// speed. The cluster backend feeds per-shard progress from it.
 	progress func(doneCells int64, rate float64)
-	// fmet, when set, receives the master-side savings accounting
+	// fmet receives the master-side savings accounting
 	// (prefilter_rescore_cells_saved_total); the per-pass scan metrics are
 	// observed slave-side where the work happens.
 	fmet *prefilter.Metrics
@@ -199,6 +199,7 @@ func newCore(queries []*seq.Sequence, dbResidues int64, perQuery int, coord *sch
 		events:        events,
 		pendingCancel: map[sched.SlaveID][]sched.TaskID{},
 		dbResidues:    dbResidues,
+		fmet:          prefilter.NewMetrics(nil),
 	}
 	for i, q := range queries {
 		c.queryByID[q.ID] = q

@@ -50,10 +50,11 @@ type Config struct {
 	// no progress) that SlaveGone never notices. Must comfortably exceed
 	// the slaves' notification and standby-poll intervals. 0 disables.
 	Lease time.Duration
-	// Registry, when non-nil, attaches the job's full instrumentation to it:
-	// the coordinator's task-lifecycle counters and depth gauges
-	// (sched.NewMetrics), the master's protocol counters, and — for
-	// connections served through Listen — wire dispatch latency histograms.
+	// Registry receives the job's full instrumentation: the coordinator's
+	// task-lifecycle counters and depth gauges (sched.NewMetrics), the
+	// master's protocol counters, and — for connections served through
+	// Listen — wire dispatch latency histograms. Nil runs the job
+	// uninstrumented.
 	Registry *metrics.Registry
 	// Events, when non-nil, receives the structured scheduler event stream
 	// (assign/sample/exec/summary JSON lines) in the same shapes the
@@ -91,20 +92,16 @@ type Range struct {
 	Residues int64
 }
 
-// schedConfig derives the coordinator configuration, attaching scheduler
-// metrics when a registry is present. sched.NewMetrics is idempotent per
-// registry, so calling this more than once (New + LoadCheckpoint restore)
-// re-attaches to the same families.
+// schedConfig derives the coordinator configuration. sched.NewMetrics is
+// idempotent per registry, so calling this more than once (New +
+// LoadCheckpoint restore) re-attaches to the same families.
 func (cfg Config) schedConfig() sched.Config {
-	sc := sched.Config{
-		Policy: cfg.Policy,
-		Adjust: cfg.Adjust,
-		Omega:  cfg.Omega,
+	return sched.Config{
+		Policy:  cfg.Policy,
+		Adjust:  cfg.Adjust,
+		Omega:   cfg.Omega,
+		Metrics: sched.NewMetrics(cfg.Registry),
 	}
-	if cfg.Registry != nil {
-		sc.Metrics = sched.NewMetrics(cfg.Registry)
-	}
-	return sc
 }
 
 // masterMetrics are the master-process protocol counters.
@@ -133,9 +130,9 @@ type QueryResult struct {
 
 // Master serves one job to any number of slaves. The struct follows the
 // lockguard grouping convention: fields above mu are set once in New and
-// never reassigned (channels synchronize themselves; the instrumentation
-// hooks are nil unless Config.Registry/Events were set); the group below
-// mu is what mu guards.
+// never reassigned (channels synchronize themselves; the metric bundles
+// are built on Config.Registry, nil or not); the group below mu is what mu
+// guards.
 type Master struct {
 	start time.Time
 	lease time.Duration
@@ -171,9 +168,7 @@ func New(cfg Config) (*Master, error) {
 	}
 	core.SetStageProgress(cfg.StageProgress)
 	core.SetProgress(cfg.Progress)
-	if cfg.Registry != nil {
-		core.SetFilterMetrics(prefilter.NewMetrics(cfg.Registry))
-	}
+	core.SetFilterMetrics(prefilter.NewMetrics(cfg.Registry))
 	m := &Master{
 		core:     core,
 		start:    time.Now(),
@@ -182,10 +177,8 @@ func New(cfg Config) (*Master, error) {
 		loopDone: make(chan struct{}),
 		serveErr: make(chan error, 1),
 		lease:    cfg.Lease,
-	}
-	if cfg.Registry != nil {
-		m.met = newMasterMetrics(cfg.Registry)
-		m.wireMet = wire.NewMetrics(cfg.Registry)
+		met:      newMasterMetrics(cfg.Registry),
+		wireMet:  wire.NewMetrics(cfg.Registry),
 	}
 	if m.lease > 0 {
 		go m.expireLoop()
@@ -215,22 +208,25 @@ func (m *Master) expireLoop() {
 		case <-t.C:
 			m.mu.Lock()
 			expired := m.core.Expire(m.now(), m.lease)
-			if m.met != nil {
-				m.met.deadSlaves.Add(float64(len(expired)))
-			}
+			m.met.deadSlaves.Add(float64(len(expired)))
 			m.mu.Unlock()
 		}
 	}
 }
 
 // Close stops the lease-expiry ticker and waits for it to exit, so callers
-// can read coordinator state afterwards without racing the detector. It
-// does not close listeners returned by Listen.
+// can read coordinator state afterwards without racing the detector, and
+// withdraws the job's share of the pool gauges (sched_ready_tasks and
+// siblings sum over the jobs still open on the registry). It does not close
+// listeners returned by Listen.
 func (m *Master) Close() {
 	m.stopOnce.Do(func() { close(m.stop) })
 	if m.lease > 0 {
 		<-m.loopDone
 	}
+	m.mu.Lock()
+	m.core.Coordinator().RetireGauges()
+	m.mu.Unlock()
 }
 
 // Dispatch implements wire.Handler: the single protocol entry point on the
@@ -239,11 +235,9 @@ func (m *Master) Close() {
 func (m *Master) Dispatch(req wire.Envelope) wire.Envelope {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.met != nil {
-		m.met.messages.With(wire.KindOf(req).String()).Inc()
-	}
+	m.met.messages.With(wire.KindOf(req).String()).Inc()
 	resp := m.core.Dispatch(req, m.now())
-	if m.met != nil && req.Register != nil && resp.RegisterAck != nil {
+	if req.Register != nil && resp.RegisterAck != nil {
 		m.met.registrations.Inc()
 	}
 	if m.core.Done() && !m.closed {
@@ -259,7 +253,7 @@ func (m *Master) Dispatch(req wire.Envelope) wire.Envelope {
 func (m *Master) SlaveGone(id sched.SlaveID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.core.SlaveGone(id) && m.met != nil {
+	if m.core.SlaveGone(id) {
 		m.met.deadSlaves.Inc()
 	}
 }
@@ -313,7 +307,7 @@ func (m *Master) Listen(addr string) (net.Listener, error) {
 	if err != nil {
 		return nil, err
 	}
-	// With a registry attached, every served connection's dispatches are
+	// On an instrumented master every served connection's dispatches are
 	// timed per message kind (wire_call_seconds).
 	h := wire.MeterHandler(wire.Handler(m), m.wireMet)
 	go func() {
@@ -357,11 +351,13 @@ func LoadCheckpoint(r io.Reader, cfg Config) (*Master, error) {
 	}
 	core, err := RestoreCore(&snap, cfg.Queries, cfg.Ranges, cfg.schedConfig(), cfg.Events)
 	if err != nil {
+		m.Close()
 		return nil, err
 	}
 	// New may already have started the lease-expiry loop, which reads
 	// m.core under the mutex — swap the restored core in under it.
 	m.mu.Lock()
+	m.core.Coordinator().RetireGauges() // the core New built never runs
 	m.core = core
 	if m.core.Done() && !m.closed {
 		m.closed = true

@@ -142,3 +142,54 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Errorf("summary = %+v", sum)
 	}
 }
+
+// TestPoolGaugesSumOverOpenMasters: a long-lived server runs one master per
+// shard per job on one registry, so the pool gauges are sums over the
+// masters still open — each master's share leaves with its Close, and an
+// idle registry reads zero. With Set semantics the masters overwrote each
+// other and the last writer's numbers stuck after every job had ended.
+func TestPoolGaugesSumOverOpenMasters(t *testing.T) {
+	db, queries := testJob(t, 5)
+	reg := metrics.NewRegistry()
+	open := func(qs int, slaves int) *master.Master {
+		m, err := master.New(master.Config{Queries: queries[:qs], DBResidues: dbResidues(db), Policy: &sched.SS{}, Registry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < slaves; i++ {
+			if ack := m.Dispatch(wire.Envelope{Register: &wire.RegisterMsg{Name: "s"}}).RegisterAck; ack == nil {
+				t.Fatal("registration refused")
+			}
+		}
+		return m
+	}
+	sm := sched.NewMetrics(reg)
+	check := func(when string, ready, executing, finished, alive float64) {
+		t.Helper()
+		got := [4]float64{sm.ReadyTasks.Value(), sm.ExecutingTasks.Value(), sm.FinishedTasks.Value(), sm.AliveSlaves.Value()}
+		if want := [4]float64{ready, executing, finished, alive}; got != want {
+			t.Errorf("%s: ready/executing/finished/alive gauges = %v, want %v", when, got, want)
+		}
+	}
+
+	a := open(3, 1)
+	b := open(2, 2)
+	check("both open", 5, 0, 0, 3)
+
+	// One task of a runs to completion, one of b is taken: the gauges follow
+	// both pools at once.
+	task := a.Dispatch(wire.Envelope{Request: &wire.RequestMsg{Slave: 0}}).Assign.Tasks[0]
+	a.Dispatch(wire.Envelope{Complete: &wire.CompleteMsg{Slave: 0, Task: task.ID}})
+	b.Dispatch(wire.Envelope{Request: &wire.RequestMsg{Slave: 1}})
+	check("mid-job", 3, 1, 1, 3)
+
+	a.Close()
+	check("a closed", 1, 1, 0, 2)
+	// A straggler still talking to the closed master moves nothing.
+	a.Dispatch(wire.Envelope{Request: &wire.RequestMsg{Slave: 0}})
+	check("a closed, straggler", 1, 1, 0, 2)
+	b.SlaveGone(1) // its task requeues, then b leaves with one slave alive
+	check("b lost a slave", 2, 0, 0, 1)
+	b.Close()
+	check("idle", 0, 0, 0, 0)
+}

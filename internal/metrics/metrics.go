@@ -18,6 +18,12 @@
 // family with the same signature returns the existing one, so independent
 // subsystems (and repeated jobs on a long-lived service) can share handles
 // without coordination.
+//
+// An uninstrumented component is a nil *Registry: its constructors hand out
+// nil handles, With on a nil vector returns a nil handle, and every mutator
+// of a nil Counter, Gauge or Histogram is a no-op (Value, Count and Sum
+// read 0). Callers therefore build their bundles unconditionally and update
+// them without guards.
 package metrics
 
 import (
@@ -114,36 +120,56 @@ func (v *value) get() float64  { return math.Float64frombits(v.bits.Load()) }
 type Counter struct{ v value }
 
 // Inc adds 1.
-func (c *Counter) Inc() { c.v.add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds d; negative deltas are a programmer error and panic.
 func (c *Counter) Add(d float64) {
 	if d < 0 {
 		panic(fmt.Sprintf("metrics: counter decreased by %v", d))
 	}
-	c.v.add(d)
+	if c != nil {
+		c.v.add(d)
+	}
 }
 
 // Value returns the current count.
-func (c *Counter) Value() float64 { return c.v.get() }
+func (c *Counter) Value() float64 {
+	if c == nil {
+		return 0
+	}
+	return c.v.get()
+}
 
 // Gauge is an arbitrarily settable float64.
 type Gauge struct{ v value }
 
 // Set replaces the value.
-func (g *Gauge) Set(x float64) { g.v.set(x) }
+func (g *Gauge) Set(x float64) {
+	if g != nil {
+		g.v.set(x)
+	}
+}
 
 // Add adds d (negative to subtract).
-func (g *Gauge) Add(d float64) { g.v.add(d) }
+func (g *Gauge) Add(d float64) {
+	if g != nil {
+		g.v.add(d)
+	}
+}
 
 // Inc adds 1.
-func (g *Gauge) Inc() { g.v.add(1) }
+func (g *Gauge) Inc() { g.Add(1) }
 
 // Dec subtracts 1.
-func (g *Gauge) Dec() { g.v.add(-1) }
+func (g *Gauge) Dec() { g.Add(-1) }
 
 // Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v.get() }
+func (g *Gauge) Value() float64 {
+	if g == nil {
+		return 0
+	}
+	return g.v.get()
+}
 
 // Histogram counts observations into fixed buckets (upper bounds,
 // inclusive, ascending) plus an implicit +Inf bucket, and tracks the sum of
@@ -183,6 +209,9 @@ func checkBuckets(buckets []float64) {
 
 // Observe records one value.
 func (h *Histogram) Observe(x float64) {
+	if h == nil {
+		return
+	}
 	i := sort.SearchFloat64s(h.upper, x) // first bucket with upper >= x (le semantics)
 	h.counts[i].Add(1)
 	h.sum.add(x)
@@ -190,10 +219,20 @@ func (h *Histogram) Observe(x float64) {
 }
 
 // Count returns the total number of observations.
-func (h *Histogram) Count() uint64 { return h.n.Load() }
+func (h *Histogram) Count() uint64 {
+	if h == nil {
+		return 0
+	}
+	return h.n.Load()
+}
 
 // Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return h.sum.get() }
+func (h *Histogram) Sum() float64 {
+	if h == nil {
+		return 0
+	}
+	return h.sum.get()
+}
 
 // Buckets returns the configured upper bounds (without the implicit +Inf).
 func (h *Histogram) Buckets() []float64 { return append([]float64(nil), h.upper...) }
@@ -207,9 +246,6 @@ func (h *Histogram) BucketCounts() []uint64 {
 	}
 	return out
 }
-
-// DefBuckets is a general-purpose latency bucket layout in seconds.
-var DefBuckets = []float64{0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
 // ExponentialBuckets returns count buckets starting at start, each factor
 // times the previous.
@@ -239,7 +275,8 @@ func LinearBuckets(start, width float64, count int) []float64 {
 }
 
 // Registry is a set of named metric families. The zero value is not usable;
-// call NewRegistry.
+// call NewRegistry. A nil *Registry is the uninstrumented registry: its
+// family constructors register nothing and return nil handles.
 type Registry struct {
 	mu     sync.Mutex
 	byName map[string]*family
@@ -330,6 +367,9 @@ func (r *Registry) Counter(name, help string) *Counter {
 
 // CounterVec registers (or returns) a labelled counter family.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
+	if r == nil {
+		return nil
+	}
 	return &CounterVec{r.family(KindCounter, name, help, nil, labels)}
 }
 
@@ -340,6 +380,9 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 
 // GaugeVec registers (or returns) a labelled gauge family.
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
+	if r == nil {
+		return nil
+	}
 	return &GaugeVec{r.family(KindGauge, name, help, nil, labels)}
 }
 
@@ -350,6 +393,9 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 
 // HistogramVec registers (or returns) a labelled histogram family.
 func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
+	if r == nil {
+		return nil
+	}
 	return &HistogramVec{r.family(KindHistogram, name, help, buckets, labels)}
 }
 
@@ -357,19 +403,34 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...
 type CounterVec struct{ f *family }
 
 // With returns the counter for the given label values (created on first use).
-func (v *CounterVec) With(values ...string) *Counter { return v.f.child(values).c }
+func (v *CounterVec) With(values ...string) *Counter {
+	if v == nil {
+		return nil
+	}
+	return v.f.child(values).c
+}
 
 // GaugeVec is a gauge family keyed by label values.
 type GaugeVec struct{ f *family }
 
 // With returns the gauge for the given label values (created on first use).
-func (v *GaugeVec) With(values ...string) *Gauge { return v.f.child(values).g }
+func (v *GaugeVec) With(values ...string) *Gauge {
+	if v == nil {
+		return nil
+	}
+	return v.f.child(values).g
+}
 
 // HistogramVec is a histogram family keyed by label values.
 type HistogramVec struct{ f *family }
 
 // With returns the histogram for the given label values (created on first use).
-func (v *HistogramVec) With(values ...string) *Histogram { return v.f.child(values).h }
+func (v *HistogramVec) With(values ...string) *Histogram {
+	if v == nil {
+		return nil
+	}
+	return v.f.child(values).h
+}
 
 // sorted returns the families in name order.
 func (r *Registry) sorted() []*family {

@@ -306,3 +306,54 @@ func TestBucketHelpers(t *testing.T) {
 		t.Errorf("LinearBuckets = %v, want %v", lin, want)
 	}
 }
+
+// TestNilRegistryIsUninstrumented pins the contract every bundle in the
+// tree builds on: a nil registry hands out nil handles, nil vectors hand
+// out nil handles, and a nil handle swallows every mutation and reads 0.
+func TestNilRegistryIsUninstrumented(t *testing.T) {
+	var r *Registry
+	b := []float64{1, 2}
+	if r.CounterVec("nil_ops_total", "h", "l") != nil || r.GaugeVec("nil_depth", "h", "l") != nil ||
+		r.HistogramVec("nil_wait_seconds", "h", b, "l") != nil {
+		t.Error("a nil registry handed out a non-nil vector")
+	}
+	var (
+		cv *CounterVec
+		gv *GaugeVec
+		hv *HistogramVec
+	)
+	counters := map[string]*Counter{"Registry.Counter": r.Counter("nil_ops_total", "h"), "CounterVec.With": cv.With("x")}
+	gauges := map[string]*Gauge{"Registry.Gauge": r.Gauge("nil_depth", "h"), "GaugeVec.With": gv.With("x")}
+	histograms := map[string]*Histogram{"Registry.Histogram": r.Histogram("nil_wait_seconds", "h", b), "HistogramVec.With": hv.With("x")}
+	for from, c := range counters {
+		if c != nil {
+			t.Errorf("%s on nil returned a non-nil counter", from)
+		}
+		c.Inc()
+		c.Add(3)
+		if c.Value() != 0 {
+			t.Errorf("nil counter from %s reads %v", from, c.Value())
+		}
+	}
+	for from, g := range gauges {
+		if g != nil {
+			t.Errorf("%s on nil returned a non-nil gauge", from)
+		}
+		g.Set(4)
+		g.Add(-2)
+		g.Inc()
+		g.Dec()
+		if g.Value() != 0 {
+			t.Errorf("nil gauge from %s reads %v", from, g.Value())
+		}
+	}
+	for from, h := range histograms {
+		if h != nil {
+			t.Errorf("%s on nil returned a non-nil histogram", from)
+		}
+		h.Observe(1.5)
+		if h.Count() != 0 || h.Sum() != 0 {
+			t.Errorf("nil histogram from %s reads count %d sum %v", from, h.Count(), h.Sum())
+		}
+	}
+}

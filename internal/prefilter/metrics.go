@@ -4,8 +4,8 @@ import "repro/internal/metrics"
 
 // Metrics is the prefilter instrumentation bundle. Like the farrar bundle,
 // the engine itself stays metrics-free (automata are built per query, per
-// task); callers observe a pass's Stats after it completes. Every method is
-// nil-safe so call sites observe unconditionally.
+// task); callers observe a pass's Stats after it completes. NewMetrics(nil)
+// is the uninstrumented bundle engines and protocol cores start with.
 type Metrics struct {
 	// PatternsCompiled counts k-mer seed patterns compiled into automata.
 	PatternsCompiled *metrics.Counter
@@ -38,9 +38,6 @@ func NewMetrics(r *metrics.Registry) *Metrics {
 
 // Observe publishes one completed prefilter pass.
 func (m *Metrics) Observe(s Stats) {
-	if m == nil {
-		return
-	}
 	m.PatternsCompiled.Add(float64(s.Patterns))
 	m.ResiduesScanned.Add(float64(s.ResiduesScanned))
 	m.WindowsEmitted.Add(float64(s.Windows))
@@ -51,9 +48,6 @@ func (m *Metrics) Observe(s Stats) {
 // full-scan equivalent. Negative deltas (margins re-covered more residues
 // than the database holds) are clamped to zero.
 func (m *Metrics) ObserveSaved(fullCells, rescoredCells int64) {
-	if m == nil {
-		return
-	}
 	if saved := fullCells - rescoredCells; saved > 0 {
 		m.RescoreCellsSaved.Add(float64(saved))
 	}

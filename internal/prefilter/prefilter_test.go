@@ -217,8 +217,8 @@ func TestMetricsObserve(t *testing.T) {
 	if got := m.RescoreCellsSaved.Value(); got != 900 {
 		t.Fatalf("cells saved = %v, want 900", got)
 	}
-	// Nil bundle: every observation is a no-op.
-	var nilM *Metrics
-	nilM.Observe(Stats{})
-	nilM.ObserveSaved(10, 1)
+	// The uninstrumented bundle: every observation is a no-op.
+	none := NewMetrics(nil)
+	none.Observe(Stats{Patterns: 1, ResiduesScanned: 1, Windows: 1})
+	none.ObserveSaved(10, 1)
 }

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"sort"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // SlaveKind labels the hardware class of a slave for reports; the scheduler
@@ -93,10 +95,10 @@ type Config struct {
 	// default (0.1); negative means replicate on any positive gain.
 	// Higher values avoid wasted replicas at the cost of slower rescue.
 	GainThreshold float64
-	// Metrics, when non-nil, receives task-lifecycle counters, pool-depth
-	// gauges and per-slave rate gauges (see NewMetrics). The coordinator is
-	// clock-agnostic, so the same hooks serve the wall-clock master and the
-	// discrete-event runner.
+	// Metrics receives task-lifecycle counters, pool-depth gauges and
+	// per-slave rate gauges (see NewMetrics); nil means NewMetrics(nil), the
+	// uninstrumented bundle. The coordinator is clock-agnostic, so the same
+	// hooks serve the wall-clock master and the discrete-event runner.
 	Metrics *Metrics
 }
 
@@ -155,6 +157,12 @@ type Coordinator struct {
 	// mixedKinds latches true once any non-SW task enters the pool; until
 	// then nil-caps slaves take the kind-blind fast path.
 	mixedKinds bool
+	// alive counts the registered slaves not declared dead.
+	alive int
+	// published is this coordinator's current share of the pool gauges
+	// (ready, executing, finished, alive slaves); retired pins it to zero.
+	published [4]int
+	retired   bool
 }
 
 // NewCoordinator builds a coordinator over the job's tasks.
@@ -164,6 +172,9 @@ func NewCoordinator(tasks []Task, cfg Config) *Coordinator {
 	}
 	if cfg.Omega < 1 {
 		cfg.Omega = DefaultOmega
+	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = NewMetrics(nil)
 	}
 	c := &Coordinator{
 		cfg:     cfg,
@@ -181,25 +192,34 @@ func NewCoordinator(tasks []Task, cfg Config) *Coordinator {
 
 // syncGauges refreshes the pool-depth and slave-count gauges after any
 // state transition. Cheap enough to call unconditionally from every
-// mutating method.
+// mutating method. Several coordinators (concurrent jobs, one per shard)
+// share one registry, so each moves the gauges by the difference from what
+// it published last and a gauge reads the sum over live jobs.
 func (c *Coordinator) syncGauges() {
-	m := c.cfg.Metrics
-	if m == nil {
-		return
+	now := [4]int{c.pool.Ready(), c.pool.ExecutingCount(), c.pool.Finished(), c.alive}
+	if c.retired {
+		now = [4]int{}
 	}
-	m.ReadyTasks.Set(float64(c.pool.Ready()))
-	m.ExecutingTasks.Set(float64(c.pool.ExecutingCount()))
-	m.FinishedTasks.Set(float64(c.pool.Finished()))
-	m.AliveSlaves.Set(float64(c.aliveSlaves()))
+	m := c.cfg.Metrics
+	for i, g := range [4]*metrics.Gauge{m.ReadyTasks, m.ExecutingTasks, m.FinishedTasks, m.AliveSlaves} {
+		if d := now[i] - c.published[i]; d != 0 { // concurrent jobs share these gauges: no CAS for nothing
+			g.Add(float64(d))
+		}
+	}
+	c.published = now
+}
+
+// RetireGauges withdraws this coordinator's share of the pool gauges for
+// good: the owner calls it when the job is torn down, so an idle server
+// reads 0 whatever stragglers still dispatch.
+func (c *Coordinator) RetireGauges() {
+	c.retired = true
+	c.syncGauges()
 }
 
 // gaugeRate publishes the slave's current speed estimate in GCUPS.
 func (c *Coordinator) gaugeRate(id SlaveID) {
-	m := c.cfg.Metrics
-	if m == nil {
-		return
-	}
-	m.SlaveRate.With(c.slaveLabel(id)).Set(c.SpeedOf(id) / 1e9)
+	c.cfg.Metrics.SlaveRate.With(c.slaveLabel(id)).Set(c.SpeedOf(id) / 1e9)
 }
 
 // slaveLabel is the metric label for a slave: its registered name, or a
@@ -217,9 +237,7 @@ func (c *Coordinator) abandonToPool(tid TaskID, sid SlaveID) {
 	wasExecuting := c.pool.StateOf(tid) == Executing
 	c.pool.Abandon(tid, sid)
 	if wasExecuting && c.pool.StateOf(tid) == Ready {
-		if m := c.cfg.Metrics; m != nil {
-			m.TasksRequeued.Inc()
-		}
+		c.cfg.Metrics.TasksRequeued.Inc()
 	}
 }
 
@@ -240,6 +258,7 @@ func (c *Coordinator) Register(info SlaveInfo, now time.Duration) SlaveID {
 		hist:        hist,
 		lastContact: now,
 	})
+	c.alive++
 	c.syncGauges()
 	return SlaveID(len(c.slaves) - 1)
 }
@@ -318,9 +337,7 @@ func (c *Coordinator) RequestWork(id SlaveID, now time.Duration) (tasks []Task, 
 		for _, tid := range s.order {
 			tasks = append(tasks, c.pool.Task(tid))
 		}
-		if m := c.cfg.Metrics; m != nil {
-			m.TasksRedelivered.Add(float64(len(tasks)))
-		}
+		c.cfg.Metrics.TasksRedelivered.Add(float64(len(tasks)))
 		return tasks, false
 	}
 	// The slave only sees — and is only granted — ready tasks whose kind it
@@ -333,7 +350,7 @@ func (c *Coordinator) RequestWork(id SlaveID, now time.Duration) (tasks []Task, 
 		Slave:          id,
 		Ready:          c.pool.ReadyFunc(allow),
 		Total:          c.pool.Len(),
-		Slaves:         c.aliveSlaves(),
+		Slaves:         c.alive,
 		Speeds:         make([]float64, len(c.slaves)),
 		DeclaredSpeeds: make([]float64, len(c.slaves)),
 	}
@@ -363,9 +380,7 @@ func (c *Coordinator) RequestWork(id SlaveID, now time.Duration) (tasks []Task, 
 		}
 		if len(tasks) > 0 {
 			c.log = append(c.log, Assignment{Time: now, Slave: id, Tasks: taskIDs(tasks)})
-			if m := c.cfg.Metrics; m != nil {
-				m.TasksAssigned.Add(float64(len(tasks)))
-			}
+			c.cfg.Metrics.TasksAssigned.Add(float64(len(tasks)))
 			c.syncGauges()
 			return tasks, false
 		}
@@ -375,9 +390,7 @@ func (c *Coordinator) RequestWork(id SlaveID, now time.Duration) (tasks []Task, 
 			c.pool.AddExecutor(tid, id, now)
 			c.slaves[id].assign(tid)
 			c.log = append(c.log, Assignment{Time: now, Slave: id, Tasks: []TaskID{tid}, Replica: true})
-			if m := c.cfg.Metrics; m != nil {
-				m.TasksReplicated.Inc()
-			}
+			c.cfg.Metrics.TasksReplicated.Inc()
 			return []Task{c.pool.Task(tid)}, true
 		}
 	}
@@ -488,9 +501,7 @@ func (c *Coordinator) AddTasks(tasks []Task) []TaskID {
 			c.mixedKinds = true
 		}
 	}
-	if m := c.cfg.Metrics; m != nil {
-		m.TasksAdded.Add(float64(len(tasks)))
-	}
+	c.cfg.Metrics.TasksAdded.Add(float64(len(tasks)))
 	c.syncGauges()
 	return ids
 }
@@ -553,9 +564,7 @@ func (c *Coordinator) Complete(id SlaveID, tid TaskID, payload any, now time.Dur
 	for _, o := range others {
 		c.slaves[o].drop(tid, task.Cells)
 	}
-	if m := c.cfg.Metrics; m != nil {
-		m.TasksCompleted.Inc()
-	}
+	c.cfg.Metrics.TasksCompleted.Inc()
 	c.syncGauges()
 	return true, others
 }
@@ -601,6 +610,7 @@ func (c *Coordinator) SlaveDied(id SlaveID) {
 		return
 	}
 	s.dead = true
+	c.alive--
 	// Pool.Abandon pushes onto the head of the ready FIFO, so walking the
 	// queue back to front leaves the oldest assignment at the head and the
 	// survivors pick the work up in the order it was first granted.
@@ -609,9 +619,7 @@ func (c *Coordinator) SlaveDied(id SlaveID) {
 	}
 	s.order = nil
 	s.credit = 0
-	if m := c.cfg.Metrics; m != nil {
-		m.SlaveRate.With(c.slaveLabel(id)).Set(0)
-	}
+	c.cfg.Metrics.SlaveRate.With(c.slaveLabel(id)).Set(0)
 	c.syncGauges()
 }
 
@@ -638,9 +646,7 @@ func (c *Coordinator) Expire(now, lease time.Duration) []SlaveID {
 		}
 		c.SlaveDied(SlaveID(i))
 		expired = append(expired, SlaveID(i))
-		if m := c.cfg.Metrics; m != nil {
-			m.LeaseExpirations.Inc()
-		}
+		c.cfg.Metrics.LeaseExpirations.Inc()
 	}
 	return expired
 }
@@ -654,16 +660,6 @@ func (c *Coordinator) Dead(id SlaveID) bool { return c.slaves[id].dead }
 // interaction.
 func (c *Coordinator) LastContact(id SlaveID) time.Duration {
 	return c.slaves[id].lastContact
-}
-
-func (c *Coordinator) aliveSlaves() int {
-	n := 0
-	for _, s := range c.slaves {
-		if !s.dead {
-			n++
-		}
-	}
-	return n
 }
 
 // Done reports whether every task has a result.

@@ -2,16 +2,17 @@ package sched
 
 import "repro/internal/metrics"
 
-// Metrics is the coordinator's instrumentation bundle. Every hook is
-// optional: a Coordinator with a nil Config.Metrics skips all accounting,
-// so the discrete-event experiments pay nothing unless they opt in.
+// Metrics is the coordinator's instrumentation bundle. A Coordinator always
+// holds one: NewMetrics(nil) is the uninstrumented bundle of no-op handles,
+// which the discrete-event experiments run on.
 //
 // The counters follow the task lifecycle (§IV-A.3): assigned counts
 // first-copy grants, replicated counts extra copies from the workload
 // adjustment mechanism, requeued counts executing tasks that fell back to
 // ready because every executor abandoned them or died, completed counts
-// accepted first-finisher results. The gauges mirror the pool's
-// ready/executing/finished depths and the per-slave Ω-window speed
+// accepted first-finisher results. The pool gauges are sums over the
+// coordinators attached to the registry (each publishes deltas and retires
+// its share with RetireGauges); the per-slave gauge is the Ω-window speed
 // estimate that drives PSS and the adjustment mechanism.
 type Metrics struct {
 	TasksAssigned    *metrics.Counter

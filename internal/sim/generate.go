@@ -27,8 +27,8 @@ func Generate(seed int64) Scenario {
 		PollEvery:   500 * time.Millisecond,
 		Latency:     time.Duration(1+rng.Intn(15)) * time.Millisecond,
 		CallTimeout: time.Second,
-		TearWAL:     rng.Intn(2) == 0,
 	}
+	rng.Intn(2) // the draw a retired option took: every later draw of a seed stays where it was
 	nTasks := 3 + rng.Intn(8)
 	for i := 0; i < nTasks; i++ {
 		sc.TaskResidues = append(sc.TaskResidues, 200+rng.Intn(1800))

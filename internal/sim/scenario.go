@@ -1,13 +1,14 @@
 // Package sim is a deterministic whole-cluster simulator: it composes the
 // repo's existing pieces — the vtime discrete-event clock, platform.PE
 // speed models, the sched.Coordinator, the master protocol core
-// (master.Core), the wire fault-rule engine (wire.RuleSet), wire.Backoff
-// reconnect schedules, and the jobs WAL replay (jobs.Replay) — behind a
-// single seeded rand source and a virtual-time event loop.
+// (master.Core), the wire fault-rule engine (wire.RuleSet) and wire.Backoff
+// reconnect schedules — behind a single seeded rand source and a
+// virtual-time event loop. Jobs durability (WAL replay, torn tails) is
+// tested on the real store in internal/jobs, not simulated.
 //
 // A Scenario describes one adversarial cluster run: slave speeds and fault
 // schedules (crash, hang, slow-down, message drop/delay/duplicate), the
-// allocation policy, and master restarts with checkpoint + WAL recovery.
+// allocation policy, and master restarts with checkpoint recovery.
 // Run executes it to quiescence and checks the invariant library (see
 // Report.Violations). The whole run is a pure function of the scenario —
 // no goroutines, no wall clock, no global randomness — which the purity
@@ -59,7 +60,7 @@ type SlaveSpec struct {
 }
 
 // MasterRestart crashes the master at At and restores it — from its last
-// checkpoint and the jobs WAL — DownFor later. While down, every call gets
+// checkpoint — DownFor later. While down, every call gets
 // a connection-refused error and slaves ride their reconnect backoff.
 type MasterRestart struct {
 	At      time.Duration `json:"at"`
@@ -72,7 +73,7 @@ type MasterRestart struct {
 type Scenario struct {
 	Name string `json:"name,omitempty"`
 	// Seed drives every random draw in the run: fault-rule probabilities,
-	// speed jitter, backoff jitter, WAL tearing. Same scenario + same seed
+	// speed jitter, backoff jitter. Same scenario + same seed
 	// ⇒ byte-identical event log and results.
 	Seed int64 `json:"seed"`
 	// TaskResidues lists the query lengths; task i costs
@@ -98,9 +99,6 @@ type Scenario struct {
 	// CallTimeout is how long a slave waits on a lost response before
 	// treating the call as failed.
 	CallTimeout time.Duration `json:"call_timeout,omitempty"`
-	// TearWAL, when set, tears a seeded amount off the jobs WAL tail at
-	// each master crash — the torn-tail recovery path under test.
-	TearWAL bool `json:"tear_wal,omitempty"`
 
 	Slaves   []SlaveSpec     `json:"slaves"`
 	Restarts []MasterRestart `json:"restarts,omitempty"`

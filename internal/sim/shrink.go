@@ -107,11 +107,6 @@ func candidates(sc Scenario) []Scenario {
 		}
 	}
 	// Turn knobs off.
-	if sc.TearWAL {
-		c := clone(sc)
-		c.TearWAL = false
-		out = append(out, c)
-	}
 	if sc.Adjust {
 		c := clone(sc)
 		c.Adjust = false

@@ -7,10 +7,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"time"
 
-	"repro/internal/jobs"
 	"repro/internal/master"
 	"repro/internal/metrics"
 	"repro/internal/sched"
@@ -32,9 +30,8 @@ type Report struct {
 	Replicas    int           `json:"replicas"`
 	Faults      int           `json:"faults"`
 	Violations  []string      `json:"violations,omitempty"`
-	// Fingerprint hashes the structured event log, the final results and
-	// the final jobs WAL: two runs of the same scenario+seed must agree
-	// byte for byte.
+	// Fingerprint hashes the structured event log and the final results:
+	// two runs of the same scenario+seed must agree byte for byte.
 	Fingerprint string `json:"fingerprint"`
 
 	Results  []master.QueryResult `json:"-"`
@@ -82,12 +79,6 @@ type run struct {
 	downUntil  time.Duration
 	jobDone    bool // latched: once true the lease ticker stops rescheduling
 
-	// Jobs ledger: the durable job queue composed with the cluster. One
-	// job record per task, WAL-appended on every transition, torn at
-	// master crashes, replayed + reconciled at restores.
-	wal     bytes.Buffer
-	tearRNG *rand.Rand
-
 	machines []*machine
 
 	// Invariant trackers.
@@ -105,7 +96,6 @@ func newRun(sc Scenario) *run {
 	r := &run{
 		sc:            sc,
 		sim:           vtime.New(),
-		tearRNG:       rand.New(rand.NewSource(sc.Seed ^ 0x7ea57a11)),
 		owner:         map[sched.SlaveID]incarnation{},
 		lastDelivered: map[sched.SlaveID]time.Duration{},
 		lastContact:   map[sched.SlaveID]time.Duration{},
@@ -140,17 +130,14 @@ func (r *run) schedConfig() sched.Config {
 	return cfg
 }
 
-// start boots the master, seeds the ledger with one queued job per task,
-// schedules the fault timetable and brings up the slaves.
+// start boots the master, schedules the fault timetable and brings up the
+// slaves.
 func (r *run) start() {
 	core, err := master.NewCore(r.queries, r.sc.DBResidues, nil, r.schedConfig(), r.events)
 	if err != nil {
 		panic(err) // Validate guarantees non-empty queries
 	}
 	r.core = core
-	for tid := range r.queries {
-		r.appendLedger(sched.TaskID(tid), jobs.StateQueued)
-	}
 	if r.sc.Lease > 0 {
 		r.sim.After(r.sc.Lease/4, r.leaseTick)
 	}
@@ -202,8 +189,7 @@ func (r *run) checkExpiry(id sched.SlaveID, now time.Duration) {
 }
 
 // crashMaster takes the master down: the core is discarded (in-memory
-// state lost; only the checkpoint and the WAL survive), the WAL tail may
-// tear, and a restore is scheduled.
+// state lost; only the checkpoint survives) and a restore is scheduled.
 func (r *run) crashMaster(re MasterRestart) {
 	if r.core == nil {
 		return // overlapping restarts are rejected by Validate; be safe
@@ -211,19 +197,10 @@ func (r *run) crashMaster(re MasterRestart) {
 	r.restarts++
 	r.core = nil
 	r.downUntil = r.sim.Now() + re.DownFor
-	if r.sc.TearWAL && r.wal.Len() > 0 {
-		b := r.wal.Bytes()
-		cut := r.tearRNG.Intn(minInt(len(b), 120))
-		kept := append([]byte(nil), b[:len(b)-cut]...)
-		r.wal.Reset()
-		r.wal.Write(kept)
-	}
 	r.sim.After(re.DownFor, r.restoreMaster)
 }
 
-// restoreMaster boots a fresh master incarnation from the checkpoint and
-// reconciles the replayed jobs ledger against it, exactly the repair a
-// real boot performs.
+// restoreMaster boots a fresh master incarnation from the checkpoint.
 func (r *run) restoreMaster() {
 	r.downUntil = 0
 	// Registrations are deliberately not checkpointed: every slave must
@@ -249,52 +226,6 @@ func (r *run) restoreMaster() {
 			return
 		}
 		r.core = core
-	}
-	r.reconcileLedger()
-}
-
-// reconcileLedger replays the jobs WAL and repairs it against the restored
-// coordinator, the same boot-time repair the real store performs: the torn
-// final line is truncated before anything is appended again (at most one
-// record — the append in flight at the crash — can be lost, and it is
-// re-logged from the checkpoint). A done record for a task the checkpoint
-// does not consider finished would mean the WAL ran ahead of the
-// synchronous checkpoint — an invariant violation.
-func (r *run) reconcileLedger() {
-	if clean := jobs.CleanLength(r.wal.Bytes()); clean != r.wal.Len() {
-		r.wal.Truncate(clean)
-	}
-	recs, err := jobs.Replay(nil, r.wal.Bytes())
-	if err != nil {
-		r.violatef("restart: WAL replay: %v", err)
-		return
-	}
-	pool := r.core.Coordinator().Pool()
-	seen := map[string]jobs.State{}
-	for _, rec := range recs {
-		seen[rec.ID] = rec.State
-	}
-	if missing := len(r.queries) - len(seen); missing > 1 {
-		// The torn tail can only ever swallow the single in-flight append.
-		r.violatef("jobs-durability: replay recovered %d of %d job records (torn tail explains at most one)",
-			len(seen), len(r.queries))
-	}
-	for tid := range r.queries {
-		id := ledgerID(sched.TaskID(tid))
-		state, ok := seen[id]
-		finished := pool.StateOf(sched.TaskID(tid)) == sched.Finished
-		switch {
-		case !ok && finished:
-			r.appendLedger(sched.TaskID(tid), jobs.StateDone)
-		case !ok:
-			r.appendLedger(sched.TaskID(tid), jobs.StateQueued)
-		case state == jobs.StateDone && !finished:
-			r.violatef("jobs-durability: job %s is done in the WAL but task %d is %v in the checkpoint",
-				id, tid, pool.StateOf(sched.TaskID(tid)))
-		case state != jobs.StateDone && finished:
-			// The done record tore off; the checkpoint is authoritative.
-			r.appendLedger(sched.TaskID(tid), jobs.StateDone)
-		}
 	}
 }
 
@@ -353,9 +284,9 @@ func (r *run) roundTrip(m *machine, req wire.Envelope, cb func(resp wire.Envelop
 }
 
 // deliver hands one request to the master core at the current virtual
-// instant, maintaining the invariant trackers and the durable side effects
-// (ledger transitions, checkpoint-on-completion) the wall-clock master
-// performs around Dispatch.
+// instant, maintaining the invariant trackers and the durable side effect
+// (checkpoint-on-completion) the wall-clock master performs around
+// Dispatch.
 func (r *run) deliver(m *machine, epoch int, req wire.Envelope) (wire.Envelope, error) {
 	if !r.masterUp() {
 		return wire.Envelope{}, errMasterDown
@@ -380,15 +311,8 @@ func (r *run) deliver(m *machine, epoch int, req wire.Envelope) (wire.Envelope, 
 		r.lastContact[id] = lc
 	}
 
-	// Durable side effects, in the same order a real master performs them:
-	// WAL append first, then the synchronous checkpoint.
-	if req.Request != nil && resp.Assign != nil && len(resp.Assign.Tasks) > 0 {
-		for _, t := range resp.Assign.Tasks {
-			r.appendLedger(t.ID, jobs.StateRunning)
-		}
-	}
+	// The durable side effect: a synchronous checkpoint per accepted result.
 	if req.Complete != nil && resp.CompleteAck != nil && resp.CompleteAck.Accepted {
-		r.appendLedger(req.Complete.Task, jobs.StateDone)
 		r.saveCheckpoint()
 	}
 	if r.core.Done() {
@@ -418,36 +342,6 @@ func (r *run) saveCheckpoint() {
 		return
 	}
 	r.checkpoint = buf.Bytes()
-}
-
-// --- jobs ledger ------------------------------------------------------
-
-func ledgerID(tid sched.TaskID) string { return fmt.Sprintf("task-%03d", int(tid)) }
-
-// appendLedger logs one job transition using the exact record encoding the
-// jobs store writes (jobs.MarshalRecord), so jobs.Replay exercises its
-// real input format. Timestamps are synthetic-but-deterministic: virtual
-// nanoseconds since an arbitrary epoch.
-func (r *run) appendLedger(tid sched.TaskID, state jobs.State) {
-	created := time.Unix(0, int64(tid)).UTC()
-	j := jobs.Job{
-		ID:      ledgerID(tid),
-		Key:     ledgerID(tid),
-		State:   state,
-		Created: created,
-	}
-	if state != jobs.StateQueued {
-		j.Started = created.Add(r.sim.Now())
-	}
-	if state == jobs.StateDone {
-		j.Finished = created.Add(r.sim.Now())
-	}
-	line, err := jobs.MarshalRecord(j)
-	if err != nil {
-		r.violatef("ledger: %v", err)
-		return
-	}
-	r.wal.Write(line)
 }
 
 // --- final report -----------------------------------------------------
@@ -481,7 +375,6 @@ func (r *run) report(fired uint64) *Report {
 	h := sha256.New()
 	_, _ = h.Write(rep.EventLog) // hash.Hash.Write never fails
 	_, _ = h.Write(resJSON)
-	_, _ = h.Write(r.wal.Bytes())
 	rep.Fingerprint = hex.EncodeToString(h.Sum(nil))
 	return rep
 }
@@ -528,30 +421,4 @@ func (r *run) checkFinal() {
 			r.violatef("quiescence: slave %s still holds work after the job finished", m.spec.Name)
 		}
 	}
-
-	// Jobs durability: the final WAL replay must cover every task, all done.
-	recs, err := jobs.Replay(nil, r.wal.Bytes())
-	if err != nil {
-		r.violatef("jobs-durability: final replay: %v", err)
-		return
-	}
-	states := map[string]jobs.State{}
-	for _, rec := range recs {
-		states[rec.ID] = rec.State
-	}
-	for tid := range r.queries {
-		id := ledgerID(sched.TaskID(tid))
-		if st, ok := states[id]; !ok {
-			r.violatef("jobs-durability: job %s missing from the final WAL", id)
-		} else if st != jobs.StateDone {
-			r.violatef("jobs-durability: job %s ended %s, want done", id, st)
-		}
-	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -14,7 +14,7 @@ import (
 // just re-run the seed.
 var propertySeeds = []int64{
 	1, 2, 3, 5, 8, 13, 21, 34, 55, 89,
-	101, 164, 178, 181, 185, 188, // past regressions: torn-WAL merge, lost-Assign starvation
+	101, 164, 178, 181, 185, 188, // past regressions, among them lost-Assign starvation
 	500, 777, 999, 4242,
 }
 

@@ -58,12 +58,11 @@ func TestBaselineRunsClean(t *testing.T) {
 // TestDeterminism is the acceptance-criteria check: rerunning the same
 // scenario+seed must produce byte-identical event logs and results, pinned
 // by the report fingerprint. Exercised on a chaotic scenario — faults,
-// restarts, WAL tearing — where nondeterminism would actually hide.
+// restarts — where nondeterminism would actually hide.
 func TestDeterminism(t *testing.T) {
 	chaotic := baseline()
 	chaotic.Name = "chaotic"
 	chaotic.Adjust = true
-	chaotic.TearWAL = true
 	chaotic.Slaves = append(chaotic.Slaves, SlaveSpec{
 		Name: "flaky", Kind: sched.KindCPU, Speed: 3e8, Jitter: 0.08,
 		HangAt: 600 * time.Millisecond, RecoverAt: 2500 * time.Millisecond,
@@ -117,12 +116,11 @@ func TestHungSlaveNeedsLease(t *testing.T) {
 }
 
 // TestMasterRestartRecovers: the master dies mid-job and recovers from its
-// checkpoint + jobs WAL; finished tasks stay finished and the rest re-run.
+// checkpoint; finished tasks stay finished and the rest re-run.
 func TestMasterRestartRecovers(t *testing.T) {
 	sc := baseline()
 	sc.Name = "restart"
 	sc.TaskResidues = []int{3000, 3000, 3000, 3000, 3000}
-	sc.TearWAL = true
 	sc.Restarts = []MasterRestart{
 		{At: 500 * time.Millisecond, DownFor: 300 * time.Millisecond},
 		{At: 2 * time.Second, DownFor: 200 * time.Millisecond},

@@ -67,7 +67,10 @@ func NewFarrarEngine(name string, s score.Scheme, db []*seq.Sequence, declaredSp
 	if len(db) == 0 {
 		return nil, fmt.Errorf("slave: empty database")
 	}
-	e := &FarrarEngine{name: name, scheme: s, db: db, declared: declaredSpeed}
+	e := &FarrarEngine{
+		name: name, scheme: s, db: db, declared: declaredSpeed,
+		kmet: farrar.NewMetrics(nil), pmet: prefilter.NewMetrics(nil),
+	}
 	for _, d := range db {
 		e.residues += int64(d.Len())
 	}
@@ -157,7 +160,7 @@ func NewGPUEngine(name string, dev cudasw.Device, s score.Scheme, db []*seq.Sequ
 	if err != nil {
 		return nil, err
 	}
-	return &GPUEngine{name: name, engine: eng, declared: declaredSpeed}, nil
+	return &GPUEngine{name: name, engine: eng, declared: declaredSpeed, kmet: farrar.NewMetrics(nil)}, nil
 }
 
 // Name implements Engine.

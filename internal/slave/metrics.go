@@ -7,7 +7,7 @@ import "repro/internal/metrics"
 var TaskBuckets = []float64{0.005, 0.025, 0.1, 0.5, 2, 10, 60, 300}
 
 // Metrics is the slave-side instrumentation bundle, attached through
-// Options.Metrics. All hooks are optional (nil skips them).
+// Options.Metrics; NewMetrics(nil) is the uninstrumented bundle.
 type Metrics struct {
 	// TaskSeconds is the wall time of each completed task on this slave
 	// (canceled tasks are not observed — their duration says nothing about

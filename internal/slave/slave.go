@@ -59,8 +59,9 @@ type Options struct {
 	// master's Done channel; a TCP slave has none and polls.
 	Done <-chan struct{}
 
-	// Metrics, when non-nil, records task wall times, cells reported,
-	// reconnections and backoff sleeps (see NewMetrics).
+	// Metrics records task wall times, cells reported, reconnections and
+	// backoff sleeps (see NewMetrics); nil means NewMetrics(nil), the
+	// uninstrumented bundle.
 	Metrics *Metrics
 }
 
@@ -83,6 +84,9 @@ func (o *Options) fill() {
 	}
 	if o.Sleep == nil {
 		o.Sleep = time.Sleep
+	}
+	if o.Metrics == nil {
+		o.Metrics = NewMetrics(nil)
 	}
 }
 
@@ -129,10 +133,8 @@ func Run(caller wire.Caller, eng Engine, opts Options) (int, error) {
 				return completed, fmt.Errorf("slave: giving up after %d reconnect attempts: %w", failures, err)
 			}
 			delay := opts.Backoff.Delay(failures, rng)
-			if m := opts.Metrics; m != nil {
-				m.BackoffSleeps.Inc()
-				m.BackoffSeconds.Add(delay.Seconds())
-			}
+			opts.Metrics.BackoffSleeps.Inc()
+			opts.Metrics.BackoffSeconds.Add(delay.Seconds())
 			opts.Sleep(delay)
 			failures++
 			next, derr := opts.Reconnect()
@@ -141,9 +143,7 @@ func Run(caller wire.Caller, eng Engine, opts Options) (int, error) {
 				continue
 			}
 			caller = next
-			if m := opts.Metrics; m != nil {
-				m.Reconnects.Inc()
-			}
+			opts.Metrics.Reconnects.Inc()
 			break
 		}
 	}
@@ -253,8 +253,8 @@ func runTask(caller wire.Caller, eng Engine, id sched.SlaveID, spec wire.TaskSpe
 		if resp.ProgressAck != nil {
 			canceled.add(resp.ProgressAck.Cancel)
 		}
-		if m := opts.Metrics; m != nil && delta > 0 {
-			m.Cells.Add(float64(delta))
+		if delta > 0 {
+			opts.Metrics.Cells.Add(float64(delta))
 		}
 		lastNotify, lastCells = now, cells
 	}
@@ -298,12 +298,8 @@ func runTask(caller wire.Caller, eng Engine, id sched.SlaveID, spec wire.TaskSpe
 	if err != nil {
 		return false, false, err
 	}
-	if m := opts.Metrics; m != nil {
-		m.TaskSeconds.Observe(time.Since(taskStart).Seconds())
-		if finalCells > 0 {
-			m.Cells.Add(float64(finalCells))
-		}
-	}
+	opts.Metrics.TaskSeconds.Observe(time.Since(taskStart).Seconds())
+	opts.Metrics.Cells.Add(float64(finalCells))
 	if resp.CompleteAck != nil {
 		canceled.add(resp.CompleteAck.Cancel)
 		jobDone = resp.CompleteAck.Done

@@ -153,7 +153,6 @@ type FaultCaller struct {
 
 	mu    sync.Mutex
 	rules *RuleSet
-	meter *Metrics
 
 	closeOnce sync.Once
 	closed    chan struct{}
@@ -169,14 +168,6 @@ func NewFaultCaller(inner Caller, seed int64, rules ...Rule) *FaultCaller {
 	}
 }
 
-// SetMetrics attaches an instrumentation bundle: every fault that fires
-// additionally increments m.Faults, so chaos runs show up on /metrics.
-func (f *FaultCaller) SetMetrics(m *Metrics) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.meter = m
-}
-
 // Fired returns how many times rule i injected its fault.
 func (f *FaultCaller) Fired(i int) int {
 	f.mu.Lock()
@@ -189,9 +180,6 @@ func (f *FaultCaller) Call(req Envelope) (Envelope, error) {
 	k := KindOf(req)
 	f.mu.Lock()
 	action, delay, fired := f.rules.Next(k)
-	if fired && f.meter != nil {
-		f.meter.Faults.Inc()
-	}
 	f.mu.Unlock()
 	if !fired {
 		return f.inner.Call(req)
