@@ -111,12 +111,14 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzRangeCut -fuzztime=10s ./internal/cluster
 
 # Fast kernel health check: the four Score8/Score16 microbenchmarks (SWAR
-# vs emulated, so a vanished speedup is visible at a glance), the
-# Aho-Corasick automaton-throughput microbenchmark (residues/s over a 1-MiB
-# stream), plus the coverage floor over the kernel and prefilter packages
-# only. Cheap enough for every PR, unlike the full `bench` archive run.
+# vs emulated, so a vanished speedup is visible at a glance), ScoreDB (the
+# kernel on the serving benchmark's planted queries and database, MCUPS and
+# allocs per database sequence), the Aho-Corasick automaton-throughput
+# microbenchmark (residues/s over a 1-MiB stream), plus the coverage floor
+# over the kernel and prefilter packages only. Cheap enough for every PR,
+# unlike the full `bench` archive run.
 bench-smoke:
-	go test -bench='BenchmarkScore(8|16)' -benchmem -run='^$$' ./internal/farrar
+	go test -bench='BenchmarkScore(8|16|DB)' -benchmem -run='^$$' ./internal/farrar
 	go test -bench='BenchmarkACScan' -benchmem -run='^$$' ./internal/prefilter
 	go test -bench='BenchmarkSwcheckRepo' -benchtime=1x -run='^$$' ./internal/analysis
 	go test -coverprofile=kernel.cover.out ./internal/farrar ./internal/simd/... ./internal/prefilter

@@ -139,7 +139,7 @@ func TestDifferentialOverflowLadder(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x1ADD))
 	s := protScheme()
 
-	q := randProtein(rng, 600) // self-score ~> 255-bias, < 32767
+	q := randProtein(rng, 600) // self-score >> 127-bias, < 32767
 	ks, ke := kernelPair(t, q, s)
 	checkDifferential(t, ks, ke, q, sw.Score(q, q, s))
 	for name, st := range map[string]Stats{"swar": ks.Stats(), "emulated": ke.Stats()} {
@@ -162,23 +162,22 @@ func TestDifferentialOverflowLadder(t *testing.T) {
 	}
 }
 
-// TestTierBoundary253to256 pins the corrected overflow threshold: with
+// TestTierBoundary125to128 pins the overflow threshold: with
 // match=+1/mismatch=-1 the bias is 1, so the 8-bit tier's ceiling is
-// 255-bias = 254 and a score of 253 is the largest it may certify.
-// Self-alignments of length L score exactly L, putting 253 in the 8-bit
-// tier and 254/255/256 in the 16-bit tier — for both implementations.
-// (Before the threshold audit the ceiling was documented as 255, which
-// would misfile 254 as certifiable.)
-func TestTierBoundary253to256(t *testing.T) {
+// 127-bias = 126 (the guard-bit lanes clip at 127) and a score of 125 is
+// the largest it may certify. Self-alignments of length L score exactly
+// L, putting 125 in the 8-bit tier and 126/127/128 in the 16-bit tier —
+// for both implementations.
+func TestTierBoundary125to128(t *testing.T) {
 	s := score.Scheme{Matrix: score.NewMatchMismatch(seq.Protein, 1, -1), Gap: score.AffineGap(10, 2)}
 	for _, tc := range []struct {
 		length int
 		tier8  bool
 	}{
-		{253, true},
-		{254, false},
-		{255, false},
-		{256, false},
+		{125, true},
+		{126, false},
+		{127, false},
+		{128, false},
 	} {
 		q := make([]byte, tc.length)
 		for i := range q {
@@ -240,10 +239,12 @@ func TestLazyFPathologicalSchemes(t *testing.T) {
 }
 
 // TestExtremeSchemeWrapGuards is the regression for the silent
-// fixed-point wraps the threshold audit found: gap penalties above 255
-// wrapped in the uint8 splat and profile entries above 255 wrapped in the
-// biased byte, producing wrong scores instead of a fallback. Such schemes
-// must now skip the narrow tiers entirely and still score correctly.
+// fixed-point wraps the threshold audit found: gap penalties above the
+// lane range wrapped in the splat and profile entries above it wrapped in
+// the biased lane, producing wrong scores instead of a fallback. Such
+// schemes must skip the narrow tiers entirely and still score correctly.
+// The 8-bit cases sit one past each admission bound of the guard-bit
+// lanes (bias, bias+Max and open+extend must each be at most 127).
 func TestExtremeSchemeWrapGuards(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xEC0))
 	cases := []struct {
@@ -251,6 +252,12 @@ func TestExtremeSchemeWrapGuards(t *testing.T) {
 		s        score.Scheme
 		wantTier string
 	}{
+		// open+extend = 128 sets the byte lanes' guard bit; 16-bit takes over.
+		{"gap_oe_over_127", score.Scheme{Matrix: score.BLOSUM62, Gap: score.AffineGap(120, 8)}, Tier16},
+		// bias+Max = 126+2 = 128: the biased profile entry needs the guard bit.
+		{"bias_plus_max_over_127", score.Scheme{Matrix: score.NewMatchMismatch(seq.Protein, 2, -126), Gap: score.AffineGap(10, 2)}, Tier16},
+		// bias = 130 with bias+Max = 125: the bias splat alone breaks the lanes.
+		{"bias_over_127", score.Scheme{Matrix: score.NewMatchMismatch(seq.Protein, -5, -130), Gap: score.AffineGap(10, 2)}, Tier16},
 		// open+extend = 310 wraps uint8; the 16-bit tier must take over.
 		{"gap_oe_over_255", score.Scheme{Matrix: score.BLOSUM62, Gap: score.AffineGap(300, 10)}, Tier16},
 		// bias = 400 wraps the biased byte profile; 16-bit handles it.

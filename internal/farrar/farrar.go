@@ -21,18 +21,26 @@
 //     slow, but a direct transcription of the SSE original, the bit-exact
 //     reference the differential tests compare against.
 //
-// Both use the same overflow ladder. The 8-bit tier holds
-// DP values as biased unsigned bytes (Farrar's original formulation): the
-// query profile carries bias = -matrix.Min(), so the largest score the
-// tier can certify is 255 - bias, not 255 — a score reaching that ceiling
-// may have been clipped by a saturating add and escalates. The 16-bit
-// tier raises the ceiling to 32767 (the paper's adapted signed variant in
-// the emulated kernel; a biased unsigned rendering with the same ceiling
-// in the SWAR kernel), and the scalar reference resolves anything beyond.
+// Both use the same overflow ladder. The 8-bit tier holds DP values as
+// biased unsigned bytes (Farrar's original formulation): the query profile
+// carries bias = -matrix.Min(). The SWAR kernel keeps every byte lane below
+// 128 so each lane's top bit is a guard bit (see internal/simd/swar), which
+// makes its saturating add clamp at 127: the largest score the tier can
+// certify is ceiling8 = 127 - bias (123 for BLOSUM62), and a score reaching
+// it may have been clipped and escalates. The emulated oracle escalates at
+// the same ceiling. The 16-bit tier keeps word lanes below 32768 the same
+// way, certifying scores below ceiling16 = 32767 - bias (the paper's
+// adapted signed variant in the emulated kernel; a biased unsigned
+// rendering with the same ceiling in the SWAR kernel), and the scalar
+// reference resolves anything beyond. A cell clips only when its true value
+// reaches the ceiling, so both implementations return the same (score, ok)
+// pair on every tier.
 //
 // A Kernel precomputes the striped query profile once and scores many
 // database sequences against it, trying the 8-bit kernel first and
-// falling back on overflow, exactly like the SSE original.
+// falling back on overflow, exactly like the SSE original. It reuses one
+// DP scratch buffer across targets, so a Kernel is not safe for concurrent
+// use: build one per goroutine.
 package farrar
 
 import (
@@ -68,7 +76,9 @@ func (s Stats) Add(o Stats) Stats {
 // Total returns the number of sequences the stats cover.
 func (s Stats) Total() int64 { return s.Scored8 + s.Fallback16 + s.FallbackSW }
 
-// Kernel holds the striped query profiles for one query sequence.
+// Kernel holds the striped query profiles for one query sequence. It is
+// not safe for concurrent use: Score writes the kernel's DP scratch buffer
+// and its Stats counters.
 type Kernel struct {
 	query  []byte
 	scheme score.Scheme
@@ -83,13 +93,17 @@ type Kernel struct {
 	segLen16 int
 	prof16   [][]simd.I16x8
 
-	// SWAR profiles (the native path), built lazily. Byte lane l of
-	// swarProf8[r][s] holds the biased score of query position
-	// l*swarSegLen8 + s against residue r.
+	// SWAR profiles (the native path), built lazily, one flat row of
+	// segLen words per residue. Byte lane l of swarProf8[r*swarSegLen8+s]
+	// holds the biased score of query position l*swarSegLen8 + s against
+	// residue r.
 	swarSegLen8  int
-	swarProf8    [][]uint64
+	swarProf8    []uint64
 	swarSegLen16 int
-	swarProf16   [][]uint64
+	swarProf16   []uint64
+
+	// buf backs the SWAR kernels' DP columns, reused across targets.
+	buf []uint64
 
 	stats Stats
 }
@@ -110,12 +124,13 @@ func NewKernel(query []byte, s score.Scheme) (*Kernel, error) {
 		k.bias = 0
 	}
 	// Tier admission: the narrow kernels hold profile entries, gap
-	// penalties and DP cells in fixed-width lanes; a scheme whose
-	// constants do not fit would wrap silently and mis-score, so such
-	// schemes skip the tier entirely instead (the overflow ladder ends at
-	// the scalar reference, which has no such limits).
+	// penalties and DP cells in lanes whose top bit is a guard bit; a
+	// scheme whose constants do not fit below it would break the lane
+	// invariant and mis-score, so such schemes skip the tier entirely
+	// instead (the overflow ladder ends at the scalar reference, which has
+	// no such limits).
 	gapOE := s.Gap.Open + s.Gap.Extend
-	k.tier8 = k.bias <= 255 && k.bias+s.Matrix.Max() <= 255 && gapOE <= 255
+	k.tier8 = k.bias <= 127 && k.bias+s.Matrix.Max() <= 127 && gapOE <= 127
 	k.tier16 = k.bias <= 32767 && k.bias+s.Matrix.Max() <= 32767 && gapOE <= 32767
 	// Build the 8-bit profile eagerly so the construction cost lands on
 	// NewKernel, not the first Score; the 16-bit tier's and the oracle's
@@ -132,11 +147,29 @@ func (k *Kernel) Query() []byte { return k.query }
 // Stats returns cumulative kernel dispatch counters.
 func (k *Kernel) Stats() Stats { return k.stats }
 
-// ceiling8 is the largest score the 8-bit tier can certify: DP cells are
-// biased unsigned bytes, saturating adds clip at 255, and the bias is
-// subtracted back out — so a result of 255 - bias is indistinguishable
-// from a clipped larger score and must escalate.
-func (k *Kernel) ceiling8() int { return 255 - k.bias }
+// ceiling8 is the smallest score the 8-bit tier cannot certify: DP cells
+// are biased bytes below the guard bit, the saturating add clips at 127,
+// and the bias is subtracted back out — so a result of 127 - bias is
+// indistinguishable from a clipped larger score and must escalate.
+func (k *Kernel) ceiling8() int { return 127 - k.bias }
+
+// ceiling16 is ceiling8 for the 16-bit tier: word lanes clip at 32767.
+// The signed emulated kernel adds no bias and clips later, but escalating
+// at the same ceiling keeps the two implementations' (score, ok) pairs
+// identical.
+func (k *Kernel) ceiling16() int { return 32767 - k.bias }
+
+// scratch returns the SWAR kernels' three DP columns (H load, H store, E)
+// of n words each, zeroed, carved from the buffer the kernel reuses across
+// targets.
+func (k *Kernel) scratch(n int) (hLoad, hStore, e []uint64) {
+	if cap(k.buf) < 3*n {
+		k.buf = make([]uint64, 3*n)
+	}
+	b := k.buf[:3*n]
+	clear(b)
+	return b[:n], b[n : 2*n], b[2*n:]
+}
 
 func (k *Kernel) buildProfile8() {
 	m := len(k.query)
@@ -228,8 +261,8 @@ func (k *Kernel) Cells(target []byte) int64 {
 }
 
 // ScoreU8 runs the emulated-ISA 8-bit saturating kernel (the oracle for
-// ScoreSWAR8). ok is false when the score may have overflowed the 8-bit
-// range.
+// ScoreSWAR8). ok is false when the score reached ceiling8, the point
+// from which the SWAR kernel may clip.
 func (k *Kernel) ScoreU8(target []byte) (sc int, ok bool) {
 	if len(target) == 0 {
 		return 0, true
@@ -313,7 +346,7 @@ func (k *Kernel) ScoreU8(target []byte) (sc int, ok bool) {
 
 // ScoreI16 runs the emulated-ISA 16-bit signed kernel (the paper's
 // adapted variant, and the oracle for ScoreSWAR16). ok is false when the
-// score reached the int16 ceiling.
+// score reached ceiling16.
 func (k *Kernel) ScoreI16(target []byte) (sc int, ok bool) {
 	if len(target) == 0 {
 		return 0, true
@@ -383,7 +416,7 @@ func (k *Kernel) ScoreI16(target []byte) (sc int, ok bool) {
 		vHLoad, vHStore = vHStore, vHLoad
 	}
 	best := int(simd.HMaxI16(vMax))
-	if best >= 32767 {
+	if best >= k.ceiling16() {
 		return 0, false
 	}
 	return best, true

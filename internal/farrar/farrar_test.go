@@ -145,13 +145,13 @@ func TestScoreInvalidTargetResidues(t *testing.T) {
 }
 
 func TestFallbackTo16Bit(t *testing.T) {
-	// A self-comparison of a 60-residue query scores far above the ~250
-	// 8-bit ceiling minus bias, forcing the 16-bit kernel.
+	// A self-comparison of a 600-residue query scores far above the 8-bit
+	// ceiling of 127 minus bias, forcing the 16-bit kernel.
 	rng := rand.New(rand.NewSource(47))
 	q := randProtein(rng, 600)
 	k, _ := NewKernel(q, protScheme())
 	want := sw.Score(q, q, protScheme())
-	if want < 255 {
+	if want < 127 {
 		t.Fatalf("test setup: self score %d too small", want)
 	}
 	if got := k.Score(q); got != want {
@@ -188,14 +188,39 @@ func TestKernelReuseAcrossTargets(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	q := randProtein(rng, 80)
 	k, _ := NewKernel(q, protScheme())
+	var below int64 // targets under the 8-bit ceiling
 	for i := 0; i < 30; i++ {
 		d := mutate(rng, q, 0.6)
-		if got, want := k.Score(d), sw.Score(q, d, protScheme()); got != want {
+		want := sw.Score(q, d, protScheme())
+		if got := k.Score(d); got != want {
 			t.Fatalf("target %d: farrar=%d reference=%d", i, got, want)
 		}
+		if want < k.ceiling8() {
+			below++
+		}
 	}
-	if got := k.Stats().Scored8; got != 30 {
-		t.Errorf("Scored8 = %d, want 30", got)
+	if below == 0 || below == 30 {
+		t.Fatalf("test setup: %d of 30 targets below the 8-bit ceiling, want both tiers", below)
+	}
+	if st := k.Stats(); st.Scored8 != below || st.Fallback16 != 30-below {
+		t.Errorf("stats = %+v, want Scored8 = %d and the rest in the 16-bit tier", st, below)
+	}
+}
+
+// TestScoreReusesScratch pins farrar.allocs_per_seq at 0: once the first
+// calls have built the tiers' profiles and sized the scratch buffer, Score
+// allocates nothing on either SWAR tier.
+func TestScoreReusesScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	q := randProtein(rng, 300)
+	unrelated := randProtein(rng, 400)
+	k, _ := NewKernel(q, protScheme())
+	k.Score(q) // the self-alignment escalates to the 16-bit tier
+	if allocs := testing.AllocsPerRun(20, func() { k.Score(unrelated); k.Score(q) }); allocs != 0 {
+		t.Errorf("Score allocated %.1f times per call pair after the first call, want 0", allocs)
+	}
+	if st := k.Stats(); st.Scored8 == 0 || st.Fallback16 == 0 {
+		t.Errorf("stats = %+v, want both SWAR tiers exercised", st)
 	}
 }
 

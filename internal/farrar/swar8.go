@@ -3,24 +3,25 @@ package farrar
 import "repro/internal/simd/swar"
 
 // This file is the native-speed 8-bit tier: Farrar's striped kernel on
-// 8 byte lanes packed in a uint64, computed with the loop-free saturating
-// bit tricks of internal/simd/swar. The recurrences are identical to
-// ScoreU8 (the emulated oracle); only the lane count and the arithmetic
-// substrate differ, and since escalation depends only on DP cell values —
-// not on lane geometry — the two return identical (score, ok) pairs.
+// 8 byte lanes packed in a uint64, computed with the guard-bit primitives
+// of internal/simd/swar (every lane in 0..127). The recurrences are
+// identical to ScoreU8 (the emulated oracle), and both escalate at
+// ceiling8, so the two return identical (score, ok) pairs (see the
+// package doc).
 //
 // swcheck's purity analyzer bans importing the emulated internal/simd ISA
 // from this file: the hot path must stay on the packed-word bit tricks.
 
-// buildSwarProfile8 packs the striped biased byte profile: byte lane l of
-// swarProf8[r][s] holds score(query[l*segLen+s], r) + bias.
+// buildSwarProfile8 packs the striped biased byte profile, one row of
+// segLen words per residue: byte lane l of swarProf8[r*segLen+s] holds
+// score(query[l*segLen+s], r) + bias.
 func (k *Kernel) buildSwarProfile8() {
 	m := len(k.query)
 	k.swarSegLen8 = (m + swar.Lanes8 - 1) / swar.Lanes8
 	alpha := k.scheme.Matrix.Alphabet()
-	k.swarProf8 = make([][]uint64, alpha.Size()+1)
+	k.swarProf8 = make([]uint64, (alpha.Size()+1)*k.swarSegLen8)
 	for r := 0; r <= alpha.Size(); r++ {
-		segs := make([]uint64, k.swarSegLen8)
+		segs := k.swarProf8[r*k.swarSegLen8:][:k.swarSegLen8]
 		var row []int
 		if r < alpha.Size() {
 			row = k.scheme.Matrix.Row(r)
@@ -40,12 +41,11 @@ func (k *Kernel) buildSwarProfile8() {
 			}
 			segs[s] = v
 		}
-		k.swarProf8[r] = segs
 	}
 }
 
 // ScoreSWAR8 runs the packed-word 8-bit saturating kernel. ok is false
-// when the score may have overflowed the tier's 255-bias ceiling.
+// when the score may have been clipped at the tier's 127-bias ceiling.
 func (k *Kernel) ScoreSWAR8(target []byte) (sc int, ok bool) {
 	if len(target) == 0 {
 		return 0, true
@@ -63,31 +63,29 @@ func (k *Kernel) ScoreSWAR8(target []byte) (sc int, ok bool) {
 	vGapE := swar.Splat8(uint8(k.scheme.Gap.Extend))
 	var vMax uint64
 
-	vHLoad := make([]uint64, segLen)
-	vHStore := make([]uint64, segLen)
-	vE := make([]uint64, segLen)
+	vHLoad, vHStore, vE := k.scratch(segLen)
 
 	for _, c := range target {
 		ri := alpha.Index(c)
 		if ri < 0 {
 			ri = alpha.Size() // all-minimum row for out-of-alphabet residues
 		}
-		prof := k.swarProf8[ri][:segLen] // len hint: elides bounds checks below
+		prof := k.swarProf8[ri*segLen:][:segLen] // len hint: elides bounds checks below
 
 		var vF uint64
 		// H of query position l*segLen-1 feeds lane l segment 0: shift the
 		// last stored segment up one lane (zero fill = H[0][j-1] = 0).
 		vH := swar.ShiftLane8(vHLoad[segLen-1])
 		for s := 0; s < segLen; s++ {
-			vH = swar.SubSat8(swar.AddSat8(vH, prof[s]), vBias)
-			vH = swar.Max8(vH, vE[s])
-			vH = swar.Max8(vH, vF)
-			vMax = swar.Max8(vMax, vH)
+			vH = swar.SubSat7(swar.AddSat7(vH, prof[s]), vBias)
+			vH = swar.Max7(vH, vE[s])
+			vH = swar.Max7(vH, vF)
+			vMax = swar.Max7(vMax, vH)
 			vHStore[s] = vH
 
-			vHGap := swar.SubSat8(vH, vGapOE)
-			vE[s] = swar.Max8(swar.SubSat8(vE[s], vGapE), vHGap)
-			vF = swar.Max8(swar.SubSat8(vF, vGapE), vHGap)
+			vHGap := swar.SubSat7(vH, vGapOE)
+			vE[s] = swar.Max7(swar.SubSat7(vE[s], vGapE), vHGap)
+			vF = swar.Max7(swar.SubSat7(vF, vGapE), vHGap)
 			vH = vHLoad[s]
 		}
 
@@ -97,18 +95,18 @@ func (k *Kernel) ScoreSWAR8(target []byte) (sc int, ok bool) {
 		// escalates to the 16-bit tier rather than returning a score whose
 		// correction pass did not finish.
 		vF = swar.ShiftLane8(vF)
-		for s, guard := 0, segLen*(swar.Lanes8+1); swar.AnyGt8(vF, swar.SubSat8(vHStore[s], vGapOE)); guard-- {
+		for s, guard := 0, segLen*(swar.Lanes8+1); swar.AnyGt7(vF, swar.SubSat7(vHStore[s], vGapOE)); guard-- {
 			if guard <= 0 {
 				return 0, false
 			}
-			nh := swar.Max8(vHStore[s], vF)
+			nh := swar.Max7(vHStore[s], vF)
 			if nh != vHStore[s] {
 				vHStore[s] = nh
-				vMax = swar.Max8(vMax, nh)
+				vMax = swar.Max7(vMax, nh)
 				// A raised H can feed a horizontal gap in the next column.
-				vE[s] = swar.Max8(vE[s], swar.SubSat8(nh, vGapOE))
+				vE[s] = swar.Max7(vE[s], swar.SubSat7(nh, vGapOE))
 			}
-			vF = swar.SubSat8(vF, vGapE)
+			vF = swar.SubSat7(vF, vGapE)
 			if s++; s == segLen {
 				s = 0
 				vF = swar.ShiftLane8(vF)
@@ -117,7 +115,7 @@ func (k *Kernel) ScoreSWAR8(target []byte) (sc int, ok bool) {
 
 		vHLoad, vHStore = vHStore, vHLoad
 	}
-	best := int(swar.HMax8(vMax))
+	best := int(swar.HMax7(vMax))
 	if best >= k.ceiling8() {
 		return 0, false // a saturating add may have clipped the true score
 	}

@@ -8,7 +8,7 @@ import (
 
 // TestNativeCalibrationAnchors pins the two families of anchors: the
 // paper's published numbers (which the discrete-event experiments depend
-// on) and the measured native-kernel numbers from BENCH_2026-08-08.json.
+// on) and the measured kernel numbers from the archived BENCH_*.json runs.
 // If a rebenchmark moves the native constants, update them together with
 // the archived BENCH json; the paper anchors must never move.
 func TestNativeCalibrationAnchors(t *testing.T) {

@@ -37,13 +37,14 @@ func Compile(patterns [][]byte) (*Automaton, error) {
 		return nil, errors.New("prefilter: no patterns")
 	}
 	a := &Automaton{plen: make([]int32, len(patterns))}
-	total := 0
+	total, longest := 0, 0
 	for i, p := range patterns {
 		if len(p) == 0 {
 			return nil, fmt.Errorf("prefilter: pattern %d is empty", i)
 		}
 		a.plen[i] = int32(len(p))
 		total += len(p)
+		longest = max(longest, len(p))
 		for _, b := range p {
 			if a.sym[b] == 0 {
 				a.nsym++
@@ -55,43 +56,53 @@ func Compile(patterns [][]byte) (*Automaton, error) {
 		return nil, fmt.Errorf("prefilter: pattern set needs up to %d states (max %d)", total+1, maxStates)
 	}
 	S := a.nsym
+	// Size the tables once from a bound on the state count: depth d of the
+	// trie holds at most min(S^d, len(patterns)) states, and the trie at
+	// most total+1 — tight for the prefilter's equal-length k-mer seeds.
+	bound, width := 1, 1
+	for d := 0; d < longest && bound <= total; d++ {
+		width = min(width*S, len(patterns))
+		bound += width
+	}
+	bound = min(bound, total+1)
 
-	// Trie phase: dense per-state rows, -1 marking absent edges.
-	trie := make([][]int32, 1, total+1)
-	trie[0] = newRow(S)
-	out := make([][]int32, 1, total+1)
+	// Trie phase: the flat table grows one S-wide row per state (row st at
+	// next[st*S:]), -1 marking absent edges; out holds one entry per state.
+	next := appendRow(make([]int32, 0, bound*S), S)
+	out := make([][]int32, 1, bound)
 	for pi, p := range patterns {
 		st := int32(0)
 		for _, b := range p {
-			c := int32(a.sym[b]) - 1
-			if trie[st][c] < 0 {
-				trie = append(trie, newRow(S))
+			e := int(st)*S + int(a.sym[b]) - 1
+			if next[e] < 0 {
+				next[e] = int32(len(out))
+				next = appendRow(next, S)
 				out = append(out, nil)
-				trie[st][c] = int32(len(trie) - 1)
 			}
-			st = trie[st][c]
+			st = next[e]
 		}
 		out[st] = append(out[st], int32(pi))
 	}
+	states := len(out)
 
 	// BFS phase: compute failure links level by level, fold each state's
 	// failure outputs into its own output list, and overwrite absent edges
 	// with the failure state's (already resolved) transition so the scan
 	// never follows a fail link.
-	fail := make([]int32, len(trie))
-	queue := make([]int32, 0, len(trie))
+	fail := make([]int32, states)
+	queue := make([]int32, 0, states)
 	for c := 0; c < S; c++ {
-		if t := trie[0][c]; t >= 0 {
+		if t := next[c]; t >= 0 {
 			queue = append(queue, t)
 		} else {
-			trie[0][c] = 0
+			next[c] = 0
 		}
 	}
 	for qi := 0; qi < len(queue); qi++ {
 		st := queue[qi]
 		// fail[st] is strictly shallower, so its out list is final.
 		out[st] = append(out[st], out[fail[st]]...)
-		row, frow := trie[st], trie[fail[st]]
+		row, frow := next[int(st)*S:][:S], next[int(fail[st])*S:][:S]
 		for c := 0; c < S; c++ {
 			if t := row[c]; t >= 0 {
 				fail[t] = frow[c]
@@ -102,21 +113,18 @@ func Compile(patterns [][]byte) (*Automaton, error) {
 		}
 	}
 
-	a.states = len(trie)
-	a.next = make([]int32, len(trie)*S)
-	for st, row := range trie {
-		copy(a.next[st*S:(st+1)*S], row)
-	}
+	a.states = states
+	a.next = next
 	a.out = out
 	return a, nil
 }
 
-func newRow(nsym int) []int32 {
-	row := make([]int32, nsym)
-	for i := range row {
-		row[i] = -1
+// appendRow appends one state's row of nsym absent (-1) edges to next.
+func appendRow(next []int32, nsym int) []int32 {
+	for c := 0; c < nsym; c++ {
+		next = append(next, -1)
 	}
-	return row
+	return next
 }
 
 // States returns the number of automaton states (trie nodes).

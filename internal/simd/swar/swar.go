@@ -5,11 +5,22 @@
 //
 // Where internal/simd emulates the SSE2 ISA faithfully — one Go loop
 // iteration per lane, which is what makes it a trustworthy oracle and
-// what makes it slow — this package packs 8 unsigned bytes (or 4 unsigned
-// 16-bit words) into one uint64 and computes all lanes at once with the
-// classic carry/borrow-isolation identities (Hacker's Delight §2).
-// Lane l occupies bits [8l, 8l+8) (or [16l, 16l+16)); "left" lane shifts
-// therefore are plain word shifts toward higher significance.
+// what makes it slow — this package packs 8 byte lanes (or 4 16-bit word
+// lanes) into one uint64 and computes all lanes at once. Lane l occupies
+// bits [8l, 8l+8) (or [16l, 16l+16)); "left" lane shifts therefore are
+// plain word shifts toward higher significance.
+//
+// The lane invariant: every lane holds a value below 2^(w-1) — 0..127 in a
+// byte lane, 0..32767 in a word lane — so each lane's top bit is a free
+// guard bit. A plain 64-bit add of two such words cannot carry into the
+// next lane, and (a|H)-b cannot borrow out of one, so the saturating
+// operations need no cross-lane isolation: the guard bit of (a|H)-b is set
+// exactly where a >= b, and that bit alone yields the select mask. Every
+// operation takes invariant lanes to invariant lanes; the 7-bit (15-bit)
+// saturating add clamps at 127 (32767) instead of wrapping into the guard.
+// Callers keep their inputs inside the invariant — Farrar's kernel does,
+// since its biased DP cells are small and non-negative and its profile
+// entries and gap penalties are admitted only when they fit.
 //
 // Every function here is a pure expression over uint64: no loops, no
 // branches, no imports of the emulated ISA. swcheck's purity analyzer
@@ -23,7 +34,7 @@ const (
 	Lanes16 = 4 // 16-bit lanes in a uint64
 )
 
-// Bit masks isolating each lane's high bit (hi) and low bit (lo).
+// Per-lane guard bits (hi) and low bits (lo).
 const (
 	hi8  = 0x8080808080808080
 	lo8  = 0x0101010101010101
@@ -31,118 +42,93 @@ const (
 	lo16 = 0x0001000100010001
 )
 
-// Splat8 returns a word with every byte lane set to v.
+// Splat8 returns a word with every byte lane set to v (v <= 127 keeps the
+// lane invariant).
 func Splat8(v uint8) uint64 { return uint64(v) * lo8 }
 
-// Splat16 returns a word with every 16-bit lane set to v.
+// Splat16 returns a word with every 16-bit lane set to v (v <= 32767 keeps
+// the lane invariant).
 func Splat16(v uint16) uint64 { return uint64(v) * lo16 }
 
-// AddSat8 is lane-wise unsigned saturating addition on byte lanes: lanes
-// whose true sum exceeds 255 clamp to 255. The high bit of each lane is
-// masked off so the partial add cannot carry across lanes, then restored
-// by XOR; the per-lane carry-out identifies lanes to saturate.
-func AddSat8(a, b uint64) uint64 {
-	s := (a &^ hi8) + (b &^ hi8)
-	sum := s ^ ((a ^ b) & hi8)
-	carry := ((a & b) | ((a | b) &^ sum)) & hi8
-	return sum | ((carry >> 7) * 0xFF)
+// ge7 returns d's per-lane mask 0x7F where the guard bit of d is set and 0
+// elsewhere. Applied to d = (a|hi8)-b it is the mask of lanes where a >= b.
+func ge7(d uint64) uint64 {
+	m := d & hi8
+	return m - m>>7
 }
 
-// SubSat8 is lane-wise unsigned saturating subtraction on byte lanes:
-// lanes where b exceeds a clamp to 0. The lanes are subtracted with the
-// borrow confined inside each lane, then lanes that borrowed are zeroed.
-func SubSat8(a, b uint64) uint64 {
-	d := (a | hi8) - (b &^ hi8)
-	diff := d ^ ((a ^ b) & hi8) ^ hi8
-	borrow := ((^a & b) | ((^a | b) & diff)) & hi8
-	return diff &^ ((borrow >> 7) * 0xFF)
+// AddSat7 is lane-wise addition on byte lanes clamped at 127: the sum of
+// two invariant lanes is at most 254, so it fits its lane, and a set guard
+// bit marks the lanes to clamp.
+func AddSat7(a, b uint64) uint64 {
+	s := a + b
+	o := s & hi8
+	return (s | (o - o>>7)) &^ hi8
 }
 
-// Max8 is lane-wise unsigned maximum on byte lanes.
-func Max8(a, b uint64) uint64 {
-	d := (a | hi8) - (b &^ hi8)
-	diff := d ^ ((a ^ b) & hi8) ^ hi8
-	borrow := ((^a & b) | ((^a | b) & diff)) & hi8 // lanes where a < b
-	sel := (borrow >> 7) * 0xFF                    // 0xFF where b wins
-	return a ^ ((a ^ b) & sel)
+// SubSat7 is lane-wise saturating subtraction on byte lanes: lanes where b
+// exceeds a clamp to 0.
+func SubSat7(a, b uint64) uint64 {
+	d := (a | hi8) - b
+	return d & ge7(d)
 }
 
-// Gt8 returns a lane mask with 0xFF in every byte lane where a > b.
-func Gt8(a, b uint64) uint64 {
-	d := (b | hi8) - (a &^ hi8)
-	diff := d ^ ((a ^ b) & hi8) ^ hi8
-	borrow := ((^b & a) | ((^b | a) & diff)) & hi8 // lanes where b < a
-	return (borrow >> 7) * 0xFF
+// Max7 is lane-wise maximum on byte lanes.
+func Max7(a, b uint64) uint64 {
+	return b ^ ((a ^ b) & ge7((a|hi8)-b))
 }
 
-// AnyGt8 reports whether any byte lane of a exceeds the matching lane of
+// AnyGt7 reports whether any byte lane of a exceeds the matching lane of
 // b — the termination test of the lazy-F correction loop.
-func AnyGt8(a, b uint64) bool {
-	d := (b | hi8) - (a &^ hi8)
-	diff := d ^ ((a ^ b) & hi8) ^ hi8
-	return ((^b&a)|((^b|a)&diff))&hi8 != 0
-}
+func AnyGt7(a, b uint64) bool { return ((b|hi8)-a)&hi8 != hi8 }
 
 // ShiftLane8 shifts every byte lane up by one (lane l to lane l+1), the
 // striped layout's segment-boundary move; lane 0 fills with zero.
 func ShiftLane8(a uint64) uint64 { return a << 8 }
 
-// HMax8 returns the maximum byte lane value via a logarithmic fold; the
-// zero lanes shifted in never win an unsigned maximum.
-func HMax8(a uint64) uint8 {
-	m := Max8(a, a>>32)
-	m = Max8(m, m>>16)
-	m = Max8(m, m>>8)
+// HMax7 returns the maximum byte lane value via a logarithmic fold; the
+// zero lanes shifted in never win a maximum.
+func HMax7(a uint64) uint8 {
+	m := Max7(a, a>>32)
+	m = Max7(m, m>>16)
+	m = Max7(m, m>>8)
 	return uint8(m)
 }
 
-// AddSat16 is lane-wise unsigned saturating addition on 16-bit lanes.
-func AddSat16(a, b uint64) uint64 {
-	s := (a &^ hi16) + (b &^ hi16)
-	sum := s ^ ((a ^ b) & hi16)
-	carry := ((a & b) | ((a | b) &^ sum)) & hi16
-	return sum | ((carry >> 15) * 0xFFFF)
+// ge15 is ge7 for word lanes: 0x7FFF where the guard bit of d is set.
+func ge15(d uint64) uint64 {
+	m := d & hi16
+	return m - m>>15
 }
 
-// SubSat16 is lane-wise unsigned saturating subtraction on 16-bit lanes.
-func SubSat16(a, b uint64) uint64 {
-	d := (a | hi16) - (b &^ hi16)
-	diff := d ^ ((a ^ b) & hi16) ^ hi16
-	borrow := ((^a & b) | ((^a | b) & diff)) & hi16
-	return diff &^ ((borrow >> 15) * 0xFFFF)
+// AddSat15 is lane-wise addition on 16-bit lanes clamped at 32767.
+func AddSat15(a, b uint64) uint64 {
+	s := a + b
+	o := s & hi16
+	return (s | (o - o>>15)) &^ hi16
 }
 
-// Max16 is lane-wise unsigned maximum on 16-bit lanes.
-func Max16(a, b uint64) uint64 {
-	d := (a | hi16) - (b &^ hi16)
-	diff := d ^ ((a ^ b) & hi16) ^ hi16
-	borrow := ((^a & b) | ((^a | b) & diff)) & hi16
-	sel := (borrow >> 15) * 0xFFFF
-	return a ^ ((a ^ b) & sel)
+// SubSat15 is lane-wise saturating subtraction on 16-bit lanes.
+func SubSat15(a, b uint64) uint64 {
+	d := (a | hi16) - b
+	return d & ge15(d)
 }
 
-// Gt16 returns a lane mask with 0xFFFF in every 16-bit lane where a > b.
-func Gt16(a, b uint64) uint64 {
-	d := (b | hi16) - (a &^ hi16)
-	diff := d ^ ((a ^ b) & hi16) ^ hi16
-	borrow := ((^b & a) | ((^b | a) & diff)) & hi16
-	return (borrow >> 15) * 0xFFFF
+// Max15 is lane-wise maximum on 16-bit lanes.
+func Max15(a, b uint64) uint64 {
+	return b ^ ((a ^ b) & ge15((a|hi16)-b))
 }
 
-// AnyGt16 reports whether any 16-bit lane of a exceeds the matching lane
+// AnyGt15 reports whether any 16-bit lane of a exceeds the matching lane
 // of b.
-func AnyGt16(a, b uint64) bool {
-	d := (b | hi16) - (a &^ hi16)
-	diff := d ^ ((a ^ b) & hi16) ^ hi16
-	return ((^b&a)|((^b|a)&diff))&hi16 != 0
-}
+func AnyGt15(a, b uint64) bool { return ((b|hi16)-a)&hi16 != hi16 }
 
 // ShiftLane16 shifts every 16-bit lane up by one; lane 0 fills with zero.
 func ShiftLane16(a uint64) uint64 { return a << 16 }
 
-// HMax16 returns the maximum 16-bit lane value.
-func HMax16(a uint64) uint16 {
-	m := Max16(a, a>>32)
-	m = Max16(m, m>>16)
+// HMax15 returns the maximum 16-bit lane value.
+func HMax15(a uint64) uint16 {
+	m := Max15(a, a>>32)
+	m = Max15(m, m>>16)
 	return uint16(m)
 }

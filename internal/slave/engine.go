@@ -203,15 +203,53 @@ func (e *GPUEngine) SearchRange(query *seq.Sequence, lo, hi int, progress func(i
 
 // TopK returns the k best hits under the module-wide ranking contract
 // (wire.HitLess: score descending, database order on ties), the form
-// results travel back to the master in.
+// results travel back to the master in. The input is not modified. For
+// 0 < k < len(hits) only k entries are allocated: a bounded heap keeps the
+// k best seen so far with the worst at its root, and is heap-sorted in
+// place at the end. One scan's hits have distinct indices, so HitLess is a
+// strict order on them and the k best are unique.
 func TopK(hits []wire.Hit, k int) []wire.Hit {
 	if k <= 0 || k >= len(hits) {
-		k = len(hits)
+		out := make([]wire.Hit, len(hits))
+		copy(out, hits)
+		wire.SortHits(out)
+		return out
 	}
-	out := make([]wire.Hit, len(hits))
-	copy(out, hits)
-	wire.SortHits(out)
-	return out[:k]
+	top := make([]wire.Hit, k)
+	copy(top, hits[:k])
+	for i := k/2 - 1; i >= 0; i-- {
+		siftWorst(top, i)
+	}
+	for _, h := range hits[k:] {
+		if wire.HitLess(h, top[0]) {
+			top[0] = h
+			siftWorst(top, 0)
+		}
+	}
+	for end := k - 1; end > 0; end-- {
+		top[0], top[end] = top[end], top[0]
+		siftWorst(top[:end], 0)
+	}
+	return top
+}
+
+// siftWorst moves h[i] down until no entry ranks above its children under
+// wire.HitLess, so h[0] is the worst hit of the heap.
+func siftWorst(h []wire.Hit, i int) {
+	for {
+		w, l, r := i, 2*i+1, 2*i+2
+		if l < len(h) && wire.HitLess(h[w], h[l]) {
+			w = l
+		}
+		if r < len(h) && wire.HitLess(h[w], h[r]) {
+			w = r
+		}
+		if w == i {
+			return
+		}
+		h[i], h[w] = h[w], h[i]
+		i = w
+	}
 }
 
 // Aligner is implemented by engines that can run the traceback phase

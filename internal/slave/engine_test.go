@@ -118,6 +118,51 @@ func TestTopK(t *testing.T) {
 	}
 }
 
+// TestTopKMatchesFullSort pins the bounded-heap selection to the sorted
+// prefix it replaces, over tie-heavy random scores and every k, and checks
+// that it allocates only the k entries it returns.
+func TestTopKMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(98))
+	for iter := 0; iter < 50; iter++ {
+		n := 1 + rng.Intn(60)
+		hits := make([]wire.Hit, n)
+		for i := range hits {
+			hits[i] = wire.Hit{Index: 10 + i, Score: rng.Intn(8)}
+		}
+		rng.Shuffle(n, func(i, j int) { hits[i], hits[j] = hits[j], hits[i] })
+		input := append([]wire.Hit(nil), hits...)
+		sorted := append([]wire.Hit(nil), hits...)
+		wire.SortHits(sorted)
+		for k := 0; k <= n+1; k++ {
+			got := TopK(hits, k)
+			want := sorted
+			if k > 0 && k < n {
+				want = sorted[:k]
+			}
+			if len(got) != len(want) {
+				t.Fatalf("n=%d k=%d: %d hits, want %d", n, k, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Index != want[i].Index || got[i].Score != want[i].Score {
+					t.Fatalf("n=%d k=%d: hit %d = %+v, want %+v", n, k, i, got[i], want[i])
+				}
+			}
+			for i := range input {
+				if hits[i].Index != input[i].Index {
+					t.Fatalf("n=%d k=%d: TopK mutated its input", n, k)
+				}
+			}
+		}
+	}
+	hits := make([]wire.Hit, 1000)
+	for i := range hits {
+		hits[i] = wire.Hit{Index: i, Score: rng.Intn(100)}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { TopK(hits, 5) }); allocs != 1 {
+		t.Errorf("TopK(1000 hits, 5) made %.0f allocations, want 1", allocs)
+	}
+}
+
 func TestRandomizedEnginesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	p := dataset.Profile{Name: "r", NumSeqs: 12, MeanLen: 60, SigmaLn: 0.4, MinLen: 10, MaxLen: 150}
