@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet lint lint-cover loc bench-frozen test race race-full sim-smoke fuzz-smoke bench-smoke cover cluster-cover tenancy-cover bench bench-pair tables tables-check svg csv examples clean
+.PHONY: all build vet lint lint-cover loc bench-frozen bench-compare test race race-full sim-smoke fuzz-smoke bench-smoke cover cluster-cover tenancy-cover bench bench-pair tables tables-check svg csv examples clean
 
 # The concurrency-heavy packages (distributed path + scheduler) always run
 # under the race detector as part of `make test`; `race-full` covers the
@@ -25,18 +25,14 @@ vet:
 covfloor = go tool cover -func=$(1) | awk -v min=$(2) '/^total:/ { pct = $$3; sub("%", "", pct); printf "coverage: %s%% of statements (floor %s%%)\n", pct, min; ok = (pct + 0 >= min) } END { exit !ok }'
 
 # Run the repo's own static-analysis suite (see cmd/swcheck and DESIGN §7),
-# nine analyzers: scheduler purity, enum-switch exhaustiveness, mutex
-# discipline, dropped errors, metric naming, and the flow-sensitive quartet
-# (ctxflow, unlockpath, leakcheck, deadline) built on the CFG/dataflow
-# engine. The second pass audits every //swcheck:ignore directive
-# and fails on stale ones. CI runs this as its own job (with a JSON findings
-# artifact); locally it still rides along in `make all`.
+# three analyzers: scheduler and SWAR purity, enum-switch exhaustiveness
+# and metric naming. CI runs this as its own job; locally it rides along
+# in `make all`.
 lint:
 	go run ./cmd/swcheck ./...
-	go run ./cmd/swcheck -ignores ./...
 
-# Coverage floor for the analyzer engine itself: the CFG/dataflow core
-# gates the whole tree, so its own tests must not rot.
+# Coverage floor for the analyzer package itself: swcheck gates the whole
+# tree, so its own tests must not rot.
 lint-cover:
 	go test -coverprofile=analysis.cover.out ./internal/analysis
 	$(call covfloor,analysis.cover.out,80)
@@ -146,6 +142,12 @@ SEED ?= 1
 PAIRS ?= 10
 bench-pair:
 	bash scripts/bench-pair.sh $(BASE) $(WORKLOAD) $(SEED) $(PAIRS)
+
+# Compare two swload result files (written by `bash bench/run.sh -all -out
+# FILE`): prints every metric side by side and exits 1 when an end-to-end
+# metric of NEW is worse than OLD's by more than its BENCHMARK.json bound.
+bench-compare:
+	bash bench/run.sh -compare $(OLD) $(NEW)
 
 # Regenerate every table and figure of the paper (EXPERIMENTS.md data).
 tables:

@@ -1,124 +1,80 @@
 // Command swcheck is the repository's static-analysis suite: a
 // stdlib-only (go/parser + go/types, no x/tools) multi-analyzer driver
-// that enforces the invariants DESIGN §7 documents — scheduler purity,
-// enum-switch exhaustiveness, mutex discipline, checked errors and the
-// subsystem_name_unit metric naming convention. `make lint` (and therefore `make test` and CI) runs it over
-// the whole module.
+// that enforces the invariants DESIGN §7 documents — scheduler and SWAR
+// purity, enum-switch exhaustiveness and the subsystem_name_unit metric
+// naming convention. `make lint` and the CI lint job run it over the
+// whole module; `make test` does not.
 //
 // Usage:
 //
-//	swcheck [-only a,b] [-list] [-json] [-ignores] [package pattern ...]
+//	swcheck [-list] [package pattern ...]
 //
 // Patterns are directories, optionally ending in /... for a recursive
-// walk (default ./... from the enclosing module root). Exit status is 1
-// when any diagnostic is reported; each is printed as
+// walk (default ./... from the enclosing module root). Each finding is
+// printed as
 //
 //	file:line:col: [analyzer] message
 //
-// -json emits the findings as a JSON array instead — including the
-// suppressed ones, flagged "ignored" with the directive's reason — for
-// CI artifacts and tooling; the exit status still counts only live
-// findings. -ignores audits every //swcheck:ignore directive and fails
-// when one is stale (no longer suppresses anything).
-//
-// A finding can be suppressed with a trailing or preceding comment
-// `//swcheck:ignore <analyzer> <reason>`; the reason is mandatory.
+// Exit status is 0 on a clean run, 1 when any diagnostic is reported and
+// 2 on a usage or load error.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 
 	"repro/internal/analysis"
 )
 
 func main() {
-	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-	list := flag.Bool("list", false, "list the available analyzers and exit")
-	jsonOut := flag.Bool("json", false, "emit findings (including ignored ones) as a JSON array")
-	ignores := flag.Bool("ignores", false, "audit //swcheck:ignore directives; stale ones fail")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	analyzers := analysis.All()
-	if *list {
-		for _, a := range analyzers {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
+// run is swcheck with its arguments and output streams passed in; it
+// returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("swcheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list the analyzers and exit")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
 		}
-		return
+		return 2
 	}
-	if *only != "" {
-		var err error
-		analyzers, err = analysis.Select(strings.Split(*only, ","))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "swcheck: %v\n", err)
-			os.Exit(2)
+
+	if *list {
+		for _, a := range analysis.All() {
+			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
+		return 0
 	}
 
 	cwd, err := os.Getwd()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "swcheck: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "swcheck: %v\n", err)
+		return 2
 	}
 	root, err := analysis.FindModuleRoot(cwd)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "swcheck: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "swcheck: %v\n", err)
+		return 2
 	}
 
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-
-	if *jsonOut || *ignores {
-		diags, uses, err := analysis.Findings(root, patterns, analyzers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "swcheck: %v\n", err)
-			os.Exit(2)
-		}
-		if *ignores {
-			stale := 0
-			for _, u := range uses {
-				status := "live"
-				if !u.Live {
-					status = "STALE"
-					stale++
-				}
-				fmt.Printf("%s:%d: [%s] %s — %s\n", u.File, u.Line, u.Analyzer, status, u.Reason)
-			}
-			if stale > 0 {
-				fmt.Fprintf(os.Stderr, "swcheck: %d stale ignore directive(s): delete them or restore the finding they suppressed\n", stale)
-				os.Exit(1)
-			}
-			return
-		}
-		if err := analysis.WriteJSON(os.Stdout, diags); err != nil {
-			fmt.Fprintf(os.Stderr, "swcheck: %v\n", err)
-			os.Exit(2)
-		}
-		live := 0
-		for _, d := range diags {
-			if !d.Ignored {
-				live++
-			}
-		}
-		if live > 0 {
-			fmt.Fprintf(os.Stderr, "swcheck: %d finding(s)\n", live)
-			os.Exit(1)
-		}
-		return
-	}
-
-	n, err := analysis.Run(root, patterns, analyzers, os.Stdout)
+	n, err := analysis.Run(root, patterns, analysis.All(), stdout)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "swcheck: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "swcheck: %v\n", err)
+		return 2
 	}
 	if n > 0 {
-		fmt.Fprintf(os.Stderr, "swcheck: %d finding(s)\n", n)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "swcheck: %d finding(s)\n", n)
+		return 1
 	}
+	return 0
 }

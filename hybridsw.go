@@ -197,7 +197,6 @@ func (p Platform) Params() cluster.Params {
 // platform: the master/slave environment runs with real engines on real
 // data, wall-clock time, and the selected allocation policy.
 func Search(queries, db []*Sequence, p Platform) (*Report, error) {
-	//swcheck:ignore ctxflow Search is the deliberate no-ctx compatibility API; SearchContext is the threaded variant
 	return SearchContext(context.Background(), queries, db, p)
 }
 

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// BenchmarkSwcheckRepo times the full ten-analyzer suite over the whole
+// BenchmarkSwcheckRepo times the full three-analyzer suite over the whole
 // module — the price every `make lint` invocation and the CI lint job
 // pay. Load + type-check dominates; the benchmark keeps that cost
 // visible so analyzer additions that blow it up are caught in

@@ -26,7 +26,7 @@ var ExhaustiveAnalyzer = &Analyzer{
 }
 
 func runExhaustive(pass *Pass) {
-	pass.Pkg.WalkStack(func(n ast.Node, _ []ast.Node) bool {
+	pass.Pkg.Inspect(func(n ast.Node) bool {
 		sw, ok := n.(*ast.SwitchStmt)
 		if !ok || sw.Tag == nil {
 			return true

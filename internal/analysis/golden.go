@@ -38,14 +38,6 @@ func CheckGolden(dir string, analyzers []*Analyzer) ([]string, error) {
 		return nil, err
 	}
 	diags := Check(pkg, analyzers)
-	// Goldens assert what swcheck reports; suppressed findings don't count.
-	kept := diags[:0]
-	for _, d := range diags {
-		if !d.Ignored {
-			kept = append(kept, d)
-		}
-	}
-	diags = kept
 
 	type key struct {
 		file string

@@ -38,30 +38,6 @@ func TestExhaustiveGolden(t *testing.T) {
 	runGolden(t, "testdata/exhaustive", ExhaustiveAnalyzer)
 }
 
-func TestLockguardGolden(t *testing.T) {
-	runGolden(t, "testdata/lockguard", LockguardAnalyzer)
-}
-
-func TestErrcheckGolden(t *testing.T) {
-	runGolden(t, "testdata/errcheck", ErrcheckAnalyzer)
-}
-
 func TestMetricNameGolden(t *testing.T) {
 	runGolden(t, "testdata/metricname", MetricNameAnalyzer)
-}
-
-func TestUnlockpathGolden(t *testing.T) {
-	runGolden(t, "testdata/unlockpath", UnlockpathAnalyzer)
-}
-
-func TestCtxflowGolden(t *testing.T) {
-	runGolden(t, "testdata/ctxflow", CtxflowAnalyzer)
-}
-
-func TestLeakcheckGolden(t *testing.T) {
-	runGolden(t, "testdata/leakcheck/internal/jobs", LeakcheckAnalyzer)
-}
-
-func TestDeadlineGolden(t *testing.T) {
-	runGolden(t, "testdata/deadline", DeadlineAnalyzer)
 }

@@ -20,8 +20,6 @@ type Package struct {
 	// synthetic path the same way, which is what lets path-scoped analyzers
 	// (purity) fire on fixtures laid out like the real tree.
 	Path string
-	// Dir is the absolute directory the package was loaded from.
-	Dir string
 	// ModulePath is the module path from go.mod (shared by all packages of
 	// one Loader); analyzers use it to tell module enums from imported ones.
 	ModulePath string
@@ -30,34 +28,6 @@ type Package struct {
 	Files []*ast.File // non-test files, sorted by file name
 	Types *types.Package
 	Info  *types.Info
-
-	ignores   []ignoreDirective // keyed by file via position
-	malformed []Diagnostic
-
-	// fileOf maps each directive back to its file name so directives only
-	// suppress diagnostics in their own file.
-	ignoreFiles []string
-	// usedIgnores marks, per directive, whether it suppressed at least one
-	// finding this run — the liveness signal behind `swcheck -ignores`.
-	usedIgnores []bool
-}
-
-// coveringIgnore returns the index of the first ignore directive covering
-// a diagnostic by analyzer at position (same file, directive line or the
-// line below), or -1 when none does.
-func (p *Package) coveringIgnore(analyzer string, pos token.Position) int {
-	for i, d := range p.ignores {
-		if d.analyzer != analyzer && d.analyzer != "all" {
-			continue
-		}
-		if p.ignoreFiles[i] != pos.Filename {
-			continue
-		}
-		if pos.Line == d.line || pos.Line == d.line+1 {
-			return i
-		}
-	}
-	return -1
 }
 
 // Loader loads packages of one module by directory, type-checking them
@@ -177,15 +147,11 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 
 	pkg := &Package{
 		Path:       path,
-		Dir:        abs,
 		ModulePath: l.ModulePath,
 		Fset:       l.fset,
 		Info: &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Defs:       map[*ast.Ident]types.Object{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-			Implicits:  map[ast.Node]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Uses:  map[*ast.Ident]types.Object{},
 		},
 	}
 	for _, name := range names {
@@ -194,14 +160,7 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 			return nil, err
 		}
 		pkg.Files = append(pkg.Files, f)
-		dirs, bad := parseIgnores(l.fset, f)
-		pkg.malformed = append(pkg.malformed, bad...)
-		for _, d := range dirs {
-			pkg.ignores = append(pkg.ignores, d)
-			pkg.ignoreFiles = append(pkg.ignoreFiles, filepath.Join(abs, name))
-		}
 	}
-	pkg.usedIgnores = make([]bool, len(pkg.ignores))
 
 	conf := types.Config{Importer: l}
 	tpkg, err := conf.Check(path, l.fset, pkg.Files, pkg.Info)

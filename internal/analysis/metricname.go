@@ -35,7 +35,7 @@ var metricConstructors = map[string]metrics.Kind{
 
 func runMetricName(pass *Pass) {
 	info := pass.Pkg.Info
-	pass.Pkg.WalkStack(func(n ast.Node, _ []ast.Node) bool {
+	pass.Pkg.Inspect(func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || len(call.Args) == 0 {
 			return true

@@ -92,7 +92,7 @@ func runSwarPurity(pass *Pass) {
 				}
 			}
 		}
-		pass.Pkg.WalkStack(func(n ast.Node, _ []ast.Node) bool {
+		pass.Pkg.Inspect(func(n ast.Node) bool {
 			switch n.(type) {
 			case *ast.ForStmt, *ast.RangeStmt:
 				pass.Reportf(n.Pos(), "loop statement in SWAR package %s: primitives must be loop-free bit tricks over packed words", pass.Pkg.Types.Name())
@@ -141,7 +141,7 @@ func runPurity(pass *Pass) {
 		}
 	}
 
-	pass.Pkg.WalkStack(func(n ast.Node, _ []ast.Node) bool {
+	pass.Pkg.Inspect(func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
 			pass.Reportf(n.Pos(), "go statement in pure package %s: concurrency belongs to the drivers, not the state machine", pass.Pkg.Types.Name())

@@ -23,23 +23,3 @@ func TestRepoIsClean(t *testing.T) {
 		t.Errorf("swcheck found %d finding(s) on the repository:\n%s", n, buf.String())
 	}
 }
-
-// TestIgnoreDirectivesAreLive fails when a //swcheck:ignore directive in
-// the real tree no longer suppresses anything. A stale directive is a
-// lie: its reason documents a violation that no longer exists, and it
-// silently swallows the next genuine finding on that line.
-func TestIgnoreDirectivesAreLive(t *testing.T) {
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatalf("FindModuleRoot: %v", err)
-	}
-	_, uses, err := Findings(root, []string{"./..."}, All())
-	if err != nil {
-		t.Fatalf("Findings: %v", err)
-	}
-	for _, u := range uses {
-		if !u.Live {
-			t.Errorf("%s:%d: stale //swcheck:ignore %s (%q): it suppresses nothing — delete it", u.File, u.Line, u.Analyzer, u.Reason)
-		}
-	}
-}

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -13,59 +12,25 @@ import (
 // Run expands the given package patterns (a directory, or a directory
 // followed by /... for a recursive walk) relative to the module rooted at
 // root, loads every matched package, runs the analyzers over each, and
-// writes one line per non-ignored diagnostic to w. It returns the number
-// of diagnostics printed. Directories named testdata, vendor or starting
-// with "." are skipped by pattern expansion — fixtures are loaded
+// writes one line per diagnostic to w, sorted by position. It returns the
+// number of diagnostics printed. Directories named testdata, vendor or
+// starting with "." are skipped by pattern expansion — fixtures are loaded
 // explicitly by the golden tests, never by a production run.
 func Run(root string, patterns []string, analyzers []*Analyzer, w io.Writer) (int, error) {
-	diags, _, err := Findings(root, patterns, analyzers)
+	loader, err := NewLoader(root)
 	if err != nil {
 		return 0, err
 	}
-	n := 0
-	for _, d := range diags {
-		if d.Ignored {
-			continue
-		}
-		fmt.Fprintln(w, d)
-		n++
-	}
-	return n, nil
-}
-
-// IgnoreUse is one //swcheck:ignore directive seen during Findings, with
-// its liveness: Live means it suppressed at least one finding this run,
-// so a stale (dead) directive is documentation for a violation that no
-// longer exists.
-type IgnoreUse struct {
-	File     string
-	Line     int
-	Analyzer string
-	Reason   string
-	Live     bool
-}
-
-// Findings is Run's machine-facing core: it returns every diagnostic,
-// including ones suppressed by //swcheck:ignore (flagged Ignored), plus
-// an audit entry per ignore directive encountered in the checked
-// packages. Diagnostics are sorted by position, audits by file and line.
-func Findings(root string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, []IgnoreUse, error) {
-	loader, err := NewLoader(root)
-	if err != nil {
-		return nil, nil, err
-	}
 	dirs, err := expandPatterns(root, patterns)
 	if err != nil {
-		return nil, nil, err
+		return 0, err
 	}
 	var diags []Diagnostic
-	var pkgs []*Package
 	for _, dir := range dirs {
 		pkg, err := loader.LoadDir(dir)
 		if err != nil {
-			return nil, nil, err
+			return 0, err
 		}
-		pkgs = append(pkgs, pkg)
 		diags = append(diags, Check(pkg, analyzers)...)
 	}
 	sort.Slice(diags, func(i, j int) bool {
@@ -81,64 +46,16 @@ func Findings(root string, patterns []string, analyzers []*Analyzer) ([]Diagnost
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	var uses []IgnoreUse
-	for _, pkg := range pkgs {
-		for i, d := range pkg.ignores {
-			uses = append(uses, IgnoreUse{
-				File:     pkg.ignoreFiles[i],
-				Line:     d.line,
-				Analyzer: d.analyzer,
-				Reason:   d.reason,
-				Live:     pkg.usedIgnores[i],
-			})
-		}
-	}
-	sort.Slice(uses, func(i, j int) bool {
-		if uses[i].File != uses[j].File {
-			return uses[i].File < uses[j].File
-		}
-		return uses[i].Line < uses[j].Line
-	})
-	return diags, uses, nil
-}
-
-// jsonDiagnostic is the `swcheck -json` wire shape of one Diagnostic.
-type jsonDiagnostic struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-	Ignored  bool   `json:"ignored"`
-	Reason   string `json:"reason,omitempty"`
-}
-
-// WriteJSON writes diags to w as an indented JSON array — the
-// machine-readable output behind `swcheck -json`, which CI uploads as an
-// artifact. Ignored findings are included so the artifact records what
-// was suppressed and why, not just what fired.
-func WriteJSON(w io.Writer, diags []Diagnostic) error {
-	out := make([]jsonDiagnostic, 0, len(diags))
 	for _, d := range diags {
-		out = append(out, jsonDiagnostic{
-			File:     d.Pos.Filename,
-			Line:     d.Pos.Line,
-			Col:      d.Pos.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-			Ignored:  d.Ignored,
-			Reason:   d.IgnoreReason,
-		})
+		fmt.Fprintln(w, d)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return len(diags), nil
 }
 
 // Check runs the analyzers over one loaded package and returns their
-// diagnostics plus any malformed ignore directives found in it.
+// diagnostics.
 func Check(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	diags := append([]Diagnostic(nil), pkg.malformed...)
+	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{Analyzer: a, Pkg: pkg, diags: &diags}
 		a.Run(pass)

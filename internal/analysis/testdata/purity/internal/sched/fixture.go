@@ -31,10 +31,3 @@ func violations() {
 	_ = rand.Intn(10)            // want "rand.Intn draws from the global source"
 	go violations()              // want "go statement in pure package sched"
 }
-
-// suppressed demonstrates the escape hatch: a well-formed ignore
-// directive with a reason silences the diagnostic on the next line.
-func suppressed() time.Time {
-	//swcheck:ignore purity golden-fixture demo of the suppression directive
-	return time.Now()
-}

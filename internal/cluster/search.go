@@ -98,7 +98,6 @@ func (r *Report) GCUPS() float64 {
 
 // Search is SearchContext without cancellation.
 func (f *Fleet) Search(queries []*seq.Sequence, p Params) (*Report, error) {
-	//swcheck:ignore ctxflow Search is the deliberate no-ctx compatibility API; SearchContext is the threaded variant
 	return f.SearchContext(context.Background(), queries, p)
 }
 
@@ -151,7 +150,9 @@ func (f *Fleet) SearchContext(ctx context.Context, queries []*seq.Sequence, p Pa
 			o.results, o.filter, o.report, o.err = f.searchShard(ctx, s, queries, filtered, p, board)
 		}(i, s)
 	}
-	//swcheck:ignore ctxflow every replica caller is ctx-gated (replicaCaller), so cancellation already unblocks this join; returning before it would leak replica goroutines
+	// Every replica caller is ctx-gated (replicaCaller), so cancellation
+	// already unblocks this join; returning before it would leak replica
+	// goroutines.
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -341,7 +342,8 @@ func (f *Fleet) searchShard(ctx context.Context, s *shard, queries []*seq.Sequen
 			})
 		}(i, r)
 	}
-	//swcheck:ignore ctxflow the joined replica loops are ctx-gated via replicaCaller, so cancellation already unblocks this join
+	// The joined replica loops are ctx-gated via replicaCaller, so
+	// cancellation already unblocks this join.
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, nil, report, err

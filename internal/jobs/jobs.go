@@ -255,7 +255,9 @@ func New(cfg Config) (*Manager, error) {
 	if met == nil {
 		met = NewMetrics(nil)
 	}
-	//swcheck:ignore ctxflow the Manager's base ctx outlives any submitter: queued jobs survive caller disconnects and re-run after recovery, so it must root at Background
+	// The Manager's base ctx outlives any submitter: queued jobs survive
+	// caller disconnects and re-run after recovery, so it must root at
+	// Background.
 	base, abort := context.WithCancel(context.Background())
 	book := NewTenantBook(cfg.TenantPolicy, cfg.Tenants, cfg.TenantDefaults)
 	m := &Manager{

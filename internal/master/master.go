@@ -128,11 +128,10 @@ type QueryResult struct {
 	Replicas int           // how many extra copies the adjustment mechanism ran
 }
 
-// Master serves one job to any number of slaves. The struct follows the
-// lockguard grouping convention: fields above mu are set once in New and
-// never reassigned (channels synchronize themselves; the metric bundles
-// are built on Config.Registry, nil or not); the group below mu is what mu
-// guards.
+// Master serves one job to any number of slaves. Fields above mu are set
+// once in New and never reassigned (channels synchronize themselves; the
+// metric bundles are built on Config.Registry, nil or not); the group
+// below mu is what mu guards.
 type Master struct {
 	start time.Time
 	lease time.Duration

@@ -5,8 +5,8 @@
 #
 #   scripts/bench-pair.sh BASE WORKLOAD SEED PAIRS    (or: make bench-pair ...)
 #
-# BASE is checked out into a git worktree under .bench_build/ and removed
-# again on exit. Each pair runs `bash bench/run.sh --workload WORKLOAD
+# BASE is checked out into a `git clone --shared` of the repository under
+# .bench_build/ and removed again on exit. Each pair runs `bash bench/run.sh --workload WORKLOAD
 # --seed SEED --seconds 20 --trace 0` once in either tree, alternating which
 # side goes first; each tree builds its own swload and swserve from its own
 # source. For every end-to-end metric it prints both sides' median and
@@ -24,9 +24,10 @@ sha=$(git rev-parse --verify "$base^{commit}")
 out="$root/.bench_build/pair"
 tree="$out/base-${sha:0:12}"
 mkdir -p "$out"
-git worktree prune
-git worktree add --detach --force "$tree" "$sha" >/dev/null
-trap 'git worktree remove --force "$tree"' EXIT
+trap 'rm -rf "$tree"' EXIT
+rm -rf "$tree"
+git clone --quiet --shared --no-checkout "$root" "$tree"
+git -C "$tree" checkout --quiet --detach "$sha"
 : >"$out/base.jsonl"
 : >"$out/change.jsonl"
 
