@@ -94,7 +94,9 @@ cluster-cover:
 # multi-pattern scan, and the fair-queue one, which replays randomized
 # push/pop/finish/remove interleavings against a shadow model of the
 # per-tenant accounting, and the range-cut one, which checks that the cut
-# behind shards and database-range tasks covers any database exactly once.
+# behind shards and database-range tasks covers any database exactly once,
+# and the prefilter range-cut one, which checks that the ranges of any cut
+# emit exactly the whole database's candidate windows and counts.
 # Each target fuzzes for a fixed budget;
 # regressions land in testdata/fuzz and replay as ordinary tests forever
 # after.
@@ -104,6 +106,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzFairQueue -fuzztime=10s ./internal/jobs
 	go test -run='^$$' -fuzz=FuzzFarrarVsScalar -fuzztime=10s ./internal/farrar
 	go test -run='^$$' -fuzz=FuzzACVsNaive -fuzztime=10s ./internal/prefilter
+	go test -run='^$$' -fuzz=FuzzPrefilterRangeCut -fuzztime=10s ./internal/prefilter
 	go test -run='^$$' -fuzz=FuzzRangeCut -fuzztime=10s ./internal/cluster
 
 # Fast kernel health check: the four Score8/Score16 microbenchmarks (SWAR

@@ -14,12 +14,13 @@
 //	GET    /metrics           Prometheus text exposition (scheduler, wire, slave, jobs, HTTP)
 //	GET    /varz              the same metrics as one JSON document
 //	POST   /search            {"queries_fasta": ">q\nACDE...", "top_k": 5, "align": true}
-//	                          add "mode": "filtered" (+ filter_k/filter_margin) for the
-//	                          two-stage Aho-Corasick prefilter + SW rescore pipeline
+//	                          add "mode": "filtered" (+ filter_k/filter_margin) to run
+//	                          each database-range task as an Aho-Corasick seed
+//	                          prefilter plus an SW rescore of its candidate windows
 //	POST   /align             {"a": "MKVL...", "b": "MKIL...", "global": false}
 //	POST   /jobs              same payload as /search; returns 202 + job id
 //	GET    /jobs              list jobs (optionally ?state=queued|running|done|failed|canceled)
-//	GET    /jobs/{id}         poll one job
+//	GET    /jobs/{id}         poll one job (per-shard cells/total_cells while it runs)
 //	GET    /jobs/{id}/result  fetch a finished job's search response
 //	DELETE /jobs/{id}         cancel a queued or running job
 //

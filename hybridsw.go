@@ -27,7 +27,10 @@
 // is where every in-process search executes; this package only translates
 // a Platform into its terms). There a query is cut into database-range
 // tasks, so even a single query keeps every engine of the Platform busy and
-// the workload adjustment mechanism replicates only its tail range.
+// the workload adjustment mechanism replicates only its tail range. A
+// filtered search (Platform.Mode "filtered") runs on the same tasks: each
+// prefilters its range with the query's k-mer seeds and rescores the
+// candidate windows on the same engine.
 // Simulate runs the same scheduler against the calibrated virtual-time
 // platform to predict the behaviour of the paper's 4-GPU/8-core testbed,
 // at the paper's grain of one task per query; see also cmd/benchtables.
@@ -67,13 +70,13 @@ type Hit = wire.Hit
 // QueryResult is the merged search outcome for one query.
 type QueryResult = master.QueryResult
 
-// FilterSpec parameterizes the filtered pipeline's prefilter stage (k-mer
-// seed length, stride, window margin, pattern budget). The zero value uses
+// FilterSpec parameterizes a filtered search's prefilter (k-mer seed
+// length, stride, window margin, pattern budget). The zero value uses
 // the prefilter defaults.
 type FilterSpec = prefilter.Spec
 
-// FilterStats is the filtered pipeline's accounting: per-stage completion
-// counts, residues scanned vs admitted, and rescored vs full-scan DP cells.
+// FilterStats is a filtered search's accounting: residues scanned vs
+// admitted, candidate windows, and rescored vs full-scan DP cells.
 type FilterStats = master.FilterStats
 
 // DefaultScheme returns the paper's scoring: BLOSUM62, gap open 10,
@@ -134,19 +137,15 @@ type Platform struct {
 	// AlignBest ships the traceback alignment of each query's best hit.
 	AlignBest bool
 
-	// Mode selects the pipeline: "" or "full" runs the exhaustive scan;
-	// "filtered" runs the two-stage pipeline (Aho-Corasick seed prefilter,
-	// then Smith-Waterman rescore restricted to the candidate windows).
-	// Filtered mode needs at least one CPU engine — the GPU engine is
-	// SW-only and sits out both filtered stages.
+	// Mode selects the search: "" or "full" runs the exhaustive scan;
+	// "filtered" runs, on each database-range task, an Aho-Corasick seed
+	// prefilter of the range and then a Smith-Waterman rescore restricted
+	// to its candidate windows. Filtered mode needs at least one CPU
+	// engine — the GPU engine is SW-only and sits out filtered searches.
 	Mode string
-	// Filter parameterizes the prefilter stage in filtered mode; the zero
-	// value uses the prefilter defaults.
+	// Filter parameterizes the prefilter in filtered mode; the zero value
+	// uses the prefilter defaults.
 	Filter FilterSpec
-	// StageProgress, when non-nil, observes filtered-stage completions with
-	// cumulative done/total query counts (stage is "prefilter" or
-	// "rescore"). Called under the master's lock: keep it fast.
-	StageProgress func(stage string, done, total int64)
 
 	// Registry, when non-nil, receives scheduler, wire, slave and kernel
 	// metrics from every Search run (see internal/metrics). Repeated
@@ -156,8 +155,8 @@ type Platform struct {
 
 // Report is the outcome of a Search: per-query results, wall time, the
 // job's DP cell count (query×database for the full scan, the smaller
-// rescored total in filtered mode) and, in filtered mode, the two-stage
-// pipeline's accounting. Shards has the one entry of Search's one-shard
+// rescored total in filtered mode) and, in filtered mode, the filter's
+// accounting. Shards has the one entry of Search's one-shard
 // fleet.
 type Report = cluster.Report
 
@@ -182,14 +181,13 @@ func NewFleet(db []*Sequence, p Platform) (*cluster.Fleet, error) {
 // Params are p's per-search settings in the fleet's terms.
 func (p Platform) Params() cluster.Params {
 	return cluster.Params{
-		Policy:        p.Policy,
-		Adjust:        p.Adjust,
-		Omega:         p.Omega,
-		TopK:          p.TopK,
-		AlignBest:     p.AlignBest,
-		Mode:          p.Mode,
-		Filter:        p.Filter,
-		StageProgress: p.StageProgress,
+		Policy:    p.Policy,
+		Adjust:    p.Adjust,
+		Omega:     p.Omega,
+		TopK:      p.TopK,
+		AlignBest: p.AlignBest,
+		Mode:      p.Mode,
+		Filter:    p.Filter,
 	}
 }
 

@@ -9,35 +9,26 @@ import (
 
 // progressBoard folds the per-shard masters' progress hooks into one
 // consistent view: every change snapshots all shard statuses for
-// Params.OnShards, and filtered-stage counts are summed across shards for
-// Params.StageProgress. Hooks run under their shard master's lock, so the
-// board does nothing slower than a copy under its own mutex.
+// Params.OnShards. Hooks run under their shard master's lock, so the board
+// does nothing slower than a copy under its own mutex.
 type progressBoard struct {
 	onShards func([]ShardStatus)
-	onStage  func(stage string, done, total int64)
 
 	mu       sync.Mutex
 	statuses []ShardStatus
-	// stages holds each shard's latest done/total per stage name.
-	stages []map[string][2]int64
 }
 
 func newBoard(shards []*shard, queries []*seq.Sequence, filtered bool, queryResidues int64, p Params) *progressBoard {
 	b := &progressBoard{
 		onShards: p.OnShards,
-		onStage:  p.StageProgress,
 		statuses: make([]ShardStatus, len(shards)),
-		stages:   make([]map[string][2]int64, len(shards)),
 	}
 	for i, s := range shards {
 		total := queryResidues * s.residues
 		if filtered {
-			// The seed workload: one prefilter pass per query. Rescore
-			// tasks append as candidates emerge, so this is a lower bound.
 			total = int64(len(queries)) * s.residues * sched.PrefilterEquivCells
 		}
 		b.statuses[i] = ShardStatus{Shard: i, State: ShardPending, TotalCells: total}
-		b.stages[i] = map[string][2]int64{}
 	}
 	return b
 }
@@ -85,23 +76,4 @@ func (b *progressBoard) finish(shard int) {
 	emit := b.emitLocked()
 	b.mu.Unlock()
 	emit()
-}
-
-// setStage folds one shard's filtered-stage completion into the cross-
-// shard sum the observer sees.
-func (b *progressBoard) setStage(shard int, stage string, done, total int64) {
-	if b.onStage == nil {
-		return
-	}
-	b.mu.Lock()
-	b.stages[shard][stage] = [2]int64{done, total}
-	var sumDone, sumTotal int64
-	for _, m := range b.stages {
-		if c, ok := m[stage]; ok {
-			sumDone += c[0]
-			sumTotal += c[1]
-		}
-	}
-	b.mu.Unlock()
-	b.onStage(stage, sumDone, sumTotal)
 }

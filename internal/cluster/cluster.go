@@ -9,8 +9,8 @@
 // -backend=local) is the one-shard fleet whose replicas are the
 // platform's GPU and CPU engines.
 //
-// Within a shard the unit of full-scan work is one query × one contiguous
-// database range: New cuts every shard once into rangesPerEngine
+// Within a shard the unit of work is one query × one contiguous database
+// range: New cuts every shard once into rangesPerEngine
 // residue-balanced ranges per engine (partition, the function that cuts
 // the shards) and hands the cut to each job's master, so a single query
 // occupies every engine of its shard, PSS weights and first-copy-wins
@@ -18,8 +18,8 @@
 // tail range. The end of a shard job is pushed to its replica loops
 // (slave.Options.Done) rather than polled for: range tasks are too short
 // to ever send the progress notification a cancellation rides on.
-// Filtered searches keep one prefilter and one rescore task per query and
-// shard.
+// Filtered searches run on the same cut: each range task prefilters its
+// range and rescores its own candidate windows.
 //
 // Fault tolerance rides the existing master machinery: every shard's
 // replicas register with the shard master as independent slaves, so when a
@@ -85,8 +85,8 @@ type Config struct {
 	// Must not exceed len(DB) — every shard holds at least one sequence.
 	Shards int
 	// GPUs is the number of simulated CUDASW++ devices per shard (real
-	// scores, modeled cost). GPU engines are SW-only: they sit out both
-	// stages of a filtered search.
+	// scores, modeled cost). GPU engines are SW-only: they sit out
+	// filtered searches.
 	GPUs int
 	// Replicas is the number of CPU engines per shard; 0 means
 	// DefaultReplicas, or none on a shard that has GPUs. Every engine, GPU
@@ -309,8 +309,8 @@ func (f *Fleet) Ready() bool {
 }
 
 // CanFilter reports whether the fleet can run filtered searches: every
-// shard needs at least one CPU engine, since GPU engines sit out both
-// filtered stages.
+// shard needs at least one CPU engine, since GPU engines sit out filtered
+// tasks.
 func (f *Fleet) CanFilter() bool { return f.cfg.Replicas > 0 }
 
 // KillReplica marks one replica dead, the fault-injection seam chaos tests

@@ -6,12 +6,15 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/cluster"
+	"repro/internal/master"
 	"repro/internal/metrics"
 	"repro/internal/score"
 	"repro/internal/seq"
+	"repro/internal/slave"
 	"repro/internal/sw"
 	"repro/internal/wire"
 )
@@ -179,20 +182,9 @@ func TestClusterMatchesLocalRanking(t *testing.T) {
 							if rep.Filter == nil || one.Filter == nil {
 								t.Fatal("filtered report missing Filter stats")
 							}
-							// Residue accounting must not depend on the shard
-							// count; rescored cells may exceed the one-shard
-							// total by at most one padding cell per (shard,
-							// query) pair (a windowless shard prefilter still
-							// appends a 1-cell rescore task).
-							if rep.Filter.ResiduesScanned != one.Filter.ResiduesScanned ||
-								rep.Filter.FullScanCells != one.Filter.FullScanCells {
+							// No accounting field depends on the shard count.
+							if *rep.Filter != *one.Filter {
 								t.Errorf("filter accounting diverges: three shards %+v one shard %+v", rep.Filter, one.Filter)
-							}
-							slack := int64(3 * len(queries))
-							if rep.Filter.RescoredCells < one.Filter.RescoredCells ||
-								rep.Filter.RescoredCells > one.Filter.RescoredCells+slack {
-								t.Errorf("rescored cells %d outside [%d, %d+%d]",
-									rep.Filter.RescoredCells, one.Filter.RescoredCells, one.Filter.RescoredCells, slack)
 							}
 						} else {
 							checkFullRanking(t, rep.PerQuery, oracle, topK)
@@ -205,6 +197,61 @@ func TestClusterMatchesLocalRanking(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFilteredShardsMatchUncutRun: a filtered search's ranges each
+// prefilter and rescore alone, so over any shard count and replica count
+// the hits and every accounting field equal one master's run over the
+// whole, uncut database.
+func TestFilteredShardsMatchUncutRun(t *testing.T) {
+	db := testDB(t, "UniProtKB/SwissProt", 0.0015, 5)
+	queries := hybridsw.GenerateQueries(db, 3, 40, 120, 6)
+	queries = append(queries, seq.New("planted", "", db[len(db)/3].Residues[:min(90, db[len(db)/3].Len())]))
+	scheme := hybridsw.DefaultScheme()
+	for _, topK := range []int{0, 5} {
+		want, wantStats := uncutFiltered(t, queries, db, scheme, topK)
+		for _, shards := range []int{1, 2, 3} {
+			for _, replicas := range []int{1, 2} {
+				fleet, err := cluster.New(cluster.Config{DB: db, Shards: shards, Replicas: replicas, Scheme: scheme})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := fleet.Search(queries, cluster.Params{Policy: "PSS", Adjust: true, TopK: topK, Mode: "filtered"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, w := rankingJSON(t, rep.PerQuery), rankingJSON(t, want); got != w {
+					t.Errorf("topk=%d %d shards x %d replicas: hits diverge from the uncut run:\n got %s\nwant %s", topK, shards, replicas, got, w)
+				}
+				if *rep.Filter != wantStats {
+					t.Errorf("topk=%d %d shards x %d replicas: accounting %+v, uncut %+v", topK, shards, replicas, *rep.Filter, wantStats)
+				}
+			}
+		}
+	}
+}
+
+// uncutFiltered runs a filtered job on one master with one task per query
+// over the whole database, served by one CPU engine.
+func uncutFiltered(t *testing.T, queries, db []*seq.Sequence, scheme score.Scheme, topK int) ([]master.QueryResult, master.FilterStats) {
+	t.Helper()
+	var residues int64
+	for _, d := range db {
+		residues += int64(d.Len())
+	}
+	m, err := master.New(master.Config{Queries: queries, DBResidues: residues, Filtered: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	eng, err := slave.NewFarrarEngine("uncut", scheme, db, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := slave.Run(wire.Local{H: m}, eng, slave.Options{Poll: time.Millisecond, TopK: topK}); err != nil {
+		t.Fatal(err)
+	}
+	return m.Results(), m.FilterStats()
 }
 
 // TestOneShardEngineMix runs the single-node shape — one shard whose

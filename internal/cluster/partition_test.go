@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/sched"
 	"repro/internal/seq"
 )
 
@@ -72,27 +73,17 @@ func TestShardStateStrings(t *testing.T) {
 	}
 }
 
-func TestBoardAggregatesStagesAcrossShards(t *testing.T) {
+func TestBoardSnapshotsShardProgress(t *testing.T) {
 	db := []*seq.Sequence{seq.New("a", "", []byte("ACDEFGHIKL")), seq.New("b", "", []byte("MNPQRSTVWY"))}
 	shards := []*shard{
 		{index: 0, db: db[:1], residues: 10},
 		{index: 1, db: db[1:], offset: 1, residues: 10},
 	}
 	queries := db[:1]
-	var gotStage string
-	var gotDone, gotTotal int64
 	var snaps [][]ShardStatus
 	b := newBoard(shards, queries, true, 10, Params{
-		StageProgress: func(stage string, done, total int64) {
-			gotStage, gotDone, gotTotal = stage, done, total
-		},
 		OnShards: func(s []ShardStatus) { snaps = append(snaps, s) },
 	})
-	b.setStage(0, "prefilter", 1, 1)
-	b.setStage(1, "prefilter", 0, 1)
-	if gotStage != "prefilter" || gotDone != 1 || gotTotal != 2 {
-		t.Errorf("stage sum = %s %d/%d, want prefilter 1/2", gotStage, gotDone, gotTotal)
-	}
 	b.setProgress(0, 80, 1e6)
 	b.setState(0, ShardScanning)
 	b.finish(0)
@@ -101,8 +92,10 @@ func TestBoardAggregatesStagesAcrossShards(t *testing.T) {
 	if last[0].State != ShardDone || last[0].Cells != 80 || last[1].State != ShardFailed {
 		t.Errorf("final snapshot %+v", last)
 	}
-	if last[0].TotalCells == 0 || last[1].TotalCells == 0 {
-		t.Errorf("filtered totals not seeded: %+v", last)
+	// A filtered shard's budget is its residues' prefilter equivalents per
+	// query, which its finished tally reaches exactly.
+	if want := 10 * int64(sched.PrefilterEquivCells); last[0].TotalCells != want || last[1].TotalCells != want {
+		t.Errorf("filtered totals %+v, want %d each", last, want)
 	}
 }
 

@@ -22,21 +22,16 @@ type Params struct {
 	TopK      int    // hits returned per query; 0 = all
 	AlignBest bool   // traceback rows for each query's best hit
 
-	// Mode selects the pipeline: "" or "full" runs the exhaustive scan;
-	// "filtered" runs the two-stage pipeline (Aho-Corasick seed prefilter,
-	// then Smith-Waterman rescore restricted to the candidate windows) and
-	// needs a CPU engine on every shard. Filter parameterizes the prefilter
-	// stage; the zero value uses the prefilter defaults. The filter
+	// Mode selects the task kind: "" or "full" runs the exhaustive scan;
+	// "filtered" makes every range task an Aho-Corasick seed prefilter of
+	// its range followed by a Smith-Waterman rescore of the candidate
+	// windows, and needs a CPU engine on every shard. Filter parameterizes
+	// the prefilter; the zero value uses the prefilter defaults. The filter
 	// automaton is query-derived and candidate windows never span
-	// sequences, so filtering commutes with sharding.
+	// sequences, so filtering commutes with sharding and with the range cut.
 	Mode   string
 	Filter prefilter.Spec
 
-	// StageProgress, when non-nil, observes filtered-stage completions
-	// (stage is "prefilter" or "rescore") summed across shards. Totals
-	// count per-shard tasks: a filtered job over S shards runs S prefilter
-	// passes per query. Called under a shard master's lock: keep it fast.
-	StageProgress func(stage string, done, total int64)
 	// OnShards, when non-nil, observes every per-shard progress change
 	// with a fresh snapshot of all shard statuses (safe to retain).
 	OnShards func([]ShardStatus)
@@ -47,10 +42,10 @@ type ShardStatus struct {
 	Shard int
 	State ShardState
 	// Cells is the shard master's authoritative finished-cell tally;
-	// TotalCells is the shard's full workload (in filtered mode the seed
-	// prefilter equivalents — a lower bound, since rescore tasks append
-	// as candidates emerge). Rate is the latest reporting replica's
-	// instantaneous speed.
+	// TotalCells is the shard's full workload, which Cells reaches when the
+	// shard is done (in filtered mode, cell-equivalents: the shard's
+	// residues x sched.PrefilterEquivCells per query). Rate is the latest
+	// reporting replica's instantaneous speed.
 	Cells      int64
 	TotalCells int64
 	Rate       float64
@@ -81,9 +76,8 @@ type Report struct {
 	Cells  int64
 	Shards []ShardReport
 	// Filter aggregates the filtered pipeline's accounting across shards
-	// (nil for full scans). Residue and cell fields do not depend on the
-	// shard count; the per-stage done counts are per-shard tasks, so they
-	// total queries x shards.
+	// (nil for full scans). No field depends on the shard count or the
+	// range cut.
 	Filter *master.FilterStats
 }
 
@@ -171,8 +165,6 @@ func (f *Fleet) SearchContext(ctx context.Context, queries []*seq.Sequence, p Pa
 		rep.Shards[i] = o.report
 		rep.Cells += o.report.Cells
 		if filtered {
-			rep.Filter.PrefilterDone += o.filter.PrefilterDone
-			rep.Filter.RescoreDone += o.filter.RescoreDone
 			rep.Filter.ResiduesScanned += o.filter.ResiduesScanned
 			rep.Filter.CandidateResidues += o.filter.CandidateResidues
 			rep.Filter.Windows += o.filter.Windows
@@ -279,9 +271,6 @@ func (f *Fleet) searchShard(ctx context.Context, s *shard, queries []*seq.Sequen
 		Registry:   f.cfg.Registry,
 		Filtered:   filtered,
 		Filter:     p.Filter,
-		StageProgress: func(stage string, done, total int64) {
-			board.setStage(s.index, stage, done, total)
-		},
 		Progress: func(doneCells int64, rate float64) {
 			board.setProgress(s.index, doneCells, rate)
 		},
@@ -297,7 +286,7 @@ func (f *Fleet) searchShard(ctx context.Context, s *shard, queries []*seq.Sequen
 	// wound down through the shard context and the shard fails.
 	replicas := s.liveReplicas()
 	canRun := func(r *replica) bool {
-		_, filters := r.eng.(slave.Prefilterer) // CPU engines; the GPU engine is SW-only
+		_, filters := r.eng.(slave.Filterer) // CPU engines; the GPU engine is SW-only
 		return !filtered || filters
 	}
 	able := 0

@@ -73,6 +73,16 @@ func (s Stats) Add(o Stats) Stats {
 	}
 }
 
+// Sub returns the counts s gained since o, an earlier reading of the same
+// kernel's cumulative Stats.
+func (s Stats) Sub(o Stats) Stats {
+	return Stats{
+		Scored8:    s.Scored8 - o.Scored8,
+		Fallback16: s.Fallback16 - o.Fallback16,
+		FallbackSW: s.FallbackSW - o.FallbackSW,
+	}
+}
+
 // Total returns the number of sequences the stats cover.
 func (s Stats) Total() int64 { return s.Scored8 + s.Fallback16 + s.FallbackSW }
 

@@ -14,9 +14,9 @@ import (
 )
 
 // fleetExecutor runs jobs on the server's fleet: the request's overrides
-// resolve against the platform defaults into cluster.Params, per-shard and
-// per-stage progress folds into the job record (GET /jobs/{id} shows both
-// while the job runs), and the report is encoded as the POST /search
+// resolve against the platform defaults into cluster.Params, per-shard
+// progress folds into the job record (GET /jobs/{id} shows it while the job
+// runs), and the report is encoded as the POST /search
 // response shape.
 type fleetExecutor struct{ s *Server }
 
@@ -45,9 +45,6 @@ func (e fleetExecutor) Execute(ctx context.Context, req jobs.Request) ([]byte, e
 		p.Mode = req.Mode
 	}
 	p.Filter = hybridsw.FilterSpec{K: req.FilterK, Margin: req.FilterMargin}
-	p.StageProgress = func(stage string, done, total int64) {
-		s.jobs.SetStage(ctx, stage, done, total)
-	}
 	params := p.Params()
 	params.OnShards = func(shards []cluster.ShardStatus) {
 		s.jobs.SetShards(ctx, viewShards(shards))

@@ -116,11 +116,14 @@ func TestFilteredModeCacheIsolation(t *testing.T) {
 	if job.State != jobs.StateDone {
 		t.Fatalf("filtered job ended %s: %s", job.State, job.Error)
 	}
-	// The finished job retains its per-stage progress: both stages complete.
-	for _, stage := range []string{"prefilter", "rescore"} {
-		sc, ok := job.Stages[stage]
-		if !ok || sc.Done != sc.Total || sc.Done != 1 {
-			t.Fatalf("stage %q progress %+v (present %v)", stage, sc, ok)
+	// The finished job retains its per-shard progress: every shard done,
+	// its finished cells at its whole budget.
+	if len(job.Shards) == 0 {
+		t.Fatal("filtered job has no shard progress")
+	}
+	for _, sh := range job.Shards {
+		if sh.State != "done" || sh.TotalCells == 0 || sh.Cells != sh.TotalCells {
+			t.Fatalf("shard progress %+v", sh)
 		}
 	}
 }

@@ -32,9 +32,8 @@ type JobView struct {
 	Priority    int    `json:"priority,omitempty"`
 	Tenant      string `json:"tenant,omitempty"`
 	ResultBytes int64  `json:"result_bytes,omitempty"`
-	// Stages shows a running filtered job's prefilter/rescore progress.
-	Stages map[string]jobs.StageCount `json:"stages,omitempty"`
-	// Shards shows a job's per-shard scan progress.
+	// Shards shows a job's per-shard progress in cells, full and filtered
+	// alike.
 	Shards []jobs.ShardProgress `json:"shards,omitempty"`
 }
 
@@ -58,7 +57,6 @@ func viewOf(j jobs.Job) JobView {
 		Priority:    j.Request.Priority,
 		Tenant:      j.Request.Tenant,
 		ResultBytes: j.ResultBytes,
-		Stages:      j.Stages,
 		Shards:      j.Shards,
 	}
 	if !j.Started.IsZero() {

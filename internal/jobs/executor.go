@@ -20,7 +20,7 @@ const (
 // can tell which backend produced a result.
 //
 // Execute must honor ctx — cancellation aborts the job — and may call
-// Manager.SetStage/Manager.SetShards with the same ctx to publish progress.
+// Manager.SetShards with the same ctx to publish progress.
 type Executor interface {
 	// Kind identifies the backend for job stamping and health reporting.
 	Kind() Backend
@@ -40,11 +40,10 @@ type ShardProgress struct {
 	Rate       float64 `json:"rate,omitempty"`
 }
 
-// SetShards records a running job's per-shard progress, the per-shard
-// analogue of SetStage. The executor body calls it from
-// inside Execute with the Execute context; calls with a foreign or stale
-// context are dropped. The job's Shards slice is replaced, not mutated,
-// so snapshots already handed out stay race-free.
+// SetShards records a running job's per-shard progress. The executor body
+// calls it from inside Execute with the Execute context; calls with a
+// foreign or stale context are dropped. The job's Shards slice is
+// replaced, not mutated, so snapshots already handed out stay race-free.
 func (m *Manager) SetShards(ctx context.Context, shards []ShardProgress) {
 	id := JobID(ctx)
 	if id == "" {

@@ -86,12 +86,6 @@ type Request struct {
 	Tenant string `json:"tenant,omitempty"`
 }
 
-// StageCount is one pipeline stage's progress: queries completed vs total.
-type StageCount struct {
-	Done  int64 `json:"done"`
-	Total int64 `json:"total"`
-}
-
 // Job is the public snapshot of one job's state.
 type Job struct {
 	ID       string    `json:"id"`
@@ -107,9 +101,6 @@ type Job struct {
 	// CacheHit marks a job answered from the result cache without running.
 	CacheHit    bool  `json:"cache_hit,omitempty"`
 	ResultBytes int64 `json:"result_bytes,omitempty"`
-	// Stages is the live per-stage progress of a filtered job ("prefilter",
-	// "rescore"), fed by SetStage while the job runs. Nil for full scans.
-	Stages map[string]StageCount `json:"stages,omitempty"`
 	// Backend names the execution path that runs (or ran) this job.
 	Backend Backend `json:"backend,omitempty"`
 	// Shards is the live per-shard progress of the job, fed by SetShards
@@ -638,7 +629,7 @@ func (m *Manager) storeResultLocked(key string, body []byte) {
 }
 
 // jobIDKey carries the running job's ID in the context handed to Execute,
-// so the executor body can report progress back via SetStage.
+// so the executor body can report progress back via SetShards.
 type jobIDKey struct{}
 
 // JobID extracts the running job's identifier from an Execute context
@@ -646,30 +637,6 @@ type jobIDKey struct{}
 func JobID(ctx context.Context) string {
 	id, _ := ctx.Value(jobIDKey{}).(string)
 	return id
-}
-
-// SetStage records a running job's per-stage progress (stage names are the
-// pipeline's, e.g. "prefilter"/"rescore"). The executor body calls it from
-// inside Execute with the Execute context; calls with a foreign or stale
-// context are dropped. The job's Stages map is replaced, not mutated, so
-// snapshots already handed out stay race-free.
-func (m *Manager) SetStage(ctx context.Context, stage string, done, total int64) {
-	id := JobID(ctx)
-	if id == "" {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	j := m.jobs[id]
-	if j == nil || j.State != StateRunning {
-		return
-	}
-	next := make(map[string]StageCount, len(j.Stages)+1)
-	for k, v := range j.Stages {
-		next[k] = v
-	}
-	next[stage] = StageCount{Done: done, Total: total}
-	j.Stages = next
 }
 
 // Get returns a job's snapshot.

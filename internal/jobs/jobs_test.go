@@ -588,7 +588,7 @@ func TestKeyIncludesModeAndFilter(t *testing.T) {
 	}
 }
 
-func TestSetStageLifecycle(t *testing.T) {
+func TestSetShardsLifecycle(t *testing.T) {
 	started := make(chan context.Context)
 	release := make(chan struct{})
 	m, err := New(Config{Executor: runFunc(func(ctx context.Context, r Request) ([]byte, error) {
@@ -610,25 +610,24 @@ func TestSetStageLifecycle(t *testing.T) {
 	}
 	// Progress from the run context lands on the job; a foreign context is
 	// dropped silently.
-	m.SetStage(ctx, "prefilter", 1, 4)
-	m.SetStage(ctx, "prefilter", 2, 4)
-	m.SetStage(context.Background(), "rescore", 9, 9)
-	snap, _ := m.Get(j.ID)
-	if sc := snap.Stages["prefilter"]; sc.Done != 2 || sc.Total != 4 {
-		t.Fatalf("prefilter stage = %+v", sc)
+	shard := func(cells int64) []ShardProgress {
+		return []ShardProgress{{Shard: 0, State: "scanning", Cells: cells, TotalCells: 40}}
 	}
-	if _, ok := snap.Stages["rescore"]; ok {
-		t.Fatal("foreign-context stage recorded")
+	m.SetShards(ctx, shard(10))
+	m.SetShards(ctx, shard(20))
+	m.SetShards(context.Background(), shard(40))
+	snap, _ := m.Get(j.ID)
+	if len(snap.Shards) != 1 || snap.Shards[0].Cells != 20 || snap.Shards[0].TotalCells != 40 {
+		t.Fatalf("shards = %+v, want the run context's last update", snap.Shards)
 	}
 	close(release)
-	done := waitState(t, m, j.ID, StateDone)
-	// Stage history survives completion; post-terminal updates are dropped.
-	m.SetStage(ctx, "prefilter", 4, 4)
+	waitState(t, m, j.ID, StateDone)
+	// Progress survives completion; post-terminal updates are dropped.
+	m.SetShards(ctx, shard(40))
 	snap, _ = m.Get(j.ID)
-	if sc := snap.Stages["prefilter"]; sc.Done != 2 {
-		t.Fatalf("post-terminal update applied: %+v", sc)
+	if snap.Shards[0].Cells != 20 {
+		t.Fatalf("post-terminal update applied: %+v", snap.Shards)
 	}
-	_ = done
 }
 
 // runFunc adapts a bare job body to the Executor seam.

@@ -3,6 +3,7 @@ package master_test
 import (
 	"bytes"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -206,6 +207,40 @@ func TestLoadCheckpointValidation(t *testing.T) {
 	swapped.Queries[0], swapped.Queries[1] = swapped.Queries[1], swapped.Queries[0]
 	if _, err := master.LoadCheckpoint(bytes.NewReader(buf.Bytes()), swapped); err == nil {
 		t.Error("reordered queries accepted")
+	}
+}
+
+// TestLoadCheckpointRejectsFilteredJobs: only full-scan jobs restore. A
+// filtered job's checkpoint, or one written by an older binary whose seeds
+// were the separate prefilter stage (kind 1), is refused with an error
+// naming the task kind instead of restoring as something else.
+func TestLoadCheckpointRejectsFilteredJobs(t *testing.T) {
+	db, queries := testJob(t, 2)
+	cfg := master.Config{Queries: queries, DBResidues: dbResidues(db), Filtered: true}
+	m, err := master.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	var buf bytes.Buffer
+	if err := m.SaveCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := master.LoadCheckpoint(bytes.NewReader(buf.Bytes()), cfg); err == nil || !strings.Contains(err.Error(), "filtered") {
+		t.Errorf("filtered config restored: %v", err)
+	}
+	cfg.Filtered = false
+	if _, err := master.LoadCheckpoint(bytes.NewReader(buf.Bytes()), cfg); err == nil || !strings.Contains(err.Error(), "filtered task") {
+		t.Errorf("filtered checkpoint restored as a full scan: %v", err)
+	}
+
+	old := &sched.Snapshot{Tasks: []sched.Task{
+		{QueryID: queries[0].ID, Cells: 8, Kind: 1},
+		{QueryID: queries[1].ID, Cells: 8, Kind: 1},
+	}}
+	_, err = master.RestoreCore(old, queries, nil, sched.Config{}, nil)
+	if err == nil || !strings.Contains(err.Error(), "TaskKind(1)") || !strings.Contains(err.Error(), "only full-scan jobs") {
+		t.Errorf("older prefilter-stage checkpoint: %v", err)
 	}
 }
 

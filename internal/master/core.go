@@ -27,19 +27,12 @@ import (
 // Methods are not safe for concurrent use; the driver owns the locking.
 type Core struct {
 	queries []*seq.Sequence
-	// perQuery is how many seed tasks each query has: one per database
-	// range of a full-scan job, one otherwise. Seed task t belongs to query
-	// t / perQuery, which is how results merge by query index and duplicate
-	// query IDs stay legal.
+	// perQuery is how many tasks each query has: one per database range.
+	// Task t belongs to query t / perQuery, which is how results merge by
+	// query index and duplicate query IDs stay legal.
 	perQuery int
-	// queryByID resolves an appended rescore task's QueryID back to its
-	// sequence (filtered jobs only, where IDs are unique).
-	queryByID map[string]*seq.Sequence
-	// qorder is each query's position in the submitted list, for
-	// query-ordered result merging.
-	qorder map[string]int
-	coord  *sched.Coordinator
-	events *metrics.EventLog
+	coord    *sched.Coordinator
+	events   *metrics.EventLog
 	// pendingCancel queues cancellations per slave: the protocol is
 	// slave-initiated, so a slave learns that its copy of a task became
 	// moot on its next Progress or Complete acknowledgement.
@@ -48,17 +41,11 @@ type Core struct {
 	// emitted exactly once.
 	finished bool
 
-	// Filtered-search state. filtered selects the two-stage pipeline;
-	// filter is the prefilter parameterization shipped with every
-	// TaskPrefilter assignment; dbResidues sizes the full-scan baseline
-	// the savings accounting compares against.
-	filtered   bool
-	filter     prefilter.Spec
-	dbResidues int64
-	fstats     FilterStats
-	// stageProgress, when set, is invoked on every accepted stage
-	// completion with cumulative done/total counts for that stage.
-	stageProgress func(stage string, done, total int64)
+	// Filtered-search state: filter is the prefilter parameterization
+	// shipped with every TaskFiltered assignment, fstats the accounting of
+	// the accepted ranges.
+	filter prefilter.Spec
+	fstats FilterStats
 	// progress, when set, observes the job's execution progress on every
 	// Progress and accepted Complete message: doneCells comes from the
 	// pool's finished tally (authoritative — replicated scans are not
@@ -76,12 +63,10 @@ type Core struct {
 // jobs.
 type FilterStats struct {
 	Queries           int   // queries in the job
-	PrefilterDone     int   // prefilter tasks with an accepted result
-	RescoreDone       int   // rescore tasks with an accepted result
 	ResiduesScanned   int64 // database residues streamed through automata
 	CandidateResidues int64 // residues admitted for rescoring
 	Windows           int   // merged candidate windows across queries
-	RescoredCells     int64 // true DP cells the rescore stage computed
+	RescoredCells     int64 // true DP cells the window rescores computed
 	FullScanCells     int64 // DP cells the same queries would cost unfiltered
 }
 
@@ -107,17 +92,52 @@ func (s FilterStats) CellsSaved() int64 {
 // coarse-grained task per query. events may be nil to discard the
 // structured event stream.
 func NewCore(queries []*seq.Sequence, dbResidues int64, ranges []Range, sc sched.Config, events *metrics.EventLog) (*Core, error) {
+	return newJobCore(queries, dbResidues, ranges, sched.TaskSW, sc, events)
+}
+
+// NewFilteredCore builds the protocol core for a filtered job: NewCore's
+// tasks with kind TaskFiltered, each costing its range's residues x
+// sched.PrefilterEquivCells cell-equivalents. A filtered task prefilters
+// its range and rescores the candidate windows on the same engine.
+func NewFilteredCore(queries []*seq.Sequence, dbResidues int64, ranges []Range, filter prefilter.Spec, sc sched.Config, events *metrics.EventLog) (*Core, error) {
+	c, err := newJobCore(queries, dbResidues, ranges, sched.TaskFiltered, sc, events)
+	if err != nil {
+		return nil, err
+	}
+	c.filter = filter.Normalize()
+	c.fstats.Queries = len(queries)
+	return c, nil
+}
+
+// newJobCore seeds the job's tasks, query-major: one per query and range,
+// of the given kind.
+func newJobCore(queries []*seq.Sequence, dbResidues int64, ranges []Range, kind sched.TaskKind, sc sched.Config, events *metrics.EventLog) (*Core, error) {
+	if len(queries) == 0 {
+		return nil, fmt.Errorf("master: no queries")
+	}
+	if dbResidues <= 0 {
+		return nil, fmt.Errorf("master: DBResidues = %d", dbResidues)
+	}
 	if ranges == nil {
 		// The zero range, Lo = Hi = 0, is the whole database.
 		ranges = []Range{{Residues: dbResidues}}
 	} else if err := checkRanges(ranges, dbResidues); err != nil {
 		return nil, err
 	}
-	tasks, err := seedTasks(queries, dbResidues, ranges, sched.TaskSW)
-	if err != nil {
-		return nil, err
+	tasks := make([]sched.Task, 0, len(queries)*len(ranges))
+	for i, q := range queries {
+		if q.Len() == 0 {
+			return nil, fmt.Errorf("master: query %d (%s) is empty", i, q.ID)
+		}
+		for _, r := range ranges {
+			cells := int64(q.Len()) * r.Residues
+			if kind == sched.TaskFiltered {
+				cells = r.Residues * sched.PrefilterEquivCells
+			}
+			tasks = append(tasks, sched.Task{QueryID: q.ID, Cells: cells, Lo: r.Lo, Hi: r.Hi, Kind: kind})
+		}
 	}
-	return newCore(queries, dbResidues, len(ranges), sched.NewCoordinator(tasks, sc), events), nil
+	return newCore(queries, len(ranges), sched.NewCoordinator(tasks, sc), events), nil
 }
 
 // checkRanges verifies that a cut is contiguous from sequence 0, has no
@@ -139,78 +159,16 @@ func checkRanges(ranges []Range, dbResidues int64) error {
 	return nil
 }
 
-// NewFilteredCore builds the protocol core for a two-stage filtered job:
-// one TaskPrefilter per query, each costing dbResidues *
-// sched.PrefilterEquivCells cell-equivalents, with the matching TaskRescore
-// appended the moment the prefilter's candidate windows arrive.
-func NewFilteredCore(queries []*seq.Sequence, dbResidues int64, filter prefilter.Spec, sc sched.Config, events *metrics.EventLog) (*Core, error) {
-	tasks, err := seedTasks(queries, dbResidues, nil, sched.TaskPrefilter)
-	if err != nil {
-		return nil, err
-	}
-	c := newCore(queries, dbResidues, 1, sched.NewCoordinator(tasks, sc), events)
-	c.filtered = true
-	c.filter = filter.Normalize()
-	c.fstats.Queries = len(queries)
-	return c, nil
-}
-
-// seedTasks builds the initial task set, query-major: one scan per range
-// for TaskSW jobs, one automaton pass per query (ranges unused) for
-// TaskPrefilter jobs.
-func seedTasks(queries []*seq.Sequence, dbResidues int64, ranges []Range, kind sched.TaskKind) ([]sched.Task, error) {
-	if len(queries) == 0 {
-		return nil, fmt.Errorf("master: no queries")
-	}
-	if dbResidues <= 0 {
-		return nil, fmt.Errorf("master: DBResidues = %d", dbResidues)
-	}
-	seen := map[string]bool{}
-	tasks := make([]sched.Task, 0, len(queries)*max(len(ranges), 1))
-	for i, q := range queries {
-		if q.Len() == 0 {
-			return nil, fmt.Errorf("master: query %d (%s) is empty", i, q.ID)
-		}
-		// Filtered jobs route rescore state through the query identifier,
-		// so those must be unique; plain scans keep the historical
-		// task-index identity and tolerate duplicates.
-		if kind == sched.TaskPrefilter && seen[q.ID] {
-			return nil, fmt.Errorf("master: duplicate query ID %q", q.ID)
-		}
-		seen[q.ID] = true
-		if kind == sched.TaskPrefilter {
-			tasks = append(tasks, sched.Task{QueryID: q.ID, Cells: dbResidues * sched.PrefilterEquivCells, Kind: kind})
-			continue
-		}
-		for _, r := range ranges {
-			tasks = append(tasks, sched.Task{QueryID: q.ID, Cells: int64(q.Len()) * r.Residues, Lo: r.Lo, Hi: r.Hi, Kind: kind})
-		}
-	}
-	return tasks, nil
-}
-
-func newCore(queries []*seq.Sequence, dbResidues int64, perQuery int, coord *sched.Coordinator, events *metrics.EventLog) *Core {
-	c := &Core{
+func newCore(queries []*seq.Sequence, perQuery int, coord *sched.Coordinator, events *metrics.EventLog) *Core {
+	return &Core{
 		queries:       queries,
 		perQuery:      perQuery,
-		queryByID:     make(map[string]*seq.Sequence, len(queries)),
-		qorder:        make(map[string]int, len(queries)),
 		coord:         coord,
 		events:        events,
 		pendingCancel: map[sched.SlaveID][]sched.TaskID{},
-		dbResidues:    dbResidues,
 		fmet:          prefilter.NewMetrics(nil),
 	}
-	for i, q := range queries {
-		c.queryByID[q.ID] = q
-		c.qorder[q.ID] = i
-	}
-	return c
 }
-
-// SetStageProgress installs the per-stage progress hook (filtered jobs).
-// Call before serving traffic; the hook runs inside the dispatch path.
-func (c *Core) SetStageProgress(fn func(stage string, done, total int64)) { c.stageProgress = fn }
 
 // SetProgress installs the execution-progress hook. Call before serving
 // traffic; the hook runs inside the dispatch path, so keep it fast and
@@ -222,100 +180,44 @@ func (c *Core) SetProgress(fn func(doneCells int64, rate float64)) { c.progress 
 func (c *Core) SetFilterMetrics(m *prefilter.Metrics) { c.fmet = m }
 
 // FilterStats returns the filtered pipeline's accounting so far (zero for
-// full-scan jobs). Stats reset on checkpoint restore: they describe this
-// incarnation's observed traffic, not recomputed history.
+// full-scan jobs).
 func (c *Core) FilterStats() FilterStats { return c.fstats }
 
-// RestoreCore rebuilds a protocol core from a checkpoint snapshot. The
-// same queries (in the same order) and, for a full-scan job, the same cut
-// must be supplied — the checkpoint carries only scheduling state, not
-// sequence data — and are verified against the snapshot. A checkpoint from
-// before range tasks has no range fields and restores under nil ranges as
+// RestoreCore rebuilds a full-scan job's protocol core from a checkpoint
+// snapshot. The same queries (in the same order) and the same cut must be
+// supplied — the checkpoint carries only scheduling state, not sequence
+// data — and are verified against the snapshot. A checkpoint from before
+// range tasks has no range fields and restores under nil ranges as
 // whole-database tasks. Finished tasks keep their results; everything else
-// re-runs.
+// re-runs. Filtered jobs do not restore: their checkpoints are refused.
 func RestoreCore(snap *sched.Snapshot, queries []*seq.Sequence, ranges []Range, sc sched.Config, events *metrics.EventLog) (*Core, error) {
-	// The seed tasks come first and must match the query list and the cut
-	// in order; a filtered job's checkpoint (one seed per query, whatever
-	// the cut) additionally carries the rescore tasks appended before the
-	// snapshot, which only need a known query.
-	filtered := len(snap.Tasks) > 0 && snap.Tasks[0].Kind == sched.TaskPrefilter
-	if filtered || ranges == nil {
-		// One seed per query, carrying the zero range.
+	if ranges == nil {
+		// One task per query, carrying the zero range.
 		ranges = []Range{{}}
 	}
 	perQuery := len(ranges)
-	seeds := len(queries) * perQuery
-	if len(snap.Tasks) < seeds || (!filtered && len(snap.Tasks) != seeds) {
+	if len(snap.Tasks) != len(queries)*perQuery {
 		return nil, fmt.Errorf("master: checkpoint has %d tasks but %d queries x %d ranges were supplied",
 			len(snap.Tasks), len(queries), perQuery)
 	}
-	for i, t := range snap.Tasks[:seeds] {
+	for i, t := range snap.Tasks {
+		if t.Kind != sched.TaskSW {
+			return nil, fmt.Errorf("master: checkpoint task %d is a %s task; only full-scan jobs restore from checkpoints", i, t.Kind)
+		}
 		if qi := i / perQuery; t.QueryID != queries[qi].ID {
 			return nil, fmt.Errorf("master: checkpoint task %d is %q but query %d is %q",
 				i, t.QueryID, qi, queries[qi].ID)
-		}
-		if t.Kind != snap.Tasks[0].Kind {
-			return nil, fmt.Errorf("master: checkpoint seed task %d is a %s task among %s seeds", i, t.Kind, snap.Tasks[0].Kind)
 		}
 		if want := ranges[i%perQuery]; t.Lo != want.Lo || t.Hi != want.Hi {
 			return nil, fmt.Errorf("master: checkpoint task %d scans [%d,%d) but the cut says [%d,%d)",
 				i, t.Lo, t.Hi, want.Lo, want.Hi)
 		}
 	}
-	known := map[string]bool{}
-	for _, q := range queries {
-		known[q.ID] = true
-	}
-	for i, t := range snap.Tasks[seeds:] {
-		if t.Kind != sched.TaskRescore {
-			return nil, fmt.Errorf("master: checkpoint task %d is an appended %s task; only rescore tasks grow mid-job",
-				seeds+i, t.Kind)
-		}
-		if !known[t.QueryID] {
-			return nil, fmt.Errorf("master: checkpoint task %d references unknown query %q", seeds+i, t.QueryID)
-		}
-	}
-	// dbResidues is only read by filtered jobs, which derive it below.
-	c := newCore(queries, 0, perQuery, sched.Restore(snap, sc), events)
-	c.filtered = filtered
-	if filtered {
-		c.fstats.Queries = len(queries)
-		// Reconstruct derived config from the seed tasks: the snapshot
-		// stores scheduling state, not the job's Config.
-		c.dbResidues = snap.Tasks[0].Cells / sched.PrefilterEquivCells
-		// A crash between accepting a prefilter result and the rescore
-		// completing leaves a query without a finished rescore task. The
-		// windows ride in the prefilter result's payload, so the missing
-		// stage is re-created here; duplicates are impossible because
-		// AddTasks happened in the same dispatch step as the acceptance.
-		haveRescore := map[string]bool{}
-		for _, t := range snap.Tasks[len(queries):] {
-			haveRescore[t.QueryID] = true
-		}
-		pool := c.coord.Pool()
-		for id := 0; id < len(queries); id++ {
-			tid := sched.TaskID(id)
-			if pool.StateOf(tid) != sched.Finished || haveRescore[pool.Task(tid).QueryID] {
-				continue
-			}
-			windows, _ := c.resultPayload(tid).([]sched.Window)
-			c.appendRescore(pool.Task(tid).QueryID, windows)
-		}
-	}
+	c := newCore(queries, perQuery, sched.Restore(snap, sc), events)
 	// A job restored already-done never emits a completion summary: the
 	// incarnation that finished it did (or died trying).
 	c.finished = c.coord.Done()
 	return c, nil
-}
-
-// resultPayload fetches a finished task's stored payload, nil if absent.
-func (c *Core) resultPayload(tid sched.TaskID) any {
-	for _, r := range c.coord.Results() {
-		if r.Task == tid {
-			return r.Payload
-		}
-	}
-	return nil
 }
 
 // Dispatch is the single protocol entry point: it applies one request
@@ -374,14 +276,9 @@ func (c *Core) Dispatch(req wire.Envelope, now time.Duration) wire.Envelope {
 				Hi:       t.Hi,
 				TaskKind: t.Kind,
 			}
-			switch t.Kind {
-			case sched.TaskPrefilter:
+			if t.Kind == sched.TaskFiltered {
 				f := c.filter
 				specs[i].Filter = &f
-			case sched.TaskRescore:
-				specs[i].Windows = t.Windows
-			case sched.TaskSW:
-				// Query and cells alone describe a full scan.
 			}
 		}
 		return wire.Envelope{Assign: &wire.AssignMsg{Tasks: specs, Replica: replica}}
@@ -427,15 +324,8 @@ func (c *Core) Dispatch(req wire.Envelope, now time.Duration) wire.Envelope {
 			}
 		}
 		task := c.coord.Pool().Task(req.Complete.Task)
-		// A prefilter task's result is its candidate windows, not hits;
-		// storing them as the payload makes checkpoints carry everything
-		// needed to reconstruct the missing rescore stage.
-		payload := any(req.Complete.Hits)
-		if task.Kind == sched.TaskPrefilter {
-			payload = req.Complete.Windows
-		}
 		accepted, canceledSlaves := c.coord.CompleteWork(req.Complete.Slave, req.Complete.Task,
-			payload, req.Complete.Cells, req.Complete.Rate, now)
+			req.Complete.Hits, req.Complete.Cells, req.Complete.Rate, now)
 		for _, o := range canceledSlaves {
 			c.pendingCancel[o] = append(c.pendingCancel[o], req.Complete.Task)
 		}
@@ -453,8 +343,8 @@ func (c *Core) Dispatch(req wire.Envelope, now time.Duration) wire.Envelope {
 			}
 			_ = c.events.Emit(ev)
 		}
-		if accepted && task.Kind != sched.TaskSW {
-			c.completeStage(task, req.Complete, now)
+		if accepted && task.Kind == sched.TaskFiltered {
+			c.completeFiltered(task, req.Complete, now)
 		}
 		if c.coord.Done() && !c.finished {
 			c.finished = true
@@ -471,15 +361,11 @@ func (c *Core) Dispatch(req wire.Envelope, now time.Duration) wire.Envelope {
 	}
 }
 
-// queryFor resolves a task's query sequence. Seed tasks are laid out
+// queryFor resolves a task's query sequence. Tasks are laid out
 // query-major with perQuery tasks each (NewPool renumbers IDs to indices),
-// so the query is a function of the task index; appended rescore tasks
-// resolve through the query identifier.
+// so the query is a function of the task index.
 func (c *Core) queryFor(t sched.Task) *seq.Sequence {
-	if qi := int(t.ID) / c.perQuery; qi < len(c.queries) {
-		return c.queries[qi]
-	}
-	return c.queryByID[t.QueryID]
+	return c.queries[int(t.ID)/c.perQuery]
 }
 
 // emitAssign records one grant in the event stream. Whole-database tasks
@@ -507,65 +393,28 @@ func (c *Core) emitAssign(slave sched.SlaveID, tasks []sched.Task, replica bool,
 	}
 }
 
-// completeStage handles the filtered-pipeline bookkeeping of one accepted
-// non-SW completion: stats, the stage trace event, the per-stage progress
-// hook, and — for prefilter tasks — appending the query's rescore task.
-// It runs inside Dispatch, so the rescore task joins the pool in the same
-// single-threaded step that accepted the prefilter result: the pool is
-// never transiently Done between the stages.
-func (c *Core) completeStage(task sched.Task, msg *wire.CompleteMsg, now time.Duration) {
+// completeFiltered folds one accepted filtered range into the job's
+// accounting and the event stream.
+func (c *Core) completeFiltered(task sched.Task, msg *wire.CompleteMsg, now time.Duration) {
+	c.fstats.ResiduesScanned += msg.Scanned
+	c.fstats.CandidateResidues += msg.Candidates
+	c.fstats.Windows += msg.Windows
+	c.fstats.RescoredCells += msg.Rescored
+	full := int64(c.queryFor(task).Len()) * (task.Cells / sched.PrefilterEquivCells)
+	c.fstats.FullScanCells += full
+	c.fmet.ObserveSaved(full, msg.Rescored)
+	if c.events == nil {
+		return
+	}
 	ev := metrics.Event{
 		Kind: metrics.EventStage, TimeSec: now.Seconds(),
 		PE: c.slaveName(msg.Slave), Task: int(task.ID), Stage: task.Kind.String(),
+		Windows: msg.Windows,
 	}
-	switch task.Kind {
-	case sched.TaskPrefilter:
-		c.fstats.PrefilterDone++
-		c.fstats.ResiduesScanned += msg.Scanned
-		c.fstats.CandidateResidues += msg.Candidates
-		c.fstats.Windows += len(msg.Windows)
-		ev.Windows = len(msg.Windows)
-		if msg.Scanned > 0 {
-			ev.Selectivity = float64(msg.Candidates) / float64(msg.Scanned)
-		}
-		c.appendRescore(task.QueryID, msg.Windows)
-		if c.stageProgress != nil {
-			c.stageProgress("prefilter", int64(c.fstats.PrefilterDone), int64(len(c.queries)))
-		}
-	case sched.TaskRescore:
-		c.fstats.RescoreDone++
-		c.fstats.RescoredCells += task.Cells
-		full := int64(c.queryFor(task).Len()) * c.dbResidues
-		c.fstats.FullScanCells += full
-		c.fmet.ObserveSaved(full, task.Cells)
-		if c.stageProgress != nil {
-			c.stageProgress("rescore", int64(c.fstats.RescoreDone), int64(len(c.queries)))
-		}
-	case sched.TaskSW:
-		return
+	if msg.Scanned > 0 {
+		ev.Selectivity = float64(msg.Candidates) / float64(msg.Scanned)
 	}
-	if c.events != nil {
-		_ = c.events.Emit(ev)
-	}
-}
-
-// appendRescore grows the pool with the rescore task that consumes a
-// finished prefilter's windows. A windowless prefilter still appends a
-// (1-cell) rescore task so every query's result keeps the full hit-list
-// shape — one entry per database sequence, score 0 where nothing was
-// admitted — and ranks like a full scan that found nothing.
-func (c *Core) appendRescore(queryID string, windows []sched.Window) {
-	q := c.queryByID[queryID]
-	cells := prefilter.CellsFor(q.Len(), windows)
-	if cells < 1 {
-		cells = 1
-	}
-	c.coord.AddTasks([]sched.Task{{
-		QueryID: queryID,
-		Kind:    sched.TaskRescore,
-		Cells:   cells,
-		Windows: windows,
-	}})
+	_ = c.events.Emit(ev)
 }
 
 // SlaveGone records a dropped connection: the slave's tasks return to the
@@ -620,12 +469,6 @@ func (c *Core) Results() []QueryResult {
 	}
 	lastQuery := -1
 	for _, r := range raw {
-		// A prefilter result is an intermediate stage (its payload is the
-		// candidate windows); the query's reportable outcome is its
-		// rescore task.
-		if c.coord.Pool().Task(r.Task).Kind == sched.TaskPrefilter {
-			continue
-		}
 		// raw is in task order, so a query's range results are adjacent.
 		if qi := int(r.Task) / c.perQuery; qi != lastQuery {
 			out = append(out, QueryResult{Query: r.QueryID})
@@ -642,11 +485,6 @@ func (c *Core) Results() []QueryResult {
 	}
 	for i := range out {
 		wire.SortHits(out[i].Hits)
-	}
-	if c.filtered {
-		// Rescore task IDs follow prefilter completion order, not query
-		// order; restore the submitted order for the merge step.
-		sort.SliceStable(out, func(i, j int) bool { return c.qorder[out[i].Query] < c.qorder[out[j].Query] })
 	}
 	return out
 }

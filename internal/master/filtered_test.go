@@ -52,10 +52,11 @@ func TestFilteredMatchesFullScanRanking(t *testing.T) {
 	db, queries := plantedJob(91, 5, 800, 3, 30)
 	scheme := score.DefaultProtein()
 
-	run := func(filtered bool) ([]master.QueryResult, master.FilterStats) {
+	run := func(filtered bool, ranges []master.Range) ([]master.QueryResult, master.FilterStats) {
 		m, err := master.New(master.Config{
 			Queries:    queries,
 			DBResidues: dbResidues(db),
+			Ranges:     ranges,
 			Policy:     &sched.PSS{},
 			Filtered:   filtered,
 		})
@@ -71,36 +72,37 @@ func TestFilteredMatchesFullScanRanking(t *testing.T) {
 		}
 		return m.Results(), m.FilterStats()
 	}
-
-	full, fullStats := run(false)
-	filt, filtStats := run(true)
-
-	if fullStats.RescoredCells != 0 || fullStats.Queries != 0 {
-		t.Fatalf("full scan reported filter stats: %+v", fullStats)
-	}
-	if len(filt) != len(full) {
-		t.Fatalf("filtered produced %d results, full %d", len(filt), len(full))
-	}
-	for i := range full {
-		if filt[i].Query != full[i].Query {
-			t.Fatalf("result %d: query %q vs %q", i, filt[i].Query, full[i].Query)
+	sameHits := func(what string, want, got []master.QueryResult) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d results, want %d", what, len(got), len(want))
 		}
-		if len(filt[i].Hits) != len(full[i].Hits) {
-			t.Fatalf("query %s: %d filtered hits vs %d full", full[i].Query, len(filt[i].Hits), len(full[i].Hits))
-		}
-		for j := range full[i].Hits {
-			fh, gh := full[i].Hits[j], filt[i].Hits[j]
-			if fh.SeqID != gh.SeqID || fh.Index != gh.Index || fh.Score != gh.Score {
-				t.Fatalf("query %s hit %d: full {%s %d %d} vs filtered {%s %d %d}",
-					full[i].Query, j, fh.SeqID, fh.Index, fh.Score, gh.SeqID, gh.Index, gh.Score)
+		for i := range want {
+			if got[i].Query != want[i].Query || len(got[i].Hits) != len(want[i].Hits) {
+				t.Fatalf("%s: result %d is %s with %d hits, want %s with %d", what, i,
+					got[i].Query, len(got[i].Hits), want[i].Query, len(want[i].Hits))
+			}
+			for j := range want[i].Hits {
+				wh, gh := want[i].Hits[j], got[i].Hits[j]
+				if wh.SeqID != gh.SeqID || wh.Index != gh.Index || wh.Score != gh.Score {
+					t.Fatalf("%s: query %s hit %d: want {%s %d %d}, got {%s %d %d}",
+						what, want[i].Query, j, wh.SeqID, wh.Index, wh.Score, gh.SeqID, gh.Index, gh.Score)
+				}
 			}
 		}
 	}
 
+	full, fullStats := run(false, nil)
+	filt, filtStats := run(true, nil)
+	if fullStats != (master.FilterStats{}) {
+		t.Fatalf("full scan reported filter stats: %+v", fullStats)
+	}
+	sameHits("filtered vs full", full, filt)
+
 	// The selectivity acceptance: rescored cells strictly below full-scan
-	// cells, with every stage accounted.
-	if filtStats.Queries != len(queries) || filtStats.PrefilterDone != len(queries) || filtStats.RescoreDone != len(queries) {
-		t.Fatalf("stage accounting: %+v", filtStats)
+	// cells, with every query accounted.
+	if filtStats.Queries != len(queries) || filtStats.Windows == 0 {
+		t.Fatalf("accounting: %+v", filtStats)
 	}
 	if filtStats.RescoredCells <= 0 || filtStats.RescoredCells >= filtStats.FullScanCells {
 		t.Fatalf("rescored cells %d not strictly below full-scan cells %d", filtStats.RescoredCells, filtStats.FullScanCells)
@@ -111,78 +113,73 @@ func TestFilteredMatchesFullScanRanking(t *testing.T) {
 	if filtStats.CellsSaved() == 0 {
 		t.Fatal("no cells saved")
 	}
+
+	// Cut into ranges, every range prefilters and rescores alone: the
+	// hits and every accounting field equal the uncut run's.
+	for _, n := range []int{2, 5} {
+		cut, cutStats := run(true, cutRanges(db, n))
+		sameHits("filtered over ranges", filt, cut)
+		if cutStats != filtStats {
+			t.Fatalf("%d ranges: stats %+v, uncut %+v", n, cutStats, filtStats)
+		}
+	}
 }
 
-// TestFilteredCoreProtocol drives the two-stage protocol by hand: a
-// capability-less slave must be left on standby, a capable slave runs the
-// prefilter, and the rescore task materializes in the same dispatch step
-// that accepted the windows.
+// TestFilteredCoreProtocol drives one filtered range task by hand: a
+// capability-less slave must be left on standby, a capable slave receives
+// the range with the prefilter spec, and its completion ends the job with
+// the range's hits and accounting.
 func TestFilteredCoreProtocol(t *testing.T) {
 	q := seq.New("q0", "", bytes.Repeat([]byte("ACDEFGHI"), 5))
-	core, err := master.NewFilteredCore([]*seq.Sequence{q}, 1000, prefilter.Spec{}, sched.Config{}, nil)
+	ranges := []master.Range{{Lo: 0, Hi: 2, Residues: 600}, {Lo: 2, Hi: 3, Residues: 400}}
+	core, err := master.NewFilteredCore([]*seq.Sequence{q}, 1000, ranges, prefilter.Spec{}, sched.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	now := time.Duration(0)
 
-	// SW-only slave (nil caps): sees a standby, never a prefilter task.
+	// SW-only slave (nil caps): sees a standby, never a filtered task.
 	legacy := core.Dispatch(wire.Envelope{Register: &wire.RegisterMsg{Name: "legacy"}}, now)
 	la := core.Dispatch(wire.Envelope{Request: &wire.RequestMsg{Slave: legacy.RegisterAck.Slave}}, now)
 	if la.Assign == nil || !la.Assign.Standby || len(la.Assign.Tasks) != 0 {
 		t.Fatalf("legacy slave got %+v, want standby", la.Assign)
 	}
 
-	caps := []sched.TaskKind{sched.TaskSW, sched.TaskPrefilter, sched.TaskRescore}
+	caps := []sched.TaskKind{sched.TaskSW, sched.TaskFiltered}
 	reg := core.Dispatch(wire.Envelope{Register: &wire.RegisterMsg{Name: "cpu", Caps: caps}}, now)
 	id := reg.RegisterAck.Slave
 
-	a := core.Dispatch(wire.Envelope{Request: &wire.RequestMsg{Slave: id}}, now)
-	if a.Assign == nil || len(a.Assign.Tasks) != 1 {
-		t.Fatalf("capable slave got %+v", a.Assign)
-	}
-	spec := a.Assign.Tasks[0]
-	if spec.TaskKind != sched.TaskPrefilter || spec.Filter == nil {
-		t.Fatalf("first task is %v (filter %v), want prefilter with spec", spec.TaskKind, spec.Filter)
-	}
-	if spec.Cells != 1000*sched.PrefilterEquivCells {
-		t.Fatalf("prefilter task cells = %d, want %d", spec.Cells, 1000*sched.PrefilterEquivCells)
-	}
-
-	windows := []sched.Window{{Seq: 0, Start: 10, End: 90}}
-	ack := core.Dispatch(wire.Envelope{Complete: &wire.CompleteMsg{
-		Slave: id, Task: spec.ID, Windows: windows, Scanned: 1000, Candidates: 80,
-	}}, now)
-	if ack.CompleteAck == nil || !ack.CompleteAck.Accepted {
-		t.Fatalf("prefilter completion not accepted: %+v", ack)
-	}
-	if ack.CompleteAck.Done {
-		t.Fatal("job reported done with the rescore stage outstanding")
-	}
-
-	a2 := core.Dispatch(wire.Envelope{Request: &wire.RequestMsg{Slave: id}}, now)
-	if a2.Assign == nil || len(a2.Assign.Tasks) != 1 {
-		t.Fatalf("no rescore task after prefilter completion: %+v", a2.Assign)
-	}
-	rspec := a2.Assign.Tasks[0]
-	if rspec.TaskKind != sched.TaskRescore || len(rspec.Windows) != 1 || rspec.Windows[0] != windows[0] {
-		t.Fatalf("second task is %v windows %v", rspec.TaskKind, rspec.Windows)
-	}
-	if want := int64(q.Len()) * 80; rspec.Cells != want {
-		t.Fatalf("rescore task cells = %d, want %d", rspec.Cells, want)
-	}
-
-	hits := []wire.Hit{{SeqID: "d0", Index: 0, Score: 42}}
-	ack2 := core.Dispatch(wire.Envelope{Complete: &wire.CompleteMsg{Slave: id, Task: rspec.ID, Hits: hits}}, now)
-	if ack2.CompleteAck == nil || !ack2.CompleteAck.Accepted || !ack2.CompleteAck.Done {
-		t.Fatalf("rescore completion: %+v", ack2)
+	for i, r := range ranges {
+		a := core.Dispatch(wire.Envelope{Request: &wire.RequestMsg{Slave: id}}, now)
+		if a.Assign == nil || len(a.Assign.Tasks) != 1 {
+			t.Fatalf("range %d: capable slave got %+v", i, a.Assign)
+		}
+		spec := a.Assign.Tasks[0]
+		if spec.TaskKind != sched.TaskFiltered || spec.Filter == nil || spec.Lo != r.Lo || spec.Hi != r.Hi {
+			t.Fatalf("range %d: task is %v [%d,%d) (filter %v)", i, spec.TaskKind, spec.Lo, spec.Hi, spec.Filter)
+		}
+		if want := r.Residues * sched.PrefilterEquivCells; spec.Cells != want {
+			t.Fatalf("range %d: cells = %d, want %d", i, spec.Cells, want)
+		}
+		hits := []wire.Hit{{SeqID: "d", Index: r.Lo, Score: 40 + i}}
+		ack := core.Dispatch(wire.Envelope{Complete: &wire.CompleteMsg{
+			Slave: id, Task: spec.ID, Hits: hits,
+			Scanned: r.Residues, Candidates: 80, Windows: 1, Rescored: 80 * int64(q.Len()),
+		}}, now)
+		if ack.CompleteAck == nil || !ack.CompleteAck.Accepted || ack.CompleteAck.Done != (i == len(ranges)-1) {
+			t.Fatalf("range %d completion: %+v", i, ack.CompleteAck)
+		}
 	}
 	results := core.Results()
-	if len(results) != 1 || results[0].Query != "q0" || len(results[0].Hits) != 1 || results[0].Hits[0].Score != 42 {
+	if len(results) != 1 || results[0].Query != "q0" || len(results[0].Hits) != 2 || results[0].Hits[0].Score != 41 {
 		t.Fatalf("results = %+v", results)
 	}
-	fs := core.FilterStats()
-	if fs.PrefilterDone != 1 || fs.RescoreDone != 1 || fs.Windows != 1 || fs.ResiduesScanned != 1000 || fs.CandidateResidues != 80 {
-		t.Fatalf("filter stats = %+v", fs)
+	want := master.FilterStats{
+		Queries: 1, ResiduesScanned: 1000, CandidateResidues: 160, Windows: 2,
+		RescoredCells: 160 * int64(q.Len()), FullScanCells: 1000 * int64(q.Len()),
+	}
+	if fs := core.FilterStats(); fs != want {
+		t.Fatalf("filter stats = %+v, want %+v", fs, want)
 	}
 }
 
@@ -212,7 +209,7 @@ func TestFilteredJobWithMixedFleet(t *testing.T) {
 		_, cpuErr = slave.Run(wire.Local{H: m}, cpu, slave.Options{NotifyEvery: 10 * time.Millisecond, Poll: 2 * time.Millisecond})
 	}()
 	// The GPU slave polls standby until Done; run it too, it must exit
-	// cleanly without ever being handed a prefilter or rescore task.
+	// cleanly without ever being handed a filtered task.
 	var gpuErr error
 	wg.Add(1)
 	go func() {
@@ -231,25 +228,22 @@ func TestFilteredJobWithMixedFleet(t *testing.T) {
 	}
 }
 
-// TestFilteredStageProgress asserts the per-stage hook sees both stages
-// reach completion.
-func TestFilteredStageProgress(t *testing.T) {
+// TestFilteredProgressReachesTotal: a filtered job's progress is the
+// per-job finished-cell tally, and it ends at exactly the seeded budget —
+// nothing is appended mid-job.
+func TestFilteredProgressReachesTotal(t *testing.T) {
 	db, queries := plantedJob(29, 3, 400, 2, 20)
 	var mu sync.Mutex
-	last := map[string]int64{}
+	var last int64
 	m, err := master.New(master.Config{
 		Queries:    queries,
 		DBResidues: dbResidues(db),
+		Ranges:     cutRanges(db, 3),
 		Filtered:   true,
-		StageProgress: func(stage string, done, total int64) {
+		Progress: func(doneCells int64, _ float64) {
 			mu.Lock()
 			defer mu.Unlock()
-			if done > last[stage] {
-				last[stage] = done
-			}
-			if total != int64(len(queries)) {
-				t.Errorf("stage %s total %d, want %d", stage, total, len(queries))
-			}
+			last = max(last, doneCells)
 		},
 	})
 	if err != nil {
@@ -263,13 +257,13 @@ func TestFilteredStageProgress(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if last["prefilter"] != int64(len(queries)) || last["rescore"] != int64(len(queries)) {
-		t.Fatalf("stage progress high-water marks: %v", last)
+	if want := int64(len(queries)) * dbResidues(db) * sched.PrefilterEquivCells; last != want {
+		t.Fatalf("progress ended at %d cells, want %d", last, want)
 	}
 }
 
 // TestFilteredStageEvents: a filtered run's event log carries one "stage"
-// line per completed stage per query, readable by the platform trace parser
+// line per completed range task, readable by the platform trace parser
 // (the JSON-shape contract between metrics.Event and platform.TraceEvent).
 func TestFilteredStageEvents(t *testing.T) {
 	db, queries := plantedJob(43, 3, 400, 2, 20)
@@ -293,20 +287,20 @@ func TestFilteredStageEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byStage := map[string]int{}
+	stages := 0
 	for _, e := range events {
 		if e.Kind != metrics.EventStage {
 			continue
 		}
-		byStage[e.Stage]++
-		if e.PE != "cpu" {
-			t.Errorf("stage event PE %q", e.PE)
+		stages++
+		if e.Stage != "filtered" || e.PE != "cpu" {
+			t.Errorf("stage event %q on PE %q", e.Stage, e.PE)
 		}
-		if e.Stage == "prefilter" && (e.Selectivity <= 0 || e.Selectivity >= 1) {
-			t.Errorf("prefilter event selectivity %v", e.Selectivity)
+		if e.Selectivity <= 0 || e.Selectivity >= 1 || e.Windows == 0 {
+			t.Errorf("stage event selectivity %v, %d windows", e.Selectivity, e.Windows)
 		}
 	}
-	if byStage["prefilter"] != len(queries) || byStage["rescore"] != len(queries) {
-		t.Fatalf("stage events %v, want %d of each", byStage, len(queries))
+	if stages != len(queries) {
+		t.Fatalf("%d stage events, want %d", stages, len(queries))
 	}
 }

@@ -32,14 +32,14 @@ import (
 type Config struct {
 	Queries    []*seq.Sequence
 	DBResidues int64 // database size, for task cell counts
-	// Ranges cuts a full-scan job's database into contiguous sequence-index
+	// Ranges cuts the job's database into contiguous sequence-index
 	// ranges, one task per query and range, so PSS weights and first-copy-
 	// wins replication act inside a query and a replica duplicates only
 	// the tail range. It is the caller's statement about the slaves'
 	// resident database (internal/cluster computes it once per shard): the
 	// ranges must start at 0, leave no gap and hold DBResidues between
 	// them. Nil is one whole-database range, the paper's one task per
-	// query. Filtered jobs ignore it.
+	// query.
 	Ranges []Range
 	Policy sched.Policy // nil means PSS
 	Adjust bool
@@ -62,19 +62,15 @@ type Config struct {
 	// reads wall-clock and simulated runs.
 	Events *metrics.EventLog
 
-	// Filtered selects the two-stage pipeline: an Aho-Corasick prefilter
-	// task per query, then Smith-Waterman rescore tasks over the candidate
-	// windows. Slaves must declare the matching capabilities (CPU engines
-	// do; the GPU engine is SW-only).
+	// Filtered makes every task a sched.TaskFiltered over its range: an
+	// Aho-Corasick seed prefilter, then a Smith-Waterman rescore of the
+	// candidate windows on the same slave. Slaves must declare the
+	// capability (CPU engines do; the GPU engine is SW-only). Filtered
+	// jobs do not restore from checkpoints.
 	Filtered bool
-	// Filter parameterizes the prefilter stage; the zero value uses the
+	// Filter parameterizes the prefilter; the zero value uses the
 	// prefilter defaults. Ignored unless Filtered.
 	Filter prefilter.Spec
-	// StageProgress, when non-nil, is invoked on every accepted stage
-	// completion of a filtered job with cumulative done/total counts
-	// (stage is "prefilter" or "rescore"). Called under the master's lock:
-	// keep it fast and never call back into the master.
-	StageProgress func(stage string, done, total int64)
 	// Progress, when non-nil, is invoked on every progress report and
 	// accepted completion with the job's authoritative finished-cell tally
 	// (replicated scans are not double-counted) and the reporting slave's
@@ -158,14 +154,13 @@ func New(cfg Config) (*Master, error) {
 	var core *Core
 	var err error
 	if cfg.Filtered {
-		core, err = NewFilteredCore(cfg.Queries, cfg.DBResidues, cfg.Filter, cfg.schedConfig(), cfg.Events)
+		core, err = NewFilteredCore(cfg.Queries, cfg.DBResidues, cfg.Ranges, cfg.Filter, cfg.schedConfig(), cfg.Events)
 	} else {
 		core, err = NewCore(cfg.Queries, cfg.DBResidues, cfg.Ranges, cfg.schedConfig(), cfg.Events)
 	}
 	if err != nil {
 		return nil, err
 	}
-	core.SetStageProgress(cfg.StageProgress)
 	core.SetProgress(cfg.Progress)
 	core.SetFilterMetrics(prefilter.NewMetrics(cfg.Registry))
 	m := &Master{
@@ -338,8 +333,11 @@ func (m *Master) SaveCheckpoint(w io.Writer) error {
 // LoadCheckpoint rebuilds a master from a checkpoint. The same queries (in
 // the same order) must be supplied — the checkpoint carries only scheduling
 // state, not sequence data — and are verified against the snapshot, as is
-// cfg.Ranges against each task's range.
+// cfg.Ranges against each task's range. Only full-scan jobs restore.
 func LoadCheckpoint(r io.Reader, cfg Config) (*Master, error) {
+	if cfg.Filtered {
+		return nil, fmt.Errorf("master: filtered jobs do not restore from checkpoints")
+	}
 	var snap sched.Snapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("master: reading checkpoint: %w", err)
@@ -367,8 +365,6 @@ func LoadCheckpoint(r io.Reader, cfg Config) (*Master, error) {
 }
 
 func init() {
-	// Checkpoint payloads are the per-task hit lists, plus candidate
-	// windows for filtered jobs' prefilter results.
+	// Checkpoint payloads are the per-task hit lists.
 	gob.Register([]wire.Hit{})
-	gob.Register([]sched.Window{})
 }

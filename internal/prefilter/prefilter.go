@@ -1,8 +1,9 @@
-// Package prefilter implements the first stage of the two-stage filtered
-// search: an Aho-Corasick multi-pattern engine that scans database residues
-// for exact k-mer seeds of the query and projects every seed hit onto a
-// candidate window of the database sequence. The second stage (rescore.go)
-// runs the full Smith-Waterman kernel only on those windows.
+// Package prefilter implements filtered search: an Aho-Corasick
+// multi-pattern engine that scans database residues for exact k-mer seeds
+// of the query and projects every seed hit onto a candidate window of the
+// database sequence, then (rescore.go) the full Smith-Waterman kernel run
+// only on those windows. Windows never cross a sequence, so any range of
+// the database filters on its own.
 //
 // This is the engine class of the Aho-Corasick/Wu-Manber hybrid pipelines
 // in related work: the filter is exact and cheap (a couple of table lookups
@@ -18,7 +19,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/sched"
 	"repro/internal/seq"
 )
 
@@ -90,11 +90,19 @@ func (s Stats) Selectivity() float64 {
 	return float64(s.CandidateResidues) / float64(s.TotalResidues)
 }
 
+// Window is one candidate region of a database sequence, emitted by the
+// prefilter scan and consumed by the rescore stage: the diagonal projection
+// of seed hits, expanded by the margin, with overlapping windows merged.
+type Window struct {
+	Seq        int // database sequence index, within the scanned slice
+	Start, End int // half-open residue range within the sequence
+}
+
 // Result is the outcome of one prefilter pass: the merged candidate
 // windows (grouped by database sequence, ascending start within each) plus
 // the accounting.
 type Result struct {
-	Windows []sched.Window
+	Windows []Window
 	Stats   Stats
 }
 
@@ -103,46 +111,74 @@ type Result struct {
 // configured k is seeded with a single query-length pattern; an empty query
 // emits no windows.
 func Run(query []byte, db []*seq.Sequence, spec Spec) (Result, error) {
+	f, err := NewFilter(query, spec)
+	if err != nil {
+		return Result{}, err
+	}
+	return f.Scan(db), nil
+}
+
+// Filter is one query's compiled prefilter: its k-mer seeds and their
+// Aho-Corasick automaton. Compiling costs a few times more than scanning a
+// small database range, so one Filter serves every range of the query.
+// Scan only reads it, so a Filter is safe for concurrent use.
+type Filter struct {
+	qlen     int
+	margin   int
+	patterns int
+	a        *Automaton // nil when the query is empty
+	offs     [][]int32  // query offsets of each pattern
+}
+
+// NewFilter compiles the query's Filter under spec.
+func NewFilter(query []byte, spec Spec) (*Filter, error) {
 	spec = spec.Normalize()
 	if spec.K > len(query) {
 		spec.K = len(query)
 	}
-	var res Result
+	f := &Filter{qlen: len(query), margin: spec.Margin}
+	if spec.K == 0 {
+		return f, nil
+	}
+	pats, offs := compileSeeds(query, spec)
+	a, err := Compile(pats)
+	if err != nil {
+		return nil, err
+	}
+	f.patterns, f.a, f.offs = len(pats), a, offs
+	return f, nil
+}
+
+// Scan runs the filter over db. Windows index db itself, so scanning the
+// slice db[lo:hi] of a larger database yields that range's windows shifted
+// down by lo; candidate windows never cross a sequence, so the ranges of a
+// cut together emit exactly the whole database's windows.
+func (f *Filter) Scan(db []*seq.Sequence) Result {
+	res := Result{Stats: Stats{Patterns: f.patterns}}
 	for _, d := range db {
 		res.Stats.TotalResidues += int64(d.Len())
 	}
-	if spec.K == 0 {
-		return res, nil
+	if f.a == nil {
+		return res
 	}
-	pats, offs := compileSeeds(query, spec)
-	res.Stats.Patterns = len(pats)
-	a, err := Compile(pats)
-	if err != nil {
-		return Result{}, err
-	}
+	var wins []Window
 	for si, d := range db {
 		data := d.Residues
 		res.Stats.ResiduesScanned += int64(len(data))
-		var wins []sched.Window
-		a.Scan(data, func(end, pat int) {
+		wins = wins[:0]
+		f.a.Scan(data, func(end, pat int) {
 			res.Stats.SeedHits++
-			matchStart := end - int(a.plen[pat])
-			for _, qoff := range offs[pat] {
+			matchStart := end - int(f.a.plen[pat])
+			for _, qoff := range f.offs[pat] {
 				// Diagonal projection: if the seed sits at query offset
 				// qoff, a gapless alignment of the whole query starts at
 				// matchStart-qoff; the margin absorbs gap-induced drift.
-				start := matchStart - int(qoff) - spec.Margin
-				stop := matchStart - int(qoff) + len(query) + spec.Margin
-				if start < 0 {
-					start = 0
-				}
-				if stop > len(data) {
-					stop = len(data)
-				}
+				start := max(matchStart-int(qoff)-f.margin, 0)
+				stop := min(matchStart-int(qoff)+f.qlen+f.margin, len(data))
 				if start >= stop {
 					continue
 				}
-				wins = append(wins, sched.Window{Seq: si, Start: start, End: stop})
+				wins = append(wins, Window{Seq: si, Start: start, End: stop})
 			}
 		})
 		merged := mergeWindows(wins)
@@ -152,7 +188,7 @@ func Run(query []byte, db []*seq.Sequence, spec Spec) (Result, error) {
 		res.Windows = append(res.Windows, merged...)
 	}
 	res.Stats.Windows = len(res.Windows)
-	return res, nil
+	return res
 }
 
 // compileSeeds extracts the query's k-mer seed patterns. The stride starts
@@ -181,7 +217,7 @@ func compileSeeds(query []byte, spec Spec) (pats [][]byte, offs [][]int32) {
 
 // mergeWindows sorts same-sequence windows by start and merges overlapping
 // or adjacent ones, so the rescore stage never aligns a residue twice.
-func mergeWindows(wins []sched.Window) []sched.Window {
+func mergeWindows(wins []Window) []Window {
 	if len(wins) <= 1 {
 		return wins
 	}
@@ -201,8 +237,8 @@ func mergeWindows(wins []sched.Window) []sched.Window {
 }
 
 // ValidateWindows checks that windows reference database sequences and
-// ranges that exist — the trust boundary when windows arrive over the wire.
-func ValidateWindows(windows []sched.Window, db []*seq.Sequence) error {
+// ranges that exist in db.
+func ValidateWindows(windows []Window, db []*seq.Sequence) error {
 	for i, w := range windows {
 		if w.Seq < 0 || w.Seq >= len(db) {
 			return fmt.Errorf("prefilter: window %d references sequence %d of %d", i, w.Seq, len(db))

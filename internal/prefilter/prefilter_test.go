@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
-	"repro/internal/sched"
 	"repro/internal/score"
 	"repro/internal/seq"
 	"repro/internal/sw"
@@ -105,19 +104,23 @@ func TestFilteredRankingMatchesFullScan(t *testing.T) {
 	if cells <= 0 || cells >= fullCells {
 		t.Fatalf("rescored cells %d not strictly below full-scan cells %d", cells, fullCells)
 	}
-	if got := CellsFor(len(query), res.Windows); got != cells {
-		t.Fatalf("CellsFor = %d, Rescore computed %d", got, cells)
+	var windowCells int64
+	for _, w := range res.Windows {
+		windowCells += int64(len(query)) * int64(w.End-w.Start)
+	}
+	if windowCells != cells {
+		t.Fatalf("windows hold %d cells, Rescore computed %d", windowCells, cells)
 	}
 }
 
 func TestMergeWindows(t *testing.T) {
-	in := []sched.Window{{Seq: 0, Start: 50, End: 90}, {Seq: 0, Start: 10, End: 40}, {Seq: 0, Start: 30, End: 60}, {Seq: 0, Start: 90, End: 95}}
+	in := []Window{{Seq: 0, Start: 50, End: 90}, {Seq: 0, Start: 10, End: 40}, {Seq: 0, Start: 30, End: 60}, {Seq: 0, Start: 90, End: 95}}
 	got := mergeWindows(in)
-	want := []sched.Window{{Seq: 0, Start: 10, End: 95}}
+	want := []Window{{Seq: 0, Start: 10, End: 95}}
 	if len(got) != 1 || got[0] != want[0] {
 		t.Fatalf("mergeWindows = %v, want %v", got, want)
 	}
-	disjoint := []sched.Window{{Seq: 0, Start: 0, End: 5}, {Seq: 0, Start: 6, End: 9}}
+	disjoint := []Window{{Seq: 0, Start: 0, End: 5}, {Seq: 0, Start: 6, End: 9}}
 	if got := mergeWindows(disjoint); len(got) != 2 {
 		t.Fatalf("disjoint windows merged: %v", got)
 	}
@@ -172,7 +175,7 @@ func TestSeedStrideHonorsMaxPatterns(t *testing.T) {
 
 func TestValidateWindows(t *testing.T) {
 	db := []*seq.Sequence{seq.New("a", "", []byte("ACGTACGT"))}
-	bad := [][]sched.Window{
+	bad := [][]Window{
 		{{Seq: 1, Start: 0, End: 4}},
 		{{Seq: -1, Start: 0, End: 4}},
 		{{Seq: 0, Start: -1, End: 4}},
@@ -184,7 +187,7 @@ func TestValidateWindows(t *testing.T) {
 			t.Fatalf("case %d: invalid window %v accepted", i, ws[0])
 		}
 	}
-	if err := ValidateWindows([]sched.Window{{Seq: 0, Start: 0, End: 8}}, db); err != nil {
+	if err := ValidateWindows([]Window{{Seq: 0, Start: 0, End: 8}}, db); err != nil {
 		t.Fatalf("valid window rejected: %v", err)
 	}
 }
@@ -221,4 +224,81 @@ func TestMetricsObserve(t *testing.T) {
 	none := NewMetrics(nil)
 	none.Observe(Stats{Patterns: 1, ResiduesScanned: 1, Windows: 1})
 	none.ObserveSaved(10, 1)
+}
+
+// FuzzPrefilterRangeCut pins what lets a filtered range task work alone:
+// scanning each range db[lo:hi) of a cut and shifting its windows up by lo
+// yields exactly the whole database's windows, in order, and the ranges'
+// counts add up to the whole scan's.
+func FuzzPrefilterRangeCut(f *testing.F) {
+	f.Add(int64(1), uint8(30), uint8(6), uint8(3), uint8(4), int8(0), uint8(2))
+	f.Add(int64(7), uint8(3), uint8(12), uint8(1), uint8(1), int8(-1), uint8(0))
+	f.Add(int64(42), uint8(90), uint8(2), uint8(5), uint8(8), int8(9), uint8(50))
+	f.Fuzz(func(t *testing.T, seed int64, qlen, nseqs, k, step uint8, margin int8, cuts uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		// A 4-letter alphabet makes seed hits, overlaps and merges common.
+		const alpha = "ACDE"
+		gen := func(n int) []byte {
+			out := make([]byte, n)
+			for i := range out {
+				out[i] = alpha[rng.Intn(len(alpha))]
+			}
+			return out
+		}
+		query := gen(int(qlen) % 64)
+		db := make([]*seq.Sequence, 1+int(nseqs)%16)
+		for i := range db {
+			db[i] = seq.New("s", "", gen(rng.Intn(120)))
+		}
+		spec := Spec{K: int(k) % 8, Step: int(step) % 4, Margin: int(margin)}
+		whole, err := Run(query, db, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		filter, err := NewFilter(query, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A random cut: every boundary in (0, len(db)) is kept or not.
+		bounds := []int{0}
+		for i := 1; i < len(db); i++ {
+			if rng.Intn(256) < int(cuts) {
+				bounds = append(bounds, i)
+			}
+		}
+		bounds = append(bounds, len(db))
+		var windows []Window
+		var sum Stats
+		for i := 0; i+1 < len(bounds); i++ {
+			lo, hi := bounds[i], bounds[i+1]
+			part := filter.Scan(db[lo:hi])
+			if part.Stats.Patterns != whole.Stats.Patterns {
+				t.Fatalf("range [%d,%d) compiled %d patterns, whole %d", lo, hi, part.Stats.Patterns, whole.Stats.Patterns)
+			}
+			for _, w := range part.Windows {
+				if w.Seq < 0 || w.Seq >= hi-lo {
+					t.Fatalf("range [%d,%d) window %+v outside the range", lo, hi, w)
+				}
+				w.Seq += lo
+				windows = append(windows, w)
+			}
+			sum.ResiduesScanned += part.Stats.ResiduesScanned
+			sum.SeedHits += part.Stats.SeedHits
+			sum.Windows += part.Stats.Windows
+			sum.CandidateResidues += part.Stats.CandidateResidues
+			sum.TotalResidues += part.Stats.TotalResidues
+		}
+		sum.Patterns = whole.Stats.Patterns
+		if sum != whole.Stats {
+			t.Fatalf("cut %v: summed stats %+v, whole %+v", bounds, sum, whole.Stats)
+		}
+		if len(windows) != len(whole.Windows) {
+			t.Fatalf("cut %v: %d windows, whole %d", bounds, len(windows), len(whole.Windows))
+		}
+		for i := range windows {
+			if windows[i] != whole.Windows[i] {
+				t.Fatalf("cut %v: window %d is %+v, whole %+v", bounds, i, windows[i], whole.Windows[i])
+			}
+		}
+	})
 }

@@ -2,7 +2,6 @@ package prefilter
 
 import (
 	"repro/internal/farrar"
-	"repro/internal/sched"
 	"repro/internal/score"
 	"repro/internal/seq"
 )
@@ -30,8 +29,8 @@ func NewRescorer(query []byte, s score.Scheme) (*Rescorer, error) {
 
 // Rescore aligns the candidate windows and returns one score per database
 // sequence plus the DP cells actually computed. Windows are validated
-// against the database first (they may have crossed the wire).
-func (r *Rescorer) Rescore(db []*seq.Sequence, windows []sched.Window) (scores []int, cells int64, err error) {
+// against the database first.
+func (r *Rescorer) Rescore(db []*seq.Sequence, windows []Window) (scores []int, cells int64, err error) {
 	if err := ValidateWindows(windows, db); err != nil {
 		return nil, 0, err
 	}
@@ -45,16 +44,6 @@ func (r *Rescorer) Rescore(db []*seq.Sequence, windows []sched.Window) (scores [
 		}
 	}
 	return scores, cells, nil
-}
-
-// CellsFor returns the DP cost of rescoring the given windows — the
-// scheduling weight of a rescore task, in true SW cells.
-func CellsFor(qlen int, windows []sched.Window) int64 {
-	var cells int64
-	for _, w := range windows {
-		cells += int64(qlen) * int64(w.End-w.Start)
-	}
-	return cells
 }
 
 // Stats exposes the kernel's fallback-ladder telemetry accumulated across

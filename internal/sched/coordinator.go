@@ -154,8 +154,8 @@ type Coordinator struct {
 	slaves  []*slaveState
 	results map[TaskID]Result
 	log     []Assignment
-	// mixedKinds latches true once any non-SW task enters the pool; until
-	// then nil-caps slaves take the kind-blind fast path.
+	// mixedKinds is true when any task of the pool is not TaskSW; on a
+	// pure-SW pool nil-caps slaves take the kind-blind fast path.
 	mixedKinds bool
 	// alive counts the registered slaves not declared dead.
 	alive int
@@ -341,8 +341,8 @@ func (c *Coordinator) RequestWork(id SlaveID, now time.Duration) (tasks []Task, 
 		return tasks, false
 	}
 	// The slave only sees — and is only granted — ready tasks whose kind it
-	// declared capability for, so heterogeneous pipelines never strand a
-	// rescore task on a prefilter-only slave or vice versa. For nil caps
+	// declared capability for, so a filtered task never lands on an
+	// SW-only slave such as a GPU engine. For nil caps
 	// (every pre-existing slave) allow stays kind-blind on the single-kind
 	// pool and this is the paper's original path.
 	allow := c.allowFor(id)
@@ -487,23 +487,6 @@ func (c *Coordinator) allowFor(id SlaveID) func(Task) bool {
 		return func(t Task) bool { return t.Kind == TaskSW }
 	}
 	return func(t Task) bool { return CanRun(caps, t.Kind) }
-}
-
-// AddTasks appends follow-on tasks to the pool mid-job and returns their
-// assigned IDs — the growth path for heterogeneous pipelines (a filtered
-// search appends each query's rescore task the moment its prefilter
-// completes). The caller must invoke it from the same single-threaded
-// context as the other Coordinator methods.
-func (c *Coordinator) AddTasks(tasks []Task) []TaskID {
-	ids := c.pool.Append(tasks)
-	for _, t := range tasks {
-		if t.Kind != TaskSW {
-			c.mixedKinds = true
-		}
-	}
-	c.cfg.Metrics.TasksAdded.Add(float64(len(tasks)))
-	c.syncGauges()
-	return ids
 }
 
 // gainThreshold resolves the configured replication threshold.

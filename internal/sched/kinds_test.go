@@ -9,22 +9,20 @@ func TestCanRun(t *testing.T) {
 	if !CanRun(nil, TaskSW) {
 		t.Error("nil caps must run SW")
 	}
-	if CanRun(nil, TaskPrefilter) || CanRun(nil, TaskRescore) {
-		t.Error("nil caps must not run filtered stages")
+	if CanRun(nil, TaskFiltered) {
+		t.Error("nil caps must not run filtered tasks")
 	}
-	caps := []TaskKind{TaskSW, TaskPrefilter}
-	if !CanRun(caps, TaskPrefilter) || !CanRun(caps, TaskSW) {
+	caps := []TaskKind{TaskSW, TaskFiltered}
+	if !CanRun(caps, TaskFiltered) || !CanRun(caps, TaskSW) {
 		t.Error("declared kinds must run")
 	}
-	if CanRun(caps, TaskRescore) {
+	if CanRun([]TaskKind{TaskSW}, TaskFiltered) {
 		t.Error("undeclared kind must not run")
 	}
 }
 
 func TestTaskKindString(t *testing.T) {
-	for k, want := range map[TaskKind]string{
-		TaskSW: "sw", TaskPrefilter: "prefilter", TaskRescore: "rescore",
-	} {
+	for k, want := range map[TaskKind]string{TaskSW: "sw", TaskFiltered: "filtered"} {
 		if got := k.String(); got != want {
 			t.Errorf("TaskKind(%d).String() = %q, want %q", int(k), got, want)
 		}
@@ -34,27 +32,36 @@ func TestTaskKindString(t *testing.T) {
 	}
 }
 
-func TestPoolAppendContinuesNumbering(t *testing.T) {
-	p := NewPool(mkTasks(3))
-	ids := p.Append([]Task{
-		{QueryID: "x", Cells: 10, Kind: TaskRescore},
-		{QueryID: "y", Cells: 20, Kind: TaskRescore},
-	})
-	if len(ids) != 2 || ids[0] != 3 || ids[1] != 4 {
-		t.Fatalf("appended IDs = %v, want [3 4]", ids)
+// TestFilteredKindUnknownToOlderSlaves: binaries from before the fused kind
+// declared the prefilter and rescore stages as kinds 1 and 2. TaskFiltered
+// must be neither, so such a slave's capability list never admits it and
+// the coordinator never grants it one.
+func TestFilteredKindUnknownToOlderSlaves(t *testing.T) {
+	if TaskFiltered == 1 || TaskFiltered == 2 {
+		t.Fatalf("TaskFiltered = %d reuses a stage kind of older binaries", int(TaskFiltered))
 	}
-	if p.Len() != 5 || p.Ready() != 5 {
-		t.Fatalf("pool %d/%d after append", p.Ready(), p.Len())
+	oldCaps := []TaskKind{TaskSW, 1, 2}
+	if CanRun(oldCaps, TaskFiltered) {
+		t.Fatal("an older slave's caps admit the fused kind")
 	}
-	if got := p.Task(3); got.QueryID != "x" || got.Kind != TaskRescore || got.ID != 3 {
-		t.Fatalf("appended task = %+v", got)
+	tasks := mkTasks(2)
+	tasks[0].Kind = TaskFiltered
+	tasks[1].Kind = TaskFiltered
+	c := NewCoordinator(tasks, Config{Policy: SS{}, Adjust: true})
+	old := c.Register(SlaveInfo{Name: "old", Kind: KindCPU, Caps: oldCaps}, 0)
+	if got, replica := c.RequestWork(old, 0); len(got) != 0 || replica {
+		t.Fatalf("older slave granted %v (replica %v)", got, replica)
+	}
+	cur := c.Register(SlaveInfo{Name: "cur", Kind: KindCPU, Caps: []TaskKind{TaskSW, TaskFiltered}}, 0)
+	if got, _ := c.RequestWork(cur, 0); len(got) != 1 || got[0].Kind != TaskFiltered {
+		t.Fatalf("current slave granted %v", got)
 	}
 }
 
 func TestTakeReadyFuncSkipsAndKeepsFIFO(t *testing.T) {
 	tasks := mkTasks(4)
-	tasks[1].Kind = TaskPrefilter
-	tasks[2].Kind = TaskPrefilter
+	tasks[1].Kind = TaskFiltered
+	tasks[2].Kind = TaskFiltered
 	p := NewPool(tasks)
 
 	swOnly := func(tk Task) bool { return tk.Kind == TaskSW }
@@ -65,7 +72,7 @@ func TestTakeReadyFuncSkipsAndKeepsFIFO(t *testing.T) {
 		t.Fatalf("ReadyFunc(nil) = %d, want 4", got)
 	}
 
-	// An SW-only taker receives tasks 0 and 3; the skipped prefilter tasks
+	// An SW-only taker receives tasks 0 and 3; the skipped filtered tasks
 	// keep their FIFO position.
 	got := p.TakeReadyFunc(4, swOnly, 1, 0)
 	if len(got) != 2 || got[0].ID != 0 || got[1].ID != 3 {
@@ -73,7 +80,7 @@ func TestTakeReadyFuncSkipsAndKeepsFIFO(t *testing.T) {
 	}
 	rest := p.TakeReadyFunc(4, nil, 2, 0)
 	if len(rest) != 2 || rest[0].ID != 1 || rest[1].ID != 2 {
-		t.Fatalf("remaining FIFO = %v, want prefilter tasks 1,2 in order", rest)
+		t.Fatalf("remaining FIFO = %v, want filtered tasks 1,2 in order", rest)
 	}
 	if p.Ready() != 0 || p.ExecutingCount() != 4 {
 		t.Fatalf("pool counts %d ready %d executing", p.Ready(), p.ExecutingCount())
@@ -82,18 +89,18 @@ func TestTakeReadyFuncSkipsAndKeepsFIFO(t *testing.T) {
 
 func TestRequestWorkHonorsCapabilities(t *testing.T) {
 	tasks := mkTasks(2)
-	tasks[0].Kind = TaskPrefilter
-	tasks[1].Kind = TaskPrefilter
+	tasks[0].Kind = TaskFiltered
+	tasks[1].Kind = TaskFiltered
 	c := NewCoordinator(tasks, Config{Policy: SS{}})
 	legacy := c.Register(SlaveInfo{Name: "legacy", Kind: KindGPU}, 0)
 	capable := c.Register(SlaveInfo{Name: "cpu", Kind: KindCPU,
-		Caps: []TaskKind{TaskSW, TaskPrefilter, TaskRescore}}, 0)
+		Caps: []TaskKind{TaskSW, TaskFiltered}}, 0)
 
 	if got, _ := c.RequestWork(legacy, 0); len(got) != 0 {
-		t.Fatalf("nil-caps slave granted %v on a prefilter pool", got)
+		t.Fatalf("nil-caps slave granted %v on a filtered pool", got)
 	}
 	got, _ := c.RequestWork(capable, 0)
-	if len(got) != 1 || got[0].Kind != TaskPrefilter {
+	if len(got) != 1 || got[0].Kind != TaskFiltered {
 		t.Fatalf("capable slave granted %v", got)
 	}
 	// The skipped tasks stayed ready for the capable slave.
@@ -114,46 +121,20 @@ func TestKindBlindFastPathForPureSWPools(t *testing.T) {
 
 func TestReplicaSkipsIncapableSlave(t *testing.T) {
 	tasks := mkTasks(1)
-	tasks[0].Kind = TaskRescore
+	tasks[0].Kind = TaskFiltered
 	c := NewCoordinator(tasks, Config{Policy: SS{}, Adjust: true})
 	capable := c.Register(SlaveInfo{Name: "cpu", Kind: KindCPU,
-		Caps: []TaskKind{TaskSW, TaskPrefilter, TaskRescore}}, 0)
+		Caps: []TaskKind{TaskSW, TaskFiltered}}, 0)
 	legacy := c.Register(SlaveInfo{Name: "gpu", Kind: KindGPU}, 0)
 	c.ProgressRate(capable, 1000, 0, 0)
 	c.ProgressRate(legacy, 100000, 0, 0)
 
 	if got, _ := c.RequestWork(capable, 0); len(got) != 1 {
-		t.Fatal("setup: capable slave should take the rescore task")
+		t.Fatal("setup: capable slave should take the filtered task")
 	}
 	// The much faster legacy slave would normally win a replica of the
-	// executing task, but it cannot run a rescore.
+	// executing task, but it cannot run a filtered task.
 	if got, replica := c.RequestWork(legacy, sec(1)); len(got) != 0 || replica {
-		t.Fatalf("nil-caps slave granted replica %v of a rescore task", got)
-	}
-}
-
-func TestAddTasksLatchesMixedKinds(t *testing.T) {
-	// A pool seeded pure-SW switches to kind-aware grants the moment a
-	// non-SW task is appended mid-job.
-	c := NewCoordinator(mkTasks(1), Config{Policy: SS{}})
-	legacy := c.Register(SlaveInfo{Name: "legacy", Kind: KindCPU}, 0)
-	got, _ := c.RequestWork(legacy, 0)
-	if len(got) != 1 {
-		t.Fatal("setup: SW grant failed")
-	}
-	if ok, _ := c.Complete(legacy, got[0].ID, nil, 0); !ok {
-		t.Fatal("setup: completion rejected")
-	}
-	ids := c.AddTasks([]Task{{QueryID: "a", Cells: 10, Kind: TaskRescore}})
-	if len(ids) != 1 || ids[0] != 1 {
-		t.Fatalf("AddTasks ids = %v", ids)
-	}
-	if got, _ := c.RequestWork(legacy, 0); len(got) != 0 {
-		t.Fatalf("nil-caps slave granted appended rescore task: %v", got)
-	}
-	capable := c.Register(SlaveInfo{Name: "cpu", Kind: KindCPU,
-		Caps: []TaskKind{TaskRescore}}, 0)
-	if got, _ := c.RequestWork(capable, 0); len(got) != 1 || got[0].Kind != TaskRescore {
-		t.Fatalf("capable grant = %v", got)
+		t.Fatalf("nil-caps slave granted replica %v of a filtered task", got)
 	}
 }

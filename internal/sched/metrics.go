@@ -20,7 +20,6 @@ type Metrics struct {
 	TasksRequeued    *metrics.Counter
 	TasksReplicated  *metrics.Counter
 	TasksRedelivered *metrics.Counter
-	TasksAdded       *metrics.Counter
 	LeaseExpirations *metrics.Counter
 
 	ReadyTasks     *metrics.Gauge
@@ -41,7 +40,6 @@ func NewMetrics(r *metrics.Registry) *Metrics {
 		TasksRequeued:    r.Counter("sched_tasks_requeued_total", "Executing tasks returned to ready after losing every executor (death, cancellation or abandonment)."),
 		TasksReplicated:  r.Counter("sched_tasks_replicated_total", "Extra task copies granted by the workload adjustment mechanism."),
 		TasksRedelivered: r.Counter("sched_tasks_redelivered_total", "Outstanding assignments retransmitted to slaves whose Assign response was lost."),
-		TasksAdded:       r.Counter("sched_tasks_added_total", "Follow-on tasks appended to the pool mid-job (e.g. rescore stages of a filtered search)."),
 		LeaseExpirations: r.Counter("sched_lease_expirations_total", "Slaves declared dead by the lease-based failure detector."),
 		ReadyTasks:       r.Gauge("sched_ready_tasks", "Tasks not yet assigned to any slave."),
 		ExecutingTasks:   r.Gauge("sched_executing_tasks", "Tasks running on at least one slave."),

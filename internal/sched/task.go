@@ -25,24 +25,25 @@ type TaskID int
 type SlaveID int
 
 // TaskKind classifies the work a task carries. The paper's environment has
-// exactly one shape of work — a full Smith-Waterman database scan per query
-// — but the two-stage filtered-search pipeline adds heterogeneous kinds:
-// a cheap multi-pattern prefilter pass over the database, followed by a
-// Smith-Waterman rescore restricted to the candidate windows the prefilter
-// emitted. The scheduler routes kinds by slave capability (SlaveInfo.Caps)
-// and otherwise treats them uniformly through the shared cell currency.
+// exactly one shape of work — a Smith-Waterman scan of the query against
+// the database — and filtered search adds one more over the same ranges: an
+// Aho-Corasick seed prefilter followed by a Smith-Waterman rescore of the
+// candidate windows it admitted. The scheduler routes kinds by slave
+// capability (SlaveInfo.Caps) and otherwise treats them uniformly through
+// the shared cell currency.
 type TaskKind int
 
 const (
 	// TaskSW is a full Smith-Waterman scan of the query against the task's
 	// database range — the whole database in the paper's only task shape.
-	TaskSW TaskKind = iota
-	// TaskPrefilter is an Aho-Corasick multi-pattern scan of the database
-	// with the query's k-mer seeds, emitting candidate windows.
-	TaskPrefilter
-	// TaskRescore is a Smith-Waterman pass restricted to the candidate
-	// windows of a preceding prefilter task.
-	TaskRescore
+	TaskSW TaskKind = 0
+	// TaskFiltered prefilters the task's database range with the query's
+	// k-mer seeds and rescores the candidate windows on the same engine.
+	// Values 1 and 2 named the separate prefilter and rescore stages of
+	// older binaries; skipping them means a slave built before the fused
+	// kind never declares it, so it is never granted one, and fails
+	// loudly with "unknown task kind" if handed one anyway.
+	TaskFiltered TaskKind = 3
 )
 
 // String returns the kind name used in logs, traces and metric labels.
@@ -50,48 +51,34 @@ func (k TaskKind) String() string {
 	switch k {
 	case TaskSW:
 		return "sw"
-	case TaskPrefilter:
-		return "prefilter"
-	case TaskRescore:
-		return "rescore"
+	case TaskFiltered:
+		return "filtered"
 	default:
 		return fmt.Sprintf("TaskKind(%d)", int(k))
 	}
 }
 
-// PrefilterEquivCells is the cost model of prefilter tasks: scanning one
+// PrefilterEquivCells is the cost model of filtered tasks: scanning one
 // database residue through the Aho-Corasick automaton costs roughly this
 // many Smith-Waterman cell updates (a couple of table lookups versus the
 // DP cell's adds and maxes). Task.Cells is always denominated in SW-cell
 // equivalents, so one speed estimator, one backlog model and one GCUPS
-// currency serve every kind: a prefilter task over R database residues is
-// created with Cells = R * PrefilterEquivCells, while TaskSW and
-// TaskRescore tasks carry true DP cell counts (factor 1). That is what
-// makes prefilter tasks "cheap per query": R*8 equivalent cells versus
-// |query|*R for the full scan.
+// currency serve every kind: a filtered task over R database residues is
+// created with Cells = R * PrefilterEquivCells, while TaskSW tasks carry
+// true DP cell counts. The rescore of the admitted windows is not known
+// until the scan has run, so it rides in the same budget.
 const PrefilterEquivCells = 8
-
-// Window is one candidate region of a database sequence: produced by a
-// prefilter task, consumed by the rescore task that follows it. The
-// scheduler treats windows as opaque payload; internal/prefilter defines
-// their semantics (diagonal projection of seed hits, margin expansion,
-// overlap merging).
-type Window struct {
-	Seq        int // database sequence index
-	Start, End int // half-open residue range within the sequence
-}
 
 // Task is one schedulable work unit: the comparison of one query sequence
 // against one contiguous range of the database. In the paper's workload the
 // range is the whole genomic database (§IV, very coarse-grained); a serving
-// fleet cuts it finer so one query occupies every engine. The
-// filtered-search pipeline adds prefilter and rescore kinds over the same
-// distribution machinery.
+// fleet cuts it finer so one query occupies every engine. Filtered search
+// runs over the same cut with its own task kind.
 type Task struct {
 	ID      TaskID
 	QueryID string // identifier of the query sequence
 	Cells   int64  // scheduling cost in SW-cell equivalents (see PrefilterEquivCells)
-	// Lo and Hi bound a TaskSW task to the half-open sequence-index range
+	// Lo and Hi bound the task to the half-open sequence-index range
 	// [Lo, Hi) of the slaves' resident database. The zero value (Hi == 0)
 	// means the whole database: the paper's grain, and what checkpoints
 	// written before ranges existed decode to.
@@ -99,9 +86,6 @@ type Task struct {
 	// Kind selects the execution path on the slave; the zero value TaskSW
 	// keeps every pre-existing call site on the paper's single-kind shape.
 	Kind TaskKind
-	// Windows restricts a TaskRescore task to candidate regions; nil for
-	// other kinds.
-	Windows []Window
 }
 
 // State is the lifecycle of a task in the pool (§IV-A.3).
@@ -229,24 +213,6 @@ func (p *Pool) ReadyFunc(allow func(Task) bool) int {
 		}
 	}
 	return n
-}
-
-// Append adds follow-on tasks to the pool mid-job, all Ready at the back
-// of the FIFO, and returns their assigned IDs. This is how heterogeneous
-// pipelines grow: a filtered search starts with one prefilter task per
-// query and appends each rescore task the moment its candidate windows are
-// known. IDs continue the existing numbering (Task.ID is renumbered like
-// NewPool does).
-func (p *Pool) Append(tasks []Task) []TaskID {
-	ids := make([]TaskID, len(tasks))
-	for i, t := range tasks {
-		t.ID = TaskID(len(p.entries))
-		p.entries = append(p.entries, poolEntry{task: t, state: Ready, executors: map[SlaveID]time.Duration{}, finishedBy: -1})
-		p.readyFIFO = append(p.readyFIFO, t.ID)
-		ids[i] = t.ID
-	}
-	p.nReady += len(tasks)
-	return ids
 }
 
 // AddExecutor records that slave s (additionally) executes task id — the

@@ -169,6 +169,8 @@ func runSession(caller wire.Caller, eng Engine, opts Options) (completed int, pr
 	id := resp.RegisterAck.Slave
 
 	canceled := newCancelSet()
+	var filters FilterCache
+	defer filters.release()
 	if testCancelSet != nil {
 		testCancelSet(canceled)
 	}
@@ -204,7 +206,7 @@ func runSession(caller wire.Caller, eng Engine, opts Options) (completed int, pr
 				canceled.forget(spec.ID)
 				continue
 			}
-			done, finished, err := runTask(caller, eng, id, spec, canceled, opts)
+			done, finished, err := runTask(caller, eng, id, spec, canceled, &filters, opts)
 			// Canceled or completed tasks never run again on this slave
 			// (the master only cancels finished tasks), so their cancel
 			// bookkeeping can go — before this pruning, the ids/chans maps
@@ -226,7 +228,7 @@ func runSession(caller wire.Caller, eng Engine, opts Options) (completed int, pr
 // runTask executes one task, streaming progress notifications and honoring
 // cancellations: of this task, piggybacked on their acknowledgements, and
 // of everything once the job is over (Options.Done).
-func runTask(caller wire.Caller, eng Engine, id sched.SlaveID, spec wire.TaskSpec, canceled *cancelSet, opts Options) (completed, jobDone bool, err error) {
+func runTask(caller wire.Caller, eng Engine, id sched.SlaveID, spec wire.TaskSpec, canceled *cancelSet, filters *FilterCache, opts Options) (completed, jobDone bool, err error) {
 	query := &seq.Sequence{ID: spec.QueryID, Residues: spec.Residues}
 	var callErr error
 	taskStart := time.Now()
@@ -259,7 +261,7 @@ func runTask(caller wire.Caller, eng Engine, id sched.SlaveID, spec wire.TaskSpe
 		lastNotify, lastCells = now, cells
 	}
 
-	hits, windows, scanned, candidates, err := runStage(eng, spec, query, progress, canceled.channelFor(spec.ID))
+	hits, counts, err := runStage(eng, spec, query, filters, progress, canceled.channelFor(spec.ID))
 	if callErr != nil {
 		return false, false, callErr
 	}
@@ -293,7 +295,7 @@ func runTask(caller wire.Caller, eng Engine, id sched.SlaveID, spec wire.TaskSpe
 	}
 	resp, err := caller.Call(wire.Envelope{Complete: &wire.CompleteMsg{
 		Slave: id, Task: spec.ID, Hits: top, Cells: finalCells, Rate: finalRate,
-		Windows: windows, Scanned: scanned, Candidates: candidates,
+		Scanned: counts.Scanned, Candidates: counts.Candidates, Windows: counts.Windows, Rescored: counts.Rescored,
 	}})
 	if err != nil {
 		return false, false, err

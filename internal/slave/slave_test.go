@@ -269,7 +269,7 @@ func TestRunTaskAbortsScanWhenMasterDies(t *testing.T) {
 		return wire.Envelope{}, nil
 	})
 	spec := wire.TaskSpec{ID: 42, QueryID: "q", Residues: []byte("MKVLATLLLLGA"), Cells: 12 * 1000}
-	_, _, err := runTask(caller, blockingEngine{}, 0, spec, canceled, Options{TopK: 2})
+	_, _, err := runTask(caller, blockingEngine{}, 0, spec, canceled, &FilterCache{}, Options{TopK: 2})
 	if err != dead {
 		t.Fatalf("runTask error = %v, want the dead master's %v", err, dead)
 	}

@@ -52,7 +52,7 @@ type TaskSpec struct {
 	QueryID  string
 	Residues []byte
 	Cells    int64
-	// Lo and Hi restrict a TaskSW task to the sequence-index range [Lo, Hi)
+	// Lo and Hi restrict the task to the sequence-index range [Lo, Hi)
 	// of the slave's resident database. The gob zero value (Hi == 0) is the
 	// whole database, so masters and slaves from before range tasks
 	// interoperate unchanged.
@@ -62,10 +62,8 @@ type TaskSpec struct {
 	// sched.TaskSW, so masters and slaves from before the filtered-search
 	// pipeline interoperate unchanged.
 	TaskKind sched.TaskKind
-	// Filter carries the prefilter parameters of a TaskPrefilter task.
+	// Filter carries the prefilter parameters of a TaskFiltered task.
 	Filter *prefilter.Spec
-	// Windows restricts a TaskRescore task to its candidate regions.
-	Windows []sched.Window
 }
 
 // RegisterMsg announces a slave.
@@ -124,13 +122,13 @@ type CompleteMsg struct {
 	Rate  float64 // measured cells/second over the final delta; 0 = unknown
 	Cells int64   // cells processed since the previous notification
 
-	// Windows is the payload of a finished TaskPrefilter task: the merged
-	// candidate regions. Nil for other kinds.
-	Windows []sched.Window
-	// Scanned/Candidates carry the prefilter pass's selectivity accounting
-	// (database residues scanned and residues admitted for rescoring).
+	// A finished TaskFiltered task's accounting: database residues
+	// scanned, residues admitted for rescoring, merged candidate windows and
+	// the DP cells their rescore computed. Zero for other kinds.
 	Scanned    int64
 	Candidates int64
+	Windows    int
+	Rescored   int64
 }
 
 // CompleteAckMsg reports whether the result was accepted (first completion)
