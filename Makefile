@@ -89,7 +89,7 @@ cluster-cover:
 # consume untrusted or crash-corrupted bytes (the wire codec and the jobs
 # WAL replayer) plus the two differential fuzzers: the Farrar kernel one,
 # which drives random sequences and gap schemes through the full
-# SWAR/emulated/scalar ladder and fails on any score divergence, and the
+# SSE2/SWAR/emulated/scalar ladder and fails on any score divergence, and the
 # Aho-Corasick one, which pits the prefilter automaton against a naive
 # multi-pattern scan, and the fair-queue one, which replays randomized
 # push/pop/finish/remove interleavings against a shadow model of the
@@ -109,8 +109,8 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzPrefilterRangeCut -fuzztime=10s ./internal/prefilter
 	go test -run='^$$' -fuzz=FuzzRangeCut -fuzztime=10s ./internal/cluster
 
-# Fast kernel health check: the four Score8/Score16 microbenchmarks (SWAR
-# vs emulated, so a vanished speedup is visible at a glance), ScoreDB (the
+# Fast kernel health check: the Score8/Score16 microbenchmarks (SSE2 on
+# amd64, SWAR and emulated, so a vanished speedup is visible at a glance), ScoreDB (the
 # kernel on the serving benchmark's planted queries and database, MCUPS and
 # allocs per database sequence), the Aho-Corasick automaton-throughput
 # microbenchmark (residues/s over a 1-MiB stream), plus the coverage floor

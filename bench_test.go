@@ -174,8 +174,8 @@ func reportMCUPS(b *testing.B, cellsPerOp int64, elapsed time.Duration) {
 	b.ReportMetric(mcups, "MCUPS")
 }
 
-// BenchmarkKernelFarrarSWAR8 measures the production 8-bit tier: the
-// 64-bit SWAR kernel.
+// BenchmarkKernelFarrarSWAR8 measures the portable 8-bit tier: the
+// 64-bit SWAR kernel (the production one off amd64).
 func BenchmarkKernelFarrarSWAR8(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	q := randProtein(rng, 128)
@@ -190,6 +190,25 @@ func BenchmarkKernelFarrarSWAR8(b *testing.B) {
 		if _, ok := k.ScoreSWAR8(d); !ok {
 			b.Fatal("overflow")
 		}
+	}
+	reportMCUPS(b, int64(len(q))*int64(len(d)), time.Since(start))
+}
+
+// BenchmarkKernelFarrarScore measures the ladder every engine calls,
+// Kernel.Score, whose 8-bit tier is SSE2 assembly on amd64 and the SWAR
+// kernel elsewhere.
+func BenchmarkKernelFarrarScore(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	q := randProtein(rng, 128)
+	d := randProtein(rng, 400)
+	k, err := farrar.NewKernel(q, score.DefaultProtein())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		k.Score(d)
 	}
 	reportMCUPS(b, int64(len(q))*int64(len(d)), time.Since(start))
 }

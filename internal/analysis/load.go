@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -195,6 +196,11 @@ func goSourceFiles(dir string) ([]string, error) {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		// Honour GOOS/GOARCH file suffixes and //go:build lines, as the
+		// compiler does: per-architecture files declare the same names.
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
 			continue
 		}
 		names = append(names, name)

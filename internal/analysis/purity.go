@@ -28,16 +28,17 @@ import (
 //     rand.NewSource stay allowed: a seeded *rand.Rand is deterministic,
 //     which is the property the checker actually guards.
 //
-// The analyzer also guards a second, unrelated purity contract: the SWAR
-// hot path. internal/simd/swar must stay loop-free bit tricks (no for or
-// range statements) and must never import the emulated internal/simd ISA;
-// the swar*.go kernel files of internal/farrar likewise must not import
-// internal/simd — the whole point of the SWAR tier is that the emulated
-// ISA is its oracle, not its substrate, so a stray import there would
-// silently reintroduce the per-lane-loop tax the tier exists to remove.
+// The analyzer also guards a second, unrelated purity contract: the
+// native kernels' hot path. internal/simd/swar must stay loop-free bit
+// tricks (no for or range statements) and must never import the emulated
+// internal/simd ISA; the swar*.go and sse*.go kernel files of
+// internal/farrar likewise must not import internal/simd — the whole point
+// of the native tiers is that the emulated ISA is their oracle, not their
+// substrate, so a stray import there would silently reintroduce the
+// per-lane-loop tax the tiers exist to remove.
 var PurityAnalyzer = &Analyzer{
 	Name: "purity",
-	Doc:  "forbid goroutines, wall-clock time, I/O imports and global randomness in the pure scheduler/simulator packages; keep the SWAR hot path loop-free and off the emulated ISA",
+	Doc:  "forbid goroutines, wall-clock time, I/O imports and global randomness in the pure scheduler/simulator packages; keep the SWAR and SSE2 hot paths off the emulated ISA",
 	Run:  runPurity,
 }
 
@@ -81,7 +82,7 @@ func pathIsPackage(p, pkg string) bool {
 	return p == pkg || strings.HasSuffix(p, "/"+pkg)
 }
 
-// runSwarPurity enforces the SWAR hot-path contract; see the analyzer doc.
+// runSwarPurity enforces the native hot-path contract; see the analyzer doc.
 func runSwarPurity(pass *Pass) {
 	switch {
 	case pathIsPackage(pass.Pkg.Path, swarPackage):
@@ -102,12 +103,12 @@ func runSwarPurity(pass *Pass) {
 	case pathIsPackage(pass.Pkg.Path, farrarPackage):
 		for _, f := range pass.Pkg.Files {
 			name := filepath.Base(pass.Pkg.Fset.Position(f.Pos()).Filename)
-			if !strings.HasPrefix(name, "swar") {
+			if !strings.HasPrefix(name, "swar") && !strings.HasPrefix(name, "sse") {
 				continue
 			}
 			for _, imp := range f.Imports {
 				if path, err := strconv.Unquote(imp.Path.Value); err == nil && pathIsPackage(path, emulatedISA) {
-					pass.Reportf(imp.Pos(), "SWAR kernel file %s imports the emulated ISA %s: the hot path must stay on packed-word bit tricks", name, path)
+					pass.Reportf(imp.Pos(), "native kernel file %s imports the emulated ISA %s: the oracle must never be the substrate", name, path)
 				}
 			}
 		}

@@ -4,7 +4,7 @@
 package farrar
 
 import (
-	_ "repro/internal/simd" // the oracle path: allowed outside swar*.go
+	_ "repro/internal/simd" // the oracle path: allowed outside swar*.go and sse*.go
 )
 
 // Dispatch stands in for the real kernel's impl switch.

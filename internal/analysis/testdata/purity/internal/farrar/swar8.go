@@ -5,7 +5,7 @@ package farrar
 // silently reintroduce the per-lane-loop tax the SWAR tier removes.
 
 import (
-	_ "repro/internal/simd"      // want "SWAR kernel file swar8.go imports the emulated ISA"
+	_ "repro/internal/simd"      // want "native kernel file swar8.go imports the emulated ISA"
 	_ "repro/internal/simd/swar" // the packed-word primitives: allowed
 )
 

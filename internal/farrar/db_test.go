@@ -60,7 +60,8 @@ func planted(rng *rand.Rand, db []*hybridsw.Sequence, n int) []byte {
 // TestPlantedQueriesMatchScalar is the benchmark-shaped differential test:
 // planted 100-600 aa queries against the whole database, every certified
 // score equal to sw.Score, and each tier certifying exactly the scores
-// below its ceiling.
+// below its ceiling — the SWAR tiers directly, and the dispatched 8-bit
+// tier (SSE2 on amd64) through the ladder's Stats.
 func TestPlantedQueriesMatchScalar(t *testing.T) {
 	db := swissProt(t)
 	rng := rand.New(rand.NewSource(25))
@@ -72,8 +73,12 @@ func TestPlantedQueriesMatchScalar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		below8 := int64(0)
 		for i, d := range db {
 			want := sw.Score(q, d.Residues, scheme)
+			if want < ceiling8 {
+				below8++
+			}
 			if sc, ok := k.ScoreSWAR8(d.Residues); ok != (want < ceiling8) || ok && sc != want {
 				t.Fatalf("query %d aa, seq %d: 8-bit tier (%d, %v), reference %d", n, i, sc, ok, want)
 			}
@@ -86,6 +91,9 @@ func TestPlantedQueriesMatchScalar(t *testing.T) {
 			if got := k.Score(d.Residues); got != want {
 				t.Fatalf("query %d aa, seq %d: ladder %d, reference %d", n, i, got, want)
 			}
+		}
+		if st := k.Stats(); st.Scored8 != below8 {
+			t.Fatalf("query %d aa: the dispatched 8-bit tier certified %d scores, %d lie below its ceiling", n, st.Scored8, below8)
 		}
 	}
 	if escalated == 0 {

@@ -74,16 +74,18 @@ func kernelPair(t testing.TB, q []byte, s score.Scheme) (*Kernel, *oracle) {
 }
 
 // checkDifferential runs one (query, target) pair through every tier of
-// both implementations and the scalar reference, failing on any
+// the implementations and the scalar reference, failing on any
 // disagreement: per-tier (score, ok) pairs must be identical between the
-// implementations, and the full ladder must land on the reference score.
+// native 8-bit tier (SSE2 on amd64), SWAR and the emulated oracle, and the
+// full ladder must land on the reference score.
 func checkDifferential(t *testing.T, ks *Kernel, ke *oracle, d []byte, want int) {
 	t.Helper()
+	s8n, ok8n := ks.scoreNative8(d)
 	s8s, ok8s := ks.ScoreSWAR8(d)
 	s8e, ok8e := ks.ScoreU8(d)
-	if s8s != s8e || ok8s != ok8e {
-		t.Fatalf("8-bit tier diverged: swar=(%d,%v) emulated=(%d,%v)\nq=%s\nd=%s",
-			s8s, ok8s, s8e, ok8e, ks.Query(), d)
+	if s8s != s8e || ok8s != ok8e || s8n != s8e || ok8n != ok8e {
+		t.Fatalf("8-bit tier diverged: native=(%d,%v) swar=(%d,%v) emulated=(%d,%v)\nq=%s\nd=%s",
+			s8n, ok8n, s8s, ok8s, s8e, ok8e, ks.Query(), d)
 	}
 	s16s, ok16s := ks.ScoreSWAR16(d)
 	s16e, ok16e := ks.ScoreI16(d)
@@ -98,7 +100,7 @@ func checkDifferential(t *testing.T, ks *Kernel, ke *oracle, d []byte, want int)
 		t.Fatalf("16-bit tier wrong: got %d, reference %d\nq=%s\nd=%s", s16s, want, ks.Query(), d)
 	}
 	if got := ks.Score(d); got != want {
-		t.Fatalf("swar ladder: got %d, reference %d\nq=%s\nd=%s", got, want, ks.Query(), d)
+		t.Fatalf("kernel ladder: got %d, reference %d\nq=%s\nd=%s", got, want, ks.Query(), d)
 	}
 	if got := ke.Score(d); got != want {
 		t.Fatalf("emulated ladder: got %d, reference %d\nq=%s\nd=%s", got, want, ks.Query(), d)
@@ -306,6 +308,35 @@ func TestAllPositiveMatrixPadding(t *testing.T) {
 		d := randProtein(rng, 1+rng.Intn(200))
 		ks, ke := kernelPair(t, q, s)
 		checkDifferential(t, ks, ke, d, sw.Score(q, d, s))
+	}
+}
+
+// TestSegmentEdgesAndForeignTargetBytes covers the 16-lane segment edges
+// of the SSE2 tier (query lengths 1, 15, 16, 17, 32, 33) and target bytes
+// the residue table must route like alpha.Index does: lower case, bytes
+// >= 0x80 and bytes outside the alphabet.
+func TestSegmentEdgesAndForeignTargetBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x5E6))
+	foreign := []byte{0, '\n', 'J', 'O', 'U', 'a', 'w', 0x7F, 0x80, 0xC1, 0xFF}
+	for si, s := range diffSchemes(t) {
+		for _, m := range []int{1, 15, 16, 17, 32, 33} {
+			for iter := 0; iter < 6; iter++ {
+				q := randProtein(rng, m)
+				ks, ke := kernelPair(t, q, s)
+				d := mutate(rng, q, 0.3)
+				d = append(d, randProtein(rng, rng.Intn(60))...)
+				for i := range d {
+					if rng.Intn(4) == 0 {
+						d[i] = foreign[rng.Intn(len(foreign))]
+					}
+				}
+				checkDifferential(t, ks, ke, d, sw.Score(q, d, s))
+				if ks.Stats() != ke.Stats() {
+					t.Fatalf("scheme %d len %d: tier stats diverged: kernel=%+v emulated=%+v",
+						si, m, ks.Stats(), ke.Stats())
+				}
+			}
+		}
 	}
 }
 

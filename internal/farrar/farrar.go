@@ -9,31 +9,35 @@
 // of the F (vertical gap) recurrence out of the inner loop into a rare
 // correction pass.
 //
-// The package holds the SWAR kernel, and the emulated-ISA transcription
-// kept as its oracle:
+// The package holds the native kernels and the emulated-ISA transcription
+// kept as their oracle:
 //
+//   - on amd64 the 8-bit tier (ScoreSSE8) is Farrar's kernel on real SSE2:
+//     Go assembly over the 16 unsigned byte lanes of an XMM register,
+//     transcribing ScoreU8 instruction for instruction. SSE2 is part of
+//     the amd64 baseline, so the file suffix is the whole dispatch.
 //   - the SWAR kernel (ScoreSWAR8, ScoreSWAR16) packs 8 byte lanes — or 4
 //     word lanes in the fallback tier — into a uint64 and computes all
 //     lanes at once with the loop-free bit tricks of internal/simd/swar.
-//     This is the native-speed path every Kernel scores with.
+//     It is the 16-bit tier everywhere and the 8-bit tier off amd64.
 //   - the oracle (ScoreU8, ScoreI16) runs the same recurrences on the
 //     emulated SSE2 ISA of internal/simd, one Go loop iteration per lane —
 //     slow, but a direct transcription of the SSE original, the bit-exact
 //     reference the differential tests compare against.
 //
-// Both use the same overflow ladder. The 8-bit tier holds DP values as
+// All use the same overflow ladder. The 8-bit tier holds DP values as
 // biased unsigned bytes (Farrar's original formulation): the query profile
 // carries bias = -matrix.Min(). The SWAR kernel keeps every byte lane below
 // 128 so each lane's top bit is a guard bit (see internal/simd/swar), which
 // makes its saturating add clamp at 127: the largest score the tier can
 // certify is ceiling8 = 127 - bias (123 for BLOSUM62), and a score reaching
-// it may have been clipped and escalates. The emulated oracle escalates at
-// the same ceiling. The 16-bit tier keeps word lanes below 32768 the same
-// way, certifying scores below ceiling16 = 32767 - bias (the paper's
-// adapted signed variant in the emulated kernel; a biased unsigned
-// rendering with the same ceiling in the SWAR kernel), and the scalar
-// reference resolves anything beyond. A cell clips only when its true value
-// reaches the ceiling, so both implementations return the same (score, ok)
+// it may have been clipped and escalates. The SSE2 tier and the emulated
+// oracle use full byte lanes but escalate at the same ceiling. The 16-bit
+// tier keeps word lanes below 32768 the same way, certifying scores below
+// ceiling16 = 32767 - bias (the paper's adapted signed variant in the
+// emulated kernel; a biased unsigned rendering with the same ceiling in
+// the SWAR kernel), and the scalar reference resolves anything beyond. A cell clips only when its true value
+// reaches the ceiling, so every implementation returns the same (score, ok)
 // pair on every tier.
 //
 // A Kernel precomputes the striped query profile once and scores many
@@ -103,16 +107,20 @@ type Kernel struct {
 	segLen16 int
 	prof16   [][]simd.I16x8
 
-	// SWAR profiles (the native path), built lazily, one flat row of
-	// segLen words per residue. Byte lane l of swarProf8[r*swarSegLen8+s]
-	// holds the biased score of query position l*swarSegLen8 + s against
-	// residue r.
+	// The native 8-bit tier's profile (SSE2 on amd64, see sse8_amd64.go;
+	// empty elsewhere, where the SWAR profile below is the native one).
+	native native8
+
+	// SWAR profiles, one flat row of segLen words per residue. Byte lane l
+	// of swarProf8[r*swarSegLen8+s] holds the biased score of query
+	// position l*swarSegLen8 + s against residue r.
 	swarSegLen8  int
 	swarProf8    []uint64
 	swarSegLen16 int
 	swarProf16   []uint64
 
-	// buf backs the SWAR kernels' DP columns, reused across targets.
+	// buf backs the native and SWAR kernels' DP columns, reused across
+	// targets.
 	buf []uint64
 
 	stats Stats
@@ -142,11 +150,11 @@ func NewKernel(query []byte, s score.Scheme) (*Kernel, error) {
 	gapOE := s.Gap.Open + s.Gap.Extend
 	k.tier8 = k.bias <= 127 && k.bias+s.Matrix.Max() <= 127 && gapOE <= 127
 	k.tier16 = k.bias <= 32767 && k.bias+s.Matrix.Max() <= 32767 && gapOE <= 32767
-	// Build the 8-bit profile eagerly so the construction cost lands on
-	// NewKernel, not the first Score; the 16-bit tier's and the oracle's
-	// profiles are built on first use.
+	// Build the native 8-bit profile eagerly so the construction cost
+	// lands on NewKernel, not the first Score; the other tiers' profiles
+	// are built on first use.
 	if k.tier8 {
-		k.buildSwarProfile8()
+		k.buildNative8()
 	}
 	return k, nil
 }
@@ -169,9 +177,9 @@ func (k *Kernel) ceiling8() int { return 127 - k.bias }
 // identical.
 func (k *Kernel) ceiling16() int { return 32767 - k.bias }
 
-// scratch returns the SWAR kernels' three DP columns (H load, H store, E)
-// of n words each, zeroed, carved from the buffer the kernel reuses across
-// targets.
+// scratch returns the native kernels' three DP columns (H load, H store,
+// E) of n words each, zeroed and contiguous, carved from the buffer the
+// kernel reuses across targets.
 func (k *Kernel) scratch(n int) (hLoad, hStore, e []uint64) {
 	if cap(k.buf) < 3*n {
 		k.buf = make([]uint64, 3*n)
@@ -253,7 +261,7 @@ func (k *Kernel) buildProfile16() {
 // Score returns the optimal local alignment score of the kernel's query vs
 // target, automatically escalating 8-bit -> 16-bit -> scalar on overflow.
 func (k *Kernel) Score(target []byte) int {
-	if sc, ok := k.ScoreSWAR8(target); ok {
+	if sc, ok := k.scoreNative8(target); ok {
 		k.stats.Scored8++
 		return sc
 	}
@@ -271,8 +279,9 @@ func (k *Kernel) Cells(target []byte) int64 {
 }
 
 // ScoreU8 runs the emulated-ISA 8-bit saturating kernel (the oracle for
-// ScoreSWAR8). ok is false when the score reached ceiling8, the point
-// from which the SWAR kernel may clip.
+// ScoreSWAR8, and on amd64 for ScoreSSE8, its assembly transcription). ok
+// is false when the score reached ceiling8, the point from which the SWAR
+// kernel may clip.
 func (k *Kernel) ScoreU8(target []byte) (sc int, ok bool) {
 	if len(target) == 0 {
 		return 0, true

@@ -2,12 +2,12 @@ package farrar
 
 import "repro/internal/simd/swar"
 
-// This file is the native-speed 8-bit tier: Farrar's striped kernel on
-// 8 byte lanes packed in a uint64, computed with the guard-bit primitives
-// of internal/simd/swar (every lane in 0..127). The recurrences are
-// identical to ScoreU8 (the emulated oracle), and both escalate at
-// ceiling8, so the two return identical (score, ok) pairs (see the
-// package doc).
+// This file is the portable 8-bit tier (the native one off amd64):
+// Farrar's striped kernel on 8 byte lanes packed in a uint64, computed
+// with the guard-bit primitives of internal/simd/swar (every lane in
+// 0..127). The recurrences are identical to ScoreU8 (the emulated oracle),
+// and both escalate at ceiling8, so the two return identical (score, ok)
+// pairs (see the package doc).
 //
 // swcheck's purity analyzer bans importing the emulated internal/simd ISA
 // from this file: the hot path must stay on the packed-word bit tricks.

@@ -485,9 +485,10 @@ func (s *Server) buildSearchResponse(queries []*seq.Sequence, rep *cluster.Repor
 }
 
 // handleSearch is the synchronous facade over the job subsystem: submit,
-// wait, stream the result. It shares admission control, coalescing and the
-// result cache with POST /jobs, and a disconnected client cancels the
-// underlying search (unless an async submission also owns it).
+// wait, stream the result the job hands over (the cache only serves
+// repeats). It shares admission control, coalescing and the result cache
+// with POST /jobs, and a disconnected client cancels the underlying search
+// (unless an async submission also owns it).
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	jreq, ok := s.decodeSearch(w, r)
 	if !ok {
@@ -498,25 +499,25 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeJobErr(w, err)
 		return
 	}
-	job, err = s.jobs.Wait(r.Context(), job.ID)
+	body, job, err := s.jobs.WaitResult(r.Context(), job.ID)
 	if err != nil {
-		// The client went away; the response will never be read. The Wait
+		if r.Context().Err() == nil {
+			writeErr(w, http.StatusInternalServerError, "result: %v", err)
+			return
+		}
+		// The client went away; the response will never be read. The wait
 		// already cancelled the job if nobody else wants it.
 		writeErr(w, http.StatusServiceUnavailable, "client cancelled: %v", err)
 		return
 	}
-	s.writeJobOutcome(w, job)
+	writeJobOutcome(w, body, job)
 }
 
-// writeJobOutcome renders a terminal job for a synchronous caller.
-func (s *Server) writeJobOutcome(w http.ResponseWriter, job jobs.Job) {
+// writeJobOutcome renders a terminal job and, when done, its result body
+// for a synchronous caller.
+func writeJobOutcome(w http.ResponseWriter, body []byte, job jobs.Job) {
 	switch job.State {
 	case jobs.StateDone:
-		body, _, err := s.jobs.Result(job.ID)
-		if err != nil {
-			writeErr(w, http.StatusGone, "result: %v", err)
-			return
-		}
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(body)

@@ -14,6 +14,8 @@ import (
 	hybridsw "repro"
 	"repro/internal/dataset"
 	"repro/internal/jobs"
+	"repro/internal/score"
+	"repro/internal/sw"
 )
 
 func testServerOpts(t *testing.T, opts Options) (*Server, *httptest.Server) {
@@ -351,5 +353,68 @@ func TestJobsSurviveRestart(t *testing.T) {
 	}
 	if len(out.Results) != 1 || len(out.Results[0].Hits) != 1 {
 		t.Fatalf("recovered result payload = %+v", out)
+	}
+}
+
+// TestSearchWithCacheDisabled pins that a synchronous search does not read
+// its own result back out of the cache: with the cache disabled and no
+// durable store, POST /search still answers 200 with the right best hit,
+// twice in a row (the second run recomputes).
+func TestSearchWithCacheDisabled(t *testing.T) {
+	srv, ts := testServerOpts(t, Options{Jobs: jobs.Config{CacheBytes: -1}})
+	q := srv.db[5]
+	want := 0
+	for _, d := range srv.db {
+		want = max(want, sw.Score(q.Residues, d.Residues, score.DefaultProtein()))
+	}
+	for i := 0; i < 2; i++ {
+		resp, body := post(t, ts.URL+"/search", SearchRequest{
+			QueriesFasta: fmt.Sprintf(">q\n%s\n", q.Residues), TopK: 3,
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("search %d: status %d: %s", i, resp.StatusCode, body)
+		}
+		var out SearchResponse
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Results) != 1 || len(out.Results[0].Hits) != 3 {
+			t.Fatalf("search %d: results = %+v", i, out)
+		}
+		if got := out.Results[0].Hits[0].Score; got != want {
+			t.Fatalf("search %d: top score %d, reference %d", i, got, want)
+		}
+	}
+}
+
+// TestAsyncResultOverCacheBudget pins that without a jobs dir an async
+// job's result outlives the cache: with a budget smaller than the body (so
+// the LRU never stores it), GET /jobs/{id}/result still answers 200.
+func TestAsyncResultOverCacheBudget(t *testing.T) {
+	srv, ts := testServerOpts(t, Options{Jobs: jobs.Config{CacheBytes: 64}})
+	q := srv.db[5]
+	resp, body := do(t, "POST", ts.URL+"/jobs", SearchRequest{
+		QueriesFasta: fmt.Sprintf(">q\n%s\n", q.Residues), TopK: 3,
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, body)
+	}
+	var v JobView
+	if err := json.Unmarshal(body, &v); err != nil {
+		t.Fatal(err)
+	}
+	if done := pollJob(t, ts.URL, v.ID, jobs.StateDone); done.ResultBytes <= 64 {
+		t.Fatalf("result of %d bytes fits the 64-byte cache", done.ResultBytes)
+	}
+	resp, body = do(t, "GET", ts.URL+"/jobs/"+v.ID+"/result", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("result: %d %s", resp.StatusCode, body)
+	}
+	var out SearchResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Results) != 1 || len(out.Results[0].Hits) != 3 {
+		t.Fatalf("result payload = %+v", out)
 	}
 }

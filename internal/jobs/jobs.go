@@ -59,7 +59,8 @@ func (s State) Terminal() bool {
 // and Align define the work (and the cache identity); Priority orders the
 // queue (higher first, FIFO within a level); Queries and Residues are
 // accounting filled in by the submitter after parsing, so admission control
-// can cap request size without re-parsing FASTA.
+// can cap request size without re-parsing FASTA. A terminal job's record
+// drops QueriesFasta: the work is done and its key already computed.
 type Request struct {
 	QueriesFasta string `json:"queries_fasta"`
 	TopK         int    `json:"top_k,omitempty"`
@@ -117,6 +118,11 @@ type job struct {
 	canceled bool               // a caller asked for cancellation
 	async    bool               // owned by a fire-and-forget submission
 	waiters  int                // attached synchronous waiters
+	// pending counts synchronous submissions that have not yet collected
+	// the result; body holds a done job's result while keepsBody says so,
+	// so no caller that needs it depends on the cache keeping it.
+	pending int
+	body    []byte
 }
 
 func (j *job) snapshot() Job { return j.Job }
@@ -161,8 +167,8 @@ type Config struct {
 	// WAL-logged and snapshotted there and results are persisted, so
 	// queued/finished jobs survive a restart.
 	Dir string
-	// MaxJobs bounds retained terminal job records (oldest-finished pruned
-	// at snapshot time); 0 means DefaultMaxJobs.
+	// MaxJobs bounds retained terminal job records (the oldest-finished
+	// are pruned as new ones finish); 0 means DefaultMaxJobs.
 	MaxJobs int
 	// RetryAfter is the base hint attached to backpressure rejections; the
 	// actual hint scales with queue depth (see RetryAfterFor). 0 means
@@ -186,8 +192,8 @@ type Config struct {
 const (
 	DefaultExecutors  = 2
 	DefaultMaxQueue   = 64
-	DefaultCacheBytes = 64 << 20
-	DefaultMaxJobs    = 1024
+	DefaultCacheBytes = 1 << 20
+	DefaultMaxJobs    = 256
 	DefaultRetryAfter = 2 * time.Second
 
 	// snapshotEvery compacts the WAL after this many appended records.
@@ -208,11 +214,14 @@ type Manager struct {
 	cache   *lru
 	wg      sync.WaitGroup
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	st       *store
-	jobs     map[string]*job
-	byKey    map[string]*job
+	mu    sync.Mutex
+	cond  *sync.Cond
+	st    *store
+	jobs  map[string]*job
+	byKey map[string]*job
+	// finished lists the retained terminal records, oldest-finished first:
+	// the retention queue MaxJobs bounds.
+	finished []*job
 	q        *queue
 	book     *TenantBook
 	stopped  bool
@@ -273,6 +282,7 @@ func New(cfg Config) (*Manager, error) {
 		m.mu.Lock()
 		m.st = st
 		m.recoverLocked(recs)
+		m.pruneLocked()
 		m.mu.Unlock()
 	}
 	for i := 0; i < cfg.Executors; i++ {
@@ -307,11 +317,16 @@ func (m *Manager) recoverLocked(recs []Job) {
 		case StateDone, StateFailed, StateCanceled:
 			close(j.done)
 			m.met.ByState.With(string(rec.State)).Inc()
+			j.Request.QueriesFasta = ""
+			m.finished = append(m.finished, j)
 		default:
 			continue // unknown state in a newer WAL: skip, don't crash
 		}
 		m.jobs[j.ID] = j
 	}
+	sort.SliceStable(m.finished, func(i, k int) bool {
+		return m.finished[i].Finished.Before(m.finished[k].Finished)
+	})
 	m.met.QueueDepth.Set(float64(m.q.len()))
 }
 
@@ -339,7 +354,9 @@ func newID() string {
 // enqueues it. async marks a fire-and-forget submission (POST /jobs): such
 // jobs run to completion even if nobody waits, and only an explicit
 // DELETE cancels them. Synchronous submissions (async=false) are cancelled
-// automatically when their last waiter disconnects.
+// automatically when their last waiter disconnects; each must be followed
+// by one Wait or WaitResult, which collects it (until then its record is
+// never pruned).
 func (m *Manager) Submit(req Request, async bool) (Job, error) {
 	if err := m.admit(req); err != nil {
 		return Job{}, err
@@ -355,6 +372,8 @@ func (m *Manager) Submit(req Request, async bool) (Job, error) {
 		j.Coalesced++
 		if async {
 			j.async = true
+		} else {
+			j.pending++
 		}
 		m.met.Coalesced.Inc()
 		return j.snapshot(), nil
@@ -365,10 +384,17 @@ func (m *Manager) Submit(req Request, async bool) (Job, error) {
 		j.Started, j.Finished = now, now
 		j.CacheHit = true
 		j.ResultBytes = int64(len(body))
+		if !async {
+			j.pending = 1
+		}
+		if m.keepsBody(j) {
+			j.body = body
+		}
 		m.setStateLocked(j, StateDone)
 		close(j.done)
 		m.met.Submitted.Inc()
 		m.met.CacheHits.Inc()
+		m.retireLocked(j)
 		m.logLocked(j)
 		return j.snapshot(), nil
 	}
@@ -390,6 +416,9 @@ func (m *Manager) Submit(req Request, async bool) (Job, error) {
 		}
 	}
 	j := m.newJobLocked(key, req, async)
+	if !async {
+		j.pending = 1
+	}
 	m.setStateLocked(j, StateQueued)
 	m.q.push(j)
 	m.byKey[key] = j
@@ -499,30 +528,51 @@ func (m *Manager) logLocked(j *job) {
 	}
 }
 
-// snapshotLocked prunes retention and compacts the durable store.
-func (m *Manager) snapshotLocked() {
-	if m.st == nil {
+// retireLocked files a job that just reached a terminal state: its record
+// sheds the query FASTA and joins the retention queue, and the
+// oldest-finished records beyond MaxJobs are pruned. This is the only
+// retention path, in memory and durable mode alike.
+func (m *Manager) retireLocked(j *job) {
+	j.Request.QueriesFasta = ""
+	m.finished = append(m.finished, j)
+	m.pruneLocked()
+}
+
+// pruneLocked drops the oldest-finished terminal records beyond MaxJobs.
+// A record a synchronous submitter has not collected yet stays queued, so
+// its waiter always finds it. The next snapshot drops the pruned records'
+// persisted results.
+func (m *Manager) pruneLocked() {
+	over := len(m.finished) - m.cfg.MaxJobs
+	if over <= 0 {
 		return
 	}
-	// Retention: drop the oldest-finished terminal records beyond MaxJobs.
-	if over := len(m.jobs) - m.cfg.MaxJobs; over > 0 {
-		var terminal []*job
-		for _, j := range m.jobs {
-			if j.State.Terminal() {
-				terminal = append(terminal, j)
-			}
-		}
-		sort.Slice(terminal, func(i, k int) bool {
-			return terminal[i].Finished.Before(terminal[k].Finished)
-		})
-		for _, j := range terminal {
-			if over <= 0 {
-				break
-			}
+	kept := m.finished[:0]
+	for _, j := range m.finished {
+		if over > 0 && j.pending == 0 {
 			delete(m.jobs, j.ID)
 			m.met.ByState.With(string(j.State)).Dec()
 			over--
+			continue
 		}
+		kept = append(kept, j)
+	}
+	clear(m.finished[len(kept):])
+	m.finished = kept
+}
+
+// keepsBody reports whether a done job's record holds its result body:
+// while a synchronous submitter has not collected it, and for an async job
+// when there is no durable store to read it back from. Records are bounded
+// by MaxJobs, so the held bodies are too.
+func (m *Manager) keepsBody(j *job) bool {
+	return j.pending > 0 || (j.async && m.st == nil)
+}
+
+// snapshotLocked compacts the durable store to the retained records.
+func (m *Manager) snapshotLocked() {
+	if m.st == nil {
+		return
 	}
 	all := make([]Job, 0, len(m.jobs))
 	keep := make(map[string]bool, len(m.jobs))
@@ -571,6 +621,9 @@ func (m *Manager) executor() {
 		switch {
 		case err == nil:
 			j.ResultBytes = int64(len(body))
+			if m.keepsBody(j) {
+				j.body = body
+			}
 			m.setStateLocked(j, StateDone)
 			m.storeResultLocked(j.Key, body)
 			m.book.Finish(req.Tenant, req.Residues, true)
@@ -605,13 +658,14 @@ func (m *Manager) executor() {
 }
 
 // finishLocked records a terminal transition: the singleflight slot frees,
-// waiters wake, the outcome is counted and logged.
+// waiters wake, the record retires, the outcome is counted and logged.
 func (m *Manager) finishLocked(j *job, outcome string) {
 	if m.byKey[j.Key] == j {
 		delete(m.byKey, j.Key)
 	}
 	close(j.done)
 	m.met.Completed.With(outcome).Inc()
+	m.retireLocked(j)
 	m.logLocked(j)
 }
 
@@ -667,10 +721,10 @@ func (m *Manager) List() []Job {
 	return out
 }
 
-// Result returns a done job's encoded result body along with its snapshot.
-// For a job in any other state the body is nil and the caller inspects the
-// snapshot. A done job whose result was evicted from both cache and store
-// reports an error.
+// Result returns a done job's encoded result body along with its snapshot:
+// the body the record holds, else the cache's or the store's copy. For a
+// job in any other state the body is nil and the caller inspects the
+// snapshot. A done job whose result is held nowhere reports an error.
 func (m *Manager) Result(id string) ([]byte, Job, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -681,6 +735,9 @@ func (m *Manager) Result(id string) ([]byte, Job, error) {
 	snap := j.snapshot()
 	if snap.State != StateDone {
 		return nil, snap, nil
+	}
+	if j.body != nil {
+		return j.body, snap, nil
 	}
 	body, ok := m.cachedLocked(snap.Key)
 	if !ok {
@@ -732,11 +789,32 @@ func (m *Manager) cancelLocked(j *job) {
 // last synchronous waiter of a non-async job gives up, the job itself is
 // cancelled — a disconnected client must not keep burning a full search.
 func (m *Manager) Wait(ctx context.Context, id string) (Job, error) {
+	_, snap, err := m.wait(ctx, id)
+	return snap, err
+}
+
+// WaitResult is Wait for a synchronous submitter (Submit with async=false)
+// that also wants the result: a done job's body comes straight from the
+// job, which holds it until each such submitter has collected it, so the
+// answer never depends on the cache keeping it. A done job holding no body
+// for this waiter is an error.
+func (m *Manager) WaitResult(ctx context.Context, id string) ([]byte, Job, error) {
+	body, snap, err := m.wait(ctx, id)
+	if err == nil && snap.State == StateDone && body == nil {
+		err = fmt.Errorf("jobs: %s holds no result for this waiter", id)
+	}
+	return body, snap, err
+}
+
+// wait is Wait, handing over the body the job holds (nil if it holds
+// none). Either way out, the waiter counts as one synchronous submitter
+// that has collected.
+func (m *Manager) wait(ctx context.Context, id string) ([]byte, Job, error) {
 	m.mu.Lock()
 	j := m.jobs[id]
 	if j == nil {
 		m.mu.Unlock()
-		return Job{}, ErrNotFound
+		return nil, Job{}, ErrNotFound
 	}
 	j.waiters++
 	done := j.done
@@ -746,15 +824,29 @@ func (m *Manager) Wait(ctx context.Context, id string) (Job, error) {
 		m.mu.Lock()
 		defer m.mu.Unlock()
 		j.waiters--
-		return j.snapshot(), nil
+		body := j.body
+		m.collectLocked(j)
+		return body, j.snapshot(), nil
 	case <-ctx.Done():
 		m.mu.Lock()
 		defer m.mu.Unlock()
 		j.waiters--
+		m.collectLocked(j)
 		if j.waiters == 0 && !j.async {
 			m.cancelLocked(j)
 		}
-		return j.snapshot(), ctx.Err()
+		return nil, j.snapshot(), ctx.Err()
+	}
+}
+
+// collectLocked counts one synchronous submitter as served; the last one
+// releases the body unless the record keeps it for an async owner.
+func (m *Manager) collectLocked(j *job) {
+	if j.pending > 0 {
+		j.pending--
+	}
+	if !m.keepsBody(j) {
+		j.body = nil
 	}
 }
 

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -636,3 +637,157 @@ type runFunc func(ctx context.Context, req Request) ([]byte, error)
 func (f runFunc) Kind() Backend { return BackendLocal }
 
 func (f runFunc) Execute(ctx context.Context, req Request) ([]byte, error) { return f(ctx, req) }
+
+// TestRetentionBoundedInMemory pins the one retention path: a memory-only
+// Manager (no Dir, so no snapshot ever runs) keeps at most MaxJobs terminal
+// records however many jobs finish, and a terminal record carries no query
+// FASTA. Synchronous waiters still get their bodies from the job with the
+// cache disabled.
+func TestRetentionBoundedInMemory(t *testing.T) {
+	const maxJobs = 16
+	m, err := New(Config{
+		Executors:  2,
+		MaxJobs:    maxJobs,
+		CacheBytes: -1,
+		Executor: runFunc(func(ctx context.Context, r Request) ([]byte, error) {
+			return []byte("result of " + r.QueriesFasta), nil
+		}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close(context.Background())
+	for i := 0; i < maxJobs+100; i++ {
+		fa := fmt.Sprintf(">q%d\nMKVL", i)
+		j, err := m.Submit(req(fa), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, j, err := m.WaitResult(context.Background(), j.ID)
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		if string(body) != "result of "+fa {
+			t.Fatalf("job %d: body %q", i, body)
+		}
+		if j.Request.QueriesFasta != "" {
+			t.Fatalf("job %d: terminal record keeps its FASTA", i)
+		}
+	}
+	all := m.List()
+	if len(all) > maxJobs {
+		t.Fatalf("%d records retained, MaxJobs %d", len(all), maxJobs)
+	}
+	for _, j := range all {
+		if !j.State.Terminal() || j.Request.QueriesFasta != "" {
+			t.Fatalf("retained record %s: state %s, fasta %q", j.ID, j.State, j.Request.QueriesFasta)
+		}
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, j := range m.jobs {
+		if j.body != nil {
+			t.Fatalf("job %s still holds its collected body", j.ID)
+		}
+	}
+}
+
+// TestAsyncResultOutlivesCacheInMemory pins that a memory-only Manager
+// keeps a done async job's body on its record: a result larger than the
+// whole cache budget (so the LRU never stores it) is still readable, as is
+// one pushed out of the cache by newer results.
+func TestAsyncResultOutlivesCacheInMemory(t *testing.T) {
+	big := bytes.Repeat([]byte("h"), 4096)
+	m, err := New(Config{
+		Executors:  1,
+		CacheBytes: 1024,
+		Executor: runFunc(func(ctx context.Context, r Request) ([]byte, error) {
+			if r.QueriesFasta == ">big\nMKVL" {
+				return big, nil
+			}
+			return bytes.Repeat([]byte(r.QueriesFasta[:2]), 256), nil
+		}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close(context.Background())
+	first, err := m.Submit(req(">a\nMKVL"), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, err := m.Submit(req(">big\nMKVL"), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, large.ID, StateDone)
+	for i := 0; i < 8; i++ { // 4 KB of newer results evict the first from the LRU
+		j, err := m.Submit(req(fmt.Sprintf(">%d\nMKVL", i)), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, m, j.ID, StateDone)
+	}
+	body, _, err := m.Result(large.ID)
+	if err != nil || !bytes.Equal(body, big) {
+		t.Fatalf("over-budget result: %d bytes, err %v", len(body), err)
+	}
+	body, _, err = m.Result(first.ID)
+	if err != nil || !bytes.Equal(body, bytes.Repeat([]byte(">a"), 256)) {
+		t.Fatalf("evicted result: %d bytes, err %v", len(body), err)
+	}
+}
+
+// TestPruneSparesUncollected pins that retention never drops a record a
+// synchronous submitter has not collected yet: a cache hit retires inside
+// Submit, and more than MaxJobs completions before its WaitResult must not
+// take its body away.
+func TestPruneSparesUncollected(t *testing.T) {
+	const maxJobs = 2
+	m, err := New(Config{
+		Executors: 1,
+		MaxJobs:   maxJobs,
+		Executor: runFunc(func(ctx context.Context, r Request) ([]byte, error) {
+			return []byte("result of " + r.QueriesFasta), nil
+		}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close(context.Background())
+	warm, err := m.Submit(req(">s\nMKVL"), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, warm.ID, StateDone)
+	held, err := m.Submit(req(">s\nMKVL"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !held.CacheHit || held.State != StateDone {
+		t.Fatalf("repeat submission = %+v, want a done cache hit", held)
+	}
+	for i := 0; i < maxJobs+3; i++ {
+		j, err := m.Submit(req(fmt.Sprintf(">%d\nMKVL", i)), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, m, j.ID, StateDone)
+	}
+	body, _, err := m.WaitResult(context.Background(), held.ID)
+	if err != nil || string(body) != "result of >s\nMKVL" {
+		t.Fatalf("uncollected job after %d completions: body %q, err %v", maxJobs+3, body, err)
+	}
+	// Collected, it is an ordinary record again: the next completion prunes it.
+	j, err := m.Submit(req(">last\nMKVL"), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, j.ID, StateDone)
+	if _, err := m.Get(held.ID); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("collected record still retained: %v", err)
+	}
+	if n := len(m.List()); n > maxJobs {
+		t.Fatalf("%d records retained, MaxJobs %d", n, maxJobs)
+	}
+}

@@ -53,12 +53,12 @@ func checkpointResume(t *testing.T, db, queries []*seq.Sequence, ranges []master
 		if hi == 0 {
 			hi = len(db)
 		}
-		hits, err := eng.SearchRange(queryOf(queries, spec.QueryID), lo, hi, nil, make(chan struct{}))
+		hits, err := eng.SearchRange(queryOf(queries, spec.QueryID), lo, hi, 2, nil, make(chan struct{}))
 		if err != nil {
 			t.Fatal(err)
 		}
 		m1.Dispatch(wire.Envelope{Complete: &wire.CompleteMsg{
-			Slave: id, Task: spec.ID, Hits: slave.TopK(hits, 2),
+			Slave: id, Task: spec.ID, Hits: hits,
 		}})
 		preDone[spec.ID] = true
 	}

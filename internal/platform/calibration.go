@@ -38,46 +38,6 @@ const (
 	DedicatedJitter = 0.03
 )
 
-// Measured anchors for this repo's own kernels (8-bit tier, 128x400
-// protein comparison on the build host): the native one from
-// BENCH_2026-10-15.json (BenchmarkKernelFarrarSWAR8, guard-bit lanes), the
-// emulated one from BENCH_2026-08-08.json (the oracle has not changed
-// since). They sit below the paper's 2.71 GCUPS because the SWAR tier
-// packs only 8 lanes into a portable uint64 — no 16-lane SSE registers,
-// no hand-scheduled assembly — and the emulated ISA pays a per-lane loop
-// on top of that.
-// The paper anchor SSECoreGCUPS above is deliberately left untouched: the
-// discrete-event experiments reproduce the published tables, while these
-// constants describe what the native kernels actually sustain here.
-const (
-	// PaperSSECoreGCUPS restates the Table III anchor under its
-	// provenance-explicit name; SSECoreGCUPS keeps the short name because
-	// every experiment reads it.
-	PaperSSECoreGCUPS = SSECoreGCUPS
-	// NativeSSECoreGCUPS is the measured throughput of the 64-bit SWAR
-	// Farrar kernel (8x8-bit guard-bit lanes): 788 MCUPS.
-	NativeSSECoreGCUPS = 0.788
-	// EmulatedSSECoreGCUPS is the measured throughput of the emulated-ISA
-	// oracle kernel on the same tier: 58.8 MCUPS. The ~13x gap is the
-	// SWAR tier's whole justification.
-	EmulatedSSECoreGCUPS = 0.0588
-)
-
-// NativeSSEPE returns the model of one CPU core running this repo's own
-// SWAR kernel rather than the paper's hand-tuned SSE kernel. Use it to
-// simulate schedules for the throughput the local binary actually
-// delivers; overhead and jitter match SSEPE since profile construction
-// and OS noise are kernel-independent.
-func NativeSSEPE(name string) *PE {
-	return &PE{
-		Name:         name,
-		Kind:         sched.KindCPU,
-		CellsPerSec:  NativeSSECoreGCUPS * 1e9,
-		TaskOverhead: SSETaskOverhead,
-		Jitter:       DedicatedJitter,
-	}
-}
-
 // SSEPE returns the model of one SSE core.
 func SSEPE(name string) *PE {
 	return &PE{

@@ -2,13 +2,17 @@
 // Farrar's striped Smith-Waterman uses on Intel CPUs.
 //
 // The paper's multicore slaves run "a modified version of the Farrar
-// algorithm" on the SSE extensions of Intel i7 cores. Pure Go has no
-// intrinsics, so this package provides software implementations of the exact
-// SSE2 semantics the kernel needs: 16-lane unsigned bytes (epu8) and 8-lane
-// signed words (epi16) with saturating arithmetic, lane-wise max, compares,
-// whole-register byte shifts and movemask. The striped kernel in
-// internal/farrar is written against these, keeping the algorithm, data
-// layout and instruction mix identical to the SSE2 original.
+// algorithm" on the SSE extensions of Intel i7 cores. Go has no
+// intrinsics, so this package provides software implementations of the
+// exact SSE2 semantics the kernel needs: 16-lane unsigned bytes (epu8) and
+// 8-lane signed words (epi16) with saturating arithmetic, lane-wise max,
+// compares, whole-register byte shifts and movemask. The emulated striped
+// kernel in internal/farrar (ScoreU8, ScoreI16) is written against these,
+// keeping the algorithm, data layout and instruction mix identical to the
+// SSE2 original. It is the oracle of the production kernels: the amd64
+// 8-bit tier transcribes ScoreU8 into SSE2 Go assembly instruction for
+// instruction, and the portable SWAR kernels run the same recurrences on
+// packed uint64 words.
 package simd
 
 // U8x16 models an XMM register holding 16 unsigned bytes.

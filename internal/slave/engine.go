@@ -44,7 +44,7 @@ type Engine interface {
 }
 
 // FarrarEngine is the SSE-core engine: one CPU core running the adapted
-// Farrar striped Smith-Waterman (the SWAR kernel).
+// Farrar striped Smith-Waterman (SSE2 assembly on amd64, SWAR elsewhere).
 type FarrarEngine struct {
 	name     string
 	scheme   score.Scheme
@@ -91,23 +91,24 @@ func (e *FarrarEngine) DatabaseResidues() int64 { return e.residues }
 
 // RangeSearcher is the optional engine interface for database-range tasks:
 // Search restricted to the half-open sequence-index range [lo, hi) of the
-// resident database. It returns hi-lo hits whose Index is still the
-// position in the whole resident database, and reports progress in cells of
-// the range. The slave loop falls back to Search and drops the hits outside
-// the range for an engine that lacks it.
+// resident database, keeping only the range's k best hits. It returns them
+// ranked by wire.HitLess (for k <= 0 every hit of the range, in database
+// order), with Index still the position in the whole resident database,
+// and reports progress in cells of the range. The slave loop falls back to
+// Search and drops the hits outside the range for an engine that lacks it.
 type RangeSearcher interface {
-	SearchRange(query *seq.Sequence, lo, hi int, progress func(cellsDone int64), cancel <-chan struct{}) ([]wire.Hit, error)
+	SearchRange(query *seq.Sequence, lo, hi, k int, progress func(cellsDone int64), cancel <-chan struct{}) ([]wire.Hit, error)
 }
 
 // Search implements Engine: the whole database as one range.
 func (e *FarrarEngine) Search(query *seq.Sequence, progress func(int64), cancel <-chan struct{}) ([]wire.Hit, error) {
-	return e.SearchRange(query, 0, len(e.db), progress, cancel)
+	return e.SearchRange(query, 0, len(e.db), 0, progress, cancel)
 }
 
 // SearchRange implements RangeSearcher: the range is scanned sequentially
 // (§IV-B: database files are processed sequentially on the PEs), one
-// striped-kernel score per database sequence.
-func (e *FarrarEngine) SearchRange(query *seq.Sequence, lo, hi int, progress func(int64), cancel <-chan struct{}) ([]wire.Hit, error) {
+// striped-kernel score per database sequence, into a k-entry heap.
+func (e *FarrarEngine) SearchRange(query *seq.Sequence, lo, hi, k int, progress func(int64), cancel <-chan struct{}) ([]wire.Hit, error) {
 	if lo < 0 || hi > len(e.db) || lo > hi {
 		return nil, fmt.Errorf("slave: range [%d,%d) outside the %d-sequence database", lo, hi, len(e.db))
 	}
@@ -115,7 +116,7 @@ func (e *FarrarEngine) SearchRange(query *seq.Sequence, lo, hi int, progress fun
 	if err != nil {
 		return nil, err
 	}
-	hits := make([]wire.Hit, hi-lo)
+	top := newTopHits(k, hi-lo)
 	var cells int64
 	var sinceProgress int64
 	const progressChunk = 1 << 22 // ~4M cells between progress callbacks
@@ -125,7 +126,7 @@ func (e *FarrarEngine) SearchRange(query *seq.Sequence, lo, hi int, progress fun
 			return nil, ErrCanceled
 		default:
 		}
-		hits[i] = wire.Hit{SeqID: d.ID, Index: lo + i, Score: kern.Score(d.Residues)}
+		top.add(wire.Hit{SeqID: d.ID, Index: lo + i, Score: kern.Score(d.Residues)})
 		n := kern.Cells(d.Residues)
 		cells += n
 		sinceProgress += n
@@ -138,7 +139,7 @@ func (e *FarrarEngine) SearchRange(query *seq.Sequence, lo, hi int, progress fun
 		progress(cells)
 	}
 	e.kmet.Observe(kern.Stats())
-	return hits, nil
+	return top.result(), nil
 }
 
 // GPUEngine wraps the simulated CUDASW++ engine (§IV-C: "CUDASW was
@@ -177,12 +178,12 @@ func (e *GPUEngine) DatabaseResidues() int64 { return e.engine.DatabaseResidues(
 
 // Search implements Engine: the whole database as one range.
 func (e *GPUEngine) Search(query *seq.Sequence, progress func(int64), cancel <-chan struct{}) ([]wire.Hit, error) {
-	return e.SearchRange(query, 0, e.engine.DatabaseSeqs(), progress, cancel)
+	return e.SearchRange(query, 0, e.engine.DatabaseSeqs(), 0, progress, cancel)
 }
 
 // SearchRange implements RangeSearcher. The simulated device has nothing
 // to report mid-launch, so progress is called once, with the range's cells.
-func (e *GPUEngine) SearchRange(query *seq.Sequence, lo, hi int, progress func(int64), cancel <-chan struct{}) ([]wire.Hit, error) {
+func (e *GPUEngine) SearchRange(query *seq.Sequence, lo, hi, k int, progress func(int64), cancel <-chan struct{}) ([]wire.Hit, error) {
 	hits, rep, err := e.engine.SearchRange(query.Residues, lo, hi, true, cancel)
 	if err == cudasw.ErrCanceled {
 		return nil, ErrCanceled
@@ -194,43 +195,78 @@ func (e *GPUEngine) SearchRange(query *seq.Sequence, lo, hi int, progress func(i
 		progress(rep.Cells)
 	}
 	e.kmet.Observe(rep.Kernel)
-	out := make([]wire.Hit, len(hits))
-	for i, h := range hits {
-		out[i] = wire.Hit{SeqID: h.ID, Index: h.Index, Score: h.Score}
+	top := newTopHits(k, len(hits))
+	for _, h := range hits {
+		top.add(wire.Hit{SeqID: h.ID, Index: h.Index, Score: h.Score})
 	}
-	return out, nil
+	return top.result(), nil
 }
 
 // TopK returns the k best hits under the module-wide ranking contract
 // (wire.HitLess: score descending, database order on ties), the form
-// results travel back to the master in. The input is not modified. For
-// 0 < k < len(hits) only k entries are allocated: a bounded heap keeps the
-// k best seen so far with the worst at its root, and is heap-sorted in
-// place at the end. One scan's hits have distinct indices, so HitLess is a
-// strict order on them and the k best are unique.
+// results travel back to the master in. The input is not modified. One
+// scan's hits have distinct indices, so HitLess is a strict order on them
+// and the k best are unique.
 func TopK(hits []wire.Hit, k int) []wire.Hit {
-	if k <= 0 || k >= len(hits) {
-		out := make([]wire.Hit, len(hits))
-		copy(out, hits)
+	top := newTopHits(k, len(hits))
+	for _, h := range hits {
+		top.add(h)
+	}
+	out := top.result()
+	if k <= 0 {
 		wire.SortHits(out)
-		return out
 	}
-	top := make([]wire.Hit, k)
-	copy(top, hits[:k])
-	for i := k/2 - 1; i >= 0; i-- {
-		siftWorst(top, i)
+	return out
+}
+
+// topHits keeps the k best of the hits added to it (all of them for
+// k <= 0) in at most k entries: once full, a bounded heap holds the k best
+// seen so far with the worst at its root, and result heap-sorts it in
+// place.
+type topHits struct {
+	k    int
+	hits []wire.Hit
+}
+
+// newTopHits sizes the collector for at most n additions.
+func newTopHits(k, n int) topHits {
+	if k > 0 && k < n {
+		n = k
 	}
-	for _, h := range hits[k:] {
-		if wire.HitLess(h, top[0]) {
-			top[0] = h
-			siftWorst(top, 0)
+	return topHits{k: k, hits: make([]wire.Hit, 0, n)}
+}
+
+func (t *topHits) add(h wire.Hit) {
+	if t.k <= 0 || len(t.hits) < t.k {
+		t.hits = append(t.hits, h)
+		if len(t.hits) == t.k {
+			for i := t.k/2 - 1; i >= 0; i-- {
+				siftWorst(t.hits, i)
+			}
 		}
+		return
 	}
-	for end := k - 1; end > 0; end-- {
-		top[0], top[end] = top[end], top[0]
-		siftWorst(top[:end], 0)
+	if wire.HitLess(h, t.hits[0]) {
+		t.hits[0] = h
+		siftWorst(t.hits, 0)
 	}
-	return top
+}
+
+// result returns the kept hits: for k > 0 the k best, best first; for
+// k <= 0 every hit, in the order added.
+func (t *topHits) result() []wire.Hit {
+	if t.k <= 0 {
+		return t.hits
+	}
+	if len(t.hits) < t.k {
+		wire.SortHits(t.hits)
+		return t.hits
+	}
+	for end := len(t.hits) - 1; end > 0; end-- {
+		t.hits[0], t.hits[end] = t.hits[end], t.hits[0]
+		siftWorst(t.hits[:end], 0)
+	}
+	return t.hits
 }
 
 // siftWorst moves h[i] down until no entry ranks above its children under

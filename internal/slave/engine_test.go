@@ -2,12 +2,14 @@ package slave
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/cudasw"
 	"repro/internal/dataset"
 	"repro/internal/farrar"
 	"repro/internal/metrics"
+	"repro/internal/prefilter"
 	"repro/internal/score"
 	"repro/internal/seq"
 	"repro/internal/sw"
@@ -208,7 +210,7 @@ func TestSearchRangeMatchesReference(t *testing.T) {
 		for _, r := range [][2]int{{0, len(db)}, {0, 1}, {3, 11}, {11, len(db)}, {len(db) - 1, len(db)}} {
 			lo, hi := r[0], r[1]
 			var reported int64
-			hits, err := searchRange(eng, q, lo, hi, func(c int64) { reported = c }, make(chan struct{}))
+			hits, err := searchRange(eng, q, lo, hi, 0, func(c int64) { reported = c }, make(chan struct{}))
 			if err != nil {
 				t.Fatalf("%s [%d,%d): %v", eng.Name(), lo, hi, err)
 			}
@@ -228,7 +230,7 @@ func TestSearchRangeMatchesReference(t *testing.T) {
 		}
 	}
 	// Hi == 0 is the whole database, on any engine.
-	if hits, err := searchRange(searchOnly{sse}, q, 0, 0, nil, make(chan struct{})); err != nil || len(hits) != len(db) {
+	if hits, err := searchRange(searchOnly{sse}, q, 0, 0, 0, nil, make(chan struct{})); err != nil || len(hits) != len(db) {
 		t.Errorf("whole-database task: %d hits, %v", len(hits), err)
 	}
 }
@@ -244,15 +246,15 @@ func TestSearchRangeCancelAndBounds(t *testing.T) {
 	closed := make(chan struct{})
 	close(closed)
 	for _, eng := range []RangeSearcher{sse, gpu} {
-		if _, err := eng.SearchRange(q, 2, 9, nil, closed); err != ErrCanceled {
+		if _, err := eng.SearchRange(q, 2, 9, 0, nil, closed); err != ErrCanceled {
 			t.Errorf("canceled range scan: err = %v, want ErrCanceled", err)
 		}
 		for _, r := range [][2]int{{-1, 3}, {4, len(db) + 1}, {9, 2}} {
-			if _, err := eng.SearchRange(q, r[0], r[1], nil, make(chan struct{})); err == nil {
+			if _, err := eng.SearchRange(q, r[0], r[1], 0, nil, make(chan struct{})); err == nil {
 				t.Errorf("range [%d,%d) over %d sequences accepted", r[0], r[1], len(db))
 			}
 		}
-		if _, err := eng.SearchRange(seq.New("bad", "", []byte("AC1")), 0, 3, nil, make(chan struct{})); err == nil {
+		if _, err := eng.SearchRange(seq.New("bad", "", []byte("AC1")), 0, 3, 0, nil, make(chan struct{})); err == nil {
 			t.Error("invalid query accepted")
 		}
 	}
@@ -269,7 +271,7 @@ func TestRangeScansFeedKernelStats(t *testing.T) {
 	sse.SetKernelMetrics(kmet)
 	q := dataset.Queries(db, 1, 70, 70, 12)[0]
 	for _, r := range [][2]int{{0, 7}, {7, 8}, {8, len(db)}} {
-		if _, err := sse.SearchRange(q, r[0], r[1], nil, make(chan struct{})); err != nil {
+		if _, err := sse.SearchRange(q, r[0], r[1], 0, nil, make(chan struct{})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -279,5 +281,46 @@ func TestRangeScansFeedKernelStats(t *testing.T) {
 	}
 	if total != float64(len(db)) {
 		t.Errorf("farrar_fallback_total sums to %v over three ranges, want one count per database sequence (%d)", total, len(db))
+	}
+}
+
+// TestRangeHeapMatchesTopK: the k-entry heap a range task keeps its hits
+// in returns exactly TopK of the range's full per-sequence list, for random
+// k (below, at and above the range size) and random ranges, on the plain
+// and the filtered scan.
+func TestRangeHeapMatchesTopK(t *testing.T) {
+	db := tinyDB(t)
+	sse, _ := NewFarrarEngine("sse0", score.DefaultProtein(), db, 0)
+	q := plantedQuery(db, 4)
+	rng := rand.New(rand.NewSource(0x70B))
+	never := make(chan struct{})
+	var cache FilterCache
+	defer cache.release()
+	for iter := 0; iter < 60; iter++ {
+		lo := rng.Intn(len(db))
+		hi := lo + 1 + rng.Intn(len(db)-lo)
+		k := 1 + rng.Intn(hi-lo+3)
+		all, err := sse.SearchRange(q, lo, hi, 0, nil, never)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sse.SearchRange(q, lo, hi, k, nil, never)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := TopK(all, k); !reflect.DeepEqual(got, want) {
+			t.Fatalf("SearchRange [%d,%d) k=%d:\n got %v\nwant %v", lo, hi, k, got, want)
+		}
+		all, _, err = sse.FilterRange(q, lo, hi, 0, prefilter.Spec{K: 3}, &cache, never)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err = sse.FilterRange(q, lo, hi, k, prefilter.Spec{K: 3}, &cache, never)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := TopK(all, k); !reflect.DeepEqual(got, want) {
+			t.Fatalf("FilterRange [%d,%d) k=%d:\n got %v\nwant %v", lo, hi, k, got, want)
+		}
 	}
 }

@@ -13,14 +13,16 @@ import (
 // Filterer is the optional engine interface for filtered search: prefilter
 // the range [lo, hi) of the resident database with the query's k-mer seeds,
 // then rescore the candidate windows with full Smith-Waterman. Like
-// SearchRange it returns one hit per sequence of the range (score 0 where
-// the prefilter admitted nothing), so results rank exactly like a full
-// scan's, with Index the position in the whole resident database. The zero
-// range (hi == 0) is the whole database, as in a TaskSpec. Candidate
-// windows never cross a sequence, so the ranges of a cut need nothing from
-// one another. cache holds what the calls of one slave session share.
+// SearchRange it returns the range's k best hits, ranked (for k <= 0 every
+// sequence of the range in database order, score 0 where the prefilter
+// admitted nothing), so
+// results rank exactly like a full scan's, with Index the position in the
+// whole resident database. The zero range (hi == 0) is the whole database,
+// as in a TaskSpec. Candidate windows never cross a sequence, so the ranges
+// of a cut need nothing from one another. cache holds what the calls of one
+// slave session share.
 type Filterer interface {
-	FilterRange(query *seq.Sequence, lo, hi int, spec prefilter.Spec, cache *FilterCache, cancel <-chan struct{}) ([]wire.Hit, FilterCounts, error)
+	FilterRange(query *seq.Sequence, lo, hi, k int, spec prefilter.Spec, cache *FilterCache, cancel <-chan struct{}) ([]wire.Hit, FilterCounts, error)
 }
 
 // FilterCache is the compiled prefilter and window rescorer of the last
@@ -119,7 +121,7 @@ func (e *FarrarEngine) SetPrefilterMetrics(m *prefilter.Metrics) { e.pmet = m }
 
 // FilterRange implements Filterer. The scan is not interruptible;
 // cancellation is observed between the two passes.
-func (e *FarrarEngine) FilterRange(query *seq.Sequence, lo, hi int, spec prefilter.Spec, cache *FilterCache, cancel <-chan struct{}) ([]wire.Hit, FilterCounts, error) {
+func (e *FarrarEngine) FilterRange(query *seq.Sequence, lo, hi, k int, spec prefilter.Spec, cache *FilterCache, cancel <-chan struct{}) ([]wire.Hit, FilterCounts, error) {
 	if hi == 0 {
 		hi = len(e.db)
 	}
@@ -159,11 +161,11 @@ func (e *FarrarEngine) FilterRange(query *seq.Sequence, lo, hi int, spec prefilt
 		res.Stats.Patterns = 0
 	}
 	e.pmet.Observe(res.Stats)
-	hits := make([]wire.Hit, len(db))
+	top := newTopHits(k, len(db))
 	for i, d := range db {
-		hits[i] = wire.Hit{SeqID: d.ID, Index: lo + i, Score: scores[i]}
+		top.add(wire.Hit{SeqID: d.ID, Index: lo + i, Score: scores[i]})
 	}
-	return hits, FilterCounts{
+	return top.result(), FilterCounts{
 		Scanned:    res.Stats.ResiduesScanned,
 		Candidates: res.Stats.CandidateResidues,
 		Windows:    res.Stats.Windows,
@@ -172,11 +174,12 @@ func (e *FarrarEngine) FilterRange(query *seq.Sequence, lo, hi int, spec prefilt
 }
 
 // runStage executes the kind-specific body of one task and returns its
-// hits, plus the range's accounting for a filtered task.
-func runStage(eng Engine, spec wire.TaskSpec, query *seq.Sequence, filters *FilterCache, progress func(int64), cancel <-chan struct{}) ([]wire.Hit, FilterCounts, error) {
+// hits (at least its k best), plus the range's accounting for a filtered
+// task.
+func runStage(eng Engine, spec wire.TaskSpec, query *seq.Sequence, k int, filters *FilterCache, progress func(int64), cancel <-chan struct{}) ([]wire.Hit, FilterCounts, error) {
 	switch spec.TaskKind {
 	case sched.TaskSW:
-		hits, err := searchRange(eng, query, spec.Lo, spec.Hi, progress, cancel)
+		hits, err := searchRange(eng, query, spec.Lo, spec.Hi, k, progress, cancel)
 		return hits, FilterCounts{}, err
 	case sched.TaskFiltered:
 		f, ok := eng.(Filterer)
@@ -187,7 +190,7 @@ func runStage(eng Engine, spec wire.TaskSpec, query *seq.Sequence, filters *Filt
 		if spec.Filter != nil {
 			fspec = *spec.Filter
 		}
-		hits, counts, err := f.FilterRange(query, spec.Lo, spec.Hi, fspec, filters, cancel)
+		hits, counts, err := f.FilterRange(query, spec.Lo, spec.Hi, k, fspec, filters, cancel)
 		// The range is done: report the task's full cell-equivalent budget
 		// so the master's speed estimate sees the work.
 		if err == nil && progress != nil {
@@ -201,15 +204,15 @@ func runStage(eng Engine, spec wire.TaskSpec, query *seq.Sequence, filters *Filt
 
 // searchRange runs one TaskSW task: the whole database when hi is 0 (the
 // paper's task, and every task of a master that cuts no ranges), else the
-// range [lo, hi) — natively on a RangeSearcher, and on any other engine by
-// scanning everything and keeping the hits inside the range, which is
-// slower but ranks the same.
-func searchRange(eng Engine, query *seq.Sequence, lo, hi int, progress func(int64), cancel <-chan struct{}) ([]wire.Hit, error) {
+// range [lo, hi) — natively on a RangeSearcher, which keeps its k best,
+// and on any other engine by scanning everything and keeping the hits
+// inside the range, which is slower but ranks the same.
+func searchRange(eng Engine, query *seq.Sequence, lo, hi, k int, progress func(int64), cancel <-chan struct{}) ([]wire.Hit, error) {
 	if hi == 0 {
 		return eng.Search(query, progress, cancel)
 	}
 	if rs, ok := eng.(RangeSearcher); ok {
-		return rs.SearchRange(query, lo, hi, progress, cancel)
+		return rs.SearchRange(query, lo, hi, k, progress, cancel)
 	}
 	all, err := eng.Search(query, progress, cancel)
 	if err != nil {

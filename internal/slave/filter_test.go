@@ -38,7 +38,7 @@ func TestFilterRangeSharesCompiledFilter(t *testing.T) {
 	never := make(chan struct{})
 	var cache, other FilterCache
 
-	if _, _, err := eng.FilterRange(q, 0, 10, prefilter.Spec{}, &cache, never); err != nil {
+	if _, _, err := eng.FilterRange(q, 0, 10, 0, prefilter.Spec{}, &cache, never); err != nil {
 		t.Fatal(err)
 	}
 	first := cache
@@ -48,7 +48,7 @@ func TestFilterRangeSharesCompiledFilter(t *testing.T) {
 	// Same query in a fresh slice (as it arrives over the wire), same
 	// spec after normalization.
 	again := seq.New("q", "", append([]byte(nil), q.Residues...))
-	if _, _, err := eng.FilterRange(again, 10, 20, prefilter.Spec{K: prefilter.DefaultK}, &cache, never); err != nil {
+	if _, _, err := eng.FilterRange(again, 10, 20, 0, prefilter.Spec{K: prefilter.DefaultK}, &cache, never); err != nil {
 		t.Fatal(err)
 	}
 	if cache.filter != first.filter || cache.rescorer != first.rescorer {
@@ -59,7 +59,7 @@ func TestFilterRangeSharesCompiledFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng2.SetPrefilterMetrics(pm)
-	if _, _, err := eng2.FilterRange(again, 20, 25, prefilter.Spec{}, &other, never); err != nil {
+	if _, _, err := eng2.FilterRange(again, 20, 25, 0, prefilter.Spec{}, &other, never); err != nil {
 		t.Fatal(err)
 	}
 	if other.filter != first.filter || other.rescorer == first.rescorer {
@@ -73,14 +73,14 @@ func TestFilterRangeSharesCompiledFilter(t *testing.T) {
 		t.Errorf("patterns compiled = %v, want one compilation's %d", got, whole.Stats.Patterns)
 	}
 
-	if _, _, err := eng.FilterRange(q, 0, 10, prefilter.Spec{K: 3}, &cache, never); err != nil {
+	if _, _, err := eng.FilterRange(q, 0, 10, 0, prefilter.Spec{K: 3}, &cache, never); err != nil {
 		t.Fatal(err)
 	}
 	if cache.filter == first.filter {
 		t.Fatal("a different spec reused the cached filter")
 	}
 	k3 := cache.filter
-	if _, _, err := eng.FilterRange(plantedQuery(db, 7), 0, 10, prefilter.Spec{K: 3}, &cache, never); err != nil {
+	if _, _, err := eng.FilterRange(plantedQuery(db, 7), 0, 10, 0, prefilter.Spec{K: 3}, &cache, never); err != nil {
 		t.Fatal(err)
 	}
 	if cache.filter == k3 {

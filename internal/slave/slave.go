@@ -261,7 +261,7 @@ func runTask(caller wire.Caller, eng Engine, id sched.SlaveID, spec wire.TaskSpe
 		lastNotify, lastCells = now, cells
 	}
 
-	hits, counts, err := runStage(eng, spec, query, filters, progress, canceled.channelFor(spec.ID))
+	hits, counts, err := runStage(eng, spec, query, opts.TopK, filters, progress, canceled.channelFor(spec.ID))
 	if callErr != nil {
 		return false, false, callErr
 	}
