@@ -96,7 +96,9 @@ cluster-cover:
 # per-tenant accounting, and the range-cut one, which checks that the cut
 # behind shards and database-range tasks covers any database exactly once,
 # and the prefilter range-cut one, which checks that the ranges of any cut
-# emit exactly the whole database's candidate windows and counts.
+# emit exactly the whole database's candidate windows and counts, and the
+# result-home one, which replays random submit/collect/cancel/restart
+# sequences against a model of which retained record owes which body.
 # Each target fuzzes for a fixed budget;
 # regressions land in testdata/fuzz and replay as ordinary tests forever
 # after.
@@ -104,6 +106,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzWireDecode -fuzztime=10s ./internal/wire
 	go test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s ./internal/jobs
 	go test -run='^$$' -fuzz=FuzzFairQueue -fuzztime=10s ./internal/jobs
+	go test -run='^$$' -fuzz=FuzzResultHome -fuzztime=10s ./internal/jobs
 	go test -run='^$$' -fuzz=FuzzFarrarVsScalar -fuzztime=10s ./internal/farrar
 	go test -run='^$$' -fuzz=FuzzACVsNaive -fuzztime=10s ./internal/prefilter
 	go test -run='^$$' -fuzz=FuzzPrefilterRangeCut -fuzztime=10s ./internal/prefilter

@@ -25,9 +25,10 @@
 //	DELETE /jobs/{id}         cancel a queued or running job
 //
 // Searches flow through the job subsystem: a bounded queue with admission
-// control (-queue, -executors), a content-addressed result cache
-// (-cache-bytes) with singleflight coalescing, and — with -jobs-dir — a
-// durable store so queued jobs survive a restart.
+// control (-queue, -executors), singleflight coalescing, repeats answered
+// from retained finished jobs whose held result bodies -cache-bytes
+// budgets, and — with -jobs-dir — a durable store so queued jobs survive a
+// restart.
 //
 // Multi-tenancy: requests carry a tenant (X-Tenant header or the "tenant"
 // body field). -tenant-policy selects the dequeue discipline — "wfq"
@@ -97,7 +98,7 @@ func main() {
 		jobsDir     = flag.String("jobs-dir", "", "directory for the durable job store (empty: in-memory only)")
 		executors   = flag.Int("executors", 0, "job executor-pool size (0: default, negative: none)")
 		queueDepth  = flag.Int("queue", 0, "max queued jobs before 429 (0: default)")
-		cacheBytes  = flag.Int64("cache-bytes", 0, "result-cache budget in bytes (0: default, negative: disabled)")
+		cacheBytes  = flag.Int64("cache-bytes", 0, "budget in bytes for result bodies held on finished jobs (0: default, negative: hold only bodies still owed to a caller)")
 		maxQueries  = flag.Int("max-queries", 0, "per-request query-count cap (0: default, negative: uncapped)")
 		maxResidues = flag.Int64("max-residues", 0, "per-request total-residue cap (0: default, negative: uncapped)")
 		maxTopK     = flag.Int("max-topk", 0, "per-request top_k cap (0: default, negative: uncapped)")

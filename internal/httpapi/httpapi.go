@@ -485,8 +485,8 @@ func (s *Server) buildSearchResponse(queries []*seq.Sequence, rep *cluster.Repor
 }
 
 // handleSearch is the synchronous facade over the job subsystem: submit,
-// wait, stream the result the job hands over (the cache only serves
-// repeats). It shares admission control, coalescing and the result cache
+// wait, stream the result the job hands over (retained results only serve
+// repeats). It shares admission control, coalescing and repeat answers
 // with POST /jobs, and a disconnected client cancels the underlying search
 // (unless an async submission also owns it).
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {

@@ -418,3 +418,32 @@ func TestAsyncResultOverCacheBudget(t *testing.T) {
 		t.Fatalf("result payload = %+v", out)
 	}
 }
+
+// TestTrimmedSearchResultGone pins the HTTP face of the byte budget: with
+// no jobs dir, a synchronous search's record drops its body once the
+// search has answered and the held bodies exceed the budget, so GET
+// /jobs/{id}/result on it is 410 while the record itself stays listed.
+func TestTrimmedSearchResultGone(t *testing.T) {
+	srv, ts := testServerOpts(t, Options{Jobs: jobs.Config{CacheBytes: 1}})
+	q := srv.db[5]
+	resp, body := post(t, ts.URL+"/search", SearchRequest{
+		QueriesFasta: fmt.Sprintf(">q\n%s\n", q.Residues), TopK: 3,
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("search: %d %s", resp.StatusCode, body)
+	}
+	resp, body = do(t, "GET", ts.URL+"/jobs?state=done", nil)
+	var listing struct {
+		Jobs []JobView `json:"jobs"`
+	}
+	if err := json.Unmarshal(body, &listing); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("list: %d %v", resp.StatusCode, err)
+	}
+	if len(listing.Jobs) != 1 {
+		t.Fatalf("listing = %s, want the one search job", body)
+	}
+	resp, body = do(t, "GET", ts.URL+"/jobs/"+listing.Jobs[0].ID+"/result", nil)
+	if resp.StatusCode != http.StatusGone {
+		t.Fatalf("result of a trimmed record: %d %s, want 410", resp.StatusCode, body)
+	}
+}

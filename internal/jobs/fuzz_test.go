@@ -2,7 +2,10 @@ package jobs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -115,4 +118,190 @@ func TestReplaySemantics(t *testing.T) {
 	if _, err := replay([]byte("{broken"), nil); err == nil {
 		t.Error("corrupt snapshot did not error")
 	}
+}
+
+// FuzzResultHome is a model-based fuzz of where a finished result lives.
+// The first byte picks durable or memory mode, a CacheBytes budget and
+// MaxJobs; every later byte is one operation over four repeating keys:
+// a synchronous or async Submit, a collect (WaitResult) of an uncollected
+// synchronous submission, a Result, a Cancel, or, in durable mode, a
+// close-and-reopen. A model tracks, per job ID, its key and who is still
+// owed its body. After every operation:
+//   - no call returns bytes other than the executor's body for the key;
+//   - an owed body is readable: an uncollected synchronous submission's,
+//     and without a durable store an async job's while it is retained;
+//   - retained records ≤ MaxJobs + uncollected ones;
+//   - held body bytes ≤ budget + owed body bytes.
+func FuzzResultHome(f *testing.F) {
+	f.Add([]byte{0x00, 0, 6, 2, 1, 7, 13, 3, 0, 2, 9, 4, 1, 1, 3})
+	f.Add([]byte{0x03, 0, 1, 6, 7, 5, 0, 2, 13, 19, 5, 9, 3, 4, 2})
+	f.Add([]byte{0x1b, 1, 7, 13, 19, 5, 0, 6, 12, 18, 2, 2, 2, 2, 5, 3, 9})
+	f.Add([]byte{0x0e, 0, 0, 6, 6, 12, 12, 4, 10, 2, 2, 2, 5, 1, 3})
+
+	const keys = 4
+	fasta := func(k int) string { return fmt.Sprintf(">k%d\nMKVL", k) }
+	result := func(k int) []byte { return bytes.Repeat([]byte{byte('a' + k)}, 10+20*k) }
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) < 2 || len(ops) > 64 {
+			return
+		}
+		durable := ops[0]&1 == 1
+		budget := []int64{-1, 40, 120, 1 << 20}[ops[0]>>1&3]
+		maxJobs := 2 + int(ops[0]>>3&3)
+		cfg := Config{
+			Executors:  1,
+			CacheBytes: budget,
+			MaxJobs:    maxJobs,
+			Executor: runFunc(func(ctx context.Context, r Request) ([]byte, error) {
+				return result(int(r.QueriesFasta[2] - '0')), nil
+			}),
+		}
+		if durable {
+			cfg.Dir = t.TempDir()
+		}
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = m.Close(context.Background()) }()
+
+		type entry struct {
+			key   int
+			sync  int  // synchronous submissions not yet collected
+			async bool // an async submission owns the job
+		}
+		model := map[string]*entry{}
+		var ids []string
+		owed := func(e *entry) bool { return e.sync > 0 || (e.async && !durable) }
+		checkBody := func(op, id string, body []byte) {
+			if want := result(model[id].key); body != nil && !bytes.Equal(body, want) {
+				t.Fatalf("%s %s: body %q, want %q", op, id, body, want)
+			}
+		}
+		check := func() {
+			m.mu.Lock()
+			var held, owedBytes int64
+			uncollected := 0
+			for _, j := range m.finished {
+				e := model[j.ID]
+				if e == nil {
+					m.mu.Unlock()
+					t.Fatalf("retained record %s was never submitted", j.ID)
+				}
+				held += int64(len(j.body))
+				if owed(e) {
+					owedBytes += int64(len(j.body))
+				}
+				if e.sync > 0 {
+					uncollected++
+				}
+			}
+			retained, counted := len(m.finished), m.held
+			m.mu.Unlock()
+			if held != counted {
+				t.Fatalf("held bytes %d, Manager counts %d", held, counted)
+			}
+			if held > max(budget, 0)+owedBytes {
+				t.Fatalf("held %d bytes > budget %d + owed %d", held, budget, owedBytes)
+			}
+			if retained > maxJobs+uncollected {
+				t.Fatalf("%d records retained > MaxJobs %d + %d uncollected", retained, maxJobs, uncollected)
+			}
+			for _, id := range ids {
+				e := model[id]
+				if !owed(e) {
+					continue
+				}
+				body, snap, err := m.Result(id)
+				switch {
+				case errors.Is(err, ErrNotFound) && e.sync == 0:
+					// An async record in memory mode is pruned past MaxJobs.
+				case err != nil:
+					t.Fatalf("owed result of %s: %v", id, err)
+				case snap.State == StateDone:
+					if body == nil {
+						t.Fatalf("owed result of %s: no body", id)
+					}
+					checkBody("Result", id, body)
+				}
+			}
+		}
+
+		for _, b := range ops[1:] {
+			arg := int(b / 6)
+			switch b % 6 {
+			case 0, 1:
+				async := b%6 == 1
+				k := arg % keys
+				j, err := m.Submit(req(fasta(k)), async)
+				if err != nil {
+					var rej *RejectError
+					if !errors.As(err, &rej) {
+						t.Fatalf("submit: %v", err)
+					}
+					continue
+				}
+				e := model[j.ID]
+				if e == nil {
+					e = &entry{key: k}
+					model[j.ID] = e
+					ids = append(ids, j.ID)
+				} else if e.key != k {
+					t.Fatalf("key %d coalesced into %s of key %d", k, j.ID, e.key)
+				}
+				if async {
+					e.async = true
+				} else {
+					e.sync++
+				}
+				if j.CacheHit && j.ResultBytes != int64(len(result(k))) {
+					t.Fatalf("hit %s: %d result bytes, want %d", j.ID, j.ResultBytes, len(result(k)))
+				}
+			case 2:
+				var waiting []string
+				for _, id := range ids {
+					if model[id].sync > 0 {
+						waiting = append(waiting, id)
+					}
+				}
+				if len(waiting) == 0 {
+					continue
+				}
+				id := waiting[arg%len(waiting)]
+				body, snap, err := m.WaitResult(context.Background(), id)
+				if err != nil {
+					t.Fatalf("collect %s: %v", id, err)
+				}
+				model[id].sync--
+				if snap.State == StateDone {
+					checkBody("WaitResult", id, body)
+				}
+			case 3:
+				if len(ids) > 0 {
+					id := ids[arg%len(ids)]
+					body, _, _ := m.Result(id)
+					checkBody("Result", id, body)
+				}
+			case 4:
+				if len(ids) > 0 {
+					_, _ = m.Cancel(ids[arg%len(ids)])
+				}
+			case 5:
+				if !durable {
+					continue
+				}
+				if err := m.Close(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				if m, err = New(cfg); err != nil {
+					t.Fatal(err)
+				}
+				// The old process's synchronous waiters are gone with it.
+				for _, e := range model {
+					e.sync = 0
+				}
+			}
+			check()
+		}
+	})
 }

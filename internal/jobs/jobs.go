@@ -1,15 +1,18 @@
 // Package jobs is the asynchronous job subsystem between the HTTP serving
 // layer and the hybrid search engine: a bounded priority queue with
 // admission control, a fixed-size executor pool with end-to-end context
-// cancellation, a content-addressed result cache with singleflight
-// coalescing of identical in-flight submissions, and an optional durable
-// store (JSON-lines WAL + snapshot) so queued work survives a restart.
+// cancellation, singleflight coalescing of identical in-flight submissions,
+// and an optional durable store (JSON-lines WAL + snapshot) so queued work
+// survives a restart. A finished result has one home, its retained done
+// record: the newest done record for a content key answers repeats, so the
+// retention queue is the result cache.
 //
 // The paper's environment runs one batch search at a time on a dedicated
 // master (§IV-A); this package is what lets the same engine absorb many
 // concurrent callers: overload is rejected early (429-style, with a retry
 // hint) instead of accepted and thrashed, identical work executes once, and
-// repeated queries are answered from the cache without touching a kernel.
+// repeated queries are answered from a retained record without touching a
+// kernel.
 //
 // The Manager knows nothing about Smith-Waterman: Config.Executor is the
 // job body (the HTTP layer's executor runs the search on its engine fleet), and
@@ -119,8 +122,8 @@ type job struct {
 	async    bool               // owned by a fire-and-forget submission
 	waiters  int                // attached synchronous waiters
 	// pending counts synchronous submissions that have not yet collected
-	// the result; body holds a done job's result while keepsBody says so,
-	// so no caller that needs it depends on the cache keeping it.
+	// the result. body holds a done job's result from completion until the
+	// record is pruned or trimLocked drops it.
 	pending int
 	body    []byte
 }
@@ -160,8 +163,11 @@ type Config struct {
 	// uncapped here (the HTTP layer applies its own validation caps).
 	MaxQueries  int
 	MaxResidues int64
-	// CacheBytes budgets the in-memory result cache; 0 means
-	// DefaultCacheBytes and negative disables caching.
+	// CacheBytes budgets the result bodies held on retained done records;
+	// past it the oldest-finished records drop theirs, except a body still
+	// owed to a caller (see trimLocked). 0 means DefaultCacheBytes and
+	// negative holds no body that nobody is owed: in memory mode a repeat
+	// then re-runs, in durable mode it reads the persisted result.
 	CacheBytes int64
 	// Dir, when non-empty, makes the Manager durable: job records are
 	// WAL-logged and snapshotted there and results are persisted, so
@@ -200,9 +206,9 @@ const (
 	snapshotEvery = 256
 )
 
-// Manager owns the queue, the executor pool, the cache and the durable
-// store. Fields above mu are set once in New; the group below mu is what mu
-// guards (the cache carries its own lock so result reads skip mu).
+// Manager owns the queue, the executor pool, the retained records and the
+// durable store. Fields above mu are set once in New; the group below mu is
+// what mu guards.
 type Manager struct {
 	cfg Config
 	met *Metrics // cfg.Metrics, or the uninstrumented bundle; never nil
@@ -211,17 +217,21 @@ type Manager struct {
 	backend Backend
 	base    context.Context
 	abort   context.CancelFunc
-	cache   *lru
 	wg      sync.WaitGroup
 
-	mu    sync.Mutex
-	cond  *sync.Cond
-	st    *store
-	jobs  map[string]*job
+	mu   sync.Mutex
+	cond *sync.Cond
+	st   *store
+	jobs map[string]*job
+	// byKey maps a content key to its in-flight job, or else to its newest
+	// retained done record: the one lookup for coalescing and repeats.
 	byKey map[string]*job
 	// finished lists the retained terminal records, oldest-finished first:
 	// the retention queue MaxJobs bounds.
 	finished []*job
+	// held sums the body bytes on retained records: the figure CacheBytes
+	// budgets and Metrics.CacheBytes reports.
+	held     int64
 	q        *queue
 	book     *TenantBook
 	stopped  bool
@@ -266,7 +276,6 @@ func New(cfg Config) (*Manager, error) {
 		backend: cfg.Executor.Kind(),
 		base:    base,
 		abort:   abort,
-		cache:   newLRU(cfg.CacheBytes),
 		jobs:    map[string]*job{},
 		byKey:   map[string]*job{},
 		q:       newQueue(cfg.MaxQueue, book),
@@ -292,7 +301,9 @@ func New(cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// recoverLocked rebuilds the live state from persisted records.
+// recoverLocked rebuilds the live state from persisted records. The key
+// index points at a key's in-flight record if it has one, else at its
+// newest-finished done record.
 func (m *Manager) recoverLocked(recs []Job) {
 	sort.Slice(recs, func(i, j int) bool {
 		if !recs[i].Created.Equal(recs[j].Created) {
@@ -327,6 +338,11 @@ func (m *Manager) recoverLocked(recs []Job) {
 	sort.SliceStable(m.finished, func(i, k int) bool {
 		return m.finished[i].Finished.Before(m.finished[k].Finished)
 	})
+	for _, j := range m.finished {
+		if j.State == StateDone {
+			m.indexDoneLocked(j)
+		}
+	}
 	m.met.QueueDepth.Set(float64(m.q.len()))
 }
 
@@ -350,13 +366,13 @@ func newID() string {
 }
 
 // Submit runs a request through admission control and either coalesces it
-// into an identical in-flight job, answers it from the result cache, or
-// enqueues it. async marks a fire-and-forget submission (POST /jobs): such
-// jobs run to completion even if nobody waits, and only an explicit
-// DELETE cancels them. Synchronous submissions (async=false) are cancelled
-// automatically when their last waiter disconnects; each must be followed
-// by one Wait or WaitResult, which collects it (until then its record is
-// never pruned).
+// into an identical in-flight job, answers it from the key's newest retained
+// done record (a cache hit), or enqueues it. async marks a fire-and-forget
+// submission (POST /jobs): such jobs run to completion even if nobody waits,
+// and only an explicit DELETE cancels them. Synchronous submissions
+// (async=false) are cancelled automatically when their last waiter
+// disconnects; each must be followed by one Wait or WaitResult, which
+// collects it (until then its record is never pruned).
 func (m *Manager) Submit(req Request, async bool) (Job, error) {
 	if err := m.admit(req); err != nil {
 		return Job{}, err
@@ -368,17 +384,18 @@ func (m *Manager) Submit(req Request, async bool) (Job, error) {
 		m.countRejectLocked("draining")
 		return Job{}, &RejectError{Reason: "draining", Detail: "server is draining; not accepting jobs"}
 	}
-	if j := m.byKey[key]; j != nil && !j.State.Terminal() {
-		j.Coalesced++
+	cur := m.byKey[key]
+	if cur != nil && !cur.State.Terminal() {
+		cur.Coalesced++
 		if async {
-			j.async = true
+			cur.async = true
 		} else {
-			j.pending++
+			cur.pending++
 		}
 		m.met.Coalesced.Inc()
-		return j.snapshot(), nil
+		return cur.snapshot(), nil
 	}
-	if body, ok := m.cachedLocked(key); ok {
+	if body, ok := m.bodyLocked(cur); ok {
 		j := m.newJobLocked(key, req, async)
 		now := time.Now()
 		j.Started, j.Finished = now, now
@@ -387,13 +404,13 @@ func (m *Manager) Submit(req Request, async bool) (Job, error) {
 		if !async {
 			j.pending = 1
 		}
-		if m.keepsBody(j) {
-			j.body = body
-		}
+		j.body = body
+		m.held += int64(len(body))
 		m.setStateLocked(j, StateDone)
 		close(j.done)
 		m.met.Submitted.Inc()
 		m.met.CacheHits.Inc()
+		m.byKey[key] = j
 		m.retireLocked(j)
 		m.logLocked(j)
 		return j.snapshot(), nil
@@ -494,23 +511,20 @@ func (m *Manager) setStateLocked(j *job, s State) {
 	j.State = s
 }
 
-// cachedLocked looks a result up in memory, then in the durable store
-// (warming the memory cache on a disk hit).
-func (m *Manager) cachedLocked(key string) ([]byte, bool) {
-	if body, ok := m.cache.get(key); ok {
-		return body, true
-	}
-	if m.st == nil {
+// bodyLocked reads a done record's result: the body the record holds, or
+// else, in durable mode, the persisted copy. It is the one read path for
+// Result and for Submit's repeats; j may be nil (no record, no body).
+func (m *Manager) bodyLocked(j *job) ([]byte, bool) {
+	switch {
+	case j == nil:
+		return nil, false
+	case j.body != nil:
+		return j.body, true
+	case m.st != nil:
+		return m.st.loadResult(j.Key)
+	default:
 		return nil, false
 	}
-	body, ok := m.st.loadResult(key)
-	if !ok {
-		return nil, false
-	}
-	evicted := m.cache.put(key, body)
-	m.met.CacheEvictions.Add(float64(evicted))
-	m.met.CacheBytes.Set(float64(m.cache.size()))
-	return body, true
 }
 
 // logLocked appends the job's current record to the WAL (when durable) and
@@ -529,19 +543,28 @@ func (m *Manager) logLocked(j *job) {
 }
 
 // retireLocked files a job that just reached a terminal state: its record
-// sheds the query FASTA and joins the retention queue, and the
-// oldest-finished records beyond MaxJobs are pruned. This is the only
-// retention path, in memory and durable mode alike.
+// sheds the query FASTA and joins the retention queue, the oldest-finished
+// records beyond MaxJobs are pruned and the held bodies trimmed to budget.
+// This is the only retention path, in memory and durable mode alike.
 func (m *Manager) retireLocked(j *job) {
 	j.Request.QueriesFasta = ""
 	m.finished = append(m.finished, j)
 	m.pruneLocked()
+	m.trimLocked()
+}
+
+// indexDoneLocked makes a done record its key's repeat answer, unless the
+// key has an in-flight job: that one always keeps the slot.
+func (m *Manager) indexDoneLocked(j *job) {
+	if cur := m.byKey[j.Key]; cur == nil || cur.State.Terminal() {
+		m.byKey[j.Key] = j
+	}
 }
 
 // pruneLocked drops the oldest-finished terminal records beyond MaxJobs.
 // A record a synchronous submitter has not collected yet stays queued, so
-// its waiter always finds it. The next snapshot drops the pruned records'
-// persisted results.
+// its waiter always finds it, until the collect prunes it. The next
+// snapshot drops the pruned records' persisted results.
 func (m *Manager) pruneLocked() {
 	over := len(m.finished) - m.cfg.MaxJobs
 	if over <= 0 {
@@ -551,6 +574,10 @@ func (m *Manager) pruneLocked() {
 	for _, j := range m.finished {
 		if over > 0 && j.pending == 0 {
 			delete(m.jobs, j.ID)
+			if m.byKey[j.Key] == j {
+				delete(m.byKey, j.Key)
+			}
+			m.held -= int64(len(j.body))
 			m.met.ByState.With(string(j.State)).Dec()
 			over--
 			continue
@@ -561,12 +588,23 @@ func (m *Manager) pruneLocked() {
 	m.finished = kept
 }
 
-// keepsBody reports whether a done job's record holds its result body:
-// while a synchronous submitter has not collected it, and for an async job
-// when there is no durable store to read it back from. Records are bounded
-// by MaxJobs, so the held bodies are too.
-func (m *Manager) keepsBody(j *job) bool {
-	return j.pending > 0 || (j.async && m.st == nil)
+// trimLocked drops held bodies, oldest-finished first, while they exceed
+// the CacheBytes budget. It never drops a body owed to a caller who could
+// read it nowhere else: a synchronous submitter that has not collected it,
+// or, without a durable store, an async job's owner. A trimmed record stays
+// retained; in durable mode its result still reads back from disk.
+func (m *Manager) trimLocked() {
+	for _, j := range m.finished {
+		if m.held <= max(m.cfg.CacheBytes, 0) {
+			break
+		}
+		if j.body == nil || j.pending > 0 || (j.async && m.st == nil) {
+			continue
+		}
+		m.held -= int64(len(j.body))
+		j.body = nil
+	}
+	m.met.CacheBytes.Set(float64(m.held))
 }
 
 // snapshotLocked compacts the durable store to the retained records.
@@ -621,9 +659,8 @@ func (m *Manager) executor() {
 		switch {
 		case err == nil:
 			j.ResultBytes = int64(len(body))
-			if m.keepsBody(j) {
-				j.body = body
-			}
+			j.body = body
+			m.held += int64(len(body))
 			m.setStateLocked(j, StateDone)
 			m.storeResultLocked(j.Key, body)
 			m.book.Finish(req.Tenant, req.Residues, true)
@@ -657,10 +694,13 @@ func (m *Manager) executor() {
 	}
 }
 
-// finishLocked records a terminal transition: the singleflight slot frees,
+// finishLocked records a terminal transition: a done job becomes its key's
+// repeat answer and a failed or cancelled one frees the singleflight slot,
 // waiters wake, the record retires, the outcome is counted and logged.
 func (m *Manager) finishLocked(j *job, outcome string) {
-	if m.byKey[j.Key] == j {
+	if j.State == StateDone {
+		m.indexDoneLocked(j)
+	} else if m.byKey[j.Key] == j {
 		delete(m.byKey, j.Key)
 	}
 	close(j.done)
@@ -669,11 +709,8 @@ func (m *Manager) finishLocked(j *job, outcome string) {
 	m.logLocked(j)
 }
 
-// storeResultLocked caches and persists one result body.
+// storeResultLocked counts and, in durable mode, persists one result body.
 func (m *Manager) storeResultLocked(key string, body []byte) {
-	evicted := m.cache.put(key, body)
-	m.met.CacheEvictions.Add(float64(evicted))
-	m.met.CacheBytes.Set(float64(m.cache.size()))
 	m.met.ResultBytes.Observe(float64(len(body)))
 	if m.st != nil {
 		if err := m.st.saveResult(key, body); err != nil {
@@ -722,9 +759,9 @@ func (m *Manager) List() []Job {
 }
 
 // Result returns a done job's encoded result body along with its snapshot:
-// the body the record holds, else the cache's or the store's copy. For a
-// job in any other state the body is nil and the caller inspects the
-// snapshot. A done job whose result is held nowhere reports an error.
+// the body the record holds, else the store's copy. For a job in any other
+// state the body is nil and the caller inspects the snapshot. A done job
+// whose result is held nowhere reports an error.
 func (m *Manager) Result(id string) ([]byte, Job, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -736,10 +773,7 @@ func (m *Manager) Result(id string) ([]byte, Job, error) {
 	if snap.State != StateDone {
 		return nil, snap, nil
 	}
-	if j.body != nil {
-		return j.body, snap, nil
-	}
-	body, ok := m.cachedLocked(snap.Key)
+	body, ok := m.bodyLocked(j)
 	if !ok {
 		return nil, snap, fmt.Errorf("jobs: result of %s was evicted", id)
 	}
@@ -796,8 +830,8 @@ func (m *Manager) Wait(ctx context.Context, id string) (Job, error) {
 // WaitResult is Wait for a synchronous submitter (Submit with async=false)
 // that also wants the result: a done job's body comes straight from the
 // job, which holds it until each such submitter has collected it, so the
-// answer never depends on the cache keeping it. A done job holding no body
-// for this waiter is an error.
+// answer never depends on the byte budget. A done job holding no body for
+// this waiter is an error.
 func (m *Manager) WaitResult(ctx context.Context, id string) ([]byte, Job, error) {
 	body, snap, err := m.wait(ctx, id)
 	if err == nil && snap.State == StateDone && body == nil {
@@ -839,15 +873,15 @@ func (m *Manager) wait(ctx context.Context, id string) ([]byte, Job, error) {
 	}
 }
 
-// collectLocked counts one synchronous submitter as served; the last one
-// releases the body unless the record keeps it for an async owner.
+// collectLocked counts one synchronous submitter as served. Its record and
+// the body it collected are no longer owed to it, so retention is enforced
+// again: the record may be pruned and the held bodies trimmed.
 func (m *Manager) collectLocked(j *job) {
 	if j.pending > 0 {
 		j.pending--
 	}
-	if !m.keepsBody(j) {
-		j.body = nil
-	}
+	m.pruneLocked()
+	m.trimLocked()
 }
 
 // QueueDepth reports how many jobs are waiting for an executor.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -789,5 +790,86 @@ func TestPruneSparesUncollected(t *testing.T) {
 	}
 	if n := len(m.List()); n > maxJobs {
 		t.Fatalf("%d records retained, MaxJobs %d", n, maxJobs)
+	}
+}
+
+// TestHeldBodiesWithinBudget pins the byte budget over held bodies: once
+// synchronous submitters have collected, the jobs_cache_bytes gauge stays
+// within CacheBytes, the newest record for a key still answers a repeat,
+// and an older record whose body was trimmed reads its result back from
+// results/ in durable mode and reports it evicted in memory mode.
+func TestHeldBodiesWithinBudget(t *testing.T) {
+	const budget = 300
+	result := func(fasta string) []byte { return bytes.Repeat([]byte(fasta[1:3]), 50) }
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%t", durable), func(t *testing.T) {
+			mm := NewMetrics(metrics.NewRegistry())
+			var execs atomic.Int32
+			cfg := Config{
+				Executors:  1,
+				CacheBytes: budget,
+				Metrics:    mm,
+				Executor: runFunc(func(ctx context.Context, r Request) ([]byte, error) {
+					execs.Add(1)
+					return result(r.QueriesFasta), nil
+				}),
+			}
+			if durable {
+				cfg.Dir = t.TempDir()
+			}
+			m, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close(context.Background())
+			var ids []string
+			for i := 0; i < 20; i++ {
+				fa := fmt.Sprintf(">%02d\nMKVL", i)
+				j, err := m.Submit(req(fa), false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, _, err := m.WaitResult(context.Background(), j.ID)
+				if err != nil || !bytes.Equal(body, result(fa)) {
+					t.Fatalf("job %d: body %q, err %v", i, body, err)
+				}
+				if held := mm.CacheBytes.Value(); held > budget {
+					t.Fatalf("after job %d: %v bytes held, budget %d", i, held, budget)
+				}
+				ids = append(ids, j.ID)
+			}
+
+			newest := fmt.Sprintf(">%02d\nMKVL", 19)
+			hit, err := m.Submit(req(newest), false)
+			if err != nil || !hit.CacheHit {
+				t.Fatalf("repeat of the newest key: %v %+v", err, hit)
+			}
+			if body, _, err := m.WaitResult(context.Background(), hit.ID); err != nil || !bytes.Equal(body, result(newest)) {
+				t.Fatalf("repeat of the newest key: body %q, err %v", body, err)
+			}
+
+			oldest := fmt.Sprintf(">%02d\nMKVL", 0)
+			body, _, err := m.Result(ids[0])
+			if !durable {
+				if err == nil || !strings.Contains(err.Error(), "evicted") {
+					t.Fatalf("trimmed record in memory mode: body %q, err %v", body, err)
+				}
+				return
+			}
+			if err != nil || !bytes.Equal(body, result(oldest)) {
+				t.Fatalf("trimmed record in durable mode: body %q, err %v", body, err)
+			}
+			before := execs.Load()
+			hit, err = m.Submit(req(oldest), false)
+			if err != nil || !hit.CacheHit {
+				t.Fatalf("repeat of a trimmed key: %v %+v", err, hit)
+			}
+			if body, _, err := m.WaitResult(context.Background(), hit.ID); err != nil || !bytes.Equal(body, result(oldest)) {
+				t.Fatalf("repeat of a trimmed key: body %q, err %v", body, err)
+			}
+			if execs.Load() != before {
+				t.Fatal("repeat of a trimmed key re-executed")
+			}
+		})
 	}
 }

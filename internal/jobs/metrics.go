@@ -17,19 +17,21 @@ var ResultBuckets = []float64{1 << 10, 16 << 10, 256 << 10, 1 << 20, 16 << 20, 2
 // holds one: a nil Config.Metrics becomes NewMetrics(nil), whose handles
 // are no-ops, so embedded and test uses pay a nil check per update.
 type Metrics struct {
-	Submitted      *metrics.Counter
-	Coalesced      *metrics.Counter
-	Rejected       *metrics.CounterVec
-	Completed      *metrics.CounterVec
-	CacheHits      *metrics.Counter
-	CacheMisses    *metrics.Counter
-	CacheEvictions *metrics.Counter
-	StoreErrors    *metrics.Counter
+	Submitted   *metrics.Counter
+	Coalesced   *metrics.Counter
+	Rejected    *metrics.CounterVec
+	Completed   *metrics.CounterVec
+	CacheHits   *metrics.Counter
+	CacheMisses *metrics.Counter
+	StoreErrors *metrics.Counter
 
 	QueueDepth    *metrics.Gauge
 	ExecutorsBusy *metrics.Gauge
-	CacheBytes    *metrics.Gauge
-	ByState       *metrics.GaugeVec
+	// CacheBytes reports the body bytes held on retained records. A cache
+	// hit shares its source's body and both are counted, so the figure is
+	// conservative: it can overstate memory, never understate it.
+	CacheBytes *metrics.Gauge
+	ByState    *metrics.GaugeVec
 
 	// Per-tenant families (the "default" label is the anonymous tenant).
 	TenantQueued   *metrics.GaugeVec
@@ -49,13 +51,12 @@ func NewMetrics(r *metrics.Registry) *Metrics {
 		Coalesced:      r.Counter("jobs_coalesced_total", "Submissions merged into an identical queued or running job (singleflight)."),
 		Rejected:       r.CounterVec("jobs_rejected_total", "Submissions rejected by admission control, by reason.", "reason"),
 		Completed:      r.CounterVec("jobs_completed_total", "Jobs reaching a terminal state, by outcome.", "outcome"),
-		CacheHits:      r.Counter("jobs_cache_hits_total", "Submissions answered from the result cache without execution."),
+		CacheHits:      r.Counter("jobs_cache_hits_total", "Submissions answered from a retained done record without execution."),
 		CacheMisses:    r.Counter("jobs_cache_misses_total", "Submissions that had to enqueue an execution."),
-		CacheEvictions: r.Counter("jobs_cache_evictions_total", "Results evicted from the in-memory cache to respect the byte budget."),
 		StoreErrors:    r.Counter("jobs_store_errors_total", "Durable-store write failures (jobs keep running; durability degrades)."),
 		QueueDepth:     r.Gauge("jobs_queue_depth", "Jobs waiting for an executor."),
 		ExecutorsBusy:  r.Gauge("jobs_executors_busy", "Executors currently running a job."),
-		CacheBytes:     r.Gauge("jobs_cache_bytes", "Bytes held by the in-memory result cache."),
+		CacheBytes:     r.Gauge("jobs_cache_bytes", "Bytes of result bodies held on retained records."),
 		ByState:        r.GaugeVec("jobs_by_state", "Jobs currently tracked, by state.", "state"),
 		TenantQueued:   r.GaugeVec("tenant_queued_jobs", "Jobs waiting for an executor, by tenant.", "tenant"),
 		TenantRunning:  r.GaugeVec("tenant_running_jobs", "Jobs currently executing, by tenant.", "tenant"),

@@ -76,54 +76,3 @@ func TestQueueRemove(t *testing.T) {
 		t.Fatal("pop of empty queue returned a job")
 	}
 }
-
-func TestLRUEvictsByBytes(t *testing.T) {
-	c := newLRU(10)
-	if ev := c.put("a", []byte("aaaa")); ev != 0 {
-		t.Fatalf("evicted %d on first put", ev)
-	}
-	c.put("b", []byte("bbbb"))
-	// Touch a so b is the eviction victim.
-	if _, ok := c.get("a"); !ok {
-		t.Fatal("a missing")
-	}
-	if ev := c.put("c", []byte("cccc")); ev != 1 {
-		t.Fatalf("evicted %d inserting c, want 1", ev)
-	}
-	if _, ok := c.get("b"); ok {
-		t.Fatal("b survived eviction; LRU order wrong")
-	}
-	if _, ok := c.get("a"); !ok {
-		t.Fatal("a (recently used) was evicted")
-	}
-	if c.size() != 8 || c.entries() != 2 {
-		t.Fatalf("size=%d entries=%d", c.size(), c.entries())
-	}
-}
-
-func TestLRUOverBudgetBodyNotCached(t *testing.T) {
-	c := newLRU(4)
-	c.put("a", []byte("aa"))
-	if ev := c.put("big", []byte("xxxxxxxx")); ev != 0 {
-		t.Fatalf("over-budget put evicted %d", ev)
-	}
-	if _, ok := c.get("big"); ok {
-		t.Fatal("over-budget body was cached")
-	}
-	if _, ok := c.get("a"); !ok {
-		t.Fatal("existing entry lost to an over-budget put")
-	}
-}
-
-func TestLRURefreshSameKey(t *testing.T) {
-	c := newLRU(100)
-	c.put("k", []byte("12345"))
-	c.put("k", []byte("123"))
-	if c.size() != 3 || c.entries() != 1 {
-		t.Fatalf("size=%d entries=%d after refresh", c.size(), c.entries())
-	}
-	body, _ := c.get("k")
-	if string(body) != "123" {
-		t.Fatalf("body = %q", body)
-	}
-}

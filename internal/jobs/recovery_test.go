@@ -3,6 +3,7 @@ package jobs
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"sync"
@@ -161,5 +162,94 @@ func TestDrainRequeueOrdering(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("execution order after recovery = %v, want %v", order, want)
 		}
+	}
+}
+
+// TestRecoveryIndexesNewestDone pins how recovery rebuilds the key index:
+// of two done records for one key, a repeat after restart is answered from
+// the newer one without running anything; and a key with both a recovered
+// queued job and a done record coalesces into the queued job.
+func TestRecoveryIndexesNewestDone(t *testing.T) {
+	dir := t.TempDir()
+	open := func(executors int, body string) *Manager {
+		t.Helper()
+		m, err := New(Config{
+			Executors: executors,
+			Dir:       dir,
+			Executor: runFunc(func(context.Context, Request) ([]byte, error) {
+				if body == "" {
+					return nil, errors.New("must not run")
+				}
+				return []byte(body), nil
+			}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	m1 := open(1, `{"n":1}`)
+	first, err := m1.Submit(req("x"), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m1, first.ID, StateDone)
+	second, err := m1.Submit(req("x"), false)
+	if err != nil || !second.CacheHit {
+		t.Fatalf("repeat: %v %+v", err, second)
+	}
+	if _, _, err := m1.WaitResult(context.Background(), second.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	m2 := open(1, "")
+	m2.mu.Lock()
+	indexed := m2.byKey[second.Key]
+	m2.mu.Unlock()
+	if indexed == nil || indexed.ID != second.ID {
+		t.Fatalf("recovered index points at %+v, want the newer record %s", indexed, second.ID)
+	}
+	hit, err := m2.Submit(req("x"), false)
+	if err != nil || !hit.CacheHit {
+		t.Fatalf("repeat after restart: %v %+v", err, hit)
+	}
+	body, got, err := m2.WaitResult(context.Background(), hit.ID)
+	if err != nil || got.State != StateDone || string(body) != `{"n":1}` {
+		t.Fatalf("repeat after restart: %s body %q, err %v", got.State, body, err)
+	}
+	if err := m2.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	// Hide the persisted result so the next boot's repeat misses and queues
+	// a job behind the done records, then restore it: the queued job must
+	// still win the key after a restart.
+	path := filepath.Join(dir, resultsDir, second.Key+".json")
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	m3 := open(-1, "")
+	queued, err := m3.Submit(req("x"), true)
+	if err != nil || queued.CacheHit || queued.State != StateQueued {
+		t.Fatalf("repeat with no readable result: %v %+v", err, queued)
+	}
+	if err := m3.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, saved, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m4 := open(-1, "")
+	defer m4.Close(context.Background())
+	dup, err := m4.Submit(req("x"), true)
+	if err != nil || dup.ID != queued.ID || dup.CacheHit {
+		t.Fatalf("repeat beside a recovered queued job: %v %+v, want coalesced into %s", err, dup, queued.ID)
 	}
 }
