@@ -195,8 +195,9 @@ func BenchmarkKernelFarrarSWAR8(b *testing.B) {
 }
 
 // BenchmarkKernelFarrarScore measures the ladder every engine calls,
-// Kernel.Score, whose 8-bit tier is SSE2 assembly on amd64 and the SWAR
-// kernel elsewhere.
+// Kernel.Score, whose 8-bit tier is AVX2 or SSE2 assembly on amd64 (this
+// 128 aa query takes AVX2 where the host has it) and the SWAR kernel
+// elsewhere.
 func BenchmarkKernelFarrarScore(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	q := randProtein(rng, 128)

@@ -72,6 +72,7 @@ import (
 
 	hybridsw "repro"
 	"repro/internal/cluster"
+	"repro/internal/farrar"
 	"repro/internal/fasta"
 	"repro/internal/httpapi"
 	"repro/internal/jobs"
@@ -182,7 +183,7 @@ func main() {
 	hs := &http.Server{Addr: *listen, Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	fmt.Printf("swserve: %d sequences loaded from %s; listening on %s\n", len(db), *dbPath, *listen)
+	fmt.Printf("swserve: %d sequences loaded from %s; %s kernel; listening on %s\n", len(db), *dbPath, farrar.ISA(), *listen)
 
 	select {
 	case err := <-errc:

@@ -4,7 +4,7 @@
 package farrar
 
 import (
-	_ "repro/internal/simd" // the oracle path: allowed outside swar*.go and sse*.go
+	_ "repro/internal/simd" // the oracle path: allowed outside the native kernel files
 )
 
 // Dispatch stands in for the real kernel's impl switch.

@@ -60,8 +60,9 @@ func planted(rng *rand.Rand, db []*hybridsw.Sequence, n int) []byte {
 // TestPlantedQueriesMatchScalar is the benchmark-shaped differential test:
 // planted 100-600 aa queries against the whole database, every certified
 // score equal to sw.Score, and each tier certifying exactly the scores
-// below its ceiling — the SWAR tiers directly, and the dispatched 8-bit
-// tier (SSE2 on amd64) through the ladder's Stats.
+// below its ceiling — the SWAR tiers directly, and every native 8-bit
+// path the host runs (SSE2 and AVX2 on an AVX2 host) through its ladder's
+// Stats, which the 350 and 600 aa queries' sources push into 16 bits.
 func TestPlantedQueriesMatchScalar(t *testing.T) {
 	db := swissProt(t)
 	rng := rand.New(rand.NewSource(25))
@@ -73,6 +74,7 @@ func TestPlantedQueriesMatchScalar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		paths := farrar.HostPaths(k)
 		below8 := int64(0)
 		for i, d := range db {
 			want := sw.Score(q, d.Residues, scheme)
@@ -91,9 +93,19 @@ func TestPlantedQueriesMatchScalar(t *testing.T) {
 			if got := k.Score(d.Residues); got != want {
 				t.Fatalf("query %d aa, seq %d: ladder %d, reference %d", n, i, got, want)
 			}
+			for path, p := range paths {
+				if got := p.Score(d.Residues); got != want {
+					t.Fatalf("query %d aa, seq %d: %s ladder %d, reference %d", n, i, path, got, want)
+				}
+			}
 		}
 		if st := k.Stats(); st.Scored8 != below8 {
 			t.Fatalf("query %d aa: the dispatched 8-bit tier certified %d scores, %d lie below its ceiling", n, st.Scored8, below8)
+		}
+		for path, p := range paths {
+			if st := p.Stats(); st != k.Stats() {
+				t.Fatalf("query %d aa: %s ladder stats %+v, dispatched %+v", n, path, st, k.Stats())
+			}
 		}
 	}
 	if escalated == 0 {

@@ -75,17 +75,23 @@ func kernelPair(t testing.TB, q []byte, s score.Scheme) (*Kernel, *oracle) {
 
 // checkDifferential runs one (query, target) pair through every tier of
 // the implementations and the scalar reference, failing on any
-// disagreement: per-tier (score, ok) pairs must be identical between the
-// native 8-bit tier (SSE2 on amd64), SWAR and the emulated oracle, and the
-// full ladder must land on the reference score.
+// disagreement: per-tier (score, ok) pairs must be identical between
+// every native 8-bit path the host runs (SSE2, and AVX2 where present, on
+// amd64, whatever the query length), SWAR and the emulated oracle, and
+// the full ladder must land on the reference score.
 func checkDifferential(t *testing.T, ks *Kernel, ke *oracle, d []byte, want int) {
 	t.Helper()
-	s8n, ok8n := ks.scoreNative8(d)
 	s8s, ok8s := ks.ScoreSWAR8(d)
 	s8e, ok8e := ks.ScoreU8(d)
-	if s8s != s8e || ok8s != ok8e || s8n != s8e || ok8n != ok8e {
-		t.Fatalf("8-bit tier diverged: native=(%d,%v) swar=(%d,%v) emulated=(%d,%v)\nq=%s\nd=%s",
-			s8n, ok8n, s8s, ok8s, s8e, ok8e, ks.Query(), d)
+	if s8s != s8e || ok8s != ok8e {
+		t.Fatalf("8-bit tier diverged: swar=(%d,%v) emulated=(%d,%v)\nq=%s\nd=%s",
+			s8s, ok8s, s8e, ok8e, ks.Query(), d)
+	}
+	for path, kp := range hostPaths(ks) {
+		if s8n, ok8n := kp.scoreNative8(d); s8n != s8e || ok8n != ok8e {
+			t.Fatalf("8-bit tier diverged: %s=(%d,%v) emulated=(%d,%v)\nq=%s\nd=%s",
+				path, s8n, ok8n, s8e, ok8e, ks.Query(), d)
+		}
 	}
 	s16s, ok16s := ks.ScoreSWAR16(d)
 	s16e, ok16e := ks.ScoreI16(d)
@@ -312,14 +318,16 @@ func TestAllPositiveMatrixPadding(t *testing.T) {
 }
 
 // TestSegmentEdgesAndForeignTargetBytes covers the 16-lane segment edges
-// of the SSE2 tier (query lengths 1, 15, 16, 17, 32, 33) and target bytes
-// the residue table must route like alpha.Index does: lower case, bytes
-// >= 0x80 and bytes outside the alphabet.
+// of the SSE2 tier (query lengths 1, 15, 16, 17, 32, 33), the 32-lane ones
+// of the AVX2 tier (31, 63, 64, 65, 97: one and several segments, padding
+// lanes in both 128-bit halves, and 65 just over avx2MinQuery), and
+// target bytes the residue table must route like alpha.Index does: lower
+// case, bytes >= 0x80 and bytes outside the alphabet.
 func TestSegmentEdgesAndForeignTargetBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x5E6))
 	foreign := []byte{0, '\n', 'J', 'O', 'U', 'a', 'w', 0x7F, 0x80, 0xC1, 0xFF}
 	for si, s := range diffSchemes(t) {
-		for _, m := range []int{1, 15, 16, 17, 32, 33} {
+		for _, m := range []int{1, 15, 16, 17, 31, 32, 33, 63, 64, 65, 97} {
 			for iter := 0; iter < 6; iter++ {
 				q := randProtein(rng, m)
 				ks, ke := kernelPair(t, q, s)

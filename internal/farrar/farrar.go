@@ -12,10 +12,10 @@
 // The package holds the native kernels and the emulated-ISA transcription
 // kept as their oracle:
 //
-//   - on amd64 the 8-bit tier (ScoreSSE8) is Farrar's kernel on real SSE2:
-//     Go assembly over the 16 unsigned byte lanes of an XMM register,
-//     transcribing ScoreU8 instruction for instruction. SSE2 is part of
-//     the amd64 baseline, so the file suffix is the whole dispatch.
+//   - on amd64 the 8-bit tier is Farrar's kernel in Go assembly on 16 SSE2
+//     byte lanes, the baseline, or 32 AVX2 ones, transcribing ScoreU8
+//     instruction for instruction. A CPUID probe read once and the query
+//     length pick the width; ISA names the host's widest path.
 //   - the SWAR kernel (ScoreSWAR8, ScoreSWAR16) packs 8 byte lanes — or 4
 //     word lanes in the fallback tier — into a uint64 and computes all
 //     lanes at once with the loop-free bit tricks of internal/simd/swar.
@@ -31,7 +31,7 @@
 // 128 so each lane's top bit is a guard bit (see internal/simd/swar), which
 // makes its saturating add clamp at 127: the largest score the tier can
 // certify is ceiling8 = 127 - bias (123 for BLOSUM62), and a score reaching
-// it may have been clipped and escalates. The SSE2 tier and the emulated
+// it may have been clipped and escalates. The SSE2/AVX2 tier and the emulated
 // oracle use full byte lanes but escalate at the same ceiling. The 16-bit
 // tier keeps word lanes below 32768 the same way, certifying scores below
 // ceiling16 = 32767 - bias (the paper's adapted signed variant in the
@@ -107,7 +107,7 @@ type Kernel struct {
 	segLen16 int
 	prof16   [][]simd.I16x8
 
-	// The native 8-bit tier's profile (SSE2 on amd64, see sse8_amd64.go;
+	// The native 8-bit tier's profile (SSE2/AVX2 on amd64, sse8_amd64.go;
 	// empty elsewhere, where the SWAR profile below is the native one).
 	native native8
 
@@ -279,7 +279,7 @@ func (k *Kernel) Cells(target []byte) int64 {
 }
 
 // ScoreU8 runs the emulated-ISA 8-bit saturating kernel (the oracle for
-// ScoreSWAR8, and on amd64 for ScoreSSE8, its assembly transcription). ok
+// ScoreSWAR8, and on amd64 for its SSE2/AVX2 assembly transcription). ok
 // is false when the score reached ceiling8, the point from which the SWAR
 // kernel may clip.
 func (k *Kernel) ScoreU8(target []byte) (sc int, ok bool) {

@@ -31,6 +31,7 @@ func TestMetricsObserve(t *testing.T) {
 		`farrar_fallback_total{tier="8bit"} 6`,
 		`farrar_fallback_total{tier="16bit"} 2`,
 		`farrar_fallback_total{tier="scalar"} 3`,
+		`farrar_isa_info{isa="` + ISA() + `"} 1`,
 	} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("exposition missing %q:\n%s", want, sb.String())

@@ -1,23 +1,25 @@
 package farrar
 
-// This file is the amd64 8-bit tier: Farrar's striped kernel on the 16
-// unsigned byte lanes of an SSE2 register, written in Go assembly
-// (sse8_amd64.s). The assembly transcribes ScoreU8 instruction for
+// This file is the amd64 8-bit tier: Farrar's striped kernel in Go
+// assembly on 16 SSE2 byte lanes (sse8_amd64.s) or 32 AVX2 ones
+// (avx8_amd64.s). The assembly transcribes ScoreU8 instruction for
 // instruction — PADDUSB, PSUBUSB and PMAXUB for the emulated AddSatU8,
-// SubSatU8 and MaxU8, PSLLO (PSLLDQ) for ShiftLanesLeftU8, the same
-// lazy-F loop and guard — and escalates at the same ceiling8, so it
-// returns ScoreU8's (score, ok) pair on every input. SSE2 is part of the
-// amd64 baseline (GOAMD64=v1): the file suffix is the whole dispatch.
+// SubSatU8 and MaxU8, a one-lane byte shift for ShiftLanesLeftU8, the same
+// lazy-F loop and guard — and escalates at the same ceiling8, so it returns
+// ScoreU8's (score, ok) pair on every input. SSE2 is the amd64 baseline
+// (GOAMD64=v1) and the fallback; native8Lanes picks AVX2 from the CPUID
+// probe (cpuid_amd64.go) and the query length.
 //
 // swcheck's purity analyzer bans importing the emulated internal/simd ISA
 // from this file, as from swar*.go: the oracle must never be the substrate.
 
-// native8 is the SSE2 tier's striped profile: one flat row of segLen
-// 16-byte segments per residue (byte l of segment s holds the biased score
-// of query position l*segLen+s, padding lanes biased zero), plus the byte
-// offset of each target byte's row, so the kernel looks a residue up with
-// one load. Out-of-alphabet bytes map to the final all-minimum row.
+// native8 is the native tier's striped profile: one flat row of segLen
+// lanes-byte segments per residue (byte l of segment s holds the biased
+// score of query position l*segLen+s, padding lanes biased zero), plus the
+// byte offset of each target byte's row, so the kernel looks a residue up
+// with one load. Out-of-alphabet bytes map to the final all-minimum row.
 type native8 struct {
+	lanes  int // 16 runs sse8, 32 runs avx8
 	segLen int
 	prof   []byte
 	rows   [256]uint32
@@ -31,11 +33,15 @@ type native8 struct {
 //go:noescape
 func sse8(prof *byte, rows *[256]uint32, target []byte, segLen int, cols *uint64, bias, gapOE, gapE int) (best int, done bool)
 
-// buildNative8 packs the SSE2 tier's profile and residue table.
-func (k *Kernel) buildNative8() {
-	const lanes = 16
+// buildNative8 packs the profile of the path native8Lanes picks.
+func (k *Kernel) buildNative8() { k.packNative8(native8Lanes(hasAVX2, len(k.query))) }
+
+// packNative8 packs the profile and residue table for a kernel on the
+// given number of byte lanes.
+func (k *Kernel) packNative8(lanes int) {
 	m := len(k.query)
 	n := &k.native
+	n.lanes = lanes
 	n.segLen = (m + lanes - 1) / lanes
 	alpha := k.scheme.Matrix.Alphabet()
 	rowBytes := n.segLen * lanes
@@ -68,9 +74,10 @@ func (k *Kernel) buildNative8() {
 	}
 }
 
-// ScoreSSE8 runs the SSE2 8-bit saturating kernel. ok is false when the
+// scoreNative8 is the 8-bit tier Kernel.Score tries first: the SSE2 or the
+// AVX2 kernel, whichever the profile was packed for. ok is false when the
 // score reached ceiling8, exactly as for ScoreU8.
-func (k *Kernel) ScoreSSE8(target []byte) (sc int, ok bool) {
+func (k *Kernel) scoreNative8(target []byte) (sc int, ok bool) {
 	if len(target) == 0 {
 		return 0, true
 	}
@@ -78,16 +85,18 @@ func (k *Kernel) ScoreSSE8(target []byte) (sc int, ok bool) {
 		return 0, false
 	}
 	n := &k.native
-	// Two words per 16-byte segment; scratch carves the three columns from
-	// one contiguous buffer, which is the layout sse8 expects.
-	cols, _, _ := k.scratch(2 * n.segLen)
-	best, done := sse8(&n.prof[0], &n.rows, target, n.segLen, &cols[0],
-		k.bias, k.scheme.Gap.Open+k.scheme.Gap.Extend, k.scheme.Gap.Extend)
+	// lanes/8 words per segment; scratch carves the three columns from one
+	// contiguous buffer, which is the layout both kernels expect.
+	cols, _, _ := k.scratch(n.lanes / 8 * n.segLen)
+	gapOE, gapE := k.scheme.Gap.Open+k.scheme.Gap.Extend, k.scheme.Gap.Extend
+	best, done := 0, false
+	if n.lanes == 32 {
+		best, done = avx8(&n.prof[0], &n.rows, target, n.segLen, &cols[0], k.bias, gapOE, gapE)
+	} else {
+		best, done = sse8(&n.prof[0], &n.rows, target, n.segLen, &cols[0], k.bias, gapOE, gapE)
+	}
 	if !done || best >= k.ceiling8() {
 		return 0, false // guard expired, or a saturating add may have clipped the true score
 	}
 	return best, true
 }
-
-// scoreNative8 is the 8-bit tier Kernel.Score tries first.
-func (k *Kernel) scoreNative8(target []byte) (int, bool) { return k.ScoreSSE8(target) }

@@ -12,3 +12,6 @@ func (k *Kernel) buildNative8() { k.buildSwarProfile8() }
 
 // scoreNative8 is the 8-bit tier Kernel.Score tries first.
 func (k *Kernel) scoreNative8(target []byte) (int, bool) { return k.ScoreSWAR8(target) }
+
+// ISA names the native 8-bit kernel this host runs: "swar" off amd64.
+func ISA() string { return "swar" }

@@ -389,7 +389,8 @@ func TestSearchWithCacheDisabled(t *testing.T) {
 
 // TestAsyncResultOverCacheBudget pins that without a jobs dir an async
 // job's result outlives the cache: with a budget smaller than the body (so
-// the LRU never stores it), GET /jobs/{id}/result still answers 200.
+// trimming would drop a body it did not owe), GET /jobs/{id}/result still
+// answers 200.
 func TestAsyncResultOverCacheBudget(t *testing.T) {
 	srv, ts := testServerOpts(t, Options{Jobs: jobs.Config{CacheBytes: 64}})
 	q := srv.db[5]

@@ -695,8 +695,8 @@ func TestRetentionBoundedInMemory(t *testing.T) {
 
 // TestAsyncResultOutlivesCacheInMemory pins that a memory-only Manager
 // keeps a done async job's body on its record: a result larger than the
-// whole cache budget (so the LRU never stores it) is still readable, as is
-// one pushed out of the cache by newer results.
+// whole cache budget (which trimming would drop were the body not owed)
+// is still readable, as is one older than many newer results.
 func TestAsyncResultOutlivesCacheInMemory(t *testing.T) {
 	big := bytes.Repeat([]byte("h"), 4096)
 	m, err := New(Config{
@@ -722,7 +722,7 @@ func TestAsyncResultOutlivesCacheInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, m, large.ID, StateDone)
-	for i := 0; i < 8; i++ { // 4 KB of newer results evict the first from the LRU
+	for i := 0; i < 8; i++ { // 4 KB of newer results, far over the budget of held bodies
 		j, err := m.Submit(req(fmt.Sprintf(">%d\nMKVL", i)), true)
 		if err != nil {
 			t.Fatal(err)

@@ -44,7 +44,8 @@ type Engine interface {
 }
 
 // FarrarEngine is the SSE-core engine: one CPU core running the adapted
-// Farrar striped Smith-Waterman (SSE2 assembly on amd64, SWAR elsewhere).
+// Farrar striped Smith-Waterman (AVX2 or SSE2 assembly on amd64, SWAR
+// elsewhere).
 type FarrarEngine struct {
 	name     string
 	scheme   score.Scheme
