@@ -85,46 +85,61 @@ cluster-cover:
 	go test -coverprofile=cluster.cover.out ./internal/cluster
 	$(call covfloor,cluster.cover.out,75)
 
+# listed fails unless the regexp $(1) names a test, benchmark or fuzzer of
+# package $(2). `go test -fuzz` and `-bench` pass silently when their
+# pattern names nothing ("no fuzz tests to fuzz", exit 0), so a smoke line
+# whose target was renamed away would still go green without it.
+listed = go test -list '$(1)' $(2) | grep -qE '^(Test|Benchmark|Fuzz|Example)' || { echo "$@: no target in $(2) matches $(1)" >&2; exit 1; }
+
+# fuzz runs the one fuzzer $(1) of package $(2) for 10 s, after checking
+# that it exists.
+fuzz = $(call listed,$(1),$(2)); go test -run='^$$' -fuzz='$(1)' -fuzztime=10s $(2)
+
 # Short runs of the coverage-guided fuzzers over the two parsers that
 # consume untrusted or crash-corrupted bytes (the wire codec and the jobs
 # WAL replayer) plus the two differential fuzzers: the Farrar kernel one,
 # which drives random sequences and gap schemes through the full
 # AVX2/SSE2/SWAR/emulated/scalar ladder and fails on any score divergence, and the
-# Aho-Corasick one, which pits the prefilter automaton against a naive
-# multi-pattern scan, and the fair-queue one, which replays randomized
-# push/pop/finish/remove interleavings against a shadow model of the
-# per-tenant accounting, and the range-cut one, which checks that the cut
+# seed-table one, which pits the prefilter's k-mer lookup table (k = 1..16,
+# any byte values) against a naive multi-pattern scan, and the fair-queue
+# one, which replays randomized push/pop/finish/remove interleavings
+# against a shadow model of the per-tenant accounting, and the range-cut one, which checks that the cut
 # behind shards and database-range tasks covers any database exactly once,
 # and the prefilter range-cut one, which checks that the ranges of any cut
 # emit exactly the whole database's candidate windows and counts, and the
 # result-home one, which replays random submit/collect/cancel/restart
 # sequences against a model of which retained record owes which body.
-# Each target fuzzes for a fixed budget;
+# Each target fuzzes for a fixed budget and fails if its fuzzer is gone;
 # regressions land in testdata/fuzz and replay as ordinary tests forever
 # after.
 fuzz-smoke:
-	go test -run='^$$' -fuzz=FuzzWireDecode -fuzztime=10s ./internal/wire
-	go test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s ./internal/jobs
-	go test -run='^$$' -fuzz=FuzzFairQueue -fuzztime=10s ./internal/jobs
-	go test -run='^$$' -fuzz=FuzzResultHome -fuzztime=10s ./internal/jobs
-	go test -run='^$$' -fuzz=FuzzFarrarVsScalar -fuzztime=10s ./internal/farrar
-	go test -run='^$$' -fuzz=FuzzACVsNaive -fuzztime=10s ./internal/prefilter
-	go test -run='^$$' -fuzz=FuzzPrefilterRangeCut -fuzztime=10s ./internal/prefilter
-	go test -run='^$$' -fuzz=FuzzRangeCut -fuzztime=10s ./internal/cluster
+	$(call fuzz,FuzzWireDecode,./internal/wire)
+	$(call fuzz,FuzzWALReplay,./internal/jobs)
+	$(call fuzz,FuzzFairQueue,./internal/jobs)
+	$(call fuzz,FuzzResultHome,./internal/jobs)
+	$(call fuzz,FuzzFarrarVsScalar,./internal/farrar)
+	$(call fuzz,FuzzSeedTableVsNaive,./internal/prefilter)
+	$(call fuzz,FuzzPrefilterRangeCut,./internal/prefilter)
+	$(call fuzz,FuzzRangeCut,./internal/cluster)
 
 # Fast kernel health check: the Score8/Score16 microbenchmarks (AVX2 and
 # SSE2 on amd64, SWAR and emulated, so a vanished speedup is visible at a
 # glance), one pass of the SSE2/AVX2 query-length sweep behind
 # avx2MinQuery (Score8ByLen, skipped by the first line), ScoreDB (the
 # kernel on the serving benchmark's planted queries and database, MCUPS and
-# allocs per database sequence), the Aho-Corasick automaton-throughput
-# microbenchmark (residues/s over a 1-MiB stream), plus the coverage floor
-# over the kernel and prefilter packages only. Cheap enough for every PR,
-# unlike the full `bench` archive run.
+# allocs per database sequence), the prefilter seed-table microbenchmark
+# (residues/s over a 1-MiB stream at k = 4 and 5, and the cost of compiling
+# a 200 aa query's Filter), plus the coverage floor over the kernel and
+# prefilter packages only. Each benchmark line fails if its pattern names
+# no benchmark. Cheap enough for every PR, unlike the full `bench` archive run.
 bench-smoke:
+	$(call listed,BenchmarkScore(8|16|DB),./internal/farrar)
 	go test -bench='BenchmarkScore(8|16|DB)' -skip='ByLen' -benchmem -run='^$$' ./internal/farrar
+	$(call listed,BenchmarkScore8ByLen,./internal/farrar)
 	go test -bench='BenchmarkScore8ByLen' -benchtime=1x -run='^$$' ./internal/farrar
-	go test -bench='BenchmarkACScan' -benchmem -run='^$$' ./internal/prefilter
+	$(call listed,BenchmarkSeedScan,./internal/prefilter)
+	go test -bench='BenchmarkSeedScan' -benchmem -run='^$$' ./internal/prefilter
+	$(call listed,BenchmarkSwcheckRepo,./internal/analysis)
 	go test -bench='BenchmarkSwcheckRepo' -benchtime=1x -run='^$$' ./internal/analysis
 	go test -coverprofile=kernel.cover.out ./internal/farrar ./internal/simd/... ./internal/prefilter
 	$(call covfloor,kernel.cover.out,75)

@@ -15,7 +15,7 @@
 //	GET    /varz              the same metrics as one JSON document
 //	POST   /search            {"queries_fasta": ">q\nACDE...", "top_k": 5, "align": true}
 //	                          add "mode": "filtered" (+ filter_k/filter_margin) to run
-//	                          each database-range task as an Aho-Corasick seed
+//	                          each database-range task as a k-mer seed-table
 //	                          prefilter plus an SW rescore of its candidate windows
 //	POST   /align             {"a": "MKVL...", "b": "MKIL...", "global": false}
 //	POST   /jobs              same payload as /search; returns 202 + job id

@@ -138,7 +138,7 @@ type Platform struct {
 	AlignBest bool
 
 	// Mode selects the search: "" or "full" runs the exhaustive scan;
-	// "filtered" runs, on each database-range task, an Aho-Corasick seed
+	// "filtered" runs, on each database-range task, a k-mer seed
 	// prefilter of the range and then a Smith-Waterman rescore restricted
 	// to its candidate windows. Filtered mode needs at least one CPU
 	// engine — the GPU engine is SW-only and sits out filtered searches.

@@ -23,12 +23,12 @@ type Params struct {
 	AlignBest bool   // traceback rows for each query's best hit
 
 	// Mode selects the task kind: "" or "full" runs the exhaustive scan;
-	// "filtered" makes every range task an Aho-Corasick seed prefilter of
-	// its range followed by a Smith-Waterman rescore of the candidate
-	// windows, and needs a CPU engine on every shard. Filter parameterizes
-	// the prefilter; the zero value uses the prefilter defaults. The filter
-	// automaton is query-derived and candidate windows never span
-	// sequences, so filtering commutes with sharding and with the range cut.
+	// "filtered" makes every range task a k-mer seed prefilter of its
+	// range followed by a Smith-Waterman rescore of the candidate windows,
+	// and needs a CPU engine on every shard. Filter parameterizes the
+	// prefilter; the zero value uses the prefilter defaults. The seed
+	// table is query-derived and candidate windows never span sequences,
+	// so filtering commutes with sharding and with the range cut.
 	Mode   string
 	Filter prefilter.Spec
 

@@ -127,3 +127,55 @@ func TestFilteredModeCacheIsolation(t *testing.T) {
 		}
 	}
 }
+
+// TestSearchFilteredLongK filters with seeds longer than the 8 residues
+// the seed table packs into its bitmap word, so every hit goes through
+// the exact k-mer lookup: filter_k 10 and 20 on a query cut from the
+// longest database member, and 20 on a 12-residue query, where k clamps
+// to the query length. The top hit and its score must be the full scan's,
+// and no filtered score may exceed the full scan's for the same sequence.
+func TestSearchFilteredLongK(t *testing.T) {
+	srv, ts := testServer(t)
+	src := srv.db[0]
+	for _, d := range srv.db {
+		if d.Len() > src.Len() {
+			src = d
+		}
+	}
+	long := src.Residues[10 : src.Len()-10]
+	short := src.Residues[30:42]
+	for _, tc := range []struct {
+		k     int
+		query []byte
+	}{{10, long}, {20, long}, {20, short}} {
+		fastaQ := fmt.Sprintf(">q\n%s\n", tc.query)
+		search := func(mode string) SearchResponse {
+			resp, body := post(t, ts.URL+"/search", SearchRequest{QueriesFasta: fastaQ, TopK: len(srv.db), Mode: mode, FilterK: tc.k})
+			if resp.StatusCode != 200 {
+				t.Fatalf("k=%d qlen=%d mode %q: status %d: %s", tc.k, len(tc.query), mode, resp.StatusCode, body)
+			}
+			var out SearchResponse
+			if err := json.Unmarshal(body, &out); err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+		full, filt := search("full"), search("filtered")
+		if filt.Filter == nil || filt.Filter.Selectivity <= 0 || filt.Filter.Selectivity >= 1 {
+			t.Fatalf("k=%d qlen=%d: filter report %+v", tc.k, len(tc.query), filt.Filter)
+		}
+		fb, gb := full.Results[0].Hits[0], filt.Results[0].Hits[0]
+		if fb.SeqID != src.ID || gb.SeqID != fb.SeqID || gb.Score != fb.Score {
+			t.Fatalf("k=%d qlen=%d: best hit full {%s %d}, filtered {%s %d}, planted in %s", tc.k, len(tc.query), fb.SeqID, fb.Score, gb.SeqID, gb.Score, src.ID)
+		}
+		fullScore := map[string]int{}
+		for _, h := range full.Results[0].Hits {
+			fullScore[h.SeqID] = h.Score
+		}
+		for _, h := range filt.Results[0].Hits {
+			if want, ok := fullScore[h.SeqID]; !ok || h.Score > want {
+				t.Errorf("k=%d qlen=%d: %s filtered score %d, full %d (in the full scan's hits: %v)", tc.k, len(tc.query), h.SeqID, h.Score, want, ok)
+			}
+		}
+	}
+}

@@ -279,12 +279,13 @@ type SearchRequest struct {
 	Policy       string `json:"policy,omitempty"`
 	Align        bool   `json:"align,omitempty"`
 	// Mode selects the pipeline: "" or "full" scans every database cell;
-	// "filtered" runs the Aho-Corasick seed prefilter and rescores only the
+	// "filtered" runs the k-mer seed prefilter and rescores only the
 	// candidate windows (exact scores inside windows, possible misses for
 	// hits sharing no seed k-mer with the query).
 	Mode string `json:"mode,omitempty"`
 	// FilterK and FilterMargin tune filtered mode: seed k-mer length and
-	// window margin in residues (0 = engine defaults).
+	// window margin in residues (0 = engine defaults). Any k >= 1 works; a
+	// k longer than the query clamps to the query length.
 	FilterK      int `json:"filter_k,omitempty"`
 	FilterMargin int `json:"filter_margin,omitempty"`
 	// Priority orders the job queue: higher runs first, FIFO within a

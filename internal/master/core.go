@@ -63,7 +63,7 @@ type Core struct {
 // jobs.
 type FilterStats struct {
 	Queries           int   // queries in the job
-	ResiduesScanned   int64 // database residues streamed through automata
+	ResiduesScanned   int64 // database residues scanned for seeds
 	CandidateResidues int64 // residues admitted for rescoring
 	Windows           int   // merged candidate windows across queries
 	RescoredCells     int64 // true DP cells the window rescores computed

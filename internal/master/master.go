@@ -63,7 +63,7 @@ type Config struct {
 	Events *metrics.EventLog
 
 	// Filtered makes every task a sched.TaskFiltered over its range: an
-	// Aho-Corasick seed prefilter, then a Smith-Waterman rescore of the
+	// k-mer seed prefilter, then a Smith-Waterman rescore of the
 	// candidate windows on the same slave. Slaves must declare the
 	// capability (CPU engines do; the GPU engine is SW-only). Filtered
 	// jobs do not restore from checkpoints.

@@ -3,13 +3,13 @@ package prefilter
 import "repro/internal/metrics"
 
 // Metrics is the prefilter instrumentation bundle. Like the farrar bundle,
-// the engine itself stays metrics-free (automata are built per query, per
-// task); callers observe a pass's Stats after it completes. NewMetrics(nil)
+// the engine itself stays metrics-free (a Filter is built per query);
+// callers observe a pass's Stats after it completes. NewMetrics(nil)
 // is the uninstrumented bundle engines and protocol cores start with.
 type Metrics struct {
-	// PatternsCompiled counts k-mer seed patterns compiled into automata.
+	// PatternsCompiled counts k-mer seed patterns compiled into seed tables.
 	PatternsCompiled *metrics.Counter
-	// ResiduesScanned counts database residues streamed through automata.
+	// ResiduesScanned counts database residues scanned for seeds.
 	ResiduesScanned *metrics.Counter
 	// WindowsEmitted counts merged candidate windows handed to rescore.
 	WindowsEmitted *metrics.Counter
@@ -28,8 +28,8 @@ var SelectivityBuckets = []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 0.7
 // NewMetrics registers (or re-attaches to) the prefilter families on r.
 func NewMetrics(r *metrics.Registry) *Metrics {
 	return &Metrics{
-		PatternsCompiled:  r.Counter("prefilter_patterns_compiled_total", "K-mer seed patterns compiled into Aho-Corasick automata."),
-		ResiduesScanned:   r.Counter("prefilter_residues_scanned_total", "Database residues streamed through prefilter automata."),
+		PatternsCompiled:  r.Counter("prefilter_patterns_compiled_total", "K-mer seed patterns compiled into prefilter seed tables."),
+		ResiduesScanned:   r.Counter("prefilter_residues_scanned_total", "Database residues scanned for prefilter seeds."),
 		WindowsEmitted:    r.Counter("prefilter_windows_emitted_total", "Merged candidate windows emitted to the rescore stage."),
 		Selectivity:       r.Histogram("prefilter_selectivity_ratio", "Fraction of database residues admitted for rescoring, per prefilter pass.", SelectivityBuckets),
 		RescoreCellsSaved: r.Counter("prefilter_rescore_cells_saved_total", "DP cells skipped by filtered searches relative to full scans."),

@@ -1,13 +1,14 @@
-// Package prefilter implements filtered search: an Aho-Corasick
-// multi-pattern engine that scans database residues for exact k-mer seeds
-// of the query and projects every seed hit onto a candidate window of the
+// Package prefilter implements filtered search: a lookup table of the
+// query's k-mer seeds (seeds.go) that scans database residues for exact
+// seed occurrences and projects every hit onto a candidate window of the
 // database sequence, then (rescore.go) the full Smith-Waterman kernel run
 // only on those windows. Windows never cross a sequence, so any range of
 // the database filters on its own.
 //
-// This is the engine class of the Aho-Corasick/Wu-Manber hybrid pipelines
-// in related work: the filter is exact and cheap (a couple of table lookups
-// per residue versus a DP row per residue), so on selective queries the
+// The table is BLAST's word lookup table, or Wu-Manber's HASH table with
+// block size k, from the Aho-Corasick/Wu-Manber pipelines in related work:
+// the filter is exact and cheap (a shift, a hash and a bitmap test per
+// residue versus a DP row per residue), so on selective queries the
 // pipeline touches a small fraction of the cells a full scan would. The
 // filter is a heuristic with respect to Smith-Waterman — an alignment whose
 // optimal path shares no sampled k-mer with the query can be missed — but
@@ -73,8 +74,8 @@ func (s Spec) Normalize() Spec {
 // the job-level selectivity report use.
 type Stats struct {
 	Patterns          int   // distinct k-mer patterns compiled
-	ResiduesScanned   int64 // database residues pushed through the automaton
-	SeedHits          int64 // raw automaton matches before projection and merging
+	ResiduesScanned   int64 // database residues scanned for seeds
+	SeedHits          int64 // seed occurrences found, before projection and merging
 	Windows           int   // merged candidate windows emitted
 	CandidateResidues int64 // residues covered by the emitted windows
 	TotalResidues     int64 // database residues (selectivity denominator)
@@ -119,33 +120,27 @@ func Run(query []byte, db []*seq.Sequence, spec Spec) (Result, error) {
 }
 
 // Filter is one query's compiled prefilter: its k-mer seeds and their
-// Aho-Corasick automaton. Compiling costs a few times more than scanning a
-// small database range, so one Filter serves every range of the query.
-// Scan only reads it, so a Filter is safe for concurrent use.
+// lookup table. Compiling costs about as much as scanning a small database
+// range, so one Filter serves every range of the query. Scan only reads
+// it, so a Filter is safe for concurrent use.
 type Filter struct {
-	qlen     int
-	margin   int
-	patterns int
-	a        *Automaton // nil when the query is empty
-	offs     [][]int32  // query offsets of each pattern
+	qlen   int
+	margin int
+	seeds  *seedTable // nil when the query is empty
+	offs   [][]int32  // query offsets of each pattern
 }
 
-// NewFilter compiles the query's Filter under spec.
+// NewFilter compiles the query's Filter under spec. Any k >= 1 works; a k
+// longer than the query is clamped to the query length.
 func NewFilter(query []byte, spec Spec) (*Filter, error) {
 	spec = spec.Normalize()
 	if spec.K > len(query) {
 		spec.K = len(query)
 	}
 	f := &Filter{qlen: len(query), margin: spec.Margin}
-	if spec.K == 0 {
-		return f, nil
+	if spec.K > 0 {
+		f.seeds, f.offs = compileSeeds(query, spec)
 	}
-	pats, offs := compileSeeds(query, spec)
-	a, err := Compile(pats)
-	if err != nil {
-		return nil, err
-	}
-	f.patterns, f.a, f.offs = len(pats), a, offs
 	return f, nil
 }
 
@@ -154,22 +149,25 @@ func NewFilter(query []byte, spec Spec) (*Filter, error) {
 // down by lo; candidate windows never cross a sequence, so the ranges of a
 // cut together emit exactly the whole database's windows.
 func (f *Filter) Scan(db []*seq.Sequence) Result {
-	res := Result{Stats: Stats{Patterns: f.patterns}}
+	var res Result
 	for _, d := range db {
 		res.Stats.TotalResidues += int64(d.Len())
 	}
-	if f.a == nil {
+	if f.seeds == nil {
 		return res
 	}
+	res.Stats.Patterns = f.seeds.patterns()
+	var hits []seedHit
 	var wins []Window
 	for si, d := range db {
 		data := d.Residues
 		res.Stats.ResiduesScanned += int64(len(data))
+		hits = f.seeds.scan(data, hits[:0])
+		res.Stats.SeedHits += int64(len(hits))
 		wins = wins[:0]
-		f.a.Scan(data, func(end, pat int) {
-			res.Stats.SeedHits++
-			matchStart := end - int(f.a.plen[pat])
-			for _, qoff := range f.offs[pat] {
+		for _, h := range hits {
+			matchStart := int(h.end) - f.seeds.k
+			for _, qoff := range f.offs[h.pat] {
 				// Diagonal projection: if the seed sits at query offset
 				// qoff, a gapless alignment of the whole query starts at
 				// matchStart-qoff; the margin absorbs gap-induced drift.
@@ -180,7 +178,7 @@ func (f *Filter) Scan(db []*seq.Sequence) Result {
 				}
 				wins = append(wins, Window{Seq: si, Start: start, End: stop})
 			}
-		})
+		}
 		merged := mergeWindows(wins)
 		for _, w := range merged {
 			res.Stats.CandidateResidues += int64(w.End - w.Start)
@@ -191,28 +189,27 @@ func (f *Filter) Scan(db []*seq.Sequence) Result {
 	return res
 }
 
-// compileSeeds extracts the query's k-mer seed patterns. The stride starts
-// at spec.Step and is raised until the seed count fits MaxPatterns;
-// duplicate k-mers collapse into one pattern carrying every query offset.
-func compileSeeds(query []byte, spec Spec) (pats [][]byte, offs [][]int32) {
+// compileSeeds builds the table of the query's k-mer seeds. The stride
+// starts at spec.Step and is raised until the seed count fits
+// MaxPatterns; duplicate k-mers collapse into one pattern carrying every
+// query offset.
+func compileSeeds(query []byte, spec Spec) (*seedTable, [][]int32) {
 	nseeds := func(step int) int { return (len(query)-spec.K)/step + 1 }
 	step := spec.Step
 	for nseeds(step) > spec.MaxPatterns {
 		step++
 	}
-	idx := make(map[string]int)
-	for off := 0; off+spec.K <= len(query); off += step {
-		kmer := query[off : off+spec.K]
-		i, ok := idx[string(kmer)]
-		if !ok {
-			i = len(pats)
-			idx[string(kmer)] = i
-			pats = append(pats, append([]byte(nil), kmer...))
+	t := newSeedTable(spec.K, nseeds(step))
+	var offs [][]int32
+	q := string(query)
+	for off := 0; off+spec.K <= len(q); off += step {
+		pat := t.add(q[off : off+spec.K])
+		if int(pat) == len(offs) {
 			offs = append(offs, nil)
 		}
-		offs[i] = append(offs[i], int32(off))
+		offs[pat] = append(offs[pat], int32(off))
 	}
-	return pats, offs
+	return t, offs
 }
 
 // mergeWindows sorts same-sequence windows by start and merges overlapping

@@ -152,19 +152,20 @@ func TestSeedStrideHonorsMaxPatterns(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	query := randomResidues(rng, 5000)
 	spec := Spec{MaxPatterns: 64}.Normalize()
-	pats, offs := compileSeeds(query, spec)
-	if len(pats) > 64 {
-		t.Fatalf("%d patterns exceed cap 64", len(pats))
+	seeds, offs := compileSeeds(query, spec)
+	if seeds.patterns() > 64 {
+		t.Fatalf("%d patterns exceed cap 64", seeds.patterns())
 	}
-	if len(pats) == 0 {
-		t.Fatal("no seeds compiled")
+	if seeds.patterns() == 0 || len(offs) != seeds.patterns() {
+		t.Fatalf("%d patterns compiled with %d offset lists", seeds.patterns(), len(offs))
 	}
 	total := 0
 	for i, po := range offs {
 		total += len(po)
 		for _, off := range po {
-			if string(query[off:int(off)+spec.K]) != string(pats[i]) {
-				t.Fatalf("offset %d does not hold pattern %q", off, pats[i])
+			kmer := string(query[off : int(off)+spec.K])
+			if seeds.index[kmer] != int32(i) {
+				t.Fatalf("offset %d holds %q, which is pattern %d, not %d", off, kmer, seeds.index[kmer], i)
 			}
 		}
 	}

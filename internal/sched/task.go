@@ -27,7 +27,7 @@ type SlaveID int
 // TaskKind classifies the work a task carries. The paper's environment has
 // exactly one shape of work — a Smith-Waterman scan of the query against
 // the database — and filtered search adds one more over the same ranges: an
-// Aho-Corasick seed prefilter followed by a Smith-Waterman rescore of the
+// k-mer seed prefilter followed by a Smith-Waterman rescore of the
 // candidate windows it admitted. The scheduler routes kinds by slave
 // capability (SlaveInfo.Caps) and otherwise treats them uniformly through
 // the shared cell currency.
@@ -59,9 +59,9 @@ func (k TaskKind) String() string {
 }
 
 // PrefilterEquivCells is the cost model of filtered tasks: scanning one
-// database residue through the Aho-Corasick automaton costs roughly this
-// many Smith-Waterman cell updates (a couple of table lookups versus the
-// DP cell's adds and maxes). Task.Cells is always denominated in SW-cell
+// database residue for seeds costs roughly this many Smith-Waterman cell
+// updates (a shift, a hash and a bitmap test versus the DP cell's adds and
+// maxes). Task.Cells is always denominated in SW-cell
 // equivalents, so one speed estimator, one backlog model and one GCUPS
 // currency serve every kind: a filtered task over R database residues is
 // created with Cells = R * PrefilterEquivCells, while TaskSW tasks carry

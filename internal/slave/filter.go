@@ -27,8 +27,8 @@ type Filterer interface {
 
 // FilterCache is the compiled prefilter and window rescorer of the last
 // query a slave session filtered. Range tasks are query-major, so a session
-// meets a query's ranges in a row, and compiling costs several times more
-// than scanning one range. The Rescorer has scratch state and belongs to
+// meets a query's ranges in a row, and compiling costs about as much as
+// scanning one range. The Rescorer has scratch state and belongs to
 // the session; the Filter is read-only and comes from a process-wide table
 // (sharedFilters), so the engines scanning one query's ranges at once
 // compile it once between them. The zero value is empty; a cache is not
@@ -99,7 +99,7 @@ func (t *filterTable) release(key filterKey) {
 // FilterCounts is one filtered range's accounting, shipped in its
 // CompleteMsg.
 type FilterCounts struct {
-	Scanned    int64 // database residues streamed through the automaton
+	Scanned    int64 // database residues scanned for seeds
 	Candidates int64 // residues admitted for rescoring
 	Windows    int   // merged candidate windows
 	Rescored   int64 // DP cells the window rescore computed

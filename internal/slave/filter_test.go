@@ -21,9 +21,9 @@ func plantedQuery(db []*seq.Sequence, i int) *seq.Sequence {
 }
 
 // TestFilterRangeSharesCompiledFilter: the range tasks of one query in
-// one session share one compiled automaton and one Rescorer, and a second
+// one session share one compiled Filter and one Rescorer, and a second
 // session (another engine) filtering the query at the same time shares the
-// automaton too; a new query or spec compiles afresh, the patterns metric
+// Filter too; a new query or spec compiles afresh, the patterns metric
 // counts compilations only, and nothing stays held once the sessions end.
 func TestFilterRangeSharesCompiledFilter(t *testing.T) {
 	db := tinyDB(t)
@@ -63,7 +63,7 @@ func TestFilterRangeSharesCompiledFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	if other.filter != first.filter || other.rescorer == first.rescorer {
-		t.Fatal("a concurrent session must share the automaton and own its rescorer")
+		t.Fatal("a concurrent session must share the Filter and own its rescorer")
 	}
 	whole, err := prefilter.Run(q.Residues, db, prefilter.Spec{})
 	if err != nil {
