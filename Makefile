@@ -99,7 +99,11 @@ fuzz = $(call listed,$(1),$(2)); go test -run='^$$' -fuzz='$(1)' -fuzztime=10s $
 # consume untrusted or crash-corrupted bytes (the wire codec and the jobs
 # WAL replayer) plus the two differential fuzzers: the Farrar kernel one,
 # which drives random sequences and gap schemes through the full
-# AVX2/SSE2/SWAR/emulated/scalar ladder and fails on any score divergence, and the
+# AVX2/SSE2/SWAR/emulated/scalar ladder and fails on any score divergence, the
+# lane one, which packs random batches (refill boundaries, the length
+# threshold, foreign bytes, lanes at the 8-bit ceiling) onto the
+# inter-sequence lanes and requires the AVX2 kernel's harvest from the
+# emulated oracle and every score from the scalar reference, and the
 # seed-table one, which pits the prefilter's k-mer lookup table (k = 1..16,
 # any byte values) against a naive multi-pattern scan, and the fair-queue
 # one, which replays randomized push/pop/finish/remove interleavings
@@ -108,7 +112,10 @@ fuzz = $(call listed,$(1),$(2)); go test -run='^$$' -fuzz='$(1)' -fuzztime=10s $
 # and the prefilter range-cut one, which checks that the ranges of any cut
 # emit exactly the whole database's candidate windows and counts, and the
 # result-home one, which replays random submit/collect/cancel/restart
-# sequences against a model of which retained record owes which body.
+# sequences against a model of which retained record owes which body, and
+# the whole-request one, which runs full-mode fleet searches (random
+# database, queries, scheme, shards, replicas and top-k) through the
+# dispatched kernels against a brute-force sw.Score ranking.
 # Each target fuzzes for a fixed budget and fails if its fuzzer is gone;
 # regressions land in testdata/fuzz and replay as ordinary tests forever
 # after.
@@ -118,14 +125,17 @@ fuzz-smoke:
 	$(call fuzz,FuzzFairQueue,./internal/jobs)
 	$(call fuzz,FuzzResultHome,./internal/jobs)
 	$(call fuzz,FuzzFarrarVsScalar,./internal/farrar)
+	$(call fuzz,FuzzLanesVsScalar,./internal/farrar)
 	$(call fuzz,FuzzSeedTableVsNaive,./internal/prefilter)
 	$(call fuzz,FuzzPrefilterRangeCut,./internal/prefilter)
 	$(call fuzz,FuzzRangeCut,./internal/cluster)
+	$(call fuzz,FuzzSearchVsBruteForce,./internal/cluster)
 
 # Fast kernel health check: the Score8/Score16 microbenchmarks (AVX2 and
 # SSE2 on amd64, SWAR and emulated, so a vanished speedup is visible at a
 # glance), one pass of the SSE2/AVX2 query-length sweep behind
-# avx2MinQuery (Score8ByLen, skipped by the first line), ScoreDB (the
+# avx2MinQuery (Score8ByLen, skipped by the first line), one pass of the
+# lanes-against-striped sweep behind laneMaxQuery (LanesByLen), ScoreDB (the
 # kernel on the serving benchmark's planted queries and database, MCUPS and
 # allocs per database sequence), the prefilter seed-table microbenchmark
 # (residues/s over a 1-MiB stream at k = 4 and 5, and the cost of compiling
@@ -137,6 +147,8 @@ bench-smoke:
 	go test -bench='BenchmarkScore(8|16|DB)' -skip='ByLen' -benchmem -run='^$$' ./internal/farrar
 	$(call listed,BenchmarkScore8ByLen,./internal/farrar)
 	go test -bench='BenchmarkScore8ByLen' -benchtime=1x -run='^$$' ./internal/farrar
+	$(call listed,BenchmarkLanesByLen,./internal/farrar)
+	go test -bench='BenchmarkLanesByLen' -benchtime=1x -run='^$$' ./internal/farrar
 	$(call listed,BenchmarkSeedScan,./internal/prefilter)
 	go test -bench='BenchmarkSeedScan' -benchmem -run='^$$' ./internal/prefilter
 	$(call listed,BenchmarkSwcheckRepo,./internal/analysis)

@@ -194,10 +194,11 @@ func BenchmarkKernelFarrarSWAR8(b *testing.B) {
 	reportMCUPS(b, int64(len(q))*int64(len(d)), time.Since(start))
 }
 
-// BenchmarkKernelFarrarScore measures the ladder every engine calls,
-// Kernel.Score, whose 8-bit tier is AVX2 or SSE2 assembly on amd64 (this
-// 128 aa query takes AVX2 where the host has it) and the SWAR kernel
-// elsewhere.
+// BenchmarkKernelFarrarScore measures the striped ladder, Kernel.Score,
+// whose 8-bit tier is AVX2 or SSE2 assembly on amd64 (this 128 aa query
+// takes AVX2 where the host has it) and the SWAR kernel elsewhere. An
+// engine's scan reaches it through Kernel.ScoreBatch for the targets the
+// inter-sequence lanes leave.
 func BenchmarkKernelFarrarScore(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	q := randProtein(rng, 128)

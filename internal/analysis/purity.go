@@ -31,14 +31,14 @@ import (
 // The analyzer also guards a second, unrelated purity contract: the
 // native kernels' hot path. internal/simd/swar must stay loop-free bit
 // tricks (no for or range statements) and must never import the emulated
-// internal/simd ISA; the swar*, sse*, avx* and cpuid* kernel files of
-// internal/farrar likewise must not import internal/simd — the whole point
+// internal/simd ISA; the swar*, sse*, avx*, cpuid* and lanes* kernel files
+// of internal/farrar likewise must not import internal/simd — the whole point
 // of the native tiers is that the emulated ISA is their oracle, not their
 // substrate, so a stray import there would silently reintroduce the
 // per-lane-loop tax the tiers exist to remove.
 var PurityAnalyzer = &Analyzer{
 	Name: "purity",
-	Doc:  "forbid goroutines, wall-clock time, I/O imports and global randomness in the pure scheduler/simulator packages; keep the SWAR, SSE2 and AVX2 hot paths off the emulated ISA",
+	Doc:  "forbid goroutines, wall-clock time, I/O imports and global randomness in the pure scheduler/simulator packages; keep the SWAR, SSE2, AVX2 and lane hot paths off the emulated ISA",
 	Run:  runPurity,
 }
 
@@ -104,7 +104,8 @@ func runSwarPurity(pass *Pass) {
 		for _, f := range pass.Pkg.Files {
 			name := filepath.Base(pass.Pkg.Fset.Position(f.Pos()).Filename)
 			if !strings.HasPrefix(name, "swar") && !strings.HasPrefix(name, "sse") &&
-				!strings.HasPrefix(name, "avx") && !strings.HasPrefix(name, "cpuid") {
+				!strings.HasPrefix(name, "avx") && !strings.HasPrefix(name, "cpuid") &&
+				!strings.HasPrefix(name, "lanes") {
 				continue
 			}
 			for _, imp := range f.Imports {

@@ -223,11 +223,20 @@ func newEngines(shard int, cfg Config, db []*seq.Sequence, kernMet *farrar.Metri
 		}
 		engines = append(engines, eng)
 	}
+	// The CPU replicas share the first one's range batches: one lane
+	// layout per range of the shard, however many engines scan it.
+	var first *slave.FarrarEngine
 	for i := 0; i < cfg.Replicas; i++ {
-		eng, err := slave.NewFarrarEngine(fmt.Sprintf("shard%d/replica%d", shard, i), cfg.Scheme, db, 0)
+		name := fmt.Sprintf("shard%d/replica%d", shard, i)
+		if first != nil {
+			engines = append(engines, first.Replica(name))
+			continue
+		}
+		eng, err := slave.NewFarrarEngine(name, cfg.Scheme, db, 0)
 		if err != nil {
 			return nil, err
 		}
+		first = eng
 		engines = append(engines, eng)
 	}
 	for _, eng := range engines {

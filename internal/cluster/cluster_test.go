@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -559,4 +560,67 @@ func TestSearchSameWithAndWithoutRegistry(t *testing.T) {
 			t.Errorf("%s: instrumented fleet counted %v searches, want 1", mode, got)
 		}
 	}
+}
+
+// FuzzSearchVsBruteForce fuzzes whole full-mode searches against the
+// brute-force oracle: a random database whose lengths straddle the
+// kernel's 1500-residue lane threshold, one to three queries (one of them
+// cut from a database sequence, so some scores reach the 8-bit ceiling
+// and escalate), BLOSUM62 or a DNA match/mismatch scheme, the local
+// backend's one shard or two, one or two CPU replicas, and top-k cuts
+// including k <= 0. Every search runs the tiers the host dispatches to, so
+// on an AVX2 host it crosses the inter-sequence lanes. Filtered mode is
+// not exact and is left out. Wired into make fuzz-smoke.
+func FuzzSearchVsBruteForce(f *testing.F) {
+	f.Add(int64(1), []byte{10, 200, 40, 250, 3, 90}, []byte{25, 60}, uint8(0))
+	f.Add(int64(2), []byte{255, 254, 1, 1, 1, 120}, []byte{5}, uint8(0x5B))
+	f.Add(int64(3), []byte{0, 7, 77, 177, 247}, []byte{90, 1, 30}, uint8(0xA6))
+	f.Fuzz(func(t *testing.T, seed int64, lens, qlens []byte, shape uint8) {
+		if len(lens) == 0 || len(qlens) == 0 {
+			return
+		}
+		rng := rand.New(rand.NewSource(seed))
+		s, letters := score.DefaultProtein(), "ACDEFGHIKLMNPQRSTVWY"
+		if shape&1 != 0 {
+			s, letters = score.Scheme{Matrix: score.NewMatchMismatch(seq.DNA, 2, -3), Gap: score.AffineGap(5, 2)}, "ACGT"
+		}
+		residues := func(n int) []byte {
+			out := make([]byte, n)
+			for i := range out {
+				out[i] = letters[rng.Intn(len(letters))]
+			}
+			return out
+		}
+		// Bytes from 240 up land within 8 residues of the lane threshold
+		// (1500 aa); the rest run 1 to 240.
+		db := make([]*seq.Sequence, min(len(lens), 40))
+		for i := range db {
+			n := 1 + int(lens[i])
+			if lens[i] >= 240 {
+				n = 1500 - 8 + int(lens[i]-240)
+			}
+			db[i] = seq.New(fmt.Sprintf("s%02d", i), "", residues(n))
+		}
+		queries := make([]*seq.Sequence, min(len(qlens), 3))
+		for i := range queries {
+			queries[i] = seq.New(fmt.Sprintf("q%d", i), "", residues(1+int(qlens[i])))
+		}
+		if src := db[rng.Intn(len(db))].Residues; len(src) > 20 {
+			queries[0] = seq.New("q0", "", src[len(src)/4:len(src)/4+min(len(src)/2, 150)])
+		}
+		shards := 1 + int(shape>>1&1)
+		if shards > len(db) {
+			shards = 1
+		}
+		topK := []int{-1, 0, 1, 3, 7, 100}[int(shape>>3)%6]
+		fleet, err := cluster.New(cluster.Config{DB: db, Shards: shards, Replicas: 1 + int(shape>>2&1), Scheme: s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := fleet.Search(queries, cluster.Params{Adjust: true, TopK: topK})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkFullRanking(t, rep.PerQuery, bruteForce(queries, db, s), topK)
+	})
 }

@@ -1,6 +1,7 @@
 package farrar_test
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -140,5 +141,68 @@ func BenchmarkScoreDB(b *testing.B) {
 	}
 	if elapsed := time.Since(start); elapsed > 0 {
 		b.ReportMetric(float64(cells)/elapsed.Seconds()/1e6, "MCUPS")
+	}
+}
+
+// dbRanges cuts db into n contiguous residue-balanced batches, the shape
+// of the fleet's range tasks (8 per engine, so 16 on the serving
+// benchmark's two engines), and returns each batch's sequence count.
+func dbRanges(db []*hybridsw.Sequence, n int) ([]*farrar.Batch, []int) {
+	var total int64
+	for _, d := range db {
+		total += int64(d.Len())
+	}
+	var out []*farrar.Batch
+	var sizes []int
+	var targets [][]byte
+	var cum int64
+	for i, d := range db {
+		targets = append(targets, d.Residues)
+		cum += int64(d.Len())
+		if cum >= total*int64(len(out)+1)/int64(n) || i == len(db)-1 {
+			out = append(out, farrar.NewBatch(targets, hybridsw.DefaultScheme().Matrix.Alphabet()))
+			sizes = append(sizes, len(targets))
+			targets = nil
+		}
+	}
+	return out, sizes
+}
+
+// BenchmarkScoreBatchDB times ScoreBatch, the engine's scan, over the
+// benchmark database cut into 16 ranges, for planted queries of serving
+// lengths: one op scores one query against every range. MCUPS counts real
+// cells; lanes_share is the share of them on the lane path and occupancy
+// the share of lane slots the ranges' layouts fill.
+func BenchmarkScoreBatchDB(b *testing.B) {
+	db := swissProt(b)
+	batches, sizes := dbRanges(db, 16)
+	var occ float64
+	for _, bt := range batches {
+		occ += farrar.LaneOccupancy(bt) / float64(len(batches))
+	}
+	rng := rand.New(rand.NewSource(27))
+	for _, m := range []int{10, 25, 40, 100, 200, 400} {
+		q := planted(rng, db, m)
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			var cells farrar.PathCells
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				for j, bt := range batches {
+					k, err := farrar.NewKernel(q, hybridsw.DefaultScheme())
+					if err != nil {
+						b.Fatal(err)
+					}
+					k.ScoreBatch(bt, make([]int, sizes[j]), 1<<22, func(int64) bool { return true })
+					c := k.PathCells()
+					cells.Lanes += c.Lanes
+					cells.Striped += c.Striped
+				}
+			}
+			if elapsed := time.Since(start); elapsed > 0 {
+				b.ReportMetric(float64(cells.Total())/elapsed.Seconds()/1e6, "MCUPS")
+				b.ReportMetric(float64(cells.Lanes)/float64(cells.Total()), "lanes_share")
+				b.ReportMetric(occ, "occupancy")
+			}
+		})
 	}
 }

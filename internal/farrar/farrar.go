@@ -16,6 +16,11 @@
 //     byte lanes, the baseline, or 32 AVX2 ones, transcribing ScoreU8
 //     instruction for instruction. A CPUID probe read once and the query
 //     length pick the width; ISA names the host's widest path.
+//   - on an AVX2 host ScoreBatch, the database scan, scores most targets
+//     on the inter-sequence lane kernel instead (lanes.go): one target per
+//     byte lane, with the striped kernel's biased arithmetic and ceiling8
+//     but no lazy-F pass. Its oracle, scoreLanesEmulated, transcribes it on
+//     the emulated ISA.
 //   - the SWAR kernel (ScoreSWAR8, ScoreSWAR16) packs 8 byte lanes — or 4
 //     word lanes in the fallback tier — into a uint64 and computes all
 //     lanes at once with the loop-free bit tricks of internal/simd/swar.
@@ -124,6 +129,7 @@ type Kernel struct {
 	buf []uint64
 
 	stats Stats
+	cells PathCells
 }
 
 // NewKernel validates the inputs and prepares the kernel.
@@ -150,12 +156,8 @@ func NewKernel(query []byte, s score.Scheme) (*Kernel, error) {
 	gapOE := s.Gap.Open + s.Gap.Extend
 	k.tier8 = k.bias <= 127 && k.bias+s.Matrix.Max() <= 127 && gapOE <= 127
 	k.tier16 = k.bias <= 32767 && k.bias+s.Matrix.Max() <= 32767 && gapOE <= 32767
-	// Build the native 8-bit profile eagerly so the construction cost
-	// lands on NewKernel, not the first Score; the other tiers' profiles
-	// are built on first use.
-	if k.tier8 {
-		k.buildNative8()
-	}
+	// Every tier's profile is built on first use: a database scan
+	// whose targets all take the lane path never needs the striped one.
 	return k, nil
 }
 
@@ -265,6 +267,12 @@ func (k *Kernel) Score(target []byte) int {
 		k.stats.Scored8++
 		return sc
 	}
+	return k.escalate(target)
+}
+
+// escalate scores a target the 8-bit tier could not certify: the rest of
+// the ladder, 16-bit then scalar.
+func (k *Kernel) escalate(target []byte) int {
 	if sc, ok := k.ScoreSWAR16(target); ok {
 		k.stats.Fallback16++
 		return sc
@@ -439,4 +447,59 @@ func (k *Kernel) ScoreI16(target []byte) (sc int, ok bool) {
 		return 0, false
 	}
 	return best, true
+}
+
+// scoreLanesEmulated is the lane kernel (lanesAVX2) on the emulated ISA, its
+// oracle: the same instructions on the two 128-bit halves of a YMM
+// register, in the same order, so its harvest slots and maxima must equal
+// the assembly's byte for byte. It has lanesAVX2's laneKernel signature and
+// runs on every host.
+func scoreLanesEmulated(prof, cols, he, harvest []byte, vmax *[laneCount]byte, bias, gapOE, gapE int) (slots int) {
+	type ymm [2]simd.U8x16
+	load := func(b []byte) (v ymm) {
+		copy(v[0][:], b[:16])
+		copy(v[1][:], b[16:32])
+		return v
+	}
+	store := func(b []byte, v ymm) {
+		copy(b[:16], v[0][:])
+		copy(b[16:32], v[1][:])
+	}
+	op := func(f func(a, b simd.U8x16) simd.U8x16, a, b ymm) ymm { return ymm{f(a[0], b[0]), f(a[1], b[1])} }
+	splat := func(x int) ymm { return ymm{simd.SplatU8(uint8(x)), simd.SplatU8(uint8(x))} }
+	vBias, vGapOE, vGapE, vFlag := splat(bias), splat(gapOE), splat(gapE), splat(laneStart)
+	vMax := load(vmax[:])
+	m := len(prof) / laneCount
+	for c := 0; c < len(cols); c += laneCount {
+		idx := load(cols[c:])
+		sel := ymm{simd.ShiftWordsLeftU8(idx[0], 3), simd.ShiftWordsLeftU8(idx[1], 3)}
+		keep := op(simd.GtI8, vFlag, idx)
+		if simd.MoveMaskU8(keep[0])|simd.MoveMaskU8(keep[1])<<16 != 0xFFFFFFFF {
+			store(harvest[slots*laneCount:], vMax)
+			slots++
+			vMax = op(simd.AndU8, vMax, keep)
+		}
+		var vDiag, vF ymm
+		for i := 0; i < m; i++ {
+			// Each 16-byte half of the query residue's row is broadcast to
+			// both register halves and shuffled by the lanes' residues.
+			row := load(prof[i*laneCount:])
+			lo := ymm{simd.ShuffleU8(row[0], idx[0]), simd.ShuffleU8(row[0], idx[1])}
+			hi := ymm{simd.ShuffleU8(row[1], idx[0]), simd.ShuffleU8(row[1], idx[1])}
+			score := ymm{simd.BlendU8(lo[0], hi[0], sel[0]), simd.BlendU8(lo[1], hi[1], sel[1])}
+			cell := he[2*i*laneCount:]
+			vH := op(simd.SubSatU8, op(simd.AddSatU8, vDiag, score), vBias)
+			vE := op(simd.AndU8, load(cell[laneCount:]), keep)
+			vH = op(simd.MaxU8, vH, vE)
+			vH = op(simd.MaxU8, vH, vF)
+			vMax = op(simd.MaxU8, vMax, vH)
+			vDiag = op(simd.AndU8, load(cell), keep)
+			store(cell, vH)
+			vHGap := op(simd.SubSatU8, vH, vGapOE)
+			store(cell[laneCount:], op(simd.MaxU8, op(simd.SubSatU8, vE, vGapE), vHGap))
+			vF = op(simd.MaxU8, op(simd.SubSatU8, vF, vGapE), vHGap)
+		}
+	}
+	store(vmax[:], vMax)
+	return slots
 }

@@ -2,6 +2,12 @@ package farrar
 
 import "repro/internal/metrics"
 
+// Path label values of the farrar_cells_total counter.
+const (
+	PathLanes   = "lanes"
+	PathStriped = "striped"
+)
+
 // Tier label values of the farrar_fallback_total counter, one per rung of
 // the 8 -> 16 -> scalar overflow ladder.
 const (
@@ -18,6 +24,9 @@ type Metrics struct {
 	// Fallback counts sequences by the ladder tier that resolved them,
 	// labelled tier="8bit" | "16bit" | "scalar".
 	Fallback *metrics.CounterVec
+	// Cells counts the DP cells of Kernel.ScoreBatch calls by kernel path,
+	// labelled path="lanes" | "striped".
+	Cells *metrics.CounterVec
 }
 
 // NewMetrics registers (or re-attaches to) the kernel families on r; the
@@ -27,6 +36,8 @@ func NewMetrics(r *metrics.Registry) *Metrics {
 	return &Metrics{
 		Fallback: r.CounterVec("farrar_fallback_total",
 			"Sequences resolved per kernel tier of the 8/16/scalar overflow ladder.", "tier"),
+		Cells: r.CounterVec("farrar_cells_total",
+			"DP cells scored per kernel path: inter-sequence lanes or striped.", "path"),
 	}
 }
 
@@ -41,5 +52,16 @@ func (m *Metrics) Observe(s Stats) {
 	}
 	if s.FallbackSW > 0 {
 		m.Fallback.With(TierScalar).Add(float64(s.FallbackSW))
+	}
+}
+
+// ObserveCells publishes one batch search's cells per path; a path with
+// no cells is not touched.
+func (m *Metrics) ObserveCells(c PathCells) {
+	if c.Lanes > 0 {
+		m.Cells.With(PathLanes).Add(float64(c.Lanes))
+	}
+	if c.Striped > 0 {
+		m.Cells.With(PathStriped).Add(float64(c.Striped))
 	}
 }

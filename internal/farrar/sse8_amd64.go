@@ -85,6 +85,9 @@ func (k *Kernel) scoreNative8(target []byte) (sc int, ok bool) {
 		return 0, false
 	}
 	n := &k.native
+	if n.prof == nil {
+		k.buildNative8()
+	}
 	// lanes/8 words per segment; scratch carves the three columns from one
 	// contiguous buffer, which is the layout both kernels expect.
 	cols, _, _ := k.scratch(n.lanes / 8 * n.segLen)

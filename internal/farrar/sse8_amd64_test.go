@@ -43,7 +43,7 @@ func nativeTier(b *testing.B, lanes int) func(*Kernel, []byte) (int, bool) {
 
 // TestNewKernelPicksPath pins the native path for (ISA, query length):
 // AVX2 from avx2MinQuery residues up on a host that has it, SSE2
-// otherwise, and NewKernel on this host follows the same table.
+// otherwise, and a kernel on this host follows the same table.
 func TestNewKernelPicksPath(t *testing.T) {
 	for _, tc := range []struct {
 		avx2     bool
@@ -68,8 +68,9 @@ func TestNewKernelPicksPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		k.Score(randProtein(rng, 50))
 		if want := native8Lanes(hasAVX2, m); k.native.lanes != want {
-			t.Errorf("m=%d: NewKernel packed %d lanes, want %d (AVX2 %v)", m, k.native.lanes, want, hasAVX2)
+			t.Errorf("m=%d: the first Score packed %d lanes, want %d (AVX2 %v)", m, k.native.lanes, want, hasAVX2)
 		}
 	}
 	if want := map[bool]string{true: "avx2", false: "sse2"}[hasAVX2]; ISA() != want {

@@ -7,11 +7,12 @@ package farrar
 // native8 is empty: the SWAR tier keeps its profile in the Kernel.
 type native8 struct{}
 
-// buildNative8 packs the SWAR tier's profile.
-func (k *Kernel) buildNative8() { k.buildSwarProfile8() }
-
 // scoreNative8 is the 8-bit tier Kernel.Score tries first.
 func (k *Kernel) scoreNative8(target []byte) (int, bool) { return k.ScoreSWAR8(target) }
 
 // ISA names the native 8-bit kernel this host runs: "swar" off amd64.
 func ISA() string { return "swar" }
+
+// nativeLanes is nil: the lane kernel is AVX2 assembly, so every target
+// takes the striped path.
+var nativeLanes laneKernel

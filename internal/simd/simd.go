@@ -204,3 +204,67 @@ func HMaxI16(a I16x8) int16 {
 	}
 	return m
 }
+
+// The byte shuffle, blend, mask and word-shift operations below are the
+// inter-sequence lane kernel's score gather and lane reset
+// (farrar.scoreLanesEmulated): one database sequence per byte lane, so
+// the score of each lane's residue is looked up in the query residue's
+// matrix row rather than loaded from a striped profile.
+
+// ShuffleU8 picks a byte of a for every lane of idx (_mm_shuffle_epi8):
+// lane i gets a[idx[i]&15], or 0 when idx[i] has its top bit set. Bits
+// 4-6 of an index are ignored.
+func ShuffleU8(a, idx U8x16) U8x16 {
+	var out U8x16
+	for i, x := range idx {
+		if x&0x80 == 0 {
+			out[i] = a[x&15]
+		}
+	}
+	return out
+}
+
+// BlendU8 takes lane i from b where mask[i] has its top bit set and from
+// a elsewhere (_mm_blendv_epi8).
+func BlendU8(a, b, mask U8x16) U8x16 {
+	out := a
+	for i, m := range mask {
+		if m&0x80 != 0 {
+			out[i] = b[i]
+		}
+	}
+	return out
+}
+
+// AndU8 is the bitwise and of two registers (_mm_and_si128).
+func AndU8(a, b U8x16) U8x16 {
+	var out U8x16
+	for i := range out {
+		out[i] = a[i] & b[i]
+	}
+	return out
+}
+
+// GtI8 returns a lane mask with 0xFF where a > b as signed bytes
+// (_mm_cmpgt_epi8).
+func GtI8(a, b U8x16) U8x16 {
+	var out U8x16
+	for i := range out {
+		if int8(a[i]) > int8(b[i]) {
+			out[i] = 0xFF
+		}
+	}
+	return out
+}
+
+// ShiftWordsLeftU8 shifts each little-endian 16-bit word of the register
+// left by n bits (_mm_slli_epi16): bits cross from a word's low byte into
+// its high byte, never between words.
+func ShiftWordsLeftU8(a U8x16, n int) U8x16 {
+	var out U8x16
+	for i := 0; i < 16; i += 2 {
+		w := (uint16(a[i]) | uint16(a[i+1])<<8) << n
+		out[i], out[i+1] = uint8(w), uint8(w>>8)
+	}
+	return out
+}

@@ -233,3 +233,54 @@ func TestHMaxI16(t *testing.T) {
 		t.Errorf("HMaxI16 = %d, want -2", got)
 	}
 }
+
+func TestShuffleU8(t *testing.T) {
+	var a, idx U8x16
+	for i := range a {
+		a[i] = uint8(100 + i)
+		idx[i] = uint8(15 - i)
+	}
+	idx[0] = 0x83     // top bit: zero
+	idx[1] = 0x40 | 2 // bits 4-6 ignored
+	idx[2] = 0x10 | 5
+	got := ShuffleU8(a, idx)
+	if got[0] != 0 || got[1] != 102 || got[2] != 105 || got[3] != 112 || got[15] != 100 {
+		t.Errorf("ShuffleU8 = %v", got)
+	}
+}
+
+func TestBlendAndGtI8(t *testing.T) {
+	a, b := SplatU8(1), SplatU8(2)
+	var mask U8x16
+	mask[3], mask[7] = 0x80, 0x7F
+	got := BlendU8(a, b, mask)
+	for i, v := range got {
+		want := uint8(1)
+		if i == 3 {
+			want = 2
+		}
+		if v != want {
+			t.Fatalf("BlendU8 lane %d = %d, want %d", i, v, want)
+		}
+	}
+	if got := AndU8(SplatU8(0x6C), SplatU8(0x3A)); got != SplatU8(0x28) {
+		t.Errorf("AndU8 = %v", got)
+	}
+	x := SplatU8(0x40)
+	var y U8x16
+	y[0], y[1], y[2] = 0x40, 0x55, 0x90 // equal, greater, negative
+	gt := GtI8(x, y)
+	if gt[0] != 0 || gt[1] != 0 || gt[2] != 0xFF || gt[3] != 0xFF {
+		t.Errorf("GtI8 = %v", gt)
+	}
+}
+
+func TestShiftWordsLeftU8(t *testing.T) {
+	var a U8x16
+	a[0], a[1] = 0xF1, 0x12 // word 0x12F1 << 3 = 0x9788
+	a[14], a[15] = 0x10, 0x00
+	got := ShiftWordsLeftU8(a, 3)
+	if got[0] != 0x88 || got[1] != 0x97 || got[14] != 0x80 || got[15] != 0 {
+		t.Errorf("ShiftWordsLeftU8 = %v", got)
+	}
+}

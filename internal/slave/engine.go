@@ -6,11 +6,15 @@
 // engine's resident database (RangeSearcher) — the whole of it when the
 // master cuts no ranges, the paper's grain. FarrarEngine.SearchRange is the
 // tree's one CPU scan loop; several cores serve one query by running one
-// engine each on different ranges, not by threading an engine.
+// engine each on different ranges, not by threading an engine. On an AVX2
+// host the scan scores most of a range on farrar's inter-sequence lanes,
+// one database sequence per byte lane, and the rest (long targets, long
+// queries) one striped-kernel score per sequence.
 package slave
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/cudasw"
 	"repro/internal/farrar"
@@ -45,7 +49,8 @@ type Engine interface {
 
 // FarrarEngine is the SSE-core engine: one CPU core running the adapted
 // Farrar striped Smith-Waterman (AVX2 or SSE2 assembly on amd64, SWAR
-// elsewhere).
+// elsewhere) and, on an AVX2 host, the inter-sequence lane kernel that
+// scores short targets one per byte lane.
 type FarrarEngine struct {
 	name     string
 	scheme   score.Scheme
@@ -54,10 +59,11 @@ type FarrarEngine struct {
 	declared float64
 	kmet     *farrar.Metrics
 	pmet     *prefilter.Metrics
+	batches  *rangeBatches
 }
 
-// SetKernelMetrics attaches the farrar fallback-telemetry bundle; each
-// Search observes its kernel's aggregated tier stats on completion.
+// SetKernelMetrics attaches the farrar kernel-telemetry bundle; each
+// Search observes its kernel's tier stats and path cells on completion.
 func (e *FarrarEngine) SetKernelMetrics(m *farrar.Metrics) { e.kmet = m }
 
 // NewFarrarEngine builds an SSE-core engine over a resident database.
@@ -71,11 +77,22 @@ func NewFarrarEngine(name string, s score.Scheme, db []*seq.Sequence, declaredSp
 	e := &FarrarEngine{
 		name: name, scheme: s, db: db, declared: declaredSpeed,
 		kmet: farrar.NewMetrics(nil), pmet: prefilter.NewMetrics(nil),
+		batches: &rangeBatches{m: map[[2]int]*rangeBatch{}},
 	}
 	for _, d := range db {
 		e.residues += int64(d.Len())
 	}
 	return e, nil
+}
+
+// Replica returns another engine named name over e's database and
+// scheme. It shares e's range batches, so the replicas of one database
+// hold one lane layout per range between them, and starts with e's
+// metrics bundles.
+func (e *FarrarEngine) Replica(name string) *FarrarEngine {
+	r := *e
+	r.name = name
+	return &r
 }
 
 // Name implements Engine.
@@ -106,9 +123,13 @@ func (e *FarrarEngine) Search(query *seq.Sequence, progress func(int64), cancel 
 	return e.SearchRange(query, 0, len(e.db), 0, progress, cancel)
 }
 
-// SearchRange implements RangeSearcher: the range is scanned sequentially
-// (§IV-B: database files are processed sequentially on the PEs), one
-// striped-kernel score per database sequence, into a k-entry heap.
+// SearchRange implements RangeSearcher. One kernel scores the query
+// against the range's farrar.Batch: targets up to the lane threshold on
+// the inter-sequence lanes, one database sequence per byte lane, and the
+// rest on the striped kernel, one sequence at a time in database order
+// (§IV-B: database files are processed sequentially on the PEs). Scores
+// land by database index and enter a k-entry heap in database order, so
+// ranking and ties do not depend on the path.
 func (e *FarrarEngine) SearchRange(query *seq.Sequence, lo, hi, k int, progress func(int64), cancel <-chan struct{}) ([]wire.Hit, error) {
 	if lo < 0 || hi > len(e.db) || lo > hi {
 		return nil, fmt.Errorf("slave: range [%d,%d) outside the %d-sequence database", lo, hi, len(e.db))
@@ -117,30 +138,74 @@ func (e *FarrarEngine) SearchRange(query *seq.Sequence, lo, hi, k int, progress 
 	if err != nil {
 		return nil, err
 	}
-	top := newTopHits(k, hi-lo)
-	var cells int64
-	var sinceProgress int64
-	const progressChunk = 1 << 22 // ~4M cells between progress callbacks
-	for i, d := range e.db[lo:hi] {
+	select {
+	case <-cancel:
+		return nil, ErrCanceled
+	default:
+	}
+	const progressChunk = 1 << 22 // ~4M cells between progress callbacks and cancellation checks
+	scores := make([]int, hi-lo)
+	if !kern.ScoreBatch(e.batches.get(e, lo, hi), scores, progressChunk, func(cells int64) bool {
+		if progress != nil {
+			progress(cells)
+		}
 		select {
 		case <-cancel:
-			return nil, ErrCanceled
+			return false
 		default:
+			return true
 		}
-		top.add(wire.Hit{SeqID: d.ID, Index: lo + i, Score: kern.Score(d.Residues)})
-		n := kern.Cells(d.Residues)
-		cells += n
-		sinceProgress += n
-		if sinceProgress >= progressChunk && progress != nil {
-			progress(cells)
-			sinceProgress = 0
-		}
+	}) {
+		return nil, ErrCanceled
 	}
 	if progress != nil {
-		progress(cells)
+		progress(kern.PathCells().Total())
 	}
 	e.kmet.Observe(kern.Stats())
+	e.kmet.ObserveCells(kern.PathCells())
+	top := newTopHits(k, hi-lo)
+	for i, d := range e.db[lo:hi] {
+		top.add(wire.Hit{SeqID: d.ID, Index: lo + i, Score: scores[i]})
+	}
 	return top.result(), nil
+}
+
+// rangeBatches holds the farrar.Batch of each database range an engine
+// has scanned, built on the range's first search. The ranges are the
+// fleet's fixed cut (or the whole database for a task with none), so the
+// batches hold about one byte per database residue per cut. A batch's
+// lane layout is query-independent and read-only, so an engine and its
+// replicas (FarrarEngine.Replica) share one copy per range.
+type rangeBatches struct {
+	mu sync.Mutex
+	m  map[[2]int]*rangeBatch
+}
+
+type rangeBatch struct {
+	once  sync.Once
+	batch *farrar.Batch
+}
+
+// get returns the batch of e's range [lo, hi), building it once.
+func (c *rangeBatches) get(e *FarrarEngine, lo, hi int) *farrar.Batch {
+	c.mu.Lock()
+	rb := c.m[[2]int{lo, hi}]
+	if rb == nil {
+		rb = &rangeBatch{}
+		c.m[[2]int{lo, hi}] = rb
+	}
+	c.mu.Unlock()
+	rb.once.Do(func() { rb.batch = e.newBatch(lo, hi) })
+	return rb.batch
+}
+
+// newBatch prepares the range [lo, hi) of e's database for ScoreBatch.
+func (e *FarrarEngine) newBatch(lo, hi int) *farrar.Batch {
+	targets := make([][]byte, hi-lo)
+	for i, d := range e.db[lo:hi] {
+		targets[i] = d.Residues
+	}
+	return farrar.NewBatch(targets, e.scheme.Matrix.Alphabet())
 }
 
 // GPUEngine wraps the simulated CUDASW++ engine (§IV-C: "CUDASW was

@@ -3,6 +3,7 @@ package slave
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/cudasw"
@@ -281,6 +282,71 @@ func TestRangeScansFeedKernelStats(t *testing.T) {
 	}
 	if total != float64(len(db)) {
 		t.Errorf("farrar_fallback_total sums to %v over three ranges, want one count per database sequence (%d)", total, len(db))
+	}
+	cells := kmet.Cells.With(farrar.PathLanes).Value() + kmet.Cells.With(farrar.PathStriped).Value()
+	if want := float64(int64(q.Len()) * sse.DatabaseResidues()); cells != want {
+		t.Errorf("farrar_cells_total sums to %v over three ranges, want the database's %v cells", cells, want)
+	}
+}
+
+// TestSearchRangeCancelWithinChunk pins how fast a range task notices a
+// cancellation arriving mid-scan, on the lane path (a short query) and
+// the striped one (a long query): the engine checks cancel right after
+// each progress callback, about every progressChunk cells, so a cancel
+// closed inside the first callback ends the task with ErrCanceled and no
+// further callback. First-copy-wins replication relies on it.
+func TestSearchRangeCancelWithinChunk(t *testing.T) {
+	p := dataset.Profile{Name: "big", NumSeqs: 1200, MeanLen: 300, SigmaLn: 0.6, MinLen: 20, MaxLen: 2000}
+	db := dataset.Generate(p, 31)
+	sse, _ := NewFarrarEngine("sse0", score.DefaultProtein(), db, 0)
+	for _, m := range []int{20, 2000} {
+		q := dataset.Queries(db, 1, m, m, 32)[0]
+		cancel := make(chan struct{})
+		var calls int
+		var first int64
+		_, err := sse.SearchRange(q, 0, len(db), 0, func(c int64) {
+			if calls++; calls == 1 {
+				first = c
+				close(cancel)
+			}
+		}, cancel)
+		if err != ErrCanceled || calls != 1 {
+			t.Fatalf("m=%d: err %v after %d progress calls, want ErrCanceled after 1", m, err, calls)
+		}
+		if all := int64(m) * sse.DatabaseResidues(); first > 2<<22 || first >= all {
+			t.Errorf("m=%d: first progress at %d cells of %d, want about one chunk (%d)", m, first, all, 1<<22)
+		}
+	}
+}
+
+// TestReplicasShareBatches: a replica shares its origin's range batches,
+// so engines scanning the same ranges at once build one lane layout per
+// range between them and score alike.
+func TestReplicasShareBatches(t *testing.T) {
+	db := tinyDB(t)
+	a, _ := NewFarrarEngine("a", score.DefaultProtein(), db, 0)
+	b := a.Replica("b")
+	if b.Name() != "b" || a.Name() != "a" {
+		t.Fatalf("names %q, %q", a.Name(), b.Name())
+	}
+	q := dataset.Queries(db, 1, 30, 30, 3)[0]
+	want, _ := a.SearchRange(q, 0, len(db), 0, nil, make(chan struct{}))
+	var wg sync.WaitGroup
+	for _, eng := range []*FarrarEngine{a, b, a, b} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, r := range [][2]int{{3, 17}, {0, 3}, {17, len(db)}} {
+				hits, err := eng.SearchRange(q, r[0], r[1], 0, nil, make(chan struct{}))
+				if err != nil || !reflect.DeepEqual(hits, want[r[0]:r[1]]) {
+					t.Errorf("%s [%d,%d): %v, hits differ from the whole scan's", eng.Name(), r[0], r[1], err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if a.batches.get(a, 3, 17) != b.batches.get(b, 3, 17) || len(a.batches.m) != 4 {
+		t.Fatalf("replicas hold %d batches, not one shared batch per range", len(a.batches.m))
 	}
 }
 
