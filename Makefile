@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet lint lint-cover loc bench-frozen bench-compare test race race-full sim-smoke fuzz-smoke bench-smoke cover cluster-cover tenancy-cover bench bench-pair tables tables-check svg csv examples clean
+.PHONY: all build vet lint lint-cover loc deadcode bench-frozen bench-compare test race race-full sim-smoke fuzz-smoke bench-smoke cover cluster-cover tenancy-cover bench bench-pair tables tables-check svg csv examples clean
 
 # The concurrency-heavy packages (distributed path + scheduler) always run
 # under the race detector as part of `make test`; `race-full` covers the
@@ -41,6 +41,13 @@ lint-cover:
 # outside bench/ and testdata/.
 loc:
 	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^bench/' -e '/testdata/' | xargs cat | wc -l
+
+# Dead-code gate: every function declared outside tests must be linked by
+# some binary (cmd/*, examples/*, bench/swload, built for amd64 and arm64),
+# or be listed with its reason (oracle, seam or harness) in
+# scripts/deadcode.allow. Fails on a stale allowlist entry too.
+deadcode:
+	bash scripts/deadcode.sh
 
 # The benchmark-pinned surface (ROADMAP "Open items"): no PR but a benchmark
 # PR edits bench/ or BENCHMARK.json, and the benchmark must still compile

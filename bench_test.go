@@ -49,7 +49,7 @@ func benchSweep(b *testing.B, f func() ([]experiments.Run, interface{ String() s
 				// deterministically; re-running per-iteration keeps the
 				// benchmark honest about cost.
 			}
-			reportRun(b, r.Time().Seconds(), r.GCUPS())
+			reportRun(b, r.Result.Makespan.Seconds(), r.Result.GCUPS())
 		})
 	}
 }
@@ -297,7 +297,7 @@ func BenchmarkCUDASWEngineSearch(b *testing.B) {
 	start := time.Now()
 	var cells int64
 	for i := 0; i < b.N; i++ {
-		_, rep, err := eng.Search(q.Residues, true)
+		_, rep, err := eng.SearchRange(q.Residues, 0, len(db), true, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

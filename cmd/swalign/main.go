@@ -1,11 +1,11 @@
 // Command swalign aligns two sequences with Smith-Waterman (both phases:
-// score and traceback) and prints the alignment, the paper's §II-A worked
-// end to end.
+// score and traceback) and prints the local alignment, the paper's §II-A
+// worked end to end. The traceback is sw.AlignLinearSpace, the Myers-Miller
+// aligner that serving runs for a search's best hits.
 //
 // Usage:
 //
-//	swalign -a query.fasta -b target.fasta [-global] [-linear-space] \
-//	        [-open 10 -extend 2] [-matrix BLOSUM62]
+//	swalign -a query.fasta -b target.fasta [-open 10 -extend 2] [-matrix BLOSUM62]
 //
 // Each input file's first sequence is used. With -seq, the arguments are
 // taken as literal residue strings instead of paths.
@@ -27,9 +27,6 @@ func main() {
 		aPath   = flag.String("a", "", "first sequence (FASTA path, or residues with -seq)")
 		bPath   = flag.String("b", "", "second sequence (FASTA path, or residues with -seq)")
 		literal = flag.Bool("seq", false, "treat -a/-b as literal residue strings")
-		global  = flag.Bool("global", false, "global (Needleman-Wunsch) instead of local alignment")
-		semi    = flag.Bool("semiglobal", false, "semiglobal: whole query, free target ends")
-		linear  = flag.Bool("linear-space", false, "use the Myers-Miller linear-space traceback")
 		open    = flag.Int("open", 10, "gap open penalty")
 		extend  = flag.Int("extend", 2, "gap extend penalty")
 		matrix  = flag.String("matrix", "BLOSUM62", "substitution matrix: BLOSUM62, BLOSUM50 or DNA")
@@ -66,21 +63,7 @@ func main() {
 		fail("%v", err)
 	}
 
-	var aln *sw.Alignment
-	switch {
-	case *semi && (*global || *linear):
-		fail("-semiglobal cannot combine with -global or -linear-space")
-	case *semi:
-		aln = sw.AlignSemiGlobal(a.Residues, b.Residues, scheme)
-	case *global && *linear:
-		aln = sw.AlignGlobalLinear(a.Residues, b.Residues, scheme)
-	case *global:
-		aln = sw.AlignGlobal(a.Residues, b.Residues, scheme)
-	case *linear:
-		aln = sw.AlignLinearSpace(a.Residues, b.Residues, scheme)
-	default:
-		aln = sw.Align(a.Residues, b.Residues, scheme)
-	}
+	aln := sw.AlignLinearSpace(a.Residues, b.Residues, scheme)
 
 	fmt.Printf("%s (%d aa) vs %s (%d aa), %s, gaps %s\n\n",
 		a.ID, a.Len(), b.ID, b.Len(), m.Name(), scheme.Gap)

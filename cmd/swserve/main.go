@@ -17,7 +17,7 @@
 //	                          add "mode": "filtered" (+ filter_k/filter_margin) to run
 //	                          each database-range task as a k-mer seed-table
 //	                          prefilter plus an SW rescore of its candidate windows
-//	POST   /align             {"a": "MKVL...", "b": "MKIL...", "global": false}
+//	POST   /align             {"a": "MKVL...", "b": "MKIL..."} (local alignment)
 //	POST   /jobs              same payload as /search; returns 202 + job id
 //	GET    /jobs              list jobs (optionally ?state=queued|running|done|failed|canceled)
 //	GET    /jobs/{id}         poll one job (per-shard cells/total_cells while it runs)
@@ -31,15 +31,16 @@
 // restart.
 //
 // Multi-tenancy: requests carry a tenant (X-Tenant header or the "tenant"
-// body field). -tenant-policy selects the dequeue discipline — "wfq"
-// (weighted fair queueing over declared residues) or "drf" (dominant
-// resource over queries and residues) instead of the default single FIFO —
-// and -tenants sets per-tenant weights and outstanding-job quotas:
+// body field). The queue is fair across tenants, charging each dequeue its
+// dominant resource share over queries and residues (DRF), and -tenants
+// sets per-tenant weights and outstanding-job quotas:
 //
-//	swserve -db db.fasta -tenant-policy drf -tenants "alice:2:0,bob:1:4"
+//	swserve -db db.fasta -tenants "alice:2:0,bob:1:4"
 //
 // gives alice twice bob's share and caps bob at 4 outstanding jobs
-// (over-quota submissions get 429 with a backlog-scaled Retry-After).
+// (over-quota submissions get 429 with a backlog-scaled Retry-After). A
+// weight must be a finite number >= 0. -tenant-policy accepts only "drf",
+// the one policy, or nothing.
 //
 // Every search runs on one long-lived engine fleet (internal/cluster).
 // -backend=local is its one-shard shape: the -gpus and -sse engines all scan
@@ -104,7 +105,7 @@ func main() {
 		maxResidues = flag.Int64("max-residues", 0, "per-request total-residue cap (0: default, negative: uncapped)")
 		maxTopK     = flag.Int("max-topk", 0, "per-request top_k cap (0: default, negative: uncapped)")
 
-		tenantPolicy = flag.String("tenant-policy", "", `multi-tenant dequeue policy: "fifo" (default), "wfq" or "drf"`)
+		tenantPolicy = flag.String("tenant-policy", "", `multi-tenant dequeue policy: only "drf", the default`)
 		tenantSpecs  = flag.String("tenants", "", `per-tenant overrides as "name:weight:maxOutstanding,..." (e.g. "alice:2:0,bob:1:4"; 0 = unlimited)`)
 	)
 	flag.Parse()
@@ -147,9 +148,8 @@ func main() {
 	default:
 		fail("unknown -backend %q (want local or cluster)", *backend)
 	}
-	tpol, err := jobs.ParseTenantPolicy(*tenantPolicy)
-	if err != nil {
-		fail("%v", err)
+	if *tenantPolicy != "" && *tenantPolicy != "drf" {
+		fail("unknown -tenant-policy %q (want drf)", *tenantPolicy)
 	}
 	tenants, err := parseTenants(*tenantSpecs)
 	if err != nil {
@@ -163,12 +163,11 @@ func main() {
 			MaxTopK:     *maxTopK,
 		},
 		Jobs: jobs.Config{
-			Dir:          *jobsDir,
-			Executors:    *executors,
-			MaxQueue:     *queueDepth,
-			CacheBytes:   *cacheBytes,
-			TenantPolicy: tpol,
-			Tenants:      tenants,
+			Dir:        *jobsDir,
+			Executors:  *executors,
+			MaxQueue:   *queueDepth,
+			CacheBytes: *cacheBytes,
+			Tenants:    tenants,
 		},
 	})
 	if err != nil {
@@ -210,8 +209,9 @@ func main() {
 }
 
 // parseTenants parses the -tenants flag: comma-separated
-// "name[:weight[:maxOutstanding]]" entries. Weight 0 means the default 1;
-// maxOutstanding 0 means unlimited.
+// "name[:weight[:maxOutstanding]]" entries. Weight 0 means the default 1
+// (jobs.New rejects a negative or non-finite one); maxOutstanding 0 means
+// unlimited.
 func parseTenants(s string) (map[string]jobs.TenantConfig, error) {
 	if s == "" {
 		return nil, nil
@@ -229,7 +229,7 @@ func parseTenants(s string) (map[string]jobs.TenantConfig, error) {
 		var cfg jobs.TenantConfig
 		if len(parts) > 1 && parts[1] != "" {
 			w, err := strconv.ParseFloat(parts[1], 64)
-			if err != nil || w < 0 {
+			if err != nil {
 				return nil, fmt.Errorf("-tenants: bad weight %q for %q", parts[1], name)
 			}
 			cfg.Weight = w

@@ -89,15 +89,10 @@ func Score(query, target []byte, s Scheme) int { return sw.Score(query, target, 
 // Align computes an optimal local alignment with full traceback.
 func Align(query, target []byte, s Scheme) *Alignment { return sw.Align(query, target, s) }
 
-// AlignLinearSpace computes an optimal local alignment in O(m+n) memory
-// (Myers-Miller), for sequences whose DP matrix would not fit.
-func AlignLinearSpace(query, target []byte, s Scheme) *Alignment {
-	return sw.AlignLinearSpace(query, target, s)
-}
-
 // GenerateDatabase builds a deterministic synthetic database with the size
-// profile of one of the paper's Table II databases (see DatabaseNames),
-// scaled by the given factor.
+// profile of one of the paper's Table II databases, named as the paper does
+// ("Ensembl Dog Proteins", "UniProtKB/SwissProt", ...), scaled by the given
+// factor.
 func GenerateDatabase(name string, scale float64, seed int64) ([]*Sequence, error) {
 	p, err := dataset.ProfileByName(name)
 	if err != nil {
@@ -107,15 +102,6 @@ func GenerateDatabase(name string, scale float64, seed int64) ([]*Sequence, erro
 		p = p.Scale(scale)
 	}
 	return dataset.Generate(p, seed), nil
-}
-
-// DatabaseNames lists the Table II database profiles.
-func DatabaseNames() []string {
-	var out []string
-	for _, p := range dataset.TableII() {
-		out = append(out, p.Name)
-	}
-	return out
 }
 
 // GenerateQueries derives n queries with lengths equally distributed in

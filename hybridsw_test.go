@@ -7,22 +7,6 @@ import (
 	hybridsw "repro"
 )
 
-func TestDatabaseNames(t *testing.T) {
-	names := hybridsw.DatabaseNames()
-	if len(names) != 5 {
-		t.Fatalf("%d database names", len(names))
-	}
-	found := false
-	for _, n := range names {
-		if n == "UniProtKB/SwissProt" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("SwissProt missing")
-	}
-}
-
 func TestGenerateDatabaseAndQueries(t *testing.T) {
 	db, err := hybridsw.GenerateDatabase("Ensembl Dog Proteins", 0.001, 1)
 	if err != nil {
@@ -49,10 +33,6 @@ func TestScoreAndAlign(t *testing.T) {
 	a := hybridsw.Align(q, []byte("MKVLAGFFDE"), s)
 	if a.Score <= 0 || len(a.QueryRow) == 0 {
 		t.Fatalf("alignment = %+v", a)
-	}
-	lin := hybridsw.AlignLinearSpace(q, []byte("MKVLAGFFDE"), s)
-	if lin.Score != a.Score {
-		t.Errorf("linear-space score %d != %d", lin.Score, a.Score)
 	}
 }
 

@@ -283,9 +283,6 @@ func partition(db []*seq.Sequence, n int) []master.Range {
 	return parts
 }
 
-// Shards returns the shard count.
-func (f *Fleet) Shards() int { return len(f.shards) }
-
 // ShardHealth is one shard's liveness snapshot, the /readyz payload.
 type ShardHealth struct {
 	Shard     int   `json:"shard"`
@@ -305,16 +302,6 @@ func (f *Fleet) Health() []ShardHealth {
 		}
 	}
 	return out
-}
-
-// Ready reports whether every shard has at least one live replica.
-func (f *Fleet) Ready() bool {
-	for _, h := range f.Health() {
-		if h.Live == 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // CanFilter reports whether the fleet can run filtered searches: every

@@ -168,7 +168,7 @@ func TestClusterMatchesLocalRanking(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						rep, err := fleet.Search(queries, cluster.Params{
+						rep, err := fleet.SearchContext(context.Background(), queries, cluster.Params{
 							Policy: "PSS", TopK: topK, Mode: mode, AlignBest: align,
 						})
 						if err != nil {
@@ -217,7 +217,7 @@ func TestFilteredShardsMatchUncutRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rep, err := fleet.Search(queries, cluster.Params{Policy: "PSS", Adjust: true, TopK: topK, Mode: "filtered"})
+				rep, err := fleet.SearchContext(context.Background(), queries, cluster.Params{Policy: "PSS", Adjust: true, TopK: topK, Mode: "filtered"})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -270,7 +270,7 @@ func TestOneShardEngineMix(t *testing.T) {
 	if h := fleet.Health(); len(h) != 1 || h[0].Replicas != 2 || h[0].Live != 2 {
 		t.Fatalf("health = %+v, want one shard with a GPU and a CPU engine", h)
 	}
-	rep, err := fleet.Search(queries, cluster.Params{Adjust: true, TopK: 5})
+	rep, err := fleet.SearchContext(context.Background(), queries, cluster.Params{Adjust: true, TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestOneShardEngineMix(t *testing.T) {
 		if err := fleet.KillReplica(0, killed); err != nil {
 			t.Fatal(err)
 		}
-		rep, err := fleet.Search(queries, cluster.Params{TopK: 5})
+		rep, err := fleet.SearchContext(context.Background(), queries, cluster.Params{TopK: 5})
 		if err != nil {
 			t.Fatalf("replica %d dead: %v", killed, err)
 		}
@@ -292,7 +292,7 @@ func TestOneShardEngineMix(t *testing.T) {
 	if !fleet.CanFilter() {
 		t.Fatal("fleet with a CPU engine cannot filter")
 	}
-	filt, err := fleet.Search(queries, cluster.Params{Mode: "filtered", TopK: 5})
+	filt, err := fleet.SearchContext(context.Background(), queries, cluster.Params{Mode: "filtered", TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestOneShardEngineMix(t *testing.T) {
 	if gpuOnly.CanFilter() {
 		t.Error("GPU-only fleet claims it can filter")
 	}
-	if _, err := gpuOnly.Search(queries, cluster.Params{Mode: "filtered"}); err == nil {
+	if _, err := gpuOnly.SearchContext(context.Background(), queries, cluster.Params{Mode: "filtered"}); err == nil {
 		t.Error("filtered search on a GPU-only fleet accepted")
 	}
 
@@ -371,8 +371,10 @@ func TestClusterFailover(t *testing.T) {
 			if rep.Shards[0].Failovers < 1 {
 				t.Errorf("shard 0 absorbed no failover (report %+v)", rep.Shards[0])
 			}
-			if !fleet.Ready() {
-				t.Error("fleet not ready: surviving replicas should keep every shard live")
+			for _, h := range fleet.Health() {
+				if h.Live == 0 {
+					t.Errorf("shard %d has no live replica: surviving replicas should keep every shard live", h.Shard)
+				}
 			}
 			if err := fleet.ReviveReplica(0, 0); err != nil {
 				t.Fatal(err)
@@ -394,7 +396,7 @@ func TestReportAggregatesGCUPS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := fleet.Search(queries, cluster.Params{})
+	rep, err := fleet.SearchContext(context.Background(), queries, cluster.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,23 +455,23 @@ func TestFleetValidation(t *testing.T) {
 		t.Error("revive of unknown shard accepted")
 	}
 	queries := hybridsw.GenerateQueries(db, 1, 50, 50, 6)
-	if _, err := fleet.Search(nil, cluster.Params{}); err == nil {
+	if _, err := fleet.SearchContext(context.Background(), nil, cluster.Params{}); err == nil {
 		t.Error("empty query set accepted")
 	}
-	if _, err := fleet.Search(queries, cluster.Params{Policy: "bogus"}); err == nil {
+	if _, err := fleet.SearchContext(context.Background(), queries, cluster.Params{Policy: "bogus"}); err == nil {
 		t.Error("bad policy accepted")
 	}
-	if _, err := fleet.Search(queries, cluster.Params{Mode: "bogus"}); err == nil {
+	if _, err := fleet.SearchContext(context.Background(), queries, cluster.Params{Mode: "bogus"}); err == nil {
 		t.Error("bad mode accepted")
 	}
 	// A shard with every replica dead fails the job instead of hanging.
 	if err := fleet.KillReplica(1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if fleet.Ready() {
-		t.Error("fleet with a dead shard reports ready")
+	if live := fleet.Health()[1].Live; live != 0 {
+		t.Errorf("shard 1 reports %d live replicas after its only one died", live)
 	}
-	if _, err := fleet.Search(queries, cluster.Params{}); err == nil {
+	if _, err := fleet.SearchContext(context.Background(), queries, cluster.Params{}); err == nil {
 		t.Error("search with a replica-less shard succeeded")
 	}
 }
@@ -510,7 +512,7 @@ func TestRangeTasksMatchBruteForce(t *testing.T) {
 				for _, topK := range []int{0, 1, 10} {
 					align := topK == 10
 					t.Run(fmt.Sprintf("db=%d/shards=%d/%s/topk=%d", n, shards, e.name, topK), func(t *testing.T) {
-						rep, err := fleet.Search(queries, cluster.Params{Adjust: true, TopK: topK, AlignBest: align})
+						rep, err := fleet.SearchContext(context.Background(), queries, cluster.Params{Adjust: true, TopK: topK, AlignBest: align})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -547,7 +549,7 @@ func TestSearchSameWithAndWithoutRegistry(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := fleet.Search(queries, cluster.Params{Policy: "PSS", TopK: 5, Mode: mode, AlignBest: true})
+			rep, err := fleet.SearchContext(context.Background(), queries, cluster.Params{Policy: "PSS", TopK: 5, Mode: mode, AlignBest: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -617,7 +619,7 @@ func FuzzSearchVsBruteForce(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := fleet.Search(queries, cluster.Params{Adjust: true, TopK: topK})
+		rep, err := fleet.SearchContext(context.Background(), queries, cluster.Params{Adjust: true, TopK: topK})
 		if err != nil {
 			t.Fatal(err)
 		}

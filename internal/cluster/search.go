@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/gcups"
 	"repro/internal/master"
 	"repro/internal/prefilter"
 	"repro/internal/sched"
@@ -83,17 +84,7 @@ type Report struct {
 
 // GCUPS returns the fleet's aggregate throughput in billions of cell
 // updates per second: the cross-shard cell sum over the job's wall time.
-func (r *Report) GCUPS() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Cells) / r.Elapsed.Seconds() / 1e9
-}
-
-// Search is SearchContext without cancellation.
-func (f *Fleet) Search(queries []*seq.Sequence, p Params) (*Report, error) {
-	return f.SearchContext(context.Background(), queries, p)
-}
+func (r *Report) GCUPS() float64 { return gcups.GCUPS(r.Cells, r.Elapsed) }
 
 // SearchContext compares every query against the sharded database: one
 // master-protocol job per shard, every live replica registered as a slave,
@@ -373,9 +364,7 @@ func (f *Fleet) searchShard(ctx context.Context, s *shard, queries []*seq.Sequen
 			report.Cells += int64(q.Len()) * s.residues
 		}
 	}
-	if report.Elapsed > 0 {
-		report.GCUPS = float64(report.Cells) / report.Elapsed.Seconds() / 1e9
-	}
+	report.GCUPS = gcups.GCUPS(report.Cells, report.Elapsed)
 	board.finish(s.index)
 	f.met.ShardScans.With("done").Inc()
 	f.met.ShardScanSeconds.Observe(report.Elapsed.Seconds())

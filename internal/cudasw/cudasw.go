@@ -113,14 +113,6 @@ type Report struct {
 	Kernel farrar.Stats
 }
 
-// GCUPS returns the search's simulated billions of cell updates per second.
-func (r Report) GCUPS() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Cells) / r.Elapsed.Seconds() / 1e9
-}
-
 // Engine is a loaded database ready to be searched, the moral equivalent of
 // a CUDASW++ process with the database resident on the device.
 type Engine struct {
@@ -169,18 +161,12 @@ func (e *Engine) DatabaseSeqs() int { return len(e.seqs) }
 // mid-search.
 var ErrCanceled = fmt.Errorf("cudasw: search canceled")
 
-// Search aligns the query against the whole database, returning hits in
-// original database order plus the simulated cost report.
-func (e *Engine) Search(query []byte, compute bool) ([]Hit, Report, error) {
-	return e.SearchRange(query, 0, len(e.seqs), compute, nil)
-}
-
-// SearchRange is Search restricted to the database sequences whose
-// original index lies in [lo, hi): the length-sorted list is walked as
-// usual and sequences outside the range are skipped, so warps still hold
-// similar lengths, and the cost model charges only the range's cells. It
-// returns hi-lo hits in original database order and stops with ErrCanceled
-// once cancel closes (a nil channel never does).
+// SearchRange aligns the query against the database sequences whose
+// original index lies in [lo, hi): the length-sorted list is walked as usual
+// and sequences outside the range are skipped, so warps still hold similar
+// lengths, and the cost model charges only the range's cells. It returns
+// hi-lo hits in original database order plus the simulated cost report, and
+// stops with ErrCanceled once cancel closes (a nil channel never does).
 func (e *Engine) SearchRange(query []byte, lo, hi int, compute bool, cancel <-chan struct{}) ([]Hit, Report, error) {
 	if len(query) == 0 {
 		return nil, Report{}, fmt.Errorf("cudasw: empty query")

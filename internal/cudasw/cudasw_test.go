@@ -3,8 +3,8 @@ package cudasw
 import (
 	"math/rand"
 	"testing"
-	"time"
 
+	"repro/internal/gcups"
 	"repro/internal/score"
 	"repro/internal/seq"
 	"repro/internal/sw"
@@ -44,7 +44,7 @@ func TestSearchScoresMatchReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := randProtein(rng, 80)
-	hits, rep, err := e.Search(q, true)
+	hits, rep, err := e.SearchRange(q, 0, len(db), true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestSearchWithoutCompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	db := randDB(rng, 10, 50)
 	e, _ := NewEngine(GTX580(), score.DefaultProtein(), db)
-	hits, rep, err := e.Search(randProtein(rng, 30), false)
+	hits, rep, err := e.SearchRange(randProtein(rng, 30), 0, len(db), false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestCellsAccounting(t *testing.T) {
 	}
 	e, _ := NewEngine(GTX580(), score.DefaultProtein(), db)
 	q := []byte("ACD")
-	_, rep, _ := e.Search(q, false)
+	_, rep, _ := e.SearchRange(q, 0, len(db), false, nil)
 	if want := int64(3 * 15); rep.Cells != want {
 		t.Errorf("Cells = %d, want %d", rep.Cells, want)
 	}
@@ -111,7 +111,7 @@ func TestIntraTaskKernelSelection(t *testing.T) {
 	long := seq.New("long", "", randProtein(rng, interTaskMaxLen+100))
 	db := append(randDB(rng, 5, 50), long)
 	e, _ := NewEngine(GTX580(), score.DefaultProtein(), db)
-	_, rep, _ := e.Search(randProtein(rng, 20), false)
+	_, rep, _ := e.SearchRange(randProtein(rng, 20), 0, len(db), false, nil)
 	if rep.IntraTaskSeqs != 1 || rep.InterTaskSeqs != 5 {
 		t.Errorf("kernel split = %+v", rep)
 	}
@@ -132,8 +132,8 @@ func TestGCUPSGrowsWithDatabaseSize(t *testing.T) {
 			db[i] = seq.New("s", "", randProtein(rng, 200+rng.Intn(200)))
 		}
 		e, _ := NewEngine(GTX580(), score.DefaultProtein(), db)
-		_, rep, _ := e.Search(q, false)
-		g := rep.GCUPS()
+		_, rep, _ := e.SearchRange(q, 0, len(db), false, nil)
+		g := gcups.GCUPS(rep.Cells, rep.Elapsed)
 		if g <= prev {
 			t.Fatalf("GCUPS did not grow: %v after %v at n=%d", g, prev, n)
 		}
@@ -156,18 +156,8 @@ func TestPeakIsCalibratedNearCUDASW(t *testing.T) {
 func TestSearchEmptyQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	e, _ := NewEngine(GTX580(), score.DefaultProtein(), randDB(rng, 3, 20))
-	if _, _, err := e.Search(nil, true); err == nil {
+	if _, _, err := e.SearchRange(nil, 0, 3, true, nil); err == nil {
 		t.Error("empty query accepted")
-	}
-}
-
-func TestReportGCUPSZeroElapsed(t *testing.T) {
-	if (Report{Cells: 100}).GCUPS() != 0 {
-		t.Error("zero elapsed should yield zero GCUPS")
-	}
-	r := Report{Cells: 35e9, Elapsed: time.Second}
-	if g := r.GCUPS(); g < 34.9 || g > 35.1 {
-		t.Errorf("GCUPS = %v, want 35", g)
 	}
 }
 
@@ -191,12 +181,12 @@ func TestMemoryChunkingCost(t *testing.T) {
 	fits := GTX580()
 	fits.MemoryBytes = residues * 2
 	eFits, _ := NewEngine(fits, score.DefaultProtein(), db)
-	_, repFits, _ := eFits.Search(q, false)
+	_, repFits, _ := eFits.SearchRange(q, 0, len(db), false, nil)
 
 	tight := GTX580()
 	tight.MemoryBytes = residues / 3 // forces ~3 chunks
 	eTight, _ := NewEngine(tight, score.DefaultProtein(), db)
-	_, repTight, _ := eTight.Search(q, false)
+	_, repTight, _ := eTight.SearchRange(q, 0, len(db), false, nil)
 
 	if repTight.Elapsed <= repFits.Elapsed {
 		t.Errorf("chunked search not slower: %v vs %v", repTight.Elapsed, repFits.Elapsed)

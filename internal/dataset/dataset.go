@@ -201,14 +201,3 @@ func Queries(db []*seq.Sequence, n, minLen, maxLen int, seed int64) []*seq.Seque
 	}
 	return out
 }
-
-// TotalCells returns the DP cells of comparing every query against a
-// database with the given residue count — the workload size of one
-// experiment, Σ|q| x residues.
-func TotalCells(queries []*seq.Sequence, residues int64) int64 {
-	var total int64
-	for _, q := range queries {
-		total += int64(q.Len()) * residues
-	}
-	return total
-}

@@ -143,16 +143,6 @@ func TestQueriesWithoutDatabase(t *testing.T) {
 	}
 }
 
-func TestTotalCells(t *testing.T) {
-	qs := []*seq.Sequence{
-		seq.New("a", "", make([]byte, 100)),
-		seq.New("b", "", make([]byte, 200)),
-	}
-	if got := TotalCells(qs, 1000); got != 300000 {
-		t.Errorf("TotalCells = %d", got)
-	}
-}
-
 func TestTableIIWorkloadMagnitude(t *testing.T) {
 	// Sanity anchor: 40 queries averaging ~2550 aa against SwissProt
 	// (~191M residues) is ~1.9e13 cells; at the paper's 7,190 s on one

@@ -57,12 +57,6 @@ type Run struct {
 	Result *platform.Result
 }
 
-// GCUPS is shorthand for the run's overall throughput.
-func (r Run) GCUPS() float64 { return r.Result.GCUPS() }
-
-// Time is shorthand for the run's makespan.
-func (r Run) Time() time.Duration { return r.Result.Makespan }
-
 func runConfig(db dataset.Profile, pes []*platform.PE, adjust bool, policy sched.Policy, seed int64) (*platform.Result, error) {
 	if policy == nil {
 		policy = &sched.PSS{}

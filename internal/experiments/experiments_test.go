@@ -6,7 +6,20 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/gcups"
 )
+
+// meanBetween averages the GCUPS of the points of s with from <= T < to.
+func meanBetween(s gcups.Series, from, to time.Duration) float64 {
+	w := gcups.Series{Name: s.Name}
+	for _, p := range s.Points {
+		if p.T >= from && p.T < to {
+			w.Points = append(w.Points, p)
+		}
+	}
+	return w.Mean()
+}
 
 func TestTasksWorkload(t *testing.T) {
 	lengths := QueryLengths()
@@ -45,13 +58,13 @@ func TestTable3SSEScalesNearLinearly(t *testing.T) {
 		byKey[r.Config+"|"+r.DB] = r
 	}
 	const sp = "UniProtKB/SwissProt"
-	t1 := byKey["1 SSE|"+sp].Time()
+	t1 := byKey["1 SSE|"+sp].Result.Makespan
 	// Anchor: one SSE core vs SwissProt took the paper 7,190 s.
 	if secs := t1.Seconds(); secs < 6500 || secs > 7900 {
 		t.Errorf("1 SSE SwissProt = %.0f s, want ~7190", secs)
 	}
 	for _, n := range []int{2, 4, 8} {
-		tn := byKey[sprintfConfig(n)+"|"+sp].Time()
+		tn := byKey[sprintfConfig(n)+"|"+sp].Result.Makespan
 		speedup := t1.Seconds() / tn.Seconds()
 		if speedup < 0.85*float64(n) || speedup > float64(n)*1.05 {
 			t.Errorf("%d SSE speedup = %.2f, want near-linear", n, speedup)
@@ -74,15 +87,15 @@ func TestTable4GPUBehaviour(t *testing.T) {
 	}
 	const sp = "UniProtKB/SwissProt"
 	// Near-linear GPU scaling on the big database.
-	t1 := byKey["1 GPU|"+sp].Time().Seconds()
-	t4 := byKey["4 GPU|"+sp].Time().Seconds()
+	t1 := byKey["1 GPU|"+sp].Result.Makespan.Seconds()
+	t4 := byKey["4 GPU|"+sp].Result.Makespan.Seconds()
 	if speedup := t1 / t4; speedup < 3.2 || speedup > 4.2 {
 		t.Errorf("4 GPU speedup on SwissProt = %.2f, want near-linear", speedup)
 	}
 	// Table IV's stated effect: SwissProt GCUPS is roughly double the
 	// small-database GCUPS (per-task overheads amortize).
-	gSp := byKey["4 GPU|"+sp].GCUPS()
-	gDog := byKey["4 GPU|Ensembl Dog Proteins"].GCUPS()
+	gSp := byKey["4 GPU|"+sp].Result.GCUPS()
+	gDog := byKey["4 GPU|Ensembl Dog Proteins"].Result.GCUPS()
 	if ratio := gSp / gDog; ratio < 1.5 || ratio > 3.0 {
 		t.Errorf("SwissProt/Dog GCUPS ratio = %.2f, want ~2", ratio)
 	}
@@ -99,7 +112,7 @@ func TestTable5HybridAnchors(t *testing.T) {
 	}
 	const sp = "UniProtKB/SwissProt"
 	// Anchor: 4 GPU + 4 SSE finished SwissProt in 112 s.
-	tBest := byKey["4 GPU + 4 SSE|"+sp].Time().Seconds()
+	tBest := byKey["4 GPU + 4 SSE|"+sp].Result.Makespan.Seconds()
 	if tBest < 95 || tBest > 130 {
 		t.Errorf("4G+4S SwissProt = %.0f s, want ~112", tBest)
 	}
@@ -112,15 +125,15 @@ func TestTable5HybridAnchors(t *testing.T) {
 	for _, r := range t4 {
 		gpuOnly[r.Config+"|"+r.DB] = r
 	}
-	if gpuOnly["4 GPU|"+sp].Time() <= byKey["4 GPU + 4 SSE|"+sp].Time() {
+	if gpuOnly["4 GPU|"+sp].Result.Makespan <= byKey["4 GPU + 4 SSE|"+sp].Result.Makespan {
 		t.Errorf("hybrid (%v) not faster than GPU-only (%v) on SwissProt",
-			byKey["4 GPU + 4 SSE|"+sp].Time(), gpuOnly["4 GPU|"+sp].Time())
+			byKey["4 GPU + 4 SSE|"+sp].Result.Makespan, gpuOnly["4 GPU|"+sp].Result.Makespan)
 	}
 	// ...while GPU-only stays competitive (within ~15%) on the small
 	// databases, the paper's §V-A.3 observation.
 	const dog = "Ensembl Dog Proteins"
-	hyb := byKey["4 GPU + 4 SSE|"+dog].Time().Seconds()
-	gpu := gpuOnly["4 GPU|"+dog].Time().Seconds()
+	hyb := byKey["4 GPU + 4 SSE|"+dog].Result.Makespan.Seconds()
+	gpu := gpuOnly["4 GPU|"+dog].Result.Makespan.Seconds()
 	if hyb > gpu*1.5 {
 		t.Errorf("hybrid on Dog = %.1f s vs GPU-only %.1f s: too far apart", hyb, gpu)
 	}
@@ -172,7 +185,7 @@ func TestFig7DedicatedTimeline(t *testing.T) {
 	}
 	// All cores run near the calibrated 2.71 GCUPS with small jitter.
 	for _, s := range res.Series {
-		m := s.MeanBetween(0, res.Makespan-10*time.Second)
+		m := meanBetween(s, 0, res.Makespan-10*time.Second)
 		if m < 2.3 || m > 3.1 {
 			t.Errorf("%s mean = %.2f GCUPS, want ~2.71", s.Name, m)
 		}
@@ -190,8 +203,8 @@ func TestFig8LoadAdaptation(t *testing.T) {
 	}
 	// Core 0's rate drops to less than half after t=60 s.
 	s0 := loaded.Series[0]
-	before := s0.MeanBetween(10*time.Second, 58*time.Second)
-	after := s0.MeanBetween(62*time.Second, loaded.Makespan-10*time.Second)
+	before := meanBetween(s0, 10*time.Second, 58*time.Second)
+	after := meanBetween(s0, 62*time.Second, loaded.Makespan-10*time.Second)
 	if after >= before*0.6 {
 		t.Errorf("core 0: %.2f -> %.2f GCUPS, want a drop below half", before, after)
 	}

@@ -87,12 +87,12 @@ func checkDifferential(t *testing.T, ks *Kernel, ke *oracle, d []byte, want int)
 	s8e, ok8e := ks.ScoreU8(d)
 	if s8s != s8e || ok8s != ok8e {
 		t.Fatalf("8-bit tier diverged: swar=(%d,%v) emulated=(%d,%v)\nq=%s\nd=%s",
-			s8s, ok8s, s8e, ok8e, ks.Query(), d)
+			s8s, ok8s, s8e, ok8e, ks.query, d)
 	}
 	for path, kp := range hostPaths(ks) {
 		if s8n, ok8n := kp.scoreNative8(d); s8n != s8e || ok8n != ok8e {
 			t.Fatalf("8-bit tier diverged: %s=(%d,%v) emulated=(%d,%v)\nq=%s\nd=%s",
-				path, s8n, ok8n, s8e, ok8e, ks.Query(), d)
+				path, s8n, ok8n, s8e, ok8e, ks.query, d)
 		}
 	}
 	if ks.tier8 && inLanes(len(d)) {
@@ -101,7 +101,7 @@ func checkDifferential(t *testing.T, ks *Kernel, ke *oracle, d []byte, want int)
 			_, vmax := laneRun(ks, l, run, len(l.cols))
 			if v := int(vmax[0]); (v < ks.ceiling8()) != ok8e || ok8e && v != s8e {
 				t.Fatalf("8-bit tier diverged: %s lane max %d (ceiling %d), emulated=(%d,%v)\nq=%s\nd=%s",
-					path, v, ks.ceiling8(), s8e, ok8e, ks.Query(), d)
+					path, v, ks.ceiling8(), s8e, ok8e, ks.query, d)
 			}
 		}
 	}
@@ -109,19 +109,19 @@ func checkDifferential(t *testing.T, ks *Kernel, ke *oracle, d []byte, want int)
 	s16e, ok16e := ks.ScoreI16(d)
 	if s16s != s16e || ok16s != ok16e {
 		t.Fatalf("16-bit tier diverged: swar=(%d,%v) emulated=(%d,%v)\nq=%s\nd=%s",
-			s16s, ok16s, s16e, ok16e, ks.Query(), d)
+			s16s, ok16s, s16e, ok16e, ks.query, d)
 	}
 	if ok8s && s8s != want {
-		t.Fatalf("8-bit tier wrong: got %d, reference %d\nq=%s\nd=%s", s8s, want, ks.Query(), d)
+		t.Fatalf("8-bit tier wrong: got %d, reference %d\nq=%s\nd=%s", s8s, want, ks.query, d)
 	}
 	if ok16s && s16s != want {
-		t.Fatalf("16-bit tier wrong: got %d, reference %d\nq=%s\nd=%s", s16s, want, ks.Query(), d)
+		t.Fatalf("16-bit tier wrong: got %d, reference %d\nq=%s\nd=%s", s16s, want, ks.query, d)
 	}
 	if got := ks.Score(d); got != want {
-		t.Fatalf("kernel ladder: got %d, reference %d\nq=%s\nd=%s", got, want, ks.Query(), d)
+		t.Fatalf("kernel ladder: got %d, reference %d\nq=%s\nd=%s", got, want, ks.query, d)
 	}
 	if got := ke.Score(d); got != want {
-		t.Fatalf("emulated ladder: got %d, reference %d\nq=%s\nd=%s", got, want, ks.Query(), d)
+		t.Fatalf("emulated ladder: got %d, reference %d\nq=%s\nd=%s", got, want, ks.query, d)
 	}
 }
 

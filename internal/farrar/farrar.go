@@ -161,9 +161,6 @@ func NewKernel(query []byte, s score.Scheme) (*Kernel, error) {
 	return k, nil
 }
 
-// Query returns the query sequence the kernel was built for.
-func (k *Kernel) Query() []byte { return k.query }
-
 // Stats returns cumulative kernel dispatch counters.
 func (k *Kernel) Stats() Stats { return k.stats }
 

@@ -227,9 +227,6 @@ func TestScoreReusesScratch(t *testing.T) {
 func TestCellsAndQuery(t *testing.T) {
 	q := []byte("ACDEF")
 	k, _ := NewKernel(q, protScheme())
-	if !bytes.Equal(k.Query(), q) {
-		t.Error("Query() mismatch")
-	}
 	if k.Cells([]byte("ACD")) != 15 {
 		t.Errorf("Cells = %d, want 15", k.Cells([]byte("ACD")))
 	}

@@ -174,10 +174,9 @@ func TestReadFileMissing(t *testing.T) {
 // alphabet-constrained content and wrap widths.
 func TestRoundTripProperty(t *testing.T) {
 	f := func(raw []byte, wrap uint8) bool {
-		letters := seq.Protein.Letters()
 		res := make([]byte, len(raw))
 		for i, b := range raw {
-			res[i] = letters[int(b)%20]
+			res[i] = seq.Protein.Letter(int(b) % 20)
 		}
 		in := seq.New("id1", "some description", res)
 		var buf bytes.Buffer

@@ -104,21 +104,6 @@ func (s Series) Mean() float64 {
 	return sum / float64(len(s.Points))
 }
 
-// MeanBetween averages GCUPS over points with from <= T < to.
-func (s Series) MeanBetween(from, to time.Duration) float64 {
-	sum, n := 0.0, 0
-	for _, p := range s.Points {
-		if p.T >= from && p.T < to {
-			sum += p.GCUPS
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // Table renders aligned text tables for the experiment reports.
 type Table struct {
 	Title  string

@@ -76,14 +76,8 @@ func TestSeriesMeans(t *testing.T) {
 	if got := s.Mean(); got != 4 {
 		t.Errorf("Mean = %v", got)
 	}
-	if got := s.MeanBetween(time.Second, 3*time.Second); got != 5 {
-		t.Errorf("MeanBetween = %v", got)
-	}
 	if got := (Series{}).Mean(); got != 0 {
 		t.Errorf("empty Mean = %v", got)
-	}
-	if got := s.MeanBetween(9*time.Second, 10*time.Second); got != 0 {
-		t.Errorf("empty MeanBetween = %v", got)
 	}
 }
 

@@ -71,7 +71,7 @@ func TestUninstrumentedBundles(t *testing.T) {
 func TestVarzFamilySet(t *testing.T) {
 	s, _ := testServer(t)
 	var buf bytes.Buffer
-	if err := s.Registry().WriteJSON(&buf); err != nil {
+	if err := s.reg.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var families map[string]json.RawMessage

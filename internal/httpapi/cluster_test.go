@@ -223,8 +223,8 @@ func TestClusterBackendServing(t *testing.T) {
 	if !reflect.DeepEqual(clusterOut.Results, localOut.Results) {
 		t.Errorf("post-crash cluster results diverge from local\n got %+v\nwant %+v", clusterOut.Results, localOut.Results)
 	}
-	if !fleet.Ready() {
-		t.Error("fleet should stay ready on the surviving replicas")
+	if resp, body := do(t, "GET", clusterTS.URL+"/readyz", nil); resp.StatusCode != 200 {
+		t.Errorf("/readyz %d %s: the fleet should stay ready on the surviving replicas", resp.StatusCode, body)
 	}
 }
 

@@ -202,9 +202,6 @@ func (s *Server) cacheSalt() string {
 		scheme.Matrix.Name(), scheme.Gap)
 }
 
-// Jobs exposes the job subsystem (tests and embedders).
-func (s *Server) Jobs() *jobs.Manager { return s.jobs }
-
 // SetDraining flips the /readyz signal: a draining server answers 503 so
 // load balancers stop routing to it ahead of Close. Job submission is
 // governed separately by the job subsystem's own drain state.
@@ -217,10 +214,6 @@ func (s *Server) Close(ctx context.Context) error {
 	s.draining.Store(true)
 	return s.jobs.Close(ctx)
 }
-
-// Registry returns the server's metrics registry (the one /metrics
-// serves).
-func (s *Server) Registry() *metrics.Registry { return s.reg }
 
 // Handler returns the HTTP routes.
 func (s *Server) Handler() http.Handler {
@@ -240,11 +233,11 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// decodeJSON decodes the request body into v, writing the appropriate
+// decodeJSON decodes the next value of dec into v, writing the appropriate
 // error response (413 when the body-size cap fired, 400 otherwise) and
 // returning false on failure.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+func decodeJSON(w http.ResponseWriter, dec *json.Decoder, v any) bool {
+	if err := dec.Decode(v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", mbe.Limit)
@@ -288,8 +281,8 @@ type SearchRequest struct {
 	// k longer than the query clamps to the query length.
 	FilterK      int `json:"filter_k,omitempty"`
 	FilterMargin int `json:"filter_margin,omitempty"`
-	// Priority orders the job queue: higher runs first, FIFO within a
-	// level. Only meaningful while the queue is backed up.
+	// Priority orders the tenant's job queue: higher runs first, FIFO
+	// within a level. Only meaningful while the queue is backed up.
 	Priority int `json:"priority,omitempty"`
 	// Tenant names the submitting tenant for fair queueing and quotas; the
 	// X-Tenant request header takes precedence over this field. Empty means
@@ -341,7 +334,7 @@ type SearchResponse struct {
 // written and ok is false.
 func (s *Server) decodeSearch(w http.ResponseWriter, r *http.Request) (jreq jobs.Request, ok bool) {
 	var req SearchRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeJSON(w, json.NewDecoder(r.Body), &req) {
 		return jreq, false
 	}
 	tenant := req.Tenant
@@ -534,11 +527,11 @@ func writeJobOutcome(w http.ResponseWriter, body []byte, job jobs.Job) {
 	}
 }
 
-// AlignRequest is the POST /align payload: two literal sequences.
+// AlignRequest is the POST /align payload: two literal sequences, aligned
+// locally. A body with any other field gets 400.
 type AlignRequest struct {
-	A      string `json:"a"`
-	B      string `json:"b"`
-	Global bool   `json:"global,omitempty"`
+	A string `json:"a"`
+	B string `json:"b"`
 }
 
 // AlignResponse is the POST /align reply.
@@ -551,7 +544,9 @@ type AlignResponse struct {
 
 func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 	var req AlignRequest
-	if !decodeJSON(w, r, &req) {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if !decodeJSON(w, dec, &req) {
 		return
 	}
 	if req.A == "" || req.B == "" {

@@ -140,6 +140,23 @@ func TestAlignEndpoint(t *testing.T) {
 	}
 }
 
+// TestAlignRejectsUnknownFields pins /align as a local aligner: a body that
+// asks for anything else, such as the "global" flag, is refused with 400
+// instead of being answered with a local alignment.
+func TestAlignRejectsUnknownFields(t *testing.T) {
+	_, ts := testServer(t)
+	for _, body := range []map[string]any{
+		{"a": "MKVLATGLL", "b": "MKVLAGLL", "global": true},
+		{"a": "MKVLATGLL", "b": "MKVLAGLL", "global": false},
+		{"a": "MKVLATGLL", "b": "MKVLAGLL", "mode": "semiglobal"},
+	} {
+		resp, out := post(t, ts.URL+"/align", body)
+		if resp.StatusCode != 400 || !strings.Contains(string(out), "unknown field") {
+			t.Errorf("%v: status %d: %s", body, resp.StatusCode, out)
+		}
+	}
+}
+
 func TestMethodRouting(t *testing.T) {
 	_, ts := testServer(t)
 	resp, err := http.Get(ts.URL + "/search")

@@ -110,7 +110,7 @@ func TestConcurrentSearchesCoalesce(t *testing.T) {
 		}
 	}
 	// NewMetrics is idempotent: this re-attaches to the server's families.
-	mm := jobs.NewMetrics(srv.Registry())
+	mm := jobs.NewMetrics(srv.reg)
 	if got := mm.CacheMisses.Value(); got != 1 {
 		t.Errorf("jobs_cache_misses_total = %v, want 1 (exactly one execution)", got)
 	}

@@ -60,7 +60,7 @@ func (s State) Terminal() bool {
 
 // Request is the executable payload of a job. QueriesFasta, TopK, Policy
 // and Align define the work (and the cache identity); Priority orders the
-// queue (higher first, FIFO within a level); Queries and Residues are
+// tenant's queue (higher first, FIFO within a level); Queries and Residues are
 // accounting filled in by the submitter after parsing, so admission control
 // can cap request size without re-parsing FASTA. A terminal job's record
 // drops QueriesFasta: the work is done and its key already computed.
@@ -180,9 +180,6 @@ type Config struct {
 	// actual hint scales with queue depth (see RetryAfterFor). 0 means
 	// DefaultRetryAfter.
 	RetryAfter time.Duration
-	// TenantPolicy selects the cross-tenant dequeue order (fifo|wfq|drf);
-	// the zero value keeps the legacy single priority FIFO.
-	TenantPolicy TenantPolicy
 	// Tenants maps tenant names to their scheduling contracts (weights and
 	// quotas); TenantDefaults applies to unlisted tenants. Zero values mean
 	// weight 1 and no quotas, which keeps single-tenant deployments
@@ -246,6 +243,17 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.Executor == nil {
 		return nil, fmt.Errorf("jobs: Config.Executor is required")
 	}
+	// A weight of +Inf would charge its tenant nothing per dequeue, so its
+	// pass would never advance and it would starve every other tenant; NaN
+	// and negative weights break the pass order as well.
+	for name, tc := range cfg.Tenants {
+		if err := checkWeight(tc.Weight); err != nil {
+			return nil, fmt.Errorf("jobs: tenant %q: %w", name, err)
+		}
+	}
+	if err := checkWeight(cfg.TenantDefaults.Weight); err != nil {
+		return nil, fmt.Errorf("jobs: TenantDefaults: %w", err)
+	}
 	if cfg.Executors == 0 {
 		cfg.Executors = DefaultExecutors
 	}
@@ -269,7 +277,7 @@ func New(cfg Config) (*Manager, error) {
 	// caller disconnects and re-run after recovery, so it must root at
 	// Background.
 	base, abort := context.WithCancel(context.Background())
-	book := NewTenantBook(cfg.TenantPolicy, cfg.Tenants, cfg.TenantDefaults)
+	book := NewTenantBook(cfg.Tenants, cfg.TenantDefaults)
 	m := &Manager{
 		cfg:     cfg,
 		met:     met,
@@ -882,13 +890,6 @@ func (m *Manager) collectLocked(j *job) {
 	}
 	m.pruneLocked()
 	m.trimLocked()
-}
-
-// QueueDepth reports how many jobs are waiting for an executor.
-func (m *Manager) QueueDepth() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.q.len()
 }
 
 // Close drains the Manager: no new submissions are admitted, idle executors

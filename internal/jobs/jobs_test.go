@@ -182,8 +182,8 @@ func TestQueueFullReject(t *testing.T) {
 		t.Fatalf("RetryAfter = %s", rej.RetryAfter)
 	}
 	counter(t, mm.Rejected.With("queue_full"), 1, "rejected{queue_full}")
-	if d := m.QueueDepth(); d != 1 {
-		t.Fatalf("queue depth = %d", d)
+	if d := mm.QueueDepth.Value(); d != 1 {
+		t.Fatalf("queue depth = %v", d)
 	}
 }
 
@@ -205,7 +205,10 @@ func TestCancelQueued(t *testing.T) {
 	if err != nil || got.State != StateCanceled {
 		t.Fatalf("cancel queued: %v %s", err, got.State)
 	}
-	if d := m.QueueDepth(); d != 0 {
+	m.mu.Lock()
+	d := m.q.len()
+	m.mu.Unlock()
+	if d != 0 {
 		t.Fatalf("queue depth = %d after cancel", d)
 	}
 	// Wait returns immediately: the done channel closed on cancellation.
@@ -551,7 +554,6 @@ func TestHammer(t *testing.T) {
 				default:
 					_, _ = m.Get(j.ID)
 					_ = m.List()
-					_ = m.QueueDepth()
 				}
 			}
 		}(int64(g))

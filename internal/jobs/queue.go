@@ -2,39 +2,31 @@ package jobs
 
 import "sort"
 
-// queue is the Manager's bounded admission queue. Under TenantFIFO it is
-// the legacy single priority FIFO: jobs pop highest Priority first and in
-// submission order within a level, tenant-blind. Under TenantWFQ/TenantDRF
-// it keeps one priority FIFO per tenant and pops from the backlogged tenant
-// with the lowest virtual pass in the TenantBook — weighted fair queueing,
-// with priority ordering within (not across) tenants, so one tenant's
-// priority inflation cannot starve another. Every transition is mirrored
-// into the book so quota and fairness accounting stay exact. It is not safe
-// for concurrent use; the Manager serializes access under its mutex.
+// queue is the Manager's bounded admission queue: one priority FIFO per
+// tenant (highest Priority first, submission order within a level), popped
+// from the backlogged tenant with the lowest virtual pass in the TenantBook
+// — fair queueing with a DRF charge, and priority ordering within (not
+// across) tenants, so one tenant's priority inflation cannot starve
+// another. With a single tenant it is exactly that tenant's priority FIFO.
+// Every transition is mirrored into the book so quota and fairness
+// accounting stay exact. It is not safe for concurrent use; the Manager
+// serializes access under its mutex.
 type queue struct {
 	max   int
 	book  *TenantBook
-	lists map[string][]*job
-	names []string // sorted keys of lists (deterministic pop scans)
+	lists map[string][]*job // per tenant
+	names []string          // sorted keys of lists (deterministic pop scans)
 	n     int
 }
 
 func newQueue(max int, book *TenantBook) *queue {
 	if book == nil {
-		book = NewTenantBook(TenantFIFO, nil, TenantConfig{})
+		book = NewTenantBook(nil, TenantConfig{})
 	}
 	return &queue{max: max, book: book, lists: map[string][]*job{}}
 }
 
 func (q *queue) len() int { return q.n }
-
-// listKey buckets a job: one global list under FIFO, per-tenant otherwise.
-func (q *queue) listKey(j *job) string {
-	if q.book.Policy() == TenantFIFO {
-		return ""
-	}
-	return j.Request.Tenant
-}
 
 // push appends j in priority position within its bucket; it reports false
 // when the queue is at capacity (admission control rejects, never blocks).
@@ -42,7 +34,7 @@ func (q *queue) push(j *job) bool {
 	if q.max > 0 && q.n >= q.max {
 		return false
 	}
-	key := q.listKey(j)
+	key := j.Request.Tenant
 	items, ok := q.lists[key]
 	if !ok {
 		q.names = append(q.names, key)
@@ -85,9 +77,7 @@ func (q *queue) pop() *job {
 		if len(q.lists[key]) == 0 {
 			continue
 		}
-		// Under FIFO there is a single bucket; otherwise the bucket key is
-		// the tenant and its pass decides.
-		pass := q.book.Pass(q.lists[key][0].Request.Tenant)
+		pass := q.book.Pass(key)
 		if !have || pass < bestPass {
 			bestKey, bestPass, have = key, pass, true
 		}
@@ -105,7 +95,7 @@ func (q *queue) pop() *job {
 // remove drops a specific job (cancellation of a queued job); it reports
 // whether the job was present.
 func (q *queue) remove(j *job) bool {
-	key := q.listKey(j)
+	key := j.Request.Tenant
 	items := q.lists[key]
 	for i, it := range items {
 		if it == j {

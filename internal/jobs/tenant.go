@@ -2,59 +2,15 @@ package jobs
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
-// TenantPolicy selects how the queue orders work across tenants.
-type TenantPolicy int
-
-const (
-	// TenantFIFO is the legacy single-queue behaviour: one global priority
-	// FIFO, tenant-blind ordering (quotas still apply).
-	TenantFIFO TenantPolicy = iota
-	// TenantWFQ is weighted fair queueing over declared residues: each
-	// dequeue charges the tenant's virtual pass by residues/weight, and the
-	// backlogged tenant with the lowest pass pops next.
-	TenantWFQ
-	// TenantDRF is dominant-resource fair queueing: the charge is the
-	// request's dominant share across query slots and residues (scaled by
-	// the reference capacities below), divided by the tenant's weight.
-	TenantDRF
-)
-
-// String returns the policy name used in flags, logs and metrics.
-func (p TenantPolicy) String() string {
-	switch p {
-	case TenantFIFO:
-		return "fifo"
-	case TenantWFQ:
-		return "wfq"
-	case TenantDRF:
-		return "drf"
-	default:
-		return fmt.Sprintf("TenantPolicy(%d)", int(p))
-	}
-}
-
-// ParseTenantPolicy resolves a policy name (as accepted by swserve's
-// -tenant-policy flag).
-func ParseTenantPolicy(s string) (TenantPolicy, error) {
-	switch s {
-	case "", "fifo":
-		return TenantFIFO, nil
-	case "wfq":
-		return TenantWFQ, nil
-	case "drf":
-		return TenantDRF, nil
-	default:
-		return TenantFIFO, fmt.Errorf("jobs: unknown tenant policy %q (fifo|wfq|drf)", s)
-	}
-}
-
-// Reference capacities normalizing the two DRF resources of a request: a
-// request's share is max(queries/DRFRefQueries, residues/DRFRefResidues),
-// so a many-short-queries tenant and a few-huge-queries tenant are charged
-// by whichever dimension they actually dominate.
+// Reference capacities normalizing the two resources of a request under
+// dominant-resource fairness (DRF): a request's share is
+// max(queries/DRFRefQueries, residues/DRFRefResidues), so a
+// many-short-queries tenant and a few-huge-queries tenant are charged by
+// whichever dimension they actually dominate.
 const (
 	DRFRefQueries  = 64
 	DRFRefResidues = 1 << 20
@@ -88,7 +44,8 @@ func RetryAfterFor(base time.Duration, depth, executors int) time.Duration {
 
 // TenantConfig is one tenant's scheduling contract.
 type TenantConfig struct {
-	// Weight scales the tenant's fair share; 0 means 1.
+	// Weight scales the tenant's fair share; 0 means 1. It must be finite
+	// and not negative (New rejects anything else).
 	Weight float64
 	// MaxOutstanding caps the tenant's queued+running jobs; 0 means
 	// unlimited.
@@ -96,6 +53,14 @@ type TenantConfig struct {
 	// MaxOutstandingResidues caps the tenant's queued+running declared
 	// residues; 0 means unlimited.
 	MaxOutstandingResidues int64
+}
+
+// checkWeight rejects a tenant weight that is negative, infinite or NaN.
+func checkWeight(w float64) error {
+	if !(w >= 0) || math.IsInf(w, 1) {
+		return fmt.Errorf("weight %v is not a finite number >= 0", w)
+	}
+	return nil
 }
 
 // tenantState is one tenant's live accounting.
@@ -108,11 +73,10 @@ type tenantState struct {
 
 // TenantBook is the pure per-tenant accounting behind the Manager's fair
 // queue — the one place tenant shares are computed: quota admission,
-// queued/running counts, and the virtual-time passes that drive WFQ/DRF
+// queued/running counts, and the virtual-time passes that drive the DRF
 // dequeue order. It is not safe for concurrent use; the Manager serializes
 // every call under its mutex.
 type TenantBook struct {
-	policy   TenantPolicy
 	defaults TenantConfig
 	cfg      map[string]TenantConfig
 	state    map[string]*tenantState
@@ -125,17 +89,13 @@ type TenantBook struct {
 
 // NewTenantBook builds an empty book. cfg maps tenant names to their
 // contracts; defaults applies to unlisted tenants (including "").
-func NewTenantBook(policy TenantPolicy, cfg map[string]TenantConfig, defaults TenantConfig) *TenantBook {
+func NewTenantBook(cfg map[string]TenantConfig, defaults TenantConfig) *TenantBook {
 	return &TenantBook{
-		policy:   policy,
 		defaults: defaults,
 		cfg:      cfg,
 		state:    map[string]*tenantState{},
 	}
 }
-
-// Policy returns the book's dequeue policy.
-func (b *TenantBook) Policy() TenantPolicy { return b.policy }
 
 // Limits resolves a tenant's contract.
 func (b *TenantBook) Limits(tenant string) TenantConfig {
@@ -196,29 +156,11 @@ func (b *TenantBook) Enqueue(tenant string, residues int64) {
 	st.queuedResidues += residues
 }
 
-// cost is the pass charge of one dequeued request under the book's policy.
-func (b *TenantBook) cost(queries int, residues int64) float64 {
-	if queries < 1 {
-		queries = 1
-	}
-	if residues < 1 {
-		residues = 1
-	}
-	switch b.policy {
-	case TenantFIFO:
-		return 0
-	case TenantWFQ:
-		return float64(residues)
-	case TenantDRF:
-		q := float64(queries) / DRFRefQueries
-		r := float64(residues) / DRFRefResidues
-		if q > r {
-			return q
-		}
-		return r
-	default:
-		return float64(residues)
-	}
+// cost is the pass charge of one dequeued request: its dominant share.
+func cost(queries int, residues int64) float64 {
+	q := float64(max(queries, 1)) / DRFRefQueries
+	r := float64(max(residues, 1)) / DRFRefResidues
+	return max(q, r)
 }
 
 // Dequeue records a job moving from queued to running and charges the
@@ -232,7 +174,7 @@ func (b *TenantBook) Dequeue(tenant string, queries int, residues int64) {
 	if st.pass > b.vclock {
 		b.vclock = st.pass
 	}
-	st.pass += b.cost(queries, residues) / b.Weight(tenant)
+	st.pass += cost(queries, residues) / b.Weight(tenant)
 }
 
 // Remove records a queued job leaving without running (cancellation). No

@@ -48,10 +48,10 @@ func tjob(id, tenant string, prio, queries int, residues int64) *job {
 	}}}
 }
 
-// Equal-weight WFQ alternates between a heavy and a light tenant instead of
-// draining the heavy tenant's backlog first.
-func TestWFQDequeueAlternates(t *testing.T) {
-	book := NewTenantBook(TenantWFQ, nil, TenantConfig{})
+// Equal-weight fair queueing alternates between a heavy and a light tenant
+// instead of draining the heavy tenant's backlog first.
+func TestDRFDequeueAlternates(t *testing.T) {
+	book := NewTenantBook(nil, TenantConfig{})
 	q := newQueue(0, book)
 	for i := 0; i < 4; i++ {
 		q.push(tjob(fmt.Sprintf("a%d", i), "alice", 0, 1, 100))
@@ -66,9 +66,9 @@ func TestWFQDequeueAlternates(t *testing.T) {
 
 // A weight-2 tenant is charged half per dequeue and receives twice the
 // service of a weight-1 tenant with the same demand.
-func TestWFQWeightsSkewService(t *testing.T) {
+func TestDRFWeightsSkewService(t *testing.T) {
 	cfg := map[string]TenantConfig{"alice": {Weight: 2}}
-	book := NewTenantBook(TenantWFQ, cfg, TenantConfig{})
+	book := NewTenantBook(cfg, TenantConfig{})
 	q := newQueue(0, book)
 	for i := 0; i < 4; i++ {
 		q.push(tjob(fmt.Sprintf("a%d", i), "alice", 0, 1, 100))
@@ -92,7 +92,7 @@ func TestWFQWeightsSkewService(t *testing.T) {
 // DRF charges each request by its dominant dimension: a many-queries tenant
 // and a many-residues tenant with equal dominant shares alternate.
 func TestDRFChargesDominantDimension(t *testing.T) {
-	book := NewTenantBook(TenantDRF, nil, TenantConfig{})
+	book := NewTenantBook(nil, TenantConfig{})
 	q := newQueue(0, book)
 	for i := 0; i < 3; i++ {
 		// alice: residue-heavy (2 in residue share, negligible in queries).
@@ -105,19 +105,82 @@ func TestDRFChargesDominantDimension(t *testing.T) {
 	}
 }
 
-// With a single tenant, WFQ degenerates to the legacy priority FIFO.
-func TestWFQSingleTenantMatchesFIFO(t *testing.T) {
-	book := NewTenantBook(TenantWFQ, nil, TenantConfig{})
-	q := newQueue(0, book)
-	for _, j := range []*job{
-		tjob("a", "x", 0, 1, 10), tjob("b", "x", 1, 1, 10),
-		tjob("c", "x", 0, 1, 10), tjob("d", "x", 1, 1, 10), tjob("e", "x", 2, 1, 10),
-	} {
-		q.push(j)
+// TestSingleTenantMatchesPriorityFIFO: with one tenant the fair queue is
+// that tenant's priority FIFO, whatever the DRF charges. Random pushes (mixed
+// priorities, queries and residues), pops and removes must pop exactly what
+// a reference priority FIFO pops. Every deployment without tenants runs this
+// order.
+func TestSingleTenantMatchesPriorityFIFO(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		q := newQueue(0, nil)
+		var ref []*job // highest priority first, push order within a level
+		for op := 0; op < 300; op++ {
+			switch k := rng.Intn(10); {
+			case k < 5:
+				j := tjob(fmt.Sprintf("j%d", op), "", rng.Intn(4), 1+rng.Intn(200), int64(1+rng.Intn(1<<22)))
+				q.push(j)
+				i := len(ref)
+				for i > 0 && ref[i-1].Request.Priority < j.Request.Priority {
+					i--
+				}
+				ref = append(ref[:i], append([]*job{j}, ref[i:]...)...)
+			case k < 8:
+				j := q.pop()
+				if len(ref) == 0 {
+					if j != nil {
+						t.Fatalf("seed %d op %d: empty queue popped %s", seed, op, j.ID)
+					}
+					continue
+				}
+				if j != ref[0] {
+					t.Fatalf("seed %d op %d: popped %v, reference priority FIFO pops %s", seed, op, j, ref[0].ID)
+				}
+				ref = ref[1:]
+			default:
+				if len(ref) == 0 {
+					continue
+				}
+				i := rng.Intn(len(ref))
+				if !q.remove(ref[i]) {
+					t.Fatalf("seed %d op %d: remove of queued %s failed", seed, op, ref[i].ID)
+				}
+				ref = append(ref[:i], ref[i+1:]...)
+			}
+		}
+		if q.len() != len(ref) {
+			t.Fatalf("seed %d: queue holds %d, reference %d", seed, q.len(), len(ref))
+		}
 	}
-	if got, want := fmt.Sprint(popOrder(q)), "[e b d a c]"; got != want {
-		t.Fatalf("pop order %s, want %s", got, want)
+}
+
+// TestNewRejectsBadWeights: a weight that is not a finite number >= 0 fails
+// New, for a named tenant and for the defaults. An infinite weight would
+// charge its tenant nothing per dequeue, so its pass would never advance and
+// every other tenant would wait behind its whole backlog.
+func TestNewRejectsBadWeights(t *testing.T) {
+	exec := runFunc(func(context.Context, Request) ([]byte, error) { return nil, nil })
+	for _, w := range []float64{math.Inf(1), math.Inf(-1), math.NaN(), -1} {
+		for _, cfg := range []Config{
+			{Tenants: map[string]TenantConfig{"alice": {Weight: w}, "bob": {Weight: 1}}},
+			{TenantDefaults: TenantConfig{Weight: w}},
+		} {
+			cfg.Executor, cfg.Executors = exec, -1
+			if m, err := New(cfg); err == nil {
+				m.Close(context.Background())
+				t.Errorf("weight %v accepted (tenants %v, defaults %v)", w, cfg.Tenants, cfg.TenantDefaults)
+			}
+		}
 	}
+	m, err := New(Config{
+		Executor: exec, Executors: -1,
+		Tenants:        map[string]TenantConfig{"alice": {Weight: 0}, "bob": {Weight: 2.5}},
+		TenantDefaults: TenantConfig{Weight: 1e9},
+	})
+	if err != nil {
+		t.Fatalf("finite weights rejected: %v", err)
+	}
+	m.Close(context.Background())
 }
 
 // An over-quota submission is rejected with the machine-readable reason the
@@ -128,11 +191,10 @@ func TestTenantQuotaRejectsAndFrees(t *testing.T) {
 	mm := NewMetrics(metrics.NewRegistry())
 	release := make(chan struct{})
 	m, err := New(Config{
-		Executors:    1,
-		Metrics:      mm,
-		RetryAfter:   2 * time.Second,
-		TenantPolicy: TenantDRF,
-		Tenants:      map[string]TenantConfig{"alice": {MaxOutstanding: 2}},
+		Executors:  1,
+		Metrics:    mm,
+		RetryAfter: 2 * time.Second,
+		Tenants:    map[string]TenantConfig{"alice": {MaxOutstanding: 2}},
 		Executor: runFunc(func(ctx context.Context, r Request) ([]byte, error) {
 			select {
 			case <-release:
@@ -260,9 +322,8 @@ func TestRecoveryPreservesTenancy(t *testing.T) {
 	}
 	release := make(chan struct{})
 	m, err := New(Config{
-		Executors:    1,
-		Dir:          dir,
-		TenantPolicy: TenantWFQ,
+		Executors: 1,
+		Dir:       dir,
 		Executor: runFunc(func(ctx context.Context, r Request) ([]byte, error) {
 			select {
 			case <-release:
@@ -310,20 +371,17 @@ func TestFloodVersusTrickleFairShare(t *testing.T) {
 		residues    = 1 << 15 // dominant DRF dimension at one query per job
 	)
 	cases := []struct {
-		policy         TenantPolicy
 		flood, trickle float64 // weights
 		every          int     // pops between trickle arrivals
 	}{
-		{TenantWFQ, 1, 1, 1}, {TenantWFQ, 1, 1, 4},
-		{TenantWFQ, 2, 1, 1}, {TenantWFQ, 2, 1, 4},
-		{TenantDRF, 1, 1, 1}, {TenantDRF, 1, 1, 4},
-		{TenantDRF, 2, 1, 1}, {TenantDRF, 2, 1, 4},
+		{1, 1, 1}, {1, 1, 4},
+		{2, 1, 1}, {2, 1, 4},
 	}
 	for _, tc := range cases {
-		name := fmt.Sprintf("%s/%g:%g/every%d", tc.policy, tc.flood, tc.trickle, tc.every)
+		name := fmt.Sprintf("drf/%g:%g/every%d", tc.flood, tc.trickle, tc.every)
 		t.Run(name, func(t *testing.T) {
 			weight := map[string]float64{"flood": tc.flood, "trickle": tc.trickle}
-			book := NewTenantBook(tc.policy, map[string]TenantConfig{
+			book := NewTenantBook(map[string]TenantConfig{
 				"flood": {Weight: tc.flood}, "trickle": {Weight: tc.trickle},
 			}, TenantConfig{})
 			q := newQueue(0, book)
@@ -403,7 +461,7 @@ func TestFloodVersusTrickleFairShare(t *testing.T) {
 // quota accounting never goes negative, (b) pops respect each tenant's
 // priority-then-FIFO order, (c) no job is duplicated or lost, and (d) the
 // book's queued counts agree with a shadow model.
-func driveFairQueue(t testing.TB, seed int64, policy TenantPolicy) {
+func driveFairQueue(t testing.TB, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	tenants := []string{"", "alice", "bob", "carol"}
 	cfg := map[string]TenantConfig{
@@ -411,7 +469,7 @@ func driveFairQueue(t testing.TB, seed int64, policy TenantPolicy) {
 		"bob":   {MaxOutstanding: 8},
 		"carol": {MaxOutstandingResidues: 1 << 20},
 	}
-	book := NewTenantBook(policy, cfg, TenantConfig{})
+	book := NewTenantBook(cfg, TenantConfig{})
 	q := newQueue(16, book)
 	model := map[string][]*job{} // expected within-tenant pop order
 	queued := map[*job]bool{}
@@ -533,22 +591,20 @@ func driveFairQueue(t testing.TB, seed int64, policy TenantPolicy) {
 }
 
 // TestFairQueueProperty sweeps the randomized interleaving across a pinned
-// seed matrix for every policy.
+// seed matrix.
 func TestFairQueueProperty(t *testing.T) {
-	for _, policy := range []TenantPolicy{TenantFIFO, TenantWFQ, TenantDRF} {
-		for seed := int64(1); seed <= 20; seed++ {
-			driveFairQueue(t, seed, policy)
-		}
+	for seed := int64(1); seed <= 60; seed++ {
+		driveFairQueue(t, seed)
 	}
 }
 
 // FuzzFairQueue lets the fuzzer hunt for interleavings the pinned matrix
 // misses; the corpus seeds mirror the property test.
 func FuzzFairQueue(f *testing.F) {
-	f.Add(int64(1), byte(0))
-	f.Add(int64(2), byte(1))
-	f.Add(int64(3), byte(2))
-	f.Fuzz(func(t *testing.T, seed int64, policyByte byte) {
-		driveFairQueue(t, seed, TenantPolicy(policyByte%3))
+	f.Add(int64(1))
+	f.Add(int64(2))
+	f.Add(int64(3))
+	f.Fuzz(func(t *testing.T, seed int64) {
+		driveFairQueue(t, seed)
 	})
 }

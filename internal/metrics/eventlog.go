@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"sync"
-	"sync/atomic"
-	"time"
 )
 
 // Event is one line of a structured scheduler event stream: the wall-clock
@@ -58,18 +56,12 @@ const (
 	EventStage   = "stage"
 )
 
-// Makespan is the summary event's makespan as a duration.
-func (e Event) Makespan() time.Duration {
-	return time.Duration(e.MakespanSec * float64(time.Second))
-}
-
 // EventLog serialises events as JSON lines to a writer. It is safe for
 // concurrent Emit from any number of goroutines; a nil *EventLog discards
 // events, so call sites need no guards.
 type EventLog struct {
-	mu      sync.Mutex
-	enc     *json.Encoder
-	emitted atomic.Uint64
+	mu  sync.Mutex
+	enc *json.Encoder
 }
 
 // NewEventLog writes events to w (one JSON object per line).
@@ -84,17 +76,5 @@ func (l *EventLog) Emit(e Event) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.enc.Encode(e); err != nil {
-		return err
-	}
-	l.emitted.Add(1)
-	return nil
-}
-
-// Emitted returns how many events have been written.
-func (l *EventLog) Emitted() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.emitted.Load()
+	return l.enc.Encode(e)
 }

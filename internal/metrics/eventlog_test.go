@@ -22,9 +22,6 @@ func TestEventLogEmit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if l.Emitted() != 4 {
-		t.Errorf("Emitted = %d, want 4", l.Emitted())
-	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 4 {
 		t.Fatalf("got %d lines, want 4:\n%s", len(lines), buf.String())
@@ -48,9 +45,6 @@ func TestEventLogNilSafe(t *testing.T) {
 	var l *EventLog
 	if err := l.Emit(Event{Kind: EventSample}); err != nil {
 		t.Errorf("nil Emit = %v", err)
-	}
-	if l.Emitted() != 0 {
-		t.Error("nil Emitted != 0")
 	}
 }
 

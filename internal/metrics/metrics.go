@@ -234,42 +234,12 @@ func (h *Histogram) Sum() float64 {
 	return h.sum.get()
 }
 
-// Buckets returns the configured upper bounds (without the implicit +Inf).
-func (h *Histogram) Buckets() []float64 { return append([]float64(nil), h.upper...) }
-
 // BucketCounts returns the per-bucket (non-cumulative) observation counts;
 // the final element is the +Inf bucket.
 func (h *Histogram) BucketCounts() []uint64 {
 	out := make([]uint64, len(h.counts))
 	for i := range h.counts {
 		out[i] = h.counts[i].Load()
-	}
-	return out
-}
-
-// ExponentialBuckets returns count buckets starting at start, each factor
-// times the previous.
-func ExponentialBuckets(start, factor float64, count int) []float64 {
-	if start <= 0 || factor <= 1 || count < 1 {
-		panic("metrics: ExponentialBuckets needs start > 0, factor > 1, count >= 1")
-	}
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start
-		start *= factor
-	}
-	return out
-}
-
-// LinearBuckets returns count buckets starting at start, spaced width apart.
-func LinearBuckets(start, width float64, count int) []float64 {
-	if width <= 0 || count < 1 {
-		panic("metrics: LinearBuckets needs width > 0, count >= 1")
-	}
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start
-		start += width
 	}
 	return out
 }

@@ -296,17 +296,6 @@ func TestRegistryRace(t *testing.T) {
 	}
 }
 
-func TestBucketHelpers(t *testing.T) {
-	exp := ExponentialBuckets(1, 2, 4)
-	if want := []float64{1, 2, 4, 8}; !equalFloats(exp, want) {
-		t.Errorf("ExponentialBuckets = %v, want %v", exp, want)
-	}
-	lin := LinearBuckets(0, 5, 3)
-	if want := []float64{0, 5, 10}; !equalFloats(lin, want) {
-		t.Errorf("LinearBuckets = %v, want %v", lin, want)
-	}
-}
-
 // TestNilRegistryIsUninstrumented pins the contract every bundle in the
 // tree builds on: a nil registry hands out nil handles, nil vectors hand
 // out nil handles, and a nil handle swallows every mutation and reads 0.

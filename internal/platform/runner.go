@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/gcups"
 	"repro/internal/sched"
 	"repro/internal/vtime"
 )
@@ -67,14 +68,6 @@ type PEStat struct {
 	Executions []Execution
 }
 
-// GCUPS returns the PE's achieved billions of cells per second while busy.
-func (s PEStat) GCUPS() float64 {
-	if s.Busy <= 0 {
-		return 0
-	}
-	return float64(s.CellsDone) / s.Busy.Seconds() / 1e9
-}
-
 // Result is the outcome of one experiment run.
 type Result struct {
 	Makespan    time.Duration
@@ -86,12 +79,7 @@ type Result struct {
 }
 
 // GCUPS returns the run's overall rate: useful cells over the makespan.
-func (r *Result) GCUPS() float64 {
-	if r.Makespan <= 0 {
-		return 0
-	}
-	return float64(r.UsefulCells) / r.Makespan.Seconds() / 1e9
-}
+func (r *Result) GCUPS() float64 { return gcups.GCUPS(r.UsefulCells, r.Makespan) }
 
 // Run executes the experiment in virtual time and returns its result.
 func Run(exp Experiment) (*Result, error) {

@@ -244,9 +244,6 @@ func (c *Coordinator) abandonToPool(tid TaskID, sid SlaveID) {
 // Pool exposes the underlying task pool (read-mostly; used by reports).
 func (c *Coordinator) Pool() *Pool { return c.pool }
 
-// Policy returns the active allocation policy.
-func (c *Coordinator) Policy() Policy { return c.cfg.Policy }
-
 // Register adds a slave and returns its ID. The speed history is anchored
 // at the registration instant so the first progress delta is divided by
 // time the slave actually spent working.
@@ -278,23 +275,6 @@ func (c *Coordinator) SpeedOf(id SlaveID) float64 {
 		return v
 	}
 	return s.info.DeclaredSpeed
-}
-
-// Progress ingests a periodic notification: cells processed by the slave
-// since its previous notification. The cells also feed the slave's backlog
-// estimate used by the workload adjustment mechanism. Notifications from
-// dead (expired) slaves are discarded.
-func (c *Coordinator) Progress(id SlaveID, cells int64, now time.Duration) {
-	s := c.slaves[id]
-	if s.dead {
-		return
-	}
-	s.lastContact = now
-	s.hist.Observe(cells, now)
-	if cells > 0 {
-		s.credit += cells
-	}
-	c.gaugeRate(id)
 }
 
 // ProgressRate ingests a directly measured speed sample (cells/second) plus
@@ -575,13 +555,6 @@ func (c *Coordinator) CompleteWork(id SlaveID, tid TaskID, payload any, cells in
 		c.gaugeRate(id)
 	}
 	return c.Complete(id, tid, payload, now)
-}
-
-// Abandon records that a slave gave up a task (cancellation acknowledged).
-func (c *Coordinator) Abandon(id SlaveID, tid TaskID) {
-	c.slaves[id].drop(tid, c.pool.Task(tid).Cells)
-	c.abandonToPool(tid, id)
-	c.syncGauges()
 }
 
 // SlaveDied removes a slave: its executing tasks lose an executor and

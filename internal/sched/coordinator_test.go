@@ -218,15 +218,6 @@ func TestSlaveDiedRequeuesInAssignmentOrder(t *testing.T) {
 	}
 }
 
-func TestAbandonViaCoordinator(t *testing.T) {
-	c, ids := newCoord(1, Config{Policy: SS{}})
-	tasks, _ := c.RequestWork(ids[0], 0)
-	c.Abandon(ids[0], tasks[0].ID)
-	if c.Pool().StateOf(tasks[0].ID) != Ready {
-		t.Fatal("abandoned task not requeued")
-	}
-}
-
 func TestAssignmentLog(t *testing.T) {
 	c, ids := newCoord(3, Config{Policy: SS{}, Adjust: true})
 	c.RequestWork(ids[0], 0)
@@ -258,11 +249,14 @@ func TestSlaveKindString(t *testing.T) {
 	}
 }
 
+// TestProgressDeltaPath: a completion that reports cells but no measured
+// rate feeds the speed history as a delta over the time since the last
+// sample.
 func TestProgressDeltaPath(t *testing.T) {
 	c := NewCoordinator(mkTasks(4), Config{Policy: &PSS{}})
 	id := c.Register(SlaveInfo{Name: "s"}, 0)
-	c.Progress(id, 0, 0)
-	c.Progress(id, 2000, sec(1))
+	tasks, _ := c.RequestWork(id, 0)
+	c.CompleteWork(id, tasks[0].ID, nil, 2000, 0, sec(1))
 	if got := c.SpeedOf(id); got != 2000 {
 		t.Fatalf("SpeedOf after delta notifications = %v, want 2000", got)
 	}

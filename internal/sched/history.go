@@ -76,9 +76,6 @@ func (h *History) push(v float64) {
 	}
 }
 
-// Samples returns how many speed samples the estimator holds.
-func (h *History) Samples() int { return h.n }
-
 // Speed returns the Ω-window weighted mean speed in cells/second and
 // whether any samples exist. The k-th most recent sample has weight
 // omega-k, so the newest sample weighs omega and the oldest in the window

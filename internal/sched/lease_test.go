@@ -62,9 +62,9 @@ func TestExpireDisabledAndContactRefresh(t *testing.T) {
 	if got := c.LastContact(id); got != sec(5) {
 		t.Fatalf("LastContact after RequestWork = %v", got)
 	}
-	c.Progress(id, 10, sec(6))
+	c.ProgressRate(id, 10, 10, sec(6))
 	if got := c.LastContact(id); got != sec(6) {
-		t.Fatalf("LastContact after Progress = %v", got)
+		t.Fatalf("LastContact after ProgressRate = %v", got)
 	}
 	c.Complete(id, 0, nil, sec(7))
 	if got := c.LastContact(id); got != sec(7) {
@@ -80,7 +80,6 @@ func TestDeadSlaveNotificationsDiscarded(t *testing.T) {
 	id := c.Register(SlaveInfo{Name: "s", DeclaredSpeed: 50}, 0)
 	c.SlaveDied(id)
 	c.ProgressRate(id, 999, 100, sec(1))
-	c.Progress(id, 100, sec(2))
 	if got := c.SpeedOf(id); got != 50 {
 		t.Fatalf("dead slave's notifications observed: SpeedOf = %v", got)
 	}
@@ -133,7 +132,8 @@ func TestHistoryAnchoredAtRegistration(t *testing.T) {
 	// Registers 100 s into the job, then reports 1000 cells one second
 	// later. The buggy timebase (job start) would yield ~9.9 cells/s.
 	id := c.Register(SlaveInfo{Name: "late"}, sec(100))
-	c.Progress(id, 1000, sec(101))
+	tasks, _ := c.RequestWork(id, sec(100))
+	c.CompleteWork(id, tasks[0].ID, nil, 1000, 0, sec(101))
 	if got := c.SpeedOf(id); got != 1000 {
 		t.Fatalf("first sample = %v cells/s, want 1000 (anchored at registration)", got)
 	}

@@ -168,16 +168,11 @@ func (p *Pool) Task(id TaskID) Task { return p.entries[id].task }
 // StateOf returns the lifecycle state of a task.
 func (p *Pool) StateOf(id TaskID) State { return p.entries[id].state }
 
-// TakeReady moves up to n ready tasks to the executing state on slave s,
-// returning them in FIFO order.
-func (p *Pool) TakeReady(n int, s SlaveID, now time.Duration) []Task {
-	return p.TakeReadyFunc(n, nil, s, now)
-}
-
-// TakeReadyFunc is TakeReady restricted to tasks allow admits (nil admits
-// every task): the kind-aware grant path, where a slave only receives task
-// kinds it declared capability for. Skipped tasks keep their FIFO position
-// for the next capable requester.
+// TakeReadyFunc moves up to n ready tasks that allow admits (nil admits
+// every task) to the executing state on slave s, returning them in FIFO
+// order: the kind-aware grant path, where a slave only receives task kinds
+// it declared capability for. Skipped tasks keep their FIFO position for the
+// next capable requester.
 func (p *Pool) TakeReadyFunc(n int, allow func(Task) bool, s SlaveID, now time.Duration) []Task {
 	if n <= 0 {
 		return nil

@@ -18,7 +18,7 @@ func TestPoolLifecycle(t *testing.T) {
 	if p.Len() != 3 || p.Ready() != 3 || p.ExecutingCount() != 0 || p.Finished() != 0 {
 		t.Fatalf("fresh pool counts wrong: %d %d %d", p.Ready(), p.ExecutingCount(), p.Finished())
 	}
-	got := p.TakeReady(2, 0, 0)
+	got := p.TakeReadyFunc(2, nil, 0, 0)
 	if len(got) != 2 || got[0].ID != 0 || got[1].ID != 1 {
 		t.Fatalf("TakeReady = %v", got)
 	}
@@ -46,20 +46,20 @@ func TestPoolLifecycle(t *testing.T) {
 
 func TestPoolTakeReadyClamps(t *testing.T) {
 	p := NewPool(mkTasks(2))
-	if got := p.TakeReady(10, 0, 0); len(got) != 2 {
+	if got := p.TakeReadyFunc(10, nil, 0, 0); len(got) != 2 {
 		t.Fatalf("TakeReady(10) = %d tasks", len(got))
 	}
-	if got := p.TakeReady(1, 0, 0); got != nil {
+	if got := p.TakeReadyFunc(1, nil, 0, 0); got != nil {
 		t.Fatalf("TakeReady on empty = %v", got)
 	}
-	if got := p.TakeReady(0, 0, 0); got != nil {
+	if got := p.TakeReadyFunc(0, nil, 0, 0); got != nil {
 		t.Fatalf("TakeReady(0) = %v", got)
 	}
 }
 
 func TestPoolReplicaAndFirstWins(t *testing.T) {
 	p := NewPool(mkTasks(1))
-	p.TakeReady(1, 0, 0)
+	p.TakeReadyFunc(1, nil, 0, 0)
 	p.AddExecutor(0, 1, time.Second)
 	if n := len(p.Executors(0)); n != 2 {
 		t.Fatalf("executors = %d, want 2", n)
@@ -93,7 +93,7 @@ func TestPoolAddExecutorPanicsOnReady(t *testing.T) {
 
 func TestPoolCompleteByStrangerPanics(t *testing.T) {
 	p := NewPool(mkTasks(1))
-	p.TakeReady(1, 0, 0)
+	p.TakeReadyFunc(1, nil, 0, 0)
 	defer func() {
 		if recover() == nil {
 			t.Error("Complete by non-executor should panic")
@@ -104,19 +104,19 @@ func TestPoolCompleteByStrangerPanics(t *testing.T) {
 
 func TestPoolAbandonRequeues(t *testing.T) {
 	p := NewPool(mkTasks(2))
-	p.TakeReady(2, 0, 0)
+	p.TakeReadyFunc(2, nil, 0, 0)
 	p.Abandon(1, 0)
 	if p.Ready() != 1 || p.StateOf(1) != Ready {
 		t.Fatal("abandoned task did not requeue")
 	}
 	// Requeued task comes back first.
-	got := p.TakeReady(1, 1, time.Second)
+	got := p.TakeReadyFunc(1, nil, 1, time.Second)
 	if got[0].ID != 1 {
 		t.Fatalf("requeued task not at FIFO head: got %d", got[0].ID)
 	}
 	// Abandon with another executor alive keeps the task executing.
 	p2 := NewPool(mkTasks(1))
-	p2.TakeReady(1, 0, 0)
+	p2.TakeReadyFunc(1, nil, 0, 0)
 	p2.AddExecutor(0, 1, 0)
 	p2.Abandon(0, 0)
 	if p2.StateOf(0) != Executing {

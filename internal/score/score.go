@@ -101,19 +101,6 @@ func (m *Matrix) Min() int { return m.min }
 // Row returns the score row for dense residue index i.
 func (m *Matrix) Row(i int) []int { return m.scores[i] }
 
-// IsSymmetric reports whether scores[i][j] == scores[j][i] for all residues,
-// which holds for every standard substitution matrix.
-func (m *Matrix) IsSymmetric() bool {
-	for i := range m.scores {
-		for j := i + 1; j < len(m.scores); j++ {
-			if m.scores[i][j] != m.scores[j][i] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Gap describes gap penalties. Penalties are stored as non-negative
 // magnitudes and subtracted by the alignment kernels.
 //
@@ -132,14 +119,6 @@ func AffineGap(open, extend int) Gap { return Gap{Open: open, Extend: extend} }
 
 // IsAffine reports whether opening a gap costs extra.
 func (g Gap) IsAffine() bool { return g.Open != 0 }
-
-// Cost returns the total penalty of a gap run of length k (k >= 1).
-func (g Gap) Cost(k int) int {
-	if k <= 0 {
-		return 0
-	}
-	return g.Open + k*g.Extend
-}
 
 // Validate checks the penalties are usable by the DP kernels.
 func (g Gap) Validate() error {
@@ -167,11 +146,6 @@ type Scheme struct {
 // BLOSUM62 with gap open 10, gap extend 2 (the CUDASW++ 2.0 default).
 func DefaultProtein() Scheme {
 	return Scheme{Matrix: BLOSUM62, Gap: AffineGap(10, 2)}
-}
-
-// DefaultDNA is the Fig. 1 scheme: match +1, mismatch -1, linear gap 2.
-func DefaultDNA() Scheme {
-	return Scheme{Matrix: NewMatchMismatch(seq.DNA, 1, -1), Gap: LinearGap(2)}
 }
 
 // Validate checks the scheme is internally consistent.

@@ -83,18 +83,12 @@ func (a *Alphabet) Kind() Kind { return a.kind }
 // Size returns the number of residues in the alphabet.
 func (a *Alphabet) Size() int { return len(a.letters) }
 
-// Letters returns the residue letters in index order.
-func (a *Alphabet) Letters() string { return a.letters }
-
 // Index returns the dense index of residue c, or -1 if c is not a residue of
 // this alphabet.
 func (a *Alphabet) Index(c byte) int { return int(a.index[c]) }
 
 // Letter returns the residue letter for dense index i.
 func (a *Alphabet) Letter(i int) byte { return a.letters[i] }
-
-// Contains reports whether c is a residue of this alphabet (case-insensitive).
-func (a *Alphabet) Contains(c byte) bool { return a.index[c] >= 0 }
 
 // Validate checks that every byte of s is a residue of the alphabet and
 // returns a descriptive error naming the first offending byte otherwise.
@@ -168,21 +162,6 @@ func (s *Sequence) String() string {
 		r, suffix = r[:preview], "..."
 	}
 	return fmt.Sprintf(">%s [%d aa] %s%s", s.ID, s.Len(), r, suffix)
-}
-
-// Composition counts each residue letter of s under alphabet a. Returns a
-// slice indexed by dense residue index and the count of bytes outside the
-// alphabet.
-func Composition(a *Alphabet, s []byte) (counts []int, invalid int) {
-	counts = make([]int, a.Size())
-	for _, c := range s {
-		if i := a.Index(c); i >= 0 {
-			counts[i]++
-		} else {
-			invalid++
-		}
-	}
-	return counts, invalid
 }
 
 // GuessAlphabet inspects s and returns the most plausible package alphabet:

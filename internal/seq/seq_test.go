@@ -33,7 +33,7 @@ func TestAlphabetCaseInsensitive(t *testing.T) {
 	if DNA.Index('a') != DNA.Index('A') {
 		t.Error("DNA lookup is case-sensitive")
 	}
-	if !Protein.Contains('w') || !Protein.Contains('W') {
+	if Protein.Index('w') < 0 || Protein.Index('W') < 0 {
 		t.Error("Protein should contain w/W")
 	}
 }
@@ -93,16 +93,6 @@ func TestSequenceString(t *testing.T) {
 	}
 }
 
-func TestComposition(t *testing.T) {
-	counts, invalid := Composition(DNA, []byte("AATG?C"))
-	if invalid != 1 {
-		t.Errorf("invalid = %d, want 1", invalid)
-	}
-	if counts[DNA.Index('A')] != 2 || counts[DNA.Index('T')] != 1 {
-		t.Errorf("counts = %v", counts)
-	}
-}
-
 func TestGuessAlphabet(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -133,10 +123,9 @@ func TestKindString(t *testing.T) {
 // Property: Encode/Decode round-trips for any string drawn from the alphabet.
 func TestEncodeDecodeProperty(t *testing.T) {
 	f := func(raw []byte) bool {
-		letters := Protein.Letters()
 		s := make([]byte, len(raw))
 		for i, b := range raw {
-			s[i] = letters[int(b)%len(letters)]
+			s[i] = Protein.Letter(int(b) % Protein.Size())
 		}
 		enc, err := Protein.Encode(s)
 		if err != nil {

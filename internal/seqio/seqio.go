@@ -138,7 +138,6 @@ func processLine(line []byte, lineStart uint64, offsets *[]uint64, curLen, maxLe
 type File struct {
 	flat    *os.File
 	offsets []uint64
-	maxLen  int
 }
 
 // Open loads the index and opens the flat file. If the index is missing it
@@ -158,7 +157,6 @@ func Open(fastaPath string) (*File, error) {
 		return nil, fmt.Errorf("seqio: %s: not an index file", idxPath)
 	}
 	count := binary.LittleEndian.Uint64(idx[8:16])
-	maxLen := binary.LittleEndian.Uint64(idx[16:24])
 	want := 24 + 8*(int(count)+1)
 	if len(idx) != want {
 		return nil, fmt.Errorf("seqio: %s: truncated index (%d bytes, want %d)", idxPath, len(idx), want)
@@ -171,7 +169,7 @@ func Open(fastaPath string) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &File{flat: flat, offsets: offsets, maxLen: int(maxLen)}, nil
+	return &File{flat: flat, offsets: offsets}, nil
 }
 
 // Close releases the flat file.
@@ -179,10 +177,6 @@ func (f *File) Close() error { return f.flat.Close() }
 
 // Count returns the number of sequences.
 func (f *File) Count() int { return len(f.offsets) - 1 }
-
-// MaxLen returns the length of the longest sequence, which the paper's
-// header records so slaves can size their DP buffers up front.
-func (f *File) MaxLen() int { return f.maxLen }
 
 // Get retrieves sequence i without scanning the file.
 func (f *File) Get(i int) (*seq.Sequence, error) {

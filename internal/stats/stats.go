@@ -1,5 +1,5 @@
 // Package stats implements Karlin-Altschul statistics for Smith-Waterman
-// search scores: bit scores and expect values (E-values).
+// search scores: expect values (E-values).
 //
 // A raw Smith-Waterman score S is only meaningful relative to the scoring
 // system. Karlin-Altschul theory normalizes it with two parameters λ and K
@@ -75,30 +75,14 @@ func Lookup(s score.Scheme) (Params, bool) {
 	return best, false
 }
 
-// BitScore converts a raw score to bits.
-func (p Params) BitScore(raw int) float64 {
-	return (p.Lambda*float64(raw) - math.Log(p.K)) / math.Ln2
-}
-
 // EValue returns the expected number of chance alignments scoring at least
 // raw, for a query of m residues against a database of n total residues.
 func (p Params) EValue(raw int, m int, n int64) float64 {
 	if m <= 0 || n <= 0 {
 		return math.Inf(1)
 	}
-	// E = K m n e^{-λS}, equivalently m n 2^{-bitscore}.
+	// E = K m n e^{-λS}.
 	return p.K * float64(m) * float64(n) * math.Exp(-p.Lambda*float64(raw))
-}
-
-// RawForEValue inverts EValue: the smallest raw score whose E-value is at
-// most e. Useful for score cutoffs.
-func (p Params) RawForEValue(e float64, m int, n int64) int {
-	if e <= 0 || m <= 0 || n <= 0 || p.Lambda <= 0 {
-		return math.MaxInt32
-	}
-	// E = K m n exp(-λ S)  =>  S = ln(K m n / E) / λ
-	s := math.Log(p.K*float64(m)*float64(n)/e) / p.Lambda
-	return int(math.Ceil(s))
 }
 
 // Validate rejects degenerate parameters.

@@ -48,18 +48,6 @@ func TestLookupUnknownMatrix(t *testing.T) {
 	}
 }
 
-func TestBitScoreMonotone(t *testing.T) {
-	p, _ := Lookup(score.DefaultProtein())
-	prev := math.Inf(-1)
-	for raw := 10; raw <= 500; raw += 10 {
-		b := p.BitScore(raw)
-		if b <= prev {
-			t.Fatalf("bit score not increasing at raw=%d", raw)
-		}
-		prev = b
-	}
-}
-
 func TestEValueBehaviour(t *testing.T) {
 	p, _ := Lookup(score.DefaultProtein())
 	m, n := 300, int64(190_000_000)
@@ -81,25 +69,6 @@ func TestEValueBehaviour(t *testing.T) {
 	}
 	if !math.IsInf(p.EValue(100, 0, n), 1) {
 		t.Error("degenerate m should give +Inf")
-	}
-}
-
-func TestRawForEValueInverts(t *testing.T) {
-	p, _ := Lookup(score.DefaultProtein())
-	m, n := 250, int64(12_000_000)
-	for _, e := range []float64{10, 0.01, 1e-10} {
-		raw := p.RawForEValue(e, m, n)
-		if got := p.EValue(raw, m, n); got > e {
-			t.Errorf("E(RawForEValue(%g)) = %g, want <= %g", e, got, e)
-		}
-		if raw > 1 {
-			if got := p.EValue(raw-1, m, n); got <= e {
-				t.Errorf("RawForEValue(%g) = %d not minimal", e, raw)
-			}
-		}
-	}
-	if p.RawForEValue(0, m, n) != math.MaxInt32 {
-		t.Error("zero E should demand an unreachable score")
 	}
 }
 

@@ -4,7 +4,7 @@ import "repro/internal/score"
 
 // This file implements the Myers-Miller (1988) divide-and-conquer alignment,
 // which recovers an optimal affine-gap alignment in O(m+n) space instead of
-// the O(mn) matrix used by Align/AlignGlobal. The paper cites this family of
+// the O(mn) matrix used by Align. The paper cites this family of
 // techniques ([4]: "Smith-Waterman Alignment of Huge Sequences with GPU in
 // Linear Space") as the way to align sequences whose DP matrix cannot be
 // stored.
@@ -18,19 +18,6 @@ import "repro/internal/score"
 type mmAligner struct {
 	s          score.Scheme
 	qRow, tRow []byte // emitted alignment rows
-}
-
-// AlignGlobalLinear computes an optimal global alignment of q vs t in linear
-// space. It produces the same score as AlignGlobal (the traceback itself may
-// differ among co-optimal alignments).
-func AlignGlobalLinear(q, t []byte, s score.Scheme) *Alignment {
-	a := &mmAligner{s: s}
-	sc := a.diff(q, t, s.Gap.Open, s.Gap.Open)
-	return &Alignment{
-		Score:    sc,
-		QueryEnd: len(q), TargetEnd: len(t),
-		QueryRow: a.qRow, TargetRow: a.tRow,
-	}
 }
 
 // AlignLinearSpace computes an optimal Smith-Waterman local alignment in

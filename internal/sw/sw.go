@@ -7,10 +7,11 @@
 //
 //   - score-only kernels in O(n) space (Score, ScoreEnds) — phase 1 of the
 //     paper's §II-A, used by database search;
-//   - full-matrix traceback kernels (Align, AlignGlobal) — phase 2, which
-//     recover the optimal alignment itself;
-//   - a Myers-Miller linear-space traceback (AlignLinearSpace) for long
-//     sequences where the O(mn) matrix does not fit in memory.
+//   - a full-matrix traceback kernel (Align) — phase 2, which recovers the
+//     optimal alignment itself;
+//   - a Myers-Miller linear-space traceback (AlignLinearSpace), the phase 2
+//     that serving runs, for sequences whose O(mn) matrix does not fit in
+//     memory. Align is its reference.
 //
 // These are the trusted oracles: the vectorized Farrar kernel
 // (internal/farrar) and the simulated GPU engine (internal/cudasw) are
@@ -161,42 +162,4 @@ func ScoreEnds(q, t []byte, s score.Scheme) (best, qEnd, tEnd int) {
 		}
 	}
 	return best, qEnd, tEnd
-}
-
-// ScoreMatrix computes and returns the full (m+1)x(n+1) similarity matrix H
-// of the paper's §II-A phase 1, for the affine or linear model depending on
-// the scheme. Intended for tests and teaching (e.g. the paper's Fig. 2);
-// use ScoreEnds for real workloads.
-func ScoreMatrix(q, t []byte, s score.Scheme) [][]int {
-	m, n := len(q), len(t)
-	H := make([][]int, m+1)
-	E := make([][]int, m+1)
-	F := make([][]int, m+1)
-	negInf := -(1 << 30)
-	for i := 0; i <= m; i++ {
-		H[i] = make([]int, n+1)
-		E[i] = make([]int, n+1)
-		F[i] = make([]int, n+1)
-		for j := 0; j <= n; j++ {
-			E[i][j], F[i][j] = negInf, negInf
-		}
-	}
-	for i := 1; i <= m; i++ {
-		for j := 1; j <= n; j++ {
-			E[i][j] = max(H[i][j-1]-s.Gap.Open-s.Gap.Extend, E[i][j-1]-s.Gap.Extend)
-			F[i][j] = max(H[i-1][j]-s.Gap.Open-s.Gap.Extend, F[i-1][j]-s.Gap.Extend)
-			H[i][j] = max(H[i-1][j-1]+s.Matrix.Score(q[i-1], t[j-1]), E[i][j], F[i][j], 0)
-		}
-	}
-	return H
-}
-
-// MaxPossibleScore bounds the local score of any query of length m under
-// scheme s: every residue matching at the matrix maximum. Used to pick the
-// 8-bit vs 16-bit Farrar kernel.
-func MaxPossibleScore(m int, s score.Scheme) int {
-	if s.Matrix.Max() <= 0 {
-		return 0
-	}
-	return m * s.Matrix.Max()
 }

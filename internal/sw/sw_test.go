@@ -104,26 +104,6 @@ func TestScoreEndsCoordinates(t *testing.T) {
 	}
 }
 
-func TestScoreMatrixAgreesWithScore(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for iter := 0; iter < 50; iter++ {
-		q := randProtein(rng, 1+rng.Intn(40))
-		d := randProtein(rng, 1+rng.Intn(40))
-		H := ScoreMatrix(q, d, protScheme())
-		best := 0
-		for _, row := range H {
-			for _, v := range row {
-				if v > best {
-					best = v
-				}
-			}
-		}
-		if got := Score(q, d, protScheme()); got != best {
-			t.Fatalf("iter %d: Score=%d, matrix max=%d", iter, got, best)
-		}
-	}
-}
-
 func TestScoreSymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for iter := 0; iter < 50; iter++ {
@@ -225,82 +205,21 @@ func TestAlignEmptyResult(t *testing.T) {
 	}
 }
 
-func TestAlignGlobalHandComputed(t *testing.T) {
-	s := fig1Scheme()
-	// Global ACGT vs AGT: A/A +1, C/- -2, G/G +1, T/T +1 = 1.
-	a := AlignGlobal([]byte("ACGT"), []byte("AGT"), s)
-	if a.Score != 1 {
-		t.Errorf("global score = %d, want 1", a.Score)
-	}
-	re, err := a.Rescore(s)
-	if err != nil || re != a.Score {
-		t.Errorf("rescore = %d (%v), want %d", re, err, a.Score)
-	}
-	// Both rows must consume the full sequences.
-	if strings.ReplaceAll(string(a.QueryRow), "-", "") != "ACGT" ||
-		strings.ReplaceAll(string(a.TargetRow), "-", "") != "AGT" {
-		t.Errorf("global alignment rows wrong: %s / %s", a.QueryRow, a.TargetRow)
-	}
-}
-
-func TestAlignGlobalRescoreProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for iter := 0; iter < 60; iter++ {
-		q := randProtein(rng, 1+rng.Intn(50))
-		d := mutate(rng, q, 0.4)
-		if len(d) == 0 {
-			d = []byte("A")
-		}
-		a := AlignGlobal(q, d, protScheme())
-		re, err := a.Rescore(protScheme())
-		if err != nil {
-			t.Fatalf("iter %d: %v", iter, err)
-		}
-		if re != a.Score {
-			t.Fatalf("iter %d: global rescore %d != score %d", iter, re, a.Score)
-		}
-		if a.Score < Score(q, d, protScheme())-2*MaxPossibleScore(len(q)+len(d), protScheme()) {
-			t.Fatalf("iter %d: absurd global score %d", iter, a.Score)
-		}
-	}
-}
-
-func TestAlignGlobalLinearMatchesFullMatrix(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for iter := 0; iter < 120; iter++ {
-		q := randProtein(rng, rng.Intn(60))
-		d := mutate(rng, q, 0.5)
-		full := AlignGlobal(q, d, protScheme())
-		lin := AlignGlobalLinear(q, d, protScheme())
-		if lin.Score != full.Score {
-			t.Fatalf("iter %d (m=%d n=%d): MM score %d != full %d", iter, len(q), len(d), lin.Score, full.Score)
-		}
-		if len(q) == 0 && len(d) == 0 {
-			continue
-		}
-		re, err := lin.Rescore(protScheme())
-		if err != nil {
-			t.Fatalf("iter %d: %v", iter, err)
-		}
-		if re != lin.Score {
-			t.Fatalf("iter %d: MM rescore %d != score %d", iter, re, lin.Score)
-		}
-		if strings.ReplaceAll(string(lin.QueryRow), "-", "") != string(q) ||
-			strings.ReplaceAll(string(lin.TargetRow), "-", "") != string(d) {
-			t.Fatalf("iter %d: MM rows do not spell inputs", iter)
-		}
-	}
-}
-
+// TestAlignLinearSpaceMatchesLocal checks the Myers-Miller aligner that
+// serving runs against the full-matrix Align: the same local score, and a
+// traceback that rescores to it and spells both aligned substrings.
 func TestAlignLinearSpaceMatchesLocal(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for iter := 0; iter < 120; iter++ {
 		q := randProtein(rng, 1+rng.Intn(70))
 		d := mutate(rng, q, 0.35)
-		want := Score(q, d, protScheme())
+		want := Align(q, d, protScheme()).Score
+		if sc := Score(q, d, protScheme()); sc != want {
+			t.Fatalf("iter %d: full-matrix score %d != Score %d", iter, want, sc)
+		}
 		a := AlignLinearSpace(q, d, protScheme())
 		if a.Score != want {
-			t.Fatalf("iter %d: linear-space local score %d != %d", iter, a.Score, want)
+			t.Fatalf("iter %d: linear-space local score %d != full-matrix %d", iter, a.Score, want)
 		}
 		if want == 0 {
 			continue
@@ -312,7 +231,8 @@ func TestAlignLinearSpaceMatchesLocal(t *testing.T) {
 		if re != want {
 			t.Fatalf("iter %d: linear-space rescore %d != %d", iter, re, want)
 		}
-		if strings.ReplaceAll(string(a.QueryRow), "-", "") != string(q[a.QueryStart:a.QueryEnd]) {
+		if strings.ReplaceAll(string(a.QueryRow), "-", "") != string(q[a.QueryStart:a.QueryEnd]) ||
+			strings.ReplaceAll(string(a.TargetRow), "-", "") != string(d[a.TargetStart:a.TargetEnd]) {
 			t.Fatalf("iter %d: rows/coords inconsistent", iter)
 		}
 	}
@@ -324,12 +244,6 @@ func TestCells(t *testing.T) {
 	}
 	if Cells(1<<20, 1<<20) != 1<<40 {
 		t.Error("Cells overflows at large sizes")
-	}
-}
-
-func TestMaxPossibleScore(t *testing.T) {
-	if got := MaxPossibleScore(10, protScheme()); got != 110 {
-		t.Errorf("MaxPossibleScore = %d, want 110 (10 * W:W=11)", got)
 	}
 }
 

@@ -18,7 +18,7 @@ const negInf = -(1 << 30)
 // affine scheme this is the Gotoh three-matrix variant.
 func Align(q, t []byte, s score.Scheme) *Alignment {
 	m, n := len(q), len(t)
-	H, E, F := fullMatrices(q, t, s, false)
+	H, E, F := fullMatrices(q, t, s)
 
 	best, bi, bj := 0, 0, 0
 	for i := 1; i <= m; i++ {
@@ -76,56 +76,8 @@ done:
 	return a
 }
 
-// AlignGlobal computes an optimal Needleman-Wunsch global alignment of q vs
-// t under the (affine or linear) scheme. Unlike local alignment the score
-// may be negative.
-func AlignGlobal(q, t []byte, s score.Scheme) *Alignment {
-	m, n := len(q), len(t)
-	H, E, F := fullMatrices(q, t, s, true)
-
-	a := &Alignment{Score: H[m][n], QueryEnd: m, TargetEnd: n}
-	var qRow, tRow []byte
-	i, j := m, n
-	st := stateH
-	for i > 0 || j > 0 {
-		switch st {
-		case stateH:
-			switch {
-			case i > 0 && j > 0 && H[i][j] == H[i-1][j-1]+s.Matrix.Score(q[i-1], t[j-1]):
-				qRow = append(qRow, q[i-1])
-				tRow = append(tRow, t[j-1])
-				i, j = i-1, j-1
-			case j > 0 && H[i][j] == E[i][j]:
-				st = stateE
-			default:
-				st = stateF
-			}
-		case stateE:
-			qRow = append(qRow, '-')
-			tRow = append(tRow, t[j-1])
-			if j == 1 || E[i][j] == H[i][j-1]-s.Gap.Open-s.Gap.Extend {
-				st = stateH
-			}
-			j--
-		case stateF:
-			qRow = append(qRow, q[i-1])
-			tRow = append(tRow, '-')
-			if i == 1 || F[i][j] == H[i-1][j]-s.Gap.Open-s.Gap.Extend {
-				st = stateH
-			}
-			i--
-		}
-	}
-	reverse(qRow)
-	reverse(tRow)
-	a.QueryRow, a.TargetRow = qRow, tRow
-	return a
-}
-
-// fullMatrices fills the Gotoh H/E/F matrices. When global is true the first
-// row and column carry gap penalties instead of zeros and the recurrence
-// drops the 0 floor.
-func fullMatrices(q, t []byte, s score.Scheme, global bool) (H, E, F [][]int) {
+// fullMatrices fills the Gotoh H/E/F matrices of local alignment.
+func fullMatrices(q, t []byte, s score.Scheme) (H, E, F [][]int) {
 	m, n := len(q), len(t)
 	H = make([][]int, m+1)
 	E = make([][]int, m+1)
@@ -138,25 +90,13 @@ func fullMatrices(q, t []byte, s score.Scheme, global bool) (H, E, F [][]int) {
 	open, ext := s.Gap.Open, s.Gap.Extend
 	for j := 1; j <= n; j++ {
 		E[0][j], F[0][j] = negInf, negInf
-		if global {
-			E[0][j] = -open - j*ext
-			H[0][j] = E[0][j]
-		}
 	}
 	for i := 1; i <= m; i++ {
 		E[i][0], F[i][0] = negInf, negInf
-		if global {
-			F[i][0] = -open - i*ext
-			H[i][0] = F[i][0]
-		}
 		for j := 1; j <= n; j++ {
 			E[i][j] = max(H[i][j-1]-open-ext, E[i][j-1]-ext)
 			F[i][j] = max(H[i-1][j]-open-ext, F[i-1][j]-ext)
-			h := max(H[i-1][j-1]+s.Matrix.Score(q[i-1], t[j-1]), E[i][j], F[i][j])
-			if !global {
-				h = max(h, 0)
-			}
-			H[i][j] = h
+			H[i][j] = max(H[i-1][j-1]+s.Matrix.Score(q[i-1], t[j-1]), E[i][j], F[i][j], 0)
 		}
 	}
 	return H, E, F

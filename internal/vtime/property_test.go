@@ -50,8 +50,8 @@ func TestRandomScheduleFiresInOrder(t *testing.T) {
 				t.Fatalf("seed %d: events fired out of order: %v then %v", seed, fired[i-1], fired[i])
 			}
 		}
-		if s.Pending() != 0 {
-			t.Fatalf("seed %d: %d events pending after Run", seed, s.Pending())
+		if len(s.events) != 0 {
+			t.Fatalf("seed %d: %d events pending after Run", seed, len(s.events))
 		}
 	}
 }
@@ -70,13 +70,13 @@ func TestNestedCountsExact(t *testing.T) {
 			canceled++
 		}
 	}
-	s.Run(0)
-	if got := int(s.Fired()); got != scheduled-canceled {
+	n, _ := s.Run(0)
+	if got := int(n); got != scheduled-canceled {
 		t.Fatalf("fired %d, want %d", got, scheduled-canceled)
 	}
 }
 
-// TestClockNeverRewinds interleaves RunUntil and Step with random
+// TestClockNeverRewinds interleaves Step and bounded Run calls with random
 // schedules.
 func TestClockNeverRewinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
@@ -88,7 +88,7 @@ func TestClockNeverRewinds(t *testing.T) {
 		case 0:
 			s.Step()
 		case 1:
-			s.RunUntil(s.Now() + time.Duration(rng.Intn(500))*time.Millisecond)
+			s.Run(uint64(1 + rng.Intn(3)))
 		case 2:
 			// idle
 		}

@@ -31,9 +31,6 @@ type Event struct {
 // Cancel prevents the event from firing.
 func (e *Event) Cancel() { e.canceled = true }
 
-// At returns the event's scheduled time.
-func (e *Event) At() time.Duration { return e.at }
-
 type eventHeap []*Event
 
 func (h eventHeap) Len() int { return len(h) }
@@ -77,13 +74,6 @@ func New() *Simulator { return &Simulator{} }
 
 // Now returns the current virtual time.
 func (s *Simulator) Now() time.Duration { return s.now }
-
-// Fired reports how many events have executed, a cheap progress/debug metric.
-func (s *Simulator) Fired() uint64 { return s.fired }
-
-// Pending reports how many events are scheduled (including canceled ones not
-// yet reaped).
-func (s *Simulator) Pending() int { return len(s.events) }
 
 // Schedule runs fn at virtual time at. Scheduling in the past panics: it is
 // always a logic error in a causal simulation.
@@ -132,22 +122,4 @@ func (s *Simulator) Run(maxEvents uint64) (uint64, error) {
 		}
 	}
 	return s.fired - start, nil
-}
-
-// RunUntil fires events with timestamps <= t, then advances the clock to t.
-func (s *Simulator) RunUntil(t time.Duration) {
-	for len(s.events) > 0 {
-		// Peek: the heap root is the earliest event.
-		if s.events[0].canceled {
-			heap.Pop(&s.events)
-			continue
-		}
-		if s.events[0].at > t {
-			break
-		}
-		s.Step()
-	}
-	if t > s.now {
-		s.now = t
-	}
 }

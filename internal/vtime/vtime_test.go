@@ -52,12 +52,12 @@ func TestCancel(t *testing.T) {
 	fired := false
 	e := s.After(time.Second, func() { fired = true })
 	e.Cancel()
-	s.Run(0)
+	n, _ := s.Run(0)
 	if fired {
 		t.Error("canceled event fired")
 	}
-	if s.Fired() != 0 {
-		t.Errorf("Fired = %d", s.Fired())
+	if n != 0 {
+		t.Errorf("Run fired %d events", n)
 	}
 }
 
@@ -83,36 +83,6 @@ func TestAfterNegativePanics(t *testing.T) {
 	s.After(-time.Second, func() {})
 }
 
-func TestRunUntil(t *testing.T) {
-	s := New()
-	var fired []int
-	s.After(1*time.Second, func() { fired = append(fired, 1) })
-	s.After(5*time.Second, func() { fired = append(fired, 5) })
-	s.RunUntil(3 * time.Second)
-	if len(fired) != 1 || fired[0] != 1 {
-		t.Errorf("fired = %v, want [1]", fired)
-	}
-	if s.Now() != 3*time.Second {
-		t.Errorf("Now = %v, want 3s", s.Now())
-	}
-	s.Run(0)
-	if len(fired) != 2 {
-		t.Errorf("fired = %v, want both after full Run", fired)
-	}
-}
-
-func TestRunUntilSkipsCanceledHead(t *testing.T) {
-	s := New()
-	e := s.After(time.Second, func() { t.Error("canceled fired") })
-	e.Cancel()
-	ok := false
-	s.After(2*time.Second, func() { ok = true })
-	s.RunUntil(3 * time.Second)
-	if !ok {
-		t.Error("event after canceled head did not fire")
-	}
-}
-
 func TestRunBound(t *testing.T) {
 	s := New()
 	var rearm func()
@@ -128,17 +98,6 @@ func TestRunBound(t *testing.T) {
 	}
 	if fired != 100 {
 		t.Errorf("fired = %d, want 100", fired)
-	}
-}
-
-func TestEventAccessors(t *testing.T) {
-	s := New()
-	e := s.After(7*time.Second, func() {})
-	if e.At() != 7*time.Second {
-		t.Errorf("At = %v", e.At())
-	}
-	if s.Pending() != 1 {
-		t.Errorf("Pending = %d", s.Pending())
 	}
 }
 
