@@ -14,8 +14,6 @@ import (
 	"time"
 
 	hybridsw "repro"
-	"repro/internal/cudasw"
-	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/farrar"
 	"repro/internal/score"
@@ -283,27 +281,6 @@ func BenchmarkKernelLinearSpace(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sw.AlignLinearSpace(q, d, s)
 	}
-}
-
-func BenchmarkCUDASWEngineSearch(b *testing.B) {
-	p := dataset.Profile{Name: "bench", NumSeqs: 100, MeanLen: 200, SigmaLn: 0.5, MinLen: 50, MaxLen: 800}
-	db := dataset.Generate(p, 6)
-	eng, err := cudasw.NewEngine(cudasw.GTX580(), score.DefaultProtein(), db)
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := dataset.Queries(db, 1, 150, 150, 7)[0]
-	b.ResetTimer()
-	start := time.Now()
-	var cells int64
-	for i := 0; i < b.N; i++ {
-		_, rep, err := eng.SearchRange(q.Residues, 0, len(db), true, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cells = rep.Cells
-	}
-	reportMCUPS(b, cells, time.Since(start))
 }
 
 func BenchmarkSearchEndToEnd(b *testing.B) {

@@ -86,7 +86,7 @@ func main() {
 	var (
 		dbPath = flag.String("db", "", "database FASTA or packed (.swpkd) file")
 		listen = flag.String("listen", ":8080", "HTTP listen address")
-		gpus   = flag.Int("gpus", 1, "simulated GPU engines")
+		gpus   = flag.Int("gpus", 1, "GPU engines (the CPU kernel registered as GPU; SW-only)")
 		sse    = flag.Int("sse", 2, "SSE-core engines")
 		policy = flag.String("policy", "PSS", "default allocation policy")
 		adjust = flag.Bool("adjust", true, "enable the workload adjustment mechanism")

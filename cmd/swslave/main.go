@@ -1,6 +1,8 @@
 // Command swslave runs one slave of the distributed task execution
 // environment: it loads the database, connects to the master, registers,
-// and executes tasks until the job finishes.
+// and executes tasks until the job finishes. Both engines scan with the
+// adapted Farrar kernel; -engine gpu registers the slave as a GPU, which
+// the master hands Smith-Waterman tasks only.
 //
 // Usage:
 //
@@ -16,7 +18,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cudasw"
 	"repro/internal/fasta"
 	"repro/internal/metrics"
 	"repro/internal/score"
@@ -52,17 +53,16 @@ func main() {
 		*name = fmt.Sprintf("%s-%d", *engine, os.Getpid())
 	}
 
-	var eng slave.Engine
-	switch *engine {
-	case "sse":
-		eng, err = slave.NewFarrarEngine(*name, score.DefaultProtein(), db, *declare)
-	case "gpu":
-		eng, err = slave.NewGPUEngine(*name, cudasw.GTX580(), score.DefaultProtein(), db, *declare)
-	default:
+	if *engine != "sse" && *engine != "gpu" {
 		fail("unknown engine %q (want sse or gpu)", *engine)
 	}
+	cpu, err := slave.NewFarrarEngine(*name, score.DefaultProtein(), db, *declare)
 	if err != nil {
 		fail("%v", err)
+	}
+	var eng slave.Engine = cpu
+	if *engine == "gpu" {
+		eng = slave.NewGPUEngine(cpu)
 	}
 	fmt.Printf("slave %s: database %s loaded (%d sequences, %d residues)\n",
 		*name, *dbPath, len(db), eng.DatabaseResidues())

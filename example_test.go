@@ -27,7 +27,7 @@ func ExampleScore() {
 }
 
 // ExampleSearch runs a tiny hybrid database search end to end: one
-// simulated GPU plus one SSE core under the PSS policy with the workload
+// GPU engine plus one SSE core under the PSS policy with the workload
 // adjustment mechanism.
 func ExampleSearch() {
 	db, _ := hybridsw.GenerateDatabase("Ensembl Dog Proteins", 0.0003, 1)

@@ -1,5 +1,5 @@
 // Distributed runs the full TCP deployment in one process: a master
-// listening on the loopback interface and three slaves (one simulated GPU,
+// listening on the loopback interface and three slaves (one GPU engine,
 // two SSE cores) that dial in, register, and pull tasks — the paper's
 // two-host Gigabit Ethernet setup in miniature. See cmd/swmaster and
 // cmd/swslave for the separate binaries.
@@ -12,7 +12,6 @@ import (
 	"time"
 
 	hybridsw "repro"
-	"repro/internal/cudasw"
 	"repro/internal/master"
 	"repro/internal/sched"
 	"repro/internal/score"
@@ -48,10 +47,11 @@ func main() {
 	fmt.Printf("master listening on %s (%d tasks)\n", l.Addr(), len(queries))
 
 	mkEngines := func() []slave.Engine {
-		gpu, err := slave.NewGPUEngine("gpu1", cudasw.GTX580(), score.DefaultProtein(), db, 0)
+		cpu, err := slave.NewFarrarEngine("gpu1", score.DefaultProtein(), db, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
+		gpu := slave.NewGPUEngine(cpu)
 		sse1, _ := slave.NewFarrarEngine("sse1", score.DefaultProtein(), db, 0)
 		sse2, _ := slave.NewFarrarEngine("sse2", score.DefaultProtein(), db, 0)
 		return []slave.Engine{gpu, sse1, sse2}

@@ -28,9 +28,9 @@ func main() {
 	queries := hybridsw.GenerateQueries(db, 4, 80, 300, 2)
 	fmt.Printf("searching %d queries against %d database sequences...\n\n", len(queries), len(db))
 
-	// The paper's task execution environment, in process: one simulated
-	// CUDASW++ GPU plus two adapted-Farrar SSE cores, PSS policy, workload
-	// adjustment on.
+	// The paper's task execution environment, in process: one GPU engine
+	// plus two adapted-Farrar SSE cores, PSS policy, workload adjustment
+	// on.
 	report, err := hybridsw.Search(queries, db, hybridsw.Platform{
 		GPUs:     1,
 		SSECores: 2,

@@ -5,8 +5,8 @@
 // It provides, end to end:
 //
 //   - exact Smith-Waterman database search with the adapted Farrar striped
-//     kernel and a CUDASW++ 2.0-style engine with a simulated GPU device
-//     model;
+//     kernel and its inter-sequence lanes, the layout of CUDASW++ 2.0's
+//     inter-task kernel, run by CPU and GPU slaves alike;
 //   - the paper's master/slave task execution environment with the SS and
 //     PSS allocation policies, the Fixed/WFixed baselines, and the dynamic
 //     workload adjustment mechanism (task replication to idle slaves);
@@ -22,7 +22,7 @@
 //	})
 //
 // Search runs a real computation on the calling machine (the "GPUs" are
-// simulated devices computing true scores): it builds the one-shard engine
+// engines that scan with the CPU kernel but register as GPUs): it builds the one-shard engine
 // fleet the Platform describes and runs the search on it (internal/cluster
 // is where every in-process search executes; this package only translates
 // a Platform into its terms). There a query is cut into database-range
@@ -112,7 +112,7 @@ func GenerateQueries(db []*Sequence, n, minLen, maxLen int, seed int64) []*Seque
 
 // Platform describes the local hybrid platform for Search.
 type Platform struct {
-	GPUs     int    // simulated CUDASW++ devices (real scores, modeled cost)
+	GPUs     int    // GPU engines: the CPU kernel under a GPU label, SW-only
 	SSECores int    // CPU engines
 	Policy   string // "SS", "PSS" (default), "Fixed", "WFixed"
 	Adjust   bool   // enable the workload adjustment mechanism

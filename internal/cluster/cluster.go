@@ -33,7 +33,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cudasw"
 	"repro/internal/farrar"
 	"repro/internal/master"
 	"repro/internal/metrics"
@@ -84,9 +83,9 @@ type Config struct {
 	// Shards is the number of contiguous database partitions; 0 means 1.
 	// Must not exceed len(DB) — every shard holds at least one sequence.
 	Shards int
-	// GPUs is the number of simulated CUDASW++ devices per shard (real
-	// scores, modeled cost). GPU engines are SW-only: they sit out
-	// filtered searches.
+	// GPUs is the number of GPU engines per shard. A GPU engine scans
+	// with the CPU engines' kernel but registers as a GPU, and is SW-only:
+	// it sits out filtered searches.
 	GPUs int
 	// Replicas is the number of CPU engines per shard; 0 means
 	// DefaultReplicas, or none on a shard that has GPUs. Every engine, GPU
@@ -210,44 +209,23 @@ func New(cfg Config) (*Fleet, error) {
 }
 
 // newEngines builds one shard's engine set over its database slice:
-// cfg.GPUs simulated devices, then cfg.Replicas Farrar CPU engines. Engines
-// whose compute core is a farrar.Kernel publish their 8/16/scalar fallback
-// telemetry into kernMet and prefilter-capable engines their scan
-// accounting into filtMet.
+// cfg.GPUs GPU engines, then cfg.Replicas Farrar CPU engines, all replicas
+// of one FarrarEngine, so the shard holds one lane layout per range however
+// many engines scan it. They publish their 8/16/scalar fallback telemetry
+// into kernMet and their prefilter scan accounting into filtMet.
 func newEngines(shard int, cfg Config, db []*seq.Sequence, kernMet *farrar.Metrics, filtMet *prefilter.Metrics) ([]slave.Engine, error) {
+	base, err := slave.NewFarrarEngine(fmt.Sprintf("shard%d", shard), cfg.Scheme, db, 0)
+	if err != nil {
+		return nil, err
+	}
+	base.SetKernelMetrics(kernMet)
+	base.SetPrefilterMetrics(filtMet)
 	var engines []slave.Engine
 	for i := 0; i < cfg.GPUs; i++ {
-		eng, err := slave.NewGPUEngine(fmt.Sprintf("shard%d/gpu%d", shard, i), cudasw.GTX580(), cfg.Scheme, db, 0)
-		if err != nil {
-			return nil, err
-		}
-		engines = append(engines, eng)
+		engines = append(engines, slave.NewGPUEngine(base.Replica(fmt.Sprintf("shard%d/gpu%d", shard, i))))
 	}
-	// The CPU replicas share the first one's range batches: one lane
-	// layout per range of the shard, however many engines scan it.
-	var first *slave.FarrarEngine
 	for i := 0; i < cfg.Replicas; i++ {
-		name := fmt.Sprintf("shard%d/replica%d", shard, i)
-		if first != nil {
-			engines = append(engines, first.Replica(name))
-			continue
-		}
-		eng, err := slave.NewFarrarEngine(name, cfg.Scheme, db, 0)
-		if err != nil {
-			return nil, err
-		}
-		first = eng
-		engines = append(engines, eng)
-	}
-	for _, eng := range engines {
-		if ke, ok := eng.(interface{ SetKernelMetrics(*farrar.Metrics) }); ok {
-			ke.SetKernelMetrics(kernMet)
-		}
-		if pe, ok := eng.(interface {
-			SetPrefilterMetrics(*prefilter.Metrics)
-		}); ok {
-			pe.SetPrefilterMetrics(filtMet)
-		}
+		engines = append(engines, base.Replica(fmt.Sprintf("shard%d/replica%d", shard, i)))
 	}
 	return engines, nil
 }

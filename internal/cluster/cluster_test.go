@@ -256,7 +256,7 @@ func uncutFiltered(t *testing.T, queries, db []*seq.Sequence, scheme score.Schem
 }
 
 // TestOneShardEngineMix runs the single-node shape — one shard whose
-// replicas are a simulated GPU and a CPU engine — against the oracle: both
+// replicas are a GPU and a CPU engine — against the oracle: both
 // engine kinds must produce the exact ranking, the GPU sits out a filtered
 // search harmlessly, and a GPU-only fleet refuses filtered mode up front.
 func TestOneShardEngineMix(t *testing.T) {
@@ -478,14 +478,14 @@ func TestFleetValidation(t *testing.T) {
 
 // TestRangeTasksMatchBruteForce is the exactness matrix of database-range
 // tasks: database sizes from one sequence (fewer sequences than ranges) to
-// 300, one to three CPU engines and a GPU+CPU mix, one and two shards, and
-// three top-k cuts, each checked against the brute-force oracle. Every
-// database repeats three sequences in turn, so equal scores straddle every
-// range and shard boundary and only the global index can order them; two
-// of the queries share one ID, so results must merge by position; and the
-// k=10 cells ask for alignments, which must survive on each query's global
-// best hit (when a CPU engine scanned its range: the GPU engine does not
-// align) and nowhere else.
+// 300, one to three CPU engines, a GPU+CPU mix and a lone GPU engine, one
+// and two shards, and three top-k cuts, each checked against the
+// brute-force oracle. Every database repeats three sequences in turn, so
+// equal scores straddle every range and shard boundary and only the global
+// index can order them; two of the queries share one ID, so results must
+// merge by position; and the k=10 cells ask for alignments, which must
+// survive on each query's global best hit, whichever engine kind scanned
+// its range, and nowhere else.
 func TestRangeTasksMatchBruteForce(t *testing.T) {
 	motifs := testDB(t, "Ensembl Dog Proteins", 0.0002, 31)[:3]
 	queries := hybridsw.GenerateQueries(motifs, 3, 30, 60, 32)
@@ -493,7 +493,7 @@ func TestRangeTasksMatchBruteForce(t *testing.T) {
 	engines := []struct {
 		name       string
 		gpus, cpus int
-	}{{"1cpu", 0, 1}, {"2cpu", 0, 2}, {"3cpu", 0, 3}, {"gpu+cpu", 1, 1}}
+	}{{"1cpu", 0, 1}, {"2cpu", 0, 2}, {"3cpu", 0, 3}, {"gpu+cpu", 1, 1}, {"gpu", 1, 0}}
 	for _, n := range []int{1, 2, 7, 300} {
 		db := make([]*seq.Sequence, n)
 		for i := range db {
@@ -523,7 +523,7 @@ func TestRangeTasksMatchBruteForce(t *testing.T) {
 							}
 							for i, h := range qr.Hits {
 								has, want := h.QueryRow != nil, align && i == 0
-								if has && !want || want && !has && e.gpus == 0 {
+								if has != want {
 									t.Errorf("query %d rank %d: alignment rows present = %v", qi, i, has)
 								}
 							}
@@ -569,10 +569,11 @@ func TestSearchSameWithAndWithoutRegistry(t *testing.T) {
 // kernel's 1500-residue lane threshold, one to three queries (one of them
 // cut from a database sequence, so some scores reach the 8-bit ceiling
 // and escalate), BLOSUM62 or a DNA match/mismatch scheme, the local
-// backend's one shard or two, one or two CPU replicas, and top-k cuts
-// including k <= 0. Every search runs the tiers the host dispatches to, so
-// on an AVX2 host it crosses the inter-sequence lanes. Filtered mode is
-// not exact and is left out. Wired into make fuzz-smoke.
+// backend's one shard or two, one or two CPU replicas plus none or one GPU
+// engine per shard, and top-k cuts including k <= 0. Every search runs the
+// tiers the host dispatches to, so on an AVX2 host it crosses the
+// inter-sequence lanes. Filtered mode is not exact and is left out. Wired
+// into make fuzz-smoke.
 func FuzzSearchVsBruteForce(f *testing.F) {
 	f.Add(int64(1), []byte{10, 200, 40, 250, 3, 90}, []byte{25, 60}, uint8(0))
 	f.Add(int64(2), []byte{255, 254, 1, 1, 1, 120}, []byte{5}, uint8(0x5B))
@@ -614,8 +615,12 @@ func FuzzSearchVsBruteForce(f *testing.F) {
 		if shards > len(db) {
 			shards = 1
 		}
+		// shape>>3 picks top-k by its remainder mod 6 and the GPU engine by
+		// the parity of its quotient, which no other draw reads, so older
+		// inputs keep their database, queries and cut.
 		topK := []int{-1, 0, 1, 3, 7, 100}[int(shape>>3)%6]
-		fleet, err := cluster.New(cluster.Config{DB: db, Shards: shards, Replicas: 1 + int(shape>>2&1), Scheme: s})
+		gpus := int(shape>>3) / 6 % 2
+		fleet, err := cluster.New(cluster.Config{DB: db, Shards: shards, GPUs: gpus, Replicas: 1 + int(shape>>2&1), Scheme: s})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cudasw"
 	"repro/internal/master"
 	"repro/internal/metrics"
 	"repro/internal/platform"
@@ -199,7 +198,7 @@ func TestFilteredJobWithMixedFleet(t *testing.T) {
 	}
 	defer m.Close()
 	cpu, _ := slave.NewFarrarEngine("cpu", scheme, db, 0)
-	gpu, _ := slave.NewGPUEngine("gpu", cudasw.GTX580(), scheme, db, 0)
+	gpu := slave.NewGPUEngine(cpu.Replica("gpu"))
 
 	var wg sync.WaitGroup
 	var cpuErr error

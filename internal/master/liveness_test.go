@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dataset"
 	"repro/internal/master"
+	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/score"
 	"repro/internal/seq"
@@ -370,5 +372,54 @@ func TestConcurrentDispatchStress(t *testing.T) {
 	m.Close()
 	if got := m.Coordinator().Pool().Finished(); got == 0 {
 		t.Error("stress run finished no tasks at all")
+	}
+}
+
+// TestGPUSlaveRenewsLeaseMidTask: a lone GPU slave whose task outlasts the
+// lease must keep it alive with the progress notifications it sends while
+// scanning, and finish the job without ever being declared dead. A scan
+// that reports progress only at its end stays silent past the lease, so
+// the master expires its slave and the job never finishes.
+func TestGPUSlaveRenewsLeaseMidTask(t *testing.T) {
+	const lease = 60 * time.Millisecond
+	p := dataset.Profile{Name: "lease", NumSeqs: 4000, MeanLen: 380, SigmaLn: 0.5, MinLen: 50, MaxLen: 1400}
+	db := dataset.Generate(p, 7)
+	queries := dataset.Queries(db, 1, 750, 750, 8)
+	reg := metrics.NewRegistry()
+	m, err := master.New(master.Config{
+		Queries:    queries,
+		DBResidues: dbResidues(db),
+		Policy:     sched.SS{},
+		Lease:      lease,
+		Registry:   reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	cpu, _ := slave.NewFarrarEngine("gpu", score.DefaultProtein(), db, 0)
+	gpu := slave.NewGPUEngine(cpu)
+	// Lay the database out before the job, as a loaded slave has: a
+	// range's first search builds its lane layout before any progress.
+	if _, err := gpu.Search(seq.New("warm", "", []byte("W")), nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	slaveErr := make(chan error, 1)
+	go func() {
+		_, err := slave.Run(wire.Local{H: m}, gpu, slave.Options{NotifyEvery: 2 * time.Millisecond, Poll: time.Millisecond, TopK: 5})
+		slaveErr <- err
+	}()
+	if err := m.Wait(10 * time.Second); err != nil {
+		t.Fatalf("job unfinished: %v (%v lease expirations)", err, sched.NewMetrics(reg).LeaseExpirations.Value())
+	}
+	if took := time.Since(start); took <= lease {
+		t.Fatalf("the task took %v, not past the %v lease; grow the database", took, lease)
+	}
+	if err := <-slaveErr; err != nil {
+		t.Fatal(err)
+	}
+	if n := sched.NewMetrics(reg).LeaseExpirations.Value(); n != 0 {
+		t.Errorf("%v lease expirations, want 0", n)
 	}
 }

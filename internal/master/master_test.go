@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cudasw"
 	"repro/internal/dataset"
 	"repro/internal/master"
 	"repro/internal/sched"
@@ -105,7 +104,7 @@ func TestEndToEndLocalCorrectness(t *testing.T) {
 	}
 	sse1, _ := slave.NewFarrarEngine("sse1", score.DefaultProtein(), db, 0)
 	sse2, _ := slave.NewFarrarEngine("sse2", score.DefaultProtein(), db, 0)
-	gpu, _ := slave.NewGPUEngine("gpu1", cudasw.GTX580(), score.DefaultProtein(), db, 0)
+	gpu := slave.NewGPUEngine(sse1.Replica("gpu1"))
 	runLocal(t, m, []slave.Engine{sse1, sse2, gpu})
 
 	if err := m.Wait(time.Second); err != nil {

@@ -1,22 +1,21 @@
 // Package slave implements the slave side of the task execution
-// environment: the request/execute/notify loop of Fig. 4 plus the two
-// execution engines the paper integrates — the adapted Farrar striped
-// kernel for SSE cores (§IV-C) and the encapsulated CUDASW++-style engine
-// for GPUs. A task is one query against one contiguous range of the
-// engine's resident database (RangeSearcher) — the whole of it when the
-// master cuts no ranges, the paper's grain. FarrarEngine.SearchRange is the
-// tree's one CPU scan loop; several cores serve one query by running one
-// engine each on different ranges, not by threading an engine. On an AVX2
-// host the scan scores most of a range on farrar's inter-sequence lanes,
-// one database sequence per byte lane, and the rest (long targets, long
-// queries) one striped-kernel score per sequence.
+// environment: the request/execute/notify loop of Fig. 4 plus its engines:
+// the adapted Farrar striped kernel for SSE cores (§IV-C), and a GPU
+// engine that scans with it but registers as a GPU. A task is one query
+// against one contiguous range of the engine's resident database
+// (RangeSearcher) — the whole of it when the master cuts no ranges, the
+// paper's grain. FarrarEngine.SearchRange is the tree's one scan loop,
+// for CPU and GPU slaves alike; several cores serve one query by running
+// one engine each on different ranges, not by threading an engine. On an
+// AVX2 host the scan scores most of a range on farrar's inter-sequence
+// lanes, one database sequence per byte lane, and the rest (long targets,
+// long queries) one striped-kernel score per sequence.
 package slave
 
 import (
 	"fmt"
 	"sync"
 
-	"repro/internal/cudasw"
 	"repro/internal/farrar"
 	"repro/internal/prefilter"
 	"repro/internal/sched"
@@ -208,64 +207,44 @@ func (e *FarrarEngine) newBatch(lo, hi int) *farrar.Batch {
 	return farrar.NewBatch(targets, e.scheme.Matrix.Alphabet())
 }
 
-// GPUEngine wraps the simulated CUDASW++ engine (§IV-C: "CUDASW was
-// encapsulated and easily integrated to our tool").
-type GPUEngine struct {
-	name     string
-	engine   *cudasw.Engine
-	declared float64
-	kmet     *farrar.Metrics
-}
+// GPUEngine is a GPU slave (§IV-C: "CUDASW was encapsulated and easily
+// integrated to our tool"). It scans with the FarrarEngine it wraps, whose
+// inter-sequence lanes (one database sequence per byte lane, long targets
+// split off to the striped kernel) are CUDASW++ 2.0's inter-task kernel
+// on CPU vector lanes. It differs from that engine only in registering as
+// sched.KindGPU and in running Smith-Waterman tasks alone: it implements
+// no Filterer, so a GPU slave sits out filtered jobs. Virtual-time
+// experiments take a GPU's speed from platform.GPUPE instead.
+type GPUEngine struct{ cpu *FarrarEngine }
 
-// SetKernelMetrics attaches the farrar fallback-telemetry bundle for the
-// engine's real compute core.
-func (e *GPUEngine) SetKernelMetrics(m *farrar.Metrics) { e.kmet = m }
-
-// NewGPUEngine builds a GPU engine over a resident database.
-func NewGPUEngine(name string, dev cudasw.Device, s score.Scheme, db []*seq.Sequence, declaredSpeed float64) (*GPUEngine, error) {
-	eng, err := cudasw.NewEngine(dev, s, db)
-	if err != nil {
-		return nil, err
-	}
-	return &GPUEngine{name: name, engine: eng, declared: declaredSpeed, kmet: farrar.NewMetrics(nil)}, nil
-}
+// NewGPUEngine builds a GPU engine that scans with cpu.
+func NewGPUEngine(cpu *FarrarEngine) *GPUEngine { return &GPUEngine{cpu: cpu} }
 
 // Name implements Engine.
-func (e *GPUEngine) Name() string { return e.name }
+func (e *GPUEngine) Name() string { return e.cpu.Name() }
 
 // Kind implements Engine.
 func (e *GPUEngine) Kind() sched.SlaveKind { return sched.KindGPU }
 
 // DeclaredSpeed implements Engine.
-func (e *GPUEngine) DeclaredSpeed() float64 { return e.declared }
+func (e *GPUEngine) DeclaredSpeed() float64 { return e.cpu.DeclaredSpeed() }
 
 // DatabaseResidues implements Engine.
-func (e *GPUEngine) DatabaseResidues() int64 { return e.engine.DatabaseResidues() }
+func (e *GPUEngine) DatabaseResidues() int64 { return e.cpu.DatabaseResidues() }
 
-// Search implements Engine: the whole database as one range.
+// Search implements Engine.
 func (e *GPUEngine) Search(query *seq.Sequence, progress func(int64), cancel <-chan struct{}) ([]wire.Hit, error) {
-	return e.SearchRange(query, 0, e.engine.DatabaseSeqs(), 0, progress, cancel)
+	return e.cpu.Search(query, progress, cancel)
 }
 
-// SearchRange implements RangeSearcher. The simulated device has nothing
-// to report mid-launch, so progress is called once, with the range's cells.
+// SearchRange implements RangeSearcher.
 func (e *GPUEngine) SearchRange(query *seq.Sequence, lo, hi, k int, progress func(int64), cancel <-chan struct{}) ([]wire.Hit, error) {
-	hits, rep, err := e.engine.SearchRange(query.Residues, lo, hi, true, cancel)
-	if err == cudasw.ErrCanceled {
-		return nil, ErrCanceled
-	}
-	if err != nil {
-		return nil, err
-	}
-	if progress != nil {
-		progress(rep.Cells)
-	}
-	e.kmet.Observe(rep.Kernel)
-	top := newTopHits(k, len(hits))
-	for _, h := range hits {
-		top.add(wire.Hit{SeqID: h.ID, Index: h.Index, Score: h.Score})
-	}
-	return top.result(), nil
+	return e.cpu.SearchRange(query, lo, hi, k, progress, cancel)
+}
+
+// AlignHit implements Aligner.
+func (e *GPUEngine) AlignHit(query *seq.Sequence, hitIndex int) (*sw.Alignment, error) {
+	return e.cpu.AlignHit(query, hitIndex)
 }
 
 // TopK returns the k best hits under the module-wide ranking contract

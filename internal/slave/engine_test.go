@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/cudasw"
 	"repro/internal/dataset"
 	"repro/internal/farrar"
 	"repro/internal/metrics"
@@ -72,29 +71,27 @@ func TestFarrarEngineValidation(t *testing.T) {
 	}
 }
 
+// TestGPUEngineScoresMatchFarrar: a GPU engine scores exactly like the
+// Farrar engine it scans with, but registers as a GPU with no capability
+// list, so it is handed Smith-Waterman tasks only.
 func TestGPUEngineScoresMatchFarrar(t *testing.T) {
 	db := tinyDB(t)
-	gpu, err := NewGPUEngine("gpu0", cudasw.GTX580(), score.DefaultProtein(), db, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sse, _ := NewFarrarEngine("sse0", score.DefaultProtein(), db, 0)
+	sse, _ := NewFarrarEngine("gpu0", score.DefaultProtein(), db, 5e9)
+	gpu := NewGPUEngine(sse)
 	q := dataset.Queries(db, 1, 90, 90, 9)[0]
 	gh, err := gpu.Search(q, nil, make(chan struct{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := sse.Search(q, nil, make(chan struct{}))
-	if err != nil {
-		t.Fatal(err)
+	sh, _ := sse.Search(q, nil, make(chan struct{}))
+	if !reflect.DeepEqual(gh, sh) {
+		t.Fatal("GPU engine hits differ from its Farrar engine's")
 	}
-	for i := range gh {
-		if gh[i].Score != sh[i].Score || gh[i].SeqID != sh[i].SeqID || gh[i].Index != sh[i].Index {
-			t.Fatalf("hit %d: GPU %+v vs SSE %+v", i, gh[i], sh[i])
-		}
+	if gpu.Kind().String() != "GPU" || gpu.Name() != "gpu0" || gpu.DeclaredSpeed() != 5e9 || gpu.DatabaseResidues() != sse.DatabaseResidues() {
+		t.Errorf("GPU engine registers as %s %q declaring %v over %d residues", gpu.Kind(), gpu.Name(), gpu.DeclaredSpeed(), gpu.DatabaseResidues())
 	}
-	if gpu.Kind().String() != "GPU" {
-		t.Error("kind")
+	if caps := EngineCaps(gpu); caps != nil {
+		t.Errorf("GPU engine capabilities = %v, want nil (SW-only)", caps)
 	}
 }
 
@@ -166,26 +163,6 @@ func TestTopKMatchesFullSort(t *testing.T) {
 	}
 }
 
-func TestRandomizedEnginesAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	p := dataset.Profile{Name: "r", NumSeqs: 12, MeanLen: 60, SigmaLn: 0.4, MinLen: 10, MaxLen: 150}
-	for iter := 0; iter < 3; iter++ {
-		db := dataset.Generate(p, rng.Int63())
-		qs := dataset.Queries(db, 2, 40, 120, rng.Int63())
-		gpu, _ := NewGPUEngine("g", cudasw.GTX580(), score.DefaultProtein(), db, 0)
-		sse, _ := NewFarrarEngine("s", score.DefaultProtein(), db, 0)
-		for _, q := range qs {
-			gh, _ := gpu.Search(q, nil, make(chan struct{}))
-			sh, _ := sse.Search(q, nil, make(chan struct{}))
-			for i := range gh {
-				if gh[i].Score != sh[i].Score {
-					t.Fatalf("engines disagree on %s vs %s", q.ID, db[i].ID)
-				}
-			}
-		}
-	}
-}
-
 // searchOnly hides an engine's optional interfaces, leaving the five
 // methods of Engine: the shape of an engine that predates range tasks.
 type searchOnly struct{ Engine }
@@ -200,7 +177,7 @@ func TestSearchRangeMatchesReference(t *testing.T) {
 	db := tinyDB(t)
 	s := score.DefaultProtein()
 	sse, _ := NewFarrarEngine("sse0", s, db, 0)
-	gpu, _ := NewGPUEngine("gpu0", cudasw.GTX580(), s, db, 0)
+	gpu := NewGPUEngine(sse.Replica("gpu0"))
 	q := dataset.Queries(db, 1, 70, 70, 21)[0]
 	want := make([]int, len(db))
 	for i, d := range db {
@@ -242,7 +219,7 @@ func TestSearchRangeMatchesReference(t *testing.T) {
 func TestSearchRangeCancelAndBounds(t *testing.T) {
 	db := tinyDB(t)
 	sse, _ := NewFarrarEngine("sse0", score.DefaultProtein(), db, 0)
-	gpu, _ := NewGPUEngine("gpu0", cudasw.GTX580(), score.DefaultProtein(), db, 0)
+	gpu := NewGPUEngine(sse.Replica("gpu0"))
 	q := dataset.Queries(db, 1, 40, 40, 22)[0]
 	closed := make(chan struct{})
 	close(closed)

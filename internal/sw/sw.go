@@ -14,7 +14,7 @@
 //     memory. Align is its reference.
 //
 // These are the trusted oracles: the vectorized Farrar kernel
-// (internal/farrar) and the simulated GPU engine (internal/cudasw) are
+// (internal/farrar), which every slave engine scans with, is
 // property-tested against this package.
 package sw
 
