@@ -38,9 +38,17 @@ lint-cover:
 	$(call covfloor,analysis.cover.out,80)
 
 # Code size, the number ROADMAP aim 2 tracks: lines of non-test Go source
-# outside bench/ and testdata/.
+# outside bench/ and testdata/. With BASE=<rev> set on the command line
+# or in the environment (not bench-pair's default below), a second line
+# gives the count at <rev>, read from git: `make loc BASE=HEAD~1`.
+LOC_FILTER = grep -v -e '_test\.go$$' -e '^bench/' -e '/testdata/'
 loc:
-	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^bench/' -e '/testdata/' | xargs cat | wc -l
+	@git ls-files '*.go' | $(LOC_FILTER) | xargs cat | wc -l
+	@if [ "$(origin BASE)" != file ]; then \
+		git rev-parse -q --verify '$(BASE)^{commit}' >/dev/null || { echo "loc: no commit $(BASE)" >&2; exit 1; }; \
+		n=$$(git ls-tree -r --name-only $(BASE) | grep '\.go$$' | $(LOC_FILTER) | sed 's|^|$(BASE):|' | xargs git show | wc -l) && \
+		echo "$$n at $(BASE)"; \
+	fi
 
 # Dead-code gate: every function declared outside tests must be linked by
 # some binary (cmd/*, examples/*, bench/swload, built for amd64 and arm64),

@@ -158,9 +158,9 @@ func routedBackendSwitch(b Backend) string {
 	return "?"
 }
 
-// TenantPolicy mirrors jobs.TenantPolicy: the fair-queue dequeue
-// discipline enum. Cost functions switch over it; a policy added later
-// must not silently fall through to FIFO charging.
+// TenantPolicy is an iota enum of queueing disciplines that a cost
+// function switches over: a discipline added after the switch was written
+// must not silently fall through to the FIFO charge.
 type TenantPolicy int
 
 const (

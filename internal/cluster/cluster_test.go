@@ -263,7 +263,8 @@ func TestOneShardEngineMix(t *testing.T) {
 	db := testDB(t, "Ensembl Dog Proteins", 0.0008, 3)
 	queries := hybridsw.GenerateQueries(db, 4, 40, 120, 4)
 	oracle := bruteForce(queries, db, hybridsw.DefaultScheme())
-	fleet, err := cluster.New(cluster.Config{DB: db, Shards: 1, GPUs: 1, Replicas: 1})
+	reg := metrics.NewRegistry()
+	fleet, err := cluster.New(cluster.Config{DB: db, Shards: 1, GPUs: 1, Replicas: 1, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,12 +293,31 @@ func TestOneShardEngineMix(t *testing.T) {
 	if !fleet.CanFilter() {
 		t.Fatal("fleet with a CPU engine cannot filter")
 	}
+	// Only the CPU engine runs a filtered job: the GPU engine never
+	// registers with the shard master, and the hits are the CPU-only
+	// fleet's.
+	registrations := reg.Counter("master_registrations_total", "")
+	before := registrations.Value()
 	filt, err := fleet.SearchContext(context.Background(), queries, cluster.Params{Mode: "filtered", TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := registrations.Value() - before; got != 1 {
+		t.Errorf("filtered search registered %v slaves, want the 1 CPU replica", got)
+	}
 	if filt.Filter == nil || filt.Filter.RescoredCells >= filt.Filter.FullScanCells {
 		t.Errorf("filtered accounting = %+v", filt.Filter)
+	}
+	cpuOnly, err := cluster.New(cluster.Config{DB: db, Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := cpuOnly.SearchContext(context.Background(), queries, cluster.Params{Mode: "filtered", TopK: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, cpu := rankingJSON(t, filt.PerQuery), rankingJSON(t, want.PerQuery); got != cpu {
+		t.Errorf("filtered hits %s, CPU-only fleet's %s", got, cpu)
 	}
 
 	gpuOnly, err := cluster.New(cluster.Config{DB: db, GPUs: 1})

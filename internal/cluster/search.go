@@ -156,11 +156,7 @@ func (f *Fleet) SearchContext(ctx context.Context, queries []*seq.Sequence, p Pa
 		rep.Shards[i] = o.report
 		rep.Cells += o.report.Cells
 		if filtered {
-			rep.Filter.ResiduesScanned += o.filter.ResiduesScanned
-			rep.Filter.CandidateResidues += o.filter.CandidateResidues
-			rep.Filter.Windows += o.filter.Windows
-			rep.Filter.RescoredCells += o.filter.RescoredCells
-			rep.Filter.FullScanCells += o.filter.FullScanCells
+			rep.Filter.Add(o.filter.Tally)
 		}
 	}
 	rep.PerQuery = f.merge(queries, outcomes, p.TopK)
@@ -234,8 +230,8 @@ func (f *Fleet) shardOf(index int) int {
 
 // searchShard runs one shard's scan as a full master-protocol job: a
 // dedicated master over the shard's residues and range cut, every live
-// replica running the standard slave loop against it until the master's
-// Done channel closes. Replica death surfaces as a failed
+// replica that can run the job running the standard slave loop against it
+// until the master's Done channel closes. Replica death surfaces as a failed
 // protocol call, which cancels the replica's in-flight scan and requeues
 // its tasks for the survivors — the same path a dropped TCP connection
 // takes — with the shard master's lease as the backstop for silent hangs.
@@ -271,34 +267,28 @@ func (f *Fleet) searchShard(ctx context.Context, s *shard, queries []*seq.Sequen
 	}
 	defer m.Close()
 
-	// able counts the replicas still alive that can run this job's tasks.
-	// When the last one dies the job cannot finish (a GPU engine left alone
-	// on a filtered job would poll for work forever), so the survivors are
-	// wound down through the shard context and the shard fails.
-	replicas := s.liveReplicas()
-	canRun := func(r *replica) bool {
-		_, filters := r.eng.(slave.Filterer) // CPU engines; the GPU engine is SW-only
-		return !filtered || filters
-	}
-	able := 0
-	for _, r := range replicas {
-		if canRun(r) {
-			able++
+	// Only the live replicas that can run the job's tasks take part: a GPU
+	// engine is SW-only and sits out a filtered job. able counts those
+	// still alive; when the last one dies the job cannot finish, so the
+	// shard context winds the loops down and the shard fails.
+	var replicas []*replica
+	for _, r := range s.liveReplicas() {
+		if _, filters := r.eng.(slave.Filterer); filters || !filtered {
+			replicas = append(replicas, r)
 		}
 	}
+	able := len(replicas)
 	if able == 0 {
 		return fail(fmt.Errorf("cluster: shard %d has no live replica that can run the job", s.index))
 	}
 	shardCtx, abort := context.WithCancel(ctx)
 	defer abort()
 	var mu sync.Mutex // guards able and report.Failovers
-	onFailover := func(r *replica) {
+	onFailover := func() {
 		mu.Lock()
 		report.Failovers++
-		if canRun(r) {
-			if able--; able == 0 {
-				abort()
-			}
+		if able--; able == 0 {
+			abort()
 		}
 		mu.Unlock()
 		board.setState(s.index, ShardScanning)
@@ -311,7 +301,7 @@ func (f *Fleet) searchShard(ctx context.Context, s *shard, queries []*seq.Sequen
 		wg.Add(1)
 		go func(i int, r *replica) {
 			defer wg.Done()
-			callers[i] = newReplicaCaller(shardCtx, r, wire.Meter(wire.Local{H: m}, f.wireMet), m, func() { onFailover(r) })
+			callers[i] = newReplicaCaller(shardCtx, r, wire.Meter(wire.Local{H: m}, f.wireMet), m, onFailover)
 			_, errs[i] = slave.Run(callers[i], r.eng, slave.Options{
 				NotifyEvery: 20 * time.Millisecond,
 				Poll:        5 * time.Millisecond,

@@ -41,11 +41,15 @@ type Core struct {
 	// emitted exactly once.
 	finished bool
 
-	// Filtered-search state: filter is the prefilter parameterization
-	// shipped with every TaskFiltered assignment, fstats the accounting of
-	// the accepted ranges.
-	filter prefilter.Spec
-	fstats FilterStats
+	// Filtered-search state: filtered marks a job of TaskFiltered tasks,
+	// filter is the prefilter parameterization shipped with every one of
+	// them, fstats the accounting of the accepted ranges and sitOut the
+	// slaves that registered without Filters, which are told the job is
+	// done instead of being granted work they cannot run.
+	filtered bool
+	filter   prefilter.Spec
+	fstats   FilterStats
+	sitOut   map[sched.SlaveID]bool
 	// progress, when set, observes the job's execution progress on every
 	// Progress and accepted Complete message: doneCells comes from the
 	// pool's finished tally (authoritative — replicated scans are not
@@ -62,28 +66,8 @@ type Core struct {
 // for reports and the selectivity acceptance check. Zero for full-scan
 // jobs.
 type FilterStats struct {
-	Queries           int   // queries in the job
-	ResiduesScanned   int64 // database residues scanned for seeds
-	CandidateResidues int64 // residues admitted for rescoring
-	Windows           int   // merged candidate windows across queries
-	RescoredCells     int64 // true DP cells the window rescores computed
-	FullScanCells     int64 // DP cells the same queries would cost unfiltered
-}
-
-// Selectivity is the fraction of database residues admitted for rescoring.
-func (s FilterStats) Selectivity() float64 {
-	if s.ResiduesScanned == 0 {
-		return 0
-	}
-	return float64(s.CandidateResidues) / float64(s.ResiduesScanned)
-}
-
-// CellsSaved is the DP work the filter avoided versus full scans.
-func (s FilterStats) CellsSaved() int64 {
-	if saved := s.FullScanCells - s.RescoredCells; saved > 0 {
-		return saved
-	}
-	return 0
+	Queries int // queries in the job
+	prefilter.Tally
 }
 
 // NewCore builds the protocol core for a full-scan job: one task per query
@@ -104,8 +88,10 @@ func NewFilteredCore(queries []*seq.Sequence, dbResidues int64, ranges []Range, 
 	if err != nil {
 		return nil, err
 	}
+	c.filtered = true
 	c.filter = filter.Normalize()
 	c.fstats.Queries = len(queries)
+	c.sitOut = map[sched.SlaveID]bool{}
 	return c, nil
 }
 
@@ -246,8 +232,10 @@ func (c *Core) Dispatch(req wire.Envelope, now time.Duration) wire.Envelope {
 			Name:          req.Register.Name,
 			Kind:          req.Register.Kind,
 			DeclaredSpeed: req.Register.DeclaredSpeed,
-			Caps:          req.Register.Caps,
 		}, now)
+		if c.filtered && !req.Register.Filters {
+			c.sitOut[id] = true
+		}
 		return wire.Envelope{RegisterAck: &wire.RegisterAckMsg{Slave: id}}
 
 	case req.Request != nil:
@@ -257,7 +245,7 @@ func (c *Core) Dispatch(req wire.Envelope, now time.Duration) wire.Envelope {
 		if e := deadSlave(req.Request.Slave); e != nil {
 			return *e
 		}
-		if c.coord.Done() {
+		if c.coord.Done() || c.sitOut[req.Request.Slave] {
 			return wire.Envelope{Assign: &wire.AssignMsg{Done: true}}
 		}
 		tasks, replica := c.coord.RequestWork(req.Request.Slave, now)
@@ -276,7 +264,7 @@ func (c *Core) Dispatch(req wire.Envelope, now time.Duration) wire.Envelope {
 				Hi:       t.Hi,
 				TaskKind: t.Kind,
 			}
-			if t.Kind == sched.TaskFiltered {
+			if c.filtered {
 				f := c.filter
 				specs[i].Filter = &f
 			}
@@ -341,10 +329,13 @@ func (c *Core) Dispatch(req wire.Envelope, now time.Duration) wire.Envelope {
 			if task.Hi > 0 {
 				ev.Query, ev.Lo, ev.Hi = task.QueryID, task.Lo, task.Hi
 			}
+			if c.filtered {
+				ev.Windows, ev.Selectivity = req.Complete.Filter.Windows, req.Complete.Filter.Selectivity()
+			}
 			_ = c.events.Emit(ev)
 		}
-		if accepted && task.Kind == sched.TaskFiltered {
-			c.completeFiltered(task, req.Complete, now)
+		if accepted && c.filtered {
+			c.completeFiltered(task, req.Complete.Filter)
 		}
 		if c.coord.Done() && !c.finished {
 			c.finished = true
@@ -394,27 +385,11 @@ func (c *Core) emitAssign(slave sched.SlaveID, tasks []sched.Task, replica bool,
 }
 
 // completeFiltered folds one accepted filtered range into the job's
-// accounting and the event stream.
-func (c *Core) completeFiltered(task sched.Task, msg *wire.CompleteMsg, now time.Duration) {
-	c.fstats.ResiduesScanned += msg.Scanned
-	c.fstats.CandidateResidues += msg.Candidates
-	c.fstats.Windows += msg.Windows
-	c.fstats.RescoredCells += msg.Rescored
-	full := int64(c.queryFor(task).Len()) * (task.Cells / sched.PrefilterEquivCells)
-	c.fstats.FullScanCells += full
-	c.fmet.ObserveSaved(full, msg.Rescored)
-	if c.events == nil {
-		return
-	}
-	ev := metrics.Event{
-		Kind: metrics.EventStage, TimeSec: now.Seconds(),
-		PE: c.slaveName(msg.Slave), Task: int(task.ID), Stage: task.Kind.String(),
-		Windows: msg.Windows,
-	}
-	if msg.Scanned > 0 {
-		ev.Selectivity = float64(msg.Candidates) / float64(msg.Scanned)
-	}
-	_ = c.events.Emit(ev)
+// accounting.
+func (c *Core) completeFiltered(task sched.Task, t prefilter.Tally) {
+	t.FullScanCells = int64(c.queryFor(task).Len()) * (task.Cells / sched.PrefilterEquivCells)
+	c.fstats.Add(t)
+	c.fmet.ObserveSaved(t.FullScanCells, t.RescoredCells)
 }
 
 // SlaveGone records a dropped connection: the slave's tasks return to the

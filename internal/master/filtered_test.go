@@ -124,10 +124,10 @@ func TestFilteredMatchesFullScanRanking(t *testing.T) {
 	}
 }
 
-// TestFilteredCoreProtocol drives one filtered range task by hand: a
-// capability-less slave must be left on standby, a capable slave receives
-// the range with the prefilter spec, and its completion ends the job with
-// the range's hits and accounting.
+// TestFilteredCoreProtocol drives one filtered range task by hand: a slave
+// registered without Filters is told the job is done, a filtering slave
+// receives the range with the prefilter spec, and its completion ends the
+// job with the range's hits and accounting.
 func TestFilteredCoreProtocol(t *testing.T) {
 	q := seq.New("q0", "", bytes.Repeat([]byte("ACDEFGHI"), 5))
 	ranges := []master.Range{{Lo: 0, Hi: 2, Residues: 600}, {Lo: 2, Hi: 3, Residues: 400}}
@@ -137,15 +137,14 @@ func TestFilteredCoreProtocol(t *testing.T) {
 	}
 	now := time.Duration(0)
 
-	// SW-only slave (nil caps): sees a standby, never a filtered task.
+	// SW-only slave: told the job is done, never handed a filtered task.
 	legacy := core.Dispatch(wire.Envelope{Register: &wire.RegisterMsg{Name: "legacy"}}, now)
 	la := core.Dispatch(wire.Envelope{Request: &wire.RequestMsg{Slave: legacy.RegisterAck.Slave}}, now)
-	if la.Assign == nil || !la.Assign.Standby || len(la.Assign.Tasks) != 0 {
-		t.Fatalf("legacy slave got %+v, want standby", la.Assign)
+	if la.Assign == nil || !la.Assign.Done || la.Assign.Standby || len(la.Assign.Tasks) != 0 {
+		t.Fatalf("legacy slave got %+v, want done", la.Assign)
 	}
 
-	caps := []sched.TaskKind{sched.TaskSW, sched.TaskFiltered}
-	reg := core.Dispatch(wire.Envelope{Register: &wire.RegisterMsg{Name: "cpu", Caps: caps}}, now)
+	reg := core.Dispatch(wire.Envelope{Register: &wire.RegisterMsg{Name: "cpu", Filters: true}}, now)
 	id := reg.RegisterAck.Slave
 
 	for i, r := range ranges {
@@ -163,7 +162,7 @@ func TestFilteredCoreProtocol(t *testing.T) {
 		hits := []wire.Hit{{SeqID: "d", Index: r.Lo, Score: 40 + i}}
 		ack := core.Dispatch(wire.Envelope{Complete: &wire.CompleteMsg{
 			Slave: id, Task: spec.ID, Hits: hits,
-			Scanned: r.Residues, Candidates: 80, Windows: 1, Rescored: 80 * int64(q.Len()),
+			Filter: prefilter.Tally{ResiduesScanned: r.Residues, CandidateResidues: 80, Windows: 1, RescoredCells: 80 * int64(q.Len())},
 		}}, now)
 		if ack.CompleteAck == nil || !ack.CompleteAck.Accepted || ack.CompleteAck.Done != (i == len(ranges)-1) {
 			t.Fatalf("range %d completion: %+v", i, ack.CompleteAck)
@@ -173,10 +172,10 @@ func TestFilteredCoreProtocol(t *testing.T) {
 	if len(results) != 1 || results[0].Query != "q0" || len(results[0].Hits) != 2 || results[0].Hits[0].Score != 41 {
 		t.Fatalf("results = %+v", results)
 	}
-	want := master.FilterStats{
-		Queries: 1, ResiduesScanned: 1000, CandidateResidues: 160, Windows: 2,
+	want := master.FilterStats{Queries: 1, Tally: prefilter.Tally{
+		ResiduesScanned: 1000, CandidateResidues: 160, Windows: 2,
 		RescoredCells: 160 * int64(q.Len()), FullScanCells: 1000 * int64(q.Len()),
-	}
+	}}
 	if fs := core.FilterStats(); fs != want {
 		t.Fatalf("filter stats = %+v, want %+v", fs, want)
 	}
@@ -261,10 +260,11 @@ func TestFilteredProgressReachesTotal(t *testing.T) {
 	}
 }
 
-// TestFilteredStageEvents: a filtered run's event log carries one "stage"
-// line per completed range task, readable by the platform trace parser
-// (the JSON-shape contract between metrics.Event and platform.TraceEvent).
-func TestFilteredStageEvents(t *testing.T) {
+// TestFilteredExecEvents: a filtered run's event log carries one "exec"
+// line per completed range task with the range's windows and selectivity,
+// readable by the platform trace parser (the JSON-shape contract between
+// metrics.Event and platform.TraceEvent).
+func TestFilteredExecEvents(t *testing.T) {
 	db, queries := plantedJob(43, 3, 400, 2, 20)
 	var buf bytes.Buffer
 	m, err := master.New(master.Config{
@@ -286,20 +286,24 @@ func TestFilteredStageEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stages := 0
+	execs := 0
 	for _, e := range events {
-		if e.Kind != metrics.EventStage {
+		switch e.Kind {
+		case metrics.EventAssign, metrics.EventSample, metrics.EventSummary:
 			continue
+		case metrics.EventExec:
+		default:
+			t.Fatalf("unexpected %q event", e.Kind)
 		}
-		stages++
-		if e.Stage != "filtered" || e.PE != "cpu" {
-			t.Errorf("stage event %q on PE %q", e.Stage, e.PE)
+		execs++
+		if e.PE != "cpu" || !e.Completed {
+			t.Errorf("exec event on PE %q, completed %v", e.PE, e.Completed)
 		}
 		if e.Selectivity <= 0 || e.Selectivity >= 1 || e.Windows == 0 {
-			t.Errorf("stage event selectivity %v, %d windows", e.Selectivity, e.Windows)
+			t.Errorf("exec event selectivity %v, %d windows", e.Selectivity, e.Windows)
 		}
 	}
-	if stages != len(queries) {
-		t.Fatalf("%d stage events, want %d", stages, len(queries))
+	if execs != len(queries) {
+		t.Fatalf("%d exec events, want %d", execs, len(queries))
 	}
 }

@@ -64,9 +64,9 @@ type Config struct {
 
 	// Filtered makes every task a sched.TaskFiltered over its range: an
 	// k-mer seed prefilter, then a Smith-Waterman rescore of the
-	// candidate windows on the same slave. Slaves must declare the
-	// capability (CPU engines do; the GPU engine is SW-only). Filtered
-	// jobs do not restore from checkpoints.
+	// candidate windows on the same slave. A slave that registers without
+	// wire.RegisterMsg.Filters (the GPU engine is SW-only) is told the job
+	// is done. Filtered jobs do not restore from checkpoints.
 	Filtered bool
 	// Filter parameterizes the prefilter; the zero value uses the
 	// prefilter defaults. Ignored unless Filtered.

@@ -26,6 +26,10 @@ type Event struct {
 	Task      int     `json:"task,omitempty"`
 	EndSec    float64 `json:"end,omitempty"`
 	Completed bool    `json:"completed,omitempty"`
+	// exec of a filtered range: its merged candidate windows and the
+	// fraction of its scanned residues they admitted for rescoring.
+	Windows     int     `json:"windows,omitempty"`
+	Selectivity float64 `json:"selectivity,omitempty"`
 
 	// assign and exec of one database-range task: the query and the
 	// half-open sequence-index range it scans (absent on whole-database
@@ -40,11 +44,6 @@ type Event struct {
 	BusySec     float64 `json:"busy_s,omitempty"`
 	MakespanSec float64 `json:"makespan_s,omitempty"`
 	TotalGCUPS  float64 `json:"total_gcups,omitempty"`
-
-	// stage (one filtered-search stage completed for one query)
-	Stage       string  `json:"stage,omitempty"`
-	Windows     int     `json:"windows,omitempty"`
-	Selectivity float64 `json:"selectivity,omitempty"`
 }
 
 // Event kinds.
@@ -53,7 +52,6 @@ const (
 	EventSample  = "sample"
 	EventExec    = "exec"
 	EventSummary = "summary"
-	EventStage   = "stage"
 )
 
 // EventLog serialises events as JSON lines to a writer. It is safe for

@@ -91,6 +91,41 @@ func (s Stats) Selectivity() float64 {
 	return float64(s.CandidateResidues) / float64(s.TotalResidues)
 }
 
+// Tally is the accounting of filtered work, the same for one range, a
+// shard and a whole search: a slave reports each range's tally with its
+// result and the master and the cluster sum them with Add.
+type Tally struct {
+	ResiduesScanned   int64 // database residues scanned for seeds
+	CandidateResidues int64 // residues admitted for rescoring
+	Windows           int   // merged candidate windows
+	RescoredCells     int64 // DP cells the window rescores computed
+	// FullScanCells is the DP work the same ranges cost unfiltered. The
+	// master sets it from its own task, so a slave leaves it zero.
+	FullScanCells int64
+}
+
+// Add folds o into t.
+func (t *Tally) Add(o Tally) {
+	t.ResiduesScanned += o.ResiduesScanned
+	t.CandidateResidues += o.CandidateResidues
+	t.Windows += o.Windows
+	t.RescoredCells += o.RescoredCells
+	t.FullScanCells += o.FullScanCells
+}
+
+// Selectivity is the fraction of scanned residues admitted for rescoring.
+func (t Tally) Selectivity() float64 {
+	if t.ResiduesScanned == 0 {
+		return 0
+	}
+	return float64(t.CandidateResidues) / float64(t.ResiduesScanned)
+}
+
+// CellsSaved is the DP work the filter avoided versus full scans.
+func (t Tally) CellsSaved() int64 {
+	return max(t.FullScanCells-t.RescoredCells, 0)
+}
+
 // Window is one candidate region of a database sequence, emitted by the
 // prefilter scan and consumed by the rescore stage: the diagonal projection
 // of seed hits, expanded by the margin, with overlapping windows merged.
@@ -130,14 +165,20 @@ type Filter struct {
 	offs   [][]int32  // query offsets of each pattern
 }
 
+// maxMargin bounds the window margin. A window never outgrows its
+// sequence, so a larger margin admits nothing more, while Scan's window
+// arithmetic would overflow near math.MaxInt.
+const maxMargin = 1 << 30
+
 // NewFilter compiles the query's Filter under spec. Any k >= 1 works; a k
-// longer than the query is clamped to the query length.
+// longer than the query is clamped to the query length, a margin above
+// maxMargin to maxMargin.
 func NewFilter(query []byte, spec Spec) (*Filter, error) {
 	spec = spec.Normalize()
 	if spec.K > len(query) {
 		spec.K = len(query)
 	}
-	f := &Filter{qlen: len(query), margin: spec.Margin}
+	f := &Filter{qlen: len(query), margin: min(spec.Margin, maxMargin)}
 	if spec.K > 0 {
 		f.seeds, f.offs = compileSeeds(query, spec)
 	}

@@ -1,7 +1,9 @@
 package prefilter
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/metrics"
@@ -65,6 +67,32 @@ func TestRunFindsPlantedQuery(t *testing.T) {
 	}
 	if sel := res.Stats.Selectivity(); sel <= 0 || sel >= 1 {
 		t.Fatalf("selectivity %v not in (0,1) on a selective query", sel)
+	}
+}
+
+// TestHugeMarginAdmitsWholeSequences: a margin near math.MaxInt used to
+// overflow the window arithmetic and drop every window. A margin at least
+// as long as the sequences admits each seeded sequence whole, so every
+// larger one must give the same result.
+func TestHugeMarginAdmitsWholeSequences(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	query := randomResidues(rng, 40)
+	db := plantDB(rng, 8, 400, query, []int{2, 5})
+	want, err := Run(query, db, Spec{Margin: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Windows) == 0 {
+		t.Fatal("setup: no windows at margin 400")
+	}
+	for _, margin := range []int{math.MaxInt32, math.MaxInt - 1, math.MaxInt} {
+		got, err := Run(query, db, Spec{Margin: margin})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("margin %d: %d windows %+v, want %d windows %+v", margin, len(got.Windows), got.Stats, len(want.Windows), want.Stats)
+		}
 	}
 }
 

@@ -45,25 +45,6 @@ type SlaveInfo struct {
 	// by the WFixed baseline and as a fallback before any observation
 	// exists. Zero means undeclared.
 	DeclaredSpeed float64
-	// Caps lists the task kinds this slave can execute. Nil keeps the
-	// historical contract — full Smith-Waterman scans only — so every
-	// pre-existing slave, the discrete-event runner and the simulator stay
-	// on the paper's single-kind path without declaring anything.
-	Caps []TaskKind
-}
-
-// CanRun reports whether a slave with the given declared capabilities can
-// execute task kind k. Nil caps mean the historical SW-only contract.
-func CanRun(caps []TaskKind, k TaskKind) bool {
-	if caps == nil {
-		return k == TaskSW
-	}
-	for _, c := range caps {
-		if c == k {
-			return true
-		}
-	}
-	return false
 }
 
 // Result is one collected task result.
@@ -154,9 +135,6 @@ type Coordinator struct {
 	slaves  []*slaveState
 	results map[TaskID]Result
 	log     []Assignment
-	// mixedKinds is true when any task of the pool is not TaskSW; on a
-	// pure-SW pool nil-caps slaves take the kind-blind fast path.
-	mixedKinds bool
 	// alive counts the registered slaves not declared dead.
 	alive int
 	// published is this coordinator's current share of the pool gauges
@@ -180,11 +158,6 @@ func NewCoordinator(tasks []Task, cfg Config) *Coordinator {
 		cfg:     cfg,
 		pool:    NewPool(tasks),
 		results: make(map[TaskID]Result, len(tasks)),
-	}
-	for _, t := range tasks {
-		if t.Kind != TaskSW {
-			c.mixedKinds = true
-		}
 	}
 	c.syncGauges()
 	return c
@@ -320,15 +293,9 @@ func (c *Coordinator) RequestWork(id SlaveID, now time.Duration) (tasks []Task, 
 		c.cfg.Metrics.TasksRedelivered.Add(float64(len(tasks)))
 		return tasks, false
 	}
-	// The slave only sees — and is only granted — ready tasks whose kind it
-	// declared capability for, so a filtered task never lands on an
-	// SW-only slave such as a GPU engine. For nil caps
-	// (every pre-existing slave) allow stays kind-blind on the single-kind
-	// pool and this is the paper's original path.
-	allow := c.allowFor(id)
 	req := Request{
 		Slave:          id,
-		Ready:          c.pool.ReadyFunc(allow),
+		Ready:          c.pool.Ready(),
 		Total:          c.pool.Len(),
 		Slaves:         c.alive,
 		Speeds:         make([]float64, len(c.slaves)),
@@ -354,7 +321,7 @@ func (c *Coordinator) RequestWork(id SlaveID, now time.Duration) (tasks []Task, 
 		n = 1
 	}
 	if n > 0 {
-		tasks = c.pool.TakeReadyFunc(n, allow, id, now)
+		tasks = c.pool.TakeReady(n, id, now)
 		for _, t := range tasks {
 			c.slaves[id].assign(t.ID)
 		}
@@ -397,18 +364,12 @@ func (c *Coordinator) selectReplica(id SlaveID, now time.Duration) (TaskID, bool
 	bestID := TaskID(-1)
 	var oldestStart time.Duration = 1 << 62
 	var oldestID TaskID = -1
-	allow := c.allowFor(id)
 	for _, tid := range c.pool.ExecutingTasks() {
 		execs := c.pool.Executors(tid)
 		if _, mine := execs[id]; mine {
 			continue
 		}
 		task := c.pool.Task(tid)
-		if allow != nil && !allow(task) {
-			// The requester cannot execute this kind; replicating it there
-			// would only burn an assignment slot.
-			continue
-		}
 		// Earliest estimated completion among current executors.
 		var bestETA time.Duration = 1 << 62
 		known := false
@@ -450,23 +411,6 @@ func (c *Coordinator) selectReplica(id SlaveID, now time.Duration) (TaskID, bool
 		return oldestID, true
 	}
 	return -1, false
-}
-
-// allowFor builds the grant filter for a slave: nil (kind-blind) when the
-// slave's declared capabilities already cover every kind present, otherwise
-// a predicate admitting only kinds the slave can run. Returning nil for the
-// common single-kind case keeps the historical fast path allocation-free.
-func (c *Coordinator) allowFor(id SlaveID) func(Task) bool {
-	caps := c.slaves[id].info.Caps
-	if caps == nil {
-		// Historical contract: SW-only. On a pure-SW pool (the paper's
-		// workload) no filtering is needed at all.
-		if !c.mixedKinds {
-			return nil
-		}
-		return func(t Task) bool { return t.Kind == TaskSW }
-	}
-	return func(t Task) bool { return CanRun(caps, t.Kind) }
 }
 
 // gainThreshold resolves the configured replication threshold.

@@ -46,7 +46,7 @@ func TestPoolRandomOpsInvariants(t *testing.T) {
 			switch rng.Intn(4) {
 			case 0: // take ready
 				k := 1 + rng.Intn(3)
-				for _, task := range p.TakeReadyFunc(k, nil, s, now) {
+				for _, task := range p.TakeReady(k, s, now) {
 					if model[task.ID] == nil {
 						model[task.ID] = map[SlaveID]bool{}
 					}

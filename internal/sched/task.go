@@ -28,9 +28,9 @@ type SlaveID int
 // exactly one shape of work — a Smith-Waterman scan of the query against
 // the database — and filtered search adds one more over the same ranges: an
 // k-mer seed prefilter followed by a Smith-Waterman rescore of the
-// candidate windows it admitted. The scheduler routes kinds by slave
-// capability (SlaveInfo.Caps) and otherwise treats them uniformly through
-// the shared cell currency.
+// candidate windows it admitted. Every task of a job has the job's kind, so
+// the scheduler never looks at it: kinds share one cell currency, and the
+// master turns away a slave that cannot run the job's kind.
 type TaskKind int
 
 const (
@@ -41,8 +41,7 @@ const (
 	// k-mer seeds and rescores the candidate windows on the same engine.
 	// Values 1 and 2 named the separate prefilter and rescore stages of
 	// older binaries; skipping them means a slave built before the fused
-	// kind never declares it, so it is never granted one, and fails
-	// loudly with "unknown task kind" if handed one anyway.
+	// kind fails loudly with "unknown task kind" if handed one.
 	TaskFiltered TaskKind = 3
 )
 
@@ -168,46 +167,24 @@ func (p *Pool) Task(id TaskID) Task { return p.entries[id].task }
 // StateOf returns the lifecycle state of a task.
 func (p *Pool) StateOf(id TaskID) State { return p.entries[id].state }
 
-// TakeReadyFunc moves up to n ready tasks that allow admits (nil admits
-// every task) to the executing state on slave s, returning them in FIFO
-// order: the kind-aware grant path, where a slave only receives task kinds
-// it declared capability for. Skipped tasks keep their FIFO position for the
-// next capable requester.
-func (p *Pool) TakeReadyFunc(n int, allow func(Task) bool, s SlaveID, now time.Duration) []Task {
+// TakeReady moves up to n tasks from the head of the ready FIFO to the
+// executing state on slave s and returns them in FIFO order.
+func (p *Pool) TakeReady(n int, s SlaveID, now time.Duration) []Task {
+	n = min(n, len(p.readyFIFO))
 	if n <= 0 {
 		return nil
 	}
-	var out []Task
-	rest := p.readyFIFO[:0]
-	for _, id := range p.readyFIFO {
+	out := make([]Task, n)
+	for i, id := range p.readyFIFO[:n] {
 		e := &p.entries[id]
-		if len(out) < n && (allow == nil || allow(e.task)) {
-			e.state = Executing
-			e.executors[s] = now
-			out = append(out, e.task)
-			continue
-		}
-		rest = append(rest, id)
+		e.state = Executing
+		e.executors[s] = now
+		out[i] = e.task
 	}
-	p.readyFIFO = rest
-	p.nReady -= len(out)
-	p.nExec += len(out)
+	p.readyFIFO = p.readyFIFO[n:]
+	p.nReady -= n
+	p.nExec += n
 	return out
-}
-
-// ReadyFunc counts the ready tasks allow admits (nil admits every task) —
-// the pool depth as seen by a slave of limited capability.
-func (p *Pool) ReadyFunc(allow func(Task) bool) int {
-	if allow == nil {
-		return len(p.readyFIFO)
-	}
-	n := 0
-	for _, id := range p.readyFIFO {
-		if allow(p.entries[id].task) {
-			n++
-		}
-	}
-	return n
 }
 
 // AddExecutor records that slave s (additionally) executes task id — the

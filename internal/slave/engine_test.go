@@ -90,8 +90,8 @@ func TestGPUEngineScoresMatchFarrar(t *testing.T) {
 	if gpu.Kind().String() != "GPU" || gpu.Name() != "gpu0" || gpu.DeclaredSpeed() != 5e9 || gpu.DatabaseResidues() != sse.DatabaseResidues() {
 		t.Errorf("GPU engine registers as %s %q declaring %v over %d residues", gpu.Kind(), gpu.Name(), gpu.DeclaredSpeed(), gpu.DatabaseResidues())
 	}
-	if caps := EngineCaps(gpu); caps != nil {
-		t.Errorf("GPU engine capabilities = %v, want nil (SW-only)", caps)
+	if _, ok := any(gpu).(Filterer); ok {
+		t.Error("GPU engine implements Filterer, want SW-only")
 	}
 }
 

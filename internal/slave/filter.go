@@ -22,7 +22,7 @@ import (
 // of a cut need nothing from one another. cache holds what the calls of one
 // slave session share.
 type Filterer interface {
-	FilterRange(query *seq.Sequence, lo, hi, k int, spec prefilter.Spec, cache *FilterCache, cancel <-chan struct{}) ([]wire.Hit, FilterCounts, error)
+	FilterRange(query *seq.Sequence, lo, hi, k int, spec prefilter.Spec, cache *FilterCache, cancel <-chan struct{}) ([]wire.Hit, prefilter.Tally, error)
 }
 
 // FilterCache is the compiled prefilter and window rescorer of the last
@@ -96,37 +96,18 @@ func (t *filterTable) release(key filterKey) {
 	}
 }
 
-// FilterCounts is one filtered range's accounting, shipped in its
-// CompleteMsg.
-type FilterCounts struct {
-	Scanned    int64 // database residues scanned for seeds
-	Candidates int64 // residues admitted for rescoring
-	Windows    int   // merged candidate windows
-	Rescored   int64 // DP cells the window rescore computed
-}
-
-// EngineCaps derives the capability list a slave registers with from the
-// optional interfaces its engine implements. SW-only engines return nil —
-// the historical registration shape — so their wire traffic is unchanged.
-func EngineCaps(eng Engine) []sched.TaskKind {
-	if _, ok := eng.(Filterer); ok {
-		return []sched.TaskKind{sched.TaskSW, sched.TaskFiltered}
-	}
-	return nil
-}
-
 // SetPrefilterMetrics attaches the prefilter instrumentation bundle; each
 // filtered range observes its scan's Stats on completion.
 func (e *FarrarEngine) SetPrefilterMetrics(m *prefilter.Metrics) { e.pmet = m }
 
 // FilterRange implements Filterer. The scan is not interruptible;
 // cancellation is observed between the two passes.
-func (e *FarrarEngine) FilterRange(query *seq.Sequence, lo, hi, k int, spec prefilter.Spec, cache *FilterCache, cancel <-chan struct{}) ([]wire.Hit, FilterCounts, error) {
+func (e *FarrarEngine) FilterRange(query *seq.Sequence, lo, hi, k int, spec prefilter.Spec, cache *FilterCache, cancel <-chan struct{}) ([]wire.Hit, prefilter.Tally, error) {
 	if hi == 0 {
 		hi = len(e.db)
 	}
 	if lo < 0 || hi > len(e.db) || lo > hi {
-		return nil, FilterCounts{}, fmt.Errorf("slave: range [%d,%d) outside the %d-sequence database", lo, hi, len(e.db))
+		return nil, prefilter.Tally{}, fmt.Errorf("slave: range [%d,%d) outside the %d-sequence database", lo, hi, len(e.db))
 	}
 	key := filterKey{spec: spec.Normalize()}
 	compiled := false
@@ -135,11 +116,11 @@ func (e *FarrarEngine) FilterRange(query *seq.Sequence, lo, hi, k int, spec pref
 		cache.release()
 		r, err := prefilter.NewRescorer(query.Residues, e.scheme)
 		if err != nil {
-			return nil, FilterCounts{}, err
+			return nil, prefilter.Tally{}, err
 		}
 		var f *prefilter.Filter
 		if f, compiled, err = sharedFilters.acquire(key); err != nil {
-			return nil, FilterCounts{}, err
+			return nil, prefilter.Tally{}, err
 		}
 		*cache = FilterCache{key: key, filter: f, rescorer: r}
 	}
@@ -147,13 +128,13 @@ func (e *FarrarEngine) FilterRange(query *seq.Sequence, lo, hi, k int, spec pref
 	res := cache.filter.Scan(db)
 	select {
 	case <-cancel:
-		return nil, FilterCounts{}, ErrCanceled
+		return nil, prefilter.Tally{}, ErrCanceled
 	default:
 	}
 	before := cache.rescorer.Stats()
 	scores, cells, err := cache.rescorer.Rescore(db, res.Windows)
 	if err != nil {
-		return nil, FilterCounts{}, err
+		return nil, prefilter.Tally{}, err
 	}
 	e.kmet.Observe(cache.rescorer.Stats().Sub(before))
 	if !compiled {
@@ -165,40 +146,40 @@ func (e *FarrarEngine) FilterRange(query *seq.Sequence, lo, hi, k int, spec pref
 	for i, d := range db {
 		top.add(wire.Hit{SeqID: d.ID, Index: lo + i, Score: scores[i]})
 	}
-	return top.result(), FilterCounts{
-		Scanned:    res.Stats.ResiduesScanned,
-		Candidates: res.Stats.CandidateResidues,
-		Windows:    res.Stats.Windows,
-		Rescored:   cells,
+	return top.result(), prefilter.Tally{
+		ResiduesScanned:   res.Stats.ResiduesScanned,
+		CandidateResidues: res.Stats.CandidateResidues,
+		Windows:           res.Stats.Windows,
+		RescoredCells:     cells,
 	}, nil
 }
 
 // runStage executes the kind-specific body of one task and returns its
 // hits (at least its k best), plus the range's accounting for a filtered
 // task.
-func runStage(eng Engine, spec wire.TaskSpec, query *seq.Sequence, k int, filters *FilterCache, progress func(int64), cancel <-chan struct{}) ([]wire.Hit, FilterCounts, error) {
+func runStage(eng Engine, spec wire.TaskSpec, query *seq.Sequence, k int, filters *FilterCache, progress func(int64), cancel <-chan struct{}) ([]wire.Hit, prefilter.Tally, error) {
 	switch spec.TaskKind {
 	case sched.TaskSW:
 		hits, err := searchRange(eng, query, spec.Lo, spec.Hi, k, progress, cancel)
-		return hits, FilterCounts{}, err
+		return hits, prefilter.Tally{}, err
 	case sched.TaskFiltered:
 		f, ok := eng.(Filterer)
 		if !ok {
-			return nil, FilterCounts{}, fmt.Errorf("slave: engine %q cannot execute %s tasks", eng.Name(), spec.TaskKind)
+			return nil, prefilter.Tally{}, fmt.Errorf("slave: engine %q cannot execute %s tasks", eng.Name(), spec.TaskKind)
 		}
 		var fspec prefilter.Spec
 		if spec.Filter != nil {
 			fspec = *spec.Filter
 		}
-		hits, counts, err := f.FilterRange(query, spec.Lo, spec.Hi, k, fspec, filters, cancel)
+		hits, tally, err := f.FilterRange(query, spec.Lo, spec.Hi, k, fspec, filters, cancel)
 		// The range is done: report the task's full cell-equivalent budget
 		// so the master's speed estimate sees the work.
 		if err == nil && progress != nil {
 			progress(spec.Cells)
 		}
-		return hits, counts, err
+		return hits, tally, err
 	default:
-		return nil, FilterCounts{}, fmt.Errorf("slave: unknown task kind %v", spec.TaskKind)
+		return nil, prefilter.Tally{}, fmt.Errorf("slave: unknown task kind %v", spec.TaskKind)
 	}
 }
 

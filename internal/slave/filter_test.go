@@ -96,7 +96,7 @@ func TestFilterRangeSharesCompiledFilter(t *testing.T) {
 // TestFilteredRangeTaskKeepsTopKInsideRange runs one filtered range task
 // through the slave loop: the completion carries at most k hits, all inside
 // the task's range and none above the full scan's score, plus the range's
-// accounting.
+// accounting, and the slave registered as one that filters.
 func TestFilteredRangeTaskKeepsTopKInsideRange(t *testing.T) {
 	db := tinyDB(t)
 	scheme := score.DefaultProtein()
@@ -111,8 +111,12 @@ func TestFilteredRangeTaskKeepsTopKInsideRange(t *testing.T) {
 		Lo: lo, Hi: hi, TaskKind: sched.TaskFiltered, Filter: &prefilter.Spec{},
 	}
 	var got *wire.CompleteMsg
+	var filters bool
 	m := &scriptedMaster{tasks: []wire.TaskSpec{spec}, doneAfter: 1}
 	caller := callerFunc(func(req wire.Envelope) (wire.Envelope, error) {
+		if req.Register != nil {
+			filters = req.Register.Filters
+		}
 		if req.Complete != nil {
 			got = req.Complete
 		}
@@ -138,8 +142,11 @@ func TestFilteredRangeTaskKeepsTopKInsideRange(t *testing.T) {
 	if got.Hits[0].Index != 9 {
 		t.Errorf("top hit %+v, want the query's source 9", got.Hits[0])
 	}
-	if got.Scanned == 0 || got.Candidates == 0 || got.Windows == 0 || got.Rescored == 0 {
-		t.Errorf("range accounting missing: %+v", got)
+	if !filters {
+		t.Error("a Farrar engine registered without Filters")
+	}
+	if f := got.Filter; f.ResiduesScanned == 0 || f.CandidateResidues == 0 || f.Windows == 0 || f.RescoredCells == 0 || f.FullScanCells != 0 {
+		t.Errorf("range accounting: %+v", f)
 	}
 }
 

@@ -154,11 +154,12 @@ func Run(caller wire.Caller, eng Engine, opts Options) (int, error) {
 // progressed reports whether any call succeeded, which gates the
 // reconnect-failure counter reset in Run.
 func runSession(caller wire.Caller, eng Engine, opts Options) (completed int, progressed bool, err error) {
+	_, canFilter := eng.(Filterer)
 	resp, err := caller.Call(wire.Envelope{Register: &wire.RegisterMsg{
 		Name:          eng.Name(),
 		Kind:          eng.Kind(),
 		DeclaredSpeed: eng.DeclaredSpeed(),
-		Caps:          EngineCaps(eng),
+		Filters:       canFilter,
 	}})
 	if err != nil {
 		return 0, false, err
@@ -261,7 +262,7 @@ func runTask(caller wire.Caller, eng Engine, id sched.SlaveID, spec wire.TaskSpe
 		lastNotify, lastCells = now, cells
 	}
 
-	hits, counts, err := runStage(eng, spec, query, opts.TopK, filters, progress, canceled.channelFor(spec.ID))
+	hits, tally, err := runStage(eng, spec, query, opts.TopK, filters, progress, canceled.channelFor(spec.ID))
 	if callErr != nil {
 		return false, false, callErr
 	}
@@ -294,8 +295,7 @@ func runTask(caller wire.Caller, eng Engine, id sched.SlaveID, spec wire.TaskSpe
 		finalCells = 0
 	}
 	resp, err := caller.Call(wire.Envelope{Complete: &wire.CompleteMsg{
-		Slave: id, Task: spec.ID, Hits: top, Cells: finalCells, Rate: finalRate,
-		Scanned: counts.Scanned, Candidates: counts.Candidates, Windows: counts.Windows, Rescored: counts.Rescored,
+		Slave: id, Task: spec.ID, Hits: top, Cells: finalCells, Rate: finalRate, Filter: tally,
 	}})
 	if err != nil {
 		return false, false, err

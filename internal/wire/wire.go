@@ -71,9 +71,9 @@ type RegisterMsg struct {
 	Name          string
 	Kind          sched.SlaveKind
 	DeclaredSpeed float64
-	// Caps lists the task kinds the slave can execute; nil means the
-	// historical SW-only contract (see sched.CanRun).
-	Caps []sched.TaskKind
+	// Filters says the slave can run sched.TaskFiltered tasks. A master
+	// of a filtered job tells a slave without it that the job is done.
+	Filters bool
 }
 
 // RegisterAckMsg returns the slave's ID.
@@ -122,13 +122,9 @@ type CompleteMsg struct {
 	Rate  float64 // measured cells/second over the final delta; 0 = unknown
 	Cells int64   // cells processed since the previous notification
 
-	// A finished TaskFiltered task's accounting: database residues
-	// scanned, residues admitted for rescoring, merged candidate windows and
-	// the DP cells their rescore computed. Zero for other kinds.
-	Scanned    int64
-	Candidates int64
-	Windows    int
-	Rescored   int64
+	// Filter is a finished TaskFiltered task's accounting; zero for other
+	// kinds.
+	Filter prefilter.Tally
 }
 
 // CompleteAckMsg reports whether the result was accepted (first completion)
