@@ -86,7 +86,7 @@ race-full:
 # Fails loudly with a shrunken reproducer on any invariant violation.
 sim-smoke:
 	go run ./cmd/swsim -seed 1 -scenarios 200 -duration 60s
-	go run ./cmd/swsim -named shard-failover -seed 1 -scenarios 25
+	go run ./cmd/swsim -named shard-failover -seed 1 -scenarios 50
 
 # Coverage floor for the multi-tenant control plane: the fair queue and
 # quota book (internal/jobs) gate admission, so their tests must not rot.

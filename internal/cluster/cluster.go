@@ -15,23 +15,25 @@
 // the shards) and hands the cut to each job's master, so a single query
 // occupies every engine of its shard, PSS weights and first-copy-wins
 // replication act inside a request, and a replica duplicates only the
-// tail range. The end of a shard job is pushed to its replica loops
-// (slave.Options.Done) rather than polled for: range tasks are too short
-// to ever send the progress notification a cancellation rides on.
-// Filtered searches run on the same cut: each range task prefilters its
-// range and rescores its own candidate windows.
+// tail range. Filtered searches run on the same cut: each range task
+// prefilters its range and rescores its own candidate windows.
 //
-// Fault tolerance rides the existing master machinery: every shard's
-// replicas register with the shard master as independent slaves, so when a
-// replica dies mid-scan its connection-drop (SlaveGone) or lease expiry
-// requeues its tasks and a surviving replica re-scans them. A job only
-// fails when a shard has no live replica left to finish it.
+// A replica loop has one stop signal, its slave.Options.Done: it closes
+// when the shard job ends, when the search's context is cancelled and when
+// the replica is killed. It is pushed rather than polled for: range tasks
+// are too short to ever send the progress notification a cancellation
+// rides on. Fault tolerance rides the existing master
+// machinery: every shard's replicas register with the shard master as
+// independent slaves, and once a killed replica's loop has stopped the
+// shard reports it gone (SlaveGone), which requeues its tasks exactly as a
+// dropped TCP connection does, and a surviving replica re-scans them. A
+// job only fails when a shard has no live replica left to finish it.
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/farrar"
 	"repro/internal/master"
@@ -94,10 +96,6 @@ type Config struct {
 	// Scheme is the scoring scheme; the zero value uses the paper's
 	// BLOSUM62/10/2 default.
 	Scheme score.Scheme
-	// Lease, when positive, arms each shard master's lease-based failure
-	// detector, the backstop for replicas that hang without dropping
-	// (crashes are caught promptly through SlaveGone).
-	Lease time.Duration
 	// Registry receives the fleet's cluster_* families and every shard
 	// job's master/scheduler/slave metrics; nil runs the fleet
 	// uninstrumented.
@@ -114,11 +112,16 @@ const DefaultReplicas = 2
 type replica struct {
 	eng slave.Engine
 
-	// dead and down are guarded by the owning shard's mu; down is closed
-	// exactly when dead flips true, so in-flight callers observe the kill
-	// without taking the lock.
-	dead bool
-	down chan struct{}
+	// life ends when the replica is killed (kill). Both are guarded by the
+	// owning shard's mu, and ReviveReplica replaces them; a job reads life
+	// once, when it starts, so a revival never reaches a running job.
+	life context.Context
+	kill context.CancelFunc
+}
+
+func newReplica(eng slave.Engine) *replica {
+	life, kill := context.WithCancel(context.Background())
+	return &replica{eng: eng, life: life, kill: kill}
 }
 
 // rangesPerEngine sizes the cut of a shard into database-range tasks: a
@@ -143,14 +146,16 @@ type shard struct {
 	replicas []*replica
 }
 
-// liveReplicas returns the replicas currently alive, a snapshot under mu.
-func (s *shard) liveReplicas() []*replica {
+// liveReplicas returns the replicas currently alive, copied under mu: a
+// copy keeps the life it was taken with whatever the replica goes through
+// later.
+func (s *shard) liveReplicas() []replica {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []*replica
+	var out []replica
 	for _, r := range s.replicas {
-		if !r.dead {
-			out = append(out, r)
+		if r.life.Err() == nil {
+			out = append(out, *r)
 		}
 	}
 	return out
@@ -200,7 +205,7 @@ func New(cfg Config) (*Fleet, error) {
 		}
 		s.ranges = partition(s.db, min(rangesPerEngine*len(engines), len(s.db)))
 		for _, eng := range engines {
-			s.replicas = append(s.replicas, &replica{eng: eng, down: make(chan struct{})})
+			s.replicas = append(s.replicas, newReplica(eng))
 		}
 		f.shards = append(f.shards, s)
 	}
@@ -288,9 +293,9 @@ func (f *Fleet) Health() []ShardHealth {
 func (f *Fleet) CanFilter() bool { return f.cfg.Replicas > 0 }
 
 // KillReplica marks one replica dead, the fault-injection seam chaos tests
-// and the e2e crash scenario use: in-flight protocol calls of the replica
-// start failing immediately (aborting its scans), its tasks requeue on the
-// shard master, and a surviving replica re-scans them.
+// and the e2e crash scenario use: the replica's loop in every running job
+// stops at once (aborting its in-flight scan), then its tasks requeue on
+// the shard master and a surviving replica re-scans them.
 func (f *Fleet) KillReplica(shardIdx, replicaIdx int) error {
 	r, err := f.replicaAt(shardIdx, replicaIdx)
 	if err != nil {
@@ -299,11 +304,10 @@ func (f *Fleet) KillReplica(shardIdx, replicaIdx int) error {
 	s := f.shards[shardIdx]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if r.dead {
+	if r.life.Err() != nil {
 		return nil
 	}
-	r.dead = true
-	close(r.down)
+	r.kill()
 	f.met.ReplicasKilled.Inc()
 	f.met.LiveReplicas.Add(-1)
 	return nil
@@ -319,11 +323,10 @@ func (f *Fleet) ReviveReplica(shardIdx, replicaIdx int) error {
 	s := f.shards[shardIdx]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !r.dead {
+	if r.life.Err() == nil {
 		return nil
 	}
-	r.dead = false
-	r.down = make(chan struct{})
+	*r = *newReplica(r.eng)
 	f.met.LiveReplicas.Add(1)
 	return nil
 }

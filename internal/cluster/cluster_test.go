@@ -3,8 +3,10 @@ package cluster_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -403,6 +405,77 @@ func TestClusterFailover(t *testing.T) {
 				t.Errorf("revived shard 0 reports %d live replicas, want 2", health[0].Live)
 			}
 		})
+	}
+}
+
+// TestReviveMidJobKeepsReplicaDead: a replica killed and revived while a
+// job runs stays dead for that job. The job counts one failover and
+// finishes on the survivor with the oracle's exact ranking; only later
+// jobs see the revived replica.
+func TestReviveMidJobKeepsReplicaDead(t *testing.T) {
+	db := testDB(t, "Ensembl Dog Proteins", 0.002, 7)
+	queries := hybridsw.GenerateQueries(db, 5, 80, 160, 8)
+	oracle := bruteForce(queries, db, hybridsw.DefaultScheme())
+	fleet, err := cluster.New(cluster.Config{DB: db, Shards: 1, Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bounce sync.Once
+	rep, err := fleet.SearchContext(context.Background(), queries, cluster.Params{
+		OnShards: func([]cluster.ShardStatus) {
+			bounce.Do(func() {
+				if err := fleet.KillReplica(0, 0); err != nil {
+					t.Error(err)
+				}
+				if err := fleet.ReviveReplica(0, 0); err != nil {
+					t.Error(err)
+				}
+			})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFullRanking(t, rep.PerQuery, oracle, 0)
+	if got := rep.Shards[0].Failovers; got != 1 {
+		t.Errorf("job counted %d failovers, want 1: the revived replica rejoined the running job", got)
+	}
+	if live := fleet.Health()[0].Live; live != 2 {
+		t.Errorf("%d live replicas after the revival, want 2", live)
+	}
+}
+
+// TestSearchesLeaveNoGoroutines: cancelled and completed searches alike
+// stop every goroutine they start (replica loops, the shard job's stop
+// hooks, the shard masters), so the process returns to its baseline.
+func TestSearchesLeaveNoGoroutines(t *testing.T) {
+	db := testDB(t, "Ensembl Dog Proteins", 0.0008, 3)
+	queries := hybridsw.GenerateQueries(db, 2, 40, 80, 4)
+	fleet, err := cluster.New(cluster.Config{DB: db, Shards: 2, Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := runtime.NumGoroutine()
+	for i := 0; i < 30; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		// Cancel on the first progress, so the cancellation lands while
+		// the replicas hold tasks.
+		_, err := fleet.SearchContext(ctx, queries, cluster.Params{Adjust: true,
+			OnShards: func([]cluster.ShardStatus) { cancel() }})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled search %d returned %v, want context.Canceled", i, err)
+		}
+		if _, err := fleet.SearchContext(context.Background(), queries, cluster.Params{Adjust: true}); err != nil {
+			t.Fatalf("search %d: %v", i, err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Errorf("%d goroutines after 60 searches, baseline %d", n, baseline)
 	}
 }
 

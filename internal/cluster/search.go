@@ -89,11 +89,11 @@ func (r *Report) GCUPS() float64 { return gcups.GCUPS(r.Cells, r.Elapsed) }
 // SearchContext compares every query against the sharded database: one
 // master-protocol job per shard, every live replica registered as a slave,
 // per-query hits merged across shards under wire.HitLess, so the ranking
-// does not depend on the shard count. When ctx is cancelled the replicas
-// stop asking for new tasks and every in-flight task is aborted through the
-// engines' cancel channels, so a cancelled search releases its CPU promptly
-// and returns ctx.Err(). It is safe for concurrent use; each call builds
-// its own shard masters.
+// does not depend on the shard count. When ctx is cancelled every replica
+// loop's stop signal closes: in-flight scans abort through the engines'
+// cancel channels and the loops return without asking for more work, so a
+// cancelled search releases its CPU promptly and returns ctx.Err(). It is
+// safe for concurrent use; each call builds its own shard masters.
 func (f *Fleet) SearchContext(ctx context.Context, queries []*seq.Sequence, p Params) (*Report, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("cluster: no queries")
@@ -135,7 +135,7 @@ func (f *Fleet) SearchContext(ctx context.Context, queries []*seq.Sequence, p Pa
 			o.results, o.filter, o.report, o.err = f.searchShard(ctx, s, queries, filtered, p, board)
 		}(i, s)
 	}
-	// Every replica caller is ctx-gated (replicaCaller), so cancellation
+	// A cancelled ctx stops every replica loop (searchShard), so it
 	// already unblocks this join; returning before it would leak replica
 	// goroutines.
 	wg.Wait()
@@ -230,11 +230,13 @@ func (f *Fleet) shardOf(index int) int {
 
 // searchShard runs one shard's scan as a full master-protocol job: a
 // dedicated master over the shard's residues and range cut, every live
-// replica that can run the job running the standard slave loop against it
-// until the master's Done channel closes. Replica death surfaces as a failed
-// protocol call, which cancels the replica's in-flight scan and requeues
-// its tasks for the survivors — the same path a dropped TCP connection
-// takes — with the shard master's lease as the backstop for silent hangs.
+// replica that can run the job running the standard slave loop against it.
+// Each loop has one stop signal, its Options.Done: a per-replica context
+// under the shard context, which ends with the master's Done, the search's
+// ctx or the death of the last able replica. The replica context also ends
+// when that replica is killed; once such a loop has returned, the shard
+// reports the replica gone (SlaveGone), which requeues its tasks for the
+// survivors exactly as a dropped TCP connection does.
 func (f *Fleet) searchShard(ctx context.Context, s *shard, queries []*seq.Sequence, filtered bool, p Params, board *progressBoard) ([]master.QueryResult, *master.FilterStats, ShardReport, error) {
 	report := ShardReport{Shard: s.index, Sequences: len(s.db), Residues: s.residues}
 	fail := func(err error) ([]master.QueryResult, *master.FilterStats, ShardReport, error) {
@@ -254,7 +256,6 @@ func (f *Fleet) searchShard(ctx context.Context, s *shard, queries []*seq.Sequen
 		Policy:     pol,
 		Adjust:     p.Adjust,
 		Omega:      p.Omega,
-		Lease:      f.cfg.Lease,
 		Registry:   f.cfg.Registry,
 		Filtered:   filtered,
 		Filter:     p.Filter,
@@ -269,9 +270,9 @@ func (f *Fleet) searchShard(ctx context.Context, s *shard, queries []*seq.Sequen
 
 	// Only the live replicas that can run the job's tasks take part: a GPU
 	// engine is SW-only and sits out a filtered job. able counts those
-	// still alive; when the last one dies the job cannot finish, so the
-	// shard context winds the loops down and the shard fails.
-	var replicas []*replica
+	// still alive; when the last one dies the job cannot finish, and the
+	// shard fails.
+	var replicas []replica
 	for _, r := range s.liveReplicas() {
 		if _, filters := r.eng.(slave.Filterer); filters || !filtered {
 			replicas = append(replicas, r)
@@ -283,46 +284,58 @@ func (f *Fleet) searchShard(ctx context.Context, s *shard, queries []*seq.Sequen
 	}
 	shardCtx, abort := context.WithCancel(ctx)
 	defer abort()
-	var mu sync.Mutex // guards able and report.Failovers
-	onFailover := func() {
-		mu.Lock()
-		report.Failovers++
-		if able--; able == 0 {
+	go func() {
+		select {
+		case <-m.Done():
 			abort()
+		case <-shardCtx.Done():
 		}
-		mu.Unlock()
-		board.setState(s.index, ShardScanning)
-		f.met.Failovers.Inc()
-	}
-	callers := make([]*replicaCaller, len(replicas))
+	}()
+	var mu sync.Mutex // guards able and report.Failovers
 	errs := make([]error, len(replicas))
 	var wg sync.WaitGroup
 	for i, r := range replicas {
 		wg.Add(1)
-		go func(i int, r *replica) {
+		go func(i int, r replica) {
 			defer wg.Done()
-			callers[i] = newReplicaCaller(shardCtx, r, wire.Meter(wire.Local{H: m}, f.wireMet), m, onFailover)
-			_, errs[i] = slave.Run(callers[i], r.eng, slave.Options{
+			replicaCtx, stop := context.WithCancel(shardCtx)
+			defer stop()
+			defer context.AfterFunc(r.life, stop)()
+			c := &replicaCaller{Caller: wire.Meter(wire.Local{H: m}, f.wireMet)}
+			_, errs[i] = slave.Run(c, r.eng, slave.Options{
 				NotifyEvery: 20 * time.Millisecond,
 				Poll:        5 * time.Millisecond,
 				TopK:        p.TopK,
 				AlignBest:   p.AlignBest,
-				Done:        m.Done(),
+				Done:        replicaCtx.Done(),
 				Metrics:     f.slaveMet,
 			})
+			if r.life.Err() == nil {
+				return
+			}
+			// Killed: the loop has stopped, so its tasks can requeue on
+			// the survivors as a dropped connection's do.
+			if c.registered {
+				m.SlaveGone(c.id)
+			}
+			mu.Lock()
+			report.Failovers++
+			if able--; able == 0 {
+				abort()
+			}
+			mu.Unlock()
+			board.setState(s.index, ShardScanning)
+			f.met.Failovers.Inc()
 		}(i, r)
 	}
-	// The joined replica loops are ctx-gated via replicaCaller, so
-	// cancellation already unblocks this join.
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, nil, report, err
 	}
 	for i, rerr := range errs {
-		// A killed replica's loop ends with a "replica down" call failure;
-		// that is the fault we absorb. Any other error is a real engine or
-		// protocol failure and fails the shard.
-		if rerr != nil && !callers[i].Down() {
+		// Nothing fails a loop on purpose, so any error is a real engine
+		// or protocol failure and fails the shard.
+		if rerr != nil {
 			return fail(fmt.Errorf("cluster: shard %d replica %s: %w", s.index, replicas[i].eng.Name(), rerr))
 		}
 	}

@@ -1,12 +1,14 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -259,5 +261,74 @@ func TestClusterEngineMetrics(t *testing.T) {
 		if value <= 0 {
 			t.Errorf("%s = %v after a full and a filtered search, want > 0", series, value)
 		}
+	}
+}
+
+// TestSearchClientDisconnect: a client that goes away in the middle of a
+// POST /search leaves its job canceled, and the fleet stops every
+// goroutine the search started.
+func TestSearchClientDisconnect(t *testing.T) {
+	p := dataset.Profile{Name: "t", NumSeqs: 400, MeanLen: 300, SigmaLn: 0.4, MinLen: 100, MaxLen: 900}
+	db := dataset.Generate(p, 9)
+	s, ts, _ := clusterServer(t, db, 2, 2)
+	baseline := runtime.NumGoroutine()
+
+	var fa strings.Builder
+	for i := 0; i < 4; i++ {
+		fmt.Fprintf(&fa, ">q%d\n%s\n", i, db[10*i].Residues)
+	}
+	raw, _ := json.Marshal(SearchRequest{QueriesFasta: fa.String(), TopK: 3})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/search", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{Transport: &http.Transport{}}
+	returned := make(chan error, 1)
+	go func() {
+		resp, err := client.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		returned <- err
+	}()
+
+	// Disconnect once the job's shards report progress.
+	var id string
+	deadline := time.Now().Add(10 * time.Second)
+	for id == "" && time.Now().Before(deadline) {
+		for _, j := range s.jobs.List() {
+			for _, sh := range j.Shards {
+				if j.State == jobs.StateRunning && sh.Cells > 0 {
+					id = j.ID
+				}
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if id == "" {
+		t.Fatal("the search never reported progress")
+	}
+	cancel()
+	if err := <-returned; err == nil {
+		t.Fatal("the search answered before the client went away; make it longer")
+	}
+	client.CloseIdleConnections()
+
+	for time.Now().Before(deadline) {
+		if j, err := s.jobs.Get(id); err == nil && j.State.Terminal() {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if j, err := s.jobs.Get(id); err != nil || j.State != jobs.StateCanceled {
+		t.Fatalf("job after the disconnect: %+v, %v; want canceled", j, err)
+	}
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Errorf("%d goroutines after the disconnect, baseline %d", n, baseline)
 	}
 }

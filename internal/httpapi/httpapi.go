@@ -49,7 +49,7 @@ import (
 type Limits struct {
 	MaxQueries  int   // queries per request
 	MaxResidues int64 // total query residues per request
-	MaxTopK     int   // hits per query a request may ask for
+	MaxTopK     int   // hits per query a request may ask for, and gets when it omits top_k
 	MaxAlignLen int   // per-sequence length cap for POST /align
 }
 
@@ -68,8 +68,8 @@ type Options struct {
 	// values. A negative field disables that cap.
 	Limits Limits
 	// Jobs configures the job subsystem (queue depth, executor-pool size,
-	// cache budget, durable dir). Executor, Salt, Metrics, MaxQueries and
-	// MaxResidues are supplied by the server and need not be set.
+	// cache budget, durable dir). Executor, Salt and Metrics are supplied
+	// by the server and need not be set.
 	Jobs jobs.Config
 	// Fleet, when non-nil, is the sharded fleet every job runs on (the
 	// cluster backend); it must be built over the same database the server
@@ -155,8 +155,6 @@ func NewWithOptions(dbName string, db []*seq.Sequence, platform hybridsw.Platfor
 	// deliberately ignores the backend.
 	jc.Salt = s.cacheSalt()
 	jc.Metrics = jobs.NewMetrics(reg)
-	jc.MaxQueries = s.limits.MaxQueries
-	jc.MaxResidues = s.limits.MaxResidues
 	mgr, err := jobs.New(jc)
 	if err != nil {
 		return nil, err
@@ -328,10 +326,11 @@ type SearchResponse struct {
 }
 
 // decodeSearch decodes and validates a search payload: JSON errors and
-// empty FASTA get 400, cap violations get 422 with a machine-readable
-// reason, an unknown policy gets 422 (catching it before an async job
-// would fail obscurely at run time). On failure the response is already
-// written and ok is false.
+// empty FASTA get 400, cap violations and a negative top_k get 422 with a
+// machine-readable reason, an unknown policy gets 422 (catching it before
+// an async job would fail obscurely at run time). An omitted top_k
+// resolves to the cap. On failure the response is already written and ok
+// is false.
 func (s *Server) decodeSearch(w http.ResponseWriter, r *http.Request) (jreq jobs.Request, ok bool) {
 	var req SearchRequest
 	if !decodeJSON(w, json.NewDecoder(r.Body), &req) {
@@ -373,10 +372,18 @@ func (s *Server) decodeSearch(w http.ResponseWriter, r *http.Request) (jreq jobs
 			"%d total query residues exceeds the %d-residue cap", residues, s.limits.MaxResidues)
 		return jreq, false
 	}
-	if s.limits.MaxTopK > 0 && req.TopK > s.limits.MaxTopK {
+	switch {
+	case req.TopK < 0:
+		writeReject(w, http.StatusUnprocessableEntity, "bad_top_k",
+			"top_k %d is negative", req.TopK)
+		return jreq, false
+	case s.limits.MaxTopK > 0 && req.TopK > s.limits.MaxTopK:
 		writeReject(w, http.StatusUnprocessableEntity, "top_k_too_large",
 			"top_k %d exceeds the cap of %d", req.TopK, s.limits.MaxTopK)
 		return jreq, false
+	case req.TopK == 0:
+		// Omitted: the cap, so "all hits" cannot get round it.
+		req.TopK = s.limits.MaxTopK
 	}
 	if req.Policy != "" {
 		if _, err := sched.NewPolicy(req.Policy); err != nil {
@@ -599,8 +606,8 @@ func writeReject(w http.ResponseWriter, code int, reason, format string, args ..
 }
 
 // writeJobErr maps job-subsystem errors onto HTTP statuses: queue overload
-// is 429 with a Retry-After hint, size-cap rejections are 422, a draining
-// server is 503, unknown IDs are 404.
+// is 429 with a Retry-After hint, a draining server is 503, unknown IDs are
+// 404.
 func writeJobErr(w http.ResponseWriter, err error) {
 	var rej *jobs.RejectError
 	if errors.As(err, &rej) {
@@ -609,8 +616,6 @@ func writeJobErr(w http.ResponseWriter, err error) {
 		case "queue_full", "tenant_quota":
 			code = http.StatusTooManyRequests
 			w.Header().Set("Retry-After", fmt.Sprintf("%d", int(rej.RetryAfter.Seconds()+0.5)))
-		case "too_many_queries", "too_many_residues":
-			code = http.StatusUnprocessableEntity
 		case "draining":
 			code = http.StatusServiceUnavailable
 		}

@@ -448,3 +448,53 @@ func TestTrimmedSearchResultGone(t *testing.T) {
 		t.Fatalf("result of a trimmed record: %d %s, want 410", resp.StatusCode, body)
 	}
 }
+
+// TestTopKCannotGetRoundTheCap: with a top_k cap below the database size,
+// neither a negative nor an omitted top_k returns every hit.
+func TestTopKCannotGetRoundTheCap(t *testing.T) {
+	srv, ts := testServerOpts(t, Options{Limits: Limits{MaxTopK: 5}})
+	query := fmt.Sprintf(">q\n%s\n", srv.db[3].Residues)
+	resp, body := do(t, "POST", ts.URL+"/search", SearchRequest{QueriesFasta: query, TopK: -1})
+	var rej map[string]string
+	_ = json.Unmarshal(body, &rej)
+	if resp.StatusCode != http.StatusUnprocessableEntity || rej["reason"] != "bad_top_k" {
+		t.Errorf("top_k -1: %d %s, want 422 bad_top_k", resp.StatusCode, body)
+	}
+	resp, body = do(t, "POST", ts.URL+"/search", SearchRequest{QueriesFasta: query})
+	if resp.StatusCode != 200 {
+		t.Fatalf("omitted top_k: %d %s", resp.StatusCode, body)
+	}
+	var out SearchResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(out.Results[0].Hits); got != 5 {
+		t.Errorf("omitted top_k returned %d hits of %d sequences, want the cap of 5", got, len(srv.db))
+	}
+}
+
+// TestPolicyIsNotCacheIdentity: the ranking does not depend on the
+// scheduling policy, so a repeat that differs only in policy is answered
+// by the first job's result.
+func TestPolicyIsNotCacheIdentity(t *testing.T) {
+	srv, ts := testServerOpts(t, Options{})
+	payload := SearchRequest{QueriesFasta: fmt.Sprintf(">q\n%s\n", srv.db[5].Residues), TopK: 3, Policy: "PSS"}
+	submit := func() JobView {
+		t.Helper()
+		resp, body := do(t, "POST", ts.URL+"/jobs", payload)
+		if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
+			t.Fatalf("submit %s: %d %s", payload.Policy, resp.StatusCode, body)
+		}
+		var v JobView
+		if err := json.Unmarshal(body, &v); err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	first := submit()
+	payload.Policy = "SS"
+	second := submit()
+	if !second.CacheHit && second.ID != first.ID {
+		t.Errorf("a repeat differing only in policy neither hit the cache nor coalesced (first %+v, second %+v)", first, second)
+	}
+}

@@ -59,11 +59,13 @@ func (s State) Terminal() bool {
 }
 
 // Request is the executable payload of a job. QueriesFasta, TopK, Policy
-// and Align define the work (and the cache identity); Priority orders the
-// tenant's queue (higher first, FIFO within a level); Queries and Residues are
-// accounting filled in by the submitter after parsing, so admission control
-// can cap request size without re-parsing FASTA. A terminal job's record
-// drops QueriesFasta: the work is done and its key already computed.
+// and Align define the work; all but Policy are its cache identity, since
+// the ranking does not depend on the scheduling policy. Priority orders
+// the tenant's queue (higher first, FIFO within a level); Queries and
+// Residues are accounting filled in by the submitter after parsing, so
+// tenant quotas and fair-queue charges need no re-parse of the FASTA. A
+// terminal job's record drops QueriesFasta: the work is done and its key
+// already computed.
 type Request struct {
 	QueriesFasta string `json:"queries_fasta"`
 	TopK         int    `json:"top_k,omitempty"`
@@ -134,7 +136,7 @@ func (j *job) snapshot() Job { return j.Job }
 var ErrNotFound = errors.New("jobs: no such job")
 
 // RejectError is an admission-control rejection. Reason is machine-readable
-// ("queue_full", "too_many_queries", "too_many_residues", "draining");
+// ("queue_full", "tenant_quota", "draining");
 // RetryAfter, when positive, hints that the same request can succeed later
 // (the HTTP layer turns it into a Retry-After header on a 429).
 type RejectError struct {
@@ -159,10 +161,6 @@ type Config struct {
 	Executors int
 	// MaxQueue bounds queued (not running) jobs; 0 means DefaultMaxQueue.
 	MaxQueue int
-	// MaxQueries and MaxResidues cap one request's declared size; 0 means
-	// uncapped here (the HTTP layer applies its own validation caps).
-	MaxQueries  int
-	MaxResidues int64
 	// CacheBytes budgets the result bodies held on retained done records;
 	// past it the oldest-finished records drop theirs, except a body still
 	// owed to a caller (see trimLocked). 0 means DefaultCacheBytes and
@@ -286,7 +284,7 @@ func New(cfg Config) (*Manager, error) {
 		abort:   abort,
 		jobs:    map[string]*job{},
 		byKey:   map[string]*job{},
-		q:       newQueue(cfg.MaxQueue, book),
+		q:       newQueue(book),
 		book:    book,
 	}
 	m.cond = sync.NewCond(&m.mu)
@@ -328,7 +326,7 @@ func (m *Manager) recoverLocked(recs []Job) {
 			j.Error = ""
 			j.State = "" // setStateLocked charges the gauge fresh
 			m.setStateLocked(j, StateQueued)
-			m.q.forcePush(j)
+			m.q.push(j)
 			if m.byKey[j.Key] == nil {
 				m.byKey[j.Key] = j
 			}
@@ -355,11 +353,13 @@ func (m *Manager) recoverLocked(recs []Job) {
 }
 
 // key derives the content address of a request: everything that determines
-// the result (queries, scoring knobs) plus the Manager's serving salt.
+// the result (queries, scoring knobs) plus the Manager's serving salt. The
+// scheduling policy is left out: hits rank under wire.HitLess whatever
+// policy ran them, so requests differing only in policy share a result.
 func (m *Manager) key(req Request) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%d\x00%s\x00%t\x00%s\x00%d\x00%d\x00%s",
-		m.cfg.Salt, req.TopK, req.Policy, req.Align,
+	fmt.Fprintf(h, "%s\x00%d\x00%t\x00%s\x00%d\x00%d\x00%s",
+		m.cfg.Salt, req.TopK, req.Align,
 		req.Mode, req.FilterK, req.FilterMargin, req.QueriesFasta)
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
@@ -382,9 +382,6 @@ func newID() string {
 // disconnects; each must be followed by one Wait or WaitResult, which
 // collects it (until then its record is never pruned).
 func (m *Manager) Submit(req Request, async bool) (Job, error) {
-	if err := m.admit(req); err != nil {
-		return Job{}, err
-	}
 	key := m.key(req)
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -470,24 +467,6 @@ func (m *Manager) syncTenantLocked(tenant string) {
 	label := tenantLabel(tenant)
 	m.met.TenantQueued.With(label).Set(float64(m.book.Queued(tenant)))
 	m.met.TenantRunning.With(label).Set(float64(m.book.Running(tenant)))
-}
-
-// admit applies the per-request size caps (no lock needed: caps are
-// immutable and the rejection counter is atomic).
-func (m *Manager) admit(req Request) error {
-	var reason, detail string
-	switch {
-	case m.cfg.MaxQueries > 0 && req.Queries > m.cfg.MaxQueries:
-		reason = "too_many_queries"
-		detail = fmt.Sprintf("%d queries exceeds the %d-query cap", req.Queries, m.cfg.MaxQueries)
-	case m.cfg.MaxResidues > 0 && req.Residues > m.cfg.MaxResidues:
-		reason = "too_many_residues"
-		detail = fmt.Sprintf("%d total query residues exceeds the %d-residue cap", req.Residues, m.cfg.MaxResidues)
-	default:
-		return nil
-	}
-	m.met.Rejected.With(reason).Inc()
-	return &RejectError{Reason: reason, Detail: detail}
 }
 
 func (m *Manager) countRejectLocked(reason string) {
@@ -685,7 +664,7 @@ func (m *Manager) executor() {
 			j.Started, j.Finished = time.Time{}, time.Time{}
 			m.setStateLocked(j, StateQueued)
 			m.book.Finish(req.Tenant, req.Residues, false)
-			m.q.forcePush(j)
+			m.q.push(j)
 			m.logLocked(j)
 		default:
 			j.Error = err.Error()

@@ -129,33 +129,6 @@ func TestSingleflightAndCache(t *testing.T) {
 	waitState(t, m, other.ID, StateDone)
 }
 
-func TestAdmissionCaps(t *testing.T) {
-	mm := NewMetrics(metrics.NewRegistry())
-	m, err := New(Config{
-		Executors:   -1,
-		MaxQueries:  2,
-		MaxResidues: 10,
-		Metrics:     mm,
-		Executor:    runFunc(func(context.Context, Request) ([]byte, error) { return nil, nil }),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close(context.Background())
-
-	var rej *RejectError
-	_, err = m.Submit(Request{QueriesFasta: "x", Queries: 3, Residues: 5}, false)
-	if !errors.As(err, &rej) || rej.Reason != "too_many_queries" {
-		t.Fatalf("queries cap: %v", err)
-	}
-	_, err = m.Submit(Request{QueriesFasta: "x", Queries: 1, Residues: 11}, false)
-	if !errors.As(err, &rej) || rej.Reason != "too_many_residues" {
-		t.Fatalf("residues cap: %v", err)
-	}
-	counter(t, mm.Rejected.With("too_many_queries"), 1, "rejected{too_many_queries}")
-	counter(t, mm.Rejected.With("too_many_residues"), 1, "rejected{too_many_residues}")
-}
-
 func TestQueueFullReject(t *testing.T) {
 	mm := NewMetrics(metrics.NewRegistry())
 	m, err := New(Config{

@@ -2,38 +2,34 @@ package jobs
 
 import "sort"
 
-// queue is the Manager's bounded admission queue: one priority FIFO per
+// queue is the Manager's admission queue: one priority FIFO per
 // tenant (highest Priority first, submission order within a level), popped
 // from the backlogged tenant with the lowest virtual pass in the TenantBook
 // — fair queueing with a DRF charge, and priority ordering within (not
 // across) tenants, so one tenant's priority inflation cannot starve
 // another. With a single tenant it is exactly that tenant's priority FIFO.
 // Every transition is mirrored into the book so quota and fairness
-// accounting stay exact. It is not safe for concurrent use; the Manager
-// serializes access under its mutex.
+// accounting stay exact. Its bound is Config.MaxQueue, which Submit
+// checks; recovery and a shutdown abort re-enqueue past it. It is not safe
+// for concurrent use; the Manager serializes access under its mutex.
 type queue struct {
-	max   int
 	book  *TenantBook
 	lists map[string][]*job // per tenant
 	names []string          // sorted keys of lists (deterministic pop scans)
 	n     int
 }
 
-func newQueue(max int, book *TenantBook) *queue {
+func newQueue(book *TenantBook) *queue {
 	if book == nil {
 		book = NewTenantBook(nil, TenantConfig{})
 	}
-	return &queue{max: max, book: book, lists: map[string][]*job{}}
+	return &queue{book: book, lists: map[string][]*job{}}
 }
 
 func (q *queue) len() int { return q.n }
 
-// push appends j in priority position within its bucket; it reports false
-// when the queue is at capacity (admission control rejects, never blocks).
-func (q *queue) push(j *job) bool {
-	if q.max > 0 && q.n >= q.max {
-		return false
-	}
+// push appends j in priority position within its bucket.
+func (q *queue) push(j *job) {
 	key := j.Request.Tenant
 	items, ok := q.lists[key]
 	if !ok {
@@ -52,17 +48,6 @@ func (q *queue) push(j *job) bool {
 	q.lists[key] = items
 	q.n++
 	q.book.Enqueue(j.Request.Tenant, j.Request.Residues)
-	return true
-}
-
-// forcePush inserts j regardless of capacity — recovery re-enqueues every
-// surviving job even when the configured bound shrank, and a job bumped by
-// a shutdown abort must never be dropped.
-func (q *queue) forcePush(j *job) {
-	max := q.max
-	q.max = 0
-	q.push(j)
-	q.max = max
 }
 
 // pop removes and returns the next job — the fair-queue head — or nil when

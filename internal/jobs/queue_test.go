@@ -18,11 +18,9 @@ func popOrder(q *queue) []string {
 }
 
 func TestQueuePriorityFIFO(t *testing.T) {
-	q := newQueue(10, nil)
+	q := newQueue(nil)
 	for _, j := range []*job{qjob("a", 0), qjob("b", 1), qjob("c", 0), qjob("d", 1), qjob("e", 2)} {
-		if !q.push(j) {
-			t.Fatalf("push %s rejected", j.ID)
-		}
+		q.push(j)
 	}
 	got := fmt.Sprint(popOrder(q))
 	// Highest priority first, submission order within a level.
@@ -31,34 +29,8 @@ func TestQueuePriorityFIFO(t *testing.T) {
 	}
 }
 
-func TestQueueBoundAndForcePush(t *testing.T) {
-	q := newQueue(2, nil)
-	if !q.push(qjob("a", 0)) || !q.push(qjob("b", 0)) {
-		t.Fatal("pushes under capacity rejected")
-	}
-	if q.push(qjob("c", 0)) {
-		t.Fatal("push over capacity accepted")
-	}
-	q.forcePush(qjob("d", 5))
-	if q.len() != 3 {
-		t.Fatalf("len = %d after forcePush", q.len())
-	}
-	if j := q.pop(); j.ID != "d" {
-		t.Fatalf("head after forcePush = %s", j.ID)
-	}
-	// The temporary bound lift must not stick: two items remain (= max),
-	// so a regular push is rejected until one drains.
-	if q.push(qjob("e", 0)) {
-		t.Fatal("bound did not restore after forcePush")
-	}
-	q.pop()
-	if !q.push(qjob("f", 0)) {
-		t.Fatal("push below capacity rejected")
-	}
-}
-
 func TestQueueRemove(t *testing.T) {
-	q := newQueue(0, nil)
+	q := newQueue(nil)
 	a, b, c := qjob("a", 0), qjob("b", 0), qjob("c", 0)
 	q.push(a)
 	q.push(b)

@@ -52,7 +52,7 @@ func tjob(id, tenant string, prio, queries int, residues int64) *job {
 // instead of draining the heavy tenant's backlog first.
 func TestDRFDequeueAlternates(t *testing.T) {
 	book := NewTenantBook(nil, TenantConfig{})
-	q := newQueue(0, book)
+	q := newQueue(book)
 	for i := 0; i < 4; i++ {
 		q.push(tjob(fmt.Sprintf("a%d", i), "alice", 0, 1, 100))
 	}
@@ -69,7 +69,7 @@ func TestDRFDequeueAlternates(t *testing.T) {
 func TestDRFWeightsSkewService(t *testing.T) {
 	cfg := map[string]TenantConfig{"alice": {Weight: 2}}
 	book := NewTenantBook(cfg, TenantConfig{})
-	q := newQueue(0, book)
+	q := newQueue(book)
 	for i := 0; i < 4; i++ {
 		q.push(tjob(fmt.Sprintf("a%d", i), "alice", 0, 1, 100))
 		q.push(tjob(fmt.Sprintf("b%d", i), "bob", 0, 1, 100))
@@ -93,7 +93,7 @@ func TestDRFWeightsSkewService(t *testing.T) {
 // and a many-residues tenant with equal dominant shares alternate.
 func TestDRFChargesDominantDimension(t *testing.T) {
 	book := NewTenantBook(nil, TenantConfig{})
-	q := newQueue(0, book)
+	q := newQueue(book)
 	for i := 0; i < 3; i++ {
 		// alice: residue-heavy (2 in residue share, negligible in queries).
 		q.push(tjob(fmt.Sprintf("a%d", i), "alice", 0, 1, 2*DRFRefResidues))
@@ -113,7 +113,7 @@ func TestDRFChargesDominantDimension(t *testing.T) {
 func TestSingleTenantMatchesPriorityFIFO(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		q := newQueue(0, nil)
+		q := newQueue(nil)
 		var ref []*job // highest priority first, push order within a level
 		for op := 0; op < 300; op++ {
 			switch k := rng.Intn(10); {
@@ -384,7 +384,7 @@ func TestFloodVersusTrickleFairShare(t *testing.T) {
 			book := NewTenantBook(map[string]TenantConfig{
 				"flood": {Weight: tc.flood}, "trickle": {Weight: tc.trickle},
 			}, TenantConfig{})
-			q := newQueue(0, book)
+			q := newQueue(book)
 			for i := 0; i < floodJobs; i++ {
 				q.push(tjob(fmt.Sprintf("f%d", i), "flood", 0, 1, residues))
 			}
@@ -470,7 +470,8 @@ func driveFairQueue(t testing.TB, seed int64) {
 		"carol": {MaxOutstandingResidues: 1 << 20},
 	}
 	book := NewTenantBook(cfg, TenantConfig{})
-	q := newQueue(16, book)
+	const maxQueue = 16 // Submit's MaxQueue check
+	q := newQueue(book)
 	model := map[string][]*job{} // expected within-tenant pop order
 	queued := map[*job]bool{}
 	var running []*job
@@ -487,9 +488,10 @@ func driveFairQueue(t testing.TB, seed int64) {
 			if rej := book.Admit(tn, j.Request.Residues); rej != nil {
 				return
 			}
-			if !q.push(j) {
+			if q.len() >= maxQueue {
 				return // global bound
 			}
+			q.push(j)
 			items := model[tn]
 			i := len(items)
 			for i > 0 && items[i-1].Request.Priority < j.Request.Priority {

@@ -49,14 +49,15 @@ type Options struct {
 	// schedules are asserted on instead of waited out; nil uses the wall
 	// clock.
 	Sleep func(time.Duration)
-	// Done, when non-nil, pushes the end of the job to this slave: once it
-	// closes, the in-flight scan is aborted through its cancel channel,
-	// queued tasks are skipped and a standby ends early, so Run returns
-	// within one database sequence's scoring time. Without it a slave
-	// learns the job is over from its next acknowledgement — a progress
-	// notification at the earliest — which a task shorter than the
-	// notification interval never sends. An in-process fleet passes the
-	// master's Done channel; a TCP slave has none and polls.
+	// Done, when non-nil, ends the session: once it closes, the in-flight
+	// scan is aborted through its cancel channel, queued tasks are skipped
+	// and a standby ends early, and Run returns nil within one database
+	// sequence's scoring time without sending the master another Request.
+	// Without it a slave learns the job is over from its next
+	// acknowledgement — a progress notification at the earliest — which a
+	// task shorter than the notification interval never sends. An
+	// in-process fleet closes it when the job ends, the search is
+	// cancelled or the replica is killed; a TCP slave has none and polls.
 	Done <-chan struct{}
 
 	// Metrics records task wall times, cells reported, reconnections and
@@ -150,7 +151,8 @@ func Run(caller wire.Caller, eng Engine, opts Options) (int, error) {
 }
 
 // runSession is one connection's worth of the slave loop: register, then
-// request/execute/notify until the job finishes or a call fails.
+// request/execute/notify until the job finishes, Options.Done closes or a
+// call fails.
 // progressed reports whether any call succeeded, which gates the
 // reconnect-failure counter reset in Run.
 func runSession(caller wire.Caller, eng Engine, opts Options) (completed int, progressed bool, err error) {
@@ -187,6 +189,11 @@ func runSession(caller wire.Caller, eng Engine, opts Options) (completed int, pr
 		}()
 	}
 	for {
+		select {
+		case <-opts.Done:
+			return completed, true, nil
+		default:
+		}
 		resp, err := caller.Call(wire.Envelope{Request: &wire.RequestMsg{Slave: id}})
 		if err != nil {
 			return completed, true, err

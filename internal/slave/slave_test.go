@@ -233,6 +233,41 @@ func TestRunDoneViaCompleteAck(t *testing.T) {
 	}
 }
 
+// TestRunStopsWhenDoneCloses: closing Options.Done ends the session. The
+// in-flight scan is aborted, nothing is completed, and Run returns nil
+// without asking the master for more work.
+func TestRunStopsWhenDoneCloses(t *testing.T) {
+	done := make(chan struct{})
+	requests := 0
+	caller := callerFunc(func(req wire.Envelope) (wire.Envelope, error) {
+		switch {
+		case req.Register != nil:
+			return wire.Envelope{RegisterAck: &wire.RegisterAckMsg{Slave: 0}}, nil
+		case req.Request != nil:
+			requests++
+			if requests > 1 {
+				return wire.Envelope{Assign: &wire.AssignMsg{Done: true}}, nil
+			}
+			spec := wire.TaskSpec{ID: 1, QueryID: "q", Residues: []byte("MKVLATLLLLGA"), Cells: 12 * 1000}
+			return wire.Envelope{Assign: &wire.AssignMsg{Tasks: []wire.TaskSpec{spec, {ID: 2, QueryID: "r", Residues: []byte("MKV"), Cells: 3 * 1000}}}}, nil
+		case req.Progress != nil:
+			// The job ends while the scan runs.
+			close(done)
+			return wire.Envelope{ProgressAck: &wire.ProgressAckMsg{}}, nil
+		case req.Complete != nil:
+			t.Errorf("task %d completed after Done closed", req.Complete.Task)
+		}
+		return wire.Envelope{}, nil
+	})
+	n, err := Run(caller, blockingEngine{}, Options{NotifyEvery: time.Nanosecond, Done: done})
+	if err != nil || n != 0 {
+		t.Fatalf("Run = (%d, %v), want (0, nil)", n, err)
+	}
+	if requests != 1 {
+		t.Errorf("%d Requests sent, want 1: the session must end without asking for more work", requests)
+	}
+}
+
 // blockingEngine reports progress once and then waits on its cancel
 // channel: a stand-in for a long scan that can only end by cancellation.
 type blockingEngine struct{}

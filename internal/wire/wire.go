@@ -15,8 +15,10 @@
 // same code runs over TCP (gob-encoded, one connection per slave) or
 // in-process (direct dispatch), mirroring the paper's two-host Gigabit
 // Ethernet setup and single-host runs respectively. The one event that is
-// pushed — the end of the job — travels outside the protocol: an in-process
-// slave is handed the master's done channel (slave.Options.Done).
+// pushed — the end of a slave's session, when its job ends, its search is
+// cancelled or the slave is killed — travels outside the protocol: an
+// in-process slave is handed a stop channel (slave.Options.Done), and
+// nothing answers it with made-up messages in the master's name.
 package wire
 
 import (
