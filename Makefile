@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet lint lint-cover loc deadcode bench-frozen bench-compare test race race-full sim-smoke fuzz-smoke bench-smoke cover cluster-cover tenancy-cover bench bench-pair tables tables-check svg csv examples clean
+.PHONY: all build vet lint lint-cover loc deadcode bench-frozen bench-compare test race race-full kill-soak sim-smoke fuzz-smoke bench-smoke cover cluster-cover tenancy-cover bench bench-pair tables tables-check svg csv examples clean
 
 # The concurrency-heavy packages (distributed path + scheduler) always run
 # under the race detector as part of `make test`; `race-full` covers the
@@ -79,6 +79,18 @@ race:
 
 race-full:
 	go test -race ./...
+
+# The tests that kill replicas mid-search, each run 25 times under the race
+# detector: whether a kill lands before, during or after a scan is a matter
+# of timing, so a test whose outcome depends on it fails here rather than
+# once in a few hundred ordinary runs. Each name must still match a test.
+KILL_SOAK := TestOneShardEngineMix TestClusterFailover TestReviveMidJobKeepsReplicaDead TestSearchesLeaveNoGoroutines TestReadyz
+KILL_SOAK_PKGS := ./internal/cluster ./internal/httpapi
+empty :=
+space := $(empty) $(empty)
+kill-soak:
+	@for t in $(KILL_SOAK); do go test -list "^$$t\$$" $(KILL_SOAK_PKGS) | grep -qx "$$t" || { echo "$@: no test $$t in $(KILL_SOAK_PKGS)" >&2; exit 1; }; done
+	go test -race -count=25 -run '^($(subst $(space),|,$(KILL_SOAK)))$$' $(KILL_SOAK_PKGS)
 
 # Chaos-test the master/slave/jobs stack: 200 generated fault scenarios
 # replayed under virtual time from pinned seeds (see cmd/swsim and

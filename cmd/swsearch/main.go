@@ -1,12 +1,12 @@
 // Command swsearch compares a query file against a database file on an
 // in-process hybrid platform: the paper's master/slave environment with
 // real engines (adapted Farrar SSE cores, and GPU engines that scan with
-// the same kernel but register as GPUs and run Smith-Waterman tasks only).
+// the same kernel but register as GPUs).
 //
 // Usage:
 //
 //	swsearch -queries queries.fasta -db db.fasta \
-//	         -gpus 1 -sse 2 -policy PSS -adjust -top 5
+//	         -sse 2 -policy PSS -adjust -top 5
 package main
 
 import (
@@ -23,7 +23,7 @@ func main() {
 	var (
 		qPath  = flag.String("queries", "", "query FASTA file")
 		dbPath = flag.String("db", "", "database FASTA file")
-		gpus   = flag.Int("gpus", 1, "GPU engines (the CPU kernel registered as GPU; SW-only)")
+		gpus   = flag.Int("gpus", 0, "GPU engines (the CPU kernel registered as GPU)")
 		sse    = flag.Int("sse", 2, "SSE-core engines")
 		policy = flag.String("policy", "PSS", "allocation policy: SS, PSS, Fixed, WFixed")
 		adjust = flag.Bool("adjust", true, "enable the workload adjustment mechanism")

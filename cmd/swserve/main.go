@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	swserve -db db.fasta -listen :8080 -gpus 1 -sse 2 -jobs-dir /var/lib/swserve
+//	swserve -db db.fasta -listen :8080 -sse 2 -jobs-dir /var/lib/swserve
 //
 // Endpoints:
 //
@@ -86,7 +86,7 @@ func main() {
 	var (
 		dbPath = flag.String("db", "", "database FASTA or packed (.swpkd) file")
 		listen = flag.String("listen", ":8080", "HTTP listen address")
-		gpus   = flag.Int("gpus", 1, "GPU engines (the CPU kernel registered as GPU; SW-only)")
+		gpus   = flag.Int("gpus", 0, "GPU engines (the CPU kernel registered as GPU)")
 		sse    = flag.Int("sse", 2, "SSE-core engines")
 		policy = flag.String("policy", "PSS", "default allocation policy")
 		adjust = flag.Bool("adjust", true, "enable the workload adjustment mechanism")

@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/fasta"
 	"repro/internal/metrics"
+	"repro/internal/sched"
 	"repro/internal/score"
 	"repro/internal/seq"
 	"repro/internal/seqio"
@@ -56,13 +57,12 @@ func main() {
 	if *engine != "sse" && *engine != "gpu" {
 		fail("unknown engine %q (want sse or gpu)", *engine)
 	}
-	cpu, err := slave.NewFarrarEngine(*name, score.DefaultProtein(), db, *declare)
+	eng, err := slave.NewFarrarEngine(*name, score.DefaultProtein(), db, *declare)
 	if err != nil {
 		fail("%v", err)
 	}
-	var eng slave.Engine = cpu
 	if *engine == "gpu" {
-		eng = slave.NewGPUEngine(cpu)
+		eng = eng.Replica(*name, sched.KindGPU)
 	}
 	fmt.Printf("slave %s: database %s loaded (%d sequences, %d residues)\n",
 		*name, *dbPath, len(db), eng.DatabaseResidues())

@@ -47,14 +47,15 @@ func main() {
 	fmt.Printf("master listening on %s (%d tasks)\n", l.Addr(), len(queries))
 
 	mkEngines := func() []slave.Engine {
-		cpu, err := slave.NewFarrarEngine("gpu1", score.DefaultProtein(), db, 0)
+		base, err := slave.NewFarrarEngine("sse", score.DefaultProtein(), db, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
-		gpu := slave.NewGPUEngine(cpu)
-		sse1, _ := slave.NewFarrarEngine("sse1", score.DefaultProtein(), db, 0)
-		sse2, _ := slave.NewFarrarEngine("sse2", score.DefaultProtein(), db, 0)
-		return []slave.Engine{gpu, sse1, sse2}
+		return []slave.Engine{
+			base.Replica("gpu1", sched.KindGPU),
+			base.Replica("sse1", sched.KindCPU),
+			base.Replica("sse2", sched.KindCPU),
+		}
 	}
 
 	var wg sync.WaitGroup

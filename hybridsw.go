@@ -22,10 +22,10 @@
 //	})
 //
 // Search runs a real computation on the calling machine (the "GPUs" are
-// engines that scan with the CPU kernel but register as GPUs): it builds the one-shard engine
-// fleet the Platform describes and runs the search on it (internal/cluster
-// is where every in-process search executes; this package only translates
-// a Platform into its terms). There a query is cut into database-range
+// engines that scan with the CPU kernel but register as GPUs): it builds
+// the one-shard engine fleet the Platform describes and runs the search on
+// it (internal/cluster is where every in-process search executes; this
+// package only translates a Platform into its terms). There a query is cut into database-range
 // tasks, so even a single query keeps every engine of the Platform busy and
 // the workload adjustment mechanism replicates only its tail range. A
 // filtered search (Platform.Mode "filtered") runs on the same tasks: each
@@ -112,7 +112,7 @@ func GenerateQueries(db []*Sequence, n, minLen, maxLen int, seed int64) []*Seque
 
 // Platform describes the local hybrid platform for Search.
 type Platform struct {
-	GPUs     int    // GPU engines: the CPU kernel under a GPU label, SW-only
+	GPUs     int    // GPU engines: the CPU kernel under a GPU label
 	SSECores int    // CPU engines
 	Policy   string // "SS", "PSS" (default), "Fixed", "WFixed"
 	Adjust   bool   // enable the workload adjustment mechanism
@@ -126,8 +126,7 @@ type Platform struct {
 	// Mode selects the search: "" or "full" runs the exhaustive scan;
 	// "filtered" runs, on each database-range task, a k-mer seed
 	// prefilter of the range and then a Smith-Waterman rescore restricted
-	// to its candidate windows. Filtered mode needs at least one CPU
-	// engine — the GPU engine is SW-only and sits out filtered searches.
+	// to its candidate windows. Every engine, GPU or CPU, runs both.
 	Mode string
 	// Filter parameterizes the prefilter in filtered mode; the zero value
 	// uses the prefilter defaults.

@@ -186,7 +186,7 @@ func TestSearchFilteredMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	filt, err := hybridsw.Search(queries, db, hybridsw.Platform{
-		SSECores: 2, Mode: "filtered", GPUs: 1, // the GPU sits out, harmlessly
+		SSECores: 2, Mode: "filtered", GPUs: 1, // the GPU filters too
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -224,8 +224,10 @@ func TestSearchFilteredMode(t *testing.T) {
 func TestSearchFilteredValidation(t *testing.T) {
 	db, _ := hybridsw.GenerateDatabase("Ensembl Dog Proteins", 0.0005, 9)
 	queries := hybridsw.GenerateQueries(db, 1, 40, 40, 10)
-	if _, err := hybridsw.Search(queries, db, hybridsw.Platform{GPUs: 1, Mode: "filtered"}); err == nil {
-		t.Error("filtered mode with only GPUs accepted")
+	if rep, err := hybridsw.Search(queries, db, hybridsw.Platform{GPUs: 1, Mode: "filtered"}); err != nil {
+		t.Errorf("filtered mode with only GPUs: %v", err)
+	} else if rep.Filter == nil || len(rep.PerQuery) != 1 || len(rep.PerQuery[0].Hits) == 0 {
+		t.Errorf("filtered search on a GPU-only platform reported %+v", rep)
 	}
 	if _, err := hybridsw.Search(queries, db, hybridsw.Platform{SSECores: 1, Mode: "sideways"}); err == nil {
 		t.Error("unknown mode accepted")

@@ -39,6 +39,7 @@ import (
 	"repro/internal/master"
 	"repro/internal/metrics"
 	"repro/internal/prefilter"
+	"repro/internal/sched"
 	"repro/internal/score"
 	"repro/internal/seq"
 	"repro/internal/slave"
@@ -85,9 +86,8 @@ type Config struct {
 	// Shards is the number of contiguous database partitions; 0 means 1.
 	// Must not exceed len(DB) — every shard holds at least one sequence.
 	Shards int
-	// GPUs is the number of GPU engines per shard. A GPU engine scans
-	// with the CPU engines' kernel but registers as a GPU, and is SW-only:
-	// it sits out filtered searches.
+	// GPUs is the number of GPU engines per shard. A GPU engine is a CPU
+	// engine that registers as a GPU, and runs every task kind.
 	GPUs int
 	// Replicas is the number of CPU engines per shard; 0 means
 	// DefaultReplicas, or none on a shard that has GPUs. Every engine, GPU
@@ -227,10 +227,10 @@ func newEngines(shard int, cfg Config, db []*seq.Sequence, kernMet *farrar.Metri
 	base.SetPrefilterMetrics(filtMet)
 	var engines []slave.Engine
 	for i := 0; i < cfg.GPUs; i++ {
-		engines = append(engines, slave.NewGPUEngine(base.Replica(fmt.Sprintf("shard%d/gpu%d", shard, i))))
+		engines = append(engines, base.Replica(fmt.Sprintf("shard%d/gpu%d", shard, i), sched.KindGPU))
 	}
 	for i := 0; i < cfg.Replicas; i++ {
-		engines = append(engines, base.Replica(fmt.Sprintf("shard%d/replica%d", shard, i)))
+		engines = append(engines, base.Replica(fmt.Sprintf("shard%d/replica%d", shard, i), sched.KindCPU))
 	}
 	return engines, nil
 }
@@ -286,11 +286,6 @@ func (f *Fleet) Health() []ShardHealth {
 	}
 	return out
 }
-
-// CanFilter reports whether the fleet can run filtered searches: every
-// shard needs at least one CPU engine, since GPU engines sit out filtered
-// tasks.
-func (f *Fleet) CanFilter() bool { return f.cfg.Replicas > 0 }
 
 // KillReplica marks one replica dead, the fault-injection seam chaos tests
 // and the e2e crash scenario use: the replica's loop in every running job

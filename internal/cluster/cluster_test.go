@@ -258,9 +258,10 @@ func uncutFiltered(t *testing.T, queries, db []*seq.Sequence, scheme score.Schem
 }
 
 // TestOneShardEngineMix runs the single-node shape — one shard whose
-// replicas are a GPU and a CPU engine — against the oracle: both
-// engine kinds must produce the exact ranking, the GPU sits out a filtered
-// search harmlessly, and a GPU-only fleet refuses filtered mode up front.
+// replicas are a GPU and a CPU engine — against the oracle: both engine
+// kinds produce the exact ranking in full mode, both run a filtered search,
+// whose ranking is the CPU-only and the GPU-only fleets', and a search that
+// loses every replica of its shard mid-scan fails in either mode.
 func TestOneShardEngineMix(t *testing.T) {
 	db := testDB(t, "Ensembl Dog Proteins", 0.0008, 3)
 	queries := hybridsw.GenerateQueries(db, 4, 40, 120, 4)
@@ -292,65 +293,65 @@ func TestOneShardEngineMix(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !fleet.CanFilter() {
-		t.Fatal("fleet with a CPU engine cannot filter")
-	}
-	// Only the CPU engine runs a filtered job: the GPU engine never
-	// registers with the shard master, and the hits are the CPU-only
-	// fleet's.
+
+	// Both engines register with the shard master of a filtered search,
+	// and the hits are those of a fleet of either kind alone.
 	registrations := reg.Counter("master_registrations_total", "")
 	before := registrations.Value()
 	filt, err := fleet.SearchContext(context.Background(), queries, cluster.Params{Mode: "filtered", TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := registrations.Value() - before; got != 1 {
-		t.Errorf("filtered search registered %v slaves, want the 1 CPU replica", got)
+	if got := registrations.Value() - before; got != 2 {
+		t.Errorf("filtered search registered %v slaves, want the GPU and the CPU replica", got)
 	}
 	if filt.Filter == nil || filt.Filter.RescoredCells >= filt.Filter.FullScanCells {
 		t.Errorf("filtered accounting = %+v", filt.Filter)
 	}
-	cpuOnly, err := cluster.New(cluster.Config{DB: db, Replicas: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := cpuOnly.SearchContext(context.Background(), queries, cluster.Params{Mode: "filtered", TopK: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, cpu := rankingJSON(t, filt.PerQuery), rankingJSON(t, want.PerQuery); got != cpu {
-		t.Errorf("filtered hits %s, CPU-only fleet's %s", got, cpu)
-	}
-
-	gpuOnly, err := cluster.New(cluster.Config{DB: db, GPUs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h := gpuOnly.Health(); h[0].Replicas != 1 {
-		t.Errorf("GPU-only shard has %d engines, want 1", h[0].Replicas)
-	}
-	if gpuOnly.CanFilter() {
-		t.Error("GPU-only fleet claims it can filter")
-	}
-	if _, err := gpuOnly.SearchContext(context.Background(), queries, cluster.Params{Mode: "filtered"}); err == nil {
-		t.Error("filtered search on a GPU-only fleet accepted")
+	got := rankingJSON(t, filt.PerQuery)
+	for _, cfg := range []cluster.Config{{DB: db, Replicas: 1}, {DB: db, GPUs: 1}} {
+		alone, err := cluster.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h := alone.Health(); h[0].Replicas != 1 {
+			t.Errorf("%d GPUs, %d CPUs: shard has %d engines, want 1", cfg.GPUs, cfg.Replicas, h[0].Replicas)
+		}
+		want, err := alone.SearchContext(context.Background(), queries, cluster.Params{Mode: "filtered", TopK: 5})
+		if err != nil {
+			t.Fatalf("%d GPUs, %d CPUs: %v", cfg.GPUs, cfg.Replicas, err)
+		}
+		if w := rankingJSON(t, want.PerQuery); got != w {
+			t.Errorf("filtered hits %s, the %d-GPU %d-CPU fleet's %s", got, cfg.GPUs, cfg.Replicas, w)
+		}
 	}
 
-	// A filtered job whose only CPU engine dies mid-scan cannot finish on
-	// the GPU: it must fail rather than leave the GPU polling for work.
-	var kill sync.Once
-	_, err = fleet.SearchContext(context.Background(), queries, cluster.Params{
-		Mode: "filtered",
-		OnShards: func([]cluster.ShardStatus) {
-			kill.Do(func() {
-				if err := fleet.KillReplica(0, 1); err != nil {
-					t.Error(err)
-				}
-			})
-		},
-	})
-	if err == nil {
-		t.Error("filtered search survived the death of its only CPU engine")
+	// A search whose shard loses every replica mid-scan cannot finish: it
+	// must fail rather than report a partial ranking. The kill lands at
+	// the shard's first progress, with most of the 64 range tasks unrun,
+	// and stops both loops before their next task.
+	for _, mode := range []string{"filtered", "full"} {
+		var kill sync.Once
+		_, err = fleet.SearchContext(context.Background(), queries, cluster.Params{
+			Mode: mode,
+			OnShards: func([]cluster.ShardStatus) {
+				kill.Do(func() {
+					for r := 0; r < 2; r++ {
+						if err := fleet.KillReplica(0, r); err != nil {
+							t.Error(err)
+						}
+					}
+				})
+			},
+		})
+		if err == nil {
+			t.Errorf("%s search survived the death of every replica", mode)
+		}
+		for r := 0; r < 2; r++ {
+			if err := fleet.ReviveReplica(0, r); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -25,11 +25,11 @@ type Params struct {
 
 	// Mode selects the task kind: "" or "full" runs the exhaustive scan;
 	// "filtered" makes every range task a k-mer seed prefilter of its
-	// range followed by a Smith-Waterman rescore of the candidate windows,
-	// and needs a CPU engine on every shard. Filter parameterizes the
-	// prefilter; the zero value uses the prefilter defaults. The seed
-	// table is query-derived and candidate windows never span sequences,
-	// so filtering commutes with sharding and with the range cut.
+	// range followed by a Smith-Waterman rescore of the candidate windows.
+	// Filter parameterizes the prefilter; the zero value uses the
+	// prefilter defaults. The seed table is query-derived and candidate
+	// windows never span sequences, so filtering commutes with sharding and
+	// with the range cut.
 	Mode   string
 	Filter prefilter.Spec
 
@@ -111,9 +111,6 @@ func (f *Fleet) SearchContext(ctx context.Context, queries []*seq.Sequence, p Pa
 	case "", "full":
 	case "filtered":
 		filtered = true
-		if !f.CanFilter() {
-			return nil, fmt.Errorf("cluster: filtered mode needs at least one CPU engine (the GPU engine is SW-only)")
-		}
 	default:
 		return nil, fmt.Errorf("cluster: unknown mode %q", p.Mode)
 	}
@@ -230,13 +227,13 @@ func (f *Fleet) shardOf(index int) int {
 
 // searchShard runs one shard's scan as a full master-protocol job: a
 // dedicated master over the shard's residues and range cut, every live
-// replica that can run the job running the standard slave loop against it.
-// Each loop has one stop signal, its Options.Done: a per-replica context
-// under the shard context, which ends with the master's Done, the search's
-// ctx or the death of the last able replica. The replica context also ends
-// when that replica is killed; once such a loop has returned, the shard
-// reports the replica gone (SlaveGone), which requeues its tasks for the
-// survivors exactly as a dropped TCP connection does.
+// replica running the standard slave loop against it. Each loop has one
+// stop signal, its Options.Done: a per-replica context under the
+// replica's life, so a kill reaches the loop at once. It also ends with
+// the shard context: the master's Done, the search's ctx or the death of
+// the last live replica. Once a killed replica's loop has returned, the
+// shard reports the replica gone (SlaveGone), which requeues its tasks for
+// the survivors exactly as a dropped TCP connection does.
 func (f *Fleet) searchShard(ctx context.Context, s *shard, queries []*seq.Sequence, filtered bool, p Params, board *progressBoard) ([]master.QueryResult, *master.FilterStats, ShardReport, error) {
 	report := ShardReport{Shard: s.index, Sequences: len(s.db), Residues: s.residues}
 	fail := func(err error) ([]master.QueryResult, *master.FilterStats, ShardReport, error) {
@@ -268,19 +265,12 @@ func (f *Fleet) searchShard(ctx context.Context, s *shard, queries []*seq.Sequen
 	}
 	defer m.Close()
 
-	// Only the live replicas that can run the job's tasks take part: a GPU
-	// engine is SW-only and sits out a filtered job. able counts those
-	// still alive; when the last one dies the job cannot finish, and the
-	// shard fails.
-	var replicas []replica
-	for _, r := range s.liveReplicas() {
-		if _, filters := r.eng.(slave.Filterer); filters || !filtered {
-			replicas = append(replicas, r)
-		}
-	}
-	able := len(replicas)
-	if able == 0 {
-		return fail(fmt.Errorf("cluster: shard %d has no live replica that can run the job", s.index))
+	// The live replicas take part; live counts those still alive. When the
+	// last one dies the job cannot finish, and the shard fails.
+	replicas := s.liveReplicas()
+	live := len(replicas)
+	if live == 0 {
+		return fail(fmt.Errorf("cluster: shard %d has no live replica", s.index))
 	}
 	shardCtx, abort := context.WithCancel(ctx)
 	defer abort()
@@ -291,16 +281,16 @@ func (f *Fleet) searchShard(ctx context.Context, s *shard, queries []*seq.Sequen
 		case <-shardCtx.Done():
 		}
 	}()
-	var mu sync.Mutex // guards able and report.Failovers
+	var mu sync.Mutex // guards live and report.Failovers
 	errs := make([]error, len(replicas))
 	var wg sync.WaitGroup
 	for i, r := range replicas {
 		wg.Add(1)
 		go func(i int, r replica) {
 			defer wg.Done()
-			replicaCtx, stop := context.WithCancel(shardCtx)
+			replicaCtx, stop := context.WithCancel(r.life)
 			defer stop()
-			defer context.AfterFunc(r.life, stop)()
+			defer context.AfterFunc(shardCtx, stop)()
 			c := &replicaCaller{Caller: wire.Meter(wire.Local{H: m}, f.wireMet)}
 			_, errs[i] = slave.Run(c, r.eng, slave.Options{
 				NotifyEvery: 20 * time.Millisecond,
@@ -320,7 +310,7 @@ func (f *Fleet) searchShard(ctx context.Context, s *shard, queries []*seq.Sequen
 			}
 			mu.Lock()
 			report.Failovers++
-			if able--; able == 0 {
+			if live--; live == 0 {
 				abort()
 			}
 			mu.Unlock()
@@ -342,7 +332,7 @@ func (f *Fleet) searchShard(ctx context.Context, s *shard, queries []*seq.Sequen
 	select {
 	case <-m.Done():
 	default:
-		return fail(fmt.Errorf("cluster: shard %d lost every replica that could finish the job mid-scan (%d failovers)", s.index, report.Failovers))
+		return fail(fmt.Errorf("cluster: shard %d lost every replica mid-scan (%d failovers)", s.index, report.Failovers))
 	}
 
 	results := m.Results()

@@ -41,9 +41,7 @@ func (e fleetExecutor) Execute(ctx context.Context, req jobs.Request) ([]byte, e
 		p.Policy = req.Policy
 	}
 	p.AlignBest = req.Align
-	if req.Mode != "" {
-		p.Mode = req.Mode
-	}
+	p.Mode = req.Mode
 	p.Filter = hybridsw.FilterSpec{K: req.FilterK, Margin: req.FilterMargin}
 	params := p.Params()
 	params.OnShards = func(shards []cluster.ShardStatus) {

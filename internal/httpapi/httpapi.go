@@ -392,13 +392,20 @@ func (s *Server) decodeSearch(w http.ResponseWriter, r *http.Request) (jreq jobs
 			return jreq, false
 		}
 	}
+	// One search, one cache key: the mode and filter fields are written in
+	// the one form the search reads them in, so equivalent requests share a
+	// key and coalesce. An omitted mode is the platform's.
+	if req.Mode == "" {
+		req.Mode = s.platform.Mode
+	}
 	switch req.Mode {
 	case "", "full":
+		req.Mode, req.FilterK, req.FilterMargin = "full", 0, 0
 	case "filtered":
-		if !s.fleet.CanFilter() {
-			writeReject(w, http.StatusUnprocessableEntity, "filtered_unavailable",
-				"filtered mode needs a CPU engine; this server runs GPU-only")
-			return jreq, false
+		spec := prefilter.Spec{K: req.FilterK, Margin: req.FilterMargin}.Normalize()
+		req.FilterK, req.FilterMargin = spec.K, spec.Margin
+		if spec.Margin == 0 {
+			req.FilterMargin = -1 // no margin: a 0 would read as the default
 		}
 	default:
 		writeReject(w, http.StatusUnprocessableEntity, "unknown_mode",

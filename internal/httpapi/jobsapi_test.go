@@ -14,6 +14,7 @@ import (
 	hybridsw "repro"
 	"repro/internal/dataset"
 	"repro/internal/jobs"
+	"repro/internal/prefilter"
 	"repro/internal/score"
 	"repro/internal/sw"
 )
@@ -496,5 +497,48 @@ func TestPolicyIsNotCacheIdentity(t *testing.T) {
 	second := submit()
 	if !second.CacheHit && second.ID != first.ID {
 		t.Errorf("a repeat differing only in policy neither hit the cache nor coalesced (first %+v, second %+v)", first, second)
+	}
+}
+
+// TestEquivalentSearchesShareACacheKey: requests that run the same search
+// spell it one way in the cache key, so a repeat written differently hits
+// the cache or coalesces, while searches that differ keep apart.
+func TestEquivalentSearchesShareACacheKey(t *testing.T) {
+	srv, ts := testServerOpts(t, Options{})
+	submit := func(req SearchRequest) JobView {
+		t.Helper()
+		resp, body := do(t, "POST", ts.URL+"/jobs", req)
+		if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
+			t.Fatalf("submit %+v: %d %s", req, resp.StatusCode, body)
+		}
+		var v JobView
+		if err := json.Unmarshal(body, &v); err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	for i, c := range []struct {
+		name string
+		a, b SearchRequest
+		same bool
+	}{
+		{"empty mode is full", SearchRequest{}, SearchRequest{Mode: "full"}, true},
+		{"full mode ignores filter_k", SearchRequest{Mode: "full"}, SearchRequest{Mode: "full", FilterK: 6}, true},
+		{"filter_k 0 is the default", SearchRequest{Mode: "filtered"}, SearchRequest{Mode: "filtered", FilterK: prefilter.DefaultK}, true},
+		{"filter_margin 0 is the default", SearchRequest{Mode: "filtered"}, SearchRequest{Mode: "filtered", FilterMargin: prefilter.DefaultMargin}, true},
+		{"every negative margin is none", SearchRequest{Mode: "filtered", FilterMargin: -1}, SearchRequest{Mode: "filtered", FilterMargin: -5}, true},
+		{"no margin is not the default", SearchRequest{Mode: "filtered", FilterMargin: -1}, SearchRequest{Mode: "filtered"}, false},
+	} {
+		fa := fmt.Sprintf(">q\n%s\n", srv.db[3+i].Residues)
+		c.a.QueriesFasta, c.a.TopK = fa, 3
+		c.b.QueriesFasta, c.b.TopK = fa, 3
+		first := submit(c.a)
+		second := submit(c.b)
+		if same := first.Key == second.Key; same != c.same {
+			t.Errorf("%s: keys %s and %s, want equal %v", c.name, first.Key, second.Key, c.same)
+		}
+		if c.same && !second.CacheHit && second.ID != first.ID {
+			t.Errorf("%s: the repeat neither hit the cache nor coalesced", c.name)
+		}
 	}
 }

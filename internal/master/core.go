@@ -43,13 +43,10 @@ type Core struct {
 
 	// Filtered-search state: filtered marks a job of TaskFiltered tasks,
 	// filter is the prefilter parameterization shipped with every one of
-	// them, fstats the accounting of the accepted ranges and sitOut the
-	// slaves that registered without Filters, which are told the job is
-	// done instead of being granted work they cannot run.
+	// them and fstats the accounting of the accepted ranges.
 	filtered bool
 	filter   prefilter.Spec
 	fstats   FilterStats
-	sitOut   map[sched.SlaveID]bool
 	// progress, when set, observes the job's execution progress on every
 	// Progress and accepted Complete message: doneCells comes from the
 	// pool's finished tally (authoritative — replicated scans are not
@@ -91,7 +88,6 @@ func NewFilteredCore(queries []*seq.Sequence, dbResidues int64, ranges []Range, 
 	c.filtered = true
 	c.filter = filter.Normalize()
 	c.fstats.Queries = len(queries)
-	c.sitOut = map[sched.SlaveID]bool{}
 	return c, nil
 }
 
@@ -233,9 +229,6 @@ func (c *Core) Dispatch(req wire.Envelope, now time.Duration) wire.Envelope {
 			Kind:          req.Register.Kind,
 			DeclaredSpeed: req.Register.DeclaredSpeed,
 		}, now)
-		if c.filtered && !req.Register.Filters {
-			c.sitOut[id] = true
-		}
 		return wire.Envelope{RegisterAck: &wire.RegisterAckMsg{Slave: id}}
 
 	case req.Request != nil:
@@ -245,7 +238,7 @@ func (c *Core) Dispatch(req wire.Envelope, now time.Duration) wire.Envelope {
 		if e := deadSlave(req.Request.Slave); e != nil {
 			return *e
 		}
-		if c.coord.Done() || c.sitOut[req.Request.Slave] {
+		if c.coord.Done() {
 			return wire.Envelope{Assign: &wire.AssignMsg{Done: true}}
 		}
 		tasks, replica := c.coord.RequestWork(req.Request.Slave, now)

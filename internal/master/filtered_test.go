@@ -124,10 +124,9 @@ func TestFilteredMatchesFullScanRanking(t *testing.T) {
 	}
 }
 
-// TestFilteredCoreProtocol drives one filtered range task by hand: a slave
-// registered without Filters is told the job is done, a filtering slave
-// receives the range with the prefilter spec, and its completion ends the
-// job with the range's hits and accounting.
+// TestFilteredCoreProtocol drives one filtered range task by hand: the
+// slave receives the range with the prefilter spec, and its completion ends
+// the job with the range's hits and accounting.
 func TestFilteredCoreProtocol(t *testing.T) {
 	q := seq.New("q0", "", bytes.Repeat([]byte("ACDEFGHI"), 5))
 	ranges := []master.Range{{Lo: 0, Hi: 2, Residues: 600}, {Lo: 2, Hi: 3, Residues: 400}}
@@ -137,20 +136,13 @@ func TestFilteredCoreProtocol(t *testing.T) {
 	}
 	now := time.Duration(0)
 
-	// SW-only slave: told the job is done, never handed a filtered task.
-	legacy := core.Dispatch(wire.Envelope{Register: &wire.RegisterMsg{Name: "legacy"}}, now)
-	la := core.Dispatch(wire.Envelope{Request: &wire.RequestMsg{Slave: legacy.RegisterAck.Slave}}, now)
-	if la.Assign == nil || !la.Assign.Done || la.Assign.Standby || len(la.Assign.Tasks) != 0 {
-		t.Fatalf("legacy slave got %+v, want done", la.Assign)
-	}
-
-	reg := core.Dispatch(wire.Envelope{Register: &wire.RegisterMsg{Name: "cpu", Filters: true}}, now)
+	reg := core.Dispatch(wire.Envelope{Register: &wire.RegisterMsg{Name: "cpu"}}, now)
 	id := reg.RegisterAck.Slave
 
 	for i, r := range ranges {
 		a := core.Dispatch(wire.Envelope{Request: &wire.RequestMsg{Slave: id}}, now)
 		if a.Assign == nil || len(a.Assign.Tasks) != 1 {
-			t.Fatalf("range %d: capable slave got %+v", i, a.Assign)
+			t.Fatalf("range %d: slave got %+v", i, a.Assign)
 		}
 		spec := a.Assign.Tasks[0]
 		if spec.TaskKind != sched.TaskFiltered || spec.Filter == nil || spec.Lo != r.Lo || spec.Hi != r.Hi {
@@ -181,8 +173,9 @@ func TestFilteredCoreProtocol(t *testing.T) {
 	}
 }
 
-// TestFilteredJobWithMixedFleet: a GPU (SW-only) slave joins a filtered job
-// alongside CPU slaves; the job must complete, with the GPU simply idle.
+// TestFilteredJobWithMixedFleet: a GPU slave joins a filtered job
+// alongside a CPU slave; both run its tasks without error and between them
+// complete every one.
 func TestFilteredJobWithMixedFleet(t *testing.T) {
 	db, queries := plantedJob(17, 4, 500, 2, 24)
 	scheme := score.DefaultProtein()
@@ -197,26 +190,26 @@ func TestFilteredJobWithMixedFleet(t *testing.T) {
 	}
 	defer m.Close()
 	cpu, _ := slave.NewFarrarEngine("cpu", scheme, db, 0)
-	gpu := slave.NewGPUEngine(cpu.Replica("gpu"))
+	gpu := cpu.Replica("gpu", sched.KindGPU)
 
 	var wg sync.WaitGroup
-	var cpuErr error
-	wg.Add(1)
+	var cpuN, gpuN int
+	var cpuErr, gpuErr error
+	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		_, cpuErr = slave.Run(wire.Local{H: m}, cpu, slave.Options{NotifyEvery: 10 * time.Millisecond, Poll: 2 * time.Millisecond})
+		cpuN, cpuErr = slave.Run(wire.Local{H: m}, cpu, slave.Options{NotifyEvery: 10 * time.Millisecond, Poll: 2 * time.Millisecond})
 	}()
-	// The GPU slave polls standby until Done; run it too, it must exit
-	// cleanly without ever being handed a filtered task.
-	var gpuErr error
-	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, gpuErr = slave.Run(wire.Local{H: m}, gpu, slave.Options{NotifyEvery: 10 * time.Millisecond, Poll: 2 * time.Millisecond})
+		gpuN, gpuErr = slave.Run(wire.Local{H: m}, gpu, slave.Options{NotifyEvery: 10 * time.Millisecond, Poll: 2 * time.Millisecond})
 	}()
 	wg.Wait()
 	if cpuErr != nil || gpuErr != nil {
 		t.Fatalf("cpu err %v, gpu err %v", cpuErr, gpuErr)
+	}
+	if cpuN+gpuN < len(queries) {
+		t.Fatalf("cpu completed %d and gpu %d tasks of %d", cpuN, gpuN, len(queries))
 	}
 	if err := m.Wait(time.Second); err != nil {
 		t.Fatal(err)

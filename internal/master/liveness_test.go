@@ -397,8 +397,8 @@ func TestGPUSlaveRenewsLeaseMidTask(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	cpu, _ := slave.NewFarrarEngine("gpu", score.DefaultProtein(), db, 0)
-	gpu := slave.NewGPUEngine(cpu)
+	cpu, _ := slave.NewFarrarEngine("cpu", score.DefaultProtein(), db, 0)
+	gpu := cpu.Replica("gpu", sched.KindGPU)
 	// Lay the database out before the job, as a loaded slave has: a
 	// range's first search builds its lane layout before any progress.
 	if _, err := gpu.Search(seq.New("warm", "", []byte("W")), nil, nil); err != nil {

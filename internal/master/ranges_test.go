@@ -44,7 +44,7 @@ func TestRangedJobMergesByQueryIndex(t *testing.T) {
 	}
 	sse1, _ := slave.NewFarrarEngine("sse1", score.DefaultProtein(), db, 0)
 	sse2, _ := slave.NewFarrarEngine("sse2", score.DefaultProtein(), db, 0)
-	gpu := slave.NewGPUEngine(sse1.Replica("gpu1"))
+	gpu := sse1.Replica("gpu1", sched.KindGPU)
 	runLocal(t, m, []slave.Engine{sse1, sse2, gpu})
 	if err := m.Wait(time.Second); err != nil {
 		t.Fatal(err)

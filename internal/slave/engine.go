@@ -1,11 +1,12 @@
 // Package slave implements the slave side of the task execution
-// environment: the request/execute/notify loop of Fig. 4 plus its engines:
-// the adapted Farrar striped kernel for SSE cores (§IV-C), and a GPU
-// engine that scans with it but registers as a GPU. A task is one query
-// against one contiguous range of the engine's resident database
-// (RangeSearcher) — the whole of it when the master cuts no ranges, the
-// paper's grain. FarrarEngine.SearchRange is the tree's one scan loop,
-// for CPU and GPU slaves alike; several cores serve one query by running
+// environment: the request/execute/notify loop of Fig. 4 plus its one
+// engine, the adapted Farrar striped kernel (§IV-C). A CPU slave and a GPU
+// slave are the same FarrarEngine under a different kind label, so both
+// run every task kind, and the scheduler tells them apart only by the
+// speed it observes. A task is one query against one contiguous range of
+// the engine's resident database (RangeSearcher) — the whole of it when
+// the master cuts no ranges, the paper's grain. FarrarEngine.SearchRange
+// is the tree's one scan loop; several cores serve one query by running
 // one engine each on different ranges, not by threading an engine. On an
 // AVX2 host the scan scores most of a range on farrar's inter-sequence
 // lanes, one database sequence per byte lane, and the rest (long targets,
@@ -46,12 +47,13 @@ type Engine interface {
 	Search(query *seq.Sequence, progress func(cellsDone int64), cancel <-chan struct{}) ([]wire.Hit, error)
 }
 
-// FarrarEngine is the SSE-core engine: one CPU core running the adapted
-// Farrar striped Smith-Waterman (AVX2 or SSE2 assembly on amd64, SWAR
-// elsewhere) and, on an AVX2 host, the inter-sequence lane kernel that
-// scores short targets one per byte lane.
+// FarrarEngine is the engine of every slave: one CPU core running the
+// adapted Farrar striped Smith-Waterman (AVX2 or SSE2 assembly on amd64,
+// SWAR elsewhere) and, on an AVX2 host, the inter-sequence lane kernel
+// that scores short targets one per byte lane.
 type FarrarEngine struct {
 	name     string
+	kind     sched.SlaveKind
 	scheme   score.Scheme
 	db       []*seq.Sequence
 	residues int64
@@ -85,20 +87,25 @@ func NewFarrarEngine(name string, s score.Scheme, db []*seq.Sequence, declaredSp
 }
 
 // Replica returns another engine named name over e's database and
-// scheme. It shares e's range batches, so the replicas of one database
-// hold one lane layout per range between them, and starts with e's
-// metrics bundles.
-func (e *FarrarEngine) Replica(name string) *FarrarEngine {
+// scheme that registers as kind. It shares e's range batches, so the
+// replicas of one database hold one lane layout per range between them,
+// and starts with e's metrics bundles. A GPU slave is a replica of kind
+// sched.KindGPU (§IV-C: "CUDASW was encapsulated and easily integrated to
+// our tool"): the inter-sequence lanes are CUDASW++ 2.0's inter-task
+// kernel on CPU vector lanes, and the kind only feeds PSS, the events and
+// the reports. Virtual-time experiments take a GPU's speed from
+// platform.GPUPE instead.
+func (e *FarrarEngine) Replica(name string, kind sched.SlaveKind) *FarrarEngine {
 	r := *e
-	r.name = name
+	r.name, r.kind = name, kind
 	return &r
 }
 
 // Name implements Engine.
 func (e *FarrarEngine) Name() string { return e.name }
 
-// Kind implements Engine.
-func (e *FarrarEngine) Kind() sched.SlaveKind { return sched.KindCPU }
+// Kind implements Engine: sched.KindCPU unless Replica set another.
+func (e *FarrarEngine) Kind() sched.SlaveKind { return e.kind }
 
 // DeclaredSpeed implements Engine.
 func (e *FarrarEngine) DeclaredSpeed() float64 { return e.declared }
@@ -111,8 +118,8 @@ func (e *FarrarEngine) DatabaseResidues() int64 { return e.residues }
 // resident database, keeping only the range's k best hits. It returns them
 // ranked by wire.HitLess (for k <= 0 every hit of the range, in database
 // order), with Index still the position in the whole resident database,
-// and reports progress in cells of the range. The slave loop falls back to
-// Search and drops the hits outside the range for an engine that lacks it.
+// and reports progress in cells of the range. The slave loop fails a range
+// task on an engine that lacks it.
 type RangeSearcher interface {
 	SearchRange(query *seq.Sequence, lo, hi, k int, progress func(cellsDone int64), cancel <-chan struct{}) ([]wire.Hit, error)
 }
@@ -205,46 +212,6 @@ func (e *FarrarEngine) newBatch(lo, hi int) *farrar.Batch {
 		targets[i] = d.Residues
 	}
 	return farrar.NewBatch(targets, e.scheme.Matrix.Alphabet())
-}
-
-// GPUEngine is a GPU slave (§IV-C: "CUDASW was encapsulated and easily
-// integrated to our tool"). It scans with the FarrarEngine it wraps, whose
-// inter-sequence lanes (one database sequence per byte lane, long targets
-// split off to the striped kernel) are CUDASW++ 2.0's inter-task kernel
-// on CPU vector lanes. It differs from that engine only in registering as
-// sched.KindGPU and in running Smith-Waterman tasks alone: it implements
-// no Filterer, so a GPU slave sits out filtered jobs. Virtual-time
-// experiments take a GPU's speed from platform.GPUPE instead.
-type GPUEngine struct{ cpu *FarrarEngine }
-
-// NewGPUEngine builds a GPU engine that scans with cpu.
-func NewGPUEngine(cpu *FarrarEngine) *GPUEngine { return &GPUEngine{cpu: cpu} }
-
-// Name implements Engine.
-func (e *GPUEngine) Name() string { return e.cpu.Name() }
-
-// Kind implements Engine.
-func (e *GPUEngine) Kind() sched.SlaveKind { return sched.KindGPU }
-
-// DeclaredSpeed implements Engine.
-func (e *GPUEngine) DeclaredSpeed() float64 { return e.cpu.DeclaredSpeed() }
-
-// DatabaseResidues implements Engine.
-func (e *GPUEngine) DatabaseResidues() int64 { return e.cpu.DatabaseResidues() }
-
-// Search implements Engine.
-func (e *GPUEngine) Search(query *seq.Sequence, progress func(int64), cancel <-chan struct{}) ([]wire.Hit, error) {
-	return e.cpu.Search(query, progress, cancel)
-}
-
-// SearchRange implements RangeSearcher.
-func (e *GPUEngine) SearchRange(query *seq.Sequence, lo, hi, k int, progress func(int64), cancel <-chan struct{}) ([]wire.Hit, error) {
-	return e.cpu.SearchRange(query, lo, hi, k, progress, cancel)
-}
-
-// AlignHit implements Aligner.
-func (e *GPUEngine) AlignHit(query *seq.Sequence, hitIndex int) (*sw.Alignment, error) {
-	return e.cpu.AlignHit(query, hitIndex)
 }
 
 // TopK returns the k best hits under the module-wide ranking contract

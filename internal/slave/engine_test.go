@@ -3,6 +3,7 @@ package slave
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/farrar"
 	"repro/internal/metrics"
 	"repro/internal/prefilter"
+	"repro/internal/sched"
 	"repro/internal/score"
 	"repro/internal/seq"
 	"repro/internal/sw"
@@ -71,13 +73,13 @@ func TestFarrarEngineValidation(t *testing.T) {
 	}
 }
 
-// TestGPUEngineScoresMatchFarrar: a GPU engine scores exactly like the
-// Farrar engine it scans with, but registers as a GPU with no capability
-// list, so it is handed Smith-Waterman tasks only.
-func TestGPUEngineScoresMatchFarrar(t *testing.T) {
+// TestGPUReplicaScoresMatchFarrar: a GPU engine is a replica of the Farrar
+// engine under a GPU label: it scores exactly like it, registers as a GPU
+// and, like every engine, runs filtered tasks too.
+func TestGPUReplicaScoresMatchFarrar(t *testing.T) {
 	db := tinyDB(t)
-	sse, _ := NewFarrarEngine("gpu0", score.DefaultProtein(), db, 5e9)
-	gpu := NewGPUEngine(sse)
+	sse, _ := NewFarrarEngine("sse0", score.DefaultProtein(), db, 5e9)
+	gpu := sse.Replica("gpu0", sched.KindGPU)
 	q := dataset.Queries(db, 1, 90, 90, 9)[0]
 	gh, err := gpu.Search(q, nil, make(chan struct{}))
 	if err != nil {
@@ -90,8 +92,11 @@ func TestGPUEngineScoresMatchFarrar(t *testing.T) {
 	if gpu.Kind().String() != "GPU" || gpu.Name() != "gpu0" || gpu.DeclaredSpeed() != 5e9 || gpu.DatabaseResidues() != sse.DatabaseResidues() {
 		t.Errorf("GPU engine registers as %s %q declaring %v over %d residues", gpu.Kind(), gpu.Name(), gpu.DeclaredSpeed(), gpu.DatabaseResidues())
 	}
-	if _, ok := any(gpu).(Filterer); ok {
-		t.Error("GPU engine implements Filterer, want SW-only")
+	if sse.Kind().String() != "CPU" {
+		t.Errorf("the engine it replicates registers as %s, want CPU", sse.Kind())
+	}
+	if _, ok := any(gpu).(Filterer); !ok {
+		t.Error("GPU engine does not implement Filterer")
 	}
 }
 
@@ -168,23 +173,22 @@ func TestTopKMatchesFullSort(t *testing.T) {
 type searchOnly struct{ Engine }
 
 // TestSearchRangeMatchesReference cuts the database at every pair of
-// bounds a few ranges produce and checks that each engine — Farrar and GPU
-// natively, and a Search-only engine through the slave loop's fallback —
+// bounds a few ranges produce and checks that each engine, Farrar and GPU,
 // returns exactly the range's sequences, scored like the scalar reference
 // and indexed by their position in the whole database, with progress
-// reporting the range's cells.
+// reporting the range's cells. A Search-only engine runs whole-database
+// tasks and fails range tasks.
 func TestSearchRangeMatchesReference(t *testing.T) {
 	db := tinyDB(t)
 	s := score.DefaultProtein()
 	sse, _ := NewFarrarEngine("sse0", s, db, 0)
-	gpu := NewGPUEngine(sse.Replica("gpu0"))
+	gpu := sse.Replica("gpu0", sched.KindGPU)
 	q := dataset.Queries(db, 1, 70, 70, 21)[0]
 	want := make([]int, len(db))
 	for i, d := range db {
 		want[i] = sw.Score(q.Residues, d.Residues, s)
 	}
-	for _, eng := range []Engine{sse, gpu, searchOnly{sse}} {
-		_, native := eng.(RangeSearcher)
+	for _, eng := range []Engine{sse, gpu} {
 		for _, r := range [][2]int{{0, len(db)}, {0, 1}, {3, 11}, {11, len(db)}, {len(db) - 1, len(db)}} {
 			lo, hi := r[0], r[1]
 			var reported int64
@@ -202,14 +206,18 @@ func TestSearchRangeMatchesReference(t *testing.T) {
 				}
 				cells += int64(q.Len()) * int64(db[lo+i].Len())
 			}
-			if native && reported != cells {
+			if reported != cells {
 				t.Errorf("%s [%d,%d): progress ended at %d cells, the range holds %d", eng.Name(), lo, hi, reported, cells)
 			}
 		}
 	}
-	// Hi == 0 is the whole database, on any engine.
+	// Hi == 0 is the whole database, on any engine; a range needs
+	// SearchRange.
 	if hits, err := searchRange(searchOnly{sse}, q, 0, 0, 0, nil, make(chan struct{})); err != nil || len(hits) != len(db) {
 		t.Errorf("whole-database task: %d hits, %v", len(hits), err)
+	}
+	if _, err := searchRange(searchOnly{sse}, q, 3, 11, 0, nil, make(chan struct{})); err == nil || !strings.Contains(err.Error(), "cannot execute range tasks") {
+		t.Errorf("range task on a Search-only engine: err = %v, want the range-task error", err)
 	}
 }
 
@@ -219,7 +227,7 @@ func TestSearchRangeMatchesReference(t *testing.T) {
 func TestSearchRangeCancelAndBounds(t *testing.T) {
 	db := tinyDB(t)
 	sse, _ := NewFarrarEngine("sse0", score.DefaultProtein(), db, 0)
-	gpu := NewGPUEngine(sse.Replica("gpu0"))
+	gpu := sse.Replica("gpu0", sched.KindGPU)
 	q := dataset.Queries(db, 1, 40, 40, 22)[0]
 	closed := make(chan struct{})
 	close(closed)
@@ -302,7 +310,7 @@ func TestSearchRangeCancelWithinChunk(t *testing.T) {
 func TestReplicasShareBatches(t *testing.T) {
 	db := tinyDB(t)
 	a, _ := NewFarrarEngine("a", score.DefaultProtein(), db, 0)
-	b := a.Replica("b")
+	b := a.Replica("b", sched.KindCPU)
 	if b.Name() != "b" || a.Name() != "a" {
 		t.Fatalf("names %q, %q", a.Name(), b.Name())
 	}

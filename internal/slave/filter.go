@@ -15,12 +15,13 @@ import (
 // then rescore the candidate windows with full Smith-Waterman. Like
 // SearchRange it returns the range's k best hits, ranked (for k <= 0 every
 // sequence of the range in database order, score 0 where the prefilter
-// admitted nothing), so
-// results rank exactly like a full scan's, with Index the position in the
-// whole resident database. The zero range (hi == 0) is the whole database,
-// as in a TaskSpec. Candidate windows never cross a sequence, so the ranges
-// of a cut need nothing from one another. cache holds what the calls of one
-// slave session share.
+// admitted nothing), so results rank exactly like a full scan's, with Index
+// the position in the whole resident database. The zero range (hi == 0) is
+// the whole database, as in a TaskSpec. Candidate windows never cross a
+// sequence, so the ranges of a cut need nothing from one another. cache
+// holds what the calls of one slave session share. FarrarEngine, CPU or
+// GPU, implements it; the slave loop fails a filtered task on an engine
+// that does not.
 type Filterer interface {
 	FilterRange(query *seq.Sequence, lo, hi, k int, spec prefilter.Spec, cache *FilterCache, cancel <-chan struct{}) ([]wire.Hit, prefilter.Tally, error)
 }
@@ -185,25 +186,15 @@ func runStage(eng Engine, spec wire.TaskSpec, query *seq.Sequence, k int, filter
 
 // searchRange runs one TaskSW task: the whole database when hi is 0 (the
 // paper's task, and every task of a master that cuts no ranges), else the
-// range [lo, hi) — natively on a RangeSearcher, which keeps its k best,
-// and on any other engine by scanning everything and keeping the hits
-// inside the range, which is slower but ranks the same.
+// range [lo, hi) on a RangeSearcher, which keeps its k best. An engine
+// without SearchRange cannot run a range task.
 func searchRange(eng Engine, query *seq.Sequence, lo, hi, k int, progress func(int64), cancel <-chan struct{}) ([]wire.Hit, error) {
 	if hi == 0 {
 		return eng.Search(query, progress, cancel)
 	}
-	if rs, ok := eng.(RangeSearcher); ok {
-		return rs.SearchRange(query, lo, hi, k, progress, cancel)
+	rs, ok := eng.(RangeSearcher)
+	if !ok {
+		return nil, fmt.Errorf("slave: engine %q cannot execute range tasks", eng.Name())
 	}
-	all, err := eng.Search(query, progress, cancel)
-	if err != nil {
-		return nil, err
-	}
-	hits := all[:0]
-	for _, h := range all {
-		if lo <= h.Index && h.Index < hi {
-			hits = append(hits, h)
-		}
-	}
-	return hits, nil
+	return rs.SearchRange(query, lo, hi, k, progress, cancel)
 }

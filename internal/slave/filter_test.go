@@ -94,16 +94,17 @@ func TestFilterRangeSharesCompiledFilter(t *testing.T) {
 }
 
 // TestFilteredRangeTaskKeepsTopKInsideRange runs one filtered range task
-// through the slave loop: the completion carries at most k hits, all inside
-// the task's range and none above the full scan's score, plus the range's
-// accounting, and the slave registered as one that filters.
+// through the loop of a slave that registered as a GPU: the completion
+// carries at most k hits, all inside the task's range and none above the
+// full scan's score, plus the range's accounting.
 func TestFilteredRangeTaskKeepsTopKInsideRange(t *testing.T) {
 	db := tinyDB(t)
 	scheme := score.DefaultProtein()
-	eng, err := NewFarrarEngine("sse0", scheme, db, 0)
+	cpu, err := NewFarrarEngine("sse0", scheme, db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng := cpu.Replica("gpu0", sched.KindGPU)
 	const lo, hi, k = 5, 17, 3
 	q := plantedQuery(db, 9)
 	spec := wire.TaskSpec{
@@ -111,11 +112,11 @@ func TestFilteredRangeTaskKeepsTopKInsideRange(t *testing.T) {
 		Lo: lo, Hi: hi, TaskKind: sched.TaskFiltered, Filter: &prefilter.Spec{},
 	}
 	var got *wire.CompleteMsg
-	var filters bool
+	var kind sched.SlaveKind
 	m := &scriptedMaster{tasks: []wire.TaskSpec{spec}, doneAfter: 1}
 	caller := callerFunc(func(req wire.Envelope) (wire.Envelope, error) {
 		if req.Register != nil {
-			filters = req.Register.Filters
+			kind = req.Register.Kind
 		}
 		if req.Complete != nil {
 			got = req.Complete
@@ -142,8 +143,8 @@ func TestFilteredRangeTaskKeepsTopKInsideRange(t *testing.T) {
 	if got.Hits[0].Index != 9 {
 		t.Errorf("top hit %+v, want the query's source 9", got.Hits[0])
 	}
-	if !filters {
-		t.Error("a Farrar engine registered without Filters")
+	if kind != sched.KindGPU {
+		t.Errorf("the slave registered as %s, want GPU", kind)
 	}
 	if f := got.Filter; f.ResiduesScanned == 0 || f.CandidateResidues == 0 || f.Windows == 0 || f.RescoredCells == 0 || f.FullScanCells != 0 {
 		t.Errorf("range accounting: %+v", f)

@@ -156,12 +156,10 @@ func Run(caller wire.Caller, eng Engine, opts Options) (int, error) {
 // progressed reports whether any call succeeded, which gates the
 // reconnect-failure counter reset in Run.
 func runSession(caller wire.Caller, eng Engine, opts Options) (completed int, progressed bool, err error) {
-	_, canFilter := eng.(Filterer)
 	resp, err := caller.Call(wire.Envelope{Register: &wire.RegisterMsg{
 		Name:          eng.Name(),
 		Kind:          eng.Kind(),
 		DeclaredSpeed: eng.DeclaredSpeed(),
-		Filters:       canFilter,
 	}})
 	if err != nil {
 		return 0, false, err
@@ -210,6 +208,11 @@ func runSession(caller wire.Caller, eng Engine, opts Options) (completed int, pr
 			continue
 		}
 		for _, spec := range a.Tasks {
+			select {
+			case <-opts.Done:
+				return completed, true, nil
+			default:
+			}
 			if canceled.has(spec.ID) {
 				canceled.forget(spec.ID)
 				continue

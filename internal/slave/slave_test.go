@@ -268,6 +268,38 @@ func TestRunStopsWhenDoneCloses(t *testing.T) {
 	}
 }
 
+// TestRunSkipsTheAssignOnceDoneCloses: the loop checks Done before each
+// task of an Assign, so a job that ends while the first of three granted
+// tasks runs costs that one task, not the rest of the grant.
+func TestRunSkipsTheAssignOnceDoneCloses(t *testing.T) {
+	eng, specs := testEngine(t)
+	done := make(chan struct{})
+	requests, completes := 0, 0
+	caller := callerFunc(func(req wire.Envelope) (wire.Envelope, error) {
+		switch {
+		case req.Register != nil:
+			return wire.Envelope{RegisterAck: &wire.RegisterAckMsg{Slave: 0}}, nil
+		case req.Request != nil:
+			requests++
+			return wire.Envelope{Assign: &wire.AssignMsg{Tasks: specs}}, nil
+		case req.Complete != nil:
+			// The job ends as the first task's result arrives.
+			if completes++; completes == 1 {
+				close(done)
+			}
+			return wire.Envelope{CompleteAck: &wire.CompleteAckMsg{Accepted: true}}, nil
+		}
+		return wire.Envelope{ProgressAck: &wire.ProgressAckMsg{}}, nil
+	})
+	n, err := Run(caller, eng, Options{NotifyEvery: time.Hour, Done: done})
+	if err != nil || n != 1 {
+		t.Fatalf("Run = (%d, %v), want (1, nil)", n, err)
+	}
+	if completes != 1 || requests != 1 {
+		t.Errorf("%d completions and %d Requests, want 1 and 1: the grant's other %d tasks must not run", completes, requests, len(specs)-1)
+	}
+}
+
 // blockingEngine reports progress once and then waits on its cancel
 // channel: a stand-in for a long scan that can only end by cancellation.
 type blockingEngine struct{}

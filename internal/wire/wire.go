@@ -73,9 +73,6 @@ type RegisterMsg struct {
 	Name          string
 	Kind          sched.SlaveKind
 	DeclaredSpeed float64
-	// Filters says the slave can run sched.TaskFiltered tasks. A master
-	// of a filtered job tells a slave without it that the job is done.
-	Filters bool
 }
 
 // RegisterAckMsg returns the slave's ID.
