@@ -127,9 +127,14 @@ func newReplica(eng slave.Engine) *replica {
 // rangesPerEngine sizes the cut of a shard into database-range tasks: a
 // full-scan query becomes this many tasks per engine of the shard, so the
 // last task — the longest an engine can sit idle while another finishes —
-// is a few percent of a request, while a task stays far above the cost of
-// its protocol round trips.
-const rangesPerEngine = 8
+// is a small share of a request, while a task stays far above the cost of
+// its protocol round trips. It also sets how full a range's lane layout
+// is: each range's longest lane target sets its column count, so a range
+// needs many residues per lane. 4 keeps the residues per lane of the
+// 64-lane kernel where 8 kept them for 32 lanes (occupancy 0.966 against
+// 0.972 on the benchmark database; 0.561 at 8 per engine), and with 32
+// lanes 4 and 8 measured within noise on the serving benchmark.
+const rangesPerEngine = 4
 
 // shard is one contiguous database partition and its replica set. The
 // fields above mu are set once when the fleet is built.

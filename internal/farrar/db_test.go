@@ -144,65 +144,77 @@ func BenchmarkScoreDB(b *testing.B) {
 	}
 }
 
-// dbRanges cuts db into n contiguous residue-balanced batches, the shape
-// of the fleet's range tasks (8 per engine, so 16 on the serving
-// benchmark's two engines), and returns each batch's sequence count.
-func dbRanges(db []*hybridsw.Sequence, n int) ([]*farrar.Batch, []int) {
+// dbRanges cuts db into n contiguous residue-balanced ranges, the shape
+// of the fleet's range tasks (4 per engine, so 8 on the serving
+// benchmark's two engines), and returns each range's targets.
+func dbRanges(db []*hybridsw.Sequence, n int) [][][]byte {
 	var total int64
 	for _, d := range db {
 		total += int64(d.Len())
 	}
-	var out []*farrar.Batch
-	var sizes []int
+	var out [][][]byte
 	var targets [][]byte
 	var cum int64
 	for i, d := range db {
 		targets = append(targets, d.Residues)
 		cum += int64(d.Len())
 		if cum >= total*int64(len(out)+1)/int64(n) || i == len(db)-1 {
-			out = append(out, farrar.NewBatch(targets, hybridsw.DefaultScheme().Matrix.Alphabet()))
-			sizes = append(sizes, len(targets))
+			out = append(out, targets)
 			targets = nil
 		}
 	}
-	return out, sizes
+	return out
 }
 
 // BenchmarkScoreBatchDB times ScoreBatch, the engine's scan, over the
-// benchmark database cut into 16 ranges, for planted queries of serving
-// lengths: one op scores one query against every range. MCUPS counts real
-// cells; lanes_share is the share of them on the lane path and occupancy
-// the share of lane slots the ranges' layouts fill.
+// benchmark database cut into 8 ranges, for planted queries of serving
+// lengths, on each lane kernel the host runs (lanes32 and, with AVX-512
+// VBMI, lanes64): one op scores one query against every range. MCUPS
+// counts real cells; lanes_share is the share of them on the lane path
+// and occupancy the share of lane slots the ranges' layouts fill at that
+// width.
 func BenchmarkScoreBatchDB(b *testing.B) {
 	db := swissProt(b)
-	batches, sizes := dbRanges(db, 16)
-	var occ float64
-	for _, bt := range batches {
-		occ += farrar.LaneOccupancy(bt) / float64(len(batches))
+	ranges := dbRanges(db, 8)
+	alpha := hybridsw.DefaultScheme().Matrix.Alphabet()
+	widths := farrar.HostLaneWidths()
+	if len(widths) == 0 {
+		b.Skip("host lacks AVX2: no lane kernel can run here")
 	}
 	rng := rand.New(rand.NewSource(27))
+	var queries [][]byte
 	for _, m := range []int{10, 25, 40, 100, 200, 400} {
-		q := planted(rng, db, m)
-		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			var cells farrar.PathCells
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				for j, bt := range batches {
-					k, err := farrar.NewKernel(q, hybridsw.DefaultScheme())
-					if err != nil {
-						b.Fatal(err)
+		queries = append(queries, planted(rng, db, m))
+	}
+	for _, w := range widths {
+		batches := make([]*farrar.Batch, len(ranges))
+		var occ float64
+		for j, r := range ranges {
+			batches[j] = farrar.NewBatchWidth(r, alpha, w)
+			occ += farrar.LaneOccupancy(batches[j]) / float64(len(ranges))
+		}
+		for _, q := range queries {
+			b.Run(fmt.Sprintf("m=%d/lanes%d", len(q), w), func(b *testing.B) {
+				var cells farrar.PathCells
+				start := time.Now()
+				for i := 0; i < b.N; i++ {
+					for j, bt := range batches {
+						k, err := farrar.NewKernel(q, hybridsw.DefaultScheme())
+						if err != nil {
+							b.Fatal(err)
+						}
+						k.ScoreBatch(bt, make([]int, len(ranges[j])), 1<<22, func(int64) bool { return true })
+						c := k.PathCells()
+						cells.Lanes += c.Lanes
+						cells.Striped += c.Striped
 					}
-					k.ScoreBatch(bt, make([]int, sizes[j]), 1<<22, func(int64) bool { return true })
-					c := k.PathCells()
-					cells.Lanes += c.Lanes
-					cells.Striped += c.Striped
 				}
-			}
-			if elapsed := time.Since(start); elapsed > 0 {
-				b.ReportMetric(float64(cells.Total())/elapsed.Seconds()/1e6, "MCUPS")
-				b.ReportMetric(float64(cells.Lanes)/float64(cells.Total()), "lanes_share")
-				b.ReportMetric(occ, "occupancy")
-			}
-		})
+				if elapsed := time.Since(start); elapsed > 0 {
+					b.ReportMetric(float64(cells.Total())/elapsed.Seconds()/1e6, "MCUPS")
+					b.ReportMetric(float64(cells.Lanes)/float64(cells.Total()), "lanes_share")
+					b.ReportMetric(occ, "occupancy")
+				}
+			})
+		}
 	}
 }

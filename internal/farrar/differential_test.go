@@ -79,8 +79,9 @@ func kernelPair(t testing.TB, q []byte, s score.Scheme) (*Kernel, *oracle) {
 // every native 8-bit path the host runs (SSE2, and AVX2 where present, on
 // amd64, whatever the query length), SWAR and the emulated oracle; a
 // target the lane path takes must get the same pair from a lane of every
-// lane kernel the host runs (the emulated one, and the AVX2 assembly
-// where present); and the full ladder must land on the reference score.
+// lane kernel (the emulated one at both widths, and the 32- and 64-lane
+// assembly where the host runs it); and the full ladder must land on the
+// reference score.
 func checkDifferential(t *testing.T, ks *Kernel, ke *oracle, d []byte, want int) {
 	t.Helper()
 	s8s, ok8s := ks.ScoreSWAR8(d)
@@ -96,9 +97,9 @@ func checkDifferential(t *testing.T, ks *Kernel, ke *oracle, d []byte, want int)
 		}
 	}
 	if ks.tier8 && inLanes(len(d)) {
-		l := buildLanes([][]byte{d}, ks.scheme.Matrix.Alphabet())
-		for path, run := range lanePaths() {
-			_, vmax := laneRun(ks, l, run, len(l.cols))
+		for path, kern := range lanePaths() {
+			l := buildLanes([][]byte{d}, ks.scheme.Matrix.Alphabet(), kern.width)
+			_, vmax := laneRun(ks, l, kern, len(l.cols))
 			if v := int(vmax[0]); (v < ks.ceiling8()) != ok8e || ok8e && v != s8e {
 				t.Fatalf("8-bit tier diverged: %s lane max %d (ceiling %d), emulated=(%d,%v)\nq=%s\nd=%s",
 					path, v, ks.ceiling8(), s8e, ok8e, ks.query, d)

@@ -17,10 +17,11 @@
 //     instruction for instruction. A CPUID probe read once and the query
 //     length pick the width; ISA names the host's widest path.
 //   - on an AVX2 host ScoreBatch, the database scan, scores most targets
-//     on the inter-sequence lane kernel instead (lanes.go): one target per
-//     byte lane, with the striped kernel's biased arithmetic and ceiling8
-//     but no lazy-F pass. Its oracle, scoreLanesEmulated, transcribes it on
-//     the emulated ISA.
+//     on an inter-sequence lane kernel instead (lanes.go): one target per
+//     byte lane, 64 lanes with AVX-512 BW and VBMI and 32 with AVX2 only,
+//     with the striped kernel's biased arithmetic and ceiling8 but no
+//     lazy-F pass. Their oracle, scoreLanesEmulated, transcribes both
+//     widths on the emulated ISA.
 //   - the SWAR kernel (ScoreSWAR8, ScoreSWAR16) packs 8 byte lanes — or 4
 //     word lanes in the fallback tier — into a uint64 and computes all
 //     lanes at once with the loop-free bit tricks of internal/simd/swar.
@@ -446,57 +447,88 @@ func (k *Kernel) ScoreI16(target []byte) (sc int, ok bool) {
 	return best, true
 }
 
-// scoreLanesEmulated is the lane kernel (lanesAVX2) on the emulated ISA, its
-// oracle: the same instructions on the two 128-bit halves of a YMM
-// register, in the same order, so its harvest slots and maxima must equal
-// the assembly's byte for byte. It has lanesAVX2's laneKernel signature and
-// runs on every host.
-func scoreLanesEmulated(prof, cols, he, harvest []byte, vmax *[laneCount]byte, bias, gapOE, gapE int) (slots int) {
-	type ymm [2]simd.U8x16
-	load := func(b []byte) (v ymm) {
-		copy(v[0][:], b[:16])
-		copy(v[1][:], b[16:32])
+// scoreLanesEmulated is the lane kernels on the emulated ISA, their
+// oracle, at the width of vmax: 64 lanes transcribe lanes64 and 32 lanes
+// lanesAVX2, the same instructions on the 128-bit quarters of a ZMM
+// register or the halves of a YMM one, in the same order, so its harvest
+// slots and maxima must equal the assembly's byte for byte. It has the
+// native kernels' signature and runs on every host.
+func scoreLanesEmulated(prof, cols, he, harvest, vmax []byte, bias, gapOE, gapE int) (slots int) {
+	w := len(vmax)
+	type reg [4]simd.U8x16 // a ZMM register; a YMM one is its first two quarters
+	load := func(b []byte) (v reg) {
+		for q := range w / 16 {
+			copy(v[q][:], b[16*q:16*q+16])
+		}
 		return v
 	}
-	store := func(b []byte, v ymm) {
-		copy(b[:16], v[0][:])
-		copy(b[16:32], v[1][:])
+	store := func(b []byte, v reg) {
+		for q := range w / 16 {
+			copy(b[16*q:16*q+16], v[q][:])
+		}
 	}
-	op := func(f func(a, b simd.U8x16) simd.U8x16, a, b ymm) ymm { return ymm{f(a[0], b[0]), f(a[1], b[1])} }
-	splat := func(x int) ymm { return ymm{simd.SplatU8(uint8(x)), simd.SplatU8(uint8(x))} }
+	op := func(f func(a, b simd.U8x16) simd.U8x16, a, b reg) (v reg) {
+		for q := range w / 16 {
+			v[q] = f(a[q], b[q])
+		}
+		return v
+	}
+	splat := func(x int) reg { s := simd.SplatU8(uint8(x)); return reg{s, s, s, s} }
 	vBias, vGapOE, vGapE, vFlag := splat(bias), splat(gapOE), splat(gapE), splat(laneStart)
-	vMax := load(vmax[:])
-	m := len(prof) / laneCount
-	for c := 0; c < len(cols); c += laneCount {
+	vMax := load(vmax)
+	m := len(prof) / laneRow
+	for c := 0; c < len(cols); c += w {
 		idx := load(cols[c:])
-		sel := ymm{simd.ShiftWordsLeftU8(idx[0], 3), simd.ShiftWordsLeftU8(idx[1], 3)}
-		keep := op(simd.GtI8, vFlag, idx)
-		if simd.MoveMaskU8(keep[0])|simd.MoveMaskU8(keep[1])<<16 != 0xFFFFFFFF {
-			store(harvest[slots*laneCount:], vMax)
+		var sel, keep reg // keep: 0xFF on every lane without the flag
+		if w == 64 {
+			keep = op(simd.GtU8, vFlag, op(simd.AndU8, idx, vFlag)) // VPTESTNMB into K1
+		} else {
+			sel = reg{simd.ShiftWordsLeftU8(idx[0], 3), simd.ShiftWordsLeftU8(idx[1], 3)}
+			keep = op(simd.GtI8, vFlag, idx)
+		}
+		kept := true
+		for q := range w / 16 {
+			kept = kept && simd.MoveMaskU8(keep[q]) == 0xFFFF
+		}
+		if !kept {
+			store(harvest[slots*w:], vMax)
 			slots++
 			vMax = op(simd.AndU8, vMax, keep)
 		}
-		var vDiag, vF ymm
+		var vDiag, vF reg
 		for i := 0; i < m; i++ {
-			// Each 16-byte half of the query residue's row is broadcast to
-			// both register halves and shuffled by the lanes' residues.
-			row := load(prof[i*laneCount:])
-			lo := ymm{simd.ShuffleU8(row[0], idx[0]), simd.ShuffleU8(row[0], idx[1])}
-			hi := ymm{simd.ShuffleU8(row[1], idx[0]), simd.ShuffleU8(row[1], idx[1])}
-			score := ymm{simd.BlendU8(lo[0], hi[0], sel[0]), simd.BlendU8(lo[1], hi[1], sel[1])}
-			cell := he[2*i*laneCount:]
+			var score reg
+			if w == 64 {
+				// The 32-byte row is loaded into the low half of a
+				// register and permuted by the lanes' residues.
+				var row [64]uint8
+				copy(row[:], prof[i*laneRow:(i+1)*laneRow])
+				for q := range score {
+					score[q] = simd.PermuteU8(row, idx[q])
+				}
+			} else {
+				// Each 16-byte half of the row is broadcast to both
+				// register halves, shuffled by the lanes' residues and
+				// blended on bit 4.
+				row := load(prof[i*laneRow:])
+				for q := range 2 {
+					lo, hi := simd.ShuffleU8(row[0], idx[q]), simd.ShuffleU8(row[1], idx[q])
+					score[q] = simd.BlendU8(lo, hi, sel[q])
+				}
+			}
+			cell := he[2*i*w:]
 			vH := op(simd.SubSatU8, op(simd.AddSatU8, vDiag, score), vBias)
-			vE := op(simd.AndU8, load(cell[laneCount:]), keep)
+			vE := op(simd.AndU8, load(cell[w:]), keep)
 			vH = op(simd.MaxU8, vH, vE)
 			vH = op(simd.MaxU8, vH, vF)
 			vMax = op(simd.MaxU8, vMax, vH)
 			vDiag = op(simd.AndU8, load(cell), keep)
 			store(cell, vH)
 			vHGap := op(simd.SubSatU8, vH, vGapOE)
-			store(cell[laneCount:], op(simd.MaxU8, op(simd.SubSatU8, vE, vGapE), vHGap))
+			store(cell[w:], op(simd.MaxU8, op(simd.SubSatU8, vE, vGapE), vHGap))
 			vF = op(simd.MaxU8, op(simd.SubSatU8, vF, vGapE), vHGap)
 		}
 	}
-	store(vmax[:], vMax)
+	store(vmax, vMax)
 	return slots
 }

@@ -1,8 +1,11 @@
 package farrar
 
 // This file is the inter-sequence lane path: one database sequence per
-// byte lane of an AVX2 register, the layout of CUDASW++ 2.0's inter-task
-// kernel and of SWIPE (Rognes 2011). Lanes share no data, so the column
+// byte lane of a vector register, the layout of CUDASW++ 2.0's inter-task
+// kernel and of SWIPE (Rognes 2011). The register is a ZMM's 64 lanes on
+// a host with AVX-512 BW and VBMI (lanes64) and a YMM's 32 on one with
+// AVX2 only (lanesAVX2); the width is a property of the layout, set once
+// by the CPUID probe. Lanes share no data, so the column
 // recurrence needs no lazy-F pass, and every query row costs the same
 // handful of instructions whatever the query length. That is the shape a
 // short query needs: a striped column amortises its fixed cost over only
@@ -22,11 +25,11 @@ package farrar
 // when the query is laneMaxQuery residues or longer, keep the striped
 // kernel.
 //
-// Like sse8 and avx8, the lane kernel works in biased unsigned bytes and
-// escalates at ceiling8, so a lane's (score, ok) pair is ScoreU8's.
+// Like sse8 and avx8, the lane kernels work in biased unsigned bytes and
+// escalate at ceiling8, so a lane's (score, ok) pair is ScoreU8's.
 // swcheck's purity analyzer keeps this file, like the other native kernel
-// files, off the emulated internal/simd ISA; the lane kernel's emulated
-// oracle is scoreLanesEmulated in farrar.go.
+// files, off the emulated internal/simd ISA; the lane kernels' emulated
+// oracle is scoreLanesEmulated in farrar.go, at either width.
 
 import (
 	"runtime"
@@ -37,27 +40,31 @@ import (
 )
 
 const (
-	// laneCount is the byte lanes of a YMM register: 32 sequences scored
-	// at once.
-	laneCount = 32
+	// laneRow is the bytes of one query row of the lane profile: the
+	// table of the kernels' score gather, so the alphabet plus the
+	// out-of-alphabet row must fit in it. It is the same at both widths.
+	laneRow = 32
 	// laneStart flags a layout byte whose lane starts a new sequence (or
-	// goes idle) on that column. The kernel's score gather ignores bits 4-6
-	// of an index byte apart from bit 4's half select, so the flag rides in
-	// bit 6 of the residue index.
+	// goes idle) on that column. The score gathers ignore it (VPSHUFB
+	// reads bits 0-3 and the blend bit 4, VPERMB bits 0-5), so the flag
+	// rides in bit 6 of the residue index.
 	laneStart = 0x40
 	// laneMaxTarget is the longest target the lane path takes. Longer
 	// ones hold a lane for so many columns that the others run out of
 	// sequences and idle; they keep the striped kernel, CUDASW++ 2.0's
 	// split of long targets to its intra-task kernel. On the benchmark
-	// database cut into 16 ranges, 1500 puts 94 % of the residues in
+	// database cut into 8 ranges, 1500 puts 94 % of the residues in 64
 	// lanes that are 97 % full; 1000 leaves 14 % of the residues to the
-	// striped kernel, slow for short queries, and 3000 idles a fifth of
-	// the lane slots (BenchmarkScoreBatchDB).
+	// striped kernel, slow for short queries, and 3000 idled a fifth of
+	// the 32 lanes' slots at 16 ranges (BenchmarkScoreBatchDB).
 	laneMaxTarget = 1500
 	// laneMaxQuery is the query length from which the striped kernel
 	// scores every target: there the striped column's fixed cost is
 	// amortised, the lanes' H and E rows outgrow the L1 cache, and striped
-	// AVX2 ties the lanes (BenchmarkLanesByLen, BenchmarkScoreBatchDB).
+	// AVX2 ties the 32 lanes (BenchmarkLanesByLen, BenchmarkScoreBatchDB).
+	// 64 lanes still run 1.5-1.8x faster than striped AVX2 from 400 to
+	// 1000 aa; the threshold stays until a benchmark workload sends
+	// queries that long.
 	laneMaxQuery = 800
 )
 
@@ -65,15 +72,19 @@ const (
 // Empty targets score 0 on the striped path, which returns at once.
 func inLanes(n int) bool { return n > 0 && n <= laneMaxTarget }
 
-// laneKernel runs the lane recurrence over the columns of cols (laneCount
-// residue bytes each) for the query profile prof (laneCount biased bytes
-// per query row). he holds each query row's H and E vectors (2*laneCount
-// bytes per row) and vmax the lanes' running maxima, both carried from
-// call to call. On every flagged column the kernel writes vmax to the next
-// laneCount bytes of harvest before resetting the starting lanes; it
-// returns the number of slots written. lanesAVX2 is the native kernel and
-// scoreLanesEmulated its oracle.
-type laneKernel func(prof, cols, he, harvest []byte, vmax *[laneCount]byte, bias, gapOE, gapE int) (slots int)
+// laneKernel is a lane kernel and its width in byte lanes. run runs the
+// lane recurrence over the columns of cols (width residue bytes each) for
+// the query profile prof (laneRow biased bytes per query row). he holds
+// each query row's H and E vectors (2*width bytes per row) and vmax, of
+// width bytes, the lanes' running maxima, both carried from call to call.
+// On every flagged column the kernel writes vmax to the next width bytes
+// of harvest before resetting the starting lanes; it returns the number of
+// slots written. lanes64 and lanesAVX2 are the native kernels and
+// scoreLanesEmulated, at either width, their oracle.
+type laneKernel struct {
+	width int
+	run   func(prof, cols, he, harvest, vmax []byte, bias, gapOE, gapE int) (slots int)
+}
 
 // laneSeq places one target in a layout: its lane, and the harvest slot
 // holding the lane's maximum once the target has ended (the layout's
@@ -84,11 +95,12 @@ type laneSeq struct {
 	lane   uint8
 }
 
-// laneLayout is a Batch's lane packing: cols holds one laneCount-byte
-// column per step of the lanes, each byte a residue index, the alphabet
-// size for an idle lane, plus laneStart.
+// laneLayout is a Batch's lane packing for a kernel of width lanes: cols
+// holds one width-byte column per step of the lanes, each byte a residue
+// index, the alphabet size for an idle lane, plus laneStart.
 type laneLayout struct {
 	alpha    *seq.Alphabet
+	width    int
 	cols     []byte
 	seqs     []laneSeq
 	slots    int   // flagged columns, so harvest slots before the final maxima
@@ -96,30 +108,33 @@ type laneLayout struct {
 }
 
 // Batch is a run of database targets prepared for scoring against many
-// queries: the targets and, on a host that runs the lane kernel, their
-// lane layout. It is read-only once built, so goroutines may share it.
+// queries: the targets and, on a host that runs a lane kernel, their lane
+// layout and the kernel it is laid out for. It is read-only once built,
+// so goroutines may share it.
 type Batch struct {
 	targets [][]byte
 	lanes   *laneLayout // nil: every target takes the striped kernel
+	kern    laneKernel
 }
 
 // NewBatch prepares targets for ScoreBatch under alphabet a. The lane
-// layout is built only where the lane kernel runs: on an AVX2 host, for
-// an alphabet whose residues plus the out-of-alphabet row fit the 32
-// entries of the kernel's score gather.
+// layout is built only where a lane kernel runs, at its width: on an AVX2
+// host, for an alphabet whose residues plus the out-of-alphabet row fit
+// the laneRow entries of the kernel's score gather.
 func NewBatch(targets [][]byte, a *seq.Alphabet) *Batch {
-	b := &Batch{targets: targets}
-	if nativeLanes != nil {
-		b.lanes = buildLanes(targets, a)
+	b := &Batch{targets: targets, kern: nativeLanes}
+	if nativeLanes.run != nil {
+		b.lanes = buildLanes(targets, a, nativeLanes.width)
 	}
 	return b
 }
 
-// buildLanes packs the lane targets of targets longest first, each into
-// the lane that frees up first (ties to the lower lane). It returns nil
-// when the alphabet does not fit the gather or no target goes to lanes.
-func buildLanes(targets [][]byte, a *seq.Alphabet) *laneLayout {
-	if a.Size()+1 > laneCount {
+// buildLanes packs the lane targets of targets into width lanes, longest
+// first, each into the lane that frees up first (ties to the lower lane).
+// It returns nil when the alphabet does not fit the gather or no target
+// goes to lanes.
+func buildLanes(targets [][]byte, a *seq.Alphabet, width int) *laneLayout {
+	if a.Size()+1 > laneRow {
 		return nil
 	}
 	var order []int32
@@ -132,12 +147,12 @@ func buildLanes(targets [][]byte, a *seq.Alphabet) *laneLayout {
 		return nil
 	}
 	sort.SliceStable(order, func(x, y int) bool { return len(targets[order[x]]) > len(targets[order[y]]) })
-	l := &laneLayout{alpha: a, seqs: make([]laneSeq, len(order))}
+	l := &laneLayout{alpha: a, width: width, seqs: make([]laneSeq, len(order))}
 	start := make([]int, len(order))
-	var end [laneCount]int
+	end := make([]int, width)
 	for j, ti := range order {
 		lane := 0
-		for x := 1; x < laneCount; x++ {
+		for x := 1; x < width; x++ {
 			if end[x] < end[lane] {
 				lane = x
 			}
@@ -152,27 +167,27 @@ func buildLanes(targets [][]byte, a *seq.Alphabet) *laneLayout {
 		ncols = max(ncols, e)
 	}
 	idle := byte(a.Size())
-	allocCols(l, ncols*laneCount)
+	allocCols(l, ncols*width)
 	for i := range l.cols {
 		l.cols[i] = idle
 	}
 	for j, s := range l.seqs {
-		at := start[j]*laneCount + int(s.lane)
+		at := start[j]*width + int(s.lane)
 		for _, c := range targets[s.target] {
 			ri := a.Index(c)
 			if ri < 0 {
 				ri = a.Size() // the all-minimum row, like the striped profile's
 			}
 			l.cols[at] = byte(ri)
-			at += laneCount
+			at += width
 		}
 		if start[j] > 0 {
-			l.cols[start[j]*laneCount+int(s.lane)] |= laneStart
+			l.cols[start[j]*width+int(s.lane)] |= laneStart
 		}
 	}
 	for lane, e := range end {
 		if e < ncols {
-			l.cols[e*laneCount+lane] |= laneStart
+			l.cols[e*width+lane] |= laneStart
 		}
 	}
 	// Harvest slots are the flagged columns in order; a target's maximum
@@ -180,7 +195,7 @@ func buildLanes(targets [][]byte, a *seq.Alphabet) *laneLayout {
 	slotAt := make([]int32, ncols)
 	for c := range ncols {
 		slotAt[c] = int32(l.slots)
-		for _, x := range l.cols[c*laneCount : (c+1)*laneCount] {
+		for _, x := range l.cols[c*width : (c+1)*width] {
 			if x&laneStart != 0 {
 				l.slots++
 				break
@@ -219,18 +234,12 @@ func (k *Kernel) PathCells() PathCells { return k.cells }
 // cumulative cell count after about every every cells; when step returns
 // false it stops and returns false, leaving scores partly written.
 func (k *Kernel) ScoreBatch(b *Batch, scores []int, every int64, step func(cells int64) bool) bool {
-	return k.scoreBatch(b.targets, b.lanes, scores, every, step, nativeLanes)
-}
-
-// scoreBatch is ScoreBatch with the lane layout and kernel as parameters,
-// so the tests can run the emulated oracle through the same code.
-func (k *Kernel) scoreBatch(targets [][]byte, l *laneLayout, scores []int, every int64, step func(int64) bool, run laneKernel) bool {
-	lanes := l != nil && k.tier8 && len(k.query) < laneMaxQuery && l.alpha == k.scheme.Matrix.Alphabet()
-	if lanes && !k.scoreLanes(targets, l, scores, every, step, run) {
+	lanes := b.lanes != nil && k.tier8 && len(k.query) < laneMaxQuery && b.lanes.alpha == k.scheme.Matrix.Alphabet()
+	if lanes && !k.scoreLanes(b, scores, every, step) {
 		return false
 	}
 	var since int64
-	for i, t := range targets {
+	for i, t := range b.targets {
 		if lanes && inLanes(len(t)) {
 			continue
 		}
@@ -247,28 +256,32 @@ func (k *Kernel) scoreBatch(targets [][]byte, l *laneLayout, scores []int, every
 	return true
 }
 
-// scoreLanes runs the lane kernel over layout l in chunks of about every
-// cells, then resolves every lane target: a maximum below ceiling8 is its
-// score, and one at the ceiling escalates through the rest of the ladder.
-func (k *Kernel) scoreLanes(targets [][]byte, l *laneLayout, scores []int, every int64, step func(int64) bool, run laneKernel) bool {
-	m := len(k.query)
+// scoreLanes runs b's lane kernel over its layout in chunks of about
+// every cells, then resolves every lane target: a maximum below ceiling8
+// is its score, and one at the ceiling escalates through the rest of the
+// ladder.
+func (k *Kernel) scoreLanes(b *Batch, scores []int, every int64, step func(int64) bool) bool {
+	l := b.lanes
+	m, w := len(k.query), l.width
 	buf := laneBufs.get()
 	defer laneBufs.put(buf)
-	if need := (3*m + l.slots) * laneCount; cap(*buf) < need {
+	// One buffer: the profile, the H and E rows, vmax and the harvest slots.
+	if need := laneRow*m + 2*w*m + w + l.slots*w; cap(*buf) < need {
 		*buf = make([]byte, need)
 	}
-	prof, he, harvest := (*buf)[:laneCount*m], (*buf)[laneCount*m:3*laneCount*m], (*buf)[3*laneCount*m:(3*m+l.slots)*laneCount]
+	prof, rest := (*buf)[:laneRow*m], (*buf)[laneRow*m:]
+	he, vmax, harvest := rest[:2*w*m], rest[2*w*m:2*w*m+w], rest[2*w*m+w:2*w*m+w+l.slots*w]
 	k.laneProfile(prof)
 	clear(he)
-	var vmax [laneCount]byte
+	clear(vmax)
 	gapOE, gapE := k.scheme.Gap.Open+k.scheme.Gap.Extend, k.scheme.Gap.Extend
-	ncols := len(l.cols) / laneCount
-	chunk := max(1, int(every/int64(laneCount*m)))
+	ncols := len(l.cols) / w
+	chunk := max(1, int(every/int64(w*m)))
 	base, total := k.cells.Total(), int64(m)*l.residues
 	slots := 0
 	for c := 0; c < ncols; c += chunk {
 		e := min(c+chunk, ncols)
-		slots += run(prof, l.cols[c*laneCount:e*laneCount], he, harvest[slots*laneCount:], &vmax, k.bias, gapOE, gapE)
+		slots += b.kern.run(prof, l.cols[c*w:e*w], he, harvest[slots*w:], vmax, k.bias, gapOE, gapE)
 		if e < ncols && !step(base+total*int64(e)/int64(ncols)) {
 			return false
 		}
@@ -278,13 +291,13 @@ func (k *Kernel) scoreLanes(targets [][]byte, l *laneLayout, scores []int, every
 	for _, s := range l.seqs {
 		v := int(vmax[s.lane])
 		if int(s.slot) < l.slots {
-			v = int(harvest[int(s.slot)*laneCount+int(s.lane)])
+			v = int(harvest[int(s.slot)*w+int(s.lane)])
 		}
 		if v < k.ceiling8() {
 			k.stats.Scored8++
 			scores[s.target] = v
 		} else {
-			scores[s.target] = k.escalate(targets[s.target])
+			scores[s.target] = k.escalate(b.targets[s.target])
 		}
 	}
 	return true
@@ -292,7 +305,7 @@ func (k *Kernel) scoreLanes(targets [][]byte, l *laneLayout, scores []int, every
 
 // laneBufs recycles scoreLanes' buffers (query profile, H and E rows,
 // harvest slots) across calls; a range task of a 600 aa query needs about
-// 60 KB of them. Allocated per task, or dropped at every collection as a
+// 100 KB of them at 64 lanes. Allocated per task, or dropped at every collection as a
 // sync.Pool drops them, buffers that large are freed and re-allocated
 // around the clock, which raised scan_batch's peak RSS by a further 5 %.
 // The list never holds more buffers than calls were ever in flight at
@@ -321,8 +334,8 @@ func (f *freeList) put(b *[]byte) {
 	f.free = append(f.free, b)
 }
 
-// laneProfile writes the lane kernel's query profile to prof: for each
-// query row, the 32-byte biased matrix row of its residue, indexed by
+// laneProfile writes the lane kernels' query profile to prof: for each
+// query row, the laneRow-byte biased matrix row of its residue, indexed by
 // target residue (the out-of-alphabet entry at the alphabet size scores
 // the matrix minimum; the unused tail is biased zero).
 func (k *Kernel) laneProfile(prof []byte) {
@@ -330,7 +343,7 @@ func (k *Kernel) laneProfile(prof []byte) {
 	clear(prof)
 	for i, c := range k.query {
 		qi := byte(alpha.Index(c))
-		row := prof[i*laneCount : (i+1)*laneCount]
+		row := prof[i*laneRow : (i+1)*laneRow]
 		for r := range alpha.Size() {
 			row[r] = uint8(k.scheme.Matrix.ScoreIndex(byte(r), qi) + k.bias)
 		}

@@ -5,13 +5,16 @@ package farrar
 // may call it.
 //
 //go:noescape
-func lanesAVX2(prof, cols, he, harvest []byte, vmax *[laneCount]byte, bias, gapOE, gapE int) (slots int)
+func lanesAVX2(prof, cols, he, harvest, vmax []byte, bias, gapOE, gapE int) (slots int)
 
-// nativeLanes is the lane kernel this host runs: lanesAVX2 with AVX2, none
-// without.
+// nativeLanes is the lane kernel this host runs: lanes64 with AVX-512 BW
+// and VBMI, lanesAVX2 with AVX2 only, none without.
 var nativeLanes = func() laneKernel {
-	if hasAVX2 {
-		return lanesAVX2
+	switch {
+	case hasAVX512VBMI:
+		return laneKernel{64, lanes64}
+	case hasAVX2:
+		return laneKernel{32, lanesAVX2}
 	}
-	return nil
+	return laneKernel{}
 }()

@@ -1,6 +1,6 @@
 #include "textflag.h"
 
-// func lanesAVX2(prof, cols, he, harvest []byte, vmax *[32]byte, bias, gapOE, gapE int) (slots int)
+// func lanesAVX2(prof, cols, he, harvest, vmax []byte, bias, gapOE, gapE int) (slots int)
 //
 // The lane kernel (lanes.go): one database sequence per byte lane, one
 // target column per pass over the query rows. The score gather
@@ -26,7 +26,7 @@
 //	Y0 idx   Y1 sel   Y2 keep   Y3 vBias   Y4 vGapOE   Y5 vGapE
 //	Y6 vMax  Y7 diag  Y8 H      Y9 E       Y10 F       Y12, Y13 score
 //	Y15 laneStart splat
-TEXT ·lanesAVX2(SB), NOSPLIT, $0-136
+TEXT ·lanesAVX2(SB), NOSPLIT, $0-152
 	MOVQ prof_base+0(FP), SI
 	MOVQ prof_len+8(FP), R8
 	MOVQ cols_base+24(FP), CX
@@ -35,18 +35,18 @@ TEXT ·lanesAVX2(SB), NOSPLIT, $0-136
 	MOVQ he_base+48(FP), DI
 	MOVQ harvest_base+72(FP), R9
 	MOVQ R9, R13
-	MOVQ vmax+96(FP), BX
+	MOVQ vmax_base+96(FP), BX
 	VMOVDQU (BX), Y6
 	LEAQ (SI)(R8*1), R12
 
 	// Splat the byte constants.
-	MOVQ bias+104(FP), AX
+	MOVQ bias+120(FP), AX
 	VMOVQ AX, X3
 	VPBROADCASTB X3, Y3
-	MOVQ gapOE+112(FP), AX
+	MOVQ gapOE+128(FP), AX
 	VMOVQ AX, X4
 	VPBROADCASTB X4, Y4
-	MOVQ gapE+120(FP), AX
+	MOVQ gapE+136(FP), AX
 	VMOVQ AX, X5
 	VPBROADCASTB X5, Y5
 	MOVQ $0x40, AX
@@ -104,5 +104,5 @@ row:
 	VZEROUPPER
 	SUBQ R13, R9
 	SHRQ $5, R9
-	MOVQ R9, slots+128(FP)
+	MOVQ R9, slots+144(FP)
 	RET

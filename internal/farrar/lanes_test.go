@@ -11,36 +11,38 @@ import (
 	"repro/internal/sw"
 )
 
-// lanePaths returns the lane kernels this host runs, keyed by name: the
-// emulated oracle always, the AVX2 assembly where the probe found it.
+// laneWidths are the lane kernels' widths: a YMM and a ZMM register.
+var laneWidths = []int{32, 64}
+
+// emulatedLanes is the emulated oracle at width w.
+func emulatedLanes(w int) laneKernel { return laneKernel{w, scoreLanesEmulated} }
+
+// lanePaths returns the lane kernels the tests run, keyed by name: the
+// emulated oracle at both widths on every host, and each native kernel
+// the host runs (hostLanes).
 func lanePaths() map[string]laneKernel {
-	paths := map[string]laneKernel{"emulated": scoreLanesEmulated}
-	if nativeLanes != nil {
-		paths["avx2"] = nativeLanes
+	paths := map[string]laneKernel{"emulated32": emulatedLanes(32), "emulated64": emulatedLanes(64)}
+	for name, kern := range hostLanes() {
+		paths[name] = kern
 	}
 	return paths
 }
 
-// skipWithoutLanes skips tb on a host that cannot run the lane assembly.
-func skipWithoutLanes(tb testing.TB) {
-	tb.Helper()
-	if nativeLanes == nil {
-		tb.Skip("host lacks AVX2: the lane kernel cannot run here")
+// laneRun runs kern over layout l for k's query, chunk columns per call,
+// and returns what it harvested: the slots and the final maxima.
+func laneRun(k *Kernel, l *laneLayout, kern laneKernel, chunk int) (harvest, vmax []byte) {
+	m, w := len(k.query), l.width
+	if kern.width != w {
+		panic(fmt.Sprintf("a %d-lane kernel on a %d-lane layout", kern.width, w))
 	}
-}
-
-// laneRun runs kernel run over layout l for k's query, chunk columns per
-// call, and returns what it harvested: the slots and the final maxima.
-func laneRun(k *Kernel, l *laneLayout, run laneKernel, chunk int) (harvest []byte, vmax [laneCount]byte) {
-	m := len(k.query)
-	prof, he := make([]byte, laneCount*m), make([]byte, 2*laneCount*m)
+	prof, he := make([]byte, laneRow*m), make([]byte, 2*w*m)
 	k.laneProfile(prof)
-	harvest = make([]byte, l.slots*laneCount)
+	harvest, vmax = make([]byte, l.slots*w), make([]byte, w)
 	gapOE, gapE := k.scheme.Gap.Open+k.scheme.Gap.Extend, k.scheme.Gap.Extend
 	slots := 0
-	for c := 0; c < len(l.cols); c += chunk * laneCount {
-		e := min(c+chunk*laneCount, len(l.cols))
-		slots += run(prof, l.cols[c:e], he, harvest[slots*laneCount:], &vmax, k.bias, gapOE, gapE)
+	for c := 0; c < len(l.cols); c += chunk * w {
+		e := min(c+chunk*w, len(l.cols))
+		slots += kern.run(prof, l.cols[c:e], he, harvest[slots*w:], vmax, k.bias, gapOE, gapE)
 	}
 	if slots != l.slots {
 		panic(fmt.Sprintf("kernel wrote %d harvest slots, layout has %d", slots, l.slots))
@@ -48,33 +50,44 @@ func laneRun(k *Kernel, l *laneLayout, run laneKernel, chunk int) (harvest []byt
 	return harvest, vmax
 }
 
-// batchScores scores targets with a fresh copy of k through scoreBatch on
-// lane kernel run, stepping every cells.
-func batchScores(k *Kernel, targets [][]byte, run laneKernel, every int64) ([]int, Stats, PathCells) {
+// laneBatch is NewBatch laid out for lane kernel kern, so the tests can
+// run the emulated oracle, or a native kernel the host runs, through
+// ScoreBatch.
+func laneBatch(targets [][]byte, a *seq.Alphabet, kern laneKernel) *Batch {
+	return &Batch{targets: targets, lanes: buildLanes(targets, a, kern.width), kern: kern}
+}
+
+// batchScores scores targets with a fresh copy of k through ScoreBatch on
+// lane kernel kern, stepping every cells.
+func batchScores(k *Kernel, targets [][]byte, kern laneKernel, every int64) ([]int, Stats, PathCells) {
 	c := *k
 	c.buf, c.stats, c.cells = nil, Stats{}, PathCells{}
 	scores := make([]int, len(targets))
-	c.scoreBatch(targets, buildLanes(targets, k.scheme.Matrix.Alphabet()), scores, every, func(int64) bool { return true }, run)
+	c.ScoreBatch(laneBatch(targets, k.scheme.Matrix.Alphabet(), kern), scores, every, func(int64) bool { return true })
 	return scores, c.stats, c.cells
 }
 
 // checkLanes is the lane path's differential check for one query against
-// one batch: the lane assembly, where the host runs it, must harvest the
-// same bytes as the emulated oracle, in one call and in chunks of one
-// and seven columns, and
-// the batch path must land on sw.Score for every target with the tier
-// Stats of the striped ladder.
+// one batch: at each width, every native lane kernel the host runs must
+// harvest the same bytes as the emulated oracle, in one call and in
+// chunks of one and seven columns, and the batch path must land on
+// sw.Score for every target with the tier Stats of the striped ladder, on
+// every kernel of lanePaths.
 func checkLanes(t *testing.T, k *Kernel, targets [][]byte) {
 	t.Helper()
-	if l := buildLanes(targets, k.scheme.Matrix.Alphabet()); l != nil && k.tier8 {
-		wantH, wantV := laneRun(k, l, scoreLanesEmulated, len(l.cols))
-		for path, run := range lanePaths() {
-			if path == "emulated" {
-				continue // the reference itself
+	for _, w := range laneWidths {
+		l := buildLanes(targets, k.scheme.Matrix.Alphabet(), w)
+		if l == nil || !k.tier8 {
+			break
+		}
+		wantH, wantV := laneRun(k, l, emulatedLanes(w), len(l.cols))
+		for path, kern := range hostLanes() {
+			if kern.width != w {
+				continue
 			}
-			for _, chunk := range []int{len(l.cols), 1, 7} {
-				h, v := laneRun(k, l, run, chunk)
-				if !bytes.Equal(h, wantH) || v != wantV {
+			for _, chunk := range []int{len(l.cols) / w, 1, 7} {
+				h, v := laneRun(k, l, kern, chunk)
+				if !bytes.Equal(h, wantH) || !bytes.Equal(v, wantV) {
 					t.Fatalf("%s lanes (chunk %d) harvested differently from the emulated oracle\nq=%s", path, chunk, k.query)
 				}
 			}
@@ -89,9 +102,9 @@ func checkLanes(t *testing.T, k *Kernel, targets [][]byte) {
 			t.Fatalf("striped ladder target %d: %d, reference %d", i, got, want[i])
 		}
 	}
-	for path, run := range lanePaths() {
+	for path, kern := range lanePaths() {
 		for _, every := range []int64{1 << 22, 1} {
-			got, st, _ := batchScores(k, targets, run, every)
+			got, st, _ := batchScores(k, targets, kern, every)
 			for i := range targets {
 				if got[i] != want[i] {
 					t.Fatalf("%s batch (every %d) target %d (%d aa): %d, reference %d\nq=%s\nd=%s",
@@ -102,6 +115,42 @@ func checkLanes(t *testing.T, k *Kernel, targets [][]byte) {
 				t.Fatalf("%s batch stats %+v, striped ladder %+v", path, st, ref.stats)
 			}
 		}
+	}
+}
+
+// TestHostKernels names the native paths this host runs, pins the lane
+// width NewBatch lays out for to the probe (64 with AVX-512 VBMI, 32 with
+// AVX2 only, none otherwise), and checks each lane width on a small
+// batch: natively where the host has the kernel (against the emulated
+// oracle), and otherwise skipped with a message, so a host that cannot
+// run a width says so in a -v log instead of passing silently. The
+// emulated oracle checks both widths on every host in the other lane
+// tests.
+func TestHostKernels(t *testing.T) {
+	t.Logf("ISA() = %s; NewBatch lays out %d lanes", ISA(), nativeLanes.width)
+	want := map[string]int{"avx512vbmi": 64, "avx2": 32}[ISA()]
+	got := 0
+	if b := NewBatch([][]byte{[]byte("MKVLAG")}, protScheme().Matrix.Alphabet()); b.lanes != nil {
+		got = b.lanes.width
+	}
+	if nativeLanes.width != want || got != want {
+		t.Fatalf("ISA %s: the native lane kernel has %d lanes and NewBatch laid out %d, want %d", ISA(), nativeLanes.width, got, want)
+	}
+	rng := rand.New(rand.NewSource(0x405))
+	q := randProtein(rng, 48)
+	k, _ := kernelPair(t, q, protScheme())
+	targets := randBatch(rng, q, 300, 400, 0.02)
+	for _, w := range laneWidths {
+		t.Run(fmt.Sprintf("lanes%d", w), func(t *testing.T) {
+			for name, kern := range hostLanes() {
+				if kern.width == w {
+					t.Logf("%d lanes run natively (%s), checked against the emulated oracle", w, name)
+					checkLanes(t, k, targets)
+					return
+				}
+			}
+			t.Skipf("host lacks the %d-lane kernel's ISA: %d lanes are checked through the emulated oracle only", w, w)
+		})
 	}
 }
 
@@ -130,9 +179,6 @@ func randBatch(rng *rand.Rand, q []byte, n, maxLen int, foreign float64) [][]byt
 // batches × the differential schemes, with empty and one-residue targets,
 // foreign bytes and length-1 queries.
 func TestLanesMatchScalar(t *testing.T) {
-	if nativeLanes == nil {
-		t.Log("host lacks AVX2: the lane tests check the emulated oracle only")
-	}
 	rng := rand.New(rand.NewSource(0x1A4E))
 	for si, s := range diffSchemes(t) {
 		for iter := 0; iter < 6; iter++ {
@@ -156,13 +202,14 @@ func TestLanesRefillBoundaries(t *testing.T) {
 	q := randProtein(rng, 37)
 	k, _ := kernelPair(t, q, protScheme())
 	var targets [][]byte
-	for i := 0; i < 2000; i++ {
+	for i := 0; i < 6000; i++ { // enough to keep 64 lanes refilling for a while
 		targets = append(targets, randProtein(rng, 1+rng.Intn(4)))
 	}
 	targets = append(targets, mutate(rng, q, 0.1), randProtein(rng, 400))
-	l := buildLanes(targets, k.scheme.Matrix.Alphabet())
-	if l.slots < 100 {
-		t.Fatalf("layout has %d harvest slots; the test wants many refill columns", l.slots)
+	for _, w := range laneWidths {
+		if l := buildLanes(targets, k.scheme.Matrix.Alphabet(), w); l.slots < 100 {
+			t.Fatalf("%d-lane layout has %d harvest slots; the test wants many refill columns", w, l.slots)
+		}
 	}
 	checkLanes(t, k, targets)
 }
@@ -180,15 +227,15 @@ func TestLanesLengthThresholds(t *testing.T) {
 		randProtein(rng, 50),
 	}
 	// The cell split needs a lane kernel but not the oracle's slowness.
-	run := lanePaths()["avx2"]
-	if run == nil {
-		run = scoreLanesEmulated
+	kern := nativeLanes
+	if kern.run == nil {
+		kern = emulatedLanes(32)
 	}
 	for _, m := range []int{1, laneMaxQuery - 1, laneMaxQuery, laneMaxQuery + 1} {
 		q := randProtein(rng, m)
 		targets[3] = mutate(rng, q[:min(m, 40)], 0.2)
 		k, _ := kernelPair(t, q, protScheme())
-		_, _, cells := batchScores(k, targets, run, 1<<22)
+		_, _, cells := batchScores(k, targets, kern, 1<<22)
 		var wantTotal int64
 		for _, d := range targets {
 			wantTotal += int64(m) * int64(len(d))
@@ -223,29 +270,41 @@ func TestLanesAtCeiling(t *testing.T) {
 		targets = append(targets, bytes.Repeat([]byte("A"), n), []byte("CDE"))
 	}
 	checkLanes(t, k, targets)
-	_, st, _ := batchScores(k, targets, scoreLanesEmulated, 1<<22)
-	if want := (Stats{Scored8: 11, Fallback16: 3}); st != want {
-		t.Fatalf("stats %+v, want %+v", st, want)
+	for _, w := range laneWidths {
+		if _, st, _ := batchScores(k, targets, emulatedLanes(w), 1<<22); st != (Stats{Scored8: 11, Fallback16: 3}) {
+			t.Fatalf("%d lanes: stats %+v, want %+v", w, st, Stats{Scored8: 11, Fallback16: 3})
+		}
 	}
 }
 
-// TestLanesCancel pins that a step returning false stops the batch
-// within one chunk: no further step, and the lane cells already done are
-// at most one chunk past the cells at which it was told to stop.
+// TestLanesCancel pins that the lanes step about every every cells at
+// both widths, and that a step returning false stops the batch within one
+// chunk: the first step reports at most every cells, and after the step
+// that returns false there is no further step. slave's
+// TestSearchRangeCancelWithinChunk relies on it at the host's width.
 func TestLanesCancel(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xCA))
 	q := randProtein(rng, 20)
 	k, _ := kernelPair(t, q, protScheme())
 	targets := randBatch(rng, q, 200, 300, 0)
 	targets = append(targets, randProtein(rng, laneMaxTarget+200))
-	const every = 20 * laneCount * 20 // 20 columns
-	for path, run := range lanePaths() {
+	const every = 20 * 64 * 20 // 20 columns of 64 lanes
+	for path, kern := range lanePaths() {
 		calls := 0
+		var first int64
 		c := *k
-		ok := c.scoreBatch(targets, buildLanes(targets, c.scheme.Matrix.Alphabet()), make([]int, len(targets)), every,
-			func(int64) bool { calls++; return calls < 3 }, run)
+		ok := c.ScoreBatch(laneBatch(targets, c.scheme.Matrix.Alphabet(), kern), make([]int, len(targets)), every,
+			func(cells int64) bool {
+				if calls++; calls == 1 {
+					first = cells
+				}
+				return calls < 3
+			})
 		if ok || calls != 3 {
-			t.Fatalf("%s: scoreBatch returned %v after %d steps, want false after 3", path, ok, calls)
+			t.Fatalf("%s: ScoreBatch returned %v after %d steps, want false after 3", path, ok, calls)
+		}
+		if first <= 0 || first > every {
+			t.Fatalf("%s: first step at %d cells, want within one chunk of %d", path, first, every)
 		}
 	}
 }

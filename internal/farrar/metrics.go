@@ -32,7 +32,7 @@ type Metrics struct {
 // NewMetrics registers (or re-attaches to) the kernel families on r; the
 // gauge farrar_isa_info{isa=ISA()} 1 names the host's native kernel.
 func NewMetrics(r *metrics.Registry) *Metrics {
-	r.GaugeVec("farrar_isa_info", "Native 8-bit kernel this host runs (avx2, sse2 or swar); always 1.", "isa").With(ISA()).Set(1)
+	r.GaugeVec("farrar_isa_info", "Widest native 8-bit kernel this host runs (avx512vbmi, avx2, sse2 or swar); always 1.", "isa").With(ISA()).Set(1)
 	return &Metrics{
 		Fallback: r.CounterVec("farrar_fallback_total",
 			"Sequences resolved per kernel tier of the 8/16/scalar overflow ladder.", "tier"),

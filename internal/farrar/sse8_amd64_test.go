@@ -73,7 +73,11 @@ func TestNewKernelPicksPath(t *testing.T) {
 			t.Errorf("m=%d: the first Score packed %d lanes, want %d (AVX2 %v)", m, k.native.lanes, want, hasAVX2)
 		}
 	}
-	if want := map[bool]string{true: "avx2", false: "sse2"}[hasAVX2]; ISA() != want {
+	want := map[bool]string{true: "avx2", false: "sse2"}[hasAVX2]
+	if hasAVX512VBMI {
+		want = "avx512vbmi" // the widest path is the 64-lane scan; striped stays AVX2
+	}
+	if ISA() != want {
 		t.Errorf("ISA() = %q, want %q", ISA(), want)
 	}
 }

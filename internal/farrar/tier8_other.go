@@ -13,6 +13,6 @@ func (k *Kernel) scoreNative8(target []byte) (int, bool) { return k.ScoreSWAR8(t
 // ISA names the native 8-bit kernel this host runs: "swar" off amd64.
 func ISA() string { return "swar" }
 
-// nativeLanes is nil: the lane kernel is AVX2 assembly, so every target
-// takes the striped path.
+// nativeLanes is the zero laneKernel: the lane kernels are amd64
+// assembly, so every target takes the striped path.
 var nativeLanes laneKernel

@@ -9,3 +9,6 @@ func hostPaths(k *Kernel) map[string]*Kernel {
 	c.buf, c.stats = nil, Stats{}
 	return map[string]*Kernel{ISA(): &c}
 }
+
+// hostLanes is empty: off amd64 no native lane kernel runs.
+func hostLanes() map[string]laneKernel { return nil }

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strings"
 
-	hybridsw "repro"
 	"repro/internal/cluster"
 	"repro/internal/fasta"
 	"repro/internal/jobs"
@@ -42,7 +41,7 @@ func (e fleetExecutor) Execute(ctx context.Context, req jobs.Request) ([]byte, e
 	}
 	p.AlignBest = req.Align
 	p.Mode = req.Mode
-	p.Filter = hybridsw.FilterSpec{K: req.FilterK, Margin: req.FilterMargin}
+	p.Filter.K, p.Filter.Margin = req.FilterK, req.FilterMargin
 	params := p.Params()
 	params.OnShards = func(shards []cluster.ShardStatus) {
 		s.jobs.SetShards(ctx, viewShards(shards))

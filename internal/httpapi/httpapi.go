@@ -275,8 +275,9 @@ type SearchRequest struct {
 	// hits sharing no seed k-mer with the query).
 	Mode string `json:"mode,omitempty"`
 	// FilterK and FilterMargin tune filtered mode: seed k-mer length and
-	// window margin in residues (0 = engine defaults). Any k >= 1 works; a
-	// k longer than the query clamps to the query length.
+	// window margin in residues (0 = the server platform's Filter, whose
+	// zero fields are the prefilter defaults). Any k >= 1 works; a k
+	// longer than the query clamps to the query length.
 	FilterK      int `json:"filter_k,omitempty"`
 	FilterMargin int `json:"filter_margin,omitempty"`
 	// Priority orders the tenant's job queue: higher runs first, FIFO
@@ -394,7 +395,8 @@ func (s *Server) decodeSearch(w http.ResponseWriter, r *http.Request) (jreq jobs
 	}
 	// One search, one cache key: the mode and filter fields are written in
 	// the one form the search reads them in, so equivalent requests share a
-	// key and coalesce. An omitted mode is the platform's.
+	// key and coalesce. An omitted mode, filter_k or filter_margin is the
+	// platform's.
 	if req.Mode == "" {
 		req.Mode = s.platform.Mode
 	}
@@ -402,6 +404,12 @@ func (s *Server) decodeSearch(w http.ResponseWriter, r *http.Request) (jreq jobs
 	case "", "full":
 		req.Mode, req.FilterK, req.FilterMargin = "full", 0, 0
 	case "filtered":
+		if req.FilterK == 0 {
+			req.FilterK = s.platform.Filter.K
+		}
+		if req.FilterMargin == 0 {
+			req.FilterMargin = s.platform.Filter.Margin
+		}
 		spec := prefilter.Spec{K: req.FilterK, Margin: req.FilterMargin}.Normalize()
 		req.FilterK, req.FilterMargin = spec.K, spec.Margin
 		if spec.Margin == 0 {

@@ -542,3 +542,64 @@ func TestEquivalentSearchesShareACacheKey(t *testing.T) {
 		}
 	}
 }
+
+// TestPlatformFilterFillsOmittedFields: a filtered request's omitted
+// filter_k and filter_margin take the server's Platform.Filter, an
+// explicit field wins over it, and an omitted field shares its cache key
+// with the same field given explicitly as the platform's value.
+func TestPlatformFilterFillsOmittedFields(t *testing.T) {
+	p := dataset.Profile{Name: "t", NumSeqs: 20, MeanLen: 70, SigmaLn: 0.5, MinLen: 20, MaxLen: 200}
+	db := dataset.Generate(p, 42)
+	serve := func(f hybridsw.FilterSpec) string {
+		s, err := NewWithOptions("test-db", db, hybridsw.Platform{SSECores: 1, Filter: f}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(func() {
+			ts.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			_ = s.Close(ctx)
+		})
+		return ts.URL
+	}
+	custom, plain := serve(hybridsw.FilterSpec{K: 6, Margin: 8}), serve(hybridsw.FilterSpec{})
+	key := func(url string, req SearchRequest) string {
+		t.Helper()
+		resp, body := do(t, "POST", url+"/jobs", req)
+		var v JobView
+		if err := json.Unmarshal(body, &v); err != nil || resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
+			t.Fatalf("submit %+v: %d %s", req, resp.StatusCode, body)
+		}
+		return v.Key
+	}
+	report := func(url string, req SearchRequest) FilterReport {
+		t.Helper()
+		resp, body := post(t, url+"/search", req)
+		var out SearchResponse
+		if err := json.Unmarshal(body, &out); err != nil || resp.StatusCode != http.StatusOK || out.Filter == nil {
+			t.Fatalf("search %+v: %d %s", req, resp.StatusCode, body)
+		}
+		return *out.Filter
+	}
+	omitted := SearchRequest{QueriesFasta: fmt.Sprintf(">q\n%s\n", db[5].Residues), TopK: 3, Mode: "filtered"}
+	platform, defaults := omitted, omitted
+	platform.FilterK, platform.FilterMargin = 6, 8
+	defaults.FilterK, defaults.FilterMargin = prefilter.DefaultK, prefilter.DefaultMargin
+	if a, b := key(custom, omitted), key(custom, platform); a != b {
+		t.Errorf("omitted fields keyed %s, the platform's values given explicitly %s", a, b)
+	}
+	if a, b := key(custom, defaults), key(custom, omitted); a == b {
+		t.Errorf("explicit prefilter defaults share the key %s of omitted fields on a server whose platform differs", a)
+	}
+	if got, want := report(custom, omitted), report(plain, platform); got != want {
+		t.Errorf("omitted fields filtered as %+v, the platform's k 6 and margin 8 as %+v", got, want)
+	}
+	if got, want := report(custom, defaults), report(plain, omitted); got != want {
+		t.Errorf("explicit defaults filtered as %+v on the custom server, as %+v on the plain one", got, want)
+	}
+	if a, b := report(plain, omitted), report(plain, platform); a == b {
+		t.Fatalf("k 6 margin 8 and the defaults filter alike (%+v): the test cannot tell them apart", a)
+	}
+}

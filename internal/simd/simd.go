@@ -205,11 +205,13 @@ func HMaxI16(a I16x8) int16 {
 	return m
 }
 
-// The byte shuffle, blend, mask and word-shift operations below are the
-// inter-sequence lane kernel's score gather and lane reset
+// The byte shuffle, blend, mask, word-shift and permute operations below
+// are the inter-sequence lane kernels' score gathers and lane resets
 // (farrar.scoreLanesEmulated): one database sequence per byte lane, so
 // the score of each lane's residue is looked up in the query residue's
-// matrix row rather than loaded from a striped profile.
+// matrix row rather than loaded from a striped profile. PermuteU8 is an
+// AVX-512 VBMI instruction, the 64-lane kernel's gather; the others are
+// the 32-lane kernel's SSSE3/SSE4.1/AVX2 ones on 16-lane halves.
 
 // ShuffleU8 picks a byte of a for every lane of idx (_mm_shuffle_epi8):
 // lane i gets a[idx[i]&15], or 0 when idx[i] has its top bit set. Bits
@@ -265,6 +267,19 @@ func ShiftWordsLeftU8(a U8x16, n int) U8x16 {
 	for i := 0; i < 16; i += 2 {
 		w := (uint16(a[i]) | uint16(a[i+1])<<8) << n
 		out[i], out[i+1] = uint8(w), uint8(w>>8)
+	}
+	return out
+}
+
+// PermuteU8 picks a byte of the 64-byte table for every lane of idx
+// (_mm512_permutexvar_epi8, AVX-512 VBMI's VPERMB): lane i gets
+// table[idx[i]&63]; bits 6-7 of an index are ignored. It is the gather of
+// the 64-lane kernel, one ZMM register's worth of lanes at a time: four
+// calls on the four 16-lane quarters of idx model one instruction.
+func PermuteU8(table [64]uint8, idx U8x16) U8x16 {
+	var out U8x16
+	for i, x := range idx {
+		out[i] = table[x&63]
 	}
 	return out
 }

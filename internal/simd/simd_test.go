@@ -249,6 +249,24 @@ func TestShuffleU8(t *testing.T) {
 	}
 }
 
+func TestPermuteU8(t *testing.T) {
+	var table [64]uint8
+	for i := range table {
+		table[i] = uint8(200 - i)
+	}
+	var idx U8x16
+	for i := range idx {
+		idx[i] = uint8(3 * i)
+	}
+	idx[0] = 0x40 | 7  // bit 6 ignored
+	idx[1] = 0x80 | 63 // bit 7 ignored too: no zeroing, unlike ShuffleU8
+	idx[2] = 32        // the table's upper half
+	got := PermuteU8(table, idx)
+	if got[0] != 193 || got[1] != 137 || got[2] != 168 || got[3] != 191 || got[15] != 155 {
+		t.Errorf("PermuteU8 = %v", got)
+	}
+}
+
 func TestBlendAndGtI8(t *testing.T) {
 	a, b := SplatU8(1), SplatU8(2)
 	var mask U8x16

@@ -51,8 +51,12 @@ type Options struct {
 	Sleep func(time.Duration)
 	// Done, when non-nil, ends the session: once it closes, the in-flight
 	// scan is aborted through its cancel channel, queued tasks are skipped
-	// and a standby ends early, and Run returns nil within one database
-	// sequence's scoring time without sending the master another Request.
+	// and a standby ends early, and Run returns nil without sending the
+	// master another Request as soon as the engine next checks cancel. A
+	// FarrarEngine range task checks it every progressChunk (about 4
+	// million) cells of lane or striped work, which on the benchmark
+	// database is hundreds of sequences, and a filtered task between its
+	// prefilter and its rescore (TestSearchRangeCancelWithinChunk).
 	// Without it a slave learns the job is over from its next
 	// acknowledgement — a progress notification at the earliest — which a
 	// task shorter than the notification interval never sends. An
