@@ -37,17 +37,21 @@ lint-cover:
 	go test -coverprofile=analysis.cover.out ./internal/analysis
 	$(call covfloor,analysis.cover.out,80)
 
-# Code size, the number ROADMAP aim 2 tracks: lines of non-test Go source
-# outside bench/ and testdata/. With BASE=<rev> set on the command line
-# or in the environment (not bench-pair's default below), a second line
-# gives the count at <rev>, read from git: `make loc BASE=HEAD~1`.
+# Code size, the numbers ROADMAP aim 2 tracks: lines of non-test Go source
+# outside bench/ and testdata/, then lines of assembly (`.s`). With
+# BASE=<rev> set on the command line or in the environment (not
+# bench-pair's default below), two more lines give both counts at <rev>,
+# read from git: `make loc BASE=HEAD~1`.
 LOC_FILTER = grep -v -e '_test\.go$$' -e '^bench/' -e '/testdata/'
 loc:
 	@git ls-files '*.go' | $(LOC_FILTER) | xargs cat | wc -l
+	@echo "$$(git ls-files '*.s' | $(LOC_FILTER) | xargs -r cat | wc -l) assembly"
 	@if [ "$(origin BASE)" != file ]; then \
 		git rev-parse -q --verify '$(BASE)^{commit}' >/dev/null || { echo "loc: no commit $(BASE)" >&2; exit 1; }; \
-		n=$$(git ls-tree -r --name-only $(BASE) | grep '\.go$$' | $(LOC_FILTER) | sed 's|^|$(BASE):|' | xargs git show | wc -l) && \
-		echo "$$n at $(BASE)"; \
+		for ext in go s; do \
+			n=$$(git ls-tree -r --name-only $(BASE) | grep "\.$$ext\$$" | $(LOC_FILTER) | sed 's|^|$(BASE):|' | xargs -r git show | wc -l) || exit 1; \
+			if [ $$ext = go ]; then echo "$$n at $(BASE)"; else echo "$$n assembly at $(BASE)"; fi; \
+		done; \
 	fi
 
 # Dead-code gate: every function declared outside tests must be linked by
@@ -126,7 +130,7 @@ fuzz = $(call listed,$(1),$(2)); go test -run='^$$' -fuzz='$(1)' -fuzztime=10s $
 # consume untrusted or crash-corrupted bytes (the wire codec and the jobs
 # WAL replayer) plus the two differential fuzzers: the Farrar kernel one,
 # which drives random sequences and gap schemes through the full
-# AVX2/SSE2/SWAR/emulated/scalar ladder and fails on any score divergence, the
+# AVX2/SWAR/emulated/scalar ladder and fails on any score divergence, the
 # lane one, which packs random batches (refill boundaries, the length
 # threshold, foreign bytes, lanes at the 8-bit ceiling) onto the
 # inter-sequence lanes and requires the AVX2 kernel's harvest from the
@@ -158,22 +162,18 @@ fuzz-smoke:
 	$(call fuzz,FuzzRangeCut,./internal/cluster)
 	$(call fuzz,FuzzSearchVsBruteForce,./internal/cluster)
 
-# Fast kernel health check: the Score8/Score16 microbenchmarks (AVX2 and
-# SSE2 on amd64, SWAR and emulated, so a vanished speedup is visible at a
-# glance), one pass of the SSE2/AVX2 query-length sweep behind
-# avx2MinQuery (Score8ByLen, skipped by the first line), one pass of the
-# lanes-against-striped sweep behind laneMaxQuery (LanesByLen), ScoreDB (the
-# kernel on the serving benchmark's planted queries and database, MCUPS and
-# allocs per database sequence), the prefilter seed-table microbenchmark
+# Fast kernel health check: the Score8/Score16 microbenchmarks (AVX2 where
+# the host has it, SWAR and emulated, so a vanished speedup is visible at a
+# glance), one pass of the lanes-against-striped sweep behind laneMaxQuery
+# (LanesByLen), ScoreDB (the kernel on the serving benchmark's planted
+# queries and database, MCUPS and allocs per database sequence), the prefilter seed-table microbenchmark
 # (residues/s over a 1-MiB stream at k = 4 and 5, and the cost of compiling
 # a 200 aa query's Filter), plus the coverage floor over the kernel and
 # prefilter packages only. Each benchmark line fails if its pattern names
 # no benchmark. Cheap enough for every PR, unlike the full `bench` archive run.
 bench-smoke:
 	$(call listed,BenchmarkScore(8|16|DB),./internal/farrar)
-	go test -bench='BenchmarkScore(8|16|DB)' -skip='ByLen' -benchmem -run='^$$' ./internal/farrar
-	$(call listed,BenchmarkScore8ByLen,./internal/farrar)
-	go test -bench='BenchmarkScore8ByLen' -benchtime=1x -run='^$$' ./internal/farrar
+	go test -bench='BenchmarkScore(8|16|DB)' -benchmem -run='^$$' ./internal/farrar
 	$(call listed,BenchmarkLanesByLen,./internal/farrar)
 	go test -bench='BenchmarkLanesByLen' -benchtime=1x -run='^$$' ./internal/farrar
 	$(call listed,BenchmarkSeedScan,./internal/prefilter)

@@ -193,8 +193,8 @@ func BenchmarkKernelFarrarSWAR8(b *testing.B) {
 }
 
 // BenchmarkKernelFarrarScore measures the striped ladder, Kernel.Score,
-// whose 8-bit tier is AVX2 or SSE2 assembly on amd64 (this 128 aa query
-// takes AVX2 where the host has it) and the SWAR kernel elsewhere. An
+// whose 8-bit tier is the AVX2 assembly where the host has AVX2 and the
+// SWAR kernel elsewhere. An
 // engine's scan reaches it through Kernel.ScoreBatch for the targets the
 // inter-sequence lanes leave.
 func BenchmarkKernelFarrarScore(b *testing.B) {

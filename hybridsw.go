@@ -178,7 +178,10 @@ func (p Platform) Params() cluster.Params {
 
 // Search compares every query against the database on an in-process hybrid
 // platform: the master/slave environment runs with real engines on real
-// data, wall-clock time, and the selected allocation policy.
+// data, wall-clock time, and the selected allocation policy. Each call
+// builds a fleet and its ranges' lane layouts anew; for repeated searches
+// over one database, build the fleet once with NewFleet and pass
+// p.Params() to its SearchContext.
 func Search(queries, db []*Sequence, p Platform) (*Report, error) {
 	return SearchContext(context.Background(), queries, db, p)
 }
@@ -187,6 +190,8 @@ func Search(queries, db []*Sequence, p Platform) (*Report, error) {
 // slaves stop asking for new tasks and every in-flight task is aborted, so
 // a cancelled search releases its CPU promptly instead of finishing the
 // whole job. It returns ctx.Err() when cancelled before the job completed.
+// Like Search, each call builds its own fleet and lane layouts; NewFleet
+// is for repeated searches.
 func SearchContext(ctx context.Context, queries, db []*Sequence, p Platform) (*Report, error) {
 	f, err := NewFleet(db, p)
 	if err != nil {

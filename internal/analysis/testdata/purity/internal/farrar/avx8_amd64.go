@@ -1,8 +1,9 @@
 package farrar
 
-// The AVX2 tier's Go file and the CPUID probe that selects it are native
-// kernel files too: the 32-lane assembly transcribes the same emulated
-// ISA as the SSE2 tier.
+// The AVX2 tier's Go file is held to the same rule as swar*.go: its
+// assembly transcribes the emulated ISA, so importing that ISA here would
+// make the oracle its own subject. The CPUID probe that selects it is a
+// native kernel file too.
 
 import (
 	_ "repro/internal/simd" // want "native kernel file avx8_amd64.go imports the emulated ISA"

@@ -2,11 +2,11 @@
 
 // func avx8(prof *byte, rows *[256]uint32, target []byte, segLen int, cols *uint64, bias, gapOE, gapE int) (best int, done bool)
 //
-// sse8 on the 32 unsigned byte lanes of a YMM register, instruction for
-// instruction. The one-lane shift crosses the two 128-bit halves, which
+// The 8-bit striped kernel of ScoreU8 on the 32 unsigned byte lanes of a
+// YMM register. The one-lane shift crosses the two 128-bit halves, which
 // VPALIGNR alone cannot: VPERM2I128 $0x08 builds (low half, zero) and
 // VPALIGNR $15 takes each half's top byte from the half below it.
-// Registers as in sse8, with Y for X:
+// Registers:
 //
 //	SI profile base      R8  residue -> row offset table
 //	DI next target byte  CX  target bytes left
@@ -77,9 +77,9 @@ segment:
 	CMPQ BX, DX
 	JNE segment
 
-	// Lazy-F correction, as in sse8: vF -sat threshold is nonzero exactly
-	// in the lanes where vF is greater, so the column is done when all 32
-	// bytes compare equal to zero.
+	// Lazy-F correction. With no unsigned byte compare, vF -sat threshold
+	// is nonzero exactly where vF is greater. The updates ScoreU8 skips run
+	// always, writing the same values: vMax and E already cover them.
 	VPERM2I128 $0x08, Y1, Y1, Y8
 	VPALIGNR $15, Y8, Y1, Y1
 	XORQ BX, BX
@@ -119,7 +119,7 @@ next:
 
 finish:
 	// Horizontal maximum of vMax: fold the high half onto the low one,
-	// then as in sse8.
+	// then halve the low one down to a byte.
 	VEXTRACTI128 $1, Y3, X8
 	VPMAXUB X8, X3, X3
 	VPSRLDQ $8, X3, X8

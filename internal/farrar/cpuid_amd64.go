@@ -24,16 +24,3 @@ var hasAVX2, hasAVX512VBMI = func() (avx2, vbmi bool) {
 	vbmi = avx2 && xcr0&0xE6 == 0xE6 && b&(1<<16) != 0 && b&(1<<30) != 0 && c7&(1<<1) != 0
 	return avx2, vbmi
 }()
-
-// ISA names the widest native 8-bit kernel this host runs: "avx512vbmi"
-// (the 64-lane database scan beside AVX2 striped), "avx2" or "sse2" on
-// amd64, "swar" elsewhere.
-func ISA() string {
-	switch {
-	case hasAVX512VBMI:
-		return "avx512vbmi"
-	case hasAVX2:
-		return "avx2"
-	}
-	return "sse2"
-}

@@ -73,11 +73,20 @@ func kernelPair(t testing.TB, q []byte, s score.Scheme) (*Kernel, *oracle) {
 	return k, &oracle{k: k}
 }
 
+// hostPath names the striped 8-bit kernel scoreNative8 runs on this host:
+// "avx2" where the probe chose the assembly, "swar" where it chose none.
+func hostPath() string {
+	if nativeStriped == nil {
+		return "swar"
+	}
+	return "avx2"
+}
+
 // checkDifferential runs one (query, target) pair through every tier of
 // the implementations and the scalar reference, failing on any
-// disagreement: per-tier (score, ok) pairs must be identical between
-// every native 8-bit path the host runs (SSE2, and AVX2 where present, on
-// amd64, whatever the query length), SWAR and the emulated oracle; a
+// disagreement: per-tier (score, ok) pairs must be identical between the
+// native 8-bit path the host runs (hostPath), SWAR and the emulated
+// oracle; a
 // target the lane path takes must get the same pair from a lane of every
 // lane kernel (the emulated one at both widths, and the 32- and 64-lane
 // assembly where the host runs it); and the full ladder must land on the
@@ -90,11 +99,9 @@ func checkDifferential(t *testing.T, ks *Kernel, ke *oracle, d []byte, want int)
 		t.Fatalf("8-bit tier diverged: swar=(%d,%v) emulated=(%d,%v)\nq=%s\nd=%s",
 			s8s, ok8s, s8e, ok8e, ks.query, d)
 	}
-	for path, kp := range hostPaths(ks) {
-		if s8n, ok8n := kp.scoreNative8(d); s8n != s8e || ok8n != ok8e {
-			t.Fatalf("8-bit tier diverged: %s=(%d,%v) emulated=(%d,%v)\nq=%s\nd=%s",
-				path, s8n, ok8n, s8e, ok8e, ks.query, d)
-		}
+	if s8n, ok8n := ks.scoreNative8(d); s8n != s8e || ok8n != ok8e {
+		t.Fatalf("8-bit tier diverged: %s=(%d,%v) emulated=(%d,%v)\nq=%s\nd=%s",
+			hostPath(), s8n, ok8n, s8e, ok8e, ks.query, d)
 	}
 	if ks.tier8 && inLanes(len(d)) {
 		for path, kern := range lanePaths() {
@@ -331,11 +338,11 @@ func TestAllPositiveMatrixPadding(t *testing.T) {
 }
 
 // TestSegmentEdgesAndForeignTargetBytes covers the 16-lane segment edges
-// of the SSE2 tier (query lengths 1, 15, 16, 17, 32, 33), the 32-lane ones
-// of the AVX2 tier (31, 63, 64, 65, 97: one and several segments, padding
-// lanes in both 128-bit halves, and 65 just over avx2MinQuery), and
-// target bytes the residue table must route like alpha.Index does: lower
-// case, bytes >= 0x80 and bytes outside the alphabet.
+// of the emulated oracle (query lengths 1, 15, 16, 17, 32, 33), the
+// 32-lane ones of the AVX2 tier (31, 63, 64, 65, 97: one and several
+// segments and padding lanes in both 128-bit halves), and target bytes
+// the residue table must route like alpha.Index does: lower case, bytes
+// >= 0x80 and bytes outside the alphabet.
 func TestSegmentEdgesAndForeignTargetBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x5E6))
 	foreign := []byte{0, '\n', 'J', 'O', 'U', 'a', 'w', 0x7F, 0x80, 0xC1, 0xFF}
@@ -373,6 +380,118 @@ func TestStatsAdd(t *testing.T) {
 	if got.Total() != 66 {
 		t.Fatalf("Total = %d, want 66", got.Total())
 	}
+}
+
+// checkPicksPath checks that the striped path hostPath names is the one
+// a kernel runs: its first Score packs the 32-lane profile of the
+// assembly, whatever the query length, exactly when hostPath says avx2.
+func checkPicksPath(t *testing.T, rng *rand.Rand) {
+	t.Helper()
+	for _, m := range []int{1, 40, 64, 600} {
+		k, err := NewKernel(randProtein(rng, m), protScheme())
+		if err != nil {
+			t.Fatal(err)
+		}
+		k.Score(randProtein(rng, 50))
+		packed := k.native.prof != nil
+		if packed != (hostPath() == "avx2") {
+			t.Fatalf("m=%d: hostPath %s, but the first Score packed the striped profile: %v", m, hostPath(), packed)
+		}
+		if want := (m + stripedLanes - 1) / stripedLanes; packed && k.native.segLen != want {
+			t.Fatalf("m=%d: packed %d segments, want %d", m, k.native.segLen, want)
+		}
+	}
+}
+
+// TestNewKernelPicksPath pins the native paths to the probe's choices: a
+// kernel runs the striped path hostPath names at every query length, the
+// probe chooses the striped assembly exactly where it chooses a lane
+// kernel (both need AVX2), and ISA names the widest kernel chosen.
+func TestNewKernelPicksPath(t *testing.T) {
+	checkPicksPath(t, rand.New(rand.NewSource(0x15A)))
+	if (nativeStriped != nil) != (nativeLanes.run != nil) {
+		t.Fatalf("the probe chose striped %s but lanes of width %d", hostPath(), nativeLanes.width)
+	}
+	striped, lanes := nativeStriped, nativeLanes
+	t.Cleanup(func() { nativeStriped, nativeLanes = striped, lanes })
+	var stub stripedKernel = func(*byte, *[256]uint32, []byte, int, *uint64, int, int, int) (int, bool) { return 0, false }
+	for _, tc := range []struct {
+		width   int
+		striped stripedKernel
+		want    string
+	}{
+		{64, stub, "avx512vbmi"},
+		{32, stub, "avx2"},
+		{0, nil, "swar"},
+	} {
+		nativeStriped, nativeLanes = tc.striped, laneKernel{width: tc.width}
+		if got := ISA(); got != tc.want {
+			t.Errorf("ISA() with %d lanes and striped %v = %q, want %q", tc.width, tc.striped != nil, got, tc.want)
+		}
+	}
+}
+
+// noAVX2 swaps the probe's striped choice to none until t ends, as on an
+// amd64 host without AVX2, and with lanes its lane choice too. It writes
+// package state, so no caller may run in parallel.
+func noAVX2(t *testing.T, lanes bool) {
+	striped, lane := nativeStriped, nativeLanes
+	t.Cleanup(func() { nativeStriped, nativeLanes = striped, lane })
+	nativeStriped = nil
+	if lanes {
+		nativeLanes = laneKernel{}
+	}
+}
+
+// TestNoAVX2Path runs an amd64 host without AVX2 on every host: with the
+// probe's striped choice swapped to none, hostPath names swar and a kernel
+// runs it, and Kernel.Score and ScoreBatch land on sw.Score with the
+// emulated ladder's Stats. Once the lane choice is zeroed too, ISA reads
+// swar and NewBatch lays out no lanes.
+func TestNoAVX2Path(t *testing.T) {
+	rng := rand.New(rand.NewSource(0xA2))
+	check := func(t *testing.T) {
+		if hostPath() != "swar" {
+			t.Fatalf("hostPath() = %q with no striped assembly, want swar", hostPath())
+		}
+		checkPicksPath(t, rng)
+		for si, s := range diffSchemes(t) {
+			q := randProtein(rng, 1+rng.Intn(120))
+			targets := randBatch(rng, q, 60, 200, 0.02)
+			targets = append(targets, randProtein(rng, laneMaxTarget+1), mutate(rng, q, 0.1))
+			ks, ke := kernelPair(t, q, s)
+			kb, _ := kernelPair(t, q, s)
+			got := make([]int, len(targets))
+			kb.ScoreBatch(NewBatch(targets, s.Matrix.Alphabet()), got, 1<<22, func(int64) bool { return true })
+			for i, d := range targets {
+				want := sw.Score(q, d, s)
+				if sc := ks.Score(d); sc != want {
+					t.Fatalf("scheme %d target %d: Score %d, reference %d", si, i, sc, want)
+				}
+				if got[i] != want {
+					t.Fatalf("scheme %d target %d: ScoreBatch %d, reference %d", si, i, got[i], want)
+				}
+				ke.Score(d)
+			}
+			if ks.Stats() != ke.Stats() || kb.Stats() != ke.Stats() {
+				t.Fatalf("scheme %d: Score stats %+v, ScoreBatch %+v, emulated %+v", si, ks.Stats(), kb.Stats(), ke.Stats())
+			}
+		}
+	}
+	t.Run("striped", func(t *testing.T) {
+		noAVX2(t, false)
+		check(t)
+	})
+	t.Run("lanes", func(t *testing.T) {
+		noAVX2(t, true)
+		if ISA() != "swar" {
+			t.Fatalf("ISA() = %q with no native kernel, want swar", ISA())
+		}
+		if b := NewBatch([][]byte{[]byte("MKVLAG")}, protScheme().Matrix.Alphabet()); b.lanes != nil {
+			t.Fatalf("NewBatch laid out %d lanes with no lane kernel", b.lanes.width)
+		}
+		check(t)
+	})
 }
 
 // FuzzFarrarVsScalar fuzzes both kernel implementations against the
@@ -446,6 +565,15 @@ func benchTier(b *testing.B, tier func(*Kernel, []byte) (int, bool)) {
 	if elapsed > 0 {
 		b.ReportMetric(float64(cells)*float64(b.N)/elapsed.Seconds()/1e6, "MCUPS")
 	}
+}
+
+// BenchmarkScore8AVX2 times the striped assembly; it skips b on a host
+// whose probe chose none.
+func BenchmarkScore8AVX2(b *testing.B) {
+	if nativeStriped == nil {
+		b.Skip("host lacks AVX2: the striped assembly cannot run here")
+	}
+	benchTier(b, (*Kernel).scoreNative8)
 }
 
 func BenchmarkScore8SWAR(b *testing.B)      { benchTier(b, (*Kernel).ScoreSWAR8) }

@@ -7,9 +7,6 @@ import (
 	"repro/internal/seq"
 )
 
-// HostPaths exposes hostPaths to the external tests.
-func HostPaths(k *Kernel) map[string]*Kernel { return hostPaths(k) }
-
 // HostLaneWidths returns the widths of the native lane kernels this host
 // runs, narrowest first.
 func HostLaneWidths() []int {

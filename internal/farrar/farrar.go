@@ -12,10 +12,10 @@
 // The package holds the native kernels and the emulated-ISA transcription
 // kept as their oracle:
 //
-//   - on amd64 the 8-bit tier is Farrar's kernel in Go assembly on 16 SSE2
-//     byte lanes, the baseline, or 32 AVX2 ones, transcribing ScoreU8
-//     instruction for instruction. A CPUID probe read once and the query
-//     length pick the width; ISA names the host's widest path.
+//   - on an AVX2 host the 8-bit tier is Farrar's kernel in Go assembly on
+//     32 byte lanes, transcribing ScoreU8 instruction for instruction. A
+//     CPUID probe read once chooses it, and the lane kernels below, the
+//     same way; ISA names the widest kernel it chose.
 //   - on an AVX2 host ScoreBatch, the database scan, scores most targets
 //     on an inter-sequence lane kernel instead (lanes.go): one target per
 //     byte lane, 64 lanes with AVX-512 BW and VBMI and 32 with AVX2 only,
@@ -25,7 +25,8 @@
 //   - the SWAR kernel (ScoreSWAR8, ScoreSWAR16) packs 8 byte lanes — or 4
 //     word lanes in the fallback tier — into a uint64 and computes all
 //     lanes at once with the loop-free bit tricks of internal/simd/swar.
-//     It is the 16-bit tier everywhere and the 8-bit tier off amd64.
+//     It is the 16-bit tier everywhere and the 8-bit tier on any host
+//     without AVX2: arm64, and amd64 without it.
 //   - the oracle (ScoreU8, ScoreI16) runs the same recurrences on the
 //     emulated SSE2 ISA of internal/simd, one Go loop iteration per lane —
 //     slow, but a direct transcription of the SSE original, the bit-exact
@@ -37,7 +38,7 @@
 // 128 so each lane's top bit is a guard bit (see internal/simd/swar), which
 // makes its saturating add clamp at 127: the largest score the tier can
 // certify is ceiling8 = 127 - bias (123 for BLOSUM62), and a score reaching
-// it may have been clipped and escalates. The SSE2/AVX2 tier and the emulated
+// it may have been clipped and escalates. The AVX2 tier and the emulated
 // oracle use full byte lanes but escalate at the same ceiling. The 16-bit
 // tier keeps word lanes below 32768 the same way, certifying scores below
 // ceiling16 = 32767 - bias (the paper's adapted signed variant in the
@@ -113,8 +114,9 @@ type Kernel struct {
 	segLen16 int
 	prof16   [][]simd.I16x8
 
-	// The native 8-bit tier's profile (SSE2/AVX2 on amd64, sse8_amd64.go;
-	// empty elsewhere, where the SWAR profile below is the native one).
+	// The native striped kernel's profile, packed only on a host whose
+	// probe chose one (nativeStriped); elsewhere the SWAR profile below is
+	// the 8-bit tier's.
 	native native8
 
 	// SWAR profiles, one flat row of segLen words per residue. Byte lane l
@@ -187,6 +189,109 @@ func (k *Kernel) scratch(n int) (hLoad, hStore, e []uint64) {
 	b := k.buf[:3*n]
 	clear(b)
 	return b[:n], b[n : 2*n], b[2*n:]
+}
+
+// stripedLanes is the byte lanes of the native striped kernel: the 32 of
+// an AVX2 register.
+const stripedLanes = 32
+
+// stripedKernel is the signature of the native striped 8-bit kernel
+// (avx8_amd64.s), which transcribes ScoreU8 instruction for instruction
+// and escalates at the same ceiling8. It runs over target with the profile
+// at prof and the residue table rows (native8). cols points at three
+// zeroed columns of segLen stripedLanes-byte segments (H load, H store,
+// E). best is the horizontal maximum of every H cell, unbiased; done is
+// false if the lazy-F guard expired.
+type stripedKernel func(prof *byte, rows *[256]uint32, target []byte, segLen int, cols *uint64, bias, gapOE, gapE int) (best int, done bool)
+
+// native8 is the native striped kernel's profile: one flat row of segLen
+// stripedLanes-byte segments per residue (byte l of segment s holds the
+// biased score of query position l*segLen+s, padding lanes biased zero),
+// plus the byte offset of each target byte's row, so the kernel looks a
+// residue up with one load. Out-of-alphabet bytes map to the final
+// all-minimum row.
+type native8 struct {
+	segLen int
+	prof   []byte
+	rows   [256]uint32
+}
+
+// packNative8 packs the native striped kernel's profile and residue table.
+func (k *Kernel) packNative8() {
+	m := len(k.query)
+	n := &k.native
+	n.segLen = (m + stripedLanes - 1) / stripedLanes
+	alpha := k.scheme.Matrix.Alphabet()
+	rowBytes := n.segLen * stripedLanes
+	n.prof = make([]byte, (alpha.Size()+1)*rowBytes)
+	for r := 0; r <= alpha.Size(); r++ {
+		var row []int
+		if r < alpha.Size() {
+			row = k.scheme.Matrix.Row(r)
+		}
+		for s := 0; s < n.segLen; s++ {
+			for l := 0; l < stripedLanes; l++ {
+				qi := l*n.segLen + s
+				if qi >= m {
+					continue // padding lanes hold biased zero so phantom rows never grow
+				}
+				sc := k.scheme.Matrix.Min() // invalid residues score worst, like the scalar reference
+				if row != nil {
+					sc = row[alpha.Index(k.query[qi])]
+				}
+				n.prof[r*rowBytes+s*stripedLanes+l] = uint8(sc + k.bias)
+			}
+		}
+	}
+	for c := range n.rows {
+		ri := alpha.Index(byte(c))
+		if ri < 0 {
+			ri = alpha.Size()
+		}
+		n.rows[c] = uint32(ri * rowBytes)
+	}
+}
+
+// scoreNative8 is the 8-bit tier Kernel.Score tries first: the native
+// striped kernel where the probe chose one, the SWAR kernel otherwise.
+// ok is false when the score reached ceiling8, exactly as for ScoreU8.
+func (k *Kernel) scoreNative8(target []byte) (sc int, ok bool) {
+	if nativeStriped == nil {
+		return k.ScoreSWAR8(target)
+	}
+	if len(target) == 0 {
+		return 0, true
+	}
+	if !k.tier8 {
+		return 0, false
+	}
+	n := &k.native
+	if n.prof == nil {
+		k.packNative8()
+	}
+	// scratch carves the three columns, stripedLanes/8 words per segment,
+	// from one contiguous buffer, the layout the kernel expects.
+	cols, _, _ := k.scratch(stripedLanes / 8 * n.segLen)
+	gapOE, gapE := k.scheme.Gap.Open+k.scheme.Gap.Extend, k.scheme.Gap.Extend
+	best, done := nativeStriped(&n.prof[0], &n.rows, target, n.segLen, &cols[0], k.bias, gapOE, gapE)
+	if !done || best >= k.ceiling8() {
+		return 0, false // guard expired, or a saturating add may have clipped the true score
+	}
+	return best, true
+}
+
+// ISA names the widest native kernel the CPUID probe chose for this host:
+// "avx512vbmi" (the 64-lane database scan beside the AVX2 striped
+// kernel), "avx2", or "swar" where it chose none and the SWAR kernel is
+// the 8-bit tier.
+func ISA() string {
+	switch {
+	case nativeLanes.width == 64:
+		return "avx512vbmi"
+	case nativeStriped != nil:
+		return "avx2"
+	}
+	return "swar"
 }
 
 func (k *Kernel) buildProfile8() {
@@ -285,7 +390,7 @@ func (k *Kernel) Cells(target []byte) int64 {
 }
 
 // ScoreU8 runs the emulated-ISA 8-bit saturating kernel (the oracle for
-// ScoreSWAR8, and on amd64 for its SSE2/AVX2 assembly transcription). ok
+// ScoreSWAR8 and for the AVX2 assembly's transcription of it). ok
 // is false when the score reached ceiling8, the point from which the SWAR
 // kernel may clip.
 func (k *Kernel) ScoreU8(target []byte) (sc int, ok bool) {

@@ -25,7 +25,7 @@ package farrar
 // when the query is laneMaxQuery residues or longer, keep the striped
 // kernel.
 //
-// Like sse8 and avx8, the lane kernels work in biased unsigned bytes and
+// Like the striped avx8, the lane kernels work in biased unsigned bytes and
 // escalate at ceiling8, so a lane's (score, ok) pair is ScoreU8's.
 // swcheck's purity analyzer keeps this file, like the other native kernel
 // files, off the emulated internal/simd ISA; the lane kernels' emulated
@@ -62,9 +62,11 @@ const (
 	// scores every target: there the striped column's fixed cost is
 	// amortised, the lanes' H and E rows outgrow the L1 cache, and striped
 	// AVX2 ties the 32 lanes (BenchmarkLanesByLen, BenchmarkScoreBatchDB).
-	// 64 lanes still run 1.5-1.8x faster than striped AVX2 from 400 to
-	// 1000 aa; the threshold stays until a benchmark workload sends
-	// queries that long.
+	// On a 2-vCPU AVX-512 VBMI Xeon, in GCUPS over 2 runs, 64 lanes led
+	// striped AVX2 at every length up to 5000 aa (1000 aa: 14.5-14.7 vs
+	// 10.4-11.4; 5000 aa: 13.2-13.6 vs 12.0-12.6), while 32 lanes trail it
+	// from about 1000 aa (8.6-9.4 at 1000, 8.4-9.1 at 5000). The threshold
+	// stays until a benchmark workload sends queries of 800 aa or more.
 	laneMaxQuery = 800
 )
 

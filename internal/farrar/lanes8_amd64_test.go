@@ -23,11 +23,11 @@ func hostLanes() map[string]laneKernel {
 
 // BenchmarkLanesByLen is the kernel sweep behind laneMaxQuery: each lane
 // kernel the host runs (lanes32, and lanes64 with AVX-512 VBMI) against
-// striped SSE2 and AVX2 on BenchmarkScore8ByLen's targets (300 random
-// 100-700 aa), one op scoring all of them with the 8-bit tier alone.
-// MCUPS counts real cells only, so idle lanes in the layout's tail cost
-// the lanes their share. The length where avx2 catches up with the lanes
-// is the crossover.
+// the striped AVX2 kernel on 300 random 100-700 aa targets, one op
+// scoring all of them with the 8-bit tier alone, at queries of 10 to 5000
+// aa. MCUPS counts real cells only, so idle lanes in the layout's tail
+// cost the lanes their share. The length where avx2 catches up with a
+// lane width is its crossover.
 func BenchmarkLanesByLen(b *testing.B) {
 	host := hostLanes()
 	if len(host) == 0 {
@@ -49,7 +49,7 @@ func BenchmarkLanesByLen(b *testing.B) {
 	for _, kern := range kernels {
 		layouts[kern.width] = buildLanes(targets, protScheme().Matrix.Alphabet(), kern.width)
 	}
-	for _, m := range []int{10, 25, 40, 64, 100, 200, 400, 600, 800, 1000} {
+	for _, m := range []int{10, 25, 40, 64, 100, 200, 400, 600, 800, 1000, 2000, 5000} {
 		k, err := NewKernel(randProtein(rng, m), protScheme())
 		if err != nil {
 			b.Fatal(err)
@@ -70,20 +70,14 @@ func BenchmarkLanesByLen(b *testing.B) {
 				report(b, start)
 			})
 		}
-		for _, path := range []struct {
-			name  string
-			lanes int
-		}{{"sse2", 16}, {"avx2", 32}} {
-			b.Run(fmt.Sprintf("m=%d/%s", m, path.name), func(b *testing.B) {
-				kp := onLanes(k, path.lanes)
-				start := time.Now()
-				for i := 0; i < b.N; i++ {
-					for _, d := range targets {
-						kp.scoreNative8(d)
-					}
+		b.Run(fmt.Sprintf("m=%d/avx2", m), func(b *testing.B) {
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				for _, d := range targets {
+					k.scoreNative8(d)
 				}
-				report(b, start)
-			})
-		}
+			}
+			report(b, start)
+		})
 	}
 }

@@ -127,7 +127,7 @@ func checkLanes(t *testing.T, k *Kernel, targets [][]byte) {
 // emulated oracle checks both widths on every host in the other lane
 // tests.
 func TestHostKernels(t *testing.T) {
-	t.Logf("ISA() = %s; NewBatch lays out %d lanes", ISA(), nativeLanes.width)
+	t.Logf("ISA() = %s; striped 8-bit path %s; NewBatch lays out %d lanes", ISA(), hostPath(), nativeLanes.width)
 	want := map[string]int{"avx512vbmi": 64, "avx2": 32}[ISA()]
 	got := 0
 	if b := NewBatch([][]byte{[]byte("MKVLAG")}, protScheme().Matrix.Alphabet()); b.lanes != nil {

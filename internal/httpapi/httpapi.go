@@ -192,12 +192,18 @@ func fillLimits(l Limits) Limits {
 // redeploy over a different database or scoring scheme can never serve
 // stale results from a reused jobs dir.
 func (s *Server) cacheSalt() string {
-	scheme := s.platform.Scheme
-	if scheme.Matrix == nil {
-		scheme = hybridsw.DefaultScheme()
-	}
+	scheme := s.scheme()
 	return fmt.Sprintf("%s|%d|%d|%s|%s", s.dbName, len(s.db), s.residues,
 		scheme.Matrix.Name(), scheme.Gap)
+}
+
+// scheme is the scoring scheme searches run under: the platform's, or
+// the default one when the platform names none.
+func (s *Server) scheme() hybridsw.Scheme {
+	if s.platform.Scheme.Matrix == nil {
+		return hybridsw.DefaultScheme()
+	}
+	return s.platform.Scheme
 }
 
 // SetDraining flips the /readyz signal: a draining server answers 503 so
@@ -327,11 +333,11 @@ type SearchResponse struct {
 }
 
 // decodeSearch decodes and validates a search payload: JSON errors and
-// empty FASTA get 400, cap violations and a negative top_k get 422 with a
-// machine-readable reason, an unknown policy gets 422 (catching it before
-// an async job would fail obscurely at run time). An omitted top_k
-// resolves to the cap. On failure the response is already written and ok
-// is false.
+// empty FASTA get 400, cap violations, a negative top_k and a query
+// residue outside the scheme's alphabet get 422 with a machine-readable
+// reason, an unknown policy gets 422 (catching each before a job would
+// fail obscurely at run time). An omitted top_k resolves to the cap. On
+// failure the response is already written and ok is false.
 func (s *Server) decodeSearch(w http.ResponseWriter, r *http.Request) (jreq jobs.Request, ok bool) {
 	var req SearchRequest
 	if !decodeJSON(w, json.NewDecoder(r.Body), &req) {
@@ -360,10 +366,17 @@ func (s *Server) decodeSearch(w http.ResponseWriter, r *http.Request) (jreq jobs
 		return jreq, false
 	}
 	var residues int64
+	alpha := s.scheme().Matrix.Alphabet()
 	for _, q := range queries {
 		if q.Len() == 0 {
 			writeReject(w, http.StatusUnprocessableEntity, "empty_query",
 				"query %q is empty", q.ID)
+			return jreq, false
+		}
+		// The check farrar.NewKernel makes, here so no job is queued.
+		if err := alpha.Validate(q.Residues); err != nil {
+			writeReject(w, http.StatusUnprocessableEntity, "bad_residue",
+				"query %q: %v", q.ID, err)
 			return jreq, false
 		}
 		residues += int64(q.Len())
@@ -456,11 +469,7 @@ func validTenant(name string) error {
 // buildSearchResponse shapes a report into the API response, attaching
 // E-values when the scheme has tabulated statistics.
 func (s *Server) buildSearchResponse(queries []*seq.Sequence, rep *cluster.Report) SearchResponse {
-	scheme := s.platform.Scheme
-	if scheme.Matrix == nil {
-		scheme = hybridsw.DefaultScheme()
-	}
-	params, haveStats := stats.Lookup(scheme)
+	params, haveStats := stats.Lookup(s.scheme())
 	queryLen := map[string]int{}
 	for _, q := range queries {
 		queryLen[q.ID] = q.Len()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -273,6 +274,36 @@ func TestValidationCaps(t *testing.T) {
 		if tc.reason != "" && reason(body) != tc.reason {
 			t.Errorf("%s: reason %q, want %q", tc.name, reason(body), tc.reason)
 		}
+	}
+}
+
+// TestBadResidueRejected: a query residue outside the scheme's alphabet
+// gets 422 bad_residue, naming the query and the position, on /search and
+// /jobs alike, and no job is queued for it.
+func TestBadResidueRejected(t *testing.T) {
+	_, ts := testServer(t)
+	for _, bad := range []string{"1", "J", "O", "U", "."} {
+		for _, path := range []string{"/search", "/jobs"} {
+			resp, body := do(t, "POST", ts.URL+path, SearchRequest{QueriesFasta: ">ok\nMKVL\n>q7\nACDE" + bad + "FGH\n"})
+			var rej map[string]string
+			_ = json.Unmarshal(body, &rej)
+			if resp.StatusCode != http.StatusUnprocessableEntity || rej["reason"] != "bad_residue" {
+				t.Fatalf("%s with %q: %d %s, want 422 bad_residue", path, bad, resp.StatusCode, body)
+			}
+			if !strings.Contains(rej["error"], `"q7"`) || !strings.Contains(rej["error"], "position 4") {
+				t.Errorf("%s with %q: error %q names neither the query nor the position", path, bad, rej["error"])
+			}
+		}
+	}
+	resp, body := do(t, "GET", ts.URL+"/jobs", nil)
+	var listing struct {
+		Jobs []JobView `json:"jobs"`
+	}
+	if err := json.Unmarshal(body, &listing); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("list: %d %v", resp.StatusCode, err)
+	}
+	if len(listing.Jobs) != 0 {
+		t.Fatalf("%d jobs queued for rejected queries, want 0: %s", len(listing.Jobs), body)
 	}
 }
 

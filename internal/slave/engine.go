@@ -48,8 +48,8 @@ type Engine interface {
 }
 
 // FarrarEngine is the engine of every slave: one CPU core running the
-// adapted Farrar striped Smith-Waterman (AVX2 or SSE2 assembly on amd64,
-// SWAR elsewhere) and, on an AVX2 host, the inter-sequence lane kernel
+// adapted Farrar striped Smith-Waterman (AVX2 assembly where the host has
+// AVX2, SWAR elsewhere) and, on an AVX2 host, the inter-sequence lane kernel
 // that scores short targets one per byte lane.
 type FarrarEngine struct {
 	name     string
