@@ -84,12 +84,16 @@ race:
 race-full:
 	go test -race ./...
 
-# The tests that kill replicas mid-search, each run 25 times under the race
-# detector: whether a kill lands before, during or after a scan is a matter
-# of timing, so a test whose outcome depends on it fails here rather than
-# once in a few hundred ordinary runs. Each name must still match a test.
-KILL_SOAK := TestOneShardEngineMix TestClusterFailover TestReviveMidJobKeepsReplicaDead TestSearchesLeaveNoGoroutines TestReadyz
-KILL_SOAK_PKGS := ./internal/cluster ./internal/httpapi
+# The tests that kill replicas mid-search, and the slave-loop tests that
+# cancel a task or a session mid-scan, each run 25 times under the race
+# detector: whether a kill or a cancel lands before, during or after a scan
+# is a matter of timing, so a test whose outcome depends on it fails here
+# rather than once in a few hundred ordinary runs. Each name must still
+# match a test.
+KILL_SOAK := TestOneShardEngineMix TestClusterFailover TestReviveMidJobKeepsReplicaDead TestSearchesLeaveNoGoroutines TestReadyz \
+	TestRunStopsWhenContextEnds TestRunSkipsTheAssignOnceDoneCloses TestRunSkipsPreCanceledTask \
+	TestRunCancelsTheRunningTaskByAck TestRunTaskAbortsScanWhenMasterDies
+KILL_SOAK_PKGS := ./internal/cluster ./internal/httpapi ./internal/slave
 empty :=
 space := $(empty) $(empty)
 kill-soak:

@@ -86,7 +86,10 @@ func DefaultScheme() Scheme { return score.DefaultProtein() }
 // Score computes the optimal Smith-Waterman local alignment score.
 func Score(query, target []byte, s Scheme) int { return sw.Score(query, target, s) }
 
-// Align computes an optimal local alignment with full traceback.
+// Align computes an optimal local alignment with full traceback. It holds
+// three (m+1)×(n+1) int matrices, O(mn) memory: about 220 MB at 3 000 ×
+// 3 000 residues. Long sequences need the linear-space aligner that
+// swalign and POST /align run.
 func Align(query, target []byte, s Scheme) *Alignment { return sw.Align(query, target, s) }
 
 // GenerateDatabase builds a deterministic synthetic database with the size

@@ -18,9 +18,9 @@
 // tail range. Filtered searches run on the same cut: each range task
 // prefilters its range and rescores its own candidate windows.
 //
-// A replica loop has one stop signal, its slave.Options.Done: it closes
-// when the shard job ends, when the search's context is cancelled and when
-// the replica is killed. It is pushed rather than polled for: range tasks
+// A replica loop has one stop signal, its slave.Options.Context: it is
+// cancelled when the shard job ends, when the search's context is
+// cancelled and when the replica is killed. It is pushed rather than polled for: range tasks
 // are too short to ever send the progress notification a cancellation
 // rides on. Fault tolerance rides the existing master
 // machinery: every shard's replicas register with the shard master as

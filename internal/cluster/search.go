@@ -228,7 +228,7 @@ func (f *Fleet) shardOf(index int) int {
 // searchShard runs one shard's scan as a full master-protocol job: a
 // dedicated master over the shard's residues and range cut, every live
 // replica running the standard slave loop against it. Each loop has one
-// stop signal, its Options.Done: a per-replica context under the
+// stop signal, its slave.Options.Context: a per-replica context under the
 // replica's life, so a kill reaches the loop at once. It also ends with
 // the shard context: the master's Done, the search's ctx or the death of
 // the last live replica. Once a killed replica's loop has returned, the
@@ -297,7 +297,7 @@ func (f *Fleet) searchShard(ctx context.Context, s *shard, queries []*seq.Sequen
 				Poll:        5 * time.Millisecond,
 				TopK:        p.TopK,
 				AlignBest:   p.AlignBest,
-				Done:        replicaCtx.Done(),
+				Context:     replicaCtx,
 				Metrics:     f.slaveMet,
 			})
 			if r.life.Err() == nil {

@@ -40,6 +40,7 @@ import (
 	"repro/internal/seq"
 	"repro/internal/slave"
 	"repro/internal/stats"
+	"repro/internal/sw"
 	"repro/internal/wire"
 )
 
@@ -590,12 +591,14 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	scheme := hybridsw.DefaultScheme()
-	// The DP runs off-handler so a disconnected client releases the
-	// request slot immediately; the stray computation is bounded by
-	// MaxAlignLen and finishes on its own.
-	done := make(chan *hybridsw.Alignment, 1)
+	// The linear-space aligner keeps memory at O(m+n) residues: the full
+	// O(mn) matrices of hybridsw.Align would need about 240 GB at two
+	// MaxAlignLen sequences. The DP runs off-handler so a disconnected
+	// client releases the request slot immediately; the stray computation
+	// is bounded by MaxAlignLen and finishes on its own.
+	done := make(chan *sw.Alignment, 1)
 	go func() {
-		done <- hybridsw.Align([]byte(strings.ToUpper(req.A)), []byte(strings.ToUpper(req.B)), scheme)
+		done <- sw.AlignLinearSpace([]byte(strings.ToUpper(req.A)), []byte(strings.ToUpper(req.B)), scheme)
 	}()
 	select {
 	case a := <-done:

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -126,18 +128,62 @@ func TestAlignEndpoint(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
+	checkAlignment(t, body, []byte("MKVLATGLL"), []byte("MKVLAGLL"))
+	if resp, _ := post(t, ts.URL+"/align", AlignRequest{A: "", B: "AC"}); resp.StatusCode != 400 {
+		t.Errorf("missing sequence: status %d", resp.StatusCode)
+	}
+}
+
+// checkAlignment asserts that an /align reply of a against b carries the
+// optimal local score and rows that rescore to it. It pins no rows: among
+// equally good alignments any one may come back.
+func checkAlignment(t *testing.T, body, a, b []byte) {
+	t.Helper()
 	var out AlignResponse
-	json.Unmarshal(body, &out)
-	want := sw.Score([]byte("MKVLATGLL"), []byte("MKVLAGLL"), score.DefaultProtein())
-	if out.Score != want {
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	s := score.DefaultProtein()
+	if want := sw.Score(a, b, s); out.Score != want {
 		t.Errorf("score %d, want %d", out.Score, want)
+	}
+	rows := sw.Alignment{QueryRow: []byte(out.QueryRow), TargetRow: []byte(out.TargetRow)}
+	if got, err := rows.Rescore(s); err != nil || got != out.Score {
+		t.Errorf("rows rescore to (%d, %v), want %d", got, err, out.Score)
 	}
 	if out.QueryRow == "" || out.Identity <= 0 {
 		t.Errorf("response = %+v", out)
 	}
-	if resp, _ := post(t, ts.URL+"/align", AlignRequest{A: "", B: "AC"}); resp.StatusCode != 400 {
-		t.Errorf("missing sequence: status %d", resp.StatusCode)
+}
+
+// TestAlignMemoryIsLinear: /align of two 3 000-residue sequences stays in
+// linear space. The full-matrix aligner allocates about 220 MB for this
+// request, and at MaxAlignLen on both sides about 240 GB; the bound leaves
+// room for the server's own allocations.
+func TestAlignMemoryIsLinear(t *testing.T) {
+	_, ts := testServer(t)
+	rng := rand.New(rand.NewSource(7))
+	residues := func(n int) []byte {
+		const alphabet = "ACDEFGHIKLMNPQRSTVWY"
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return b
 	}
+	a, b := residues(3000), residues(3000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, body := post(t, ts.URL+"/align", AlignRequest{A: string(a), B: string(b)})
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != 200 {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	const bound = 16 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Errorf("a 3000 x 3000 /align allocated %.1f MB, want under %d MB", float64(got)/(1<<20), bound>>20)
+	}
+	checkAlignment(t, body, a, b)
 }
 
 // TestAlignRejectsUnknownFields pins /align as a local aligner: a body that

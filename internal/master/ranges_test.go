@@ -3,6 +3,7 @@ package master_test
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"sync"
@@ -186,12 +187,22 @@ func oneTaskJob(t *testing.T, adjust bool) (m *master.Master, run func(wire.Call
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Close)
+	// The job's context, cancelled as the job ends.
+	job, end := context.WithCancel(context.Background())
+	t.Cleanup(end)
+	go func() {
+		select {
+		case <-m.Done():
+			end()
+		case <-job.Done():
+		}
+	}()
 	var loops []<-chan error
 	run = func(caller wire.Caller, eng slave.Engine) {
 		done := make(chan error, 1)
 		loops = append(loops, done)
 		go func() {
-			_, err := slave.Run(caller, eng, slave.Options{NotifyEvery: time.Millisecond, Poll: time.Hour, Done: m.Done()})
+			_, err := slave.Run(caller, eng, slave.Options{NotifyEvery: time.Millisecond, Poll: time.Hour, Context: job})
 			done <- err
 		}()
 	}

@@ -42,8 +42,10 @@ type Engine interface {
 	// DatabaseResidues sizes tasks: cells = |query| * DatabaseResidues.
 	DatabaseResidues() int64
 	// Search scores query against the database, calling progress with the
-	// cumulative cell count at reasonable intervals. It returns
-	// ErrCanceled promptly after cancel is closed.
+	// cumulative cell count at reasonable intervals, always on the
+	// caller's goroutine: the slave loop's progress callback reads and
+	// writes the session's state without a lock. It returns ErrCanceled
+	// promptly after cancel is closed.
 	Search(query *seq.Sequence, progress func(cellsDone int64), cancel <-chan struct{}) ([]wire.Hit, error)
 }
 

@@ -192,53 +192,6 @@ func TestRunFailureBudgetResetsOnProgress(t *testing.T) {
 	}
 }
 
-func TestCancelSetPrunedAfterTasks(t *testing.T) {
-	eng, specs := testEngine(t)
-	var sets []*cancelSet
-	testCancelSet = func(c *cancelSet) { sets = append(sets, c) }
-	defer func() { testCancelSet = nil }()
-
-	// One task canceled mid-batch, the rest complete: every path must
-	// forget its entry.
-	m := &scriptedBatchMaster{batch: specs, cancelID: 1}
-	if _, err := Run(m, eng, Options{NotifyEvery: time.Microsecond, Poll: time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
-	if len(sets) != 1 {
-		t.Fatalf("%d sessions, want 1", len(sets))
-	}
-	if got := sets[0].size(); got != 0 {
-		t.Fatalf("cancelSet still tracks %d tasks after the session; completed and canceled entries must be pruned", got)
-	}
-}
-
-func TestCancelSetForget(t *testing.T) {
-	c := newCancelSet()
-	ch := c.channelFor(7)
-	c.add([]sched.TaskID{7, 8})
-	select {
-	case <-ch:
-	default:
-		t.Fatal("cancel channel not closed")
-	}
-	if c.size() != 2 {
-		t.Fatalf("size = %d, want 2", c.size())
-	}
-	c.forget(7)
-	c.forget(8)
-	c.forget(8) // double-forget is a no-op
-	if c.size() != 0 {
-		t.Fatalf("size = %d after forget, want 0", c.size())
-	}
-	// A forgotten task re-canceled later gets a fresh, closed channel.
-	c.add([]sched.TaskID{7})
-	select {
-	case <-c.channelFor(7):
-	default:
-		t.Fatal("re-added cancel not observable")
-	}
-}
-
 func TestCompleteCarriesFinalDelta(t *testing.T) {
 	// With notifications effectively disabled, the whole task's cells must
 	// ride on the CompleteMsg; before the fix they were silently lost.

@@ -1,9 +1,9 @@
 package slave
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/sched"
@@ -49,8 +49,8 @@ type Options struct {
 	// schedules are asserted on instead of waited out; nil uses the wall
 	// clock.
 	Sleep func(time.Duration)
-	// Done, when non-nil, ends the session: once it closes, the in-flight
-	// scan is aborted through its cancel channel, queued tasks are skipped
+	// Context ends the session once it is done: the in-flight scan is
+	// aborted through its task's context, the rest of the grant is skipped
 	// and a standby ends early, and Run returns nil without sending the
 	// master another Request as soon as the engine next checks cancel. A
 	// FarrarEngine range task checks it every progressChunk (about 4
@@ -60,9 +60,10 @@ type Options struct {
 	// Without it a slave learns the job is over from its next
 	// acknowledgement — a progress notification at the earliest — which a
 	// task shorter than the notification interval never sends. An
-	// in-process fleet closes it when the job ends, the search is
+	// in-process fleet cancels it when the job ends, the search is
 	// cancelled or the replica is killed; a TCP slave has none and polls.
-	Done <-chan struct{}
+	// nil means context.Background().
+	Context context.Context
 
 	// Metrics records task wall times, cells reported, reconnections and
 	// backoff sleeps (see NewMetrics); nil means NewMetrics(nil), the
@@ -93,26 +94,34 @@ func (o *Options) fill() {
 	if o.Metrics == nil {
 		o.Metrics = NewMetrics(nil)
 	}
+	if o.Context == nil {
+		o.Context = context.Background()
+	}
 }
 
 // standby waits out one poll interval, or less when the job ends first.
+// A context that is never done waits on Options.Sleep, so a test's
+// virtual clock still drives it.
 func (o *Options) standby() {
-	if o.Done == nil {
+	done := o.Context.Done()
+	if done == nil {
 		o.Sleep(o.Poll)
 		return
 	}
 	t := time.NewTimer(o.Poll)
 	defer t.Stop()
 	select {
-	case <-o.Done:
+	case <-done:
 	case <-t.C:
 	}
 }
 
 // Run registers the engine with the master behind caller and executes the
-// request/execute/notify loop until the master reports the job done. It
-// returns the number of tasks this slave completed (accepted or not),
-// summed across reconnections when Options.Reconnect is set.
+// request/execute/notify loop until the master reports the job done or
+// Options.Context is done. Each task runs under its own child of that
+// context, which an acknowledgement naming the task cancels. It returns
+// the number of tasks this slave completed (accepted or not), summed
+// across reconnections when Options.Reconnect is set.
 func Run(caller wire.Caller, eng Engine, opts Options) (int, error) {
 	opts.fill()
 	rng := rand.New(rand.NewSource(opts.RetrySeed))
@@ -155,8 +164,8 @@ func Run(caller wire.Caller, eng Engine, opts Options) (int, error) {
 }
 
 // runSession is one connection's worth of the slave loop: register, then
-// request/execute/notify until the job finishes, Options.Done closes or a
-// call fails.
+// request/execute/notify until the job finishes, Options.Context is done
+// or a call fails.
 // progressed reports whether any call succeeded, which gates the
 // reconnect-failure counter reset in Run.
 func runSession(caller wire.Caller, eng Engine, opts Options) (completed int, progressed bool, err error) {
@@ -173,28 +182,11 @@ func runSession(caller wire.Caller, eng Engine, opts Options) (completed int, pr
 	}
 	id := resp.RegisterAck.Slave
 
-	canceled := newCancelSet()
 	var filters FilterCache
 	defer filters.release()
-	if testCancelSet != nil {
-		testCancelSet(canceled)
-	}
-	if opts.Done != nil {
-		sessionOver := make(chan struct{})
-		defer close(sessionOver)
-		go func() {
-			select {
-			case <-opts.Done:
-				canceled.cancelAll()
-			case <-sessionOver:
-			}
-		}()
-	}
 	for {
-		select {
-		case <-opts.Done:
+		if opts.Context.Err() != nil {
 			return completed, true, nil
-		default:
 		}
 		resp, err := caller.Call(wire.Envelope{Request: &wire.RequestMsg{Slave: id}})
 		if err != nil {
@@ -211,22 +203,18 @@ func runSession(caller wire.Caller, eng Engine, opts Options) (completed int, pr
 			opts.standby()
 			continue
 		}
+		// skip holds the tasks of this grant that an ack canceled before
+		// they ran. The master cancels only tasks this slave holds, and it
+		// holds only this grant's, so the set dies with the grant.
+		skip := map[sched.TaskID]bool{}
 		for _, spec := range a.Tasks {
-			select {
-			case <-opts.Done:
+			if opts.Context.Err() != nil {
 				return completed, true, nil
-			default:
 			}
-			if canceled.has(spec.ID) {
-				canceled.forget(spec.ID)
+			if skip[spec.ID] {
 				continue
 			}
-			done, finished, err := runTask(caller, eng, id, spec, canceled, &filters, opts)
-			// Canceled or completed tasks never run again on this slave
-			// (the master only cancels finished tasks), so their cancel
-			// bookkeeping can go — before this pruning, the ids/chans maps
-			// grew for the life of the process.
-			canceled.forget(spec.ID)
+			done, finished, err := runTask(caller, eng, id, spec, skip, &filters, opts)
 			if err != nil {
 				return completed, true, err
 			}
@@ -240,10 +228,23 @@ func runSession(caller wire.Caller, eng Engine, opts Options) (completed int, pr
 	}
 }
 
-// runTask executes one task, streaming progress notifications and honoring
-// cancellations: of this task, piggybacked on their acknowledgements, and
-// of everything once the job is over (Options.Done).
-func runTask(caller wire.Caller, eng Engine, id sched.SlaveID, spec wire.TaskSpec, canceled *cancelSet, filters *FilterCache, opts Options) (completed, jobDone bool, err error) {
+// runTask executes one task under a child of Options.Context, streaming
+// progress notifications and honoring cancellations piggybacked on their
+// acknowledgements: one that names this task cancels its context, which
+// aborts the scan, and one that names another task of the grant adds it to
+// skip.
+func runTask(caller wire.Caller, eng Engine, id sched.SlaveID, spec wire.TaskSpec, skip map[sched.TaskID]bool, filters *FilterCache, opts Options) (completed, jobDone bool, err error) {
+	ctx, cancel := context.WithCancel(opts.Context)
+	defer cancel()
+	drop := func(ids []sched.TaskID) {
+		for _, t := range ids {
+			if t == spec.ID {
+				cancel()
+			} else {
+				skip[t] = true
+			}
+		}
+	}
 	query := &seq.Sequence{ID: spec.QueryID, Residues: spec.Residues}
 	var callErr error
 	taskStart := time.Now()
@@ -261,14 +262,14 @@ func runTask(caller wire.Caller, eng Engine, id sched.SlaveID, spec wire.TaskSpe
 		if err != nil {
 			callErr = err
 			// A dead master can no longer cancel this task, so cancel it
-			// ourselves: closing the task's cancel channel aborts the
+			// ourselves: canceling the task's context aborts the
 			// in-flight engine scan instead of grinding out the rest of
 			// the database for a peer that will never hear the result.
-			canceled.add([]sched.TaskID{spec.ID})
+			cancel()
 			return
 		}
 		if resp.ProgressAck != nil {
-			canceled.add(resp.ProgressAck.Cancel)
+			drop(resp.ProgressAck.Cancel)
 		}
 		if delta > 0 {
 			opts.Metrics.Cells.Add(float64(delta))
@@ -276,7 +277,7 @@ func runTask(caller wire.Caller, eng Engine, id sched.SlaveID, spec wire.TaskSpe
 		lastNotify, lastCells = now, cells
 	}
 
-	hits, tally, err := runStage(eng, spec, query, opts.TopK, filters, progress, canceled.channelFor(spec.ID))
+	hits, tally, err := runStage(eng, spec, query, opts.TopK, filters, progress, ctx.Done())
 	if callErr != nil {
 		return false, false, callErr
 	}
@@ -317,99 +318,8 @@ func runTask(caller wire.Caller, eng Engine, id sched.SlaveID, spec wire.TaskSpe
 	opts.Metrics.TaskSeconds.Observe(time.Since(taskStart).Seconds())
 	opts.Metrics.Cells.Add(float64(finalCells))
 	if resp.CompleteAck != nil {
-		canceled.add(resp.CompleteAck.Cancel)
+		drop(resp.CompleteAck.Cancel)
 		jobDone = resp.CompleteAck.Done
 	}
 	return true, jobDone, nil
-}
-
-// testCancelSet, when set by a test, receives each session's cancelSet so
-// the pruning behaviour can be asserted from outside runSession.
-var testCancelSet func(*cancelSet)
-
-// cancelSet tracks canceled task IDs and exposes a close-once channel per
-// task so engines can abort mid-scan. Entries are pruned (forget) once
-// their task is done with on this slave, so the set stays bounded in
-// long-running slaves.
-type cancelSet struct {
-	mu    sync.Mutex
-	ids   map[sched.TaskID]bool
-	chans map[sched.TaskID]chan struct{}
-	// all is set once the job is over (Options.Done): every task, known
-	// or yet to be looked up, counts as canceled.
-	all bool
-}
-
-func newCancelSet() *cancelSet {
-	return &cancelSet{ids: map[sched.TaskID]bool{}, chans: map[sched.TaskID]chan struct{}{}}
-}
-
-func (c *cancelSet) add(ids []sched.TaskID) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, id := range ids {
-		if c.ids[id] {
-			continue
-		}
-		c.ids[id] = true
-		if ch, ok := c.chans[id]; ok {
-			close(ch)
-		}
-	}
-}
-
-// cancelAll cancels every task of the session, closing the cancel channel
-// of whichever is in flight.
-func (c *cancelSet) cancelAll() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.all = true
-	for id, ch := range c.chans {
-		if !c.ids[id] {
-			c.ids[id] = true
-			close(ch)
-		}
-	}
-}
-
-func (c *cancelSet) has(id sched.TaskID) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.all || c.ids[id]
-}
-
-// forget drops a task's bookkeeping once the slave is done with it —
-// completed, skipped or canceled. The master only cancels tasks that
-// finished elsewhere, and finished tasks are never re-assigned, so a
-// forgotten ID cannot come back.
-func (c *cancelSet) forget(id sched.TaskID) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.ids, id)
-	delete(c.chans, id)
-}
-
-// size reports how many tasks the set still tracks (tests).
-func (c *cancelSet) size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.ids) > len(c.chans) {
-		return len(c.ids)
-	}
-	return len(c.chans)
-}
-
-func (c *cancelSet) channelFor(id sched.TaskID) <-chan struct{} {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ch, ok := c.chans[id]
-	if !ok {
-		ch = make(chan struct{})
-		c.chans[id] = ch
-		if c.all || c.ids[id] {
-			c.ids[id] = true
-			close(ch)
-		}
-	}
-	return ch
 }

@@ -1,6 +1,7 @@
 package slave
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -233,11 +234,12 @@ func TestRunDoneViaCompleteAck(t *testing.T) {
 	}
 }
 
-// TestRunStopsWhenDoneCloses: closing Options.Done ends the session. The
-// in-flight scan is aborted, nothing is completed, and Run returns nil
-// without asking the master for more work.
-func TestRunStopsWhenDoneCloses(t *testing.T) {
-	done := make(chan struct{})
+// TestRunStopsWhenContextEnds: cancelling Options.Context ends the
+// session. The in-flight scan is aborted, nothing is completed, and Run
+// returns nil without asking the master for more work.
+func TestRunStopsWhenContextEnds(t *testing.T) {
+	ctx, end := context.WithCancel(context.Background())
+	defer end()
 	requests := 0
 	caller := callerFunc(func(req wire.Envelope) (wire.Envelope, error) {
 		switch {
@@ -252,14 +254,14 @@ func TestRunStopsWhenDoneCloses(t *testing.T) {
 			return wire.Envelope{Assign: &wire.AssignMsg{Tasks: []wire.TaskSpec{spec, {ID: 2, QueryID: "r", Residues: []byte("MKV"), Cells: 3 * 1000}}}}, nil
 		case req.Progress != nil:
 			// The job ends while the scan runs.
-			close(done)
+			end()
 			return wire.Envelope{ProgressAck: &wire.ProgressAckMsg{}}, nil
 		case req.Complete != nil:
-			t.Errorf("task %d completed after Done closed", req.Complete.Task)
+			t.Errorf("task %d completed after the context ended", req.Complete.Task)
 		}
 		return wire.Envelope{}, nil
 	})
-	n, err := Run(caller, blockingEngine{}, Options{NotifyEvery: time.Nanosecond, Done: done})
+	n, err := Run(caller, blockingEngine{}, Options{NotifyEvery: time.Nanosecond, Context: ctx})
 	if err != nil || n != 0 {
 		t.Fatalf("Run = (%d, %v), want (0, nil)", n, err)
 	}
@@ -268,12 +270,13 @@ func TestRunStopsWhenDoneCloses(t *testing.T) {
 	}
 }
 
-// TestRunSkipsTheAssignOnceDoneCloses: the loop checks Done before each
-// task of an Assign, so a job that ends while the first of three granted
-// tasks runs costs that one task, not the rest of the grant.
+// TestRunSkipsTheAssignOnceDoneCloses: the loop checks Options.Context
+// before each task of an Assign, so a job that ends while the first of
+// three granted tasks runs costs that one task, not the rest of the grant.
 func TestRunSkipsTheAssignOnceDoneCloses(t *testing.T) {
 	eng, specs := testEngine(t)
-	done := make(chan struct{})
+	ctx, end := context.WithCancel(context.Background())
+	defer end()
 	requests, completes := 0, 0
 	caller := callerFunc(func(req wire.Envelope) (wire.Envelope, error) {
 		switch {
@@ -285,13 +288,13 @@ func TestRunSkipsTheAssignOnceDoneCloses(t *testing.T) {
 		case req.Complete != nil:
 			// The job ends as the first task's result arrives.
 			if completes++; completes == 1 {
-				close(done)
+				end()
 			}
 			return wire.Envelope{CompleteAck: &wire.CompleteAckMsg{Accepted: true}}, nil
 		}
 		return wire.Envelope{ProgressAck: &wire.ProgressAckMsg{}}, nil
 	})
-	n, err := Run(caller, eng, Options{NotifyEvery: time.Hour, Done: done})
+	n, err := Run(caller, eng, Options{NotifyEvery: time.Hour, Context: ctx})
 	if err != nil || n != 1 {
 		t.Fatalf("Run = (%d, %v), want (1, nil)", n, err)
 	}
@@ -302,14 +305,18 @@ func TestRunSkipsTheAssignOnceDoneCloses(t *testing.T) {
 
 // blockingEngine reports progress once and then waits on its cancel
 // channel: a stand-in for a long scan that can only end by cancellation.
-type blockingEngine struct{}
+// A query named quick returns at once, without hits.
+type blockingEngine struct{ quick string }
 
 func (blockingEngine) Name() string            { return "stub" }
 func (blockingEngine) Kind() sched.SlaveKind   { return sched.KindCPU }
 func (blockingEngine) DeclaredSpeed() float64  { return 0 }
 func (blockingEngine) DatabaseResidues() int64 { return 1000 }
 
-func (blockingEngine) Search(q *seq.Sequence, progress func(int64), cancel <-chan struct{}) ([]wire.Hit, error) {
+func (e blockingEngine) Search(q *seq.Sequence, progress func(int64), cancel <-chan struct{}) ([]wire.Hit, error) {
+	if q.ID == e.quick {
+		return nil, nil
+	}
 	progress(1)
 	select {
 	case <-cancel:
@@ -319,12 +326,36 @@ func (blockingEngine) Search(q *seq.Sequence, progress func(int64), cancel <-cha
 	}
 }
 
+// TestRunCancelsTheRunningTaskByAck: a progress acknowledgement that
+// names the task in flight aborts its scan (blockingEngine ends no other
+// way), no result is sent for it, and the loop goes on to the next grant.
+func TestRunCancelsTheRunningTaskByAck(t *testing.T) {
+	m := &scriptedMaster{
+		tasks: []wire.TaskSpec{
+			{ID: 0, QueryID: "slow", Residues: []byte("MKVLATLLLLGA"), Cells: 12 * 1000},
+			{ID: 1, QueryID: "quick", Residues: []byte("MKV"), Cells: 3 * 1000},
+		},
+		cancelOn:  map[sched.TaskID]bool{0: true},
+		doneAfter: 1,
+	}
+	start := time.Now()
+	n, err := Run(m, blockingEngine{quick: "quick"}, Options{NotifyEvery: time.Nanosecond, Poll: time.Millisecond})
+	if err != nil || n != 1 {
+		t.Fatalf("Run = (%d, %v), want (1, nil)", n, err)
+	}
+	if el := time.Since(start); el > 2*time.Second {
+		t.Errorf("Run took %v: the canceled scan ran on toward blockingEngine's 5 s", el)
+	}
+	if len(m.completed) != 1 || m.completed[0] != 1 {
+		t.Errorf("completions %v, want only task 1: the canceled task 0 must send no result", m.completed)
+	}
+}
+
 // TestRunTaskAbortsScanWhenMasterDies: when a progress notification
 // fails, the master can never cancel the task (or hear its result), so
 // runTask must cancel it itself and abort the in-flight scan instead of
 // grinding out the rest of the database.
 func TestRunTaskAbortsScanWhenMasterDies(t *testing.T) {
-	canceled := newCancelSet()
 	dead := fmt.Errorf("connection reset")
 	caller := callerFunc(func(req wire.Envelope) (wire.Envelope, error) {
 		switch {
@@ -336,11 +367,14 @@ func TestRunTaskAbortsScanWhenMasterDies(t *testing.T) {
 		return wire.Envelope{}, nil
 	})
 	spec := wire.TaskSpec{ID: 42, QueryID: "q", Residues: []byte("MKVLATLLLLGA"), Cells: 12 * 1000}
-	_, _, err := runTask(caller, blockingEngine{}, 0, spec, canceled, &FilterCache{}, Options{TopK: 2})
+	opts := Options{TopK: 2, NotifyEvery: time.Nanosecond}
+	opts.fill()
+	start := time.Now()
+	_, _, err := runTask(caller, blockingEngine{}, 0, spec, map[sched.TaskID]bool{}, &FilterCache{}, opts)
 	if err != dead {
 		t.Fatalf("runTask error = %v, want the dead master's %v", err, dead)
 	}
-	if !canceled.has(42) {
-		t.Error("failed progress call did not self-cancel task 42; the scan would grind on for a dead master")
+	if el := time.Since(start); el > 2*time.Second {
+		t.Errorf("runTask took %v: a failed progress call did not cancel task 42, so the scan ground on for a dead master", el)
 	}
 }

@@ -17,8 +17,8 @@
 // Ethernet setup and single-host runs respectively. The one event that is
 // pushed — the end of a slave's session, when its job ends, its search is
 // cancelled or the slave is killed — travels outside the protocol: an
-// in-process slave is handed a stop channel (slave.Options.Done), and
-// nothing answers it with made-up messages in the master's name.
+// in-process slave is handed a session context (slave.Options.Context),
+// and nothing answers it with made-up messages in the master's name.
 package wire
 
 import (
