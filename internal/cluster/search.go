@@ -274,13 +274,7 @@ func (f *Fleet) searchShard(ctx context.Context, s *shard, queries []*seq.Sequen
 	}
 	shardCtx, abort := context.WithCancel(ctx)
 	defer abort()
-	go func() {
-		select {
-		case <-m.Done():
-			abort()
-		case <-shardCtx.Done():
-		}
-	}()
+	defer context.AfterFunc(m.Context(), abort)()
 	var mu sync.Mutex // guards live and report.Failovers
 	errs := make([]error, len(replicas))
 	var wg sync.WaitGroup

@@ -1,10 +1,13 @@
 package farrar
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/score"
 	"repro/internal/seq"
 	"repro/internal/sw"
@@ -73,10 +76,11 @@ func kernelPair(t testing.TB, q []byte, s score.Scheme) (*Kernel, *oracle) {
 	return k, &oracle{k: k}
 }
 
-// hostPath names the striped 8-bit kernel scoreNative8 runs on this host:
-// "avx2" where the probe chose the assembly, "swar" where it chose none.
+// hostPath names the striped kernels scoreNative8 and scoreNative16 run
+// on this host: "avx2" where the probe chose the assembly, "swar" where it
+// chose none.
 func hostPath() string {
-	if nativeStriped == nil {
+	if nativeStriped.score8 == nil {
 		return "swar"
 	}
 	return "avx2"
@@ -85,8 +89,8 @@ func hostPath() string {
 // checkDifferential runs one (query, target) pair through every tier of
 // the implementations and the scalar reference, failing on any
 // disagreement: per-tier (score, ok) pairs must be identical between the
-// native 8-bit path the host runs (hostPath), SWAR and the emulated
-// oracle; a
+// native 8- and 16-bit paths the host runs (hostPath), SWAR and the
+// emulated oracle; a
 // target the lane path takes must get the same pair from a lane of every
 // lane kernel (the emulated one at both widths, and the 32- and 64-lane
 // assembly where the host runs it); and the full ladder must land on the
@@ -118,6 +122,10 @@ func checkDifferential(t *testing.T, ks *Kernel, ke *oracle, d []byte, want int)
 	if s16s != s16e || ok16s != ok16e {
 		t.Fatalf("16-bit tier diverged: swar=(%d,%v) emulated=(%d,%v)\nq=%s\nd=%s",
 			s16s, ok16s, s16e, ok16e, ks.query, d)
+	}
+	if s16n, ok16n := ks.scoreNative16(d); s16n != s16e || ok16n != ok16e {
+		t.Fatalf("16-bit tier diverged: %s=(%d,%v) emulated=(%d,%v)\nq=%s\nd=%s",
+			hostPath(), s16n, ok16n, s16e, ok16e, ks.query, d)
 	}
 	if ok8s && s8s != want {
 		t.Fatalf("8-bit tier wrong: got %d, reference %d\nq=%s\nd=%s", s8s, want, ks.query, d)
@@ -368,6 +376,82 @@ func TestSegmentEdgesAndForeignTargetBytes(t *testing.T) {
 	}
 }
 
+// TestEscalationSegmentEdges drives pairs that always escalate through
+// the 16-bit rung at the segment edges of its 16 word lanes (query lengths
+// 1, 15, 16, 17, 31, 32, 33): under match 126 one matching residue
+// reaches ceiling8, so a query against itself and against a planted copy
+// in random flanks both escalate, and the host's 16-bit path must certify
+// them like ScoreI16. A 300-residue self pair scores 37800, past
+// ceiling16, and goes on to the scalar rung.
+func TestEscalationSegmentEdges(t *testing.T) {
+	s := score.Scheme{Matrix: score.NewMatchMismatch(seq.Protein, 126, -1), Gap: score.AffineGap(10, 2)}
+	rng := rand.New(rand.NewSource(0xE5C))
+	for _, m := range []int{1, 15, 16, 17, 31, 32, 33, 300} {
+		q := randProtein(rng, m)
+		planted := append(append(randProtein(rng, rng.Intn(40)), q...), randProtein(rng, rng.Intn(40))...)
+		ks, ke := kernelPair(t, q, s)
+		for _, d := range [][]byte{q, planted} {
+			checkDifferential(t, ks, ke, d, sw.Score(q, d, s))
+		}
+		st := ks.Stats()
+		if st != ke.Stats() {
+			t.Fatalf("m=%d: tier stats diverged: kernel=%+v emulated=%+v", m, st, ke.Stats())
+		}
+		if m < 300 && (st.Fallback16 != 2 || st.Scored8+st.FallbackSW != 0) {
+			t.Fatalf("m=%d: want both pairs certified by the 16-bit rung, stats %+v", m, st)
+		}
+		if m == 300 && st.FallbackSW == 0 {
+			t.Fatalf("m=%d: want the self pair on the scalar rung, stats %+v", m, st)
+		}
+		if hostPath() == "avx2" && ks.native16 == nil {
+			t.Fatalf("m=%d: the escalations did not run avx16", m)
+		}
+	}
+}
+
+// TestRescoredCells pins PathCells.Rescored16: a planted copy of the query
+// among random targets is the one pair to escalate, so the 16-bit rung
+// re-scores exactly m×n cells of it, through ScoreBatch (lane or striped
+// target) and Score alike, and PathCells.Total still counts every target
+// once. ObserveCells publishes the count as farrar_cells_total{path="16bit"}.
+func TestRescoredCells(t *testing.T) {
+	rng := rand.New(rand.NewSource(0xCE11))
+	s := protScheme()
+	q := randProtein(rng, 120)
+	for _, n := range []int{200, laneMaxTarget + 100} { // a lane target, then a striped one
+		planted := append(append(randProtein(rng, (n-len(q))/2), q...), randProtein(rng, n-len(q)-(n-len(q))/2)...)
+		targets := [][]byte{randProtein(rng, 80), planted, randProtein(rng, 300)}
+		k, _ := kernelPair(t, q, s)
+		scores := make([]int, len(targets))
+		k.ScoreBatch(NewBatch(targets, s.Matrix.Alphabet()), scores, 1<<22, func(int64) bool { return true })
+		var all int64
+		for _, d := range targets {
+			all += k.Cells(d)
+		}
+		want := int64(len(q)) * int64(n)
+		if st := k.Stats(); st.Fallback16 != 1 || st.FallbackSW != 0 {
+			t.Fatalf("n=%d: want the planted pair alone to escalate, stats %+v", n, st)
+		}
+		c := k.PathCells()
+		if c.Rescored16 != want || c.Total() != all {
+			t.Fatalf("n=%d: ScoreBatch cells %+v: want Rescored16 %d and Total %d", n, c, want, all)
+		}
+		k.Score(planted)
+		if got := k.PathCells().Sub(c); got != (PathCells{Rescored16: want}) {
+			t.Fatalf("n=%d: Score moved the cells by %+v, want Rescored16 %d alone", n, got, want)
+		}
+		r := metrics.NewRegistry()
+		NewMetrics(r).ObserveCells(k.PathCells().Sub(c))
+		var sb strings.Builder
+		if err := r.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if line := fmt.Sprintf(`farrar_cells_total{path="16bit"} %d`, want); !strings.Contains(sb.String(), line) {
+			t.Fatalf("n=%d: exposition lacks %q:\n%s", n, line, sb.String())
+		}
+	}
+}
+
 // TestStatsAdd covers the aggregation helper the parallel path relies on.
 func TestStatsAdd(t *testing.T) {
 	a := Stats{Scored8: 3, Fallback16: 2, FallbackSW: 1}
@@ -384,32 +468,54 @@ func TestStatsAdd(t *testing.T) {
 
 // checkPicksPath checks that the striped path hostPath names is the one
 // a kernel runs: its first Score packs the 32-lane profile of the
-// assembly, whatever the query length, exactly when hostPath says avx2.
+// assembly, whatever the query length, exactly when hostPath says avx2,
+// and packs no 16-bit profile; its first escalation, a self-alignment,
+// packs the 16-lane profile of avx16 exactly when hostPath says avx2 and
+// the SWAR one otherwise.
 func checkPicksPath(t *testing.T, rng *rand.Rand) {
 	t.Helper()
+	avx2 := hostPath() == "avx2"
 	for _, m := range []int{1, 40, 64, 600} {
-		k, err := NewKernel(randProtein(rng, m), protScheme())
+		q := randProtein(rng, m)
+		k, err := NewKernel(q, protScheme())
 		if err != nil {
 			t.Fatal(err)
 		}
 		k.Score(randProtein(rng, 50))
 		packed := k.native.prof != nil
-		if packed != (hostPath() == "avx2") {
+		if packed != avx2 {
 			t.Fatalf("m=%d: hostPath %s, but the first Score packed the striped profile: %v", m, hostPath(), packed)
 		}
-		if want := (m + stripedLanes - 1) / stripedLanes; packed && k.native.segLen != want {
+		if want := (m + stripedBytes - 1) / stripedBytes; packed && k.native.segLen != want {
 			t.Fatalf("m=%d: packed %d segments, want %d", m, k.native.segLen, want)
+		}
+		if k.Stats().Scored8 == 1 && (k.native16 != nil || k.swarProf16 != nil) {
+			t.Fatalf("m=%d: an 8-bit Score packed a 16-bit profile", m)
+		}
+		k.Score(q)
+		if k.Stats().Fallback16+k.Stats().FallbackSW == 0 {
+			continue // too short to escalate
+		}
+		if (k.native16 != nil) != avx2 || (k.swarProf16 != nil) == avx2 {
+			t.Fatalf("m=%d: hostPath %s, but the first escalation packed avx16's profile %v and SWAR's %v",
+				m, hostPath(), k.native16 != nil, k.swarProf16 != nil)
+		}
+		if want := (m + stripedBytes/2 - 1) / (stripedBytes / 2); avx2 && k.native16.segLen != want {
+			t.Fatalf("m=%d: packed %d 16-bit segments, want %d", m, k.native16.segLen, want)
 		}
 	}
 }
 
 // TestNewKernelPicksPath pins the native paths to the probe's choices: a
-// kernel runs the striped path hostPath names at every query length, the
-// probe chooses the striped assembly exactly where it chooses a lane
-// kernel (both need AVX2), and ISA names the widest kernel chosen.
+// kernel runs the striped paths hostPath names at every query length, the
+// probe chooses both striped rungs together and exactly where it chooses
+// a lane kernel (all need AVX2), and ISA names the widest kernel chosen.
 func TestNewKernelPicksPath(t *testing.T) {
 	checkPicksPath(t, rand.New(rand.NewSource(0x15A)))
-	if (nativeStriped != nil) != (nativeLanes.run != nil) {
+	if (nativeStriped.score8 != nil) != (nativeStriped.score16 != nil) {
+		t.Fatalf("the probe chose the 8-bit striped kernel %v but the 16-bit one %v", nativeStriped.score8 != nil, nativeStriped.score16 != nil)
+	}
+	if (nativeStriped.score8 != nil) != (nativeLanes.run != nil) {
 		t.Fatalf("the probe chose striped %s but lanes of width %d", hostPath(), nativeLanes.width)
 	}
 	striped, lanes := nativeStriped, nativeLanes
@@ -417,27 +523,27 @@ func TestNewKernelPicksPath(t *testing.T) {
 	var stub stripedKernel = func(*byte, *[256]uint32, []byte, int, *uint64, int, int, int) (int, bool) { return 0, false }
 	for _, tc := range []struct {
 		width   int
-		striped stripedKernel
+		striped stripedKernels
 		want    string
 	}{
-		{64, stub, "avx512vbmi"},
-		{32, stub, "avx2"},
-		{0, nil, "swar"},
+		{64, stripedKernels{stub, stub}, "avx512vbmi"},
+		{32, stripedKernels{stub, stub}, "avx2"},
+		{0, stripedKernels{}, "swar"},
 	} {
 		nativeStriped, nativeLanes = tc.striped, laneKernel{width: tc.width}
 		if got := ISA(); got != tc.want {
-			t.Errorf("ISA() with %d lanes and striped %v = %q, want %q", tc.width, tc.striped != nil, got, tc.want)
+			t.Errorf("ISA() with %d lanes and striped %v = %q, want %q", tc.width, tc.striped.score8 != nil, got, tc.want)
 		}
 	}
 }
 
-// noAVX2 swaps the probe's striped choice to none until t ends, as on an
-// amd64 host without AVX2, and with lanes its lane choice too. It writes
-// package state, so no caller may run in parallel.
+// noAVX2 swaps the probe's striped choice, both rungs, to none until t
+// ends, as on an amd64 host without AVX2, and with lanes its lane choice
+// too. It writes package state, so no caller may run in parallel.
 func noAVX2(t *testing.T, lanes bool) {
 	striped, lane := nativeStriped, nativeLanes
 	t.Cleanup(func() { nativeStriped, nativeLanes = striped, lane })
-	nativeStriped = nil
+	nativeStriped = stripedKernels{}
 	if lanes {
 		nativeLanes = laneKernel{}
 	}
@@ -445,8 +551,8 @@ func noAVX2(t *testing.T, lanes bool) {
 
 // TestNoAVX2Path runs an amd64 host without AVX2 on every host: with the
 // probe's striped choice swapped to none, hostPath names swar and a kernel
-// runs it, and Kernel.Score and ScoreBatch land on sw.Score with the
-// emulated ladder's Stats. Once the lane choice is zeroed too, ISA reads
+// runs it on both rungs (an escalation runs ScoreSWAR16), and Kernel.Score
+// and ScoreBatch land on sw.Score with the emulated ladder's Stats. Once the lane choice is zeroed too, ISA reads
 // swar and NewBatch lays out no lanes.
 func TestNoAVX2Path(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xA2))
@@ -458,7 +564,7 @@ func TestNoAVX2Path(t *testing.T) {
 		for si, s := range diffSchemes(t) {
 			q := randProtein(rng, 1+rng.Intn(120))
 			targets := randBatch(rng, q, 60, 200, 0.02)
-			targets = append(targets, randProtein(rng, laneMaxTarget+1), mutate(rng, q, 0.1))
+			targets = append(targets, randProtein(rng, laneMaxTarget+1), mutate(rng, q, 0.1), q)
 			ks, ke := kernelPair(t, q, s)
 			kb, _ := kernelPair(t, q, s)
 			got := make([]int, len(targets))
@@ -475,6 +581,10 @@ func TestNoAVX2Path(t *testing.T) {
 			}
 			if ks.Stats() != ke.Stats() || kb.Stats() != ke.Stats() {
 				t.Fatalf("scheme %d: Score stats %+v, ScoreBatch %+v, emulated %+v", si, ks.Stats(), kb.Stats(), ke.Stats())
+			}
+			if ks.Stats().Fallback16+ks.Stats().FallbackSW > 0 && ks.tier16 && (ks.native16 != nil || ks.swarProf16 == nil) {
+				t.Fatalf("scheme %d: an escalation packed avx16's profile %v and SWAR's %v, want SWAR's alone",
+					si, ks.native16 != nil, ks.swarProf16 != nil)
 			}
 		}
 	}
@@ -570,13 +680,43 @@ func benchTier(b *testing.B, tier func(*Kernel, []byte) (int, bool)) {
 // BenchmarkScore8AVX2 times the striped assembly; it skips b on a host
 // whose probe chose none.
 func BenchmarkScore8AVX2(b *testing.B) {
-	if nativeStriped == nil {
+	if nativeStriped.score8 == nil {
 		b.Skip("host lacks AVX2: the striped assembly cannot run here")
 	}
 	benchTier(b, (*Kernel).scoreNative8)
+}
+
+// BenchmarkScore16AVX2 times the 16-bit striped assembly, the rung an
+// escalation runs on an AVX2 host; it skips b on a host whose probe chose
+// none.
+func BenchmarkScore16AVX2(b *testing.B) {
+	if nativeStriped.score16 == nil {
+		b.Skip("host lacks AVX2: the striped assembly cannot run here")
+	}
+	benchTier(b, (*Kernel).scoreNative16)
 }
 
 func BenchmarkScore8SWAR(b *testing.B)      { benchTier(b, (*Kernel).ScoreSWAR8) }
 func BenchmarkScore8Emulated(b *testing.B)  { benchTier(b, (*Kernel).ScoreU8) }
 func BenchmarkScore16SWAR(b *testing.B)     { benchTier(b, (*Kernel).ScoreSWAR16) }
 func BenchmarkScore16Emulated(b *testing.B) { benchTier(b, (*Kernel).ScoreI16) }
+
+// BenchmarkPackStriped times packing the native striped profiles of a
+// 400-residue query from its residues: the 8-bit one every range task's
+// kernel packs on its first Score, and the 16-bit one of its first
+// escalation.
+func BenchmarkPackStriped(b *testing.B) {
+	q := randProtein(rand.New(rand.NewSource(7)), 400)
+	for _, width := range []int{1, 2} {
+		b.Run(fmt.Sprintf("%dbit", 8*width), func(b *testing.B) {
+			k, err := NewKernel(q, protScheme())
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < b.N; i++ {
+				k.qidx = nil
+				k.packStriped(&k.native, width)
+			}
+		})
+	}
+}

@@ -12,10 +12,12 @@
 // The package holds the native kernels and the emulated-ISA transcription
 // kept as their oracle:
 //
-//   - on an AVX2 host the 8-bit tier is Farrar's kernel in Go assembly on
-//     32 byte lanes, transcribing ScoreU8 instruction for instruction. A
-//     CPUID probe read once chooses it, and the lane kernels below, the
-//     same way; ISA names the widest kernel it chose.
+//   - on an AVX2 host both striped rungs are Farrar's kernel in Go
+//     assembly: the 8-bit tier on 32 byte lanes, transcribing ScoreU8
+//     instruction for instruction, and the 16-bit tier on 16 word lanes,
+//     the same instructions on words. A CPUID probe read once chooses
+//     them together, and the lane kernels below the same way; ISA names
+//     the widest kernel it chose.
 //   - on an AVX2 host ScoreBatch, the database scan, scores most targets
 //     on an inter-sequence lane kernel instead (lanes.go): one target per
 //     byte lane, 64 lanes with AVX-512 BW and VBMI and 32 with AVX2 only,
@@ -23,10 +25,10 @@
 //     lazy-F pass. Their oracle, scoreLanesEmulated, transcribes both
 //     widths on the emulated ISA.
 //   - the SWAR kernel (ScoreSWAR8, ScoreSWAR16) packs 8 byte lanes — or 4
-//     word lanes in the fallback tier — into a uint64 and computes all
+//     word lanes in the 16-bit tier — into a uint64 and computes all
 //     lanes at once with the loop-free bit tricks of internal/simd/swar.
-//     It is the 16-bit tier everywhere and the 8-bit tier on any host
-//     without AVX2: arm64, and amd64 without it.
+//     It runs both tiers on any host without AVX2: arm64, and amd64
+//     without it.
 //   - the oracle (ScoreU8, ScoreI16) runs the same recurrences on the
 //     emulated SSE2 ISA of internal/simd, one Go loop iteration per lane —
 //     slow, but a direct transcription of the SSE original, the bit-exact
@@ -43,9 +45,10 @@
 // tier keeps word lanes below 32768 the same way, certifying scores below
 // ceiling16 = 32767 - bias (the paper's adapted signed variant in the
 // emulated kernel; a biased unsigned rendering with the same ceiling in
-// the SWAR kernel), and the scalar reference resolves anything beyond. A cell clips only when its true value
-// reaches the ceiling, so every implementation returns the same (score, ok)
-// pair on every tier.
+// the SWAR kernel and, on full word lanes, in the AVX2 one), and the
+// scalar reference resolves anything beyond. A cell clips only when its
+// true value reaches the ceiling, so every implementation returns the
+// same (score, ok) pair on every tier.
 //
 // A Kernel precomputes the striped query profile once and scores many
 // database sequences against it, trying the 8-bit kernel first and
@@ -55,6 +58,7 @@
 package farrar
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/score"
@@ -114,10 +118,16 @@ type Kernel struct {
 	segLen16 int
 	prof16   [][]simd.I16x8
 
-	// The native striped kernel's profile, packed only on a host whose
-	// probe chose one (nativeStriped); elsewhere the SWAR profile below is
-	// the 8-bit tier's.
-	native native8
+	// The native striped kernels' profiles, packed only on a host whose
+	// probe chose them (nativeStriped): the 8-bit one on the first Score,
+	// the 16-bit one on the first escalation. Elsewhere the SWAR profiles
+	// below are both tiers'.
+	native   stripedProfile
+	native16 *stripedProfile
+
+	// qidx is the query's residue indices, which every profile packer
+	// reads, built on the first pack.
+	qidx []byte
 
 	// SWAR profiles, one flat row of segLen words per residue. Byte lane l
 	// of swarProf8[r*swarSegLen8+s] holds the biased score of query
@@ -191,72 +201,116 @@ func (k *Kernel) scratch(n int) (hLoad, hStore, e []uint64) {
 	return b[:n], b[n : 2*n], b[2*n:]
 }
 
-// stripedLanes is the byte lanes of the native striped kernel: the 32 of
-// an AVX2 register.
-const stripedLanes = 32
+// stripedBytes is the bytes of one segment of the native striped
+// kernels, an AVX2 register: 32 byte lanes for avx8, 16 word lanes for
+// avx16.
+const stripedBytes = 32
 
-// stripedKernel is the signature of the native striped 8-bit kernel
-// (avx8_amd64.s), which transcribes ScoreU8 instruction for instruction
-// and escalates at the same ceiling8. It runs over target with the profile
-// at prof and the residue table rows (native8). cols points at three
-// zeroed columns of segLen stripedLanes-byte segments (H load, H store,
-// E). best is the horizontal maximum of every H cell, unbiased; done is
-// false if the lazy-F guard expired.
+// stripedKernel is the signature of the native striped kernels. avx8
+// (avx8_amd64.s) transcribes ScoreU8 instruction for instruction and
+// escalates at the same ceiling8; avx16 is avx8 on word lanes, the biased
+// unsigned rendering of ScoreSWAR16 with its ceiling16. A kernel runs over
+// target with the profile at prof and the residue table rows
+// (stripedProfile). cols points at three zeroed columns of segLen
+// stripedBytes-byte segments (H load, H store, E). best is the horizontal
+// maximum of every H cell, unbiased; done is false if the lazy-F guard
+// expired.
 type stripedKernel func(prof *byte, rows *[256]uint32, target []byte, segLen int, cols *uint64, bias, gapOE, gapE int) (best int, done bool)
 
-// native8 is the native striped kernel's profile: one flat row of segLen
-// stripedLanes-byte segments per residue (byte l of segment s holds the
-// biased score of query position l*segLen+s, padding lanes biased zero),
-// plus the byte offset of each target byte's row, so the kernel looks a
-// residue up with one load. Out-of-alphabet bytes map to the final
-// all-minimum row.
-type native8 struct {
+// stripedKernels is the host's one striped choice: the 8-bit kernel and
+// the 16-bit rung, which the probe chooses together, both nil where it
+// chose none.
+type stripedKernels struct {
+	score8, score16 stripedKernel
+}
+
+// stripedProfile is a native striped kernel's profile: one flat row of
+// segLen stripedBytes-byte segments per residue (lane l of segment s holds
+// the biased score of query position l*segLen+s, in a byte for avx8 and a
+// little-endian word for avx16, padding lanes biased zero), plus the byte
+// offset of each target byte's row, so the kernel looks a residue up with
+// one load. Out-of-alphabet bytes map to the final all-minimum row.
+type stripedProfile struct {
 	segLen int
 	prof   []byte
 	rows   [256]uint32
 }
 
-// packNative8 packs the native striped kernel's profile and residue table.
-func (k *Kernel) packNative8() {
-	m := len(k.query)
-	n := &k.native
-	n.segLen = (m + stripedLanes - 1) / stripedLanes
-	alpha := k.scheme.Matrix.Alphabet()
-	rowBytes := n.segLen * stripedLanes
-	n.prof = make([]byte, (alpha.Size()+1)*rowBytes)
-	for r := 0; r <= alpha.Size(); r++ {
-		var row []int
-		if r < alpha.Size() {
-			row = k.scheme.Matrix.Row(r)
+// queryIndex returns the query's residue indices, computing them once.
+func (k *Kernel) queryIndex() []byte {
+	if k.qidx == nil {
+		alpha := k.scheme.Matrix.Alphabet()
+		k.qidx = make([]byte, len(k.query))
+		for i, c := range k.query {
+			k.qidx[i] = byte(alpha.Index(c)) // NewKernel validated the query
 		}
-		for s := 0; s < n.segLen; s++ {
-			for l := 0; l < stripedLanes; l++ {
-				qi := l*n.segLen + s
-				if qi >= m {
-					continue // padding lanes hold biased zero so phantom rows never grow
+	}
+	return k.qidx
+}
+
+// packStriped packs p, a native striped kernel's profile and residue
+// table, at lane width width bytes: 1 for avx8, 2 for avx16.
+func (k *Kernel) packStriped(p *stripedProfile, width int) {
+	lanes := stripedBytes / width
+	m := len(k.query)
+	p.segLen = (m + lanes - 1) / lanes
+	alpha := k.scheme.Matrix.Alphabet()
+	rowBytes := p.segLen * stripedBytes
+	p.prof = make([]byte, (alpha.Size()+1)*rowBytes)
+	qidx := k.queryIndex()
+	var biased [256]uint16 // one matrix row, biased, by query residue index
+	for r := 0; r <= alpha.Size(); r++ {
+		for i := range alpha.Size() {
+			sc := k.scheme.Matrix.Min() // invalid residues score worst, like the scalar reference
+			if r < alpha.Size() {
+				sc = k.scheme.Matrix.ScoreIndex(byte(r), byte(i))
+			}
+			biased[i] = uint16(sc + k.bias)
+		}
+		row := p.prof[r*rowBytes:][:rowBytes]
+		// Query position l*segLen+s goes to lane l of segment s; the
+		// padding lanes past the query keep biased zero, so phantom rows
+		// never grow.
+		for l := 0; l*p.segLen < m; l++ {
+			at := l * width
+			for _, ri := range qidx[l*p.segLen : min(m, (l+1)*p.segLen)] {
+				if width == 1 {
+					row[at] = uint8(biased[ri])
+				} else {
+					binary.LittleEndian.PutUint16(row[at:], biased[ri])
 				}
-				sc := k.scheme.Matrix.Min() // invalid residues score worst, like the scalar reference
-				if row != nil {
-					sc = row[alpha.Index(k.query[qi])]
-				}
-				n.prof[r*rowBytes+s*stripedLanes+l] = uint8(sc + k.bias)
+				at += stripedBytes
 			}
 		}
 	}
-	for c := range n.rows {
+	for c := range p.rows {
 		ri := alpha.Index(byte(c))
 		if ri < 0 {
 			ri = alpha.Size()
 		}
-		n.rows[c] = uint32(ri * rowBytes)
+		p.rows[c] = uint32(ri * rowBytes)
 	}
+}
+
+// runStriped runs a native striped kernel over target with profile p and
+// certifies its score below ceiling.
+func (k *Kernel) runStriped(kern stripedKernel, p *stripedProfile, target []byte, ceiling int) (sc int, ok bool) {
+	// scratch carves the three columns, stripedBytes/8 words per segment,
+	// from one contiguous buffer, the layout the kernel expects.
+	cols, _, _ := k.scratch(stripedBytes / 8 * p.segLen)
+	gapOE, gapE := k.scheme.Gap.Open+k.scheme.Gap.Extend, k.scheme.Gap.Extend
+	best, done := kern(&p.prof[0], &p.rows, target, p.segLen, &cols[0], k.bias, gapOE, gapE)
+	if !done || best >= ceiling {
+		return 0, false // guard expired, or a saturating add may have clipped the true score
+	}
+	return best, true
 }
 
 // scoreNative8 is the 8-bit tier Kernel.Score tries first: the native
 // striped kernel where the probe chose one, the SWAR kernel otherwise.
 // ok is false when the score reached ceiling8, exactly as for ScoreU8.
 func (k *Kernel) scoreNative8(target []byte) (sc int, ok bool) {
-	if nativeStriped == nil {
+	if nativeStriped.score8 == nil {
 		return k.ScoreSWAR8(target)
 	}
 	if len(target) == 0 {
@@ -265,30 +319,41 @@ func (k *Kernel) scoreNative8(target []byte) (sc int, ok bool) {
 	if !k.tier8 {
 		return 0, false
 	}
-	n := &k.native
-	if n.prof == nil {
-		k.packNative8()
+	if k.native.prof == nil {
+		k.packStriped(&k.native, 1)
 	}
-	// scratch carves the three columns, stripedLanes/8 words per segment,
-	// from one contiguous buffer, the layout the kernel expects.
-	cols, _, _ := k.scratch(stripedLanes / 8 * n.segLen)
-	gapOE, gapE := k.scheme.Gap.Open+k.scheme.Gap.Extend, k.scheme.Gap.Extend
-	best, done := nativeStriped(&n.prof[0], &n.rows, target, n.segLen, &cols[0], k.bias, gapOE, gapE)
-	if !done || best >= k.ceiling8() {
-		return 0, false // guard expired, or a saturating add may have clipped the true score
+	return k.runStriped(nativeStriped.score8, &k.native, target, k.ceiling8())
+}
+
+// scoreNative16 is the 16-bit rung escalate tries: the native striped
+// kernel where the probe chose one, the SWAR kernel otherwise. ok is
+// false when the score reached ceiling16, exactly as for ScoreI16.
+func (k *Kernel) scoreNative16(target []byte) (sc int, ok bool) {
+	if nativeStriped.score16 == nil {
+		return k.ScoreSWAR16(target)
 	}
-	return best, true
+	if len(target) == 0 {
+		return 0, true
+	}
+	if !k.tier16 {
+		return 0, false
+	}
+	if k.native16 == nil {
+		k.native16 = new(stripedProfile)
+		k.packStriped(k.native16, 2)
+	}
+	return k.runStriped(nativeStriped.score16, k.native16, target, k.ceiling16())
 }
 
 // ISA names the widest native kernel the CPUID probe chose for this host:
 // "avx512vbmi" (the 64-lane database scan beside the AVX2 striped
-// kernel), "avx2", or "swar" where it chose none and the SWAR kernel is
-// the 8-bit tier.
+// kernels), "avx2", or "swar" where it chose none and the SWAR kernels
+// run both tiers.
 func ISA() string {
 	switch {
 	case nativeLanes.width == 64:
 		return "avx512vbmi"
-	case nativeStriped != nil:
+	case nativeStriped.score8 != nil:
 		return "avx2"
 	}
 	return "swar"
@@ -374,9 +439,13 @@ func (k *Kernel) Score(target []byte) int {
 }
 
 // escalate scores a target the 8-bit tier could not certify: the rest of
-// the ladder, 16-bit then scalar.
+// the ladder, 16-bit then scalar. The 16-bit rung's cells count in
+// PathCells.Rescored16 whether or not it certifies the score.
 func (k *Kernel) escalate(target []byte) int {
-	if sc, ok := k.ScoreSWAR16(target); ok {
+	if k.tier16 {
+		k.cells.Rescored16 += k.Cells(target)
+	}
+	if sc, ok := k.scoreNative16(target); ok {
 		k.stats.Fallback16++
 		return sc
 	}
@@ -475,7 +544,7 @@ func (k *Kernel) ScoreU8(target []byte) (sc int, ok bool) {
 }
 
 // ScoreI16 runs the emulated-ISA 16-bit signed kernel (the paper's
-// adapted variant, and the oracle for ScoreSWAR16). ok is false when the
+// adapted variant, and the oracle for ScoreSWAR16 and avx16). ok is false when the
 // score reached ceiling16.
 func (k *Kernel) ScoreI16(target []byte) (sc int, ok bool) {
 	if len(target) == 0 {

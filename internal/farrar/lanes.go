@@ -215,16 +215,26 @@ func buildLanes(targets [][]byte, a *seq.Alphabet, width int) *laneLayout {
 }
 
 // PathCells counts the DP cells a kernel's ScoreBatch calls scored on
-// each path: the inter-sequence lanes and the striped kernel.
+// each path, the inter-sequence lanes and the striped kernel, and apart
+// from them the cells the 16-bit rung re-scored after an 8-bit overflow,
+// for Score and ScoreBatch alike.
 type PathCells struct {
-	Lanes   int64
-	Striped int64
+	Lanes      int64
+	Striped    int64
+	Rescored16 int64
 }
 
-// Total returns the cells of both paths.
+// Total returns the cells of the two paths, once per target: the
+// re-scored cells are not in it.
 func (c PathCells) Total() int64 { return c.Lanes + c.Striped }
 
-// PathCells returns the cells scored by ScoreBatch so far.
+// Sub returns the cells c gained since o, an earlier reading of the same
+// kernel's PathCells.
+func (c PathCells) Sub(o PathCells) PathCells {
+	return PathCells{Lanes: c.Lanes - o.Lanes, Striped: c.Striped - o.Striped, Rescored16: c.Rescored16 - o.Rescored16}
+}
+
+// PathCells returns the cells scored so far.
 func (k *Kernel) PathCells() PathCells { return k.cells }
 
 // ScoreBatch scores the kernel's query against every target of b, writing

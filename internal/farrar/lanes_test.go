@@ -127,7 +127,11 @@ func checkLanes(t *testing.T, k *Kernel, targets [][]byte) {
 // emulated oracle checks both widths on every host in the other lane
 // tests.
 func TestHostKernels(t *testing.T) {
-	t.Logf("ISA() = %s; striped 8-bit path %s; NewBatch lays out %d lanes", ISA(), hostPath(), nativeLanes.width)
+	path16 := "swar"
+	if nativeStriped.score16 != nil {
+		path16 = "avx2"
+	}
+	t.Logf("ISA() = %s; striped 8-bit path %s; 16-bit path %s; NewBatch lays out %d lanes", ISA(), hostPath(), path16, nativeLanes.width)
 	want := map[string]int{"avx512vbmi": 64, "avx2": 32}[ISA()]
 	got := 0
 	if b := NewBatch([][]byte{[]byte("MKVLAG")}, protScheme().Matrix.Alphabet()); b.lanes != nil {

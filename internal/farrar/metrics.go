@@ -2,10 +2,12 @@ package farrar
 
 import "repro/internal/metrics"
 
-// Path label values of the farrar_cells_total counter.
+// Path label values of the farrar_cells_total counter. Path16 counts
+// cells a second time: those of the pairs the 16-bit rung re-scored.
 const (
 	PathLanes   = "lanes"
 	PathStriped = "striped"
+	Path16      = "16bit"
 )
 
 // Tier label values of the farrar_fallback_total counter, one per rung of
@@ -25,7 +27,8 @@ type Metrics struct {
 	// labelled tier="8bit" | "16bit" | "scalar".
 	Fallback *metrics.CounterVec
 	// Cells counts the DP cells of Kernel.ScoreBatch calls by kernel path,
-	// labelled path="lanes" | "striped".
+	// labelled path="lanes" | "striped", and the cells the 16-bit rung
+	// re-scored, path="16bit".
 	Cells *metrics.CounterVec
 }
 
@@ -37,7 +40,7 @@ func NewMetrics(r *metrics.Registry) *Metrics {
 		Fallback: r.CounterVec("farrar_fallback_total",
 			"Sequences resolved per kernel tier of the 8/16/scalar overflow ladder.", "tier"),
 		Cells: r.CounterVec("farrar_cells_total",
-			"DP cells scored per kernel path: inter-sequence lanes or striped.", "path"),
+			"DP cells scored per kernel path (inter-sequence lanes or striped); path 16bit counts the cells the 16-bit rung re-scored.", "path"),
 	}
 }
 
@@ -55,13 +58,16 @@ func (m *Metrics) Observe(s Stats) {
 	}
 }
 
-// ObserveCells publishes one batch search's cells per path; a path with
-// no cells is not touched.
+// ObserveCells publishes one search's cells per path; a path with no
+// cells is not touched.
 func (m *Metrics) ObserveCells(c PathCells) {
 	if c.Lanes > 0 {
 		m.Cells.With(PathLanes).Add(float64(c.Lanes))
 	}
 	if c.Striped > 0 {
 		m.Cells.With(PathStriped).Add(float64(c.Striped))
+	}
+	if c.Rescored16 > 0 {
+		m.Cells.With(Path16).Add(float64(c.Rescored16))
 	}
 }

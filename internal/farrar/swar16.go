@@ -2,14 +2,15 @@ package farrar
 
 import "repro/internal/simd/swar"
 
-// This file is the native-speed 16-bit fallback tier: 4 word lanes packed
-// in a uint64, on the same guard-bit primitives as the 8-bit tier (every
-// lane value in 0..32767). Unlike the emulated ScoreI16 — which
-// transcribes the SSE original's *signed* 16-bit arithmetic — this kernel
-// keeps Farrar's biased *unsigned* formulation from the 8-bit tier,
-// because the unsigned saturating bit tricks are what a packed word
-// computes cheaply. The two renderings agree wherever both certify a
-// score:
+// This file is the portable 16-bit tier (the native one on a host
+// without AVX2, where escalate runs it): 4 word lanes packed in a uint64,
+// on the same guard-bit primitives as the 8-bit tier (every lane value in
+// 0..32767). Unlike the emulated ScoreI16 — which transcribes the SSE
+// original's *signed* 16-bit arithmetic — this kernel keeps Farrar's
+// biased *unsigned* formulation from the 8-bit tier, because the unsigned
+// saturating bit tricks are what a packed word computes cheaply; avx16
+// renders the same formulation on full word lanes. The two renderings
+// agree with ScoreI16 wherever both certify a score:
 //
 //   - Unsigned E/F hold max(signed E/F, 0); a clamped-to-zero gap state
 //     can never win a max against H >= 0, so H is identical.
@@ -23,6 +24,7 @@ func (k *Kernel) buildSwarProfile16() {
 	k.swarSegLen16 = (m + swar.Lanes16 - 1) / swar.Lanes16
 	alpha := k.scheme.Matrix.Alphabet()
 	k.swarProf16 = make([]uint64, (alpha.Size()+1)*k.swarSegLen16)
+	qidx := k.queryIndex()
 	for r := 0; r <= alpha.Size(); r++ {
 		segs := k.swarProf16[r*k.swarSegLen16:][:k.swarSegLen16]
 		var row []int
@@ -38,7 +40,7 @@ func (k *Kernel) buildSwarProfile16() {
 				}
 				sc := k.scheme.Matrix.Min()
 				if row != nil {
-					sc = row[alpha.Index(k.query[qi])]
+					sc = row[qidx[qi]]
 				}
 				v |= uint64(uint16(sc+k.bias)) << (16 * l)
 			}

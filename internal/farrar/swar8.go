@@ -20,6 +20,7 @@ func (k *Kernel) buildSwarProfile8() {
 	k.swarSegLen8 = (m + swar.Lanes8 - 1) / swar.Lanes8
 	alpha := k.scheme.Matrix.Alphabet()
 	k.swarProf8 = make([]uint64, (alpha.Size()+1)*k.swarSegLen8)
+	qidx := k.queryIndex()
 	for r := 0; r <= alpha.Size(); r++ {
 		segs := k.swarProf8[r*k.swarSegLen8:][:k.swarSegLen8]
 		var row []int
@@ -35,7 +36,7 @@ func (k *Kernel) buildSwarProfile8() {
 				}
 				sc := k.scheme.Matrix.Min() // invalid residues score worst, like the scalar reference
 				if row != nil {
-					sc = row[alpha.Index(k.query[qi])]
+					sc = row[qidx[qi]]
 				}
 				v |= uint64(uint8(sc+k.bias)) << (8 * l)
 			}

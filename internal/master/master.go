@@ -14,6 +14,7 @@
 package master
 
 import (
+	"context"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -130,8 +131,9 @@ type QueryResult struct {
 type Master struct {
 	start time.Time
 	lease time.Duration
-	// done closes when every task has a result.
-	done chan struct{}
+	// job is cancelled, by finish, when every task has a result.
+	job    context.Context
+	finish context.CancelFunc
 	// stop ends the lease-expiry ticker when the master is shut down
 	// before the job completes (Close); loopDone closes when the ticker
 	// goroutine has actually exited, so Close can join it.
@@ -143,9 +145,8 @@ type Master struct {
 	met      *masterMetrics
 	wireMet  *wire.Metrics
 
-	mu     sync.Mutex
-	core   *Core
-	closed bool
+	mu   sync.Mutex
+	core *Core
 }
 
 // New builds a master for the job.
@@ -165,7 +166,6 @@ func New(cfg Config) (*Master, error) {
 	m := &Master{
 		core:     core,
 		start:    time.Now(),
-		done:     make(chan struct{}),
 		stop:     make(chan struct{}),
 		loopDone: make(chan struct{}),
 		serveErr: make(chan error, 1),
@@ -173,6 +173,7 @@ func New(cfg Config) (*Master, error) {
 		met:      newMasterMetrics(cfg.Registry),
 		wireMet:  wire.NewMetrics(cfg.Registry),
 	}
+	m.job, m.finish = context.WithCancel(context.Background())
 	if m.lease > 0 {
 		go m.expireLoop()
 	}
@@ -194,7 +195,7 @@ func (m *Master) expireLoop() {
 	defer t.Stop()
 	for {
 		select {
-		case <-m.done:
+		case <-m.job.Done():
 			return
 		case <-m.stop:
 			return
@@ -224,7 +225,7 @@ func (m *Master) Close() {
 
 // Dispatch implements wire.Handler: the single protocol entry point on the
 // wall clock. All protocol behaviour lives in Core.Dispatch; this wrapper
-// adds the lock, the clock, the protocol counters and the done channel.
+// adds the lock, the clock, the protocol counters and the job context.
 func (m *Master) Dispatch(req wire.Envelope) wire.Envelope {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -233,9 +234,8 @@ func (m *Master) Dispatch(req wire.Envelope) wire.Envelope {
 	if req.Register != nil && resp.RegisterAck != nil {
 		m.met.registrations.Inc()
 	}
-	if m.core.Done() && !m.closed {
-		m.closed = true
-		close(m.done)
+	if m.core.Done() {
+		m.finish()
 	}
 	return resp
 }
@@ -251,13 +251,18 @@ func (m *Master) SlaveGone(id sched.SlaveID) {
 	}
 }
 
+// Context returns the job's context, cancelled when every task has a
+// result: a caller ends what it runs for the job with
+// context.AfterFunc(m.Context(), stop).
+func (m *Master) Context() context.Context { return m.job }
+
 // Done returns a channel closed when every task has a result.
-func (m *Master) Done() <-chan struct{} { return m.done }
+func (m *Master) Done() <-chan struct{} { return m.job.Done() }
 
 // Wait blocks until the job completes or the timeout elapses.
 func (m *Master) Wait(timeout time.Duration) error {
 	select {
-	case <-m.done:
+	case <-m.job.Done():
 		return nil
 	case <-time.After(timeout):
 		return fmt.Errorf("master: job not finished after %v", timeout)
@@ -355,9 +360,8 @@ func LoadCheckpoint(r io.Reader, cfg Config) (*Master, error) {
 	m.mu.Lock()
 	m.core.Coordinator().RetireGauges() // the core New built never runs
 	m.core = core
-	if m.core.Done() && !m.closed {
-		m.closed = true
-		close(m.done)
+	if m.core.Done() {
+		m.finish()
 	}
 	m.mu.Unlock()
 	return m, nil

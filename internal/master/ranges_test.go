@@ -187,16 +187,11 @@ func oneTaskJob(t *testing.T, adjust bool) (m *master.Master, run func(wire.Call
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Close)
-	// The job's context, cancelled as the job ends.
+	// The job's context, cancelled as the job ends or the test does.
 	job, end := context.WithCancel(context.Background())
 	t.Cleanup(end)
-	go func() {
-		select {
-		case <-m.Done():
-			end()
-		case <-job.Done():
-		}
-	}()
+	stop := context.AfterFunc(m.Context(), end)
+	t.Cleanup(func() { stop() })
 	var loops []<-chan error
 	run = func(caller wire.Caller, eng slave.Engine) {
 		done := make(chan error, 1)

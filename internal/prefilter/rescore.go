@@ -49,3 +49,8 @@ func (r *Rescorer) Rescore(db []*seq.Sequence, windows []Window) (scores []int, 
 // Stats exposes the kernel's fallback-ladder telemetry accumulated across
 // Rescore calls, for the farrar metrics bundle.
 func (r *Rescorer) Stats() farrar.Stats { return r.kernel.Stats() }
+
+// PathCells exposes the kernel's cell counts accumulated across Rescore
+// calls: Rescored16, the cells the 16-bit rung re-scored, is the one that
+// moves.
+func (r *Rescorer) PathCells() farrar.PathCells { return r.kernel.PathCells() }

@@ -66,7 +66,8 @@ type FarrarEngine struct {
 }
 
 // SetKernelMetrics attaches the farrar kernel-telemetry bundle; each
-// Search observes its kernel's tier stats and path cells on completion.
+// SearchRange and FilterRange observes its kernel's tier stats and path
+// cells on completion.
 func (e *FarrarEngine) SetKernelMetrics(m *farrar.Metrics) { e.kmet = m }
 
 // NewFarrarEngine builds an SSE-core engine over a resident database.

@@ -132,12 +132,13 @@ func (e *FarrarEngine) FilterRange(query *seq.Sequence, lo, hi, k int, spec pref
 		return nil, prefilter.Tally{}, ErrCanceled
 	default:
 	}
-	before := cache.rescorer.Stats()
+	before, cellsBefore := cache.rescorer.Stats(), cache.rescorer.PathCells()
 	scores, cells, err := cache.rescorer.Rescore(db, res.Windows)
 	if err != nil {
 		return nil, prefilter.Tally{}, err
 	}
 	e.kmet.Observe(cache.rescorer.Stats().Sub(before))
+	e.kmet.ObserveCells(cache.rescorer.PathCells().Sub(cellsBefore))
 	if !compiled {
 		// prefilter_patterns_compiled_total counts compilations.
 		res.Stats.Patterns = 0

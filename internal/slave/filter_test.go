@@ -1,10 +1,13 @@
 package slave
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/farrar"
 	"repro/internal/metrics"
 	"repro/internal/prefilter"
 	"repro/internal/sched"
@@ -165,5 +168,53 @@ func TestUnknownTaskKindFails(t *testing.T) {
 	}
 	if len(m.completed) != 0 {
 		t.Fatalf("completed %v", m.completed)
+	}
+}
+
+// TestRescoredCellsPublished: SearchRange and FilterRange both publish
+// the cells the 16-bit rung re-scored as farrar_cells_total{path="16bit"}.
+// The database holds one copy of the query among random sequences, the
+// one pair whose score overflows the 8-bit tier, so each search moves the
+// counter by exactly m×n, the copy's cells, and no more.
+func TestRescoredCellsPublished(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x16B))
+	const alphabet = "ACDEFGHIKLMNPQRSTVWY"
+	random := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return b
+	}
+	q := seq.New("q", "", random(90))
+	var db []*seq.Sequence
+	for i := range 20 {
+		db = append(db, seq.New(fmt.Sprintf("s%d", i), "", random(30+rng.Intn(170))))
+	}
+	db[7] = seq.New("copy", "", append([]byte(nil), q.Residues...))
+	want := float64(q.Len() * q.Len())
+	for _, filtered := range []bool{false, true} {
+		eng, err := NewFarrarEngine("sse0", score.DefaultProtein(), db, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kmet := farrar.NewMetrics(metrics.NewRegistry())
+		eng.SetKernelMetrics(kmet)
+		if filtered {
+			var cache FilterCache
+			_, _, err = eng.FilterRange(q, 0, len(db), 0, prefilter.Spec{}, &cache, make(chan struct{}))
+			cache.release()
+		} else {
+			_, err = eng.SearchRange(q, 0, len(db), 0, nil, make(chan struct{}))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := kmet.Fallback.With(farrar.Tier16).Value(); got != 1 {
+			t.Fatalf("filtered=%v: %v pairs escalated, want the copy alone", filtered, got)
+		}
+		if got := kmet.Cells.With(farrar.Path16).Value(); got != want {
+			t.Errorf("filtered=%v: farrar_cells_total{path=\"16bit\"} = %v, want m×n = %v", filtered, got, want)
+		}
 	}
 }
