@@ -82,15 +82,8 @@ func main() {
 			}
 			fmt.Println()
 		}
-		if *doAln && len(r.Hits) > 0 && len(r.Hits[0].QueryRow) > 0 {
-			best := r.Hits[0]
-			a := hybridsw.Alignment{
-				Score:      best.Score,
-				QueryStart: best.QueryStart, QueryEnd: best.QueryEnd,
-				TargetStart: best.TargetStart, TargetEnd: best.TargetEnd,
-				QueryRow: best.QueryRow, TargetRow: best.TargetRow,
-			}
-			fmt.Print(a.Format(hybridsw.DefaultScheme(), 60))
+		if r.Alignment != nil {
+			fmt.Print(r.Alignment.Format(hybridsw.DefaultScheme(), 60))
 		}
 	}
 	fmt.Printf("\ntotal: %s s wall clock, %.3f GCUPS\n", gcups.Seconds(rep.Elapsed), rep.GCUPS())

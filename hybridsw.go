@@ -123,7 +123,8 @@ type Platform struct {
 	TopK     int    // hits returned per query; 0 = all
 	Scheme   Scheme // zero value = DefaultScheme
 
-	// AlignBest ships the traceback alignment of each query's best hit.
+	// AlignBest sets each QueryResult's Alignment: the traceback of the
+	// query's best hit, run once per query after the merge.
 	AlignBest bool
 
 	// Mode selects the search: "" or "full" runs the exhaustive scan;

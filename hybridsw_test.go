@@ -144,31 +144,25 @@ func TestSearchAlignBest(t *testing.T) {
 	}
 	s := hybridsw.DefaultScheme()
 	for qi, r := range rep.PerQuery {
-		best := r.Hits[0]
-		if len(best.QueryRow) == 0 || len(best.QueryRow) != len(best.TargetRow) {
-			t.Fatalf("query %s: no alignment rows on the best hit", r.Query)
+		best, a := r.Hits[0], r.Alignment
+		if a == nil || len(a.QueryRow) == 0 || len(a.QueryRow) != len(a.TargetRow) {
+			t.Fatalf("query %s: no alignment rows for the best hit", r.Query)
 		}
-		// The shipped alignment must rescore to the reported score.
-		a := hybridsw.Alignment{
-			Score:    best.Score,
-			QueryRow: best.QueryRow, TargetRow: best.TargetRow,
-		}
+		// The alignment must rescore to the reported score.
 		re, err := a.Rescore(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if re != best.Score {
-			t.Fatalf("query %s: alignment rescores to %d, hit score %d", r.Query, re, best.Score)
+		if re != best.Score || a.Score != best.Score {
+			t.Fatalf("query %s: alignment scores %d and rescores to %d, hit score %d", r.Query, a.Score, re, best.Score)
 		}
-		// Coordinates must reference the query.
-		q := queries[qi]
-		gotQ := strings.ReplaceAll(string(best.QueryRow), "-", "")
-		if gotQ != string(q.Residues[best.QueryStart:best.QueryEnd]) {
-			t.Fatalf("query %s: alignment coords inconsistent", r.Query)
+		// Coordinates must reference the query and the best hit's target.
+		q, target := queries[qi], db[best.Index]
+		if strings.ReplaceAll(string(a.QueryRow), "-", "") != string(q.Residues[a.QueryStart:a.QueryEnd]) {
+			t.Fatalf("query %s: query coords inconsistent", r.Query)
 		}
-		// Lower hits carry no rows.
-		if len(r.Hits) > 1 && len(r.Hits[1].QueryRow) != 0 {
-			t.Error("non-best hit carries alignment rows")
+		if strings.ReplaceAll(string(a.TargetRow), "-", "") != string(target.Residues[a.TargetStart:a.TargetEnd]) {
+			t.Fatalf("query %s: target coords inconsistent with best hit %s", r.Query, best.SeqID)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -32,17 +33,18 @@ func testDB(t *testing.T, name string, scale float64, seed int64) []*seq.Sequenc
 }
 
 // rankingJSON projects results onto exactly the fields the ranking-identity
-// contract covers (query identity plus the full hit lists, alignment
-// payloads included) and serializes them, so "byte-identical" is literal.
+// contract covers (query identity, the full hit lists and the best hit's
+// alignment) and serializes them, so "byte-identical" is literal.
 func rankingJSON(t *testing.T, perQuery []hybridsw.QueryResult) string {
 	t.Helper()
 	type row struct {
-		Query string
-		Hits  []wire.Hit
+		Query     string
+		Hits      []wire.Hit
+		Alignment *sw.Alignment
 	}
 	rows := make([]row, len(perQuery))
 	for i, q := range perQuery {
-		rows[i] = row{Query: q.Query, Hits: q.Hits}
+		rows[i] = row{Query: q.Query, Hits: q.Hits, Alignment: q.Alignment}
 	}
 	b, err := json.Marshal(rows)
 	if err != nil {
@@ -65,6 +67,25 @@ func bruteForce(queries, db []*seq.Sequence, s score.Scheme) [][]wire.Hit {
 		out[qi] = hits
 	}
 	return out
+}
+
+// checkAlignments asserts phase 2's one result per query: with align set,
+// each query's Alignment is field for field sw.AlignLinearSpace of the
+// query against its best hit's sequence; without it, nil.
+func checkAlignments(t *testing.T, perQuery []hybridsw.QueryResult, queries, db []*seq.Sequence, s score.Scheme, align bool) {
+	t.Helper()
+	for qi, qr := range perQuery {
+		if !align || len(qr.Hits) == 0 || qr.Hits[0].Score <= 0 {
+			if qr.Alignment != nil {
+				t.Errorf("query %s: alignment %+v, want none", qr.Query, qr.Alignment)
+			}
+			continue
+		}
+		want := sw.AlignLinearSpace(queries[qi].Residues, db[qr.Hits[0].Index].Residues, s)
+		if !reflect.DeepEqual(qr.Alignment, want) {
+			t.Errorf("query %s: alignment %+v, want AlignLinearSpace against %s: %+v", qr.Query, qr.Alignment, qr.Hits[0].SeqID, want)
+		}
+	}
 }
 
 // checkFullRanking asserts a full-scan result is exactly the oracle's
@@ -152,9 +173,9 @@ func TestClusterMatchesLocalRanking(t *testing.T) {
 			}
 			for _, mode := range []string{"full", "filtered"} {
 				for _, topK := range []int{0, 3} {
-					// Exercise the alignment-stripping path on one cell of
-					// the matrix; tracebacks are expensive to run everywhere.
-					align := mode == "full" && topK == 3
+					// Align in the top-3 cells of both modes; tracebacks are
+					// expensive to run everywhere.
+					align := topK == 3
 					name := fmt.Sprintf("%s/%s/%s/topk=%d", dbc.name, sc.name, mode, topK)
 					t.Run(name, func(t *testing.T) {
 						one, err := hybridsw.Search(queries, db, hybridsw.Platform{
@@ -176,6 +197,8 @@ func TestClusterMatchesLocalRanking(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
+						checkAlignments(t, one.PerQuery, queries, db, sc.s, align)
+						checkAlignments(t, rep.PerQuery, queries, db, sc.s, align)
 						got, want := rankingJSON(t, rep.PerQuery), rankingJSON(t, one.PerQuery)
 						if got != want {
 							t.Errorf("three-shard ranking diverges from one-shard:\n got %s\nwant %s", got, want)
@@ -577,9 +600,9 @@ func TestFleetValidation(t *testing.T) {
 // brute-force oracle. Every database repeats three sequences in turn, so
 // equal scores straddle every range and shard boundary and only the global
 // index can order them; two of the queries share one ID, so results must
-// merge by position; and the k=10 cells ask for alignments, which must
-// survive on each query's global best hit, whichever engine kind scanned
-// its range, and nowhere else.
+// merge by position; and the k=10 cells ask for alignments: each query
+// gets the one traceback of its global best hit, whichever engine kind
+// scanned its range, and the other cells get none.
 func TestRangeTasksMatchBruteForce(t *testing.T) {
 	motifs := testDB(t, "Ensembl Dog Proteins", 0.0002, 31)[:3]
 	queries := hybridsw.GenerateQueries(motifs, 3, 30, 60, 32)
@@ -615,13 +638,8 @@ func TestRangeTasksMatchBruteForce(t *testing.T) {
 							if qr.Query != queries[qi].ID {
 								t.Errorf("result %d is for %q, want %q", qi, qr.Query, queries[qi].ID)
 							}
-							for i, h := range qr.Hits {
-								has, want := h.QueryRow != nil, align && i == 0
-								if has != want {
-									t.Errorf("query %d rank %d: alignment rows present = %v", qi, i, has)
-								}
-							}
 						}
+						checkAlignments(t, rep.PerQuery, queries, db, hybridsw.DefaultScheme(), align)
 					})
 				}
 			}

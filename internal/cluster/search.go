@@ -12,6 +12,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/seq"
 	"repro/internal/slave"
+	"repro/internal/sw"
 	"repro/internal/wire"
 )
 
@@ -21,7 +22,7 @@ type Params struct {
 	Adjust    bool   // workload adjustment within each shard
 	Omega     int    // PSS history window; 0 = default
 	TopK      int    // hits returned per query; 0 = all
-	AlignBest bool   // traceback rows for each query's best hit
+	AlignBest bool   // set QueryResult.Alignment: one traceback per query, after the merge
 
 	// Mode selects the task kind: "" or "full" runs the exhaustive scan;
 	// "filtered" makes every range task a k-mer seed prefilter of its
@@ -69,7 +70,9 @@ type ShardReport struct {
 // Report is the outcome of a search.
 type Report struct {
 	PerQuery []master.QueryResult
-	Elapsed  time.Duration
+	// Elapsed is the search's wall time: every shard's scan, the merge
+	// and, with AlignBest, the tracebacks.
+	Elapsed time.Duration
 	// Cells sums the DP work across every shard — query×database for the
 	// full scan, the (smaller) rescored total in filtered mode — so GCUPS
 	// aggregates the whole fleet's throughput. Shards carries the
@@ -145,7 +148,7 @@ func (f *Fleet) SearchContext(ctx context.Context, queries []*seq.Sequence, p Pa
 		}
 	}
 
-	rep := &Report{Elapsed: time.Since(start), Shards: make([]ShardReport, len(f.shards))}
+	rep := &Report{Shards: make([]ShardReport, len(f.shards))}
 	if filtered {
 		rep.Filter = &master.FilterStats{Queries: len(queries)}
 	}
@@ -157,6 +160,12 @@ func (f *Fleet) SearchContext(ctx context.Context, queries []*seq.Sequence, p Pa
 		}
 	}
 	rep.PerQuery = f.merge(queries, outcomes, p.TopK)
+	if p.AlignBest {
+		if err := f.alignBest(ctx, queries, rep.PerQuery); err != nil {
+			return nil, err
+		}
+	}
+	rep.Elapsed = time.Since(start)
 	mode := p.Mode
 	if mode == "" {
 		mode = "full"
@@ -196,14 +205,6 @@ func (f *Fleet) merge(queries []*seq.Sequence, outcomes []shardOutcome, topK int
 		if topK > 0 && len(hits) > topK {
 			hits = hits[:topK]
 		}
-		// Each range task of each shard aligned its own best hit; only
-		// the global best keeps its traceback, so exactly one hit per
-		// query carries rows whatever the cut.
-		for i := 1; i < len(hits); i++ {
-			hits[i].QueryRow, hits[i].TargetRow = nil, nil
-			hits[i].QueryStart, hits[i].QueryEnd = 0, 0
-			hits[i].TargetStart, hits[i].TargetEnd = 0, 0
-		}
 		qr.Hits = hits
 		if len(hits) > 0 {
 			if si := f.shardOf(hits[0].Index); si >= 0 {
@@ -213,6 +214,25 @@ func (f *Fleet) merge(queries []*seq.Sequence, outcomes []shardOutcome, topK int
 		merged[qi] = qr
 	}
 	return merged
+}
+
+// alignBest runs phase 2 of §II-A: the linear-space traceback of each
+// query's best hit, once per query, now that the merge has ranked every
+// shard's hits and the global best is known. A query whose best score is
+// not positive has no local alignment and keeps a nil Alignment. A
+// cancelled ctx stops it between tracebacks and returns ctx.Err().
+func (f *Fleet) alignBest(ctx context.Context, queries []*seq.Sequence, perQuery []master.QueryResult) error {
+	for qi := range perQuery {
+		qr := &perQuery[qi]
+		if len(qr.Hits) == 0 || qr.Hits[0].Score <= 0 {
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		qr.Alignment = sw.AlignLinearSpace(queries[qi].Residues, f.cfg.DB[qr.Hits[0].Index].Residues, f.cfg.Scheme)
+	}
+	return nil
 }
 
 // shardOf maps a global database index to its shard.
@@ -290,7 +310,6 @@ func (f *Fleet) searchShard(ctx context.Context, s *shard, queries []*seq.Sequen
 				NotifyEvery: 20 * time.Millisecond,
 				Poll:        5 * time.Millisecond,
 				TopK:        p.TopK,
-				AlignBest:   p.AlignBest,
 				Context:     replicaCtx,
 				Metrics:     f.slaveMet,
 			})

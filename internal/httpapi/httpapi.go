@@ -499,11 +499,10 @@ func (s *Server) buildSearchResponse(queries []*seq.Sequence, rep *cluster.Repor
 				e := params.EValue(h.Score, queryLen[qr.Query], s.residues)
 				hit.EValue = &e
 			}
-			if len(h.QueryRow) > 0 {
-				hit.QueryRow = string(h.QueryRow)
-				hit.TargetRow = string(h.TargetRow)
-			}
 			res.Hits = append(res.Hits, hit)
+		}
+		if a := qr.Alignment; a != nil {
+			res.Hits[0].QueryRow, res.Hits[0].TargetRow = string(a.QueryRow), string(a.TargetRow)
 		}
 		resp.Results = append(resp.Results, res)
 	}

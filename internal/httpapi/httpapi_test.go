@@ -95,8 +95,23 @@ func TestSearchEndpoint(t *testing.T) {
 	if best.EValue == nil || *best.EValue > 1e-3 {
 		t.Errorf("strong hit EValue = %v (score %d)", *best.EValue, best.Score)
 	}
-	if best.QueryRow == "" || len(best.QueryRow) != len(best.TargetRow) {
+	// align=true puts the one traceback of the search, the best hit's, on
+	// the best hit and on no other.
+	for _, d := range srv.db {
+		if d.ID == best.SeqID {
+			a := sw.AlignLinearSpace(q.Residues, d.Residues, score.DefaultProtein())
+			if best.QueryRow != string(a.QueryRow) || best.TargetRow != string(a.TargetRow) {
+				t.Errorf("alignment rows %q/%q, want %q/%q", best.QueryRow, best.TargetRow, a.QueryRow, a.TargetRow)
+			}
+		}
+	}
+	if best.QueryRow == "" {
 		t.Error("alignment rows missing despite align=true")
+	}
+	for _, h := range out.Results[0].Hits[1:] {
+		if h.QueryRow != "" || h.TargetRow != "" {
+			t.Errorf("hit %s carries alignment rows", h.SeqID)
+		}
 	}
 	if out.GCUPS <= 0 || out.Database != "test-db" {
 		t.Errorf("metadata: %+v", out)

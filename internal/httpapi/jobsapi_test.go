@@ -157,8 +157,8 @@ func TestJobLifecycle(t *testing.T) {
 	if len(out.Results) != 1 || len(out.Results[0].Hits) != 2 {
 		t.Fatalf("result payload = %+v", out)
 	}
-	if out.Results[0].Hits[0].QueryRow == "" {
-		t.Error("align=true produced no alignment rows")
+	if h := out.Results[0].Hits; h[0].QueryRow == "" || h[0].TargetRow == "" || h[1].QueryRow != "" || h[1].TargetRow != "" {
+		t.Error("align=true must put alignment rows on the best hit only")
 	}
 
 	// The job shows up in the listing.

@@ -26,6 +26,7 @@ import (
 	"repro/internal/prefilter"
 	"repro/internal/sched"
 	"repro/internal/seq"
+	"repro/internal/sw"
 	"repro/internal/wire"
 )
 
@@ -122,6 +123,10 @@ type QueryResult struct {
 	Slave    sched.SlaveID
 	Elapsed  time.Duration // completion time relative to job start
 	Replicas int           // how many extra copies the adjustment mechanism ran
+	// Alignment is the traceback of Hits[0] (§II-A phase 2). A master
+	// merges scores only; cluster.Fleet.SearchContext sets it, once per
+	// query, when Params.AlignBest asks and the best score is positive.
+	Alignment *sw.Alignment `json:",omitempty"`
 }
 
 // Master serves one job to any number of slaves. Fields above mu are set

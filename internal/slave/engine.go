@@ -22,7 +22,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/score"
 	"repro/internal/seq"
-	"repro/internal/sw"
 	"repro/internal/wire"
 )
 
@@ -301,21 +300,4 @@ func siftWorst(h []wire.Hit, i int) {
 		h[i], h[w] = h[w], h[i]
 		i = w
 	}
-}
-
-// Aligner is implemented by engines that can run the traceback phase
-// (§II-A phase 2) for one database hit.
-type Aligner interface {
-	// AlignHit recovers the optimal local alignment of the query against
-	// database sequence hitIndex.
-	AlignHit(query *seq.Sequence, hitIndex int) (*sw.Alignment, error)
-}
-
-// AlignHit implements Aligner with the linear-space traceback, so phase 2
-// works even for the 5,000-residue queries of the paper's workload.
-func (e *FarrarEngine) AlignHit(query *seq.Sequence, hitIndex int) (*sw.Alignment, error) {
-	if hitIndex < 0 || hitIndex >= len(e.db) {
-		return nil, fmt.Errorf("slave: hit index %d out of range", hitIndex)
-	}
-	return sw.AlignLinearSpace(query.Residues, e.db[hitIndex].Residues, e.scheme), nil
 }

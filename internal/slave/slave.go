@@ -21,9 +21,6 @@ type Options struct {
 	// TopK bounds how many hits per task travel back to the master;
 	// 0 means all.
 	TopK int
-	// AlignBest runs the traceback phase for the best hit of every task
-	// (engines implementing Aligner only) and ships the alignment rows.
-	AlignBest bool
 
 	// Reconnect re-establishes the master connection after a failed call.
 	// When set, Run survives transient faults: it closes the broken
@@ -288,15 +285,6 @@ func runTask(caller wire.Caller, eng Engine, id sched.SlaveID, spec wire.TaskSpe
 		return false, false, fmt.Errorf("slave: task %d: %w", spec.ID, err)
 	}
 	top := TopK(hits, opts.TopK)
-	if opts.AlignBest && len(top) > 0 && top[0].Score > 0 {
-		if al, ok := eng.(Aligner); ok {
-			if a, err := al.AlignHit(query, top[0].Index); err == nil {
-				top[0].QueryRow, top[0].TargetRow = a.QueryRow, a.TargetRow
-				top[0].QueryStart, top[0].QueryEnd = a.QueryStart, a.QueryEnd
-				top[0].TargetStart, top[0].TargetEnd = a.TargetStart, a.TargetEnd
-			}
-		}
-	}
 	// The completion carries the final progress delta: everything since
 	// the last notification. Only timer-gated notifications went out
 	// above, so without this the tail of every task — or all of a short

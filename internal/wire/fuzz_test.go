@@ -10,8 +10,8 @@ import (
 )
 
 // corpusEnvelopes are representative protocol messages, one per kind plus
-// edge shapes (empty hits, alignment payloads, error envelopes), used both
-// as the fuzz seed corpus and as a round-trip sanity check.
+// edge shapes (empty hits, error envelopes), used both as the fuzz seed
+// corpus and as a round-trip sanity check.
 func corpusEnvelopes() []Envelope {
 	return []Envelope{
 		{Register: &RegisterMsg{Name: "gpu0", Kind: sched.KindGPU, DeclaredSpeed: 3.5e10}},
@@ -26,8 +26,7 @@ func corpusEnvelopes() []Envelope {
 		{ProgressAck: &ProgressAckMsg{Cancel: []sched.TaskID{1, 2}, Done: false}},
 		{Complete: &CompleteMsg{Slave: 1, Task: 3, Rate: 1e9, Cells: 42, Hits: []Hit{
 			{SeqID: "db1", Index: 7, Score: 88},
-			{SeqID: "db2", Index: 9, Score: 17, QueryRow: []byte("AC-G"), TargetRow: []byte("ACTG"),
-				QueryStart: 1, QueryEnd: 4, TargetStart: 2, TargetEnd: 6},
+			{SeqID: "db2", Index: 9, Score: 17},
 		}}},
 		{CompleteAck: &CompleteAckMsg{Accepted: true, Cancel: []sched.TaskID{5}, Done: true}},
 		{Error: "unknown slave 7"},
@@ -55,6 +54,8 @@ func FuzzWireDecode(f *testing.F) {
 		}
 	}
 	f.Add(stream.Bytes())
+	// A completion as an older slave sends it, alignment rows and all.
+	f.Add(legacyComplete(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {

@@ -1,6 +1,6 @@
 package wire
 
-import "sort"
+import "slices"
 
 // HitLess is the module-wide hit-ranking contract: score descending, then
 // database index ascending. Every layer that orders hits — the slave's
@@ -17,7 +17,20 @@ func HitLess(a, b Hit) bool {
 	return a.Index < b.Index
 }
 
-// SortHits orders hits best-first under HitLess, in place.
-func SortHits(hits []Hit) {
-	sort.SliceStable(hits, func(i, j int) bool { return HitLess(hits[i], hits[j]) })
+// compareHits is HitLess as the three-way comparison slices.SortFunc takes.
+func compareHits(a, b Hit) int {
+	switch {
+	case HitLess(a, b):
+		return -1
+	case HitLess(b, a):
+		return 1
+	}
+	return 0
 }
+
+// SortHits orders hits best-first under HitLess, in place. The sort need
+// not be stable: every list it is given holds at most one hit per database
+// index (a task scores each sequence of its range once, first-copy-wins
+// keeps one result per task, and shard offsets lift indices onto one
+// global axis), so no two hits compare equal and there is one order only.
+func SortHits(hits []Hit) { slices.SortFunc(hits, compareHits) }

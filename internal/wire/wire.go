@@ -32,19 +32,15 @@ import (
 	"repro/internal/sched"
 )
 
-// Hit is the score of one query against one database sequence. When the
-// slave ran the traceback phase for this hit (slave.Options.AlignBest), the
-// alignment rows travel along.
+// Hit is the score of one query against one database sequence. Slaves
+// only score (§II-A phase 1); the traceback of a query's best hit runs
+// once, after the merge, where the global best is known
+// (cluster.Params.AlignBest). A CompleteMsg from an older slave that still
+// sends alignment rows decodes into this Hit, the rows dropped.
 type Hit struct {
 	SeqID string
 	Index int // position in the database
 	Score int
-
-	// Optional phase-2 payload: aligned rows with '-' gaps, plus the
-	// 0-based half-open coordinates of the aligned regions.
-	QueryRow, TargetRow    []byte
-	QueryStart, QueryEnd   int
-	TargetStart, TargetEnd int
 }
 
 // TaskSpec is a task as shipped to a slave: the query travels with the

@@ -9,9 +9,16 @@
 # .bench_build/ and removed again on exit. Each pair runs `bash bench/run.sh --workload WORKLOAD
 # --seed SEED --seconds 20 --trace 0` once in either tree, alternating which
 # side goes first; each tree builds its own swload and swserve from its own
-# source. For every end-to-end metric it prints both sides' median and
-# quartiles and how many pairs the working tree won (ties count for neither).
-# A run that fails its verification aborts the script.
+# source. Each run's closing JSON line is kept in
+# .bench_build/pair/WORKLOAD-sSEED-{base,change}.jsonl (one line per pair,
+# so pairing another workload or seed leaves these files alone), and its
+# five end-to-end values are printed as it finishes. For every end-to-end
+# metric the script then prints both sides' median and quartiles and how
+# many pairs the working tree won (ties count for neither), and splits those
+# wins by which side ran first: odd pairs run the base first, even pairs the
+# working tree, and on a host where the second run reads better a real
+# difference shows in both halves, an order effect in one only. A run that
+# fails its verification aborts the script.
 set -euo pipefail
 if [ $# -ne 4 ]; then
 	echo "usage: $0 BASE WORKLOAD SEED PAIRS" >&2
@@ -28,13 +35,27 @@ trap 'rm -rf "$tree"' EXIT
 rm -rf "$tree"
 git clone --quiet --shared --no-checkout "$root" "$tree"
 git -C "$tree" checkout --quiet --detach "$sha"
-: >"$out/base.jsonl"
-: >"$out/change.jsonl"
+metrics="setup_s gcups latency_p50_ms peak_rss_mb cpu_s_per_gcell"
+# file SIDE names SIDE's results file for this workload and seed.
+file() {
+	echo "$out/$workload-s$seed-$1.jsonl"
+}
+: >"$(file base)"
+: >"$(file change)"
 
-# run SIDE DIR appends the run's closing JSON line to SIDE's file.
+# values SIDE METRIC prints the metric's value in each of SIDE's runs.
+values() {
+	grep -o "\"$2\":{\"value\":[^,}]*" "$(file "$1")" | sed 's/.*://'
+}
+# run SIDE DIR appends the run's closing JSON line to SIDE's file and
+# prints its end-to-end values.
 run() {
-	(cd "$2" && bash bench/run.sh --workload "$workload" --seed "$seed" --seconds 20 --trace 0) | tail -n 1 >>"$out/$1.jsonl"
-	echo "  $1: $(tail -n 1 "$out/$1.jsonl" | cut -c1-200)" >&2
+	(cd "$2" && bash bench/run.sh --workload "$workload" --seed "$seed" --seconds 20 --trace 0) | tail -n 1 >>"$(file "$1")"
+	local m line="  $1:"
+	for m in $metrics; do
+		line+=" $m=$(printf '%.4g' "$(values "$1" "$m" | tail -n 1)")"
+	done
+	echo "$line failed=$(grep -o '"failed":[0-9]*' "$(file "$1")" | tail -n 1 | cut -d: -f2)" >&2
 }
 for i in $(seq 1 "$pairs"); do
 	echo "pair $i/$pairs" >&2
@@ -47,10 +68,6 @@ for i in $(seq 1 "$pairs"); do
 	fi
 done
 
-# values SIDE METRIC prints the metric's value in each of SIDE's runs.
-values() {
-	grep -o "\"$2\":{\"value\":[^,}]*" "$out/$1.jsonl" | sed 's/.*://'
-}
 # quartiles prints the median and the quartiles of the numbers on stdin.
 quartiles() {
 	sort -g | awk '
@@ -61,15 +78,27 @@ quartiles() {
 echo
 echo "workload $workload, seed $seed, $pairs pairs, base ${sha:0:12}: median [q1, q3]"
 printf '%-18s %-34s %-34s %s\n' metric base change "change wins"
-for m in setup_s gcups latency_p50_ms peak_rss_mb cpu_s_per_gcell; do
-	better=lower
-	[ "$m" = gcups ] && better=higher
-	wins=$(paste <(values base "$m") <(values change "$m") |
-		awk -v better=$better '$1 != $2 && (($2 > $1) == (better == "higher")) { w++ } END { print w + 0 }')
-	printf '%-18s %-34s %-34s %s/%s\n' "$m" "$(values base "$m" | quartiles)" "$(values change "$m" | quartiles)" "$wins" "$pairs"
+# wins METRIC prints, per pair, 1 where the change won on the metric and 0
+# where it did not.
+wins() {
+	local better=lower
+	[ "$1" = gcups ] && better=higher
+	paste <(values base "$1") <(values change "$1") |
+		awk -v better=$better '{ print ($1 != $2 && (($2 > $1) == (better == "higher"))) }'
+}
+for m in $metrics; do
+	printf '%-18s %-34s %-34s %s/%s\n' "$m" "$(values base "$m" | quartiles)" "$(values change "$m" | quartiles)" \
+		"$(wins "$m" | awk '{ w += $1 } END { print w + 0 }')" "$pairs"
+done
+echo
+echo "change wins by which side ran first: base first (odd pairs) | change first (even pairs)"
+for m in $metrics; do
+	printf '%-18s %s\n' "$m" "$(wins "$m" | awk '
+		NR % 2 { bn++; bw += $1; next } { cn++; cw += $1 }
+		END { printf "%d/%d | %d/%d", bw, bn, cw, cn }')"
 done
 # failed SIDE sums the failed requests over SIDE's runs.
 failed() {
-	grep -o '"failed":[0-9]*' "$out/$1.jsonl" | awk -F: '{ n += $2 } END { print n + 0 }'
+	grep -o '"failed":[0-9]*' "$(file "$1")" | awk -F: '{ n += $2 } END { print n + 0 }'
 }
 echo "failed requests: base $(failed base), change $(failed change)"
